@@ -6,8 +6,10 @@ the L1 norm of its boundary data; the same holds outside a strictly
 larger sphere for the exterior problem.  Applied to the difference
 between the radiated field and the wanted field, whose boundary data on
 each control sphere is exactly the solver's residual block, this turns
-the achieved L2 residuals into machine-checkable sup-norm guarantees on
-every target ball and beyond the observation boundary.
+the achieved L2 residual norms (``SolveReport.block_residuals``, or
+:func:`fieldcast.operator.block_residuals` for any density) into
+machine-checkable sup-norm guarantees on every target ball and beyond
+the observation boundary.
 
 Two constants are recorded for every bound: a conservative form
 normalized by the unit-ball volume, and a sharp form normalized by the
@@ -20,13 +22,15 @@ yields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Scenario, surface_measure
-from .operator import ControlTrace, Density, ForwardOperator, apply
+from .fields import eval_double_layer, eval_field
+from .geometry import UNIT_SPHERE_MEASURE, Scenario, surface_measure
+from .operator import Density
 
-UNIT_BALL_VOLUME = {2: np.pi, 3: 4.0 * np.pi / 3.0}
+UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
 
 
 def interior_sup_constant(inner: float, outer: float, dim: int, sharp: bool = False) -> float:
@@ -121,28 +125,27 @@ def _entry(label: str, mismatch: float, inner: float, outer: float, dim: int,
     )
 
 
-def certify_solution(K: ForwardOperator, h: Density, v: ControlTrace,
-                     s: Scenario) -> Certificate:
-    """Certificate for a solved density against its trace target.
+def certify_solution(residuals: Sequence[float], s: Scenario) -> Certificate:
+    """Certificate from the L2 residual norms of a solve.
 
-    Feeds each control boundary's L2 residual through the interior or
-    exterior sup bound with that boundary's radii.
+    ``residuals`` holds one norm per control boundary, regions first and
+    the outer sphere last, as in ``SolveReport.block_residuals``.  Each
+    goes through the interior or exterior sup bound with that boundary's
+    radii.
     """
-    res = apply(K, h) - v
-    region_entries = []
-    for k, (r, block, rule) in enumerate(zip(s.regions, res.blocks, res.rules), start=1):
-        mismatch = rule.l2_norm(block)
-        region_entries.append(
-            _entry(f"region-{k}", mismatch, r.radius, r.control_radius, s.dim,
-                   "interior")
+    if len(residuals) != s.n_regions + 1:
+        raise ValueError(
+            f"expected {s.n_regions + 1} residual norms, got {len(residuals)}"
         )
-    outer_rule = res.rules[-1]
-    mismatch = outer_rule.l2_norm(res.blocks[-1])
+    region_entries = tuple(
+        _entry(f"region-{k}", mismatch, r.radius, r.control_radius, s.dim, "interior")
+        for k, (r, mismatch) in enumerate(zip(s.regions, residuals), start=1)
+    )
     exterior_entry = _entry(
-        "exterior", mismatch, s.outer_control_radius, s.observation_radius, s.dim,
+        "exterior", residuals[-1], s.outer_control_radius, s.observation_radius, s.dim,
         "exterior",
     )
-    return Certificate(regions=tuple(region_entries), exterior=exterior_entry)
+    return Certificate(regions=region_entries, exterior=exterior_entry)
 
 
 def sample_in_ball(rng: np.random.Generator, center, radius: float, dim: int,
@@ -173,8 +176,6 @@ def empirical_mismatches(h: Density, v_fields, s: Scenario,
     callable of points); returns the sampled maxima per target ball and
     the sampled maximum of |radiated field| outside the observation ball.
     """
-    from .fields import eval_double_layer
-
     maxima = []
     for r, wanted in zip(s.regions, v_fields):
         pts = sample_in_ball(rng, r.center, r.radius, s.dim, n_samples)
@@ -187,8 +188,6 @@ def empirical_mismatches(h: Density, v_fields, s: Scenario,
 
 def scenario_difference_fields(s: Scenario):
     """Per-region callables evaluating u_k - u_0 at points."""
-    from .fields import eval_field
-
     def make(region):
         def wanted(pts):
             return (np.asarray(eval_field(region.target, pts), dtype=float)

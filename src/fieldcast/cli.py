@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .fields import build_target, default_grid, eval_on_grid, resolve_epsilon, w
 from .geometry import Discretization, Scenario, ScenarioValidationError, build_rules, validate_scenario
 from .operator import assemble_forward, dump_operator, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
-from .solver import InfeasibleAccuracyError, SolveReport, solve_min_energy, sweep_alpha
+from .solver import InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy, sweep_alpha
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,7 +89,6 @@ def _scenario_lines(s: Scenario, path: str) -> list[tuple[str, object]]:
 
 
 def _spectrum_lines(sigma: np.ndarray) -> list[tuple[str, object]]:
-    cutoff = 1e-12 * float(sigma[0])
     count = min(SPECTRUM_FIT_COUNT, sigma.shape[0])
     usable = sigma[:count][sigma[:count] > 0]
     slope = float(np.polyfit(np.arange(usable.shape[0]), np.log10(usable), 1)[0])
@@ -96,7 +96,7 @@ def _spectrum_lines(sigma: np.ndarray) -> list[tuple[str, object]]:
         ("sigma-1", float(sigma[0])),
         ("sigma-min", float(sigma[-1])),
         ("count", int(sigma.shape[0])),
-        ("rank-above-cutoff", int(np.sum(sigma > cutoff))),
+        ("rank-above-cutoff", rank_above_cutoff(sigma)),
         ("decay-slope-log10", slope),
     ]
 
@@ -155,15 +155,11 @@ def write_spectrum(path: Path, sigma: np.ndarray) -> None:
 def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
 
+    @contextmanager
     def stage(name):
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timings.append((f"{name}-seconds", max(time.perf_counter() - self.t0, 1e-9)))
-
-        return _Timer()
+        t0 = time.perf_counter()
+        yield
+        timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
 
     scenario = _load(args)
     out_dir = Path(args.out)
@@ -179,7 +175,7 @@ def cmd_run(args) -> int:
     with stage("solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
     with stage("certify"):
-        cert = certify_solution(K, h, v, scenario)
+        cert = certify_solution(report.block_residuals, scenario)
     with stage("empirical"):
         rng = np.random.default_rng(scenario.seed)
         region_max, exterior_max = empirical_mismatches(

@@ -10,13 +10,14 @@ same quadrature that built the operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .geometry import QuadratureRule, Scenario, make_circle_rule, make_sphere_rule
 from .kernels import dlp_kernel
+from .operator import SEPARATION_RTOL, ControlTrace
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -208,8 +209,6 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
     exterior target must be harmonic outside the outer control sphere
     with admissible behavior at infinity.
     """
-    from .operator import ControlTrace
-
     if len(controls) != s.n_regions + 1:
         raise ValueError(
             f"expected {s.n_regions + 1} control rules, got {len(controls)}"
@@ -253,8 +252,9 @@ def eval_double_layer(g, x) -> np.ndarray | float:
 
     Quadrature of the double-layer kernel against the density over the
     antenna boundary.  Evaluation is rejected inside or within a 1e-6
-    relative ring of the antenna sphere, where the plain quadrature of the
-    singular kernel is meaningless.
+    relative ring of the antenna sphere (the clearance the operator
+    demands of control nodes), where the plain quadrature of the singular
+    kernel is meaningless.
 
     Parameters
     ----------
@@ -271,7 +271,7 @@ def eval_double_layer(g, x) -> np.ndarray | float:
         raise ValueError(f"points must have trailing dimension {dim}, got {x.shape}")
 
     rho = np.linalg.norm(pts - rule.boundary.center, axis=-1)
-    if np.any(rho < rule.boundary.radius * (1.0 + 1e-6)):
+    if np.any(rho < rule.boundary.radius * (1.0 + SEPARATION_RTOL)):
         raise ValueError(
             "double-layer evaluation too close to (or inside) the antenna boundary"
         )
@@ -463,7 +463,5 @@ def auto_epsilon(s: Scenario) -> float:
 def resolve_epsilon(s: Scenario) -> Scenario:
     """Replace epsilon == 'auto' with its numeric value."""
     if s.epsilon == "auto":
-        from dataclasses import replace
-
         return replace(s, epsilon=auto_epsilon(s))
     return s

@@ -31,6 +31,10 @@ NODE_ON_BOUNDARY_RTOL = 1e-14
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_SPHERE_POLAR = 24
 
+# Surface measure of the unit sphere: the normalization that makes the
+# mean-value property and the Gauss identity come out exact.
+UNIT_SPHERE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
 
 class ScenarioValidationError(ValueError):
     """A scenario violates one or more geometric admissibility conditions.
@@ -50,11 +54,9 @@ class ScenarioValidationError(ValueError):
 
 def surface_measure(radius: float, dim: int) -> float:
     """Surface measure of a sphere: 2*pi*r in 2D, 4*pi*r^2 in 3D."""
-    if dim == 2:
-        return 2.0 * np.pi * radius
-    if dim == 3:
-        return 4.0 * np.pi * radius**2
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
+    if dim not in UNIT_SPHERE_MEASURE:
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return UNIT_SPHERE_MEASURE[dim] * radius ** (dim - 1)
 
 
 def _as_point(p, dim: int) -> np.ndarray:

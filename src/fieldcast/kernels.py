@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import QuadratureRule
-
-# Surface measure of the unit sphere: the normalization that makes the
-# mean-value property and the Gauss identity come out exact.
-UNIT_SPHERE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 
 # Evaluations closer than this (relative) are treated as coincident-point
 # bugs, never regularized: every boundary pair in scope is well separated.
@@ -52,9 +48,9 @@ def phi(x, y, dim: int) -> np.ndarray | float:
     """
     _, dist = _diff_and_dist(x, y, dim)
     if dim == 2:
-        out = -np.log(dist) / (2.0 * np.pi)
+        out = -np.log(dist) / UNIT_SPHERE_MEASURE[2]
     elif dim == 3:
-        out = 1.0 / (4.0 * np.pi * dist)
+        out = 1.0 / (UNIT_SPHERE_MEASURE[3] * dist)
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return out if out.ndim else float(out)

@@ -206,6 +206,12 @@ def apply(K: ForwardOperator, h: Density) -> ControlTrace:
     return K.split(K.matrix @ h.values)
 
 
+def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[float, ...]:
+    """Weighted L2 norm of K h - v on each control boundary, regions first."""
+    res = apply(K, h) - v
+    return tuple(rule.l2_norm(b) for b, rule in zip(res.blocks, res.rules))
+
+
 def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
     """Adjoint of :func:`apply` in the weighted inner products.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import ControlTrace, Density, ForwardOperator, apply, weighted_svd
+from .operator import ControlTrace, Density, ForwardOperator, block_residuals, weighted_svd
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
 DISCREPANCY_RTOL = 1e-3
@@ -33,6 +33,15 @@ MAX_BRACKET_ITERATIONS = 200
 # Singular values below this fraction of sigma_1 count as unresolved when
 # estimating the smallest residual the current discretization can reach.
 RANK_CUTOFF_RTOL = 1e-12
+
+
+def rank_above_cutoff(sigma: np.ndarray) -> int:
+    """Number of singular values at or above RANK_CUTOFF_RTOL * sigma_1.
+
+    ``sigma`` is nonincreasing, as :func:`weighted_svd` returns it, so the
+    counted values are its leading entries.
+    """
+    return int(np.count_nonzero(sigma >= RANK_CUTOFF_RTOL * sigma[0]))
 
 
 class InfeasibleAccuracyError(ValueError):
@@ -48,13 +57,6 @@ class InfeasibleAccuracyError(ValueError):
 
 
 @dataclass(frozen=True)
-class SpectrumSummary:
-    sigma_max: float
-    sigma_min: float
-    rank_above_cutoff: int
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Diagnostics of one minimal-energy solve."""
 
@@ -63,7 +65,6 @@ class SolveReport:
     epsilon: float
     energy: float
     bracket_iterations: int
-    spectrum: SpectrumSummary
     block_residuals: tuple[float, ...]
     epsilon_floor: float
     degenerate: bool = False
@@ -83,6 +84,17 @@ class _FilterData:
 
     def coefficients(self, alpha: float) -> np.ndarray:
         return self.sigma * self.beta / (alpha + self.sigma**2)
+
+    def floor(self) -> float:
+        """Residual at the bottom of the alpha bracket, see :func:`residual_floor`."""
+        sigma_1 = float(self.sigma[0]) if self.sigma.size else 0.0
+        if sigma_1 == 0.0:
+            return math.sqrt(self.perp_sq + float(self.beta @ self.beta))
+        alpha = ALPHA_BRACKET_LO * sigma_1**2
+        rank = rank_above_cutoff(self.sigma)
+        f = alpha / (alpha + self.sigma[:rank] ** 2)
+        dropped_sq = float(np.sum(self.beta[rank:] ** 2))
+        return math.sqrt(float(np.sum((f * self.beta[:rank]) ** 2)) + dropped_sq + self.perp_sq)
 
 
 def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
@@ -126,29 +138,7 @@ def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
     this floor must be reported as infeasible rather than silently
     under-delivered.
     """
-    data = _filter_data(K, v)
-    sigma_1 = float(data.sigma[0]) if data.sigma.size else 0.0
-    if sigma_1 == 0.0:
-        return math.sqrt(data.perp_sq + float(data.beta @ data.beta))
-    alpha = ALPHA_BRACKET_LO * sigma_1**2
-    keep = data.sigma >= RANK_CUTOFF_RTOL * sigma_1
-    f = alpha / (alpha + data.sigma[keep] ** 2)
-    dropped_sq = float(np.sum(data.beta[~keep] ** 2))
-    return math.sqrt(float(np.sum((f * data.beta[keep]) ** 2)) + dropped_sq + data.perp_sq)
-
-
-def _spectrum_summary(K: ForwardOperator) -> SpectrumSummary:
-    sigma = weighted_svd(K).sigma
-    return SpectrumSummary(
-        sigma_max=float(sigma[0]),
-        sigma_min=float(sigma[-1]),
-        rank_above_cutoff=int(np.sum(sigma > RANK_CUTOFF_RTOL * sigma[0])),
-    )
-
-
-def _block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[float, ...]:
-    res = apply(K, h) - v
-    return tuple(rule.l2_norm(b) for b, rule in zip(res.blocks, res.rules))
+    return _filter_data(K, v).floor()
 
 
 def solve_min_energy(
@@ -172,7 +162,7 @@ def solve_min_energy(
 
     data = _filter_data(K, v)
     sigma_1 = float(data.sigma[0])
-    spectrum = _spectrum_summary(K)
+    floor = data.floor()
 
     if epsilon >= v_norm:
         h = Density(rule=K.antenna_rule, values=np.zeros(K.antenna_rule.node_count))
@@ -182,14 +172,12 @@ def solve_min_energy(
             epsilon=epsilon,
             energy=0.0,
             bracket_iterations=0,
-            spectrum=spectrum,
-            block_residuals=_block_residuals(K, h, v),
-            epsilon_floor=residual_floor(K, v),
+            block_residuals=block_residuals(K, h, v),
+            epsilon_floor=floor,
             degenerate=True,
         )
         return h, report
 
-    floor = residual_floor(K, v)
     if epsilon <= floor:
         raise InfeasibleAccuracyError(epsilon, floor)
 
@@ -223,8 +211,7 @@ def solve_min_energy(
         epsilon=epsilon,
         energy=h.norm(),
         bracket_iterations=iterations,
-        spectrum=spectrum,
-        block_residuals=_block_residuals(K, h, v),
+        block_residuals=block_residuals(K, h, v),
         epsilon_floor=floor,
     )
     return h, report

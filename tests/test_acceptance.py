@@ -45,6 +45,7 @@ from fieldcast.certify import (
     scenario_difference_fields,
 )
 from fieldcast.fields import eval_double_layer, eval_field
+from fieldcast.operator import block_residuals
 from fieldcast.solver import residual_floor
 from test_solver import _qp_oracle_energy, _random_instance
 
@@ -60,7 +61,7 @@ def _full_pipeline(scenario, epsilon):
     K = assemble_forward(antenna, controls)
     v = build_target(scenario, controls)
     h, report = solve_min_energy(K, v, epsilon)
-    cert = certify_solution(K, h, v, scenario)
+    cert = certify_solution(block_residuals(K, h, v), scenario)
     return K, v, h, report, cert
 
 
@@ -286,7 +287,7 @@ def test_criterion_8_certificate_soundness(demo2d_parts):
     worst_margin = np.inf
     for _ in range(20):
         h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-        cert = certify_solution(K, h, v, s)
+        cert = certify_solution(block_residuals(K, h, v), s)
         maxima, exterior_max = empirical_mismatches(h, fields, s, rng, n_samples=500)
         for observed, entry in zip(maxima + [exterior_max],
                                    list(cert.regions) + [cert.exterior]):

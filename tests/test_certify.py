@@ -17,6 +17,7 @@ from fieldcast.certify import (
     sample_in_ball,
     scenario_difference_fields,
 )
+from fieldcast.operator import block_residuals
 
 
 class TestBoundArithmetic:
@@ -87,14 +88,14 @@ class TestCertifySolution:
         rng = np.random.default_rng(5)
         h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
         exact_v = apply(K, h)
-        cert = certify_solution(K, h, exact_v, s)
+        cert = certify_solution(block_residuals(K, h, exact_v), s)
         scale = exact_v.norm()
         for entry in list(cert.regions) + [cert.exterior]:
             assert entry.bound_conservative <= 1e-9 * scale
 
     def test_certificate_structure(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
-        cert = certify_solution(K, h, v, s)
+        cert = certify_solution(block_residuals(K, h, v), s)
         assert len(cert.regions) == 2
         for entry in list(cert.regions) + [cert.exterior]:
             assert entry.bound_conservative >= entry.bound_sharp >= 0
@@ -107,9 +108,16 @@ class TestCertifySolution:
                               report.block_residuals):
             assert entry.mismatch_l2 == pytest.approx(res, rel=1e-12)
 
+    def test_rejects_wrong_residual_count(self, demo2d_solution):
+        s, K, v, h, report = demo2d_solution
+        residuals = report.block_residuals
+        for wrong in (residuals[:-1], residuals + (0.0,)):
+            with pytest.raises(ValueError, match="residual norms"):
+                certify_solution(wrong, s)
+
     def test_solved_density_within_bounds(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
-        cert = certify_solution(K, h, v, s)
+        cert = certify_solution(block_residuals(K, h, v), s)
         rng = np.random.default_rng(s.seed)
         maxima, exterior_max = empirical_mismatches(
             h, scenario_difference_fields(s), s, rng, n_samples=500
@@ -125,7 +133,7 @@ class TestCertifySolution:
         fields = scenario_difference_fields(s)
         for _ in range(5):
             h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-            cert = certify_solution(K, h, v, s)
+            cert = certify_solution(block_residuals(K, h, v), s)
             maxima, exterior_max = empirical_mismatches(h, fields, s, rng, n_samples=200)
             for entry, observed in zip(cert.regions, maxima):
                 assert observed <= entry.bound_conservative

@@ -11,6 +11,7 @@ from fieldcast import (
     apply,
     build_rules,
     build_target,
+    certify_solution,
     constant_field,
     dipole,
     eval_double_layer,
@@ -29,6 +30,7 @@ from fieldcast.fields import (
     write_grid,
 )
 from fieldcast.geometry import with_default_radii
+from fieldcast.operator import block_residuals
 
 
 class TestEvalField:
@@ -235,10 +237,8 @@ class TestEvalOnGrid:
         assert np.all(np.isnan(grid.mismatch[labels == "annulus"]))
 
     def test_exterior_grid_bounded_by_certificate(self, demo2d_solution):
-        from fieldcast import certify_solution
-
         s, K, v, h, report = demo2d_solution
-        cert = certify_solution(K, h, v, s)
+        cert = certify_solution(block_residuals(K, h, v), s)
         spec = GridSpec(shape=(25, 25), lo=(15.5, 15.5), hi=(40.0, 40.0))
         grid = eval_on_grid(h, s, spec)
         assert set(grid.labels) == {"exterior"}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
 from fieldcast import (
     ControlTrace,
     Density,
@@ -19,7 +20,7 @@ from fieldcast import (
     tikhonov_solve,
     weighted_svd,
 )
-from fieldcast.solver import residual_floor
+from fieldcast.solver import rank_above_cutoff, residual_floor
 
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
@@ -155,6 +156,16 @@ class TestSolveMinEnergy:
         assert math.isfinite(report.energy)
         assert len(report.block_residuals) == 3
 
+    @pytest.mark.parametrize("parts, eps", [("demo2d_parts", FEASIBLE_EPS_2D),
+                                            ("demo3d_parts", FEASIBLE_EPS_3D)])
+    def test_discrepancy_matches_block_residuals(self, request, parts, eps):
+        # The discrepancy is computed in the SVD basis, the block residuals
+        # by applying K directly; both are the norm of the same residual.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        _, report = solve_min_energy(K, v, eps)
+        direct = math.sqrt(sum(r**2 for r in report.block_residuals))
+        assert report.discrepancy == pytest.approx(direct, rel=1e-10)
+
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
         s, K, v, h, report = demo2d_solution
@@ -196,6 +207,11 @@ class TestSolveMinEnergy:
         _, loose = solve_min_energy(K, v, eps)
         _, tight = solve_min_energy(K, v, eps / 2.0)
         assert tight.energy >= loose.energy * (1 - 1e-12)
+
+
+class TestRankCutoff:
+    def test_value_at_cutoff_is_kept(self):
+        assert rank_above_cutoff(np.array([1.0, 1e-12, 9e-13])) == 2
 
 
 class TestBruteForceOracle:
