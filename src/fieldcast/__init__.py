@@ -61,6 +61,7 @@ from .solver import (
     discrepancy,
     solve_min_energy,
     sweep_alpha,
+    sweep_epsilon,
     tikhonov_solve,
 )
 
@@ -108,6 +109,7 @@ __all__ = [
     "save_scenario",
     "solve_min_energy",
     "sweep_alpha",
+    "sweep_epsilon",
     "tikhonov_solve",
     "validate_scenario",
     "weighted_svd",

@@ -21,7 +21,8 @@ from .fields import build_target, default_grid, eval_on_grid, resolve_epsilon, w
 from .geometry import Discretization, Scenario, ScenarioValidationError, build_rules, validate_scenario
 from .operator import assemble_forward, dump_operator, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
-from .solver import InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy, sweep_alpha
+from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
+                     sweep_alpha, sweep_epsilon)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -232,13 +233,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_ladder(text: str, name: str) -> list[float]:
-    values = [float(p) for p in text.split(",") if p.strip()]
-    if not values:
-        raise ValueError(f"{name} ladder is empty")
-    if any(v <= 0 for v in values):
-        raise ValueError(f"{name} ladder values must be positive")
-    return values
+def _parse_ladder(text: str) -> list[float]:
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def cmd_sweep(args) -> int:
@@ -251,19 +247,14 @@ def cmd_sweep(args) -> int:
     v = build_target(scenario, controls)
     svd = weighted_svd(K)
 
+    if args.alphas is not None:
+        name, rows = "alpha", sweep_alpha(K, v, _parse_ladder(args.alphas))
+    else:
+        name, rows = "epsilon", sweep_epsilon(K, v, _parse_ladder(args.epsilons))
     sweep_path = out_dir / "sweep.tsv"
     with open(sweep_path, "w") as fh:
-        fh.write("format-version: 1\n")
-        if args.alphas:
-            rows = sweep_alpha(K, v, _parse_ladder(args.alphas, "alpha"))
-            fh.write("alpha\tdiscrepancy\tenergy\n")
-            for a, d, e in rows:
-                fh.write(f"{a!r}\t{d!r}\t{e!r}\n")
-        else:
-            fh.write("epsilon\tdiscrepancy\tenergy\n")
-            for eps in sorted(_parse_ladder(args.epsilons, "epsilon")):
-                _, rep = solve_min_energy(K, v, eps)
-                fh.write(f"{eps!r}\t{rep.discrepancy!r}\t{rep.energy!r}\n")
+        fh.write(f"format-version: 1\n{name}\tdiscrepancy\tenergy\n")
+        fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
 
     spectrum_path = out_dir / "spectrum.tsv"
     write_spectrum(spectrum_path, svd.sigma)
@@ -292,11 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the operator matrix and spectrum as binary")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="tabulate discrepancy/energy over a ladder")
+    # No abbreviations: "--epsilon" must not pass for "--epsilons".
+    sweep = sub.add_parser("sweep", help="tabulate discrepancy/energy over a ladder",
+                           allow_abbrev=False)
     sweep.add_argument("scenario")
     sweep.add_argument("--out", default="fieldcast-out")
     sweep.add_argument("--nodes", default=None, metavar="ANTENNA,CONTROL")
-    sweep.add_argument("--epsilon", default=None, help=argparse.SUPPRESS)
     group = sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilons", default=None, metavar="E1,E2,...")
     group.add_argument("--alphas", default=None, metavar="A1,A2,...")

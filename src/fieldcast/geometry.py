@@ -376,8 +376,8 @@ def validate_scenario(s: Scenario) -> Scenario:
     if isinstance(s.epsilon, str):
         if s.epsilon != "auto":
             bad.append(f"epsilon must be a positive number or 'auto', got {s.epsilon!r}")
-    elif not s.epsilon > 0:
-        bad.append(f"epsilon must be positive, got {s.epsilon}")
+    elif not 0 < s.epsilon < np.inf:
+        bad.append(f"epsilon must be positive and finite, got {s.epsilon}")
 
     for k, r in enumerate(s.regions, start=1):
         if r.center.shape != (s.dim,):

@@ -72,11 +72,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _FilterData:
-    """Per-solve quantities in the weighted singular basis."""
+    """The target in the weighted singular basis: all a budget needs."""
 
     sigma: np.ndarray    # (k,)
     beta: np.ndarray     # (k,) singular-basis coefficients of the target
     perp_sq: float       # squared norm of the target outside the column span
+    v_norm: float        # ||v||, as ControlTrace.norm gives it
 
     def discrepancy_sq(self, alpha: float) -> float:
         f = alpha / (alpha + self.sigma**2)  # (k,)
@@ -84,6 +85,10 @@ class _FilterData:
 
     def coefficients(self, alpha: float) -> np.ndarray:
         return self.sigma * self.beta / (alpha + self.sigma**2)
+
+    def energy(self, alpha: float) -> float:
+        """Antenna L2 norm of the density at alpha (``vt`` has orthonormal rows)."""
+        return float(np.linalg.norm(self.coefficients(alpha)))
 
     def floor(self) -> float:
         """Residual at the bottom of the alpha bracket, see :func:`residual_floor`."""
@@ -96,13 +101,65 @@ class _FilterData:
         dropped_sq = float(np.sum(self.beta[rank:] ** 2))
         return math.sqrt(float(np.sum((f * self.beta[:rank]) ** 2)) + dropped_sq + self.perp_sq)
 
+    def match(self, epsilon: float) -> tuple[float, float, int]:
+        """(alpha, residual norm, iterations) for the budget epsilon.
+
+        Bisects log10(alpha) over [1e-14, 1e4] * sigma_1^2, widening the top
+        if needed, until the residual is within 1e-3 relative of epsilon.  At
+        or above ||v|| the zero density (alpha = inf) meets the budget; at or
+        below the residual floor the budget is infeasible at this resolution.
+        """
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if self.v_norm == 0.0:
+            raise ValueError("target trace is identically zero; nothing to solve")
+        if epsilon >= self.v_norm:
+            return math.inf, self.v_norm, 0
+        floor = self.floor()
+        if epsilon <= floor:
+            raise InfeasibleAccuracyError(epsilon, floor)
+
+        sigma_1 = float(self.sigma[0])
+        lo = math.log10(ALPHA_BRACKET_LO * sigma_1**2)
+        hi = math.log10(ALPHA_BRACKET_HI * sigma_1**2)
+        target_lo = epsilon * (1.0 - DISCREPANCY_RTOL)
+        target_hi = epsilon * (1.0 + DISCREPANCY_RTOL)
+
+        # Residual at the top of the bracket approaches ||v|| from below; widen
+        # if epsilon sits inside that last sliver.
+        while math.sqrt(self.discrepancy_sq(10.0**hi)) < target_lo and hi < 40:
+            hi += 2.0
+
+        iterations = 0
+        log_alpha = 0.5 * (lo + hi)
+        disc = math.sqrt(self.discrepancy_sq(10.0**log_alpha))
+        while not (target_lo <= disc <= target_hi) and iterations < MAX_BRACKET_ITERATIONS:
+            if disc > epsilon:
+                hi = log_alpha
+            else:
+                lo = log_alpha
+            log_alpha = 0.5 * (lo + hi)
+            disc = math.sqrt(self.discrepancy_sq(10.0**log_alpha))
+            iterations += 1
+        return 10.0**log_alpha, disc, iterations
+
 
 def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
     svd = weighted_svd(K)
     v_tilde = svd.sqrt_row_w * v.concatenated  # (m,)
     beta = svd.u.T @ v_tilde  # (k,)
     perp_sq = max(float(v_tilde @ v_tilde - beta @ beta), 0.0)
-    return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq)
+    return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq, v_norm=v.norm())
+
+
+def _ladder(values, name: str) -> list[float]:
+    """The sweep values sorted ascending; each must be positive and finite."""
+    ladder = sorted(float(x) for x in values)
+    if not ladder:
+        raise ValueError(f"{name} ladder is empty; a sweep needs at least one value")
+    if not all(0 < x < math.inf for x in ladder):
+        raise ValueError(f"{name} ladder values must be positive and finite")
+    return ladder
 
 
 def _density_from_coefficients(K: ForwardOperator, coeff: np.ndarray) -> Density:
@@ -144,91 +201,38 @@ def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
 def solve_min_energy(
     K: ForwardOperator, v: ControlTrace, epsilon: float
 ) -> tuple[Density, SolveReport]:
-    """Minimal-energy density with residual norm equal to epsilon.
-
-    Bisects log10(alpha) over [1e-14, 1e4] * sigma_1^2 until the residual
-    is within 1e-3 relative of epsilon; the bracket is widened upward in
-    the rare case the initial top is still below target.  When epsilon is
-    at or above ||v|| the zero density already satisfies the constraint
-    and is returned with the ``degenerate`` flag; when epsilon is at or
-    below the discretization's residual floor the request is infeasible
-    at this resolution and an error advises refinement.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    v_norm = v.norm()
-    if v_norm == 0.0:
-        raise ValueError("target trace is identically zero; nothing to solve")
-
+    """Minimal-energy density with residual norm equal to epsilon, as found by
+    ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
     data = _filter_data(K, v)
-    sigma_1 = float(data.sigma[0])
-    floor = data.floor()
-
-    if epsilon >= v_norm:
-        h = Density(rule=K.antenna_rule, values=np.zeros(K.antenna_rule.node_count))
-        report = SolveReport(
-            alpha_star=math.inf,
-            discrepancy=v_norm,
-            epsilon=epsilon,
-            energy=0.0,
-            bracket_iterations=0,
-            block_residuals=block_residuals(K, h, v),
-            epsilon_floor=floor,
-            degenerate=True,
-        )
-        return h, report
-
-    if epsilon <= floor:
-        raise InfeasibleAccuracyError(epsilon, floor)
-
-    lo = math.log10(ALPHA_BRACKET_LO * sigma_1**2)
-    hi = math.log10(ALPHA_BRACKET_HI * sigma_1**2)
-    target_lo = epsilon * (1.0 - DISCREPANCY_RTOL)
-    target_hi = epsilon * (1.0 + DISCREPANCY_RTOL)
-
-    # Residual at the top of the bracket approaches ||v|| from below; widen
-    # if epsilon sits inside that last sliver.
-    while math.sqrt(data.discrepancy_sq(10.0**hi)) < target_lo and hi < 40:
-        hi += 2.0
-
-    iterations = 0
-    log_alpha = 0.5 * (lo + hi)
-    disc = math.sqrt(data.discrepancy_sq(10.0**log_alpha))
-    while not (target_lo <= disc <= target_hi) and iterations < MAX_BRACKET_ITERATIONS:
-        if disc > epsilon:
-            hi = log_alpha
-        else:
-            lo = log_alpha
-        log_alpha = 0.5 * (lo + hi)
-        disc = math.sqrt(data.discrepancy_sq(10.0**log_alpha))
-        iterations += 1
-
-    alpha = 10.0**log_alpha
+    alpha, disc, iterations = data.match(epsilon)
     h = _density_from_coefficients(K, data.coefficients(alpha))
     report = SolveReport(
         alpha_star=alpha,
         discrepancy=disc,
         epsilon=epsilon,
-        energy=h.norm(),
+        energy=data.energy(alpha),
         bracket_iterations=iterations,
         block_residuals=block_residuals(K, h, v),
-        epsilon_floor=floor,
+        epsilon_floor=data.floor(),
+        degenerate=alpha == math.inf,
     )
     return h, report
 
 
-def sweep_alpha(
-    K: ForwardOperator, v: ControlTrace, alphas
-) -> list[tuple[float, float, float]]:
+def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float, float, float]]:
     """Rows (alpha, residual norm, energy), sorted by alpha ascending."""
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ValueError("alpha sweep needs at least one value")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alpha sweep values must be positive")
+    ladder = _ladder(alphas, "alpha")
+    data = _filter_data(K, v)
+    return [(a, math.sqrt(data.discrepancy_sq(a)), data.energy(a)) for a in ladder]
+
+
+def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[float, float, float]]:
+    """Rows (epsilon, residual norm, energy) of the minimal-energy solves,
+    sorted by epsilon ascending; no density or residual block is formed."""
+    ladder = _ladder(epsilons, "epsilon")
     data = _filter_data(K, v)
     rows = []
-    for a in sorted(alphas):
-        coeff = data.coefficients(a)
-        rows.append((a, math.sqrt(data.discrepancy_sq(a)), float(np.linalg.norm(coeff))))
+    for eps in ladder:
+        alpha, disc, _ = data.match(eps)
+        rows.append((eps, disc, data.energy(alpha)))
     return rows

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import FEASIBLE_EPS_2D
 from fieldcast.cli import main
@@ -81,6 +82,11 @@ class TestRun:
         assert _run(["run", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "line" in capsys.readouterr().err
 
+    def test_non_finite_epsilon_exits_with_validation_status(self, tmp_path, capsys):
+        code = _run(["run", DEMO_2D, "--out", str(tmp_path / "o"), "--epsilon", "inf"])
+        assert code == 3
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_missing_file_exits_with_validation_status(self, tmp_path):
         assert _run(["run", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
@@ -148,3 +154,28 @@ class TestSweep:
                      "--epsilons", ""])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_empty_alpha_ladder_is_usage_error(self, tmp_path, capsys):
+        code = _run(["sweep", DEMO_2D, "--out", str(tmp_path / "o"), "--alphas", ""])
+        assert code == 2
+        assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ladder", [["--alphas", "nan"], ["--alphas", "inf"],
+                                        ["--epsilons", "inf"], ["--epsilons", "nan"]])
+    def test_non_finite_ladder_is_usage_error(self, tmp_path, capsys, ladder):
+        out = tmp_path / "out"
+        assert _run(["sweep", DEMO_2D, "--out", str(out), *ladder]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "sweep.tsv").exists()
+
+    def test_infeasible_ladder_leaves_no_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(["sweep", DEMO_2D, "--out", str(out), "--epsilons", "1.0,7.0"]) == 4
+        assert "residual floor" in capsys.readouterr().err
+        assert not (out / "sweep.tsv").exists()
+
+    def test_epsilon_is_not_an_abbreviation_of_epsilons(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _run(["sweep", DEMO_2D, "--out", str(tmp_path / "o"),
+                  "--epsilon", "6.5", "--epsilons", "7.0"])
+        assert exc.value.code == 2

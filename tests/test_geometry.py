@@ -1,5 +1,8 @@
 """Quadrature rules and scenario admissibility."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,11 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(s)
         assert len(err.value.violations) == 2
+
+    def test_rejects_non_finite_epsilon(self):
+        s = replace(make_demo_2d(), epsilon=math.inf)
+        with pytest.raises(ScenarioValidationError, match="positive and finite"):
+            validate_scenario(s)
 
     def test_default_radii_leave_room_on_both_sides(self):
         # A region hugging the observation boundary must still default to

@@ -17,6 +17,7 @@ from fieldcast import (
     make_circle_rule,
     solve_min_energy,
     sweep_alpha,
+    sweep_epsilon,
     tikhonov_solve,
     weighted_svd,
 )
@@ -162,9 +163,12 @@ class TestSolveMinEnergy:
         # The discrepancy is computed in the SVD basis, the block residuals
         # by applying K directly; both are the norm of the same residual.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        _, report = solve_min_energy(K, v, eps)
+        h, report = solve_min_energy(K, v, eps)
         direct = math.sqrt(sum(r**2 for r in report.block_residuals))
         assert report.discrepancy == pytest.approx(direct, rel=1e-10)
+        # The energy comes from the SVD coefficients, the density norm from
+        # the quadrature; vt's orthonormal rows make them agree.
+        assert report.energy == pytest.approx(h.norm(), rel=1e-12)
 
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
@@ -254,3 +258,35 @@ class TestSweepAlpha:
             sweep_alpha(K, v, [])
         with pytest.raises(ValueError, match="positive"):
             sweep_alpha(K, v, [1.0, -2.0])
+
+
+class TestSweepEpsilon:
+    def test_rows_match_one_shot_solves(self, demo2d_parts):
+        s, antenna, controls, K, v = demo2d_parts
+        ladder = [9.0, 6.0, 7.5, FEASIBLE_EPS_2D]
+        rows = sweep_epsilon(K, v, ladder)
+        assert [r[0] for r in rows] == sorted(ladder)
+        for eps, disc, energy in rows:
+            _, report = solve_min_energy(K, v, eps)
+            assert disc == report.discrepancy
+            assert energy == pytest.approx(report.energy, rel=1e-12)
+
+    def test_budget_above_target_norm_gives_zero_energy_row(self, demo2d_parts):
+        s, antenna, controls, K, v = demo2d_parts
+        eps = 2.0 * v.norm()
+        assert sweep_epsilon(K, v, [eps]) == [(eps, v.norm(), 0.0)]
+
+    def test_ladder_reaching_the_floor_raises(self, demo2d_parts):
+        s, antenna, controls, K, v = demo2d_parts
+        floor = residual_floor(K, v)
+        with pytest.raises(InfeasibleAccuracyError):
+            sweep_epsilon(K, v, [FEASIBLE_EPS_2D, floor])
+
+
+class TestLadderCheck:
+    @pytest.mark.parametrize("sweep", [sweep_alpha, sweep_epsilon])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, demo2d_parts, sweep, bad):
+        s, antenna, controls, K, v = demo2d_parts
+        with pytest.raises(ValueError, match="finite"):
+            sweep(K, v, [7.0, bad])
