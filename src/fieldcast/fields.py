@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .geometry import QuadratureRule, Scenario, make_circle_rule, make_sphere_rule
-from .kernels import dlp_kernel
+from .kernels import dlp_kernel, row_blocks
 from .operator import SEPARATION_RTOL, ControlTrace
 
 # Evaluation closer than this to a field's singular point is rejected.
@@ -275,10 +275,11 @@ def eval_double_layer(g, x) -> np.ndarray | float:
         raise ValueError(
             "double-layer evaluation too close to (or inside) the antenna boundary"
         )
-    kernel = dlp_kernel(
-        pts[:, None, :], rule.nodes[None, :, :], rule.normals[None, :, :], dim
-    )  # (p, n)
-    out = kernel @ (rule.weights * g.values)
+    y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
+    wg = rule.weights * g.values
+    out = np.empty(pts.shape[0])
+    for rows in row_blocks(pts.shape[0], rule.node_count):
+        out[rows] = dlp_kernel(pts[rows, None, :], y, nu, dim) @ wg  # (rows, n) @ (n,)
     return float(out[0]) if scalar else out
 
 
@@ -406,12 +407,10 @@ def write_grid(grid: FieldGrid, path) -> None:
     with open(path, "w") as fh:
         fh.write("format-version: 1\n")
         fh.write("\t".join(coord_names + ["total", "target", "mismatch", "label"]) + "\n")
-        for i in range(grid.points.shape[0]):
-            coords = "\t".join(repr(float(c)) for c in grid.points[i])
-            fh.write(
-                f"{coords}\t{grid.values[i]!r}\t{grid.target[i]!r}"
-                f"\t{grid.mismatch[i]!r}\t{grid.labels[i]}\n"
-            )
+        # tolist() yields Python floats, whose repr is the plain decimal form.
+        columns = (grid.values.tolist(), grid.target.tolist(), grid.mismatch.tolist())
+        for point, *numbers, label in zip(grid.points.tolist(), *columns, grid.labels):
+            fh.write("\t".join(map(repr, point + numbers)) + f"\t{label}\n")
 
 
 def surface_l2_norm(f: HarmonicField, rule: QuadratureRule) -> float:

@@ -25,20 +25,49 @@ from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 # bugs, never regularized: every boundary pair in scope is well separated.
 COINCIDENT_RTOL = 1e-12
 
+# Row-blocked callers (assembly, field evaluation) pass the kernels at most
+# this many point pairs per call.  Each (rows, n) plane of a block is then
+# 512 KiB of float64, so a block's few live planes stay in cache and small
+# beside the (m, n) matrix the caller fills.
+BLOCK_PAIRS = 2**16
 
-def _diff_and_dist(x, y, dim: int):
+
+def row_blocks(m: int, n: int) -> list[slice]:
+    """Slices covering m rows of an (m, n) pair array, BLOCK_PAIRS pairs or fewer each."""
+    step = max(1, BLOCK_PAIRS // n)
+    return [slice(start, min(start + step, m)) for start in range(0, m, step)]
+
+
+def _dist_and_dot(x, y, nu, dim: int):
+    """|x - y| and (x - y).nu, built one coordinate plane at a time.
+
+    Both sums run in axis order, as numpy's norm and sum over a last axis
+    do, so the results are bit-identical to the broadcast (..., dim) form
+    without ever holding it.  ``nu=None`` skips the dot product.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != dim or y.shape[-1] != dim:
         raise ValueError(
             f"points must have trailing dimension {dim}, got {x.shape} and {y.shape}"
         )
-    diff = x - y  # (..., dim)
-    dist = np.linalg.norm(diff, axis=-1)  # (...)
-    scale = np.maximum(1.0, np.linalg.norm(np.broadcast_to(x, diff.shape), axis=-1))
+    if nu is not None:
+        nu = np.asarray(nu, dtype=float)
+        if nu.shape[-1] != dim:
+            raise ValueError(f"normals must have trailing dimension {dim}, got {nu.shape}")
+    diff = x[..., 0] - y[..., 0]
+    sq = diff * diff
+    dot = None if nu is None else diff * nu[..., 0]
+    for k in range(1, dim):
+        diff = x[..., k] - y[..., k]
+        sq += diff * diff
+        if nu is not None:
+            dot += diff * nu[..., k]
+    dist = np.sqrt(sq)
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
     if np.any(dist < COINCIDENT_RTOL * scale):
         raise ValueError("coincident or near-coincident evaluation points")
-    return diff, dist
+    return dist, dot
 
 
 def phi(x, y, dim: int) -> np.ndarray | float:
@@ -46,7 +75,7 @@ def phi(x, y, dim: int) -> np.ndarray | float:
 
     (1/2pi) ln(1/|x-y|) in 2D, (1/4pi)/|x-y| in 3D.
     """
-    _, dist = _diff_and_dist(x, y, dim)
+    dist, _ = _dist_and_dot(x, y, None, dim)
     if dim == 2:
         out = -np.log(dist) / UNIT_SPHERE_MEASURE[2]
     elif dim == 3:
@@ -70,9 +99,8 @@ def dlp_kernel(x, y, nu_y, dim: int) -> np.ndarray | float:
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    diff, dist = _diff_and_dist(x, y, dim)
-    nu_y = np.asarray(nu_y, dtype=float)
-    out = np.sum(diff * nu_y, axis=-1) / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
+    dist, dot = _dist_and_dot(x, y, nu_y, dim)
+    out = dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
     return out if out.ndim else float(out)
 
 
@@ -84,9 +112,8 @@ def adjoint_kernel(x, nu_x, y, dim: int) -> np.ndarray | float:
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    diff, dist = _diff_and_dist(x, y, dim)
-    nu_x = np.asarray(nu_x, dtype=float)
-    out = np.sum(-diff * nu_x, axis=-1) / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
+    dist, dot = _dist_and_dot(x, y, nu_x, dim)
+    out = -dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
     return out if out.ndim else float(out)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import QuadratureRule
-from .kernels import dlp_kernel
+from .kernels import dlp_kernel, row_blocks
 
 # Control nodes must clear the antenna sphere by this relative margin.
 SEPARATION_RTOL = 1e-6
@@ -177,7 +177,8 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
     all control nodes and y_j over antenna nodes.  Control nodes inside or
     touching the antenna sphere are rejected: the kernels are analytic
     only for separated boundaries, and a violation indicates a broken
-    scenario rather than something to regularize.
+    scenario rather than something to regularize.  The matrix is filled
+    one row block at a time, so assembly needs little memory beyond it.
     """
     dim = antenna.boundary.dim
     for rule in controls:
@@ -189,10 +190,11 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
                 "control boundary comes too close to the antenna boundary"
             )
     x = np.concatenate([r.nodes for r in controls])  # (m, dim)
-    kernel = dlp_kernel(
-        x[:, None, :], antenna.nodes[None, :, :], antenna.normals[None, :, :], dim
-    )  # (m, n)
-    matrix = kernel * antenna.weights[None, :]
+    y, nu = antenna.nodes[None, :, :], antenna.normals[None, :, :]
+    matrix = np.empty((x.shape[0], antenna.node_count))
+    for rows in row_blocks(*matrix.shape):
+        kernel = dlp_kernel(x[rows, None, :], y, nu, dim)  # (rows, n)
+        np.multiply(kernel, antenna.weights, out=matrix[rows])
     return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls))
 
 

@@ -1,5 +1,7 @@
 """Target-field catalog, trace targets, and radiated-field evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fieldcast import (
     certify_solution,
     constant_field,
     dipole,
+    dlp_kernel,
     eval_double_layer,
     eval_field,
     eval_on_grid,
@@ -30,7 +33,10 @@ from fieldcast.fields import (
     write_grid,
 )
 from fieldcast.geometry import with_default_radii
+from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
+
+MIB = 1024 * 1024
 
 
 class TestEvalField:
@@ -204,6 +210,29 @@ class TestEvalDoubleLayer:
             direct = eval_double_layer(h, rule.nodes)
             assert np.max(np.abs(direct - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
+    def test_row_blocks_match_one_shot_quadrature(self):
+        rule = make_circle_rule((0.0, 0.0), 1.0, 128)
+        rng = np.random.default_rng(29)
+        g = Density(rule=rule, values=rng.normal(size=128))
+        count = 3 * (BLOCK_PAIRS // 128) + 17  # three full row blocks and a ragged one
+        pts = rng.uniform(2, 6, size=(count, 2)) * rng.choice([-1.0, 1.0], size=(count, 2))
+        kernel = dlp_kernel(pts[:, None, :], rule.nodes[None], rule.normals[None], 2)
+        one_shot = kernel @ (rule.weights * g.values)
+        blocked = eval_double_layer(g, pts)
+        assert np.max(np.abs(blocked - one_shot)) <= 1e-14 * np.max(np.abs(one_shot))
+
+    def test_peak_memory_on_many_points(self):
+        rule = make_circle_rule((0.0, 0.0), 1.0, 128)
+        g = Density(rule=rule, values=np.ones(128))
+        pts = np.random.default_rng(31).uniform(2, 6, size=(40000, 2))
+        tracemalloc.start()
+        try:
+            eval_double_layer(g, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * MIB
+
     def test_near_boundary_rejected(self):
         rule = make_circle_rule((0.0, 0.0), 1.0, 64)
         g = Density(rule=rule, values=np.ones(64))
@@ -272,6 +301,13 @@ class TestEvalOnGrid:
         assert lines[0] == "format-version: 1"
         assert lines[1].split("\t") == ["x", "y", "total", "target", "mismatch", "label"]
         assert len(lines) == 2 + grid.points.shape[0]
+        # Every number reads back with float(), NaN where a column is undefined.
+        rows = [line.split("\t") for line in lines[2:]]
+        numbers = np.array([[float(f) for f in row[:-1]] for row in rows])
+        expected = np.column_stack([grid.points, grid.values, grid.target, grid.mismatch])
+        assert np.isnan(expected).any()
+        np.testing.assert_array_equal(numbers, expected)
+        assert tuple(row[-1] for row in rows) == grid.labels
 
 
 class TestAutoEpsilon:

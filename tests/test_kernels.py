@@ -7,11 +7,30 @@ from conftest import stencil_laplacian
 from fieldcast import (
     adjoint_kernel,
     dlp_kernel,
+    kernels,
     make_circle_rule,
     make_sphere_rule,
     phi,
     poisson_solve,
 )
+
+
+def _rows_with_last_coincident():
+    """x (5, 1, 3), y (1, 4, 3), normals (1, 4, 3); only x[-1] nears a y."""
+    rng = np.random.default_rng(3)
+    y = np.vstack([rng.normal(size=(3, 3)), [[1e6 + 1e-7, 0.0, 0.0]]])[None]
+    x = np.vstack([10.0 + rng.normal(size=(4, 3)), [[1e6, 0.0, 0.0]]])[:, None]
+    nu = rng.normal(size=(1, 4, 3))
+    return x, y, nu
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("m, n", [(384, 128), (2304, 1152), (5, 10**6), (1, 1)])
+    def test_cover_every_row_once_within_the_pair_budget(self, m, n):
+        blocks = kernels.row_blocks(m, n)
+        rows = np.concatenate([np.arange(m)[b] for b in blocks])
+        assert np.array_equal(rows, np.arange(m))
+        assert all((b.stop - b.start) * n <= max(n, kernels.BLOCK_PAIRS) for b in blocks)
 
 
 class TestPhi:
@@ -72,6 +91,14 @@ class TestDlpKernel:
             total = np.sum(dlp_kernel(x, rule.nodes, rule.normals, dim) * rule.weights)
             assert abs(total) <= 1e-10
 
+    def test_coincident_pair_in_last_row_rejected(self):
+        # Broadcast (m, 1, dim) x (1, n, dim) with one near-coincident pair,
+        # in the last row only; its |x| of 1e6 sets the relative threshold.
+        x, y, nu = _rows_with_last_coincident()
+        assert np.all(np.isfinite(dlp_kernel(x[:-1], y, nu, 3)))
+        with pytest.raises(ValueError, match="coincident"):
+            dlp_kernel(x, y, nu, 3)
+
 
 class TestAdjointKernel:
     def test_role_swap_symmetry(self):
@@ -85,6 +112,12 @@ class TestAdjointKernel:
                 assert adjoint_kernel(x, nu, y, dim) == pytest.approx(
                     dlp_kernel(y, x, nu, dim), rel=1e-14, abs=1e-16
                 )
+
+    def test_coincident_pair_in_last_row_rejected(self):
+        x, y, nu = _rows_with_last_coincident()
+        assert np.all(np.isfinite(adjoint_kernel(x[:-1], nu, y, 3)))
+        with pytest.raises(ValueError, match="coincident"):
+            adjoint_kernel(x, nu, y, 3)
 
     def test_perpendicular_vanishes(self):
         assert adjoint_kernel((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (2.0, 0.0, 0.0), 3) == 0.0

@@ -1,5 +1,7 @@
 """Forward operator assembly, adjointness, inner products, weighted SVD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,15 @@ from fieldcast import (
     apply,
     apply_adjoint,
     assemble_forward,
+    kernels,
     make_circle_rule,
     weighted_svd,
     xi_inner,
 )
+from fieldcast.geometry import UNIT_SPHERE_MEASURE
 from fieldcast.operator import dump_operator, load_operator_dump
+
+MIB = 1024 * 1024
 
 
 def _small_geometry(n_antenna=6, n_control=10):
@@ -92,6 +98,36 @@ class TestAssembleApply:
         assert np.max(np.abs(K.matrix)) > 0
         sigma1 = weighted_svd(K).sigma[0]
         assert np.isfinite(sigma1) and sigma1 > 0
+
+    @pytest.mark.parametrize("parts, block_rows", [
+        ("demo2d_parts", None),
+        ("demo2d_parts", 7),  # 384 rows: 54 full blocks and a ragged one
+        ("demo3d_parts", None),
+    ])
+    def test_matrix_bit_identical_to_broadcast_form(self, parts, block_rows, request,
+                                                    monkeypatch):
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        n = antenna.node_count
+        if block_rows is not None:
+            monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_rows * n)
+        dim = antenna.boundary.dim
+        # Reference: the whole (m, n, dim) broadcast, reduced over its last axis.
+        diff = np.concatenate([r.nodes for r in controls])[:, None, :] - antenna.nodes[None]
+        dist = np.linalg.norm(diff, axis=-1)
+        kernel = np.sum(diff * antenna.normals[None], axis=-1) / (
+            UNIT_SPHERE_MEASURE[dim] * dist**dim)
+        reference = kernel * antenna.weights[None, :]
+        assert np.array_equal(assemble_forward(antenna, controls).matrix, reference)
+
+    def test_assembly_peak_memory_is_about_the_matrix(self, demo3d_parts):
+        s, antenna, controls, K, v = demo3d_parts
+        tracemalloc.start()
+        try:
+            matrix = assemble_forward(antenna, controls).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes + 8 * MIB
 
     def test_separation_violation_rejected(self):
         antenna = make_circle_rule((0.0, 0.0), 1.0, 16)
