@@ -11,12 +11,9 @@ the achieved L2 residual norms (``SolveReport.block_residuals``, or
 machine-checkable sup-norm guarantees on every target ball and beyond
 the observation boundary.
 
-Two constants are recorded for every bound: a conservative form
-normalized by the unit-ball volume, and a sharp form normalized by the
-unit-sphere surface measure (d times larger in denominator, hence the
-smaller bound).  Soundness is always claimed for the conservative form;
-the sharp form is what direct differentiation of the Poisson kernel
-yields.
+Each bound is the paper's conservative constant, normalized by the
+unit-ball volume, times the L1 factor sqrt(|data sphere|) that turns the
+L2 residual into an L1 norm by Cauchy-Schwarz, times the residual.
 """
 
 from __future__ import annotations
@@ -33,47 +30,25 @@ from .operator import Density
 UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
 
 
-def interior_sup_constant(inner: float, outer: float, dim: int, sharp: bool = False) -> float:
+def _sup_constant(inner: float, outer: float, data_radius: float, dim: int) -> float:
+    """Sup bound constant between concentric spheres of radii inner < outer
+    for L1 data on the sphere of radius ``data_radius`` (one of the two)."""
+    if not 0 < inner < outer:
+        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
+    return (outer + inner) / (UNIT_BALL_VOLUME[dim] * data_radius * (outer - inner) ** (dim - 1))
+
+
+def interior_sup_constant(inner: float, outer: float, dim: int) -> float:
     """Sup bound constant for the interior problem: sup over the ball of
     radius ``inner`` given L1 boundary data on the sphere of radius
     ``outer`` (concentric, inner < outer)."""
-    if not 0 < inner < outer:
-        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
-    norm = UNIT_BALL_VOLUME[dim] * (dim if sharp else 1)
-    return (outer + inner) / (norm * outer * (outer - inner) ** (dim - 1))
+    return _sup_constant(inner, outer, outer, dim)
 
 
-def exterior_sup_constant(inner: float, outer: float, dim: int, sharp: bool = False) -> float:
+def exterior_sup_constant(inner: float, outer: float, dim: int) -> float:
     """Sup bound constant outside radius ``outer`` given L1 data on the
     sphere of radius ``inner`` (inner < outer)."""
-    if not 0 < inner < outer:
-        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
-    norm = UNIT_BALL_VOLUME[dim] * (dim if sharp else 1)
-    return (outer + inner) / (norm * inner * (outer - inner) ** (dim - 1))
-
-
-def interior_bound(mismatch_l2: float, a: float, a_prime: float, dim: int,
-                   sharp: bool = False) -> float:
-    """Sup bound on the ball of radius a from an L2 mismatch on the
-    concentric control sphere of radius a'.
-
-    The sup constant is stated for L1 boundary data; the factor
-    sqrt(surface measure) converts the L2 mismatch by Cauchy-Schwarz.
-    """
-    if mismatch_l2 < 0:
-        raise ValueError(f"mismatch must be nonnegative, got {mismatch_l2}")
-    c = interior_sup_constant(a, a_prime, dim, sharp=sharp)
-    return c * np.sqrt(surface_measure(a_prime, dim)) * mismatch_l2
-
-
-def exterior_bound(mismatch_l2: float, r_prime: float, r: float, dim: int,
-                   sharp: bool = False) -> float:
-    """Sup bound outside radius r from an L2 mismatch on the sphere of
-    radius r' < r."""
-    if mismatch_l2 < 0:
-        raise ValueError(f"mismatch must be nonnegative, got {mismatch_l2}")
-    c = exterior_sup_constant(r_prime, r, dim, sharp=sharp)
-    return c * np.sqrt(surface_measure(r_prime, dim)) * mismatch_l2
+    return _sup_constant(inner, outer, inner, dim)
 
 
 @dataclass(frozen=True)
@@ -84,9 +59,7 @@ class BoundaryBound:
     mismatch_l2: float
     l1_factor: float            # sqrt of the control sphere's surface measure
     constant_conservative: float
-    constant_sharp: float
     bound_conservative: float
-    bound_sharp: float
 
 
 @dataclass(frozen=True)
@@ -102,27 +75,27 @@ class Certificate:
     exterior: BoundaryBound
 
 
-def _entry(label: str, mismatch: float, inner: float, outer: float, dim: int,
-           kind: str) -> BoundaryBound:
-    # The mismatch lives on the control sphere: radius `outer` for interior
-    # bounds (data sphere outside the protected ball), `inner` for exterior
-    # bounds (data sphere inside the protected region).
-    if kind == "interior":
-        constant_fn, data_radius = interior_sup_constant, outer
-    else:
-        constant_fn, data_radius = exterior_sup_constant, inner
+def _entry(label: str, mismatch: float, inner: float, outer: float, data_radius: float,
+           dim: int) -> BoundaryBound:
+    """The one bound, constant x sqrt(|data sphere|) x L2 mismatch; the data
+    sphere is the control sphere, ``outer`` (interior) or ``inner`` (exterior)."""
+    if mismatch < 0:
+        raise ValueError(f"mismatch must be nonnegative, got {mismatch}")
+    constant = _sup_constant(inner, outer, data_radius, dim)
     l1_factor = float(np.sqrt(surface_measure(data_radius, dim)))
-    c_cons = constant_fn(inner, outer, dim, sharp=False)
-    c_sharp = constant_fn(inner, outer, dim, sharp=True)
-    return BoundaryBound(
-        label=label,
-        mismatch_l2=mismatch,
-        l1_factor=l1_factor,
-        constant_conservative=c_cons,
-        constant_sharp=c_sharp,
-        bound_conservative=c_cons * l1_factor * mismatch,
-        bound_sharp=c_sharp * l1_factor * mismatch,
-    )
+    return BoundaryBound(label, mismatch, l1_factor, constant, constant * l1_factor * mismatch)
+
+
+def interior_bound(mismatch_l2: float, a: float, a_prime: float, dim: int) -> float:
+    """Sup bound on the ball of radius a from an L2 mismatch on the
+    concentric control sphere of radius a'."""
+    return _entry("interior", mismatch_l2, a, a_prime, a_prime, dim).bound_conservative
+
+
+def exterior_bound(mismatch_l2: float, r_prime: float, r: float, dim: int) -> float:
+    """Sup bound outside radius r from an L2 mismatch on the sphere of
+    radius r' < r."""
+    return _entry("exterior", mismatch_l2, r_prime, r, r_prime, dim).bound_conservative
 
 
 def certify_solution(residuals: Sequence[float], s: Scenario) -> Certificate:
@@ -138,13 +111,11 @@ def certify_solution(residuals: Sequence[float], s: Scenario) -> Certificate:
             f"expected {s.n_regions + 1} residual norms, got {len(residuals)}"
         )
     region_entries = tuple(
-        _entry(f"region-{k}", mismatch, r.radius, r.control_radius, s.dim, "interior")
+        _entry(f"region-{k}", mismatch, r.radius, r.control_radius, r.control_radius, s.dim)
         for k, (r, mismatch) in enumerate(zip(s.regions, residuals), start=1)
     )
-    exterior_entry = _entry(
-        "exterior", residuals[-1], s.outer_control_radius, s.observation_radius, s.dim,
-        "exterior",
-    )
+    exterior_entry = _entry("exterior", residuals[-1], s.outer_control_radius,
+                            s.observation_radius, s.outer_control_radius, s.dim)
     return Certificate(regions=region_entries, exterior=exterior_entry)
 
 

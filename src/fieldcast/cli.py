@@ -30,6 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
+REPORT_FORMAT_VERSION = 2
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
 
@@ -127,9 +128,7 @@ def _certificate_lines(cert: Certificate) -> list[tuple[str, object]]:
             ("residual-l2", entry.mismatch_l2),
             ("l1-factor", entry.l1_factor),
             ("constant-conservative", entry.constant_conservative),
-            ("constant-sharp", entry.constant_sharp),
             ("bound-conservative", entry.bound_conservative),
-            ("bound-sharp", entry.bound_sharp),
         ):
             lines.append((f"{entry.label}.{key}", val))
     return lines
@@ -137,7 +136,7 @@ def _certificate_lines(cert: Certificate) -> list[tuple[str, object]]:
 
 def write_report(path: Path, sections: list[tuple[str, list[tuple[str, object]]]]) -> None:
     with open(path, "w") as fh:
-        fh.write("format-version: 1\n")
+        fh.write(f"format-version: {REPORT_FORMAT_VERSION}\n")
         fh.write(f"generator: fieldcast {__version__}\n")
         for name, lines in sections:
             fh.write(f"\n[{name}]\n")
@@ -184,15 +183,12 @@ def cmd_run(args) -> int:
         )
 
     empirical_lines: list[tuple[str, object]] = [("samples", EMPIRICAL_SAMPLES)]
-    for entry, observed in zip(cert.regions, region_max):
-        empirical_lines.append((f"{entry.label}.sampled-max", observed))
-        empirical_lines.append((f"{entry.label}.bound-conservative", entry.bound_conservative))
-        empirical_lines.append((f"{entry.label}.within-bound",
-                                observed <= entry.bound_conservative))
-    empirical_lines.append(("exterior.sampled-max", exterior_max))
-    empirical_lines.append(("exterior.bound-conservative", cert.exterior.bound_conservative))
-    empirical_lines.append(("exterior.within-bound",
-                            exterior_max <= cert.exterior.bound_conservative))
+    for entry, observed in zip(cert.regions + (cert.exterior,), region_max + [exterior_max]):
+        empirical_lines += [
+            (f"{entry.label}.sampled-max", observed),
+            (f"{entry.label}.bound-conservative", entry.bound_conservative),
+            (f"{entry.label}.within-bound", observed <= entry.bound_conservative),
+        ]
 
     outputs: list[tuple[str, object]] = []
     spectrum_path = out_dir / "spectrum.tsv"

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import QuadratureRule, Scenario, make_circle_rule, make_sphere_rule
+from .geometry import (QuadratureRule, Scenario, ScenarioValidationError, make_circle_rule,
+                       make_sphere_rule)
 from .kernels import dlp_kernel, row_blocks
 from .operator import SEPARATION_RTOL, ControlTrace
 
@@ -207,7 +208,8 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
     the exterior target).  Harmonicity domains are checked first: each
     region target must be harmonic on its closed control ball, and the
     exterior target must be harmonic outside the outer control sphere
-    with admissible behavior at infinity.
+    with admissible behavior at infinity; violations raise
+    ``ScenarioValidationError`` together.
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
@@ -216,30 +218,26 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
 
     u0 = s.exterior_target
     decay = u0.decay_at_infinity()
+    bad = []
     if s.dim == 2 and decay == "grows":
-        raise ValueError("exterior target must stay bounded at infinity in 2D")
+        bad.append("exterior target must stay bounded at infinity in 2D")
     if s.dim == 3 and decay != "zero":
-        raise ValueError("exterior target must decay at infinity in 3D")
+        bad.append("exterior target must decay at infinity in 3D")
     s0 = u0.singularity
-    if s0 is not None:
-        if float(np.linalg.norm(s0)) >= s.outer_control_radius:
-            raise ValueError(
-                "exterior target's singularity must lie strictly inside the "
-                "outer control sphere"
-            )
-        for k, r in enumerate(s.regions, start=1):
-            if not u0.harmonic_on_ball(r.center, r.control_radius):
-                raise ValueError(
-                    f"exterior target is singular inside region {k}'s control ball"
-                )
+    if s0 is not None and float(np.linalg.norm(s0)) >= s.outer_control_radius:
+        bad.append("exterior target's singularity must lie strictly inside the "
+                   "outer control sphere")
+    for k, r in enumerate(s.regions, start=1):
+        if not u0.harmonic_on_ball(r.center, r.control_radius):
+            bad.append(f"exterior target is singular inside region {k}'s control ball")
+        if not r.target.harmonic_on_ball(r.center, r.control_radius):
+            bad.append(f"region {k}: target field is singular inside the control ball "
+                       f"(radius {r.control_radius})")
+    if bad:
+        raise ScenarioValidationError(bad)
 
     blocks = []
-    for k, (r, rule) in enumerate(zip(s.regions, controls), start=1):
-        if not r.target.harmonic_on_ball(r.center, r.control_radius):
-            raise ValueError(
-                f"region {k}: target field is singular inside the control ball "
-                f"(radius {r.control_radius})"
-            )
+    for r, rule in zip(s.regions, controls):
         traces = np.asarray(eval_field(r.target, rule.nodes), dtype=float)
         traces = traces - np.asarray(eval_field(u0, rule.nodes), dtype=float)
         blocks.append(traces)

@@ -30,6 +30,8 @@ NODE_ON_BOUNDARY_RTOL = 1e-14
 # Default node counts: circles (2D) and polar counts (3D; azimuth = 2x polar).
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_SPHERE_POLAR = 24
+# Fewest nodes a circle rule accepts.
+MIN_CIRCLE_NODES = 4
 
 # Surface measure of the unit sphere: the normalization that makes the
 # mean-value property and the Gauss identity come out exact.
@@ -181,8 +183,8 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     n : int, >= 4
         Node count.
     """
-    if n < 4:
-        raise ValueError(f"circle rule needs n >= 4 nodes, got {n}")
+    if n < MIN_CIRCLE_NODES:
+        raise ValueError(f"circle rule needs n >= {MIN_CIRCLE_NODES} nodes, got {n}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     boundary = Boundary(center=_as_point(center, 2), radius=float(radius), dim=2)
@@ -361,6 +363,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         R' < R
         closed target balls pairwise disjoint
         closed target balls disjoint from the closed antenna ball
+        at least MIN_CIRCLE_NODES nodes per circle rule (2D)
 
     Returns the scenario unchanged when all hold.
     """
@@ -378,6 +381,9 @@ def validate_scenario(s: Scenario) -> Scenario:
             bad.append(f"epsilon must be a positive number or 'auto', got {s.epsilon!r}")
     elif not 0 < s.epsilon < np.inf:
         bad.append(f"epsilon must be positive and finite, got {s.epsilon}")
+    d = s.discretization
+    if s.dim == 2 and min(d.antenna, d.control) < MIN_CIRCLE_NODES:
+        bad.append(f"circle rules need >= {MIN_CIRCLE_NODES} nodes, got {d.antenna}, {d.control}")
 
     for k, r in enumerate(s.regions, start=1):
         if r.center.shape != (s.dim,):

@@ -141,12 +141,12 @@ def parse_scenario(text: str) -> Scenario:
     disc = None
     disc_raw = _get(raw, "discretization", "", required=False)
     if disc_raw is not None:
-        disc = Discretization(
-            antenna=_integer(_get(disc_raw, "antenna", "discretization"),
-                             "discretization.antenna"),
-            control=_integer(_get(disc_raw, "control", "discretization"),
-                             "discretization.control"),
-        )
+        antenna = _integer(_get(disc_raw, "antenna", "discretization"), "discretization.antenna")
+        control = _integer(_get(disc_raw, "control", "discretization"), "discretization.control")
+        try:
+            disc = Discretization(antenna, control)
+        except ValueError as exc:
+            _fail("discretization", str(exc))
 
     regions_raw = _get(raw, "regions", "")
     if not isinstance(regions_raw, list) or not regions_raw:

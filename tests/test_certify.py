@@ -74,13 +74,6 @@ class TestBoundArithmetic:
         with pytest.raises(ValueError, match="nonnegative"):
             interior_bound(-1.0, 2.0, 2.5, 2)
 
-    def test_conservative_dominates_sharp(self):
-        for dim in (2, 3):
-            cons = interior_bound(1.0, 2.0, 2.5, dim)
-            sharp = interior_bound(1.0, 2.0, 2.5, dim, sharp=True)
-            assert cons == pytest.approx(dim * sharp, rel=1e-15)
-            assert cons >= sharp
-
 
 class TestCertifySolution:
     def test_exact_data_gives_vanishing_bounds(self, demo2d_parts):
@@ -98,7 +91,7 @@ class TestCertifySolution:
         cert = certify_solution(block_residuals(K, h, v), s)
         assert len(cert.regions) == 2
         for entry in list(cert.regions) + [cert.exterior]:
-            assert entry.bound_conservative >= entry.bound_sharp >= 0
+            assert entry.bound_conservative >= 0
             assert entry.bound_conservative == pytest.approx(
                 entry.constant_conservative * entry.l1_factor * entry.mismatch_l2,
                 rel=1e-15,

@@ -30,7 +30,7 @@ class TestRun:
                      "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24"])
         assert code == 0
         report = (out / "report.txt").read_text()
-        assert report.startswith("format-version: 1\n")
+        assert report.startswith("format-version: 2\n")
         for section in ("[scenario]", "[spectrum]", "[solve]", "[certificate]",
                         "[empirical]", "[outputs]", "[timings]"):
             assert section in report
@@ -41,6 +41,17 @@ class TestRun:
         for line in report.splitlines():
             if "within-bound" in line:
                 assert line.endswith("yes")
+
+    def test_certificate_has_one_bound_per_boundary(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run(["run", DEMO_2D, "--out", str(out),
+                     "--epsilon", str(FEASIBLE_EPS_2D)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "sharp" not in report
+        body = report.split("[certificate]\n")[1].split("\n\n")[0]
+        keys = {line.split(":")[0].split(".", 1)[1] for line in body.splitlines()}
+        assert keys == {"residual-l2", "l1-factor", "constant-conservative",
+                        "bound-conservative"}
 
     def test_suffix_may_be_omitted(self, tmp_path):
         code = _run(["run", str(PRESETS / "demo-2d"), "--out", str(tmp_path / "o"),
@@ -86,6 +97,27 @@ class TestRun:
         code = _run(["run", DEMO_2D, "--out", str(tmp_path / "o"), "--epsilon", "inf"])
         assert code == 3
         assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, old, new, message", [
+        ("demo-2d", "log-source, location: [0.0, 0.0]", "log-source, location: [0.0, 12.0]",
+         "target field is singular inside the control ball"),
+        ("demo-3d", "  field: {kind: zero}", "  field: {kind: constant, value: 1.0}",
+         "exterior target must decay at infinity in 3D"),
+        ("demo-2d", "antenna: 128", "antenna: 3", "circle rules need >= 4 nodes"),
+        ("demo-2d", "antenna: 128", "antenna: 1",
+         "'discretization': node counts must be >= 2"),
+    ], ids=["singular-region-target", "non-decaying-3d-exterior", "circle-below-4",
+            "count-below-2"])
+    def test_inadmissible_scenario_content_exits_with_validation_status(
+            self, tmp_path, capsys, preset, old, new, message):
+        text = (PRESETS / f"{preset}.scn").read_text()
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert _run(["run", str(bad), "--out", str(out), "--epsilon", "0.6"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
 
     def test_missing_file_exits_with_validation_status(self, tmp_path):
         assert _run(["run", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3

@@ -1,6 +1,7 @@
 """Tikhonov filtering, discrepancy matching, and minimal-energy optimality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
 from fieldcast import (
     ControlTrace,
     Density,
+    Discretization,
     ForwardOperator,
     InfeasibleAccuracyError,
     apply,
     apply_adjoint,
+    assemble_forward,
+    build_rules,
+    build_target,
     discrepancy,
     make_circle_rule,
     solve_min_energy,
@@ -211,6 +216,19 @@ class TestSolveMinEnergy:
         _, loose = solve_min_energy(K, v, eps)
         _, tight = solve_min_energy(K, v, eps / 2.0)
         assert tight.energy >= loose.energy * (1 - 1e-12)
+
+
+class TestResidualFloor:
+    def test_doubling_node_counts_keeps_the_2d_floor(self, demo2d_parts):
+        # The floor is set by the geometry (the control-sphere gap), not by
+        # the resolution: at twice the nodes it stays put to 1e-9.
+        s, _, _, K, v = demo2d_parts
+        d = s.discretization
+        fine = replace(s, discretization=Discretization(2 * d.antenna, 2 * d.control))
+        antenna, controls = build_rules(fine)
+        fine_floor = residual_floor(assemble_forward(antenna, controls),
+                                    build_target(fine, controls))
+        assert fine_floor == pytest.approx(residual_floor(K, v), rel=1e-9)
 
 
 class TestRankCutoff:
