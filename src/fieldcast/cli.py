@@ -1,7 +1,9 @@
 """Command-line pipeline: parse, validate, assemble, solve, certify, export.
 
-Exit codes: 0 success, 2 usage error, 3 scenario parse/validation failure,
-4 accuracy infeasible at the current resolution, 5 numerical failure.
+Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
+two integers), 3 scenario parse/validation failure (including ``--nodes``
+counts below the minimum), 4 accuracy infeasible at the current
+resolution, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .certify import Certificate, certify_solution, empirical_mismatches, scenario_difference_fields
-from .fields import build_target, default_grid, eval_on_grid, resolve_epsilon, write_grid
+from .fields import FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon
 from .geometry import Discretization, Scenario, ScenarioValidationError, build_rules, validate_scenario
 from .operator import assemble_forward, dump_operator, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
@@ -55,16 +57,17 @@ def _resolve_scenario_path(arg: str) -> Path:
 
 def _load(args) -> Scenario:
     s = load_scenario(_resolve_scenario_path(args.scenario))
-    if getattr(args, "nodes", None):
-        parts = args.nodes.split(",")
-        if len(parts) != 2:
-            raise ScenarioFormatError("--nodes expects '<antenna>,<control>'")
-        s = replace(s, discretization=Discretization(int(parts[0]), int(parts[1])))
+    if args.nodes:
+        try:
+            antenna, control = (int(p) for p in args.nodes.split(","))
+        except ValueError:
+            raise ValueError(f"--nodes expects '<antenna>,<control>', got {args.nodes!r}") from None
+        try:
+            s = replace(s, discretization=Discretization(antenna, control))
+        except ValueError as exc:
+            raise ScenarioValidationError([f"--nodes: {exc}"]) from None
     if getattr(args, "epsilon", None):
-        if args.epsilon == "auto":
-            s = replace(s, epsilon="auto")
-        else:
-            s = replace(s, epsilon=float(args.epsilon))
+        s = replace(s, epsilon="auto" if args.epsilon == "auto" else float(args.epsilon))
     validate_scenario(s)
     return resolve_epsilon(s)
 
@@ -144,39 +147,78 @@ def write_report(path: Path, sections: list[tuple[str, list[tuple[str, object]]]
                 fh.write(f"{key}: {_fmt(value)}\n")
 
 
-def write_spectrum(path: Path, sigma: np.ndarray) -> None:
+def write_table(path: Path, header: list[str], rows) -> None:
+    """Write a delimited output: ``format-version: 1``, the tab-separated
+    header, then one tab-separated line per row.  Rows are streamed, and each
+    cell is written with ``str``, which for a Python float is its ``repr``."""
     with open(path, "w") as fh:
-        fh.write("format-version: 1\n")
-        fh.write("index\tsigma\n")
-        for i, s in enumerate(sigma):
-            fh.write(f"{i}\t{float(s)!r}\n")
+        fh.write("format-version: 1\n" + "\t".join(header) + "\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_spectrum(path: Path, sigma: np.ndarray) -> None:
+    write_table(path, ["index", "sigma"], enumerate(sigma.tolist()))
+
+
+def write_grid(grid: FieldGrid, path) -> None:
+    """Write a field grid: coordinates, total, target, mismatch and label per point."""
+    coords = ["x", "y", "z"][: grid.points.shape[1]]
+    columns = [*grid.points.T.tolist(), grid.values.tolist(), grid.target.tolist(),
+               grid.mismatch.tolist(), grid.labels]
+    write_table(path, coords + ["total", "target", "mismatch", "label"], zip(*columns))
+
+
+@contextmanager
+def _stage(timings: list[tuple[str, object]], name: str):
+    """Append ``<name>-seconds`` and the wall time of the block to ``timings``."""
+    t0 = time.perf_counter()
+    yield
+    timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
+
+
+def _prepare(args, timings):
+    """The steps ``run`` and ``sweep`` share: load and validate the scenario,
+    make the output directory, assemble the operator, build the target (whose
+    field checks fail before the factorization is paid for) and take the
+    weighted SVD.  Returns (scenario, out_dir, K, v, svd)."""
+    scenario = _load(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with _stage(timings, "assemble"):
+        antenna, controls = build_rules(scenario)
+        K = assemble_forward(antenna, controls)
+    with _stage(timings, "target"):
+        v = build_target(scenario, controls)
+    with _stage(timings, "svd"):
+        svd = weighted_svd(K)
+    return scenario, out_dir, K, v, svd
+
+
+def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
+                  sections, outputs, timings) -> None:
+    """Write ``spectrum.tsv`` and ``report.txt``: [scenario], [spectrum], the
+    command's own sections, [outputs] and [timings]; print the report path."""
+    spectrum_path = out_dir / "spectrum.tsv"
+    write_spectrum(spectrum_path, sigma)
+    report_path = out_dir / "report.txt"
+    write_report(report_path, [
+        ("scenario", _scenario_lines(scenario, args.scenario)),
+        ("spectrum", _spectrum_lines(sigma)),
+        *sections,
+        ("outputs", [("spectrum", spectrum_path.name), *outputs]),
+        ("timings", timings),
+    ])
+    print(f"report: {report_path}")
 
 
 def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
-
-    @contextmanager
-    def stage(name):
-        t0 = time.perf_counter()
-        yield
-        timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
-
-    scenario = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with stage("assemble"):
-        antenna, controls = build_rules(scenario)
-        K = assemble_forward(antenna, controls)
-    with stage("svd"):
-        svd = weighted_svd(K)
-    with stage("target"):
-        v = build_target(scenario, controls)
-    with stage("solve"):
+    scenario, out_dir, K, v, svd = _prepare(args, timings)
+    with _stage(timings, "solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
-    with stage("certify"):
+    with _stage(timings, "certify"):
         cert = certify_solution(report.block_residuals, scenario)
-    with stage("empirical"):
+    with _stage(timings, "empirical"):
         rng = np.random.default_rng(scenario.seed)
         region_max, exterior_max = empirical_mismatches(
             h, scenario_difference_fields(scenario), scenario, rng, EMPIRICAL_SAMPLES
@@ -191,37 +233,22 @@ def cmd_run(args) -> int:
         ]
 
     outputs: list[tuple[str, object]] = []
-    spectrum_path = out_dir / "spectrum.tsv"
-    write_spectrum(spectrum_path, svd.sigma)
-    outputs.append(("spectrum", spectrum_path.name))
-
     if args.grid:
-        with stage("grid"):
+        with _stage(timings, "grid"):
             shape = tuple(int(p) for p in args.grid.split(","))
             grid = eval_on_grid(h, scenario, default_grid(scenario, shape))
-            grid_path = out_dir / "grid.tsv"
-            write_grid(grid, grid_path)
-        outputs.append(("grid", grid_path.name))
+            write_grid(grid, out_dir / "grid.tsv")
+        outputs.append(("grid", "grid.tsv"))
 
     if args.dump_operator:
-        op_path = out_dir / "operator.bin"
-        dump_operator(K, op_path)
-        outputs.append(("operator", op_path.name))
+        dump_operator(K, out_dir / "operator.bin")
+        outputs.append(("operator", "operator.bin"))
 
-    report_path = out_dir / "report.txt"
-    write_report(
-        report_path,
-        [
-            ("scenario", _scenario_lines(scenario, args.scenario)),
-            ("spectrum", _spectrum_lines(svd.sigma)),
-            ("solve", _solve_lines(report)),
-            ("certificate", _certificate_lines(cert)),
-            ("empirical", empirical_lines),
-            ("outputs", outputs),
-            ("timings", timings),
-        ],
-    )
-    print(f"report: {report_path}")
+    _write_record(args, out_dir, scenario, svd.sigma, [
+        ("solve", _solve_lines(report)),
+        ("certificate", _certificate_lines(cert)),
+        ("empirical", empirical_lines),
+    ], outputs, timings)
     print(f"discrepancy: {report.discrepancy!r} (epsilon {report.epsilon!r})")
     print(f"energy: {report.energy!r}")
     for entry in list(cert.regions) + [cert.exterior]:
@@ -234,28 +261,18 @@ def _parse_ladder(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    antenna, controls = build_rules(scenario)
-    K = assemble_forward(antenna, controls)
-    v = build_target(scenario, controls)
-    svd = weighted_svd(K)
-
-    if args.alphas is not None:
-        name, rows = "alpha", sweep_alpha(K, v, _parse_ladder(args.alphas))
-    else:
-        name, rows = "epsilon", sweep_epsilon(K, v, _parse_ladder(args.epsilons))
+    timings: list[tuple[str, object]] = []
+    scenario, out_dir, K, v, svd = _prepare(args, timings)
+    with _stage(timings, "sweep"):
+        if args.alphas is not None:
+            name, rows = "alpha", sweep_alpha(K, v, _parse_ladder(args.alphas))
+        else:
+            name, rows = "epsilon", sweep_epsilon(K, v, _parse_ladder(args.epsilons))
     sweep_path = out_dir / "sweep.tsv"
-    with open(sweep_path, "w") as fh:
-        fh.write(f"format-version: 1\n{name}\tdiscrepancy\tenergy\n")
-        fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
-
-    spectrum_path = out_dir / "spectrum.tsv"
-    write_spectrum(spectrum_path, svd.sigma)
+    write_table(sweep_path, [name, "discrepancy", "energy"], rows)
+    _write_record(args, out_dir, scenario, svd.sigma, [], [("sweep", sweep_path.name)], timings)
     print(f"sweep: {sweep_path}")
-    print(f"spectrum: {spectrum_path}")
+    print(f"spectrum: {out_dir / 'spectrum.tsv'}")
     return EXIT_OK
 
 

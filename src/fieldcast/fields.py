@@ -15,8 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import (QuadratureRule, Scenario, ScenarioValidationError, make_circle_rule,
-                       make_sphere_rule)
+from .geometry import AZIMUTH_PER_POLAR, QuadratureRule, Scenario, ScenarioValidationError, make_rule
 from .kernels import dlp_kernel, row_blocks
 from .operator import SEPARATION_RTOL, ControlTrace
 
@@ -339,7 +338,7 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     """
     pts = spec.points()
     delta = g.rule.boundary.radius
-    n_around = g.rule.node_count if s.dim == 2 else 2 * s.discretization.antenna
+    n_around = g.rule.node_count if s.dim == 2 else AZIMUTH_PER_POLAR * s.discretization.antenna
     exclusion = delta * (1.0 + 2.0 * np.pi / n_around)
 
     rho = np.linalg.norm(pts, axis=-1)
@@ -398,19 +397,6 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     )
 
 
-def write_grid(grid: FieldGrid, path) -> None:
-    """Write a field grid as tab-separated text with a format-version line."""
-    dim = grid.points.shape[1]
-    coord_names = ["x", "y", "z"][:dim]
-    with open(path, "w") as fh:
-        fh.write("format-version: 1\n")
-        fh.write("\t".join(coord_names + ["total", "target", "mismatch", "label"]) + "\n")
-        # tolist() yields Python floats, whose repr is the plain decimal form.
-        columns = (grid.values.tolist(), grid.target.tolist(), grid.mismatch.tolist())
-        for point, *numbers, label in zip(grid.points.tolist(), *columns, grid.labels):
-            fh.write("\t".join(map(repr, point + numbers)) + f"\t{label}\n")
-
-
 def surface_l2_norm(f: HarmonicField, rule: QuadratureRule) -> float:
     """L2 norm of a field over a sphere, by surface quadrature."""
     vals = np.asarray(eval_field(f, rule.nodes), dtype=float)
@@ -429,10 +415,7 @@ def ball_l2_norm(f: HarmonicField, center, radius: float, dim: int,
     w = 0.5 * radius * w
     total = 0.0
     for r_shell, w_shell in zip(radii, w):
-        if dim == 2:
-            rule = make_circle_rule(center, r_shell, n_surface)
-        else:
-            rule = make_sphere_rule(center, r_shell, n_surface, 2 * n_surface)
+        rule = make_rule(center, r_shell, n_surface, dim)
         vals = np.asarray(eval_field(f, rule.nodes), dtype=float)
         total += w_shell * float(rule.weights @ vals**2)
     return float(np.sqrt(total))
@@ -449,10 +432,7 @@ def auto_epsilon(s: Scenario) -> float:
     total = 0.0
     for r in s.regions:
         total += ball_l2_norm(r.target, r.center, r.radius, s.dim, n_surface=n_surface)
-    if s.dim == 2:
-        obs = make_circle_rule(np.zeros(2), s.observation_radius, 256)
-    else:
-        obs = make_sphere_rule(np.zeros(3), s.observation_radius, 32, 64)
+    obs = make_rule(np.zeros(s.dim), s.observation_radius, 256 if s.dim == 2 else 32, s.dim)
     total += surface_l2_norm(s.exterior_target, obs)
     return 1e-3 * total
 

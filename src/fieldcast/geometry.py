@@ -27,11 +27,13 @@ if TYPE_CHECKING:
 SURFACE_MEASURE_RTOL = 1e-12
 NODE_ON_BOUNDARY_RTOL = 1e-14
 
-# Default node counts: circles (2D) and polar counts (3D; azimuth = 2x polar).
+# Default node counts: circles (2D) and polar counts (3D).
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_SPHERE_POLAR = 24
 # Fewest nodes a circle rule accepts.
 MIN_CIRCLE_NODES = 4
+# Azimuth nodes per polar node in the 3D rules of make_rule.
+AZIMUTH_PER_POLAR = 2
 
 # Surface measure of the unit sphere: the normalization that makes the
 # mean-value property and the Gauss identity come out exact.
@@ -225,12 +227,20 @@ def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> Qua
     return QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
 
 
+def make_rule(center, radius: float, n: int, dim: int) -> QuadratureRule:
+    """The standard rule of a boundary: ``n`` circle nodes in 2D, or ``n``
+    polar x ``AZIMUTH_PER_POLAR * n`` azimuth nodes in 3D."""
+    if dim == 2:
+        return make_circle_rule(center, radius, n)
+    return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n)
+
+
 @dataclass(frozen=True)
 class Discretization:
     """Node counts per boundary.
 
     In 2D both entries are circle node counts.  In 3D they are polar
-    counts; the azimuth count is fixed at twice the polar count.
+    counts, and :func:`make_rule` sets the azimuth count from them.
     """
 
     antenna: int
@@ -444,19 +454,7 @@ def build_rules(s: Scenario) -> tuple[QuadratureRule, list[QuadratureRule]]:
     """
     d = s.discretization
     origin = np.zeros(s.dim)
-    if s.dim == 2:
-        antenna = make_circle_rule(origin, s.delta, d.antenna)
-        controls = [
-            make_circle_rule(r.center, r.control_radius, d.control) for r in s.regions
-        ]
-        controls.append(make_circle_rule(origin, s.outer_control_radius, d.control))
-    else:
-        antenna = make_sphere_rule(origin, s.delta, d.antenna, 2 * d.antenna)
-        controls = [
-            make_sphere_rule(r.center, r.control_radius, d.control, 2 * d.control)
-            for r in s.regions
-        ]
-        controls.append(
-            make_sphere_rule(origin, s.outer_control_radius, d.control, 2 * d.control)
-        )
+    antenna = make_rule(origin, s.delta, d.antenna, s.dim)
+    controls = [make_rule(r.center, r.control_radius, d.control, s.dim) for r in s.regions]
+    controls.append(make_rule(origin, s.outer_control_radius, d.control, s.dim))
     return antenna, controls

@@ -1,9 +1,11 @@
 """Shared fixtures: the demo scenarios assembled once per session.
 
 FEASIBLE_EPS_2D / FEASIBLE_EPS_3D are accuracy budgets sitting above each
-demo's float64 residual floor (about 5.77 and 0.45); the literature-scaled
-budgets carried by the presets (epsilon "auto") lie far below those floors
-and are exercised separately as intentional infeasibility cases.
+demo's residual floor (about 5.77 and 0.45), which the gap between a
+region's control sphere and the outer control sphere sets; the
+literature-scaled budgets carried by the presets (epsilon "auto") lie far
+below those floors and are exercised separately as intentional
+infeasibility cases.
 """
 
 import numpy as np

@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, outputs, determinism."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,11 @@ DEMO_2D = str(PRESETS / "demo-2d.scn")
 
 def _run(args):
     return main(args)
+
+
+def _section(report: str, name: str) -> str:
+    """The lines of one report section, each ending in a newline."""
+    return report.split(f"[{name}]\n")[1].split("\n\n")[0].rstrip("\n") + "\n"
 
 
 def _report_body(path: Path) -> str:
@@ -119,6 +125,18 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("preset, nodes, code", [
+        ("demo-2d", "5", 2), ("demo-2d", "a,b", 2), ("demo-2d", "1,1", 3),
+        ("demo-2d", "3,3", 3), ("demo-3d", "1,24", 3),
+    ], ids=["one-count", "not-integers", "2d-below-2", "2d-below-4", "3d-below-2"])
+    def test_nodes_exit_codes(self, tmp_path, preset, nodes, code):
+        # Text that is not two integers is a bad flag; counts below the
+        # minimum fail validation, as they do in a scenario file.
+        out = tmp_path / "out"
+        assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
+                     "--epsilon", "0.6", "--nodes", nodes]) == code
+        assert not out.exists()
+
     def test_missing_file_exits_with_validation_status(self, tmp_path):
         assert _run(["run", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
@@ -199,12 +217,31 @@ class TestSweep:
         assert _run(["sweep", DEMO_2D, "--out", str(out), *ladder]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (out / "sweep.tsv").exists()
+        assert not (out / "report.txt").exists()
 
     def test_infeasible_ladder_leaves_no_table(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert _run(["sweep", DEMO_2D, "--out", str(out), "--epsilons", "1.0,7.0"]) == 4
         assert "residual floor" in capsys.readouterr().err
         assert not (out / "sweep.tsv").exists()
+        assert not (out / "report.txt").exists()
+
+    def test_report_shares_run_sections(self, tmp_path, capsys):
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        assert _run(["run", DEMO_2D, "--out", str(run_out), "--nodes", "64,64",
+                     "--epsilon", str(FEASIBLE_EPS_2D)]) == 0
+        capsys.readouterr()
+        assert _run(["sweep", DEMO_2D, "--out", str(sweep_out), "--nodes", "64,64",
+                     "--epsilons", "6.5,7.0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"report: {sweep_out / 'report.txt'}"
+        report = (sweep_out / "report.txt").read_text()
+        assert re.findall(r"^\[(.*)\]$", report, re.M) == ["scenario", "spectrum", "outputs",
+                                                          "timings"]
+        assert _section(report, "spectrum") == _section((run_out / "report.txt").read_text(),
+                                                        "spectrum")
+        assert _section(report, "outputs") == "spectrum: spectrum.tsv\nsweep: sweep.tsv\n"
+        timed = [line.split(":")[0] for line in _section(report, "timings").splitlines()]
+        assert timed == ["assemble-seconds", "target-seconds", "svd-seconds", "sweep-seconds"]
 
     def test_epsilon_is_not_an_abbreviation_of_epsilons(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -26,12 +26,8 @@ from fieldcast import (
     point_source,
     zero_field,
 )
-from fieldcast.fields import (
-    GridSpec,
-    auto_epsilon,
-    ball_l2_norm,
-    write_grid,
-)
+from fieldcast.cli import write_grid
+from fieldcast.fields import GridSpec, auto_epsilon, ball_l2_norm
 from fieldcast.geometry import with_default_radii
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals

@@ -195,8 +195,8 @@ class TestSolveMinEnergy:
 
     def test_epsilon_below_floor_raises(self, demo2d_parts):
         # The literature-scaled budget of this scenario sits far below the
-        # float64 residual floor; the solver must refuse rather than
-        # silently under-deliver.
+        # residual floor set by the control-sphere gap; the solver must
+        # refuse rather than silently under-deliver.
         s, antenna, controls, K, v = demo2d_parts
         assert float(s.epsilon) < residual_floor(K, v)
         with pytest.raises(InfeasibleAccuracyError, match="refine"):

@@ -1,18 +1,24 @@
-"""The benchmark's trace points name functions the package still has.
+"""The benchmark's trace points name functions the package still has and calls.
 
 ``perfbench/spans.py`` wraps each ``(module, attribute)`` of its
 ``TRACE_POINTS`` by ``getattr``; a renamed function would only show up as
-a crash of a traced benchmark run.  The module is loaded, not changed.
+a crash of a traced benchmark run, and a function the pipeline no longer
+calls by that name would silently read 0 in its per-layer metric.  The
+module is loaded, not changed.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from fieldcast import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _trace_points():
@@ -26,3 +32,16 @@ def _trace_points():
 @pytest.mark.parametrize("module_name, attr", _trace_points())
 def test_trace_point_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_cli_trace_points_are_called(tmp_path, monkeypatch):
+    calls = Counter()
+    names = [attr for module_name, attr in _trace_points() if module_name == "fieldcast.cli"]
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["run", str(ROOT / "presets" / "demo-2d"), "--epsilon", "6.5",
+                     "--grid", "8,8", "--nodes", "32,32", "--out", str(tmp_path)]) == 0
+    assert [name for name in names if not calls[name]] == []
