@@ -10,12 +10,7 @@ beyond the observation boundary.
 
 __version__ = "0.1.0"
 
-from .certify import (
-    Certificate,
-    certify_solution,
-    exterior_bound,
-    interior_bound,
-)
+from .certify import Certificate, certify_solution
 from .fields import (
     HarmonicField,
     auto_epsilon,
@@ -54,15 +49,13 @@ from .operator import (
     weighted_svd,
     xi_inner,
 )
-from .scenario_io import ScenarioFormatError, load_scenario, parse_scenario, save_scenario
+from .scenario_io import ScenarioFormatError, load_scenario, parse_scenario
 from .solver import (
     InfeasibleAccuracyError,
     SolveReport,
-    discrepancy,
     solve_min_energy,
     sweep_alpha,
     sweep_epsilon,
-    tikhonov_solve,
 )
 
 __all__ = [
@@ -90,14 +83,11 @@ __all__ = [
     "certify_solution",
     "constant_field",
     "dipole",
-    "discrepancy",
     "dlp_kernel",
     "eval_double_layer",
     "eval_field",
     "eval_on_grid",
-    "exterior_bound",
     "harmonic_polynomial",
-    "interior_bound",
     "load_scenario",
     "log_source",
     "make_circle_rule",
@@ -106,11 +96,9 @@ __all__ = [
     "phi",
     "point_source",
     "poisson_solve",
-    "save_scenario",
     "solve_min_energy",
     "sweep_alpha",
     "sweep_epsilon",
-    "tikhonov_solve",
     "validate_scenario",
     "weighted_svd",
     "with_default_radii",

@@ -30,27 +30,6 @@ from .operator import Density
 UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
 
 
-def _sup_constant(inner: float, outer: float, data_radius: float, dim: int) -> float:
-    """Sup bound constant between concentric spheres of radii inner < outer
-    for L1 data on the sphere of radius ``data_radius`` (one of the two)."""
-    if not 0 < inner < outer:
-        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
-    return (outer + inner) / (UNIT_BALL_VOLUME[dim] * data_radius * (outer - inner) ** (dim - 1))
-
-
-def interior_sup_constant(inner: float, outer: float, dim: int) -> float:
-    """Sup bound constant for the interior problem: sup over the ball of
-    radius ``inner`` given L1 boundary data on the sphere of radius
-    ``outer`` (concentric, inner < outer)."""
-    return _sup_constant(inner, outer, outer, dim)
-
-
-def exterior_sup_constant(inner: float, outer: float, dim: int) -> float:
-    """Sup bound constant outside radius ``outer`` given L1 data on the
-    sphere of radius ``inner`` (inner < outer)."""
-    return _sup_constant(inner, outer, inner, dim)
-
-
 @dataclass(frozen=True)
 class BoundaryBound:
     """Certificate entry for one control boundary."""
@@ -77,25 +56,17 @@ class Certificate:
 
 def _entry(label: str, mismatch: float, inner: float, outer: float, data_radius: float,
            dim: int) -> BoundaryBound:
-    """The one bound, constant x sqrt(|data sphere|) x L2 mismatch; the data
-    sphere is the control sphere, ``outer`` (interior) or ``inner`` (exterior)."""
+    """The one bound between concentric spheres of radii inner < outer:
+    constant x sqrt(|data sphere|) x L2 mismatch.  The data sphere is the
+    control sphere, ``outer`` (interior: sup over the ball of radius
+    ``inner``) or ``inner`` (exterior: sup outside radius ``outer``)."""
+    if not 0 < inner < outer:
+        raise ValueError(f"need 0 < inner < outer, got {inner}, {outer}")
     if mismatch < 0:
         raise ValueError(f"mismatch must be nonnegative, got {mismatch}")
-    constant = _sup_constant(inner, outer, data_radius, dim)
+    constant = (outer + inner) / (UNIT_BALL_VOLUME[dim] * data_radius * (outer - inner) ** (dim - 1))
     l1_factor = float(np.sqrt(surface_measure(data_radius, dim)))
     return BoundaryBound(label, mismatch, l1_factor, constant, constant * l1_factor * mismatch)
-
-
-def interior_bound(mismatch_l2: float, a: float, a_prime: float, dim: int) -> float:
-    """Sup bound on the ball of radius a from an L2 mismatch on the
-    concentric control sphere of radius a'."""
-    return _entry("interior", mismatch_l2, a, a_prime, a_prime, dim).bound_conservative
-
-
-def exterior_bound(mismatch_l2: float, r_prime: float, r: float, dim: int) -> float:
-    """Sup bound outside radius r from an L2 mismatch on the sphere of
-    radius r' < r."""
-    return _entry("exterior", mismatch_l2, r_prime, r, r_prime, dim).bound_conservative
 
 
 def certify_solution(residuals: Sequence[float], s: Scenario) -> Certificate:

@@ -1,8 +1,9 @@
 """Command-line pipeline: parse, validate, assemble, solve, certify, export.
 
 Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
-two integers), 3 scenario parse/validation failure (including ``--nodes``
-counts below the minimum), 4 accuracy infeasible at the current
+two integers, and ``--grid`` text that is not one count >= 1 per dimension,
+checked before any work), 3 scenario parse/validation failure (including
+``--nodes`` counts below the minimum), 4 accuracy infeasible at the current
 resolution, 5 numerical failure.
 """
 
@@ -176,12 +177,10 @@ def _stage(timings: list[tuple[str, object]], name: str):
     timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
 
 
-def _prepare(args, timings):
-    """The steps ``run`` and ``sweep`` share: load and validate the scenario,
-    make the output directory, assemble the operator, build the target (whose
-    field checks fail before the factorization is paid for) and take the
-    weighted SVD.  Returns (scenario, out_dir, K, v, svd)."""
-    scenario = _load(args)
+def _prepare(args, scenario: Scenario, timings):
+    """The steps ``run`` and ``sweep`` share after loading the scenario: make
+    the output directory, assemble the operator, build the target and take
+    the weighted SVD.  Returns (out_dir, K, v, svd)."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(timings, "assemble"):
@@ -191,7 +190,7 @@ def _prepare(args, timings):
         v = build_target(scenario, controls)
     with _stage(timings, "svd"):
         svd = weighted_svd(K)
-    return scenario, out_dir, K, v, svd
+    return out_dir, K, v, svd
 
 
 def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
@@ -211,9 +210,22 @@ def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
     print(f"report: {report_path}")
 
 
+def _grid_shape(text: str, dim: int) -> tuple[int, ...]:
+    """The ``--grid`` counts: one integer >= 1 per dimension."""
+    try:
+        shape = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != dim or min(shape) < 1:
+        raise ValueError(f"--grid expects {dim} comma-separated counts >= 1, got {text!r}")
+    return shape
+
+
 def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
-    scenario, out_dir, K, v, svd = _prepare(args, timings)
+    scenario = _load(args)
+    grid_shape = _grid_shape(args.grid, scenario.dim) if args.grid else None
+    out_dir, K, v, svd = _prepare(args, scenario, timings)
     with _stage(timings, "solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
     with _stage(timings, "certify"):
@@ -233,10 +245,9 @@ def cmd_run(args) -> int:
         ]
 
     outputs: list[tuple[str, object]] = []
-    if args.grid:
+    if grid_shape:
         with _stage(timings, "grid"):
-            shape = tuple(int(p) for p in args.grid.split(","))
-            grid = eval_on_grid(h, scenario, default_grid(scenario, shape))
+            grid = eval_on_grid(h, scenario, default_grid(scenario, grid_shape))
             write_grid(grid, out_dir / "grid.tsv")
         outputs.append(("grid", "grid.tsv"))
 
@@ -262,7 +273,8 @@ def _parse_ladder(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     timings: list[tuple[str, object]] = []
-    scenario, out_dir, K, v, svd = _prepare(args, timings)
+    scenario = _load(args)
+    out_dir, K, v, svd = _prepare(args, scenario, timings)
     with _stage(timings, "sweep"):
         if args.alphas is not None:
             name, rows = "alpha", sweep_alpha(K, v, _parse_ladder(args.alphas))

@@ -15,9 +15,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import AZIMUTH_PER_POLAR, QuadratureRule, Scenario, ScenarioValidationError, make_rule
+from .geometry import (AZIMUTH_PER_POLAR, SEPARATION_RTOL, QuadratureRule, Scenario, make_rule,
+                       validate_scenario)
 from .kernels import dlp_kernel, row_blocks
-from .operator import SEPARATION_RTOL, ControlTrace
+from .operator import ControlTrace
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -204,37 +205,16 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
 
     Block k holds (u_k - u_0) at the nodes of region k's control sphere;
     the outer block is zero (the exterior requirement after subtracting
-    the exterior target).  Harmonicity domains are checked first: each
-    region target must be harmonic on its closed control ball, and the
-    exterior target must be harmonic outside the outer control sphere
-    with admissible behavior at infinity; violations raise
-    ``ScenarioValidationError`` together.
+    the exterior target).  The scenario is validated first, field
+    conditions included (:func:`fieldcast.geometry.validate_scenario`).
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
             f"expected {s.n_regions + 1} control rules, got {len(controls)}"
         )
 
+    validate_scenario(s)
     u0 = s.exterior_target
-    decay = u0.decay_at_infinity()
-    bad = []
-    if s.dim == 2 and decay == "grows":
-        bad.append("exterior target must stay bounded at infinity in 2D")
-    if s.dim == 3 and decay != "zero":
-        bad.append("exterior target must decay at infinity in 3D")
-    s0 = u0.singularity
-    if s0 is not None and float(np.linalg.norm(s0)) >= s.outer_control_radius:
-        bad.append("exterior target's singularity must lie strictly inside the "
-                   "outer control sphere")
-    for k, r in enumerate(s.regions, start=1):
-        if not u0.harmonic_on_ball(r.center, r.control_radius):
-            bad.append(f"exterior target is singular inside region {k}'s control ball")
-        if not r.target.harmonic_on_ball(r.center, r.control_radius):
-            bad.append(f"region {k}: target field is singular inside the control ball "
-                       f"(radius {r.control_radius})")
-    if bad:
-        raise ScenarioValidationError(bad)
-
     blocks = []
     for r, rule in zip(s.regions, controls):
         traces = np.asarray(eval_field(r.target, rule.nodes), dtype=float)

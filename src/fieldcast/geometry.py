@@ -35,6 +35,9 @@ MIN_CIRCLE_NODES = 4
 # Azimuth nodes per polar node in the 3D rules of make_rule.
 AZIMUTH_PER_POLAR = 2
 
+# Control nodes must clear the antenna sphere by this relative margin.
+SEPARATION_RTOL = 1e-6
+
 # Surface measure of the unit sphere: the normalization that makes the
 # mean-value property and the Gauss identity come out exact.
 UNIT_SPHERE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -368,12 +371,16 @@ def validate_scenario(s: Scenario) -> Scenario:
     observation radius R:
 
         a_k < a'_k
-        |x_k| > a'_k + delta
+        |x_k| > a'_k + delta * (1 + SEPARATION_RTOL)
         R' > |x_k| + a'_k
         R' < R
         closed target balls pairwise disjoint
         closed target balls disjoint from the closed antenna ball
         at least MIN_CIRCLE_NODES nodes per circle rule (2D)
+
+    and, for the fields: each region target harmonic on its closed control
+    ball, the exterior target harmonic there too and outside the outer
+    control sphere, bounded at infinity in 2D and decaying in 3D.
 
     Returns the scenario unchanged when all hold.
     """
@@ -409,9 +416,11 @@ def validate_scenario(s: Scenario) -> Scenario:
             bad.append(
                 f"region {k}: a < a' fails ({r.radius} >= {r.control_radius})"
             )
-        if not dist > r.control_radius + s.delta:
+        clearance = r.control_radius + s.delta * (1.0 + SEPARATION_RTOL)
+        if not dist > clearance:
             bad.append(
-                f"region {k}: |x| > a' + delta fails ({dist} <= {r.control_radius + s.delta})"
+                f"region {k}: |x| > a' + delta fails ({dist} <= {clearance}, "
+                f"with the relative clearance {SEPARATION_RTOL} on delta)"
             )
         if s.outer_control_radius is not None and not s.outer_control_radius > dist + r.control_radius:
             bad.append(
@@ -423,11 +432,27 @@ def validate_scenario(s: Scenario) -> Scenario:
                 f"region {k}: target ball overlaps the antenna ball "
                 f"({dist} <= {r.radius + s.delta})"
             )
+        if not s.exterior_target.harmonic_on_ball(r.center, r.control_radius):
+            bad.append(f"exterior target is singular inside region {k}'s control ball")
+        if not r.target.harmonic_on_ball(r.center, r.control_radius):
+            bad.append(f"region {k}: target field is singular inside the control ball "
+                       f"(radius {r.control_radius})")
 
     if s.outer_control_radius is not None and not s.outer_control_radius < s.observation_radius:
         bad.append(
             f"R' < R fails ({s.outer_control_radius} >= {s.observation_radius})"
         )
+
+    decay = s.exterior_target.decay_at_infinity()
+    if s.dim == 2 and decay == "grows":
+        bad.append("exterior target must stay bounded at infinity in 2D")
+    if s.dim == 3 and decay != "zero":
+        bad.append("exterior target must decay at infinity in 3D")
+    s0 = s.exterior_target.singularity
+    if (s0 is not None and s.outer_control_radius is not None
+            and float(np.linalg.norm(s0)) >= s.outer_control_radius):
+        bad.append("exterior target's singularity must lie strictly inside the "
+                   "outer control sphere")
 
     for i in range(len(s.regions)):
         for j in range(i + 1, len(s.regions)):

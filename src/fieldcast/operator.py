@@ -21,11 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import QuadratureRule
+from .geometry import SEPARATION_RTOL, QuadratureRule
 from .kernels import dlp_kernel, row_blocks
-
-# Control nodes must clear the antenna sphere by this relative margin.
-SEPARATION_RTOL = 1e-6
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 

@@ -190,51 +190,3 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return parse_scenario(fh.read())
 
-
-def _field_to_raw(f: HarmonicField, path="field"):
-    if f.kind == "zero":
-        return {"kind": "zero"}
-    if f.kind == "constant":
-        return {"kind": "constant", "value": f.value}
-    if f.kind in ("log-source", "point-source"):
-        return {"kind": f.kind, "location": list(f.location)}
-    if f.kind == "dipole":
-        return {"kind": "dipole", "location": list(f.location),
-                "direction": list(f.direction)}
-    if f.kind == "polynomial":
-        return {"kind": "harmonic-polynomial",
-                "terms": [{"powers": list(p), "coeff": c} for p, c in f.terms]}
-    raise ValueError(f"cannot serialize field kind {f.kind!r}")
-
-
-def save_scenario(s: Scenario, path) -> None:
-    """Write a scenario as YAML (explicit radii included)."""
-    raw = {
-        "format-version": FORMAT_VERSION,
-        "dim": s.dim,
-        "delta": s.delta,
-        "epsilon": s.epsilon,
-        "seed": s.seed,
-        "discretization": {
-            "antenna": s.discretization.antenna,
-            "control": s.discretization.control,
-        },
-        "regions": [
-            {
-                "center": [float(c) for c in r.center],
-                "radius": r.radius,
-                **({} if r.control_radius is None
-                   else {"control-radius": r.control_radius}),
-                "field": _field_to_raw(r.target),
-            }
-            for r in s.regions
-        ],
-        "outer": {
-            "observation-radius": s.observation_radius,
-            **({} if s.outer_control_radius is None
-               else {"control-radius": s.outer_control_radius}),
-            "field": _field_to_raw(s.exterior_target),
-        },
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(raw, fh, sort_keys=False)

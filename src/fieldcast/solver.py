@@ -168,24 +168,6 @@ def _density_from_coefficients(K: ForwardOperator, coeff: np.ndarray) -> Density
     return Density(rule=K.antenna_rule, values=values)
 
 
-def tikhonov_solve(K: ForwardOperator, v: ControlTrace, alpha: float) -> Density:
-    """Unique solution of alpha*h + K*K h = K*v, via the weighted SVD."""
-    if not alpha > 0:
-        raise ValueError(f"regularization strength must be positive, got {alpha}")
-    data = _filter_data(K, v)
-    return _density_from_coefficients(K, data.coefficients(alpha))
-
-
-def discrepancy(K: ForwardOperator, v: ControlTrace, alpha: float) -> float:
-    """Residual norm ||K h_alpha - v|| in the weighted product norm.
-
-    Nondecreasing in alpha whenever v has a component in the range closure.
-    """
-    if not alpha > 0:
-        raise ValueError(f"regularization strength must be positive, got {alpha}")
-    return math.sqrt(_filter_data(K, v).discrepancy_sq(alpha))
-
-
 def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
     """Smallest residual the discretization can certify.
 

@@ -8,15 +8,23 @@ below those floors and are exercised separately as intentional
 infeasibility cases.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fieldcast import assemble_forward, build_rules, build_target, solve_min_energy
+from fieldcast import assemble_forward, build_rules, build_target, load_scenario, solve_min_energy
 from fieldcast.fields import resolve_epsilon
-from fieldcast.presets import make_demo_2d, make_demo_3d
 
 FEASIBLE_EPS_2D = 6.5
 FEASIBLE_EPS_3D = 0.6
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+
+def load_preset(name):
+    """A demo scenario from ``presets/<name>.scn``, control radii defaulted."""
+    return load_scenario(PRESETS / f"{name}.scn")
 
 
 def stencil_laplacian(fn, x, h=1e-3):
@@ -32,7 +40,7 @@ def stencil_laplacian(fn, x, h=1e-3):
 
 @pytest.fixture(scope="session")
 def demo2d():
-    return resolve_epsilon(make_demo_2d())
+    return resolve_epsilon(load_preset("demo-2d"))
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +60,7 @@ def demo2d_solution(demo2d_parts):
 
 @pytest.fixture(scope="session")
 def demo3d():
-    return resolve_epsilon(make_demo_3d())
+    return resolve_epsilon(load_preset("demo-3d"))
 
 
 @pytest.fixture(scope="session")

@@ -5,51 +5,74 @@ import pytest
 
 from fieldcast import (
     Density,
+    Region,
+    Scenario,
     apply,
     certify_solution,
-    exterior_bound,
-    interior_bound,
+    zero_field,
 )
 from fieldcast.certify import (
     empirical_mismatches,
-    exterior_sup_constant,
-    interior_sup_constant,
     sample_in_ball,
     scenario_difference_fields,
 )
 from fieldcast.operator import block_residuals
 
 
+def _certify(a, a_prime, r_prime, r, dim, region_mismatch=1.0, exterior_mismatch=1.0):
+    """Certificate of one region (ball radius a, control radius a') with outer
+    control radius r' and observation radius r; the region is unvalidated,
+    so its radii alone set the bounds."""
+    s = Scenario(
+        dim=dim,
+        delta=1.0,
+        regions=(Region(center=(10.0,) + (0.0,) * (dim - 1), radius=a,
+                        control_radius=a_prime, target=zero_field()),),
+        observation_radius=r,
+        exterior_target=zero_field(),
+        epsilon=1.0,
+        outer_control_radius=r_prime,
+    )
+    return certify_solution([region_mismatch, exterior_mismatch], s)
+
+
+def _interior(m, a, a_prime, dim):
+    return _certify(a, a_prime, 13.0, 15.0, dim, region_mismatch=m).regions[0]
+
+
+def _exterior(m, r_prime, r, dim):
+    return _certify(2.0, 2.5, r_prime, r, dim, exterior_mismatch=m).exterior
+
+
 class TestBoundArithmetic:
     def test_zero_mismatch_zero_bound(self):
-        assert interior_bound(0.0, 2.0, 2.5, 2) == 0.0
-        assert exterior_bound(0.0, 13.0, 15.0, 3) == 0.0
+        assert _interior(0.0, 2.0, 2.5, 2).bound_conservative == 0.0
+        assert _exterior(0.0, 13.0, 15.0, 3).bound_conservative == 0.0
 
     def test_interior_constant_2d(self):
         # (a'+a) / (|B_1| a' (a'-a)) with |B_1| = pi: 4.5 / (pi*2.5*0.5)
-        c = interior_sup_constant(2.0, 2.5, 2)
+        m = 0.37
+        entry = _interior(m, 2.0, 2.5, 2)
+        c = entry.constant_conservative
         assert c == pytest.approx(4.5 / (np.pi * 2.5 * 0.5), rel=1e-15)
         assert c == pytest.approx(1.1459155902616464, rel=1e-12)
-        m = 0.37
-        assert interior_bound(m, 2.0, 2.5, 2) == pytest.approx(
-            c * np.sqrt(5 * np.pi) * m, rel=1e-15
-        )
+        assert entry.bound_conservative == pytest.approx(c * np.sqrt(5 * np.pi) * m, rel=1e-15)
 
     def test_interior_constant_3d(self):
         # 5 / ((4 pi / 3) * 3 * 1)
-        c = interior_sup_constant(2.0, 3.0, 3)
+        c = _interior(1.0, 2.0, 3.0, 3).constant_conservative
         assert c == pytest.approx(5.0 / ((4 * np.pi / 3) * 3.0), rel=1e-15)
         assert c == pytest.approx(0.39788735772973843, rel=1e-12)
 
     def test_exterior_constant_2d(self):
         # (r+r') / (|B_1| r' (r-r')): 28 / (pi*13*2)
-        c = exterior_sup_constant(13.0, 15.0, 2)
+        c = _exterior(1.0, 13.0, 15.0, 2).constant_conservative
         assert c == pytest.approx(28.0 / (np.pi * 13.0 * 2.0), rel=1e-15)
         assert c == pytest.approx(0.3427952620440822, rel=1e-12)
 
     def test_exterior_gap_doubling_shrinks_bound_3d(self):
-        tight = exterior_bound(1.0, 2.0, 3.0, 3)   # gap 1
-        loose = exterior_bound(1.0, 2.0, 4.0, 3)   # gap 2
+        tight = _exterior(1.0, 2.0, 3.0, 3).bound_conservative   # gap 1
+        loose = _exterior(1.0, 2.0, 4.0, 3).bound_conservative   # gap 2
         assert loose < tight
         # The squared-gap term alone would divide by 4; the numerator
         # growth makes the drop slightly less than 4x.
@@ -57,22 +80,24 @@ class TestBoundArithmetic:
 
     def test_homogeneity_in_mismatch(self):
         m = 0.123
-        assert interior_bound(2 * m, 2.0, 2.5, 2) == 2 * interior_bound(m, 2.0, 2.5, 2)
-        assert exterior_bound(2 * m, 13.0, 15.0, 3) == 2 * exterior_bound(m, 13.0, 15.0, 3)
+        assert (_interior(2 * m, 2.0, 2.5, 2).bound_conservative
+                == 2 * _interior(m, 2.0, 2.5, 2).bound_conservative)
+        assert (_exterior(2 * m, 13.0, 15.0, 3).bound_conservative
+                == 2 * _exterior(m, 13.0, 15.0, 3).bound_conservative)
 
     def test_blowup_as_gap_closes(self):
         gaps = [0.5, 0.2, 0.05, 0.01, 0.001]
-        bounds = [interior_bound(1.0, 2.0, 2.0 + g, 3) for g in gaps]
+        bounds = [_interior(1.0, 2.0, 2.0 + g, 3).bound_conservative for g in gaps]
         assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] > 1e5 * bounds[0]
 
     def test_degenerate_radii_rejected(self):
         with pytest.raises(ValueError):
-            interior_bound(1.0, 2.5, 2.0, 2)
+            _interior(1.0, 2.5, 2.0, 2)
         with pytest.raises(ValueError):
-            exterior_bound(1.0, 15.0, 13.0, 2)
+            _exterior(1.0, 15.0, 13.0, 2)
         with pytest.raises(ValueError, match="nonnegative"):
-            interior_bound(-1.0, 2.0, 2.5, 2)
+            _interior(-1.0, 2.0, 2.5, 2)
 
 
 class TestCertifySolution:

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D
+from conftest import FEASIBLE_EPS_2D, PRESETS
 from fieldcast.cli import main
 from fieldcast.operator import load_operator_dump
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
 DEMO_2D = str(PRESETS / "demo-2d.scn")
 
 
@@ -135,6 +134,31 @@ class TestRun:
         out = tmp_path / "out"
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
                      "--epsilon", "0.6", "--nodes", nodes]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, epsilon, grid", [
+        ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),
+        ("demo-2d", "6.5", "0,8"),
+    ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count"])
+    def test_bad_grid_is_usage_error_before_any_work(self, tmp_path, preset, epsilon, grid):
+        out = tmp_path / "out"
+        assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
+                     "--epsilon", epsilon, f"--grid={grid}"]) == 2
+        assert not out.exists()
+
+    def test_control_sphere_within_antenna_clearance_fails_validation(self, tmp_path, capsys):
+        # |x| - a' - delta = 1e-7 passes a bare |x| > a' + delta but is inside
+        # the clearance that assembly demands of control nodes.
+        near = tmp_path / "near.scn"
+        near.write_text(
+            "format-version: 1\ndim: 2\ndelta: 1.0\nepsilon: 1.0\n"
+            "regions:\n"
+            "  - center: [10.0, 0.0]\n    radius: 8.9\n    control-radius: 8.9999999\n"
+            "    field: {kind: dipole, location: [0.0, 0.0], direction: [1.0, 0.0]}\n"
+            "outer:\n  observation-radius: 30.0\n  field: {kind: zero}\n")
+        out = tmp_path / "out"
+        assert _run(["run", str(near), "--out", str(out)]) == 3
+        assert "|x| > a' + delta fails" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exits_with_validation_status(self, tmp_path):

@@ -17,8 +17,8 @@ from fieldcast import (
     zero_field,
 )
 from fieldcast.fields import dipole, log_source
+from conftest import load_preset
 from fieldcast.geometry import Discretization, build_rules
-from fieldcast.presets import make_demo_2d
 
 
 class TestCircleRule:
@@ -103,7 +103,7 @@ def _scenario_2d(regions, outer_control=None, observation=15.0):
 
 class TestValidateScenario:
     def test_demo_preset_with_default_radii_is_valid(self):
-        s = make_demo_2d()
+        s = load_preset("demo-2d")
         assert validate_scenario(s) is s
         # Defaults honor every inequality with room on both sides.
         assert s.regions[0].control_radius == pytest.approx(2.5)
@@ -111,9 +111,7 @@ class TestValidateScenario:
         assert s.outer_control_radius == pytest.approx(14.75)
 
     def test_3d_demo_preset_is_valid(self):
-        from fieldcast.presets import make_demo_3d
-
-        s = make_demo_3d()
+        s = load_preset("demo-3d")
         assert validate_scenario(s) is s
         assert s.regions[0].control_radius == pytest.approx(3.0)
         assert s.outer_control_radius == pytest.approx(14.0)
@@ -177,8 +175,20 @@ class TestValidateScenario:
             validate_scenario(s)
         assert len(err.value.violations) == 2
 
+    def test_reports_geometry_and_field_violations_together(self):
+        s = _scenario_2d(
+            [Region(center=(10.0, 0.0), radius=2.0, control_radius=1.5,
+                    target=log_source((10.5, 0.0)))],
+            outer_control=13.0,
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(s)
+        assert len(err.value.violations) == 2
+        assert "a < a' fails" in err.value.violations[0]
+        assert "singular inside the control ball" in err.value.violations[1]
+
     def test_rejects_non_finite_epsilon(self):
-        s = replace(make_demo_2d(), epsilon=math.inf)
+        s = replace(load_preset("demo-2d"), epsilon=math.inf)
         with pytest.raises(ScenarioValidationError, match="positive and finite"):
             validate_scenario(s)
 

@@ -1,14 +1,8 @@
 """Scenario file parsing: schema, defaults, and error reporting."""
 
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-from fieldcast import ScenarioFormatError, load_scenario, parse_scenario, save_scenario
-from fieldcast.presets import make_demo_2d, make_demo_3d
-
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+from fieldcast import ScenarioFormatError, parse_scenario
 
 GOOD = """\
 format-version: 1
@@ -86,26 +80,3 @@ def test_non_harmonic_polynomial_rejected():
     )
     with pytest.raises(ScenarioFormatError, match="harmonic"):
         parse_scenario(text)
-
-
-def test_round_trip(tmp_path):
-    s = make_demo_2d()
-    path = tmp_path / "demo.scn"
-    save_scenario(s, path)
-    loaded = load_scenario(path)
-    assert loaded.dim == s.dim
-    assert loaded.epsilon == s.epsilon
-    assert loaded.outer_control_radius == pytest.approx(s.outer_control_radius, rel=1e-15)
-    for a, b in zip(loaded.regions, s.regions):
-        assert np.allclose(a.center, b.center)
-        assert a.radius == b.radius
-        assert a.control_radius == pytest.approx(b.control_radius, rel=1e-15)
-        assert a.target == b.target
-
-
-@pytest.mark.parametrize("name, make", [("demo-2d", make_demo_2d), ("demo-3d", make_demo_3d)])
-def test_preset_file_and_function_agree(tmp_path, name, make):
-    from_file, from_code = tmp_path / "file.scn", tmp_path / "code.scn"
-    save_scenario(load_scenario(PRESETS / f"{name}.scn"), from_file)
-    save_scenario(make(), from_code)
-    assert from_file.read_text() == from_code.read_text()

@@ -18,12 +18,10 @@ from fieldcast import (
     assemble_forward,
     build_rules,
     build_target,
-    discrepancy,
     make_circle_rule,
     solve_min_energy,
     sweep_alpha,
     sweep_epsilon,
-    tikhonov_solve,
     weighted_svd,
 )
 from fieldcast.solver import rank_above_cutoff, residual_floor
@@ -100,48 +98,26 @@ class TestTikhonovSolve:
         rng = np.random.default_rng(1)
         K, _ = _random_instance(rng)
         zero = ControlTrace(blocks=[np.zeros(10)], rules=K.control_rules)
-        for alpha in (1e-8, 1.0, 1e8):
-            assert tikhonov_solve(K, zero, alpha).norm() == 0.0
+        for alpha, disc, energy in sweep_alpha(K, zero, [1e-8, 1.0, 1e8]):
+            assert disc == 0.0
+            assert energy == 0.0
 
     def test_huge_alpha_collapses_solution(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         sigma1 = weighted_svd(K).sigma[0]
-        alpha = 1e12 * sigma1**2
-        h = tikhonov_solve(K, v, alpha)
-        assert h.norm() <= 1e-10 * v.norm() / sigma1
-        assert discrepancy(K, v, alpha) == pytest.approx(v.norm(), rel=1e-8)
+        ((_, disc, energy),) = sweep_alpha(K, v, [1e12 * sigma1**2])
+        assert energy <= 1e-10 * v.norm() / sigma1
+        assert disc == pytest.approx(v.norm(), rel=1e-8)
 
     def test_matches_dense_normal_equations(self):
         rng = np.random.default_rng(2)
         K, v = _random_instance(rng)
-        for alpha in (1e-6, 1e-2, 1.0, 50.0):
-            h = tikhonov_solve(K, v, alpha)
-            oracle = _dense_normal_solve(K, v, alpha)
+        floor = residual_floor(K, v)
+        for t in (0.01, 0.1, 0.5, 0.9):
+            h, report = solve_min_energy(K, v, floor + t * (v.norm() - floor))
+            oracle = _dense_normal_solve(K, v, report.alpha_star)
             scale = max(np.max(np.abs(oracle)), 1e-30)
             assert np.max(np.abs(h.values - oracle)) <= 1e-10 * scale
-
-    def test_rejects_nonpositive_alpha(self, demo2d_parts):
-        s, antenna, controls, K, v = demo2d_parts
-        with pytest.raises(ValueError, match="positive"):
-            tikhonov_solve(K, v, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            discrepancy(K, v, -1.0)
-
-
-class TestDiscrepancy:
-    def test_zero_target(self):
-        rng = np.random.default_rng(3)
-        K, _ = _random_instance(rng)
-        zero = ControlTrace(blocks=[np.zeros(10)], rules=K.control_rules)
-        assert discrepancy(K, zero, 1.0) == 0.0
-
-    def test_monotone_in_alpha(self, demo2d_parts):
-        s, antenna, controls, K, v = demo2d_parts
-        sigma1 = weighted_svd(K).sigma[0]
-        alphas = np.geomspace(1e-12 * sigma1**2, 1e2 * sigma1**2, 60)
-        values = [discrepancy(K, v, a) for a in alphas]
-        for lo, hi in zip(values, values[1:]):
-            assert hi >= lo * (1 - 1e-12)
 
 
 class TestSolveMinEnergy:
@@ -262,13 +238,12 @@ class TestSweepAlpha:
             assert d2 >= d1 * (1 - 1e-12)
             assert e2 <= e1 * (1 + 1e-12)
 
-    def test_single_alpha_consistency(self, demo2d_parts):
-        s, antenna, controls, K, v = demo2d_parts
-        alpha = 1e-3
-        ((a, d, e),) = sweep_alpha(K, v, [alpha])
-        assert a == alpha
-        assert d == pytest.approx(discrepancy(K, v, alpha), rel=1e-14)
-        assert e == pytest.approx(tikhonov_solve(K, v, alpha).norm(), rel=1e-12)
+    def test_single_alpha_consistency(self, demo2d_solution):
+        s, K, v, h, report = demo2d_solution
+        ((a, d, e),) = sweep_alpha(K, v, [report.alpha_star])
+        assert a == report.alpha_star
+        assert d == report.discrepancy
+        assert e == pytest.approx(h.norm(), rel=1e-12)
 
     def test_rejects_empty_or_nonpositive(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -276,6 +251,8 @@ class TestSweepAlpha:
             sweep_alpha(K, v, [])
         with pytest.raises(ValueError, match="positive"):
             sweep_alpha(K, v, [1.0, -2.0])
+        with pytest.raises(ValueError, match="positive"):
+            sweep_alpha(K, v, [0.0])
 
 
 class TestSweepEpsilon:
