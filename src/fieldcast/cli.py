@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
 two integers, and ``--grid`` text that is not one count >= 1 per dimension,
-checked before any work), 3 scenario parse/validation failure (including
-``--nodes`` counts below the minimum), 4 accuracy infeasible at the current
-resolution, 5 numerical failure.
+checked before any work), 3 scenario parse/validation failure (including node
+counts below ``geometry.MIN_NODES``, 4 circle nodes in 2D and 2 polar nodes in
+3D, from the file or from ``--nodes``, and an identically zero target trace),
+4 accuracy infeasible at the current resolution, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ def _load(args) -> Scenario:
             antenna, control = (int(p) for p in args.nodes.split(","))
         except ValueError:
             raise ValueError(f"--nodes expects '<antenna>,<control>', got {args.nodes!r}") from None
-        try:
-            s = replace(s, discretization=Discretization(antenna, control))
-        except ValueError as exc:
-            raise ScenarioValidationError([f"--nodes: {exc}"]) from None
+        s = replace(s, discretization=Discretization(antenna, control))
     if getattr(args, "epsilon", None):
         s = replace(s, epsilon="auto" if args.epsilon == "auto" else float(args.epsilon))
     validate_scenario(s)

@@ -30,8 +30,8 @@ NODE_ON_BOUNDARY_RTOL = 1e-14
 # Default node counts: circles (2D) and polar counts (3D).
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_SPHERE_POLAR = 24
-# Fewest nodes a circle rule accepts.
-MIN_CIRCLE_NODES = 4
+# Fewest nodes per boundary rule: circle nodes in 2D, polar nodes in 3D.
+MIN_NODES = {2: 4, 3: 2}
 # Azimuth nodes per polar node in the 3D rules of make_rule.
 AZIMUTH_PER_POLAR = 2
 
@@ -66,11 +66,12 @@ def surface_measure(radius: float, dim: int) -> float:
     return UNIT_SPHERE_MEASURE[dim] * radius ** (dim - 1)
 
 
-def _as_point(p, dim: int) -> np.ndarray:
-    x = np.asarray(p, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"expected a point of dimension {dim}, got shape {x.shape}")
-    return x
+def frozen_array(a) -> np.ndarray:
+    """A float copy of ``a``, marked read-only: the holder and the caller
+    can no longer change each other's values."""
+    arr = np.array(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,9 @@ class Boundary:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        center = _as_point(self.center, self.dim)
-        center.setflags(write=False)
+        center = frozen_array(self.center)
+        if center.shape != (self.dim,):
+            raise ValueError(f"expected a point of dimension {self.dim}, got shape {center.shape}")
         object.__setattr__(self, "center", center)
 
     @property
@@ -119,9 +121,7 @@ class QuadratureRule:
 
     def __post_init__(self):
         for name in ("nodes", "weights", "normals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         self.validate()
 
     @property
@@ -185,14 +185,12 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     ----------
     center : array-like, shape (2,)
     radius : float, > 0
-    n : int, >= 4
+    n : int, >= MIN_NODES[2]
         Node count.
     """
-    if n < MIN_CIRCLE_NODES:
-        raise ValueError(f"circle rule needs n >= {MIN_CIRCLE_NODES} nodes, got {n}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    boundary = Boundary(center=_as_point(center, 2), radius=float(radius), dim=2)
+    if n < MIN_NODES[2]:
+        raise ValueError(f"circle rule needs n >= {MIN_NODES[2]} nodes, got {n}")
+    boundary = Boundary(center=center, radius=float(radius), dim=2)
 
     angles = 2.0 * np.pi * np.arange(n) / n  # (n,)
     normals = np.column_stack([np.cos(angles), np.sin(angles)])  # (n, 2)
@@ -206,15 +204,14 @@ def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> Qua
 
     The polar direction uses Gauss-Legendre nodes in cos(theta), the
     azimuth an equispaced grid; weights are r^2 * w_GL * (2*pi/n_azimuth),
-    so they sum to 4*pi*r^2 up to roundoff.
+    so they sum to 4*pi*r^2 up to roundoff.  The azimuth grid is a circle
+    rule, so it takes the circle minimum.
     """
-    if n_polar < 2:
-        raise ValueError(f"sphere rule needs n_polar >= 2, got {n_polar}")
-    if n_azimuth < 4:
-        raise ValueError(f"sphere rule needs n_azimuth >= 4, got {n_azimuth}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    boundary = Boundary(center=_as_point(center, 3), radius=float(radius), dim=3)
+    if n_polar < MIN_NODES[3]:
+        raise ValueError(f"sphere rule needs n_polar >= {MIN_NODES[3]}, got {n_polar}")
+    if n_azimuth < MIN_NODES[2]:
+        raise ValueError(f"sphere rule needs n_azimuth >= {MIN_NODES[2]}, got {n_azimuth}")
+    boundary = Boundary(center=center, radius=float(radius), dim=3)
 
     t, w_gl = np.polynomial.legendre.leggauss(n_polar)  # cos(theta) nodes, (n_polar,)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth  # (n_azimuth,)
@@ -249,12 +246,6 @@ class Discretization:
     antenna: int
     control: int
 
-    def __post_init__(self):
-        if self.antenna < 2 or self.control < 2:
-            raise ValueError(
-                f"node counts must be >= 2, got {self.antenna}, {self.control}"
-            )
-
 
 def default_discretization(dim: int) -> Discretization:
     if dim == 2:
@@ -277,9 +268,7 @@ class Region:
     control_radius: float | None = None
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", frozen_array(self.center))
 
     @property
     def center_distance(self) -> float:
@@ -337,13 +326,13 @@ def with_default_radii(s: Scenario) -> Scenario:
 
     Each region's control radius defaults to
 
-        a' = a + min(0.5*a, 0.25*(|x| - a - delta), 0.5*(R - |x| - a))
+        a' = a + min(0.5*a, 0.25*(|x| - a - delta*(1 + SEPARATION_RTOL)), 0.5*(R - |x| - a))
 
     and the outer control radius to R' = (R + max_k(|x_k| + a'_k)) / 2.
-    The increments are capped by the gaps to the antenna and to the
-    observation boundary, so a scenario whose hard data is admissible
-    stays admissible after defaulting, while the sup-norm constants on
-    both sides of each control sphere remain moderate.
+    The increments are capped by the gaps to the antenna's clearance and
+    to the observation boundary, so a scenario whose hard data admit any
+    control radius stays admissible after defaulting, while the sup-norm
+    constants on both sides of each control sphere remain moderate.
     """
     regions = []
     for r in s.regions:
@@ -351,7 +340,7 @@ def with_default_radii(s: Scenario) -> Scenario:
             regions.append(r)
             continue
         dist = r.center_distance
-        gap_in = dist - r.radius - s.delta
+        gap_in = dist - r.radius - s.delta * (1.0 + SEPARATION_RTOL)
         gap_out = s.observation_radius - dist - r.radius
         bump = min(0.5 * r.radius, 0.25 * gap_in, 0.5 * gap_out)
         regions.append(replace(r, control_radius=r.radius + bump))
@@ -376,7 +365,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         R' < R
         closed target balls pairwise disjoint
         closed target balls disjoint from the closed antenna ball
-        at least MIN_CIRCLE_NODES nodes per circle rule (2D)
+        both node counts >= MIN_NODES[dim]
 
     and, for the fields: each region target harmonic on its closed control
     ball, the exterior target harmonic there too and outside the outer
@@ -399,8 +388,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     elif not 0 < s.epsilon < np.inf:
         bad.append(f"epsilon must be positive and finite, got {s.epsilon}")
     d = s.discretization
-    if s.dim == 2 and min(d.antenna, d.control) < MIN_CIRCLE_NODES:
-        bad.append(f"circle rules need >= {MIN_CIRCLE_NODES} nodes, got {d.antenna}, {d.control}")
+    if s.dim in MIN_NODES and min(d.antenna, d.control) < MIN_NODES[s.dim]:
+        bad.append(f"node counts must be >= {MIN_NODES[s.dim]} in {s.dim}D, "
+                   f"got {d.antenna}, {d.control}")
 
     for k, r in enumerate(s.regions, start=1):
         if r.center.shape != (s.dim,):

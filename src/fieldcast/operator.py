@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SEPARATION_RTOL, QuadratureRule
+from .geometry import SEPARATION_RTOL, QuadratureRule, frozen_array
 from .kernels import dlp_kernel, row_blocks
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
@@ -35,14 +35,13 @@ class Density:
     values: np.ndarray  # (n,)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = frozen_array(self.values)
         if values.shape != (self.rule.node_count,):
             raise ValueError(
                 f"values shape {values.shape} does not match {self.rule.node_count} nodes"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def norm(self) -> float:
@@ -62,15 +61,12 @@ class ControlTrace:
             raise ValueError(
                 f"{len(self.blocks)} blocks for {len(self.rules)} control rules"
             )
-        blocks = []
-        for b, rule in zip(self.blocks, self.rules):
-            arr = np.asarray(b, dtype=float)
+        blocks = [frozen_array(b) for b in self.blocks]
+        for arr, rule in zip(blocks, self.rules):
             if arr.shape != (rule.node_count,):
                 raise ValueError(
                     f"block shape {arr.shape} does not match {rule.node_count} nodes"
                 )
-            arr.setflags(write=False)
-            blocks.append(arr)
         object.__setattr__(self, "blocks", blocks)
 
     @property

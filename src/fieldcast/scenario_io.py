@@ -143,10 +143,7 @@ def parse_scenario(text: str) -> Scenario:
     if disc_raw is not None:
         antenna = _integer(_get(disc_raw, "antenna", "discretization"), "discretization.antenna")
         control = _integer(_get(disc_raw, "control", "discretization"), "discretization.control")
-        try:
-            disc = Discretization(antenna, control)
-        except ValueError as exc:
-            _fail("discretization", str(exc))
+        disc = Discretization(antenna, control)
 
     regions_raw = _get(raw, "regions", "")
     if not isinstance(regions_raw, list) or not regions_raw:

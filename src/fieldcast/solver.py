@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ScenarioValidationError
 from .operator import ControlTrace, Density, ForwardOperator, block_residuals, weighted_svd
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
@@ -52,7 +53,7 @@ class InfeasibleAccuracyError(ValueError):
         self.floor = floor
         super().__init__(
             f"requested accuracy {epsilon:.6g} is at or below the residual floor "
-            f"{floor:.6g} of this discretization; refine the node counts"
+            f"{floor:.6g} of this discretization"
         )
 
 
@@ -112,7 +113,7 @@ class _FilterData:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if self.v_norm == 0.0:
-            raise ValueError("target trace is identically zero; nothing to solve")
+            raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
         if epsilon >= self.v_norm:
             return math.inf, self.v_norm, 0
         floor = self.floor()

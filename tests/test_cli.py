@@ -108,9 +108,8 @@ class TestRun:
          "target field is singular inside the control ball"),
         ("demo-3d", "  field: {kind: zero}", "  field: {kind: constant, value: 1.0}",
          "exterior target must decay at infinity in 3D"),
-        ("demo-2d", "antenna: 128", "antenna: 3", "circle rules need >= 4 nodes"),
-        ("demo-2d", "antenna: 128", "antenna: 1",
-         "'discretization': node counts must be >= 2"),
+        ("demo-2d", "antenna: 128", "antenna: 3", "node counts must be >= 4 in 2D, got 3, 128"),
+        ("demo-2d", "antenna: 128", "antenna: 1", "node counts must be >= 4 in 2D, got 1, 128"),
     ], ids=["singular-region-target", "non-decaying-3d-exterior", "circle-below-4",
             "count-below-2"])
     def test_inadmissible_scenario_content_exits_with_validation_status(
@@ -135,6 +134,34 @@ class TestRun:
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
                      "--epsilon", "0.6", "--nodes", nodes]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, nodes, message", [
+        ("demo-2d", "1,1", "node counts must be >= 4 in 2D, got 1, 1"),
+        ("demo-2d", "3,3", "node counts must be >= 4 in 2D, got 3, 3"),
+        ("demo-3d", "1,24", "node counts must be >= 2 in 3D, got 1, 24"),
+    ], ids=["2d-below-2", "2d-below-4", "3d-below-2"])
+    def test_nodes_below_minimum_give_the_file_message(self, tmp_path, capsys, preset,
+                                                       nodes, message):
+        # --nodes and the scenario file pass through one gate, so a count
+        # below the minimum reads the same from either source.
+        assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(tmp_path / "out"),
+                     "--epsilon", "0.6", "--nodes", nodes]) == 3
+        err = capsys.readouterr().err
+        assert err.count("node counts must be") == 1
+        assert message in err
+
+    def test_zero_target_exits_with_validation_status(self, tmp_path, capsys):
+        # Every region asks for the exterior field: nothing to control.
+        text = Path(DEMO_2D).read_text()
+        for field in ("{kind: log-source, location: [0.0, 0.0]}",
+                      "{kind: dipole, location: [0.0, 0.0], direction: [1.0, 0.0]}"):
+            assert field in text
+            text = text.replace(field, "{kind: zero}")
+        zero = tmp_path / "zero.scn"
+        zero.write_text(text)
+        assert _run(["run", str(zero), "--out", str(tmp_path / "out"),
+                     "--epsilon", "1.0"]) == 3
+        assert "target trace is identically zero" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset, epsilon, grid", [
         ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),

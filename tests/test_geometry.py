@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from fieldcast import (
+    Boundary,
+    ControlTrace,
+    Density,
+    QuadratureRule,
     Region,
     Scenario,
     ScenarioValidationError,
@@ -201,6 +205,42 @@ class TestValidateScenario:
         validate_scenario(s)
         assert s.regions[0].control_radius < 15.0 - 12.5
         assert s.outer_control_radius < 15.0
+
+    def test_default_radii_respect_the_antenna_clearance(self):
+        # |x| - a - delta = 1.2e-6 leaves room for a' = a + 6e-8 beyond the
+        # clearance delta * SEPARATION_RTOL, so the default must find room too.
+        s = with_default_radii(_scenario_2d(
+            [Region(center=(3.0 + 1.2e-6, 0.0), radius=2.0, target=zero_field())],
+            observation=20.0))
+        validate_scenario(s)
+        assert 2.0 < s.regions[0].control_radius < 2.0 + 6e-8
+
+
+def test_constructors_copy_caller_arrays():
+    # Each value object keeps its own read-only copy: the caller's arrays
+    # stay writable, and writing to them leaves the object unchanged.
+    center = np.array([1.0, -2.0])
+    boundary = Boundary(center=center, radius=1.5, dim=2)
+    made = make_circle_rule((1.0, -2.0), 1.5, 8)
+    nodes, weights, normals = (np.array(a) for a in (made.nodes, made.weights, made.normals))
+    rule = QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
+    region_center = np.array([0.0, 12.0])
+    region = Region(center=region_center, radius=2.0, target=zero_field())
+    values = np.ones(8)
+    density = Density(rule=rule, values=values)
+    block = np.arange(8.0)
+    trace = ControlTrace(blocks=[block], rules=[rule])
+
+    held = [(boundary.center, center), (rule.nodes, nodes), (rule.weights, weights),
+            (rule.normals, normals), (region.center, region_center),
+            (density.values, values), (trace.blocks[0], block)]
+    before = [own.copy() for own, _ in held]
+    for own, given in held:
+        assert given.flags.writeable
+        assert not own.flags.writeable
+        given += 1.0
+    for (own, _), old in zip(held, before):
+        assert np.array_equal(own, old)
 
 
 class TestBuildRules:

@@ -175,7 +175,7 @@ class TestSolveMinEnergy:
         # refuse rather than silently under-deliver.
         s, antenna, controls, K, v = demo2d_parts
         assert float(s.epsilon) < residual_floor(K, v)
-        with pytest.raises(InfeasibleAccuracyError, match="refine"):
+        with pytest.raises(InfeasibleAccuracyError, match="residual floor"):
             solve_min_energy(K, v, float(s.epsilon))
 
     def test_zero_target_rejected(self, demo2d_parts):
