@@ -36,7 +36,7 @@ from .geometry import (
     make_circle_rule,
     make_sphere_rule,
     validate_scenario,
-    with_default_radii,
+    with_defaults,
 )
 from .kernels import adjoint_kernel, dlp_kernel, phi, poisson_solve
 from .operator import (
@@ -101,7 +101,7 @@ __all__ = [
     "sweep_epsilon",
     "validate_scenario",
     "weighted_svd",
-    "with_default_radii",
+    "with_defaults",
     "xi_inner",
     "zero_field",
 ]

@@ -176,16 +176,18 @@ def _stage(timings: list[tuple[str, object]], name: str):
 
 
 def _prepare(args, scenario: Scenario, timings):
-    """The steps ``run`` and ``sweep`` share after loading the scenario: make
-    the output directory, assemble the operator, build the target and take
-    the weighted SVD.  Returns (out_dir, K, v, svd)."""
+    """The steps ``run`` and ``sweep`` share after loading the scenario: build
+    the rules and the target (which rejects an identically zero trace), then
+    make the output directory, assemble the operator and take the weighted
+    SVD, so a scenario rejected before assembly leaves no directory.
+    Returns (out_dir, K, v, svd)."""
+    with _stage(timings, "target"):
+        antenna, controls = build_rules(scenario)
+        v = build_target(scenario, controls)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(timings, "assemble"):
-        antenna, controls = build_rules(scenario)
         K = assemble_forward(antenna, controls)
-    with _stage(timings, "target"):
-        v = build_target(scenario, controls)
     with _stage(timings, "svd"):
         svd = weighted_svd(K)
     return out_dir, K, v, svd

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import (AZIMUTH_PER_POLAR, SEPARATION_RTOL, QuadratureRule, Scenario, make_rule,
-                       validate_scenario)
+from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
+                       make_rule, validate_scenario)
 from .kernels import dlp_kernel, row_blocks
 from .operator import ControlTrace
 
@@ -206,7 +206,9 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
     Block k holds (u_k - u_0) at the nodes of region k's control sphere;
     the outer block is zero (the exterior requirement after subtracting
     the exterior target).  The scenario is validated first, field
-    conditions included (:func:`fieldcast.geometry.validate_scenario`).
+    conditions included (:func:`fieldcast.geometry.validate_scenario`), and
+    an identically zero trace raises ScenarioValidationError: there is
+    nothing to solve for.
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
@@ -221,7 +223,10 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
         traces = traces - np.asarray(eval_field(u0, rule.nodes), dtype=float)
         blocks.append(traces)
     blocks.append(np.zeros(controls[-1].node_count))
-    return ControlTrace(blocks=blocks, rules=list(controls))
+    v = ControlTrace(blocks=blocks, rules=list(controls))
+    if v.norm() == 0.0:
+        raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
+    return v
 
 
 def eval_double_layer(g, x) -> np.ndarray | float:
@@ -291,7 +296,9 @@ class FieldGrid:
     Labels: ``region-k`` inside target ball k, ``exterior`` outside the
     observation ball, ``annulus`` elsewhere, ``excluded`` in the ring near
     the antenna where double-layer evaluation is unreliable (values are
-    NaN there).  Points inside the closed antenna ball are dropped
+    NaN there).  The ring reaches delta * (1 + 2*pi/n), with n the nodes
+    around the density's rule: all of them in 2D, one polar ring's azimuth
+    count in 3D.  Points inside the closed antenna ball are dropped
     entirely.
     """
 
@@ -317,8 +324,13 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     back to absolute mismatch for identically-zero targets.
     """
     pts = spec.points()
-    delta = g.rule.boundary.radius
-    n_around = g.rule.node_count if s.dim == 2 else AZIMUTH_PER_POLAR * s.discretization.antenna
+    rule = g.rule
+    delta = rule.boundary.radius
+    # Nodes around the density's rule: the whole circle in 2D, the nodes of
+    # one polar ring (those sharing the first node's z) in 3D.
+    n_around = rule.node_count
+    if s.dim == 3:
+        n_around = int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
     exclusion = delta * (1.0 + 2.0 * np.pi / n_around)
 
     rho = np.linalg.norm(pts, axis=-1)

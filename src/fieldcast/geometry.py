@@ -15,6 +15,7 @@ Gauss-Legendre (polar) x trapezoid (azimuth) product grid on spheres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,16 +28,25 @@ if TYPE_CHECKING:
 SURFACE_MEASURE_RTOL = 1e-12
 NODE_ON_BOUNDARY_RTOL = 1e-14
 
-# Default node counts: circles (2D) and polar counts (3D).
-DEFAULT_CIRCLE_NODES = 128
-DEFAULT_SPHERE_POLAR = 24
+# Default node counts per boundary rule: circle nodes in 2D, polar nodes in
+# 3D.  Control rules use them; a defaulted antenna rule never exceeds them.
+DEFAULT_NODES = {2: 128, 3: 24}
 # Fewest nodes per boundary rule: circle nodes in 2D, polar nodes in 3D.
 MIN_NODES = {2: 4, 3: 2}
+# A defaulted antenna resolves a number of harmonic degrees that is a
+# multiple of this.  Operators then come in a few shapes, so the largest
+# shape a family of scenarios reaches, which sets peak memory, is one many
+# of them share rather than one only a rare scenario reaches.
+ANTENNA_DEGREE_STEP = 4
 # Azimuth nodes per polar node in the 3D rules of make_rule.
 AZIMUTH_PER_POLAR = 2
 
 # Control nodes must clear the antenna sphere by this relative margin.
 SEPARATION_RTOL = 1e-6
+
+# Singular values below this fraction of sigma_1 count as unresolved when
+# estimating the smallest residual the current discretization can reach.
+RANK_CUTOFF_RTOL = 1e-12
 
 # Surface measure of the unit sphere: the normalization that makes the
 # mean-value property and the Gauss identity come out exact.
@@ -247,12 +257,6 @@ class Discretization:
     control: int
 
 
-def default_discretization(dim: int) -> Discretization:
-    if dim == 2:
-        return Discretization(DEFAULT_CIRCLE_NODES, DEFAULT_CIRCLE_NODES)
-    return Discretization(DEFAULT_SPHERE_POLAR, DEFAULT_SPHERE_POLAR)
-
-
 @dataclass(frozen=True)
 class Region:
     """A target ball with its surrounding control sphere and wanted field.
@@ -297,6 +301,7 @@ class Scenario:
     outer_control_radius : float or None
         Radius R' of the outer control sphere; None means default.
     discretization : Discretization or None
+        Node counts; None means default.
     seed : int
         Seed for the run's sampling diagnostics.
     """
@@ -313,16 +318,28 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
-        if self.discretization is None:
-            object.__setattr__(self, "discretization", default_discretization(self.dim))
 
     @property
     def n_regions(self) -> int:
         return len(self.regions)
 
 
-def with_default_radii(s: Scenario) -> Scenario:
-    """Fill in missing control radii.
+def _antenna_nodes(s: Scenario, rho: float) -> int:
+    """Antenna nodes that resolve every harmonic degree the control spheres,
+    the nearest at distance ``rho`` from the origin, can see, in steps of
+    ANTENNA_DEGREE_STEP degrees; see :func:`with_defaults`."""
+    cap = DEFAULT_NODES[s.dim]
+    decay = math.log(rho) - math.log(s.delta) if 0 < s.delta < rho < math.inf else 0.0
+    if not decay > 0:
+        return cap
+    degree = math.ceil(-math.log(RANK_CUTOFF_RTOL) / decay)
+    degrees = ANTENNA_DEGREE_STEP * math.ceil((degree + 1) / ANTENNA_DEGREE_STEP)
+    nodes = 2 * degrees if s.dim == 2 else degrees
+    return min(max(nodes, MIN_NODES[s.dim]), cap)
+
+
+def with_defaults(s: Scenario) -> Scenario:
+    """Fill in missing control radii and node counts.
 
     Each region's control radius defaults to
 
@@ -333,6 +350,22 @@ def with_default_radii(s: Scenario) -> Scenario:
     to the observation boundary, so a scenario whose hard data admit any
     control radius stays admissible after defaulting, while the sup-norm
     constants on both sides of each control sphere remain moderate.
+
+    Missing node counts are then read off those radii.  The control rules
+    get ``DEFAULT_NODES[dim]``.  The antenna rule gets enough nodes to
+    resolve the double layer's harmonic degrees up to
+
+        L* = ceil(ln(RANK_CUTOFF_RTOL) / ln(delta / rho)),  rho = min(min_k(|x_k| - a'_k), R'):
+
+    degree l decays like (delta/rho)^l from the antenna to the nearest
+    control sphere, so no higher degree survives the rank cutoff.  The
+    antenna resolves the D degrees 0 .. D - 1, with D = L* + 1 rounded up
+    to a multiple of ANTENNA_DEGREE_STEP: 2 D circle nodes in 2D or D polar
+    nodes in 3D, clamped to [MIN_NODES[dim], DEFAULT_NODES[dim]].  The
+    rounding costs at most ANTENNA_DEGREE_STEP - 1 degrees and keeps a family of scenarios on
+    a few operator shapes.  An inadmissible geometry
+    (rho <= delta, or rho not finite) gets the cap, and
+    :func:`validate_scenario` reports it.  Given counts are kept as they are.
     """
     regions = []
     for r in s.regions:
@@ -349,7 +382,12 @@ def with_default_radii(s: Scenario) -> Scenario:
     if outer is None:
         reach = max(r.center_distance + r.control_radius for r in regions)
         outer = 0.5 * (s.observation_radius + reach)
-    return replace(s, regions=tuple(regions), outer_control_radius=outer)
+
+    disc = s.discretization
+    if disc is None and s.dim in DEFAULT_NODES:
+        rho = min([r.center_distance - r.control_radius for r in regions] + [outer])
+        disc = Discretization(_antenna_nodes(s, rho), DEFAULT_NODES[s.dim])
+    return replace(s, regions=tuple(regions), outer_control_radius=outer, discretization=disc)
 
 
 def validate_scenario(s: Scenario) -> Scenario:
@@ -365,7 +403,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         R' < R
         closed target balls pairwise disjoint
         closed target balls disjoint from the closed antenna ball
-        both node counts >= MIN_NODES[dim]
+        both node counts set and >= MIN_NODES[dim]
 
     and, for the fields: each region target harmonic on its closed control
     ball, the exterior target harmonic there too and outside the outer
@@ -381,14 +419,16 @@ def validate_scenario(s: Scenario) -> Scenario:
     if not s.regions:
         bad.append("at least one target region is required")
     if s.outer_control_radius is None:
-        bad.append("outer control radius is unset (apply with_default_radii first)")
+        bad.append("outer control radius is unset (apply with_defaults first)")
     if isinstance(s.epsilon, str):
         if s.epsilon != "auto":
             bad.append(f"epsilon must be a positive number or 'auto', got {s.epsilon!r}")
     elif not 0 < s.epsilon < np.inf:
         bad.append(f"epsilon must be positive and finite, got {s.epsilon}")
     d = s.discretization
-    if s.dim in MIN_NODES and min(d.antenna, d.control) < MIN_NODES[s.dim]:
+    if d is None:
+        bad.append("node counts are unset (apply with_defaults first)")
+    elif s.dim in MIN_NODES and min(d.antenna, d.control) < MIN_NODES[s.dim]:
         bad.append(f"node counts must be >= {MIN_NODES[s.dim]} in {s.dim}D, "
                    f"got {d.antenna}, {d.control}")
 
@@ -399,7 +439,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         if not r.radius > 0:
             bad.append(f"region {k}: radius must be positive, got {r.radius}")
         if r.control_radius is None:
-            bad.append(f"region {k}: control radius is unset (apply with_default_radii first)")
+            bad.append(f"region {k}: control radius is unset (apply with_defaults first)")
             continue
         dist = r.center_distance
         if not r.radius < r.control_radius:

@@ -6,8 +6,8 @@ Schema (see README for the full description)::
     dim: 2
     delta: 1.0
     epsilon: auto            # or a positive number
-    seed: 7
-    discretization: {antenna: 128, control: 128}   # optional
+    seed: 7                  # a non-negative integer; optional, 0 when absent
+    discretization: {antenna: 128, control: 128}   # optional; see below
     regions:
       - center: [0.0, 12.0]
         radius: 2.0
@@ -18,10 +18,15 @@ Schema (see README for the full description)::
       control-radius: 14.75  # optional; defaulted when absent
       field: {kind: zero}
 
-Parse errors cite the offending line (syntax) or field path (schema).
+Without ``discretization`` the antenna count is read off the geometry and
+the control count is the default (:func:`fieldcast.geometry.with_defaults`);
+given counts are kept.  Every number must be finite.  Parse errors cite the
+offending line (syntax) or field path (schema).
 """
 
 from __future__ import annotations
+
+import sys
 
 import yaml
 
@@ -34,7 +39,7 @@ from .fields import (
     point_source,
     zero_field,
 )
-from .geometry import Discretization, Region, Scenario, with_default_radii
+from .geometry import Discretization, Region, Scenario, with_defaults
 
 FORMAT_VERSION = 1
 
@@ -59,6 +64,8 @@ def _get(mapping, key, path, required=True, default=None):
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -111,7 +118,8 @@ def _parse_field(raw, path, dim) -> HarmonicField:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario YAML text; control radii are defaulted when absent."""
+    """Parse scenario YAML text; control radii and node counts are defaulted
+    when absent (:func:`fieldcast.geometry.with_defaults`)."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -137,6 +145,8 @@ def parse_scenario(text: str) -> Scenario:
         epsilon = _number(eps_raw, "epsilon")
 
     seed = _integer(_get(raw, "seed", "", required=False, default=0), "seed")
+    if seed < 0:
+        _fail("seed", f"expected a non-negative integer, got {seed}")
 
     disc = None
     disc_raw = _get(raw, "discretization", "", required=False)
@@ -179,7 +189,7 @@ def parse_scenario(text: str) -> Scenario:
         discretization=disc,
         seed=seed,
     )
-    return with_default_radii(scenario)
+    return with_defaults(scenario)
 
 
 def load_scenario(path) -> Scenario:

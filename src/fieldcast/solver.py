@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScenarioValidationError
+from .geometry import RANK_CUTOFF_RTOL, ScenarioValidationError
 from .operator import ControlTrace, Density, ForwardOperator, block_residuals, weighted_svd
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
@@ -30,10 +30,6 @@ DISCREPANCY_RTOL = 1e-3
 ALPHA_BRACKET_LO = 1e-14
 ALPHA_BRACKET_HI = 1e4
 MAX_BRACKET_ITERATIONS = 200
-
-# Singular values below this fraction of sigma_1 count as unresolved when
-# estimating the smallest residual the current discretization can reach.
-RANK_CUTOFF_RTOL = 1e-12
 
 
 def rank_above_cutoff(sigma: np.ndarray) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE_EPS_2D, PRESETS
+from fieldcast import cli
 from fieldcast.cli import main
 from fieldcast.operator import load_operator_dump
 
@@ -20,6 +21,10 @@ def _run(args):
 def _section(report: str, name: str) -> str:
     """The lines of one report section, each ending in a newline."""
     return report.split(f"[{name}]\n")[1].split("\n\n")[0].rstrip("\n") + "\n"
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("this stage must not run")
 
 
 def _report_body(path: Path) -> str:
@@ -150,7 +155,7 @@ class TestRun:
         assert err.count("node counts must be") == 1
         assert message in err
 
-    def test_zero_target_exits_with_validation_status(self, tmp_path, capsys):
+    def test_zero_target_exits_with_validation_status(self, tmp_path, capsys, monkeypatch):
         # Every region asks for the exterior field: nothing to control.
         text = Path(DEMO_2D).read_text()
         for field in ("{kind: log-source, location: [0.0, 0.0]}",
@@ -159,9 +164,64 @@ class TestRun:
             text = text.replace(field, "{kind: zero}")
         zero = tmp_path / "zero.scn"
         zero.write_text(text)
+        # The zero trace is caught before assembly and the output directory.
+        monkeypatch.setattr(cli, "assemble_forward", _never_called)
         assert _run(["run", str(zero), "--out", str(tmp_path / "out"),
                      "--epsilon", "1.0"]) == 3
         assert "target trace is identically zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, path", [
+        ("  field: {kind: zero}", "  field: {kind: constant, value: .nan}", "outer.field.value"),
+        ("    radius: 2.0", "    radius: .nan", "regions[0].radius"),
+        ("delta: 1.0", "delta: .inf", "delta"),
+        ("center: [10.0, 0.0]", "center: [10.0, -.inf]", "regions[1].center[1]"),
+        ("seed: 7", "seed: -7", "seed"),
+    ], ids=["nan-constant", "nan-radius", "inf-delta", "inf-center", "negative-seed"])
+    def test_bad_numbers_fail_at_parse(self, tmp_path, capsys, monkeypatch, old, new, path):
+        text = Path(DEMO_2D).read_text()
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new, 1))
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        out = tmp_path / "out"
+        assert _run(["run", str(bad), "--out", str(out), "--epsilon", "6.5"]) == 3
+        assert f"scenario field '{path}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_control_sphere_inside_antenna_reach_fails_validation(self, tmp_path, capsys):
+        # |x| - a' = 0.5 < delta: no antenna count can be read off this
+        # geometry, so the default applies and validation names the fault.
+        near = tmp_path / "near.scn"
+        near.write_text(
+            "format-version: 1\ndim: 3\ndelta: 1.0\nepsilon: 1.0\n"
+            "regions:\n"
+            "  - center: [10.0, 0.0, 0.0]\n    radius: 8.9\n    control-radius: 9.5\n"
+            "    field: {kind: point-source, location: [0.0, 0.0, 0.0]}\n"
+            "outer:\n  observation-radius: 30.0\n  field: {kind: zero}\n")
+        out = tmp_path / "out"
+        assert _run(["run", str(near), "--out", str(out)]) == 3
+        assert "|x| > a' + delta fails" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, file_counts, flags, expected", [
+        ("demo-2d", False, [], (32, 128)), ("demo-3d", False, [], (16, 24)),
+        ("demo-2d", False, ["--nodes", "20,40"], (20, 40)), ("demo-2d", True, [], (128, 128)),
+    ], ids=["2d-from-geometry", "3d-from-geometry", "nodes-flag", "file-counts"])
+    def test_antenna_count_from_the_geometry_unless_given(self, tmp_path, preset, file_counts,
+                                                          flags, expected):
+        # Both demos have delta = 1 and rho = 7, so L* = 15: 32 circle or 16
+        # polar nodes.  Counts from --nodes or the file are used as given.
+        text = (PRESETS / f"{preset}.scn").read_text()
+        if not file_counts:
+            text = re.sub(r"discretization: .*\n", "", text)
+        scn = tmp_path / "s.scn"
+        scn.write_text(text)
+        epsilon = "6.5" if preset == "demo-2d" else "0.6"
+        out = tmp_path / "out"
+        assert _run(["run", str(scn), "--out", str(out), "--epsilon", epsilon, *flags]) == 0
+        scenario = _section((out / "report.txt").read_text(), "scenario")
+        assert f"nodes-antenna: {expected[0]}\nnodes-control: {expected[1]}\n" in scenario
 
     @pytest.mark.parametrize("preset, epsilon, grid", [
         ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),
@@ -292,7 +352,7 @@ class TestSweep:
                                                         "spectrum")
         assert _section(report, "outputs") == "spectrum: spectrum.tsv\nsweep: sweep.tsv\n"
         timed = [line.split(":")[0] for line in _section(report, "timings").splitlines()]
-        assert timed == ["assemble-seconds", "target-seconds", "svd-seconds", "sweep-seconds"]
+        assert timed == ["target-seconds", "assemble-seconds", "svd-seconds", "sweep-seconds"]
 
     def test_epsilon_is_not_an_abbreviation_of_epsilons(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

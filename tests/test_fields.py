@@ -10,6 +10,7 @@ from fieldcast import (
     Density,
     Region,
     Scenario,
+    ScenarioValidationError,
     apply,
     build_rules,
     build_target,
@@ -28,7 +29,7 @@ from fieldcast import (
 )
 from fieldcast.cli import write_grid
 from fieldcast.fields import GridSpec, auto_epsilon, ball_l2_norm
-from fieldcast.geometry import with_default_radii
+from fieldcast.geometry import make_rule, with_defaults
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
 
@@ -117,10 +118,12 @@ class TestBuildTarget:
         assert np.all(v.blocks[-1] == 0.0)
 
     def test_matching_targets_cancel(self):
+        # Region 2 keeps the trace nonzero, so build_target returns it.
         f = dipole((0.0, 0.0), (1.0, 0.0))
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=2, delta=1.0,
-            regions=(Region(center=(8.0, 0.0), radius=1.5, target=f),),
+            regions=(Region(center=(8.0, 0.0), radius=1.5, target=f),
+                     Region(center=(-8.0, 0.0), radius=1.5, target=zero_field())),
             observation_radius=15.0, exterior_target=f, epsilon=1.0))
         _, controls = build_rules(s)
         v = build_target(s, controls)
@@ -132,16 +135,17 @@ class TestBuildTarget:
         assert np.allclose(v.blocks[0], expected, rtol=1e-15)
 
     def test_all_zero_fields_give_exactly_zero_target(self):
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=2, delta=1.0,
             regions=(Region(center=(8.0, 0.0), radius=1.5, target=zero_field()),),
             observation_radius=15.0, exterior_target=zero_field(), epsilon=1.0))
         _, controls = build_rules(s)
-        v = build_target(s, controls)
-        assert all(np.all(b == 0.0) for b in v.blocks)
+        # The trace is exactly zero, so there is nothing to solve for.
+        with pytest.raises(ScenarioValidationError, match="identically zero"):
+            build_target(s, controls)
 
     def test_singularity_inside_control_ball_rejected(self):
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=2, delta=1.0,
             regions=(Region(center=(10.0, 0.0), radius=2.0,
                             target=log_source((10.5, 0.0))),),
@@ -151,7 +155,7 @@ class TestBuildTarget:
             build_target(s, controls)
 
     def test_growing_exterior_target_rejected_2d(self):
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=2, delta=1.0,
             regions=(Region(center=(10.0, 0.0), radius=2.0,
                             target=dipole((0.0, 0.0), (1.0, 0.0))),),
@@ -162,7 +166,7 @@ class TestBuildTarget:
             build_target(s, controls)
 
     def test_nonzero_constant_exterior_target_rejected_3d(self):
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=3, delta=1.0,
             regions=(Region(center=(10.0, 0.0, 0.0), radius=2.0,
                             target=point_source((0.0, 0.0, 0.0))),),
@@ -273,7 +277,7 @@ class TestEvalOnGrid:
     def test_singular_target_point_masked_not_fatal(self):
         # A grid point sitting on a field's singularity is excluded via the
         # mask; the rest of the grid still evaluates.
-        s = with_default_radii(Scenario(
+        s = with_defaults(Scenario(
             dim=2, delta=1.0,
             regions=(Region(center=(10.0, 0.0), radius=2.0,
                             target=dipole((0.0, 0.0), (1.0, 0.0))),),
@@ -287,6 +291,18 @@ class TestEvalOnGrid:
         assert np.isnan(grid.values[idx])
         assert sum(label != "excluded" for label in grid.labels) > 0
         assert np.all(np.isfinite(grid.values[np.array(grid.labels) != "excluded"]))
+
+    def test_excluded_ring_follows_the_density_rule(self, demo3d):
+        # A 12-polar density (24 azimuth nodes) on the 24-polar demo gets the
+        # ring of its own rule, 1 + 2 pi / 24, not the scenario's 1 + 2 pi / 48.
+        assert demo3d.discretization.antenna == 24
+        rule = make_rule(np.zeros(3), demo3d.delta, 12, 3)
+        g = Density(rule=rule, values=np.ones(rule.node_count))
+        grid = eval_on_grid(g, demo3d, GridSpec(shape=(51, 1, 1), lo=(1.01, 0.0, 0.0),
+                                                hi=(1.51, 0.0, 0.0)))
+        ring = grid.points[:, 0] <= demo3d.delta * (1.0 + 2.0 * np.pi / 24)
+        assert np.count_nonzero(ring) == 26  # x = 1.01 ... 1.26
+        assert np.array_equal(np.array(grid.labels) == "excluded", ring)
 
     def test_export_format(self, demo2d_solution, tmp_path):
         s, K, v, h, report = demo2d_solution

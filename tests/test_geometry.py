@@ -17,12 +17,12 @@ from fieldcast import (
     make_circle_rule,
     make_sphere_rule,
     validate_scenario,
-    with_default_radii,
+    with_defaults,
     zero_field,
 )
 from fieldcast.fields import dipole, log_source
 from conftest import load_preset
-from fieldcast.geometry import Discretization, build_rules
+from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, Discretization, build_rules
 
 
 class TestCircleRule:
@@ -102,6 +102,7 @@ def _scenario_2d(regions, outer_control=None, observation=15.0):
         exterior_target=zero_field(),
         epsilon=1.0,
         outer_control_radius=outer_control,
+        discretization=Discretization(128, 128),
     )
 
 
@@ -199,7 +200,7 @@ class TestValidateScenario:
     def test_default_radii_leave_room_on_both_sides(self):
         # A region hugging the observation boundary must still default to
         # an admissible control radius.
-        s = with_default_radii(_scenario_2d(
+        s = with_defaults(_scenario_2d(
             [Region(center=(0.0, 12.5), radius=2.0,
                     target=log_source((0.0, 0.0)))]))
         validate_scenario(s)
@@ -209,7 +210,7 @@ class TestValidateScenario:
     def test_default_radii_respect_the_antenna_clearance(self):
         # |x| - a - delta = 1.2e-6 leaves room for a' = a + 6e-8 beyond the
         # clearance delta * SEPARATION_RTOL, so the default must find room too.
-        s = with_default_radii(_scenario_2d(
+        s = with_defaults(_scenario_2d(
             [Region(center=(3.0 + 1.2e-6, 0.0), radius=2.0, target=zero_field())],
             observation=20.0))
         validate_scenario(s)
@@ -241,6 +242,58 @@ def test_constructors_copy_caller_arrays():
         given += 1.0
     for (own, _), old in zip(held, before):
         assert np.array_equal(own, old)
+
+
+class TestDefaultNodes:
+    @staticmethod
+    def _one_region(dim, delta=1.0, distance=10.0, control_radius=3.0):
+        center = (distance,) + (0.0,) * (dim - 1)
+        return Scenario(dim=dim, delta=delta,
+                        regions=(Region(center=center, radius=2.0, control_radius=control_radius,
+                                        target=zero_field()),),
+                        observation_radius=15.0, exterior_target=zero_field(), epsilon=1.0)
+
+    @pytest.mark.parametrize("dim, control_radius, antenna", [
+        (2, 3.0, 32), (3, 3.0, 16), (2, 4.0, 40), (3, 4.0, 20),
+    ])
+    def test_antenna_count_is_read_off_the_gap(self, dim, control_radius, antenna):
+        # delta = 1 and rho = |x| - a' (R' = 14 or 14.5 is farther).  rho = 7
+        # gives L* = ceil(ln 1e-12 / ln(1/7)) = 15, whose 16 degrees are a
+        # multiple of 4: 32 circle or 16 polar nodes.  rho = 6 gives L* = 16,
+        # whose 17 degrees round up to 20: 40 circle or 20 polar nodes.
+        s = with_defaults(self._one_region(dim, control_radius=control_radius))
+        assert s.discretization == Discretization(antenna, DEFAULT_NODES[dim])
+        validate_scenario(s)
+
+    @pytest.mark.parametrize("dim, smallest", [(2, 8), (3, 4)])
+    def test_antenna_count_stays_between_the_minimum_and_the_default(self, dim, smallest):
+        # rho / delta = 7e13 gives L* = 1, whose 2 degrees round up to one
+        # step of 4; rho = delta (1 + 1e-9) gives an L* far beyond the default.
+        far = with_defaults(self._one_region(dim, delta=1e-13))
+        near = with_defaults(self._one_region(dim, control_radius=9.0 - 1e-9))
+        assert far.discretization.antenna == smallest >= MIN_NODES[dim]
+        assert near.discretization.antenna == DEFAULT_NODES[dim]
+
+    def test_given_counts_are_kept(self):
+        given = Discretization(200, 8)
+        s = with_defaults(replace(self._one_region(2), discretization=given))
+        assert s.discretization == given
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("distance, control_radius", [
+        (10.0, 9.5), (10.0, math.nan), (math.inf, 3.0),
+    ], ids=["rho-below-delta", "rho-nan", "rho-inf"])
+    def test_inadmissible_gap_gets_the_default_and_fails_validation(self, dim, distance,
+                                                                    control_radius):
+        s = with_defaults(self._one_region(dim, distance=distance,
+                                           control_radius=control_radius))
+        assert s.discretization.antenna == DEFAULT_NODES[dim]
+        with pytest.raises(ScenarioValidationError):
+            validate_scenario(s)
+
+    def test_unset_counts_are_reported(self):
+        with pytest.raises(ScenarioValidationError, match="node counts are unset"):
+            validate_scenario(replace(with_defaults(self._one_region(2)), discretization=None))
 
 
 class TestBuildRules:

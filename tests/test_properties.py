@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +15,14 @@ from fieldcast import (
     build_rules,
     build_target,
     log_source,
+    point_source,
+    solve_min_energy,
     sweep_epsilon,
     validate_scenario,
-    with_default_radii,
+    with_defaults,
     zero_field,
 )
-from fieldcast.geometry import SEPARATION_RTOL, Discretization
+from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization
 from fieldcast.solver import DISCREPANCY_RTOL, residual_floor
 
 # Fixed example order and no example database: every run checks the same cases.
@@ -27,11 +30,12 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 @st.composite
-def hard_data(draw, dim=None, target=zero_field()):
+def hard_data(draw, dim=None, target=zero_field(), log_gap=(-3.0, 7.0)):
     """A scenario with admissible hard data and no control radii: 1-3
     disjoint target balls spread round the antenna, each clear of it by an
-    inward gap |x| - a - delta from just above delta * SEPARATION_RTOL up to
-    10 delta, and the observation boundary beyond them all."""
+    inward gap |x| - a - delta of delta * SEPARATION_RTOL * (1 + 10^g), with g
+    drawn from ``log_gap`` (by default just above delta * SEPARATION_RTOL up to
+    10 delta), and the observation boundary beyond them all."""
     dim = dim or draw(st.sampled_from([2, 3]))
     delta = draw(st.floats(0.1, 2.0))
     n = draw(st.integers(1, 3))
@@ -39,7 +43,7 @@ def hard_data(draw, dim=None, target=zero_field()):
     regions = []
     for k in range(n):
         radius = draw(st.floats(0.1, 3.0))
-        gap = delta * SEPARATION_RTOL * (1.0 + 10.0 ** draw(st.floats(-3.0, 7.0)))
+        gap = delta * SEPARATION_RTOL * (1.0 + 10.0 ** draw(st.floats(*log_gap)))
         theta = turn + 2.0 * math.pi * k / n
         direction = [math.cos(theta), math.sin(theta), 0.0][:dim]
         center = (radius + delta + gap) * np.array(direction)
@@ -66,7 +70,7 @@ def _tight_clearance():
 @given(hard_data())
 @example(_tight_clearance())
 def test_default_radii_keep_admissible_hard_data_admissible(s):
-    validate_scenario(with_default_radii(s))
+    validate_scenario(with_defaults(s))
 
 
 @PROPERTY
@@ -75,7 +79,7 @@ def test_default_radii_keep_admissible_hard_data_admissible(s):
 def test_sweep_energy_falls_as_the_achieved_discrepancy_grows(s, fractions):
     # Compare energies by the discrepancy reached, not by the budget asked:
     # within the DISCREPANCY_RTOL stop rule, two close budgets may swap.
-    s = replace(with_default_radii(s), discretization=Discretization(16, 32))
+    s = replace(with_defaults(s), discretization=Discretization(16, 32))
     antenna, controls = build_rules(s)
     K = assemble_forward(antenna, controls)
     v = build_target(s, controls)
@@ -87,3 +91,48 @@ def test_sweep_energy_falls_as_the_achieved_discrepancy_grows(s, fractions):
     energies = [energy for _, _, energy in sorted(rows, key=lambda row: row[1])]
     for tighter, looser in zip(energies, energies[1:]):
         assert looser <= tighter * (1.0 + 1e-12)
+
+
+def _floor_and_energy(s):
+    """The residual floor, and the energy at epsilon = floor + 0.1 (||v|| - floor)."""
+    antenna, controls = build_rules(s)
+    K = assemble_forward(antenna, controls)
+    v = build_target(s, controls)
+    floor = residual_floor(K, v)
+    _, report = solve_min_energy(K, v, floor + 0.1 * (v.norm() - floor))
+    return floor, report.energy
+
+
+# In 3D the control rules are coarsened to keep the default antenna's SVD cheap.
+_CONTROL_NODES = {2: DEFAULT_NODES[2], 3: 8}
+
+
+def _assert_geometry_sized_antenna_matches_the_default(s):
+    # The antenna count read off the geometry loses nothing the default
+    # count resolves: same floor and same energy at the same control count.
+    s = with_defaults(s)
+    chosen = s.discretization.antenna
+    assert MIN_NODES[s.dim] <= chosen <= DEFAULT_NODES[s.dim]
+    control = _CONTROL_NODES[s.dim]
+    floor, energy = _floor_and_energy(replace(s, discretization=Discretization(chosen, control)))
+    ref_floor, ref_energy = _floor_and_energy(
+        replace(s, discretization=Discretization(DEFAULT_NODES[s.dim], control)))
+    assert floor == pytest.approx(ref_floor, rel=1e-10)
+    assert energy == pytest.approx(ref_energy, rel=1e-9)
+
+
+# Inward gaps from delta (2D) or 3 delta (3D) up to 30 delta: the chosen
+# count runs from near the cap down to under a quarter of it.
+_ANTENNA_LOG_GAPS = {2: (6.0, 7.5), 3: (6.5, 7.5)}
+
+
+@settings(PROPERTY, max_examples=30)
+@given(hard_data(dim=2, target=log_source((0.0, 0.0)), log_gap=_ANTENNA_LOG_GAPS[2]))
+def test_geometry_sized_antenna_keeps_floor_and_energy_2d(s):
+    _assert_geometry_sized_antenna_matches_the_default(s)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(hard_data(dim=3, target=point_source((0.0, 0.0, 0.0)), log_gap=_ANTENNA_LOG_GAPS[3]))
+def test_geometry_sized_antenna_keeps_floor_and_energy_3d(s):
+    _assert_geometry_sized_antenna_matches_the_default(s)

@@ -80,3 +80,33 @@ def test_non_harmonic_polynomial_rejected():
     )
     with pytest.raises(ScenarioFormatError, match="harmonic"):
         parse_scenario(text)
+
+
+def test_missing_discretization_sizes_the_antenna_from_the_geometry():
+    # The nearest control sphere is region 2's: rho = 10 - 2.75 = 7.25, so
+    # L* = ceil(ln 1e-12 / ln(1 / 7.25)) = 14; its 15 degrees round up to
+    # 16 and the antenna gets 32 nodes.
+    s = parse_scenario(GOOD.replace("discretization: {antenna: 64, control: 64}\n", ""))
+    assert (s.discretization.antenna, s.discretization.control) == (32, 128)
+
+
+@pytest.mark.parametrize("old, new, path", [
+    ("delta: 1.0", "delta: .nan", "delta"),
+    ("delta: 1.0", "delta: 1" + "0" * 400, "delta"),
+    ("epsilon: auto", "epsilon: .inf", "epsilon"),
+    ("radius: 2.0", "radius: -.inf", r"regions\[0\]\.radius"),
+    ("center: [0.0, 12.0]", "center: [.nan, 12.0]", r"regions\[0\]\.center\[0\]"),
+    ("control-radius: 2.75", "control-radius: .nan", r"regions\[1\]\.control-radius"),
+    ("observation-radius: 15.0", "observation-radius: .inf", "outer.observation-radius"),
+    ("{kind: zero}", "{kind: constant, value: .nan}", r"outer\.field\.value"),
+], ids=["nan-delta", "huge-delta", "inf-epsilon", "inf-radius", "nan-center", "nan-control-radius",
+        "inf-observation", "nan-constant"])
+def test_non_finite_number_cites_its_field(old, new, path):
+    assert old in GOOD
+    with pytest.raises(ScenarioFormatError, match=rf"'{path}': expected a finite number"):
+        parse_scenario(GOOD.replace(old, new, 1))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ScenarioFormatError, match="'seed': expected a non-negative integer"):
+        parse_scenario(GOOD.replace("seed: 7", "seed: -7"))

@@ -1,12 +1,14 @@
-"""The benchmark's trace points name functions the package still has and calls.
+"""The benchmark's trace points and imports name things the package still has.
 
 ``perfbench/spans.py`` wraps each ``(module, attribute)`` of its
 ``TRACE_POINTS`` by ``getattr``; a renamed function would only show up as
 a crash of a traced benchmark run, and a function the pipeline no longer
-calls by that name would silently read 0 in its per-layer metric.  The
-module is loaded, not changed.
+calls by that name would silently read 0 in its per-layer metric.  Every
+``from fieldcast... import name`` in ``perfbench/*.py`` must resolve too.
+The benchmark's modules are read, not changed.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -27,6 +29,29 @@ def _trace_points():
     sys.modules[spec.name] = spans      # dataclasses look their module up here
     spec.loader.exec_module(spans)
     return [(module_name, attr) for module_name, attr, *_ in spans.TRACE_POINTS]
+
+
+def _benchmark_imports():
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "fieldcast"):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path, module_name, name", _benchmark_imports())
+def test_benchmark_import_resolves(path, module_name, name):
+    # As ``from module import name`` does: an attribute, or else a submodule.
+    module = importlib.import_module(module_name)
+    assert (hasattr(module, name)
+            or importlib.util.find_spec(f"{module_name}.{name}") is not None)
+
+
+def test_benchmark_imports_include_the_cutoff():
+    # The cutoff lives in geometry; the benchmark reads it through solver.
+    assert ("spans.py", "fieldcast.solver", "RANK_CUTOFF_RTOL") in _benchmark_imports()
 
 
 @pytest.mark.parametrize("module_name, attr", _trace_points())
