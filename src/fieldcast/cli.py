@@ -4,13 +4,16 @@ Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
 two integers, and ``--grid`` text that is not one count >= 1 per dimension,
 checked before any work), 3 scenario parse/validation failure (including node
 counts below ``geometry.MIN_NODES``, 4 circle nodes in 2D and 2 polar nodes in
-3D, from the file or from ``--nodes``, and an identically zero target trace),
-4 accuracy infeasible at the current resolution, 5 numerical failure.
+3D, from the file or from ``--nodes``, an identically zero target trace, and
+node counts whose operator and factorization would exceed physical memory, as
+:func:`fieldcast.operator.factorization_bytes` estimates before any rule is
+built), 4 accuracy infeasible at the current resolution, 5 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -22,8 +25,9 @@ import numpy as np
 from . import __version__
 from .certify import Certificate, certify_solution, empirical_mismatches, scenario_difference_fields
 from .fields import FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon
-from .geometry import Discretization, Scenario, ScenarioValidationError, build_rules, validate_scenario
-from .operator import assemble_forward, dump_operator, weighted_svd
+from .geometry import (Discretization, Scenario, ScenarioValidationError, build_rules,
+                       rule_node_count, validate_scenario)
+from .operator import assemble_forward, dump_operator, factorization_bytes, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
                      sweep_alpha, sweep_epsilon)
@@ -175,12 +179,27 @@ def _stage(timings: list[tuple[str, object]], name: str):
     timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
 
 
+def _check_size(s: Scenario) -> None:
+    """Reject a discretization whose operator and factorization would not fit
+    in physical memory, from its node counts alone."""
+    d = s.discretization
+    m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
+    n = rule_node_count(d.antenna, s.dim)
+    need = factorization_bytes(m, n)
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise ScenarioValidationError([
+            f"a {m} x {n} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
+            f"more than the {limit / 2**30:.4g} GiB of physical memory"])
+
+
 def _prepare(args, scenario: Scenario, timings):
-    """The steps ``run`` and ``sweep`` share after loading the scenario: build
-    the rules and the target (which rejects an identically zero trace), then
-    make the output directory, assemble the operator and take the weighted
-    SVD, so a scenario rejected before assembly leaves no directory.
-    Returns (out_dir, K, v, svd)."""
+    """The steps ``run`` and ``sweep`` share after loading the scenario: check
+    the size, build the rules and the target (which rejects an identically
+    zero trace), then make the output directory, assemble the operator and
+    take the weighted SVD, so a scenario rejected before assembly leaves no
+    directory.  Returns (out_dir, K, v, svd)."""
+    _check_size(scenario)
     with _stage(timings, "target"):
         antenna, controls = build_rules(scenario)
         v = build_target(scenario, controls)

@@ -245,6 +245,11 @@ def make_rule(center, radius: float, n: int, dim: int) -> QuadratureRule:
     return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n)
 
 
+def rule_node_count(n: int, dim: int) -> int:
+    """Node count of :func:`make_rule`'s rule, without building it."""
+    return n if dim == 2 else AZIMUTH_PER_POLAR * n * n
+
+
 @dataclass(frozen=True)
 class Discretization:
     """Node counts per boundary.

@@ -20,8 +20,11 @@ Schema (see README for the full description)::
 
 Without ``discretization`` the antenna count is read off the geometry and
 the control count is the default (:func:`fieldcast.geometry.with_defaults`);
-given counts are kept.  Every number must be finite.  Parse errors cite the
-offending line (syntax) or field path (schema).
+given counts are kept.  Every number must be finite.  A key the schema does
+not list, at any level, is an error naming its path and the allowed keys, so
+a misspelt optional key (``control_radius``) cannot fall back to its default
+unnoticed.  Each field kind takes ``kind`` and the keys of ``FIELD_KEYS``.
+Parse errors cite the offending line (syntax) or field path (schema).
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ from .geometry import Discretization, Region, Scenario, with_defaults
 
 FORMAT_VERSION = 1
 
+# The keys each field kind takes.
+FIELD_KEYS = {
+    "zero": ("kind",),
+    "constant": ("kind", "value"),
+    "log-source": ("kind", "location"),
+    "point-source": ("kind", "location"),
+    "dipole": ("kind", "location", "direction"),
+    "harmonic-polynomial": ("kind", "terms"),
+}
+
 
 class ScenarioFormatError(ValueError):
     """A scenario file is syntactically or structurally invalid."""
@@ -50,6 +63,17 @@ class ScenarioFormatError(ValueError):
 
 def _fail(path: str, message: str):
     raise ScenarioFormatError(f"scenario field '{path}': {message}")
+
+
+def _check_keys(mapping, allowed, path):
+    """Reject any key of ``mapping`` that is not in ``allowed``; a value that
+    is not a mapping is left for :func:`_get` to report."""
+    if not isinstance(mapping, dict):
+        return
+    for key in mapping:
+        if key not in allowed:
+            raise ScenarioFormatError(
+                f"{path}: unknown key {key!r} (allowed: {', '.join(allowed)})")
 
 
 def _get(mapping, key, path, required=True, default=None):
@@ -83,6 +107,9 @@ def _point(value, path, dim) -> list[float]:
 
 def _parse_field(raw, path, dim) -> HarmonicField:
     kind = _get(raw, "kind", path)
+    if not isinstance(kind, str) or kind not in FIELD_KEYS:
+        _fail(f"{path}.kind", f"unknown field kind {kind!r}")
+    _check_keys(raw, FIELD_KEYS[kind], path)
     try:
         if kind == "zero":
             return zero_field()
@@ -103,6 +130,7 @@ def _parse_field(raw, path, dim) -> HarmonicField:
                 _fail(f"{path}.terms", "expected a nonempty list of terms")
             terms = {}
             for i, term in enumerate(terms_raw):
+                _check_keys(term, ("powers", "coeff"), f"{path}.terms[{i}]")
                 powers = _get(term, "powers", f"{path}.terms[{i}]")
                 coeff = _number(_get(term, "coeff", f"{path}.terms[{i}]"),
                                 f"{path}.terms[{i}].coeff")
@@ -114,7 +142,6 @@ def _parse_field(raw, path, dim) -> HarmonicField:
         raise
     except ValueError as exc:
         _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown field kind {kind!r}")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -128,6 +155,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"scenario is not valid YAML{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario must be a YAML mapping at top level")
+    _check_keys(raw, ("format-version", "dim", "delta", "epsilon", "seed", "discretization",
+                      "regions", "outer"), "scenario")
 
     version = _get(raw, "format-version", "")
     if version != FORMAT_VERSION:
@@ -151,6 +180,7 @@ def parse_scenario(text: str) -> Scenario:
     disc = None
     disc_raw = _get(raw, "discretization", "", required=False)
     if disc_raw is not None:
+        _check_keys(disc_raw, ("antenna", "control"), "discretization")
         antenna = _integer(_get(disc_raw, "antenna", "discretization"), "discretization.antenna")
         control = _integer(_get(disc_raw, "control", "discretization"), "discretization.control")
         disc = Discretization(antenna, control)
@@ -161,6 +191,7 @@ def parse_scenario(text: str) -> Scenario:
     regions = []
     for i, reg in enumerate(regions_raw):
         path = f"regions[{i}]"
+        _check_keys(reg, ("center", "radius", "control-radius", "field"), path)
         control_radius = _get(reg, "control-radius", path, required=False)
         regions.append(
             Region(
@@ -173,6 +204,7 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     outer_raw = _get(raw, "outer", "")
+    _check_keys(outer_raw, ("observation-radius", "control-radius", "field"), "outer")
     observation = _number(_get(outer_raw, "observation-radius", "outer"),
                           "outer.observation-radius")
     outer_control = _get(outer_raw, "control-radius", "outer", required=False)

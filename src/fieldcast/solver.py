@@ -144,8 +144,7 @@ class _FilterData:
 def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
     svd = weighted_svd(K)
     v_tilde = svd.sqrt_row_w * v.concatenated  # (m,)
-    beta = svd.u.T @ v_tilde  # (k,)
-    perp_sq = max(float(v_tilde @ v_tilde - beta @ beta), 0.0)
+    beta, perp_sq = svd.project(v_tilde)
     return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq, v_norm=v.norm())
 
 

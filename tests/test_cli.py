@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, outputs, determinism."""
 
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,39 @@ class TestRun:
         out = tmp_path / "out"
         assert _run(["run", str(bad), "--out", str(out), "--epsilon", "6.5"]) == 3
         assert f"scenario field '{path}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("    radius: 2.0\n", "    radius: 2.0\n    control_radius: 2.2\n",
+         "regions[0]: unknown key 'control_radius'"),
+        ("seed: 7\n", "seed: 7\nbogus: 1\n", "scenario: unknown key 'bogus'"),
+    ], ids=["misspelt-control-radius", "top-level-bogus"])
+    def test_unknown_key_exits_with_validation_status(self, tmp_path, capsys, monkeypatch,
+                                                      old, new, message):
+        # Both ran with defaults and exit 0 before keys were checked.
+        text = Path(DEMO_2D).read_text()
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new, 1))
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        out = tmp_path / "out"
+        assert _run(["run", str(bad), "--out", str(out), "--epsilon", "6.5"]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_discretization_exits_before_any_rule(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 3D at 5000 polar nodes: a 1e8 x 5e7 operator, far beyond any
+        # machine's memory; the counts alone decide, so nothing is allocated.
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        code = _run(["run", str(PRESETS / "demo-3d.scn"), "--out", str(out),
+                     "--epsilon", "0.6", "--nodes", "5000,5000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "a 100000000 x 50000000 operator" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_control_sphere_inside_antenna_reach_fails_validation(self, tmp_path, capsys):

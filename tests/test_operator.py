@@ -30,6 +30,18 @@ def _small_geometry(n_antenna=6, n_control=10):
     return antenna, [control]
 
 
+def _weighted(K):
+    """B = W^(1/2) A w^(-1/2), formed as ``weighted_svd`` forms it."""
+    return (np.sqrt(K.row_weights)[:, None] * K.matrix) / np.sqrt(K.col_weights)[None, :]
+
+
+@pytest.fixture(scope="module", params=["demo2d_parts", "demo3d_parts"])
+def preset_gesdd(request):
+    """A preset's operator and LAPACK's gesdd of its B: the oracle."""
+    K = request.getfixturevalue(request.param)[3]
+    return K, np.linalg.svd(_weighted(K), full_matrices=False)
+
+
 def _random_operator(rng, n_antenna=6, n_control=10):
     """Operator with a random matrix but genuine quadrature weights."""
     antenna, controls = _small_geometry(n_antenna, n_control)
@@ -253,13 +265,52 @@ class TestWeightedSVD:
         sigma = weighted_svd(K).sigma
         assert np.all(sigma[1:] <= 1e-12 * sigma[0])
 
-    def test_reconstruction_matches_matrix(self, demo2d_parts):
+    def test_sigma_and_vt_equal_gesdd_on_the_presets(self, preset_gesdd):
+        K, (_, sigma, vt) = preset_gesdd
+        svd = weighted_svd(K)
+        assert np.array_equal(svd.sigma, sigma)
+        assert np.array_equal(svd.vt, vt)
+
+    def test_projection_matches_gesdd_u(self, preset_gesdd):
+        K, (u, _, _) = preset_gesdd
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x = rng.normal(size=K.matrix.shape[0])
+            beta, perp_sq = weighted_svd(K).project(x)
+            ref = u.T @ x
+            ref_perp = x - u @ ref
+            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(ref), rel=1e-13)
+            assert perp_sq == pytest.approx(ref_perp @ ref_perp, rel=1e-13)
+
+    def test_u_from_unit_vectors_reconstructs_the_matrix(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         svd = weighted_svd(K)
-        rebuilt = (svd.u * svd.sigma) @ svd.vt
+        m = K.matrix.shape[0]
+        u = np.array([svd.project(e)[0] for e in np.eye(m)])  # row i is U^T e_i
+        rebuilt = (u * svd.sigma) @ svd.vt
         rebuilt = rebuilt / svd.sqrt_row_w[:, None] * svd.sqrt_col_w[None, :]
         scale = np.max(np.abs(K.matrix))
         assert np.max(np.abs(rebuilt - K.matrix)) <= 1e-10 * scale
+
+    def test_wide_operator_spans_every_trace(self, demo2d):
+        # Fewer control rows than antenna columns, as a small --nodes gives.
+        from dataclasses import replace
+
+        from fieldcast.geometry import Discretization, build_rules
+
+        antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
+        K = assemble_forward(antenna, controls)
+        assert K.matrix.shape == (24, 64)
+        svd = weighted_svd(K)
+        sigma = np.linalg.svd(_weighted(K), compute_uv=False)
+        assert svd.sigma.shape == sigma.shape == (24,)
+        assert np.max(np.abs(svd.sigma - sigma)) <= 1e-14 * sigma[0]
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            x = rng.normal(size=24)
+            beta, perp_sq = svd.project(x)
+            assert perp_sq == 0.0
+            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(x), rel=1e-14)
 
     def test_spectrum_reproducible(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts

@@ -1,8 +1,15 @@
 """Scenario file parsing: schema, defaults, and error reporting."""
 
-import pytest
+import importlib
+from pathlib import Path
 
+import pytest
+import yaml
+
+from conftest import load_preset
 from fieldcast import ScenarioFormatError, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD = """\
 format-version: 1
@@ -110,3 +117,51 @@ def test_non_finite_number_cites_its_field(old, new, path):
 def test_negative_seed_rejected():
     with pytest.raises(ScenarioFormatError, match="'seed': expected a non-negative integer"):
         parse_scenario(GOOD.replace("seed: 7", "seed: -7"))
+
+
+POLY = ("{kind: harmonic-polynomial, terms: [{powers: [1, 0], coeff: 1.0}, "
+        "{powers: [0, 1], coeff: 2.0, power: 3}]}")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seed: 7", "seed: 7\nbogus: 1",
+     "scenario: unknown key 'bogus' (allowed: format-version, dim, delta, epsilon, seed, "
+     "discretization, regions, outer)"),
+    ("{antenna: 64, control: 64}", "{antenna: 64, control: 64, outer: 64}",
+     "discretization: unknown key 'outer' (allowed: antenna, control)"),
+    ("    radius: 2.0\n    field: {kind: log", "    radius: 2.0\n    control_radius: 2.2\n"
+     "    field: {kind: log",
+     "regions[0]: unknown key 'control_radius' (allowed: center, radius, control-radius, field)"),
+    ("  observation-radius: 15.0", "  observation-radius: 15.0\n  radius: 15.0",
+     "outer: unknown key 'radius' (allowed: observation-radius, control-radius, field)"),
+    ("{kind: zero}", "{kind: zero, value: 0.0}",
+     "outer.field: unknown key 'value' (allowed: kind)"),
+    ("location: [0.0, 0.0], direction", "location: [0.0, 0.0], strength: 2.0, direction",
+     "regions[1].field: unknown key 'strength' (allowed: kind, location, direction)"),
+    ("{kind: zero}", POLY,
+     "outer.field.terms[1]: unknown key 'power' (allowed: powers, coeff)"),
+], ids=["top-level", "discretization", "region", "outer", "zero-field", "dipole-field",
+        "polynomial-term"])
+def test_unknown_key_names_its_path_and_the_allowed_keys(old, new, message):
+    # A misspelt optional key would otherwise be dropped and its default used.
+    assert old in GOOD
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(GOOD.replace(old, new, 1))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["demo-2d", "demo-3d"])
+def test_presets_parse(name):
+    assert load_preset(name).regions
+
+
+def test_benchmark_scenarios_parse(monkeypatch):
+    # Every document the benchmark generates, ids 0..95 of each workload's
+    # shape (the benchmark's modules are read, not changed).
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scenarios = importlib.import_module("scenarios")
+    for workload in workloads.WORKLOADS.values():
+        for scenario_id in range(workloads.POOL):
+            doc = scenarios.generate(workload.shape, scenario_id)
+            parse_scenario(yaml.safe_dump(doc, sort_keys=False))

@@ -206,6 +206,19 @@ class TestResidualFloor:
                                     build_target(fine, controls))
         assert fine_floor == pytest.approx(residual_floor(K, v), rel=1e-9)
 
+    def test_reachable_target_has_a_rounding_level_floor(self):
+        # v = K h lies in the column span, so the floor is rounding alone.
+        # Forming ||v||^2 - ||beta||^2 cancelled to about 4e-8 ||v||, which
+        # rejected feasible budgets below that as infeasible.
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(200):
+            K, _ = _random_instance(rng)
+            h = Density(rule=K.antenna_rule, values=rng.normal(size=K.matrix.shape[1]))
+            v = apply(K, h)
+            worst = max(worst, residual_floor(K, v) / v.norm())
+        assert worst <= 1e-11
+
 
 class TestRankCutoff:
     def test_value_at_cutoff_is_kept(self):

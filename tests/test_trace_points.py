@@ -23,12 +23,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def _trace_points():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = spans      # dataclasses look their module up here
     spec.loader.exec_module(spans)
-    return [(module_name, attr) for module_name, attr, *_ in spans.TRACE_POINTS]
+    return spans
+
+
+def _trace_points():
+    return [(module_name, attr) for module_name, attr, *_ in _spans().TRACE_POINTS]
 
 
 def _benchmark_imports():
@@ -70,3 +74,18 @@ def test_cli_trace_points_are_called(tmp_path, monkeypatch):
     assert cli.main(["run", str(ROOT / "presets" / "demo-2d"), "--epsilon", "6.5",
                      "--grid", "8,8", "--nodes", "32,32", "--out", str(tmp_path)]) == 0
     assert [name for name in names if not calls[name]] == []
+
+
+def test_span_attributes_read_the_results(tmp_path):
+    # The extractors read fields of what the traced calls return (the SVD's
+    # sigma and vt, the solve report); a renamed field would crash or zero
+    # the benchmark's per-layer metrics.
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed(0), tracer.span("cli.main", 0) as root:
+        assert cli.main(["run", str(ROOT / "presets" / "demo-2d"), "--epsilon", "6.5",
+                         "--nodes", "32,32", "--out", str(tmp_path)]) == 0
+    layers = spans.job_layers(tracer.spans, root)
+    assert layers["operator.rank_above_cutoff"] > 0
+    assert 0 < layers["operator.useful_rank_ratio"] <= 1
+    assert layers["solver.solves"] == 1
