@@ -10,7 +10,7 @@ beyond the observation boundary.
 
 __version__ = "0.1.0"
 
-from .certify import Certificate, certify_solution
+from .certify import certify_solution
 from .fields import (
     HarmonicField,
     auto_epsilon,
@@ -60,7 +60,6 @@ from .solver import (
 
 __all__ = [
     "Boundary",
-    "Certificate",
     "ControlTrace",
     "Density",
     "Discretization",

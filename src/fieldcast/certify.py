@@ -23,35 +23,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import eval_double_layer, eval_field
+from .fields import eval_double_layer
 from .geometry import UNIT_SPHERE_MEASURE, Scenario, surface_measure
 from .operator import Density
 
 UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
 
+# The exterior probes sample radii up to this multiple of the observation radius.
+OUTSIDE_REACH = 3.0
+
 
 @dataclass(frozen=True)
 class BoundaryBound:
-    """Certificate entry for one control boundary."""
+    """The certificate entry for one control boundary."""
 
     label: str
     mismatch_l2: float
     l1_factor: float            # sqrt of the control sphere's surface measure
     constant_conservative: float
     bound_conservative: float
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Sup-norm guarantees: one entry per target ball, one for the exterior.
-
-    Region entry k asserts  sup over the closed target ball k of
-    |radiated - (u_k - u_0)| <= bound; the exterior entry asserts
-    sup outside the observation ball of |radiated| <= bound.
-    """
-
-    regions: tuple[BoundaryBound, ...]
-    exterior: BoundaryBound
 
 
 def _entry(label: str, mismatch: float, inner: float, outer: float, data_radius: float,
@@ -69,25 +59,25 @@ def _entry(label: str, mismatch: float, inner: float, outer: float, data_radius:
     return BoundaryBound(label, mismatch, l1_factor, constant, constant * l1_factor * mismatch)
 
 
-def certify_solution(residuals: Sequence[float], s: Scenario) -> Certificate:
-    """Certificate from the L2 residual norms of a solve.
+def certify_solution(residuals: Sequence[float], s: Scenario) -> tuple[BoundaryBound, ...]:
+    """Sup-norm guarantees from the L2 residual norms of a solve.
 
     ``residuals`` holds one norm per control boundary, regions first and
-    the outer sphere last, as in ``SolveReport.block_residuals``.  Each
-    goes through the interior or exterior sup bound with that boundary's
-    radii.
+    the outer sphere last, as in ``SolveReport.block_residuals``; the
+    entries come back in that order.  Entry k of a region asserts sup over
+    the closed target ball k of |radiated - (u_k - u_0)| <= bound; the
+    last entry, labelled ``exterior``, asserts sup outside the observation
+    ball of |radiated| <= bound.
     """
     if len(residuals) != s.n_regions + 1:
         raise ValueError(
             f"expected {s.n_regions + 1} residual norms, got {len(residuals)}"
         )
-    region_entries = tuple(
+    return tuple(
         _entry(f"region-{k}", mismatch, r.radius, r.control_radius, r.control_radius, s.dim)
         for k, (r, mismatch) in enumerate(zip(s.regions, residuals), start=1)
-    )
-    exterior_entry = _entry("exterior", residuals[-1], s.outer_control_radius,
-                            s.observation_radius, s.outer_control_radius, s.dim)
-    return Certificate(regions=region_entries, exterior=exterior_entry)
+    ) + (_entry("exterior", residuals[-1], s.outer_control_radius, s.observation_radius,
+                s.outer_control_radius, s.dim),)
 
 
 def sample_in_ball(rng: np.random.Generator, center, radius: float, dim: int,
@@ -101,39 +91,24 @@ def sample_in_ball(rng: np.random.Generator, center, radius: float, dim: int,
 
 
 def sample_outside_ball(rng: np.random.Generator, radius: float, dim: int,
-                        n: int, reach: float = 3.0) -> np.ndarray:
-    """Uniform-direction samples with radii in (radius, reach * radius]."""
+                        n: int) -> np.ndarray:
+    """Uniform-direction samples with radii in (radius, OUTSIDE_REACH * radius]."""
     direction = rng.standard_normal((n, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    r = radius * (1.0 + (reach - 1.0) * rng.uniform(0.0, 1.0, n))
+    r = radius * (1.0 + (OUTSIDE_REACH - 1.0) * rng.uniform(0.0, 1.0, n))
     return r[:, None] * direction
 
 
-def empirical_mismatches(h: Density, v_fields, s: Scenario,
-                         rng: np.random.Generator, n_samples: int = 500
-                         ) -> tuple[list[float], float]:
+def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Generator,
+                         n_samples: int) -> list[float]:
     """Monte-Carlo sup-norm probes matching the certificate's claims.
 
-    ``v_fields`` supplies the wanted difference field per region (a
-    callable of points); returns the sampled maxima per target ball and
-    the sampled maximum of |radiated field| outside the observation ball.
+    ``v_fields`` supplies the wanted field per control boundary
+    (:func:`fieldcast.fields.scenario_difference_fields`).  Returns the
+    sampled maximum of |radiated - wanted| in each target ball and then
+    outside the observation ball, in the certificate's order.
     """
-    maxima = []
-    for r, wanted in zip(s.regions, v_fields):
-        pts = sample_in_ball(rng, r.center, r.radius, s.dim, n_samples)
-        diff = eval_double_layer(h, pts) - wanted(pts)
-        maxima.append(float(np.max(np.abs(diff))))
-    pts = sample_outside_ball(rng, s.observation_radius, s.dim, n_samples)
-    exterior_max = float(np.max(np.abs(eval_double_layer(h, pts))))
-    return maxima, exterior_max
-
-
-def scenario_difference_fields(s: Scenario):
-    """Per-region callables evaluating u_k - u_0 at points."""
-    def make(region):
-        def wanted(pts):
-            return (np.asarray(eval_field(region.target, pts), dtype=float)
-                    - np.asarray(eval_field(s.exterior_target, pts), dtype=float))
-        return wanted
-
-    return [make(r) for r in s.regions]
+    points = [sample_in_ball(rng, r.center, r.radius, s.dim, n_samples) for r in s.regions]
+    points.append(sample_outside_ball(rng, s.observation_radius, s.dim, n_samples))
+    return [float(np.max(np.abs(eval_double_layer(h, pts) - wanted(pts))))
+            for wanted, pts in zip(v_fields, points, strict=True)]

@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
 two integers, and ``--grid`` text that is not one count >= 1 per dimension,
-checked before any work), 3 scenario parse/validation failure (including node
-counts below ``geometry.MIN_NODES``, 4 circle nodes in 2D and 2 polar nodes in
-3D, from the file or from ``--nodes``, an identically zero target trace, and
-node counts whose operator and factorization would exceed physical memory, as
+checked before any work, and an ``--out`` path that cannot be made a
+directory, checked before assembly), 3 scenario parse/validation failure
+(including a scenario path that is not a file, a file that is not UTF-8 or
+repeats a key in one mapping, node counts below ``geometry.MIN_NODES``, 4
+circle nodes in 2D and 2 polar nodes in 3D, from the file or from
+``--nodes``, a target trace that is identically zero or not finite, and node
+counts whose operator and factorization would exceed physical memory, as
 :func:`fieldcast.operator.factorization_bytes` estimates before any rule is
 built), 4 accuracy infeasible at the current resolution, 5 numerical failure.
 """
@@ -23,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import Certificate, certify_solution, empirical_mismatches, scenario_difference_fields
-from .fields import FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon
+from .certify import BoundaryBound, certify_solution, empirical_mismatches
+from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon,
+                     scenario_difference_fields)
 from .geometry import (Discretization, Scenario, ScenarioValidationError, build_rules,
                        rule_node_count, validate_scenario)
 from .operator import assemble_forward, dump_operator, factorization_bytes, weighted_svd
@@ -53,11 +57,9 @@ def _fmt(value) -> str:
 
 def _resolve_scenario_path(arg: str) -> Path:
     p = Path(arg)
-    if p.exists():
-        return p
-    alt = p.with_suffix(".scn")
-    if alt.exists():
-        return alt
+    for candidate in [p, p.with_suffix(".scn")] if p.name else [p]:   # "." has no name
+        if candidate.is_file():
+            return candidate
     raise FileNotFoundError(f"scenario file not found: {arg}")
 
 
@@ -127,9 +129,9 @@ def _solve_lines(report: SolveReport) -> list[tuple[str, object]]:
     return lines
 
 
-def _certificate_lines(cert: Certificate) -> list[tuple[str, object]]:
+def _certificate_lines(cert: tuple[BoundaryBound, ...]) -> list[tuple[str, object]]:
     lines = []
-    for entry in list(cert.regions) + [cert.exterior]:
+    for entry in cert:
         for key, val in (
             ("residual-l2", entry.mismatch_l2),
             ("l1-factor", entry.l1_factor),
@@ -204,7 +206,10 @@ def _prepare(args, scenario: Scenario, timings):
         antenna, controls = build_rules(scenario)
         v = build_target(scenario, controls)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
     with _stage(timings, "assemble"):
         K = assemble_forward(antenna, controls)
     with _stage(timings, "svd"):
@@ -251,12 +256,11 @@ def cmd_run(args) -> int:
         cert = certify_solution(report.block_residuals, scenario)
     with _stage(timings, "empirical"):
         rng = np.random.default_rng(scenario.seed)
-        region_max, exterior_max = empirical_mismatches(
-            h, scenario_difference_fields(scenario), scenario, rng, EMPIRICAL_SAMPLES
-        )
+        maxima = empirical_mismatches(h, scenario_difference_fields(scenario), scenario, rng,
+                                      EMPIRICAL_SAMPLES)
 
     empirical_lines: list[tuple[str, object]] = [("samples", EMPIRICAL_SAMPLES)]
-    for entry, observed in zip(cert.regions + (cert.exterior,), region_max + [exterior_max]):
+    for entry, observed in zip(cert, maxima):
         empirical_lines += [
             (f"{entry.label}.sampled-max", observed),
             (f"{entry.label}.bound-conservative", entry.bound_conservative),
@@ -281,7 +285,7 @@ def cmd_run(args) -> int:
     ], outputs, timings)
     print(f"discrepancy: {report.discrepancy!r} (epsilon {report.epsilon!r})")
     print(f"energy: {report.energy!r}")
-    for entry in list(cert.regions) + [cert.exterior]:
+    for entry in cert:
         print(f"bound[{entry.label}]: {entry.bound_conservative!r}")
     return EXIT_OK
 

@@ -200,15 +200,24 @@ def eval_field(f: HarmonicField, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def build_target(s: Scenario, controls: list[QuadratureRule]):
-    """Trace target on the control boundaries.
+def scenario_difference_fields(s: Scenario):
+    """The field the antenna must radiate at each control boundary, in the
+    order of the control rules: one callable of points per region giving
+    u_k - u_0, then one for the outer sphere giving zero (the exterior
+    requirement after subtracting the exterior target u_0)."""
+    def difference(target):
+        return lambda pts: eval_field(target, pts) - eval_field(s.exterior_target, pts)
 
-    Block k holds (u_k - u_0) at the nodes of region k's control sphere;
-    the outer block is zero (the exterior requirement after subtracting
-    the exterior target).  The scenario is validated first, field
-    conditions included (:func:`fieldcast.geometry.validate_scenario`), and
-    an identically zero trace raises ScenarioValidationError: there is
-    nothing to solve for.
+    return [difference(r.target) for r in s.regions] + [lambda pts: np.zeros(len(pts))]
+
+
+def build_target(s: Scenario, controls: list[QuadratureRule]):
+    """Trace target on the control boundaries: block k holds the wanted
+    field of :func:`scenario_difference_fields` at the nodes of control
+    rule k.  The scenario is validated first, field conditions included
+    (:func:`fieldcast.geometry.validate_scenario`).  An identically zero
+    trace raises ScenarioValidationError, as there is nothing to solve for,
+    and so does one whose norm overflows float64 or is not a number.
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
@@ -216,16 +225,13 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
         )
 
     validate_scenario(s)
-    u0 = s.exterior_target
-    blocks = []
-    for r, rule in zip(s.regions, controls):
-        traces = np.asarray(eval_field(r.target, rule.nodes), dtype=float)
-        traces = traces - np.asarray(eval_field(u0, rule.nodes), dtype=float)
-        blocks.append(traces)
-    blocks.append(np.zeros(controls[-1].node_count))
+    blocks = [wanted(rule.nodes) for wanted, rule in zip(scenario_difference_fields(s), controls)]
     v = ControlTrace(blocks=blocks, rules=list(controls))
-    if v.norm() == 0.0:
+    norm = v.norm()
+    if norm == 0.0:
         raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
+    if not np.isfinite(norm):
+        raise ScenarioValidationError([f"target trace norm is {norm}, not a finite number"])
     return v
 
 

@@ -23,13 +23,16 @@ the control count is the default (:func:`fieldcast.geometry.with_defaults`);
 given counts are kept.  Every number must be finite.  A key the schema does
 not list, at any level, is an error naming its path and the allowed keys, so
 a misspelt optional key (``control_radius``) cannot fall back to its default
-unnoticed.  Each field kind takes ``kind`` and the keys of ``FIELD_KEYS``.
-Parse errors cite the offending line (syntax) or field path (schema).
+unnoticed; nor can a repeated key, which YAML would let override the
+first.  Each field kind takes ``kind`` and the keys of ``FIELD_KEYS``.
+Parse errors cite the offending line (syntax, repeated keys) or field path
+(schema).
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Hashable
 
 import yaml
 
@@ -59,6 +62,25 @@ FIELD_KEYS = {
 
 class ScenarioFormatError(ValueError):
     """A scenario file is syntactically or structurally invalid."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, except that a key repeated in one mapping is an error
+    (PyYAML would keep the last value)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue            # merged keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue            # the safe loader rejects it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found repeated key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _fail(path: str, message: str):
@@ -144,11 +166,11 @@ def _parse_field(raw, path, dim) -> HarmonicField:
         _fail(path, str(exc))
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str | bytes) -> Scenario:
     """Parse scenario YAML text; control radii and node counts are defaulted
     when absent (:func:`fieldcast.geometry.with_defaults`)."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -225,7 +247,8 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and parse a scenario file."""
-    with open(path) as fh:
+    """Load and parse a scenario file.  YAML's reader decodes its bytes, so a
+    file that is not UTF-8 (or UTF-16 with a byte-order mark) is a format error."""
+    with open(path, "rb") as fh:
         return parse_scenario(fh.read())
 

@@ -11,16 +11,13 @@ from fieldcast import (
     certify_solution,
     zero_field,
 )
-from fieldcast.certify import (
-    empirical_mismatches,
-    sample_in_ball,
-    scenario_difference_fields,
-)
+from fieldcast.certify import empirical_mismatches, sample_in_ball
+from fieldcast.fields import scenario_difference_fields
 from fieldcast.operator import block_residuals
 
 
 def _certify(a, a_prime, r_prime, r, dim, region_mismatch=1.0, exterior_mismatch=1.0):
-    """Certificate of one region (ball radius a, control radius a') with outer
+    """The certificate of one region (ball radius a, control radius a') with outer
     control radius r' and observation radius r; the region is unvalidated,
     so its radii alone set the bounds."""
     s = Scenario(
@@ -37,11 +34,11 @@ def _certify(a, a_prime, r_prime, r, dim, region_mismatch=1.0, exterior_mismatch
 
 
 def _interior(m, a, a_prime, dim):
-    return _certify(a, a_prime, 13.0, 15.0, dim, region_mismatch=m).regions[0]
+    return _certify(a, a_prime, 13.0, 15.0, dim, region_mismatch=m)[0]
 
 
 def _exterior(m, r_prime, r, dim):
-    return _certify(2.0, 2.5, r_prime, r, dim, exterior_mismatch=m).exterior
+    return _certify(2.0, 2.5, r_prime, r, dim, exterior_mismatch=m)[-1]
 
 
 class TestBoundArithmetic:
@@ -108,22 +105,21 @@ class TestCertifySolution:
         exact_v = apply(K, h)
         cert = certify_solution(block_residuals(K, h, exact_v), s)
         scale = exact_v.norm()
-        for entry in list(cert.regions) + [cert.exterior]:
+        for entry in cert:
             assert entry.bound_conservative <= 1e-9 * scale
 
     def test_certificate_structure(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
         cert = certify_solution(block_residuals(K, h, v), s)
-        assert len(cert.regions) == 2
-        for entry in list(cert.regions) + [cert.exterior]:
+        assert len(cert[:-1]) == 2
+        for entry in cert:
             assert entry.bound_conservative >= 0
             assert entry.bound_conservative == pytest.approx(
                 entry.constant_conservative * entry.l1_factor * entry.mismatch_l2,
                 rel=1e-15,
             )
         # Residuals feeding the certificate are the solve's block residuals.
-        for entry, res in zip(list(cert.regions) + [cert.exterior],
-                              report.block_residuals):
+        for entry, res in zip(cert, report.block_residuals):
             assert entry.mismatch_l2 == pytest.approx(res, rel=1e-12)
 
     def test_rejects_wrong_residual_count(self, demo2d_solution):
@@ -137,12 +133,11 @@ class TestCertifySolution:
         s, K, v, h, report = demo2d_solution
         cert = certify_solution(block_residuals(K, h, v), s)
         rng = np.random.default_rng(s.seed)
-        maxima, exterior_max = empirical_mismatches(
+        maxima = empirical_mismatches(
             h, scenario_difference_fields(s), s, rng, n_samples=500
         )
-        for entry, observed in zip(cert.regions, maxima):
+        for entry, observed in zip(cert, maxima):
             assert observed <= entry.bound_conservative
-        assert exterior_max <= cert.exterior.bound_conservative
 
     def test_random_densities_never_beat_their_bounds(self, demo2d_parts):
         # Soundness does not depend on the density being a solution.
@@ -152,10 +147,9 @@ class TestCertifySolution:
         for _ in range(5):
             h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
             cert = certify_solution(block_residuals(K, h, v), s)
-            maxima, exterior_max = empirical_mismatches(h, fields, s, rng, n_samples=200)
-            for entry, observed in zip(cert.regions, maxima):
+            maxima = empirical_mismatches(h, fields, s, rng, n_samples=200)
+            for entry, observed in zip(cert, maxima):
                 assert observed <= entry.bound_conservative
-            assert exterior_max <= cert.exterior.bound_conservative
 
 
 class TestSampling:

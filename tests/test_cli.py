@@ -1,11 +1,17 @@
 """Command-line pipeline: exit codes, outputs, determinism."""
 
+import copy
+import math
 import re
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FEASIBLE_EPS_2D, PRESETS
 from fieldcast import cli
@@ -172,6 +178,22 @@ class TestRun:
         assert "target trace is identically zero" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_target_exits_with_validation_status(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # A log source this far off overflows |x - s| at every control node,
+        # so the trace is not finite: nothing after it can give a number.
+        text = Path(DEMO_2D).read_text()
+        old = "log-source, location: [0.0, 0.0]"
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, "log-source, location: [1.3407807929942597e+154, 0.0]"))
+        monkeypatch.setattr(cli, "assemble_forward", _never_called)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _run(["run", str(bad), "--out", str(out), "--epsilon", "6.5"]) == 3
+        assert "target trace norm is inf, not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, path", [
         ("  field: {kind: zero}", "  field: {kind: constant, value: .nan}", "outer.field.value"),
         ("    radius: 2.0", "    radius: .nan", "regions[0].radius"),
@@ -194,10 +216,15 @@ class TestRun:
         ("    radius: 2.0\n", "    radius: 2.0\n    control_radius: 2.2\n",
          "regions[0]: unknown key 'control_radius'"),
         ("seed: 7\n", "seed: 7\nbogus: 1\n", "scenario: unknown key 'bogus'"),
-    ], ids=["misspelt-control-radius", "top-level-bogus"])
+        ("seed: 7\n", "seed: 7\nseed: 8\n", "at line 15: found repeated key 'seed'"),
+        ("    radius: 2.0\n", "    radius: 2.0\n    radius: 3.0\n",
+         "at line 19: found repeated key 'radius'"),
+    ], ids=["misspelt-control-radius", "top-level-bogus", "repeated-top-level",
+            "repeated-nested"])
     def test_unknown_key_exits_with_validation_status(self, tmp_path, capsys, monkeypatch,
                                                       old, new, message):
-        # Both ran with defaults and exit 0 before keys were checked.
+        # Each would run with a default or with the last of the repeated
+        # values, and exit 0, unless keys are checked at parse.
         text = Path(DEMO_2D).read_text()
         assert old in text
         bad = tmp_path / "bad.scn"
@@ -285,6 +312,33 @@ class TestRun:
     def test_missing_file_exits_with_validation_status(self, tmp_path):
         assert _run(["run", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("scenario", [str(PRESETS), "."], ids=["presets", "dot"])
+    def test_directory_is_not_a_scenario_file(self, tmp_path, capsys, scenario):
+        # A directory is not opened as a scenario, named or with ".scn" added.
+        out = tmp_path / "out"
+        assert _run(["run", scenario, "--out", str(out)]) == 3
+        assert "scenario file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_that_is_not_utf8_exits_with_validation_status(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(Path(DEMO_2D).read_bytes().replace(b"seed: 7", b"seed: \xff7"))
+        out = tmp_path / "out"
+        assert _run(["run", str(bad), "--out", str(out), "--epsilon", "6.5"]) == 3
+        assert "scenario is not valid YAML" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                            under):
+        # An existing file, or a path under one, cannot hold the outputs.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(cli, "assemble_forward", _never_called)
+        out = taken / "out" if under else taken
+        assert _run(["run", DEMO_2D, "--out", str(out), "--epsilon", "6.5"]) == 2
+        assert f"--out {str(out)!r} cannot be made a directory" in capsys.readouterr().err
+
     def test_report_body_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -314,6 +368,84 @@ class TestRun:
         assert matrix.shape == (3 * 64, 64)
         assert sigma.shape == (64,)
         assert np.all(np.diff(sigma) <= 0)
+
+
+# Scenario mutation property: each preset at small node counts and a budget
+# it meets, as parsed YAML, mutated at any path of its tree.
+SMALL_RUNS = {"demo-2d": ("16,16", "6.5"), "demo-3d": ("4,4", "0.6")}
+TREES = {name: yaml.safe_load((PRESETS / f"{name}.scn").read_text()) for name in SMALL_RUNS}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a parsed YAML tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 40),
+                   st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                   st.lists(st.floats(-20.0, 20.0), max_size=4),
+                   st.sampled_from([{}, {"kind": "zero"}, {"kind": "constant", "value": 1.0}]))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset name and 1-3 mutations ``(path, op, value)``: drop the key or
+    list item, rename the key, grow the list, or set the value (rename and
+    grow fall back to set where there is no key or list)."""
+    name = draw(st.sampled_from(sorted(TREES)))
+    mutation = st.tuples(st.sampled_from(list(_paths(TREES[name]))),
+                         st.sampled_from(["drop", "rename", "grow", "set"]), VALUES)
+    return name, draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+def _mutate(tree, path, op, value):
+    *parents, last = path
+    node = tree
+    for key in parents:
+        node = node[key]
+    if op == "drop":
+        del node[last]
+    elif op == "rename" and isinstance(last, str):
+        node[last.replace("-", "_") if "-" in last else last + "s"] = node.pop(last)
+    elif op == "grow" and isinstance(node[last], list) and node[last]:
+        node[last].append(copy.deepcopy(node[last][-1]))
+    else:
+        node[last] = value
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(mutated_presets())
+# The contract holes of the ROADMAP Baseline: unknown keys, a negative seed,
+# non-finite numbers and an identically zero target.
+@example(("demo-2d", [(("regions", 0, "control_radius"), "set", 2.2),
+                      (("bogus",), "set", 1)]))
+@example(("demo-2d", [(("seed",), "set", -7)]))
+@example(("demo-2d", [(("outer", "field"), "set", {"kind": "constant", "value": math.nan})]))
+@example(("demo-2d", [(("regions", 0, "radius"), "set", math.nan)]))
+@example(("demo-2d", [(("delta",), "set", math.inf)]))
+@example(("demo-2d", [(("regions", 0, "field"), "set", {"kind": "zero"}),
+                      (("regions", 1, "field"), "set", {"kind": "zero"})]))
+def test_mutated_scenario_exits_with_a_documented_code(case):
+    name, mutations = case
+    tree = copy.deepcopy(TREES[name])
+    for path, op, value in mutations:
+        try:
+            _mutate(tree, path, op, value)
+        except (AttributeError, KeyError, IndexError, TypeError):
+            pass                # an earlier mutation removed or retyped the path
+    nodes, epsilon = SMALL_RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, out = Path(tmp) / "s.scn", Path(tmp) / "out"
+        scn.write_text(yaml.safe_dump(tree, sort_keys=False))
+        with np.errstate(all="ignore"):     # huge mutated numbers overflow on purpose
+            code = main(["run", str(scn), "--out", str(out), "--nodes", nodes,
+                         "--epsilon", epsilon])
+        assert code in (0, 2, 3, 4, 5)
+        if code in (2, 3):
+            assert not out.exists()
 
 
 class TestSweep:

@@ -272,7 +272,7 @@ class TestEvalOnGrid:
         grid = eval_on_grid(h, s, spec)
         assert set(grid.labels) == {"exterior"}
         # Exterior target is zero, so the mismatch column is |radiated field|.
-        assert np.max(grid.mismatch) <= cert.exterior.bound_conservative
+        assert np.max(grid.mismatch) <= cert[-1].bound_conservative
 
     def test_singular_target_point_masked_not_fatal(self):
         # A grid point sitting on a field's singularity is excluded via the

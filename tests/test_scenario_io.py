@@ -150,6 +150,16 @@ def test_unknown_key_names_its_path_and_the_allowed_keys(old, new, message):
     assert str(info.value) == message
 
 
+def test_merged_key_may_be_overridden():
+    # Repeated keys are rejected, but a YAML merge's own keys override the
+    # merged ones.
+    text = GOOD.replace("field: {kind: log-source", "field: &log {kind: log-source")
+    text = text.replace("{kind: dipole, location: [0.0, 0.0], direction: [1.0, 0.0]}",
+                        "{<<: *log, location: [1.0, 0.0]}")
+    target = parse_scenario(text).regions[1].target
+    assert target.kind == "log-source" and list(target.singularity) == [1.0, 0.0]
+
+
 @pytest.mark.parametrize("name", ["demo-2d", "demo-3d"])
 def test_presets_parse(name):
     assert load_preset(name).regions
