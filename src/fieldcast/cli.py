@@ -1,16 +1,17 @@
 """Command-line pipeline: parse, validate, assemble, solve, certify, export.
 
-Exit codes: 0 success, 2 usage error (including ``--nodes`` text that is not
-two integers, and ``--grid`` text that is not one count >= 1 per dimension,
-checked before any work, and an ``--out`` path that cannot be made a
-directory, checked before assembly), 3 scenario parse/validation failure
-(including a scenario path that is not a file, a file that is not UTF-8 or
-repeats a key in one mapping, node counts below ``geometry.MIN_NODES``, 4
-circle nodes in 2D and 2 polar nodes in 3D, from the file or from
-``--nodes``, a target trace that is identically zero or not finite, and node
+Exit codes: 0 success; 2 usage error (:class:`UsageError`: ``--nodes``,
+``--epsilon``, ``--grid`` or ladder text that cannot be used, checked before
+any work, and an ``--out`` path that cannot be made a directory, checked
+before assembly); 3 scenario parse/validation failure (a scenario path that
+is not a file, a file that is not UTF-8, repeats a key in one mapping or
+gives a key an explicit null, node counts below ``geometry.MIN_NODES`` from
+the file or ``--nodes``, a boundary whose rule or wanted field values cannot
+be built, a target trace that is identically zero or not finite, and node
 counts whose operator and factorization would exceed physical memory, as
 :func:`fieldcast.operator.factorization_bytes` estimates before any rule is
-built), 4 accuracy infeasible at the current resolution, 5 numerical failure.
+built); 4 accuracy infeasible at the current resolution; 5 numerical
+failure, including any other ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .geometry import (Discretization, Scenario, ScenarioValidationError, build_
 from .operator import assemble_forward, dump_operator, factorization_bytes, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
-                     sweep_alpha, sweep_epsilon)
+                     sweep_alpha, sweep_epsilon, sweep_ladder)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,6 +46,10 @@ EXIT_NUMERICAL = 5
 REPORT_FORMAT_VERSION = 2
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
+
+
+class UsageError(Exception):
+    """A command-line argument that cannot be used (exit 2)."""
 
 
 def _fmt(value) -> str:
@@ -69,10 +74,13 @@ def _load(args) -> Scenario:
         try:
             antenna, control = (int(p) for p in args.nodes.split(","))
         except ValueError:
-            raise ValueError(f"--nodes expects '<antenna>,<control>', got {args.nodes!r}") from None
+            raise UsageError(f"--nodes expects '<antenna>,<control>', got {args.nodes!r}") from None
         s = replace(s, discretization=Discretization(antenna, control))
     if getattr(args, "epsilon", None):
-        s = replace(s, epsilon="auto" if args.epsilon == "auto" else float(args.epsilon))
+        try:
+            s = replace(s, epsilon="auto" if args.epsilon == "auto" else float(args.epsilon))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     validate_scenario(s)
     return resolve_epsilon(s)
 
@@ -209,7 +217,7 @@ def _prepare(args, scenario: Scenario, timings):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
+        raise UsageError(f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
     with _stage(timings, "assemble"):
         K = assemble_forward(antenna, controls)
     with _stage(timings, "svd"):
@@ -241,7 +249,7 @@ def _grid_shape(text: str, dim: int) -> tuple[int, ...]:
     except ValueError:
         shape = ()
     if len(shape) != dim or min(shape) < 1:
-        raise ValueError(f"--grid expects {dim} comma-separated counts >= 1, got {text!r}")
+        raise UsageError(f"--grid expects {dim} comma-separated counts >= 1, got {text!r}")
     return shape
 
 
@@ -290,19 +298,17 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_ladder(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
 def cmd_sweep(args) -> int:
     timings: list[tuple[str, object]] = []
     scenario = _load(args)
+    name, text = ("alpha", args.alphas) if args.alphas is not None else ("epsilon", args.epsilons)
+    try:
+        ladder = sweep_ladder([float(p) for p in text.split(",") if p.strip()], name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir, K, v, svd = _prepare(args, scenario, timings)
     with _stage(timings, "sweep"):
-        if args.alphas is not None:
-            name, rows = "alpha", sweep_alpha(K, v, _parse_ladder(args.alphas))
-        else:
-            name, rows = "epsilon", sweep_epsilon(K, v, _parse_ladder(args.epsilons))
+        rows = (sweep_alpha if name == "alpha" else sweep_epsilon)(K, v, ladder)
     sweep_path = out_dir / "sweep.tsv"
     write_table(sweep_path, [name, "discrepancy", "energy"], rows)
     _write_record(args, out_dir, scenario, svd.sigma, [], [("sweep", sweep_path.name)], timings)
@@ -355,11 +361,10 @@ def main(argv=None) -> int:
     except InfeasibleAccuracyError as exc:
         print(f"error [infeasible]: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        # Malformed ladders and similar argument-shaped problems.
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error [numerical]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       make_rule, validate_scenario)
+                       control_labels, make_rule, on_boundary, validate_scenario)
 from .kernels import dlp_kernel, row_blocks
 from .operator import ControlTrace
 
@@ -217,7 +217,8 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
     rule k.  The scenario is validated first, field conditions included
     (:func:`fieldcast.geometry.validate_scenario`).  An identically zero
     trace raises ScenarioValidationError, as there is nothing to solve for,
-    and so does one whose norm overflows float64 or is not a number.
+    and so do a norm that overflows float64 or is not a number and a control
+    sphere where the wanted field cannot be evaluated (named in the message).
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
@@ -225,7 +226,8 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
         )
 
     validate_scenario(s)
-    blocks = [wanted(rule.nodes) for wanted, rule in zip(scenario_difference_fields(s), controls)]
+    blocks = [on_boundary(label, wanted, rule.nodes) for label, wanted, rule
+              in zip(control_labels(s), scenario_difference_fields(s), controls)]
     v = ControlTrace(blocks=blocks, rules=list(controls))
     norm = v.norm()
     if norm == 0.0:
@@ -428,9 +430,11 @@ def auto_epsilon(s: Scenario) -> float:
     """
     n_surface = 128 if s.dim == 2 else 32
     total = 0.0
-    for r in s.regions:
-        total += ball_l2_norm(r.target, r.center, r.radius, s.dim, n_surface=n_surface)
-    obs = make_rule(np.zeros(s.dim), s.observation_radius, 256 if s.dim == 2 else 32, s.dim)
+    for k, r in enumerate(s.regions, start=1):
+        total += on_boundary(f"region {k} target ball", ball_l2_norm, r.target, r.center,
+                             r.radius, s.dim, n_surface=n_surface)
+    obs = on_boundary("observation sphere", make_rule, np.zeros(s.dim), s.observation_radius,
+                      256 if s.dim == 2 else 32, s.dim)
     total += surface_l2_norm(s.exterior_target, obs)
     return 1e-3 * total
 

@@ -506,15 +506,32 @@ def validate_scenario(s: Scenario) -> Scenario:
     return s
 
 
+def on_boundary(label: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for one boundary of a scenario; a ValueError
+    or OverflowError it raises is a fault of the scenario there, named ``label``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioValidationError([f"{label}: {exc}"]) from None
+
+
+def control_labels(s: Scenario) -> list[str]:
+    """The control boundaries' names, in the order of the control rules."""
+    names = [f"region {k}" for k in range(1, s.n_regions + 1)] + ["outer"]
+    return [f"{name} control sphere" for name in names]
+
+
 def build_rules(s: Scenario) -> tuple[QuadratureRule, list[QuadratureRule]]:
     """Quadrature rules for a validated scenario.
 
     Returns the antenna rule and the control rules ordered region 1..N,
-    then the outer control sphere.
+    then the outer control sphere; a rule the radii cannot give raises
+    ScenarioValidationError (:func:`on_boundary`).
     """
     d = s.discretization
     origin = np.zeros(s.dim)
-    antenna = make_rule(origin, s.delta, d.antenna, s.dim)
-    controls = [make_rule(r.center, r.control_radius, d.control, s.dim) for r in s.regions]
-    controls.append(make_rule(origin, s.outer_control_radius, d.control, s.dim))
+    antenna = on_boundary("antenna", make_rule, origin, s.delta, d.antenna, s.dim)
+    spheres = [(r.center, r.control_radius) for r in s.regions] + [(origin, s.outer_control_radius)]
+    controls = [on_boundary(label, make_rule, center, radius, d.control, s.dim)
+                for label, (center, radius) in zip(control_labels(s), spheres)]
     return antenna, controls

@@ -23,10 +23,12 @@ the control count is the default (:func:`fieldcast.geometry.with_defaults`);
 given counts are kept.  Every number must be finite.  A key the schema does
 not list, at any level, is an error naming its path and the allowed keys, so
 a misspelt optional key (``control_radius``) cannot fall back to its default
-unnoticed; nor can a repeated key, which YAML would let override the
-first.  Each field kind takes ``kind`` and the keys of ``FIELD_KEYS``.
-Parse errors cite the offending line (syntax, repeated keys) or field path
-(schema).
+unnoticed; nor can a repeated key, which YAML would let override the first,
+nor an explicit null: only an absent optional key takes its default.  Each
+field kind takes ``kind`` and the keys ``_KINDS`` lists for it.  Errors cite
+the offending line (syntax, repeated keys) or field path (schema).  In a
+mapping with several faults the first reported is an unknown key, then a
+missing key, then a bad value in schema order (a field's ``kind`` first).
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ from .fields import (
 from .geometry import Discretization, Region, Scenario, with_defaults
 
 FORMAT_VERSION = 1
-
-# The keys each field kind takes.
-FIELD_KEYS = {
-    "zero": ("kind",),
-    "constant": ("kind", "value"),
-    "log-source": ("kind", "location"),
-    "point-source": ("kind", "location"),
-    "dipole": ("kind", "location", "direction"),
-    "harmonic-polynomial": ("kind", "terms"),
-}
 
 
 class ScenarioFormatError(ValueError):
@@ -87,25 +79,25 @@ def _fail(path: str, message: str):
     raise ScenarioFormatError(f"scenario field '{path}': {message}")
 
 
-def _check_keys(mapping, allowed, path):
-    """Reject any key of ``mapping`` that is not in ``allowed``; a value that
-    is not a mapping is left for :func:`_get` to report."""
-    if not isinstance(mapping, dict):
-        return
-    for key in mapping:
-        if key not in allowed:
+def _entries(raw, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
+    """The entries of the mapping ``raw`` at ``path`` (``""`` at top level):
+    one ``(value, path)`` pair per key of ``keys``, in that order, or None
+    for an absent optional key.  A present null is a value like any other,
+    for its parser to reject."""
+    if not isinstance(raw, dict):
+        _fail(path, f"expected a mapping, got {type(raw).__name__}")
+    for key in raw:
+        if key not in keys:
             raise ScenarioFormatError(
-                f"{path}: unknown key {key!r} (allowed: {', '.join(allowed)})")
+                f"{path or 'scenario'}: unknown key {key!r} (allowed: {', '.join(keys)})")
+    entries = []
+    for key in keys:
+        where = f"{path}.{key}" if path else key
+        if key not in raw and key not in optional:
+            _fail(where, "missing")
+        entries.append((raw[key], where) if key in raw else None)
+    return entries
 
-
-def _get(mapping, key, path, required=True, default=None):
-    if not isinstance(mapping, dict):
-        _fail(path or key, f"expected a mapping, got {type(mapping).__name__}")
-    if key not in mapping:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing")
-        return default
-    return mapping[key]
 
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -127,43 +119,55 @@ def _point(value, path, dim) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_field(raw, path, dim) -> HarmonicField:
-    kind = _get(raw, "kind", path)
-    if not isinstance(kind, str) or kind not in FIELD_KEYS:
-        _fail(f"{path}.kind", f"unknown field kind {kind!r}")
-    _check_keys(raw, FIELD_KEYS[kind], path)
+def _terms(value, path, dim) -> dict[tuple[int, ...], float]:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a nonempty list of terms")
+    terms = {}
+    for i, term in enumerate(value):
+        (powers, where), coeff = _entries(term, f"{path}[{i}]", ("powers", "coeff"))
+        if not isinstance(powers, list) or len(powers) != dim:
+            _fail(where, f"expected {dim} integers")
+        powers = tuple(_integer(p, where) for p in powers)
+        terms[powers] = _number(*coeff)
+    return terms
+
+
+# The parser of each field key, and each field kind's constructor with the
+# keys it takes besides ``kind``, in the constructor's argument order.
+_FIELD_VALUES = {"value": lambda value, path, dim: _number(value, path), "location": _point,
+                 "direction": _point, "terms": _terms}
+_KINDS = {
+    "zero": (zero_field, ()),
+    "constant": (constant_field, ("value",)),
+    "log-source": (log_source, ("location",)),
+    "point-source": (point_source, ("location",)),
+    "dipole": (dipole, ("location", "direction")),
+    # Every term's powers have length dim, and there is at least one term.
+    "harmonic-polynomial": (lambda terms: harmonic_polynomial(terms, len(next(iter(terms)))),
+                            ("terms",)),
+}
+
+
+def _field(raw, path, dim) -> HarmonicField:
+    # The kind names the other keys, so it is checked before any of them.
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if isinstance(raw, dict) and not (isinstance(kind, str) and kind in _KINDS):
+        _fail(f"{path}.kind", f"unknown field kind {kind!r}" if "kind" in raw else "missing")
+    make, keys = _KINDS.get(kind, (None, ()))
+    _, *entries = _entries(raw, path, ("kind", *keys))
+    values = [_FIELD_VALUES[key](*entry, dim) for key, entry in zip(keys, entries)]
     try:
-        if kind == "zero":
-            return zero_field()
-        if kind == "constant":
-            return constant_field(_number(_get(raw, "value", path), f"{path}.value"))
-        if kind == "log-source":
-            return log_source(_point(_get(raw, "location", path), f"{path}.location", dim))
-        if kind == "point-source":
-            return point_source(_point(_get(raw, "location", path), f"{path}.location", dim))
-        if kind == "dipole":
-            return dipole(
-                _point(_get(raw, "location", path), f"{path}.location", dim),
-                _point(_get(raw, "direction", path), f"{path}.direction", dim),
-            )
-        if kind == "harmonic-polynomial":
-            terms_raw = _get(raw, "terms", path)
-            if not isinstance(terms_raw, list) or not terms_raw:
-                _fail(f"{path}.terms", "expected a nonempty list of terms")
-            terms = {}
-            for i, term in enumerate(terms_raw):
-                _check_keys(term, ("powers", "coeff"), f"{path}.terms[{i}]")
-                powers = _get(term, "powers", f"{path}.terms[{i}]")
-                coeff = _number(_get(term, "coeff", f"{path}.terms[{i}]"),
-                                f"{path}.terms[{i}].coeff")
-                if not isinstance(powers, list) or len(powers) != dim:
-                    _fail(f"{path}.terms[{i}].powers", f"expected {dim} integers")
-                terms[tuple(_integer(p, f"{path}.terms[{i}].powers") for p in powers)] = coeff
-            return harmonic_polynomial(terms, dim)
-    except ScenarioFormatError:
-        raise
+        return make(*values)
     except ValueError as exc:
         _fail(path, str(exc))
+
+
+def _region(raw, path, dim) -> Region:
+    center, radius, control, field = _entries(
+        raw, path, ("center", "radius", "control-radius", "field"), optional=("control-radius",))
+    return Region(center=_point(*center, dim), radius=_number(*radius),
+                  control_radius=None if control is None else _number(*control),
+                  target=_field(*field, dim))
 
 
 def parse_scenario(text: str | bytes) -> Scenario:
@@ -177,69 +181,38 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioFormatError(f"scenario is not valid YAML{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario must be a YAML mapping at top level")
-    _check_keys(raw, ("format-version", "dim", "delta", "epsilon", "seed", "discretization",
-                      "regions", "outer"), "scenario")
+    version, dim, delta, epsilon, seed, disc, regions, outer = _entries(
+        raw, "", ("format-version", "dim", "delta", "epsilon", "seed", "discretization",
+                  "regions", "outer"), optional=("seed", "discretization"))
 
-    version = _get(raw, "format-version", "")
-    if version != FORMAT_VERSION:
-        _fail("format-version", f"expected {FORMAT_VERSION}, got {version!r}")
-
-    dim = _integer(_get(raw, "dim", ""), "dim")
+    if version[0] != FORMAT_VERSION:
+        _fail(version[1], f"expected {FORMAT_VERSION}, got {version[0]!r}")
+    dim = _integer(*dim)
     if dim not in (2, 3):
         _fail("dim", f"must be 2 or 3, got {dim}")
-    delta = _number(_get(raw, "delta", ""), "delta")
-
-    eps_raw = _get(raw, "epsilon", "")
-    if eps_raw == "auto":
-        epsilon: float | str = "auto"
-    else:
-        epsilon = _number(eps_raw, "epsilon")
-
-    seed = _integer(_get(raw, "seed", "", required=False, default=0), "seed")
+    delta = _number(*delta)
+    epsilon = "auto" if epsilon[0] == "auto" else _number(*epsilon)
+    seed = _integer(*seed) if seed else 0
     if seed < 0:
         _fail("seed", f"expected a non-negative integer, got {seed}")
+    if disc:
+        disc = Discretization(*(_integer(*e) for e in _entries(*disc, ("antenna", "control"))))
 
-    disc = None
-    disc_raw = _get(raw, "discretization", "", required=False)
-    if disc_raw is not None:
-        _check_keys(disc_raw, ("antenna", "control"), "discretization")
-        antenna = _integer(_get(disc_raw, "antenna", "discretization"), "discretization.antenna")
-        control = _integer(_get(disc_raw, "control", "discretization"), "discretization.control")
-        disc = Discretization(antenna, control)
-
-    regions_raw = _get(raw, "regions", "")
+    regions_raw, where = regions
     if not isinstance(regions_raw, list) or not regions_raw:
-        _fail("regions", "expected a nonempty list")
-    regions = []
-    for i, reg in enumerate(regions_raw):
-        path = f"regions[{i}]"
-        _check_keys(reg, ("center", "radius", "control-radius", "field"), path)
-        control_radius = _get(reg, "control-radius", path, required=False)
-        regions.append(
-            Region(
-                center=_point(_get(reg, "center", path), f"{path}.center", dim),
-                radius=_number(_get(reg, "radius", path), f"{path}.radius"),
-                control_radius=None if control_radius is None
-                else _number(control_radius, f"{path}.control-radius"),
-                target=_parse_field(_get(reg, "field", path), f"{path}.field", dim),
-            )
-        )
+        _fail(where, "expected a nonempty list")
+    regions = tuple(_region(reg, f"{where}[{i}]", dim) for i, reg in enumerate(regions_raw))
 
-    outer_raw = _get(raw, "outer", "")
-    _check_keys(outer_raw, ("observation-radius", "control-radius", "field"), "outer")
-    observation = _number(_get(outer_raw, "observation-radius", "outer"),
-                          "outer.observation-radius")
-    outer_control = _get(outer_raw, "control-radius", "outer", required=False)
-
+    observation, outer_control, exterior = _entries(
+        *outer, ("observation-radius", "control-radius", "field"), optional=("control-radius",))
     scenario = Scenario(
         dim=dim,
         delta=delta,
-        regions=tuple(regions),
-        observation_radius=observation,
-        exterior_target=_parse_field(_get(outer_raw, "field", "outer"), "outer.field", dim),
+        regions=regions,
+        observation_radius=_number(*observation),
+        outer_control_radius=None if outer_control is None else _number(*outer_control),
+        exterior_target=_field(*exterior, dim),
         epsilon=epsilon,
-        outer_control_radius=None if outer_control is None
-        else _number(outer_control, "outer.control-radius"),
         discretization=disc,
         seed=seed,
     )
@@ -251,4 +224,3 @@ def load_scenario(path) -> Scenario:
     file that is not UTF-8 (or UTF-16 with a byte-order mark) is a format error."""
     with open(path, "rb") as fh:
         return parse_scenario(fh.read())
-

@@ -148,7 +148,7 @@ def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
     return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq, v_norm=v.norm())
 
 
-def _ladder(values, name: str) -> list[float]:
+def sweep_ladder(values, name: str) -> list[float]:
     """The sweep values sorted ascending; each must be positive and finite."""
     ladder = sorted(float(x) for x in values)
     if not ladder:
@@ -199,7 +199,7 @@ def solve_min_energy(
 
 def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float, float, float]]:
     """Rows (alpha, residual norm, energy), sorted by alpha ascending."""
-    ladder = _ladder(alphas, "alpha")
+    ladder = sweep_ladder(alphas, "alpha")
     data = _filter_data(K, v)
     return [(a, math.sqrt(data.discrepancy_sq(a)), data.energy(a)) for a in ladder]
 
@@ -207,7 +207,7 @@ def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float
 def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[float, float, float]]:
     """Rows (epsilon, residual norm, energy) of the minimal-energy solves,
     sorted by epsilon ascending; no density or residual block is formed."""
-    ladder = _ladder(epsilons, "epsilon")
+    ladder = sweep_ladder(epsilons, "epsilon")
     data = _filter_data(K, v)
     rows = []
     for eps in ladder:

@@ -235,6 +235,47 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, old, new, epsilon, message", [
+        ("demo-3d", "    radius: 2.0", "    radius: 2.2e-309", "0.6",
+         "region 1 control sphere: non-positive quadrature weights"),
+        ("demo-3d", "    radius: 2.0", "    radius: 2.2e-309", None,
+         "region 1 target ball: non-positive quadrature weights"),
+        ("demo-2d", "    radius: 2.0\n    field: {kind: dipole, location: [0.0, 0.0], "
+         "direction: [1.0, 0.0]}", "    radius: 2.0\n    control-radius: 2.5\n"
+         "    field: {kind: log-source, location: [12.5000000000001, 0.0]}", "6.5",
+         "region 2 control sphere: evaluation at or near the field's singular point"),
+        ("demo-3d", "observation-radius: 15.0", "observation-radius: 1.0e+200", "0.6",
+         "outer control sphere: (34, 'Numerical result out of range')"),
+        ("demo-3d", "observation-radius: 15.0", "observation-radius: 1.0e+200", None,
+         "observation sphere: (34, 'Numerical result out of range')"),
+    ], ids=["subnormal-radius", "subnormal-radius-auto-epsilon", "source-at-a-control-node",
+            "overflowing-radius", "overflowing-radius-auto-epsilon"])
+    def test_boundary_that_cannot_be_built_exits_with_validation_status(
+            self, tmp_path, capsys, monkeypatch, preset, old, new, epsilon, message):
+        # Validation passes: the radii are positive and finite and the source
+        # lies 1e-13 outside its control sphere.  But the sphere weights
+        # 4 pi r^2 underflow to 0 or overflow, and a control node lies within
+        # the evaluation tolerance of the source.
+        text = (PRESETS / f"{preset}.scn").read_text()
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new, 1))
+        monkeypatch.setattr(cli, "assemble_forward", _never_called)
+        out = tmp_path / "out"
+        flags = ["--epsilon", epsilon] if epsilon else []
+        assert _run(["run", str(bad), "--out", str(out), *flags]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_error_inside_the_pipeline_is_numerical_failure(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("density values must be finite")
+
+        monkeypatch.setattr(cli, "solve_min_energy", fail)
+        assert _run(["run", DEMO_2D, "--out", str(tmp_path / "out"), "--epsilon", "6.5"]) == 5
+        assert "error [numerical]: density values must be finite" in capsys.readouterr().err
+
     def test_oversized_discretization_exits_before_any_rule(self, tmp_path, capsys,
                                                             monkeypatch):
         # 3D at 5000 polar nodes: a 1e8 x 5e7 operator, far beyond any
@@ -481,11 +522,13 @@ class TestSweep:
                      "--epsilons", ""])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_empty_alpha_ladder_is_usage_error(self, tmp_path, capsys):
         code = _run(["sweep", DEMO_2D, "--out", str(tmp_path / "o"), "--alphas", ""])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("ladder", [["--alphas", "nan"], ["--alphas", "inf"],
                                         ["--epsilons", "inf"], ["--epsilons", "nan"]])
@@ -495,6 +538,20 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
         assert not (out / "sweep.tsv").exists()
         assert not (out / "report.txt").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ladder, message", [
+        (["--epsilons", "abc"], "could not convert string to float: 'abc'"),
+        (["--epsilons", "-1"], "epsilon ladder values must be positive and finite"),
+        (["--alphas", ","], "alpha ladder is empty"),
+    ], ids=["not-a-number", "negative", "only-commas"])
+    def test_bad_ladder_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        ladder, message):
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        out = tmp_path / "out"
+        assert _run(["sweep", str(PRESETS / "demo-3d.scn"), "--out", str(out), *ladder]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_ladder_leaves_no_table(self, tmp_path, capsys):
         out = tmp_path / "out"

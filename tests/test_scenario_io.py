@@ -150,6 +150,46 @@ def test_unknown_key_names_its_path_and_the_allowed_keys(old, new, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("discretization: {antenna: 64, control: 64}", "discretization: ~",
+     "scenario field 'discretization': expected a mapping, got NoneType"),
+    ("control-radius: 2.75", "control-radius: ~",
+     "scenario field 'regions[1].control-radius': expected a number, got None"),
+    ("  observation-radius: 15.0\n", "  observation-radius: 15.0\n  control-radius: ~\n",
+     "scenario field 'outer.control-radius': expected a number, got None"),
+], ids=["discretization", "region-control-radius", "outer-control-radius"])
+def test_explicit_null_is_not_an_absent_key(old, new, message):
+    # Only an absent optional key takes its default.
+    assert old in GOOD
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(GOOD.replace(old, new, 1))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("faults, message", [
+    ([("seed: 7", "bogus: 1"), ("dim: 2\n", ""), ("delta: 1.0", "delta: wide")],
+     "scenario: unknown key 'bogus'"),
+    ([("format-version: 1", "format-version: 2"), ("epsilon: auto\n", "")],
+     "scenario field 'epsilon': missing"),
+    ([("format-version: 1", "format-version: 2"), ("delta: 1.0", "delta: wide")],
+     "scenario field 'format-version': expected 1, got 2"),
+    ([("delta: 1.0", "delta: wide"), ("observation-radius: 15.0\n", "")],
+     "scenario field 'delta': expected a number"),
+    ([("{kind: zero}", "{location: [0.0, 0.0]}")], "scenario field 'outer.field.kind': missing"),
+], ids=["unknown-first", "then-missing", "then-values-in-order", "nested-mapping-is-one-value",
+        "kind-before-other-keys"])
+def test_several_faults_report_in_schema_order(faults, message):
+    # An unknown key, then a missing key, then the values in schema order,
+    # where a nested mapping's faults are those of one value.
+    text = GOOD
+    for old, new in faults:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value).startswith(message)
+
+
 def test_merged_key_may_be_overridden():
     # Repeated keys are rejected, but a YAML merge's own keys override the
     # merged ones.
