@@ -46,6 +46,7 @@ EXIT_NUMERICAL = 5
 REPORT_FORMAT_VERSION = 2
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
+TABLE_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -70,13 +71,13 @@ def _resolve_scenario_path(arg: str) -> Path:
 
 def _load(args) -> Scenario:
     s = load_scenario(_resolve_scenario_path(args.scenario))
-    if args.nodes:
+    if args.nodes is not None:
         try:
             antenna, control = (int(p) for p in args.nodes.split(","))
         except ValueError:
             raise UsageError(f"--nodes expects '<antenna>,<control>', got {args.nodes!r}") from None
         s = replace(s, discretization=Discretization(antenna, control))
-    if getattr(args, "epsilon", None):
+    if getattr(args, "epsilon", None) is not None:
         try:
             s = replace(s, epsilon="auto" if args.epsilon == "auto" else float(args.epsilon))
         except ValueError as exc:
@@ -160,25 +161,44 @@ def write_report(path: Path, sections: list[tuple[str, list[tuple[str, object]]]
                 fh.write(f"{key}: {_fmt(value)}\n")
 
 
-def write_table(path: Path, header: list[str], rows) -> None:
+def _cell_text(column) -> np.ndarray:
+    """The text of each cell of one column, as an object array.  A sequence
+    of str is written as it is; a float64 or int64 array is formatted once per
+    distinct 64-bit pattern, so ``-0.0`` and ``0.0`` keep their own text."""
+    if not isinstance(column, np.ndarray):
+        return np.array(column, dtype=object)
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(column.dtype).tolist()], dtype=object)[index]
+
+
+def write_table(path: Path, header: list[str], columns) -> None:
     """Write a delimited output: ``format-version: 1``, the tab-separated
-    header, then one tab-separated line per row.  Rows are streamed, and each
-    cell is written with ``str``, which for a Python float is its ``repr``."""
+    header, then one tab-separated line per row.  Each column is a float64 or
+    int64 array, whose cells are Python's shortest round-trip ``repr`` of the
+    value (``-0.0`` keeps its sign, NaN reads ``nan``), or a sequence of str.
+    Rows are joined in blocks of ``TABLE_BLOCK_ROWS``."""
+    cells = [_cell_text(c) for c in columns]
+    n = len(cells[0])
+    block = np.full((min(n, TABLE_BLOCK_ROWS), 2 * len(cells)), "\t", dtype=object)
+    block[:, -1] = "\n"   # cells go in the even columns, each followed by a tab or newline
     with open(path, "w") as fh:
         fh.write("format-version: 1\n" + "\t".join(header) + "\n")
-        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+        for lo in range(0, n, TABLE_BLOCK_ROWS):
+            rows = block[: min(n - lo, TABLE_BLOCK_ROWS)]
+            for j, text in enumerate(cells):
+                rows[:, 2 * j] = text[lo: lo + rows.shape[0]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def write_spectrum(path: Path, sigma: np.ndarray) -> None:
-    write_table(path, ["index", "sigma"], enumerate(sigma.tolist()))
+    write_table(path, ["index", "sigma"], [np.arange(sigma.shape[0]), sigma])
 
 
 def write_grid(grid: FieldGrid, path) -> None:
     """Write a field grid: coordinates, total, target, mismatch and label per point."""
     coords = ["x", "y", "z"][: grid.points.shape[1]]
-    columns = [*grid.points.T.tolist(), grid.values.tolist(), grid.target.tolist(),
-               grid.mismatch.tolist(), grid.labels]
-    write_table(path, coords + ["total", "target", "mismatch", "label"], zip(*columns))
+    write_table(path, coords + ["total", "target", "mismatch", "label"],
+                [*grid.points.T, grid.values, grid.target, grid.mismatch, grid.labels])
 
 
 @contextmanager
@@ -256,7 +276,7 @@ def _grid_shape(text: str, dim: int) -> tuple[int, ...]:
 def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
     scenario = _load(args)
-    grid_shape = _grid_shape(args.grid, scenario.dim) if args.grid else None
+    grid_shape = _grid_shape(args.grid, scenario.dim) if args.grid is not None else None
     out_dir, K, v, svd = _prepare(args, scenario, timings)
     with _stage(timings, "solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
@@ -310,7 +330,7 @@ def cmd_sweep(args) -> int:
     with _stage(timings, "sweep"):
         rows = (sweep_alpha if name == "alpha" else sweep_epsilon)(K, v, ladder)
     sweep_path = out_dir / "sweep.tsv"
-    write_table(sweep_path, [name, "discrepancy", "energy"], rows)
+    write_table(sweep_path, [name, "discrepancy", "energy"], np.array(rows).T)
     _write_record(args, out_dir, scenario, svd.sigma, [], [("sweep", sweep_path.name)], timings)
     print(f"sweep: {sweep_path}")
     print(f"spectrum: {out_dir / 'spectrum.tsv'}")

@@ -307,7 +307,8 @@ class FieldGrid:
     NaN there).  The ring reaches delta * (1 + 2*pi/n), with n the nodes
     around the density's rule: all of them in 2D, one polar ring's azimuth
     count in 3D.  Points inside the closed antenna ball are dropped
-    entirely.
+    entirely.  ``cli.write_grid`` writes each number as its shortest
+    round-trip ``repr`` (``-0.0`` keeps its sign) and each label as it is.
     """
 
     points: np.ndarray    # (p, dim)
@@ -342,16 +343,18 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     exclusion = delta * (1.0 + 2.0 * np.pi / n_around)
 
     rho = np.linalg.norm(pts, axis=-1)
-    pts = pts[rho > delta]  # drop the antenna ball entirely
-    rho = np.linalg.norm(pts, axis=-1)
+    keep = rho > delta  # drop the antenna ball entirely
+    pts, rho = pts[keep], rho[keep]
     p = pts.shape[0]
 
-    labels = np.full(p, "annulus", dtype=object)
-    labels[rho <= exclusion] = "excluded"
-    labels[rho > s.observation_radius] = "exterior"
-    for k, r in enumerate(s.regions, start=1):
+    # Each point's label is a code into ``names``; region k has code exterior + k.
+    annulus, excluded, exterior = range(3)
+    names = ("annulus", "excluded", "exterior", *(f"region-{k}" for k in range(1, s.n_regions + 1)))
+    code = np.where(rho <= exclusion, excluded, annulus)
+    code[rho > s.observation_radius] = exterior
+    for k, r in enumerate(s.regions, start=exterior + 1):
         inside = np.linalg.norm(pts - r.center, axis=-1) <= r.radius
-        labels[inside & (labels == "annulus")] = f"region-{k}"
+        code[inside & (code == annulus)] = k
 
     # Points where a needed field is singular go into the mask instead of
     # aborting the whole grid.
@@ -362,24 +365,21 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
         return np.linalg.norm(pts - sing, axis=-1) < 2 * SINGULARITY_TOL
 
     bad = too_close(s.exterior_target)
-    for k, r in enumerate(s.regions, start=1):
-        bad |= too_close(r.target) & (labels == f"region-{k}")
-    labels[bad] = "excluded"
+    for k, r in enumerate(s.regions, start=exterior + 1):
+        bad |= too_close(r.target) & (code == k)
+    code[bad] = excluded
 
     values = np.full(p, np.nan)
     target = np.full(p, np.nan)
     mismatch = np.full(p, np.nan)
 
-    ok = labels != "excluded"
+    ok = code != excluded
     if np.any(ok):
         u0 = np.asarray(eval_field(s.exterior_target, pts[ok]), dtype=float)
         values[ok] = u0 + eval_double_layer(g, pts[ok])
 
-    targets_by_label = {"exterior": s.exterior_target}
-    for k, r in enumerate(s.regions, start=1):
-        targets_by_label[f"region-{k}"] = r.target
-    for label, field_ in targets_by_label.items():
-        sel = labels == label
+    for k, field_ in enumerate((s.exterior_target, *(r.target for r in s.regions)), start=exterior):
+        sel = code == k
         if not np.any(sel):
             continue
         t = np.asarray(eval_field(field_, pts[sel]), dtype=float)
@@ -393,7 +393,7 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
         values=values,
         target=target,
         mismatch=mismatch,
-        labels=tuple(str(l) for l in labels),
+        labels=tuple(np.array(names, dtype=object)[code].tolist()),
     )
 
 

@@ -137,14 +137,25 @@ class TestRun:
 
     @pytest.mark.parametrize("preset, nodes, code", [
         ("demo-2d", "5", 2), ("demo-2d", "a,b", 2), ("demo-2d", "1,1", 3),
-        ("demo-2d", "3,3", 3), ("demo-3d", "1,24", 3),
-    ], ids=["one-count", "not-integers", "2d-below-2", "2d-below-4", "3d-below-2"])
+        ("demo-2d", "3,3", 3), ("demo-3d", "1,24", 3), ("demo-2d", "", 2),
+    ], ids=["one-count", "not-integers", "2d-below-2", "2d-below-4", "3d-below-2", "empty"])
     def test_nodes_exit_codes(self, tmp_path, preset, nodes, code):
-        # Text that is not two integers is a bad flag; counts below the
-        # minimum fail validation, as they do in a scenario file.
+        # Text that is not two integers, empty text included, is a bad flag;
+        # counts below the minimum fail validation, as they do in a scenario file.
         out = tmp_path / "out"
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
                      "--epsilon", "0.6", "--nodes", nodes]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon=", "--epsilon=abc"])
+    def test_bad_epsilon_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         flag):
+        # An empty value is not the scenario's own budget: it is text that is
+        # not a number.
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        out = tmp_path / "out"
+        assert _run(["run", DEMO_2D, "--out", str(out), flag]) == 2
+        assert "usage error: could not convert string to float" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("preset, nodes, message", [
@@ -327,8 +338,8 @@ class TestRun:
 
     @pytest.mark.parametrize("preset, epsilon, grid", [
         ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),
-        ("demo-2d", "6.5", "0,8"),
-    ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count"])
+        ("demo-2d", "6.5", "0,8"), ("demo-2d", "6.5", ""),
+    ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count", "empty"])
     def test_bad_grid_is_usage_error_before_any_work(self, tmp_path, preset, epsilon, grid):
         out = tmp_path / "out"
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
@@ -489,6 +500,46 @@ def test_mutated_scenario_exits_with_a_documented_code(case):
             assert not out.exists()
 
 
+# Floats whose text is easy to get wrong: both zeros, a NaN with the sign bit
+# set, both infinities, subnormals, and the edges of repr's exponent form.
+EDGE_FLOATS = [0.0, -0.0, math.copysign(math.nan, -1.0), math.nan, math.inf, -math.inf,
+               5e-324, 2.5e-310, 1e16, 1e-5, 9999999999999998.0, 0.0001]
+
+
+def _table_cells(header, columns):
+    """The cells ``write_table`` writes, read back line by line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        cli.write_table(path, header, columns)
+        lines = path.read_text().split("\n")
+    assert lines[:2] == ["format-version: 1", "\t".join(header)]
+    assert lines[-1] == ""
+    return [line.split("\t") for line in lines[2:-1]]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+                          st.integers(-2**63, 2**63 - 1)), max_size=30))
+@example([(x, k) for k, x in enumerate(EDGE_FLOATS)])
+@example([])
+def test_write_table_cells_are_reprs(rows):
+    # Each row twice, so every value repeats.
+    rows = rows + rows
+    floats = np.array([x for x, _ in rows], dtype=np.float64)
+    ints = np.array([k for _, k in rows], dtype=np.int64)
+    labels = tuple(f"row-{i}" for i in range(len(rows)))
+    cells = _table_cells(["x", "k", "label"], [floats, ints, labels])
+    assert cells == [[repr(float(x)), repr(int(k)), label]
+                     for x, k, label in zip(floats, ints, labels)]
+
+
+def test_write_table_rows_span_blocks():
+    n = 2 * cli.TABLE_BLOCK_ROWS + 3
+    values = np.linspace(-1.0, 1.0, n)
+    cells = _table_cells(["index", "value"], [np.arange(n), values])
+    assert cells == [[str(i), repr(v)] for i, v in enumerate(values.tolist())]
+
+
 class TestSweep:
     def test_epsilon_ladder_energies_nonincreasing(self, tmp_path):
         out = tmp_path / "out"
@@ -544,7 +595,8 @@ class TestSweep:
         (["--epsilons", "abc"], "could not convert string to float: 'abc'"),
         (["--epsilons", "-1"], "epsilon ladder values must be positive and finite"),
         (["--alphas", ","], "alpha ladder is empty"),
-    ], ids=["not-a-number", "negative", "only-commas"])
+        (["--epsilons", "0.6", "--nodes="], "--nodes expects '<antenna>,<control>', got ''"),
+    ], ids=["not-a-number", "negative", "only-commas", "empty-nodes"])
     def test_bad_ladder_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         ladder, message):
         monkeypatch.setattr(cli, "build_rules", _never_called)

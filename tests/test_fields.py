@@ -28,7 +28,7 @@ from fieldcast import (
     zero_field,
 )
 from fieldcast.cli import write_grid
-from fieldcast.fields import GridSpec, auto_epsilon, ball_l2_norm
+from fieldcast.fields import GridSpec, auto_epsilon, ball_l2_norm, default_grid
 from fieldcast.geometry import make_rule, with_defaults
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
@@ -304,20 +304,29 @@ class TestEvalOnGrid:
         assert np.count_nonzero(ring) == 26  # x = 1.01 ... 1.26
         assert np.array_equal(np.array(grid.labels) == "excluded", ring)
 
-    def test_export_format(self, demo2d_solution, tmp_path):
-        s, K, v, h, report = demo2d_solution
-        grid = eval_on_grid(h, s, GridSpec(shape=(9, 9), lo=(-18, -18), hi=(18, 18)))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_export_format(self, demo2d_solution, demo3d, dim, tmp_path):
+        if dim == 2:
+            s, h = demo2d_solution[0], demo2d_solution[3]
+        else:
+            rule = make_rule(np.zeros(3), demo3d.delta, 12, 3)
+            s, h = demo3d, Density(rule=rule, values=np.ones(rule.node_count))
+        # Nine points per axis put an exact 0.0 among the coordinates.
+        grid = eval_on_grid(h, s, default_grid(s, (9,) * dim))
+        assert np.any(grid.points == 0.0)
         path = tmp_path / "grid.tsv"
         write_grid(grid, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "format-version: 1"
-        assert lines[1].split("\t") == ["x", "y", "total", "target", "mismatch", "label"]
+        assert lines[1].split("\t") == [*"xyz"[:dim], "total", "target", "mismatch", "label"]
         assert len(lines) == 2 + grid.points.shape[0]
-        # Every number reads back with float(), NaN where a column is undefined.
+        # Every number is its float's repr and reads back with float(), NaN
+        # where a column is undefined.
         rows = [line.split("\t") for line in lines[2:]]
-        numbers = np.array([[float(f) for f in row[:-1]] for row in rows])
         expected = np.column_stack([grid.points, grid.values, grid.target, grid.mismatch])
         assert np.isnan(expected).any()
+        assert [row[:-1] for row in rows] == [list(map(repr, r)) for r in expected.tolist()]
+        numbers = np.array([[float(f) for f in row[:-1]] for row in rows])
         np.testing.assert_array_equal(numbers, expected)
         assert tuple(row[-1] for row in rows) == grid.labels
 
