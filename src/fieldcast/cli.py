@@ -211,7 +211,8 @@ def _stage(timings: list[tuple[str, object]], name: str):
 
 def _check_size(s: Scenario) -> None:
     """Reject a discretization whose operator and factorization would not fit
-    in physical memory, from its node counts alone."""
+    in physical memory, from its node counts alone.  The estimate counts the
+    nodal matrix as kept, so it bounds ``run --dump-operator`` too."""
     d = s.discretization
     m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
     n = rule_node_count(d.antenna, s.dim)
@@ -223,12 +224,13 @@ def _check_size(s: Scenario) -> None:
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
 
 
-def _prepare(args, scenario: Scenario, timings):
+def _prepare(args, scenario: Scenario, timings, keep_matrix: bool = False):
     """The steps ``run`` and ``sweep`` share after loading the scenario: check
     the size, build the rules and the target (which rejects an identically
     zero trace), then make the output directory, assemble the operator and
     take the weighted SVD, so a scenario rejected before assembly leaves no
-    directory.  Returns (out_dir, K, v, svd)."""
+    directory.  The SVD consumes the nodal matrix unless ``keep_matrix``.
+    Returns (out_dir, K, v, svd)."""
     _check_size(scenario)
     with _stage(timings, "target"):
         antenna, controls = build_rules(scenario)
@@ -241,7 +243,7 @@ def _prepare(args, scenario: Scenario, timings):
     with _stage(timings, "assemble"):
         K = assemble_forward(antenna, controls)
     with _stage(timings, "svd"):
-        svd = weighted_svd(K)
+        svd = weighted_svd(K, release=not keep_matrix)
     return out_dir, K, v, svd
 
 
@@ -277,7 +279,7 @@ def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
     scenario = _load(args)
     grid_shape = _grid_shape(args.grid, scenario.dim) if args.grid is not None else None
-    out_dir, K, v, svd = _prepare(args, scenario, timings)
+    out_dir, K, v, svd = _prepare(args, scenario, timings, keep_matrix=args.dump_operator)
     with _stage(timings, "solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
     with _stage(timings, "certify"):

@@ -26,6 +26,14 @@ from .kernels import dlp_kernel, row_blocks
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 
+# block_residuals, through the factors, agrees with the nodal A h - v within
+# RESIDUAL_ROUNDING_C * u * (sigma_1 E + ||v||) per block, E = ||h||, u = 2^-53.
+# Largest ratio measured: 2.6 on the presets and 28 benchmark-pool scenarios,
+# 3.1 on a 24 x 64 operator, 24.6 over 4 500 random small scenarios (64 x 16
+# to 288 x 72), where the nodal path stays within 0.6 of an extended-precision
+# A h - v: the factors' rounding, seen through sigma_1 E, is the larger part.
+RESIDUAL_ROUNDING_C = 64.0
+
 
 @dataclass(frozen=True)
 class Density:
@@ -78,17 +86,17 @@ class ControlTrace:
         return float(np.sqrt(xi_inner(self, self)))
 
     def __sub__(self, other: "ControlTrace") -> "ControlTrace":
-        _check_same_rules(self, other)
+        _check_same_rules(self.rules, other.rules)
         return ControlTrace(
             blocks=[a - b for a, b in zip(self.blocks, other.blocks)],
             rules=self.rules,
         )
 
 
-def _check_same_rules(s: ControlTrace, t: ControlTrace) -> None:
-    if len(s.rules) != len(t.rules):
+def _check_same_rules(s: list[QuadratureRule], t: list[QuadratureRule]) -> None:
+    if len(s) != len(t):
         raise ValueError("control traces have different block counts")
-    for a, b in zip(s.rules, t.rules):
+    for a, b in zip(s, t):
         if (
             a.node_count != b.node_count
             or a.boundary.dim != b.boundary.dim
@@ -100,7 +108,7 @@ def _check_same_rules(s: ControlTrace, t: ControlTrace) -> None:
 
 def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
     """Product-space inner product: sum of weighted surface inner products."""
-    _check_same_rules(s, t)
+    _check_same_rules(s.rules, t.rules)
     total = 0.0
     for a, b, rule in zip(s.blocks, t.blocks, s.rules):
         total += float(rule.weights @ (a * b))
@@ -112,7 +120,7 @@ class WeightedSVD:
     """Thin SVD B = U diag(sigma) Vt of B = W^(1/2) A w^(-1/2), with U kept
     factored as U = Q U_R: Q is the orthogonal factor of B's QR, held as its
     Householder reflectors, and U_R the left factor of the SVD of R.  U is
-    never formed; :meth:`project` applies its transpose."""
+    never formed; :meth:`project` applies its transpose and :meth:`lift` U."""
 
     sigma: np.ndarray    # (k,) nonincreasing, k = min(m, n)
     vt: np.ndarray       # (k, n)
@@ -137,16 +145,29 @@ class WeightedSVD:
         tail = y[k:]
         return self.u_r.T @ y[:k], float(tail @ tail)
 
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """U z for z of length k, the mirror of :meth:`project`: U_R z padded
+        with m - k zeros, then Q = H_1 ... H_k applied last reflector first."""
+        k = self.tau.shape[0]
+        y = np.zeros(self.sqrt_row_w.shape[0])  # (m,)
+        y[:k] = self.u_r @ z
+        for j in range(k - 1, -1, -1):
+            w = self.reflectors[j, j:]
+            y[j:] -= (self.tau[j] * (w @ y[j:])) * w
+        return y
+
 
 @dataclass
 class ForwardOperator:
     """Dense double-layer trace operator with weighted-SVD cache.
 
     ``matrix`` already contains the antenna quadrature weights, so
-    applying it to nodal density values yields trace values directly.
+    applying it to nodal density values yields trace values directly.  It
+    is None once ``weighted_svd(K, release=True)`` has consumed it; the
+    factors then stand in for it (:func:`block_residuals`).
     """
 
-    matrix: np.ndarray  # (m, n): control nodes x antenna nodes
+    matrix: np.ndarray | None  # (m, n): control nodes x antenna nodes
     antenna_rule: QuadratureRule
     control_rules: list[QuadratureRule]
     _svd: WeightedSVD | None = field(default=None, repr=False)
@@ -190,8 +211,9 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
     all control nodes and y_j over antenna nodes.  Control nodes inside or
     touching the antenna sphere are rejected: the kernels are analytic
     only for separated boundaries, and a violation indicates a broken
-    scenario rather than something to regularize.  The matrix is filled
-    one row block at a time, so assembly needs little memory beyond it.
+    scenario rather than something to regularize.  The matrix is
+    column-major, the layout :func:`weighted_svd` factors, and is filled one
+    block of columns at a time, so assembly needs little memory beyond it.
     """
     dim = antenna.boundary.dim
     for rule in controls:
@@ -202,29 +224,52 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
             raise ValueError(
                 "control boundary comes too close to the antenna boundary"
             )
-    x = np.concatenate([r.nodes for r in controls])  # (m, dim)
-    y, nu = antenna.nodes[None, :, :], antenna.normals[None, :, :]
-    matrix = np.empty((x.shape[0], antenna.node_count))
-    for rows in row_blocks(*matrix.shape):
-        kernel = dlp_kernel(x[rows, None, :], y, nu, dim)  # (rows, n)
-        np.multiply(kernel, antenna.weights, out=matrix[rows])
+    x = np.concatenate([r.nodes for r in controls])[None]  # (1, m, dim)
+    y, nu, w = antenna.nodes[:, None, :], antenna.normals[:, None, :], antenna.weights[:, None]
+    matrix = np.empty((x.shape[1], antenna.node_count), order="F")
+    for cols in row_blocks(antenna.node_count, x.shape[1]):
+        kernel = dlp_kernel(x, y[cols], nu[cols], dim)  # (cols, m): the block's transpose
+        np.multiply(kernel, w[cols], out=matrix[:, cols].T)
     return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls))
+
+
+def _nodal(K: ForwardOperator) -> np.ndarray:
+    """K's nodal matrix; a ValueError if ``weighted_svd`` has consumed it."""
+    if K.matrix is None:
+        raise ValueError("the operator's nodal matrix was released to its weighted SVD "
+                         "(weighted_svd(K, release=True)); assemble it again to apply it")
+    return K.matrix
+
+
+def _check_density(K: ForwardOperator, h: Density) -> None:
+    n = K.antenna_rule.node_count
+    if h.values.shape[0] != n:
+        raise ValueError(
+            f"density length {h.values.shape[0]} does not match operator columns {n}"
+        )
 
 
 def apply(K: ForwardOperator, h: Density) -> ControlTrace:
     """Double-layer traces of a density on every control boundary."""
-    if h.values.shape[0] != K.matrix.shape[1]:
-        raise ValueError(
-            f"density length {h.values.shape[0]} does not match operator "
-            f"columns {K.matrix.shape[1]}"
-        )
-    return K.split(K.matrix @ h.values)
+    _check_density(K, h)
+    return K.split(_nodal(K) @ h.values)
 
 
 def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[float, ...]:
-    """Weighted L2 norm of K h - v on each control boundary, regions first."""
-    res = apply(K, h) - v
-    return tuple(rule.l2_norm(b) for b, rule in zip(res.blocks, res.rules))
+    """Weighted L2 norm of K h - v on each control boundary, regions first.
+
+    Computed through the factors, whether or not K still holds its matrix:
+    W^(1/2) (K h - v) = Q [U_R diag(sigma) Vt w^(1/2) h; 0] - W^(1/2) v, one
+    reflector pass (:meth:`WeightedSVD.lift`).  Each norm agrees with the
+    nodal ``apply(K, h) - v`` within RESIDUAL_ROUNDING_C * u * (sigma_1
+    ||h|| + ||v||), u = 2^-53.
+    """
+    _check_density(K, h)
+    _check_same_rules(K.control_rules, v.rules)
+    svd = weighted_svd(K)
+    image = svd.lift(svd.sigma * (svd.vt @ (svd.sqrt_col_w * h.values)))  # W^(1/2) K h
+    res = image - svd.sqrt_row_w * v.concatenated  # (m,)
+    return tuple(float(np.linalg.norm(res[sl])) for sl in K.block_slices)
 
 
 def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
@@ -243,11 +288,11 @@ def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
                 f"{rule.node_count} control nodes"
             )
     weighted = K.row_weights * t.concatenated  # (m,)
-    values = (K.matrix.T @ weighted) / K.col_weights  # (n,)
+    values = (_nodal(K).T @ weighted) / K.col_weights  # (n,)
     return Density(rule=K.antenna_rule, values=values)
 
 
-def weighted_svd(K: ForwardOperator) -> WeightedSVD:
+def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
     """SVD of the operator with respect to the weighted norms (cached).
 
     Factorizes B = W^(1/2) A w^(-1/2); B's singular values are the
@@ -256,14 +301,25 @@ def weighted_svd(K: ForwardOperator) -> WeightedSVD:
     Householder reflectors, then R = U_R diag(sigma) Vt, and neither Q nor
     U is formed.  LAPACK's gesdd takes the same steps when m >= 11n/6; on
     both presets sigma and Vt equal ``np.linalg.svd(B)``'s bit for bit.  B
-    is built column-major, so numpy's raw QR hands back the reflectors as
+    is column-major, so numpy's raw QR hands back the reflectors as
     contiguous rows.
+
+    By default B is a scaled copy and K keeps its nodal matrix.  With
+    ``release=True`` the matrix is scaled into B in place and K.matrix set
+    to None, so B is freed when the QR returns and neither A nor B lives
+    through the SVD of R.  Both paths scale in the same order and give
+    bit-identical factors.  A cached call returns the factors and changes
+    nothing.
     """
     if K._svd is not None:
         return K._svd
     sqrt_row = np.sqrt(K.row_weights)
     sqrt_col = np.sqrt(K.col_weights)
-    b = np.multiply(sqrt_row[:, None], K.matrix, order="F")
+    if release:
+        b, K.matrix = np.asfortranarray(_nodal(K)), None
+    else:
+        b = np.array(_nodal(K), order="F")
+    b *= sqrt_row[:, None]
     b /= sqrt_col
     try:
         reflectors, tau = np.linalg.qr(b, mode="raw")  # (n, m), rows contiguous
@@ -281,21 +337,28 @@ def weighted_svd(K: ForwardOperator) -> WeightedSVD:
 
 def factorization_bytes(m: int, n: int) -> int:
     """Bytes an m x n operator and its :func:`weighted_svd` hold at once, at
-    the QR: four m x n float64 arrays (the matrix, B, LAPACK's working copy
-    of B and the reflectors), plus three k x n, k = min(m, n), for the SVD
-    of R.  It overstates the measured growth of peak RSS from assembly through
-    the factorization by 2-8 MiB at 2304 x 800, 2304 x 1152 and 4096 x 512."""
+    the QR, when the operator keeps its matrix, as ``run --dump-operator``
+    does: four m x n float64 arrays (the matrix, B, numpy's copy of B that
+    becomes the reflectors and LAPACK's working copy), plus three k x n,
+    k = min(m, n), for the SVD of R.  ``run`` and ``sweep`` release the
+    matrix into B and hold three.  Growth of peak RSS over an import-only
+    process (ru_maxrss, in m x n arrays) at 2304 x 800, 4096 x 512 and
+    2304 x 1152: 3.63, 3.41 and 4.48 for ``run``; 4.61, 4.40 and 5.43 with
+    ``--dump-operator``; 5.04, 4.38 and 5.5 counted here."""
     return 8 * (4 * m * n + 3 * min(m, n) * n)
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
     """Binary dump: int64 header (magic, version, rows, cols, n_sigma),
-    then the matrix row-major as float64, then the singular values."""
+    then the matrix row-major as float64, then the singular values.  The
+    matrix goes out one row block at a time, so only a block is copied."""
+    matrix = _nodal(K)
     svd = weighted_svd(K)
-    m, n = K.matrix.shape
+    m, n = matrix.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, 1, m, n, svd.sigma.shape[0]))
-        fh.write(np.ascontiguousarray(K.matrix, dtype="<f8").tobytes())
+        for rows in row_blocks(m, n):
+            fh.write(np.ascontiguousarray(matrix[rows], dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(svd.sigma, dtype="<f8").tobytes())
 
 

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcast import assemble_forward, build_rules, build_target, load_scenario, solve_min_energy
+from fieldcast import (apply, assemble_forward, build_rules, build_target, load_scenario,
+                       solve_min_energy, weighted_svd)
 from fieldcast.fields import resolve_epsilon
+from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals
 
 FEASIBLE_EPS_2D = 6.5
 FEASIBLE_EPS_3D = 0.6
@@ -25,6 +27,15 @@ PRESETS = Path(__file__).resolve().parent.parent / "presets"
 def load_preset(name):
     """A demo scenario from ``presets/<name>.scn``, control radii defaulted."""
     return load_scenario(PRESETS / f"{name}.scn")
+
+
+def assert_residuals_match_the_nodal_matvec(K, h, v):
+    """``block_residuals`` (through the factors) against the nodal A h - v,
+    block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1 ||h|| + ||v||)."""
+    nodal = [rule.l2_norm(b) for b, rule in zip((apply(K, h) - v).blocks, K.control_rules)]
+    bound = RESIDUAL_ROUNDING_C * 2.0**-53 * (weighted_svd(K).sigma[0] * h.norm() + v.norm())
+    for factored, direct in zip(block_residuals(K, h, v), nodal, strict=True):
+        assert abs(factored - direct) <= bound
 
 
 def stencil_laplacian(fn, x, h=1e-3):

@@ -2,7 +2,10 @@
 
 import copy
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -19,6 +22,7 @@ from fieldcast.cli import main
 from fieldcast.operator import load_operator_dump
 
 DEMO_2D = str(PRESETS / "demo-2d.scn")
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def _run(args):
@@ -420,6 +424,42 @@ class TestRun:
         assert matrix.shape == (3 * 64, 64)
         assert sigma.shape == (64,)
         assert np.all(np.diff(sigma) <= 0)
+
+
+# Starts ``argv`` and prints its exit code and ru_maxrss (KiB on Linux), read
+# through os.wait4.  A child's ru_maxrss counts the RSS of the process that
+# spawned it, so the child is started from this bare process, not from pytest.
+_LAUNCH = ("import os, subprocess, sys; "
+           "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+           "_, status, usage = os.wait4(p.pid, 0); "
+           "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _child_peak_bytes(argv) -> int:
+    """Peak RSS of ``python <argv>`` in a fresh process."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *argv],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, check=True).stdout
+    code, kib = (int(x) for x in out.split())
+    assert code == 0
+    return kib * 1024
+
+
+def test_run_peak_stays_under_four_matrices_and_dump_moves_no_report_line(tmp_path):
+    # 2304 x 800.  The growth over an import-only child was 4.61 arrays while
+    # run held the nodal matrix through the factorization, 3.6 since it releases it.
+    run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
+           "--epsilon", "0.6", "--nodes", "20,24"]
+    base = _child_peak_bytes(["-c", "import fieldcast.cli"])
+    peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
+    _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
+    assert peak - base <= 4.0 * 8 * 2304 * 800
+    # One residual path whoever owns the matrix: the bodies above [outputs] agree.
+    bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]
+              for d in ("run", "dump")]
+    assert "residual-region-1: " in bodies[0]
+    assert bodies[0] == bodies[1]
 
 
 # Scenario mutation property: each preset at small node counts and a budget

@@ -1,6 +1,7 @@
 """Forward operator assembly, adjointness, inner products, weighted SVD."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from fieldcast import (
     apply,
     apply_adjoint,
     assemble_forward,
+    build_target,
     kernels,
     make_circle_rule,
     weighted_svd,
     xi_inner,
 )
-from fieldcast.geometry import UNIT_SPHERE_MEASURE
-from fieldcast.operator import dump_operator, load_operator_dump
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_residuals_match_the_nodal_matvec
+from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules
+from fieldcast.operator import block_residuals, dump_operator, load_operator_dump
+from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
 
@@ -111,17 +115,16 @@ class TestAssembleApply:
         sigma1 = weighted_svd(K).sigma[0]
         assert np.isfinite(sigma1) and sigma1 > 0
 
-    @pytest.mark.parametrize("parts, block_rows", [
+    @pytest.mark.parametrize("parts, block_cols", [
         ("demo2d_parts", None),
-        ("demo2d_parts", 7),  # 384 rows: 54 full blocks and a ragged one
+        ("demo2d_parts", 7),  # 128 columns: 18 full blocks and a ragged one
         ("demo3d_parts", None),
     ])
-    def test_matrix_bit_identical_to_broadcast_form(self, parts, block_rows, request,
+    def test_matrix_bit_identical_to_broadcast_form(self, parts, block_cols, request,
                                                     monkeypatch):
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        n = antenna.node_count
-        if block_rows is not None:
-            monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_rows * n)
+        if block_cols is not None:
+            monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_cols * K.matrix.shape[0])
         dim = antenna.boundary.dim
         # Reference: the whole (m, n, dim) broadcast, reduced over its last axis.
         diff = np.concatenate([r.nodes for r in controls])[:, None, :] - antenna.nodes[None]
@@ -294,10 +297,6 @@ class TestWeightedSVD:
 
     def test_wide_operator_spans_every_trace(self, demo2d):
         # Fewer control rows than antenna columns, as a small --nodes gives.
-        from dataclasses import replace
-
-        from fieldcast.geometry import Discretization, build_rules
-
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
         K = assemble_forward(antenna, controls)
         assert K.matrix.shape == (24, 64)
@@ -321,6 +320,84 @@ class TestWeightedSVD:
         assert np.max(np.abs(s1 - s2)) <= 1e-12 * s1[0]
 
 
+def _fresh(parts):
+    """A new operator on a preset's rules, never the session fixture's: the
+    fixtures are shared and must keep their matrix."""
+    s, antenna, controls, K, v = parts
+    return assemble_forward(antenna, controls)
+
+
+class TestRelease:
+    def test_assembly_is_column_major(self, demo2d_parts):
+        assert _fresh(demo2d_parts).matrix.flags.f_contiguous
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_release_matches_keep_bit_for_bit(self, parts, request):
+        parts = request.getfixturevalue(parts)
+        kept, released = _fresh(parts), _fresh(parts)
+        keep = weighted_svd(kept)
+        assert np.array_equal(kept.matrix, parts[3].matrix)   # the default keeps it
+        gone = weighted_svd(released, release=True)
+        assert released.matrix is None
+        for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+            assert np.array_equal(getattr(gone, name), getattr(keep, name)), name
+
+    def test_release_traces_one_matrix_and_keep_two(self, demo3d):
+        # 4096 x 512: the SVD of R (three 512 x 512 arrays) stays under the slack.
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
+        peaks = {}
+        for release in (True, False):
+            K = assemble_forward(antenna, controls)
+            nbytes = K.matrix.nbytes
+            tracemalloc.start()
+            try:
+                weighted_svd(K, release=release)
+                peaks[release] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert nbytes == 4096 * 512 * 8
+        # Release: numpy's QR copy.  Keep: B's copy beside it.
+        assert peaks[True] <= nbytes + 8 * MIB
+        assert peaks[False] >= 2 * nbytes
+
+    def test_released_operator_fails_cleanly(self, tmp_path):
+        rng = np.random.default_rng(23)
+        K = _random_operator(rng)
+        h = Density(rule=K.antenna_rule, values=rng.normal(size=6))
+        t = K.split(rng.normal(size=10))
+        weighted_svd(K, release=True)
+        for call in (lambda: apply(K, h), lambda: apply_adjoint(K, t),
+                     lambda: dump_operator(K, tmp_path / "operator.bin")):
+            with pytest.raises(ValueError, match="released"):
+                call()
+        assert not (tmp_path / "operator.bin").exists()
+        assert len(block_residuals(K, h, t)) == 1   # the factors still serve
+
+
+class TestFactoredResidual:
+    @pytest.mark.parametrize("parts, eps", [("demo2d_parts", FEASIBLE_EPS_2D),
+                                            ("demo3d_parts", FEASIBLE_EPS_3D)])
+    def test_presets_match_the_nodal_matvec(self, parts, eps, request):
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        h, _ = solve_min_energy(K, v, eps)
+        assert_residuals_match_the_nodal_matvec(K, h, v)
+
+    def test_wide_operator_matches_the_nodal_matvec(self, demo2d):
+        antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
+        K = assemble_forward(antenna, controls)
+        v = build_target(demo2d, controls)
+        h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
+        assert K.matrix.shape == (24, 64)
+        assert_residuals_match_the_nodal_matvec(K, h, v)
+
+    def test_random_density_matches_the_nodal_matvec(self, demo2d_parts):
+        s, antenna, controls, K, v = demo2d_parts
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
+            assert_residuals_match_the_nodal_matvec(K, h, v)
+
+
 class TestDump:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -330,6 +407,20 @@ class TestDump:
         matrix, sigma = load_operator_dump(path)
         assert np.array_equal(matrix, K.matrix)
         assert np.array_equal(sigma, weighted_svd(K).sigma)
+
+    def test_dump_streams_the_matrix_row_major(self, demo3d_parts, tmp_path):
+        K = demo3d_parts[3]
+        weighted_svd(K)
+        path = tmp_path / "operator.bin"
+        tracemalloc.start()
+        try:
+            dump_operator(K, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * MIB   # row blocks, not copies of the 21 MiB matrix
+        m, n = K.matrix.shape
+        assert path.read_bytes()[40:40 + 8 * m * n] == np.ascontiguousarray(K.matrix).tobytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -22,6 +22,7 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
+from conftest import assert_residuals_match_the_nodal_matvec
 from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization
 from fieldcast.solver import DISCREPANCY_RTOL, residual_floor
 
@@ -91,6 +92,21 @@ def test_sweep_energy_falls_as_the_achieved_discrepancy_grows(s, fractions):
     energies = [energy for _, _, energy in sorted(rows, key=lambda row: row[1])]
     for tighter, looser in zip(energies, energies[1:]):
         assert looser <= tighter * (1.0 + 1e-12)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(s=st.one_of(hard_data(dim=2, target=log_source((0.0, 0.0))),
+                   hard_data(dim=3, target=point_source((0.0, 0.0, 0.0)))),
+       fraction=st.floats(0.01, 0.99))
+def test_factored_residuals_match_the_nodal_matvec(s, fraction):
+    s = with_defaults(s)
+    s = replace(s, discretization=Discretization(16, 32) if s.dim == 2 else Discretization(6, 6))
+    antenna, controls = build_rules(s)
+    K = assemble_forward(antenna, controls)
+    v = build_target(s, controls)
+    floor = residual_floor(K, v)
+    h, _ = solve_min_energy(K, v, floor + fraction * (v.norm() - floor))
+    assert_residuals_match_the_nodal_matvec(K, h, v)
 
 
 def _floor_and_energy(s):
