@@ -31,7 +31,7 @@ from .certify import BoundaryBound, certify_solution, empirical_mismatches
 from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon,
                      scenario_difference_fields)
 from .geometry import (Discretization, Scenario, ScenarioValidationError, build_rules,
-                       rule_node_count, validate_scenario)
+                       harmonic_count, rule_degree, rule_node_count, validate_scenario)
 from .operator import assemble_forward, dump_operator, factorization_bytes, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
@@ -211,16 +211,18 @@ def _stage(timings: list[tuple[str, object]], name: str):
 
 def _check_size(s: Scenario) -> None:
     """Reject a discretization whose operator and factorization would not fit
-    in physical memory, from its node counts alone.  The estimate counts the
-    nodal matrix as kept, so it bounds ``run --dump-operator`` too."""
+    in physical memory, from its node counts alone: m control nodes by M
+    antenna harmonics.  The estimate counts the matrix as kept, so it bounds
+    ``run --dump-operator`` too."""
     d = s.discretization
     m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
     n = rule_node_count(d.antenna, s.dim)
-    need = factorization_bytes(m, n)
+    columns = harmonic_count(rule_degree(d.antenna, s.dim), s.dim)
+    need = factorization_bytes(m, n, columns)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
         raise ScenarioValidationError([
-            f"a {m} x {n} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
+            f"a {m} x {columns} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
 
 
@@ -229,7 +231,7 @@ def _prepare(args, scenario: Scenario, timings, keep_matrix: bool = False):
     the size, build the rules and the target (which rejects an identically
     zero trace), then make the output directory, assemble the operator and
     take the weighted SVD, so a scenario rejected before assembly leaves no
-    directory.  The SVD consumes the nodal matrix unless ``keep_matrix``.
+    directory.  The SVD consumes the operator's matrix unless ``keep_matrix``.
     Returns (out_dir, K, v, svd)."""
     _check_size(scenario)
     with _stage(timings, "target"):
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", default=None, metavar="VALUE|auto",
                      help="override the scenario's accuracy budget")
     run.add_argument("--dump-operator", action="store_true",
-                     help="write the operator matrix and spectrum as binary")
+                     help="write the operator matrix (control nodes x antenna harmonics) "
+                          "and spectrum as binary")
     run.set_defaults(func=cmd_run)
 
     # No abbreviations: "--epsilon" must not pass for "--epsilons".

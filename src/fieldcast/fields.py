@@ -4,8 +4,10 @@ A small catalog of closed-form harmonic fields (point/log sources,
 dipoles, harmonic polynomials) serves as targets; their traces on the
 control spheres, with the exterior target subtracted, form the data the
 forward operator must match.  The field the antenna actually radiates is
-the double-layer potential of the solved density, evaluated here by the
-same quadrature that built the operator.
+the double-layer potential of the solved density, evaluated here by
+Nystrom quadrature over the antenna rule, which agrees with the operator's
+closed form where the antenna resolves the degrees that reach the control
+spheres.
 """
 
 from __future__ import annotations

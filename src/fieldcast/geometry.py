@@ -250,6 +250,86 @@ def rule_node_count(n: int, dim: int) -> int:
     return n if dim == 2 else AZIMUTH_PER_POLAR * n * n
 
 
+def harmonic_degree(rule: QuadratureRule) -> int:
+    """Highest degree L at which the rule integrates the product of any two
+    surface harmonics of degree <= L exactly, so that :func:`surface_harmonics`
+    of degrees 1 .. L, scaled to the rule's radius, is orthonormal in its
+    weights.  A circle rule of n nodes integrates trigonometric polynomials of
+    degree < n, so L = (n - 1) // 2.  A product rule of n_polar Gauss-Legendre
+    rings of n_azimuth nodes integrates polynomials of degree < 2 n_polar in
+    cos(theta) and azimuthal frequencies below n_azimuth, so
+    L = min(n_polar - 1, (n_azimuth - 1) // 2)."""
+    n = rule.node_count
+    if rule.boundary.dim == 2:
+        return (n - 1) // 2
+    n_azimuth = int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
+    return min(n // n_azimuth - 1, (n_azimuth - 1) // 2)
+
+
+def rule_degree(n: int, dim: int) -> int:
+    """:func:`harmonic_degree` of :func:`make_rule`'s rule, without building it."""
+    return (n - 1) // 2 if dim == 2 else n - 1
+
+
+def harmonic_count(degree: int, dim: int) -> int:
+    """Surface harmonics of degrees 1 .. ``degree``: two per degree on a
+    circle, 2l + 1 of degree l on a sphere."""
+    return 2 * degree if dim == 2 else (degree + 1) ** 2 - 1
+
+
+def surface_harmonics(directions, degree: int) -> np.ndarray:
+    """Real surface harmonics of degrees 1 .. ``degree`` at the unit vectors
+    ``directions`` (p, dim), orthonormal on the unit circle or sphere: a
+    column-major (p, M) array, M = harmonic_count(degree, dim).
+
+    Columns run degree by degree: degree l fills columns harmonic_count(l - 1)
+    up to harmonic_count(l).  On the circle, degree n is cos(n theta) then
+    sin(n theta), each over sqrt(pi).  On the sphere, degree l is the zonal
+    Pbar_l^0(cos theta), then sqrt(2) Pbar_l^m(cos theta) cos(m phi) and
+    sqrt(2) Pbar_l^m(cos theta) sin(m phi) for m = 1 .. l, where Pbar_l^m is
+    the associated Legendre function normalized so that Pbar_l^m(cos theta)
+    e^(i m phi) has unit norm (no Condon-Shortley phase).  Pbar_l^m comes from
+    the normalized three-term recurrence in l at fixed m, run on
+    Pbar_l^m / sin^m(theta), a polynomial in cos(theta); the factor
+    sin^m(theta) e^(i m phi) is (x + i y)^m, so the poles need no special case
+    (Atkinson & Han, *Spherical Harmonics and Approximations on the Unit
+    Sphere*, ch. 2).  Degree 0 is left out.
+    """
+    u = np.asarray(directions, dtype=float)
+    p, dim = u.shape
+    out = np.empty((p, harmonic_count(degree, dim)), order="F")
+    z = u[:, 0] + 1j * u[:, 1]   # e^(i theta) on the circle, sin(theta) e^(i phi) on the sphere
+    zm = np.ones(p, dtype=complex)   # z^m
+    if dim == 2:
+        for n in range(1, degree + 1):
+            zm *= z
+            out[:, 2 * n - 2] = zm.real / math.sqrt(math.pi)
+            out[:, 2 * n - 1] = zm.imag / math.sqrt(math.pi)
+        return out
+    t = u[:, 2]
+    start = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])   # Pbar_m^m / sin^m(theta)
+    for m in range(degree + 1):
+        if m:
+            zm *= z
+            start *= math.sqrt((2 * m + 1) / (2 * m))
+        ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag)
+        prev, cur = np.zeros(p), np.full(p, start)
+        for l in range(m, degree + 1):
+            if l > m:
+                a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+                b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                prev, cur = cur, a * (t * cur - b * prev)
+            if l == 0:
+                continue
+            col = l * l - 1
+            if m == 0:
+                out[:, col] = cur
+            else:
+                np.multiply(cur, ring[0], out=out[:, col + 2 * m - 1])
+                np.multiply(cur, ring[1], out=out[:, col + 2 * m])
+    return out
+
+
 @dataclass(frozen=True)
 class Discretization:
     """Node counts per boundary.

@@ -25,10 +25,10 @@ from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 # bugs, never regularized: every boundary pair in scope is well separated.
 COINCIDENT_RTOL = 1e-12
 
-# Row-blocked callers (assembly, field evaluation) pass the kernels at most
-# this many point pairs per call.  Each (rows, n) plane of a block is then
-# 512 KiB of float64, so a block's few live planes stay in cache and small
-# beside the (m, n) matrix the caller fills.
+# Row-blocked callers (the operator's Nystrom oracle, field evaluation) pass
+# the kernels at most this many point pairs per call.  Each (rows, n) plane of
+# a block is then 512 KiB of float64, so a block's few live planes stay in
+# cache and small beside the arrays the caller holds.
 BLOCK_PAIRS = 2**16
 
 

@@ -1,17 +1,22 @@
-"""Discrete forward operator from antenna densities to control-boundary traces.
+"""Forward operator from antenna densities to control-boundary traces.
 
 The operator maps a density on the antenna boundary to the values of its
 double-layer field on every control sphere (one block per region, then
-the outer sphere).  Assembly is plain Nystrom: entry (i, j) is the
-double-layer kernel between control node i and antenna node j times the
-antenna quadrature weight.
+the outer sphere).  It is built in closed form on an orthonormal basis of
+antenna harmonics.  Outside the antenna sphere of radius delta, the double
+layer of a surface harmonic of degree l is again that harmonic, times
+l/(2l+1) (delta/r)^(l+1) in 3D and 1/2 (delta/r)^l in 2D (Kress, *Linear
+Integral Equations*, ch. 6); degree 0 radiates nothing there (Gauss).  So
+column j of the matrix is the trace of basis density j, and the operator
+needs no antenna quadrature and no singular kernel.  The nodal Nystrom
+quadrature of the double-layer kernel stays as the oracle :func:`apply`.
 
 Norms on both sides are quadrature weighted, so discrepancy statements
 are statements about the underlying function-space norms, not about raw
-coefficient vectors.  The adjoint is the exact transpose in those
-weighted inner products, and the cached SVD is taken of the similarity
-W^(1/2) A w^(-1/2) whose singular values are the operator's with respect
-to the true norms.
+coefficient vectors.  The basis is orthonormal in the antenna rule's
+weights, so a density's L2 norm is the norm of its coefficients, and the
+cached SVD is taken of W^(1/2) A, whose singular values are the
+operator's with respect to the true norms.
 """
 
 from __future__ import annotations
@@ -21,17 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SEPARATION_RTOL, QuadratureRule, frozen_array
+from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
+                       harmonic_degree, surface_harmonics)
 from .kernels import dlp_kernel, row_blocks
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
+_DUMP_VERSION = 2
 
-# block_residuals, through the factors, agrees with the nodal A h - v within
-# RESIDUAL_ROUNDING_C * u * (sigma_1 E + ||v||) per block, E = ||h||, u = 2^-53.
-# Largest ratio measured: 2.6 on the presets and 28 benchmark-pool scenarios,
-# 3.1 on a 24 x 64 operator, 24.6 over 4 500 random small scenarios (64 x 16
-# to 288 x 72), where the nodal path stays within 0.6 of an extended-precision
-# A h - v: the factors' rounding, seen through sigma_1 E, is the larger part.
+# block_residuals, through the factors, agrees with A c - v, A the operator's
+# own matrix and c the density's coefficients, within
+# RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||) per block, u = 2^-53.
+# Largest ratio measured: 0.51 at the solved densities and 2.5 at random
+# densities of the presets and 72 benchmark-pool scenarios, 13.1 over 4 500
+# random small scenarios (64 x 14 to 288 x 35).
 RESIDUAL_ROUNDING_C = 64.0
 
 
@@ -117,15 +124,14 @@ def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
 
 @dataclass(frozen=True)
 class WeightedSVD:
-    """Thin SVD B = U diag(sigma) Vt of B = W^(1/2) A w^(-1/2), with U kept
-    factored as U = Q U_R: Q is the orthogonal factor of B's QR, held as its
-    Householder reflectors, and U_R the left factor of the SVD of R.  U is
-    never formed; :meth:`project` applies its transpose and :meth:`lift` U."""
+    """Thin SVD B = U diag(sigma) Vt of B = W^(1/2) A, with U kept factored as
+    U = Q U_R: Q is the orthogonal factor of B's QR, held as its Householder
+    reflectors, and U_R the left factor of the SVD of R.  U is never formed;
+    :meth:`project` applies its transpose and :meth:`lift` U."""
 
-    sigma: np.ndarray    # (k,) nonincreasing, k = min(m, n)
-    vt: np.ndarray       # (k, n)
+    sigma: np.ndarray    # (k,) nonincreasing, k = min(m, M)
+    vt: np.ndarray       # (k, M)
     sqrt_row_w: np.ndarray  # (m,)
-    sqrt_col_w: np.ndarray  # (n,)
     reflectors: np.ndarray  # (k, m): reflector j is [0]*j + [1] + reflectors[j, j+1:]
     tau: np.ndarray      # (k,) reflector scales, H_j = I - tau_j v_j v_j^T
     u_r: np.ndarray      # (k, k)
@@ -157,17 +163,29 @@ class WeightedSVD:
         return y
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise unless every entry is finite, scanning one block of columns at a
+    time so that no array of a's size is allocated."""
+    for cols in row_blocks(a.shape[1], a.shape[0]):
+        if not np.isfinite(a[:, cols]).all():
+            raise ValueError(f"operator {what} contains non-finite entries")
+
+
 @dataclass
 class ForwardOperator:
-    """Dense double-layer trace operator with weighted-SVD cache.
+    """Trace operator on the antenna's harmonic basis, with weighted-SVD cache.
 
-    ``matrix`` already contains the antenna quadrature weights, so
-    applying it to nodal density values yields trace values directly.  It
-    is None once ``weighted_svd(K, release=True)`` has consumed it; the
-    factors then stand in for it (:func:`block_residuals`).
+    Column j of ``matrix`` holds, at every control node, the field radiated
+    by basis density j, whose values at the antenna nodes are column j of
+    ``basis``.  The basis is orthonormal in the antenna rule's weights,
+    basis^T diag(w) basis = I, so coefficients c stand for the density
+    ``basis @ c`` (:meth:`density`) of L2 norm ||c||.  ``matrix`` is None once
+    ``weighted_svd(K, release=True)`` has consumed it; the factors then stand
+    in for it (:func:`block_residuals`).
     """
 
-    matrix: np.ndarray | None  # (m, n): control nodes x antenna nodes
+    matrix: np.ndarray | None  # (m, M): control nodes x antenna harmonics
+    basis: np.ndarray          # (n, M): antenna nodes x antenna harmonics
     antenna_rule: QuadratureRule
     control_rules: list[QuadratureRule]
     _svd: WeightedSVD | None = field(default=None, repr=False)
@@ -176,18 +194,17 @@ class ForwardOperator:
         m = sum(r.node_count for r in self.control_rules)
         n = self.antenna_rule.node_count
         self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != (m, n):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({m}, {n})")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("operator matrix contains non-finite entries")
+        self.basis = np.asarray(self.basis, dtype=float)
+        if self.basis.ndim != 2 or self.basis.shape[0] != n:
+            raise ValueError(f"basis shape {self.basis.shape} != ({n}, M)")
+        if self.matrix.shape != (m, self.basis.shape[1]):
+            raise ValueError(f"matrix shape {self.matrix.shape} != ({m}, {self.basis.shape[1]})")
+        _check_finite(self.matrix, "matrix")
+        _check_finite(self.basis, "basis")
 
     @property
     def row_weights(self) -> np.ndarray:
         return np.concatenate([r.weights for r in self.control_rules])
-
-    @property
-    def col_weights(self) -> np.ndarray:
-        return self.antenna_rule.weights
 
     @property
     def block_slices(self) -> list[slice]:
@@ -203,71 +220,104 @@ class ForwardOperator:
             rules=self.control_rules,
         )
 
+    def density(self, c: np.ndarray) -> Density:
+        """The nodal density of coefficients c: ``basis @ c``."""
+        return Density(rule=self.antenna_rule, values=self.basis @ c)
+
+    def coefficients(self, h: Density) -> np.ndarray:
+        """The coefficients of h's projection onto the basis:
+        basis^T diag(w) h, which recovers c from ``density(c)``."""
+        _check_density(self, h)
+        return self.basis.T @ (self.antenna_rule.weights * h.values)
+
 
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
-    """Assemble the dense double-layer trace matrix.
+    """Build the closed-form trace operator on the antenna's harmonic basis.
 
-    Entry (i, j) = dlp_kernel(x_i, y_j, nu_j) * w_j with x_i running over
-    all control nodes and y_j over antenna nodes.  Control nodes inside or
-    touching the antenna sphere are rejected: the kernels are analytic
-    only for separated boundaries, and a violation indicates a broken
-    scenario rather than something to regularize.  The matrix is
-    column-major, the layout :func:`weighted_svd` factors, and is filled one
-    block of columns at a time, so assembly needs little memory beyond it.
+    The basis holds the surface harmonics of degrees 1 .. L, L the antenna
+    rule's :func:`fieldcast.geometry.harmonic_degree`, over
+    delta^((dim-1)/2): orthonormal in the rule's weights.  Entry (i, j) is
+    g_l (delta/r_i)^(l+dim-2) times basis harmonic j at control node i's
+    direction, with r_i its distance from the antenna centre, l the degree
+    of column j and g_l = l/(2l+1) in 3D, 1/2 in 2D.  Columns follow
+    :func:`fieldcast.geometry.surface_harmonics`.  Control nodes inside or
+    touching the antenna sphere are rejected: the expansion holds only
+    outside it, and a violation indicates a broken scenario rather than
+    something to regularize.  The matrix is column-major, the layout
+    :func:`weighted_svd` factors.
     """
     dim = antenna.boundary.dim
+    center, delta = antenna.boundary.center, antenna.boundary.radius
     for rule in controls:
         if rule.boundary.dim != dim:
             raise ValueError("antenna and control rules have mixed dimensions")
-        rho = np.linalg.norm(rule.nodes - antenna.boundary.center, axis=-1)
-        if np.any(rho < antenna.boundary.radius * (1.0 + SEPARATION_RTOL)):
+        rho = np.linalg.norm(rule.nodes - center, axis=-1)
+        if np.any(rho < delta * (1.0 + SEPARATION_RTOL)):
             raise ValueError(
                 "control boundary comes too close to the antenna boundary"
             )
-    x = np.concatenate([r.nodes for r in controls])[None]  # (1, m, dim)
-    y, nu, w = antenna.nodes[:, None, :], antenna.normals[:, None, :], antenna.weights[:, None]
-    matrix = np.empty((x.shape[1], antenna.node_count), order="F")
-    for cols in row_blocks(antenna.node_count, x.shape[1]):
-        kernel = dlp_kernel(x, y[cols], nu[cols], dim)  # (cols, m): the block's transpose
-        np.multiply(kernel, w[cols], out=matrix[:, cols].T)
-    return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls))
-
-
-def _nodal(K: ForwardOperator) -> np.ndarray:
-    """K's nodal matrix; a ValueError if ``weighted_svd`` has consumed it."""
-    if K.matrix is None:
-        raise ValueError("the operator's nodal matrix was released to its weighted SVD "
-                         "(weighted_svd(K, release=True)); assemble it again to apply it")
-    return K.matrix
+    degree = harmonic_degree(antenna)
+    scale = delta ** (-(dim - 1) / 2)
+    basis = surface_harmonics(antenna.normals, degree)
+    basis *= scale
+    x = np.concatenate([r.nodes for r in controls]) - center  # (m, dim)
+    r = np.linalg.norm(x, axis=-1)  # (m,)
+    matrix = surface_harmonics(x / r[:, None], degree)  # (m, M)
+    q = delta / r
+    radial = scale * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, times the scale
+    for l in range(1, degree + 1):
+        radial = radial * q
+        gain = 0.5 if dim == 2 else l / (2 * l + 1)
+        cols = slice(harmonic_count(l - 1, dim), harmonic_count(l, dim))
+        matrix[:, cols] *= (gain * radial)[:, None]
+    return ForwardOperator(matrix=matrix, basis=basis, antenna_rule=antenna,
+                           control_rules=list(controls))
 
 
 def _check_density(K: ForwardOperator, h: Density) -> None:
     n = K.antenna_rule.node_count
     if h.values.shape[0] != n:
         raise ValueError(
-            f"density length {h.values.shape[0]} does not match operator columns {n}"
+            f"density length {h.values.shape[0]} does not match the {n} antenna nodes"
         )
 
 
+def _kernel_blocks(K: ForwardOperator):
+    """The nodal double-layer kernel dlp_kernel(x_i, y_j, nu_j), x_i over all
+    control nodes and y_j over the antenna nodes, one block of antenna nodes
+    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each."""
+    a = K.antenna_rule
+    x = np.concatenate([r.nodes for r in K.control_rules])[None]  # (1, m, dim)
+    for cols in row_blocks(a.node_count, x.shape[1]):
+        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim)
+
+
 def apply(K: ForwardOperator, h: Density) -> ControlTrace:
-    """Double-layer traces of a density on every control boundary."""
+    """Double-layer traces of a nodal density on every control boundary, by
+    Nystrom quadrature over the antenna rule: sum_j dlp_kernel(x_i, y_j, nu_j)
+    w_j h_j.  The oracle for the closed-form matrix; it stores no matrix."""
     _check_density(K, h)
-    return K.split(_nodal(K) @ h.values)
+    wh = K.antenna_rule.weights * h.values  # (n,)
+    trace = np.zeros(sum(r.node_count for r in K.control_rules))  # (m,)
+    for cols, kernel in _kernel_blocks(K):
+        trace += wh[cols] @ kernel
+    return K.split(trace)
 
 
 def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[float, ...]:
     """Weighted L2 norm of K h - v on each control boundary, regions first.
 
-    Computed through the factors, whether or not K still holds its matrix:
-    W^(1/2) (K h - v) = Q [U_R diag(sigma) Vt w^(1/2) h; 0] - W^(1/2) v, one
-    reflector pass (:meth:`WeightedSVD.lift`).  Each norm agrees with the
-    nodal ``apply(K, h) - v`` within RESIDUAL_ROUNDING_C * u * (sigma_1
-    ||h|| + ||v||), u = 2^-53.
+    Computed through the factors from h's coefficients c
+    (:meth:`ForwardOperator.coefficients`), whether or not K still holds
+    its matrix: W^(1/2) (A c - v) = Q [U_R diag(sigma) Vt c; 0] - W^(1/2) v,
+    one reflector pass (:meth:`WeightedSVD.lift`).  Each norm agrees with
+    that of ``A c - v`` within RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| +
+    ||v||), u = 2^-53.
     """
-    _check_density(K, h)
+    c = K.coefficients(h)
     _check_same_rules(K.control_rules, v.rules)
     svd = weighted_svd(K)
-    image = svd.lift(svd.sigma * (svd.vt @ (svd.sqrt_col_w * h.values)))  # W^(1/2) K h
+    image = svd.lift(svd.sigma * (svd.vt @ c))  # W^(1/2) A c
     res = image - svd.sqrt_row_w * v.concatenated  # (m,)
     return tuple(float(np.linalg.norm(res[sl])) for sl in K.block_slices)
 
@@ -275,9 +325,9 @@ def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[fl
 def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
     """Adjoint of :func:`apply` in the weighted inner products.
 
-    Computed as w^(-1) A^T W applied to the concatenated trace, which is
-    the exact discrete adjoint; it coincides with Nystrom quadrature of
-    the adjoint kernel over the control boundaries.
+    Nystrom quadrature of the adjoint kernel over the control boundaries:
+    value j is sum_i dlp_kernel(x_i, y_j, nu_j) W_i t_i, the exact discrete
+    adjoint of :func:`apply`.  It stores no matrix.
     """
     if len(t.blocks) != len(K.control_rules):
         raise ValueError("trace block count does not match the operator")
@@ -288,41 +338,48 @@ def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
                 f"{rule.node_count} control nodes"
             )
     weighted = K.row_weights * t.concatenated  # (m,)
-    values = (_nodal(K).T @ weighted) / K.col_weights  # (n,)
+    values = np.empty(K.antenna_rule.node_count)  # (n,)
+    for cols, kernel in _kernel_blocks(K):
+        values[cols] = kernel @ weighted
     return Density(rule=K.antenna_rule, values=values)
+
+
+def _matrix(K: ForwardOperator) -> np.ndarray:
+    """K's matrix; a ValueError if ``weighted_svd`` has consumed it."""
+    if K.matrix is None:
+        raise ValueError("the operator's matrix was released to its weighted SVD "
+                         "(weighted_svd(K, release=True)); assemble it again to dump it")
+    return K.matrix
 
 
 def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
     """SVD of the operator with respect to the weighted norms (cached).
 
-    Factorizes B = W^(1/2) A w^(-1/2); B's singular values are the
-    operator's between the weighted spaces, and the compactness of the
-    underlying integral operator shows up as their rapid decay.  B = QR by
-    Householder reflectors, then R = U_R diag(sigma) Vt, and neither Q nor
-    U is formed.  LAPACK's gesdd takes the same steps when m >= 11n/6; on
-    both presets sigma and Vt equal ``np.linalg.svd(B)``'s bit for bit.  B
-    is column-major, so numpy's raw QR hands back the reflectors as
-    contiguous rows.
+    Factorizes B = W^(1/2) A; the basis is orthonormal in the antenna's
+    weights, so B's singular values are the operator's between the weighted
+    spaces, and the compactness of the underlying integral operator shows up
+    as their rapid decay.  B = QR by Householder reflectors, then
+    R = U_R diag(sigma) Vt, and neither Q nor U is formed.  LAPACK's gesdd
+    takes the same steps when m >= 11M/6; on both presets sigma and Vt equal
+    ``np.linalg.svd(B)``'s bit for bit.  B is column-major, so numpy's raw QR
+    hands back the reflectors as contiguous rows.
 
-    By default B is a scaled copy and K keeps its nodal matrix.  With
+    By default B is a scaled copy and K keeps its matrix.  With
     ``release=True`` the matrix is scaled into B in place and K.matrix set
     to None, so B is freed when the QR returns and neither A nor B lives
-    through the SVD of R.  Both paths scale in the same order and give
-    bit-identical factors.  A cached call returns the factors and changes
-    nothing.
+    through the SVD of R.  Both paths scale alike and give bit-identical
+    factors.  A cached call returns the factors and changes nothing.
     """
     if K._svd is not None:
         return K._svd
     sqrt_row = np.sqrt(K.row_weights)
-    sqrt_col = np.sqrt(K.col_weights)
     if release:
-        b, K.matrix = np.asfortranarray(_nodal(K)), None
+        b, K.matrix = np.asfortranarray(_matrix(K)), None
     else:
-        b = np.array(_nodal(K), order="F")
+        b = np.array(_matrix(K), order="F")
     b *= sqrt_row[:, None]
-    b /= sqrt_col
     try:
-        reflectors, tau = np.linalg.qr(b, mode="raw")  # (n, m), rows contiguous
+        reflectors, tau = np.linalg.qr(b, mode="raw")  # (M, m), rows contiguous
         del b
         k = tau.shape[0]
         u_r, sigma, vt = np.linalg.svd(np.triu(reflectors[:, :k].T), full_matrices=False)
@@ -330,34 +387,52 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
         raise RuntimeError(f"weighted SVD failed to converge: {exc}") from exc
     reflectors = reflectors[:k]
     np.fill_diagonal(reflectors, 1.0)
-    K._svd = WeightedSVD(sigma=sigma, vt=vt, sqrt_row_w=sqrt_row, sqrt_col_w=sqrt_col,
-                         reflectors=reflectors, tau=tau, u_r=u_r)
+    K._svd = WeightedSVD(sigma=sigma, vt=vt, sqrt_row_w=sqrt_row, reflectors=reflectors,
+                         tau=tau, u_r=u_r)
     return K._svd
 
 
-def factorization_bytes(m: int, n: int) -> int:
-    """Bytes an m x n operator and its :func:`weighted_svd` hold at once, at
-    the QR, when the operator keeps its matrix, as ``run --dump-operator``
-    does: four m x n float64 arrays (the matrix, B, numpy's copy of B that
-    becomes the reflectors and LAPACK's working copy), plus three k x n,
-    k = min(m, n), for the SVD of R.  ``run`` and ``sweep`` release the
-    matrix into B and hold three.  Growth of peak RSS over an import-only
-    process (ru_maxrss, in m x n arrays) at 2304 x 800, 4096 x 512 and
-    2304 x 1152: 3.63, 3.41 and 4.48 for ``run``; 4.61, 4.40 and 5.43 with
-    ``--dump-operator``; 5.04, 4.38 and 5.5 counted here."""
-    return 8 * (4 * m * n + 3 * min(m, n) * n)
+# What a run holds beside the operator's arrays: per control node, about 32
+# float64 of rules, target and assembly temporaries; and a fixed part for the
+# probes' kernel blocks and the BLAS and module memory a run touches beyond
+# ``import fieldcast.cli``.  A run at 64 x 15, where the arrays are
+# negligible, grows by 9.0 MiB; at 1024 x 63 by 10.4 MiB more than its arrays.
+RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
+RUN_OVERHEAD_BYTES = 12 * 2**20
+
+
+def factorization_bytes(m: int, n: int, columns: int) -> int:
+    """Bytes a run holds at its peak, the QR in :func:`weighted_svd`, for m
+    control nodes, n antenna nodes and M = ``columns`` antenna harmonics,
+    when the operator keeps its matrix, as ``run --dump-operator`` does: four
+    m x M float64 arrays (the matrix, B, numpy's copy of B that becomes the
+    reflectors, and LAPACK's working copy), the n x M basis, three k x M,
+    k = min(m, M), for the SVD of R, and the run's other arrays
+    (RUN_OVERHEAD_BYTES_PER_ROW per control node plus RUN_OVERHEAD_BYTES).
+    ``run`` and ``sweep`` release the matrix into B and hold one m x M array
+    less.  Growth of peak RSS over an import-only process (ru_maxrss), in
+    MiB, for ``run`` / ``run --dump-operator`` / this estimate: 28.8 / 35.8 /
+    46.7 at 2304 x 399 (n = 800), 28.5 / 36.4 / 47.4 at 4096 x 255 (n = 512)
+    and 42.9 / 53.0 / 65.6 at 2304 x 575 (n = 1152)."""
+    arrays = 4 * m * columns + n * columns + 3 * min(m, columns) * columns
+    return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * m + RUN_OVERHEAD_BYTES
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
-    """Binary dump: int64 header (magic, version, rows, cols, n_sigma),
-    then the matrix row-major as float64, then the singular values.  The
-    matrix goes out one row block at a time, so only a block is copied."""
-    matrix = _nodal(K)
+    """Binary dump, version 2: int64 header (magic, version, rows m, columns M,
+    n_sigma), then the m x M matrix row-major as float64, then the singular
+    values.  Rows are the control nodes, regions first and the outer sphere
+    last.  Columns are the antenna harmonics of
+    :func:`fieldcast.geometry.surface_harmonics`, degree by degree from 1: in
+    2D cos then sin of each degree; in 3D the zonal harmonic of degree l,
+    then cos and sin of each order m = 1 .. l.  The matrix goes out one row
+    block at a time, so only a block is copied."""
+    matrix = _matrix(K)
     svd = weighted_svd(K)
-    m, n = matrix.shape
+    m, columns = matrix.shape
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<5q", _DUMP_MAGIC, 1, m, n, svd.sigma.shape[0]))
-        for rows in row_blocks(m, n):
+        fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
+        for rows in row_blocks(m, columns):
             fh.write(np.ascontiguousarray(matrix[rows], dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(svd.sigma, dtype="<f8").tobytes())
 
@@ -365,9 +440,9 @@ def dump_operator(K: ForwardOperator, path) -> None:
 def load_operator_dump(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back a dump written by :func:`dump_operator`: (matrix, sigma)."""
     with open(path, "rb") as fh:
-        magic, version, m, n, k = struct.unpack("<5q", fh.read(40))
-        if magic != _DUMP_MAGIC or version != 1:
-            raise ValueError(f"not a version-1 operator dump: {path}")
-        matrix = np.frombuffer(fh.read(8 * m * n), dtype="<f8").reshape(m, n)
+        magic, version, m, columns, k = struct.unpack("<5q", fh.read(40))
+        if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
+            raise ValueError(f"not a version-{_DUMP_VERSION} operator dump: {path}")
+        matrix = np.frombuffer(fh.read(8 * m * columns), dtype="<f8").reshape(m, columns)
         sigma = np.frombuffer(fh.read(8 * k), dtype="<f8")
     return matrix.copy(), sigma.copy()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +85,14 @@ class _FilterData:
         return self.sigma * self.beta / (alpha + self.sigma**2)
 
     def energy(self, alpha: float) -> float:
-        """Antenna L2 norm of the density at alpha (``vt`` has orthonormal rows)."""
+        """Antenna L2 norm of the density at alpha: ``vt`` has orthonormal rows
+        and the operator's basis is orthonormal."""
         return float(np.linalg.norm(self.coefficients(alpha)))
 
+    @cached_property
     def floor(self) -> float:
-        """Residual at the bottom of the alpha bracket, see :func:`residual_floor`."""
+        """Residual at the bottom of the alpha bracket, see :func:`residual_floor`;
+        computed once, however many budgets are matched."""
         sigma_1 = float(self.sigma[0]) if self.sigma.size else 0.0
         if sigma_1 == 0.0:
             return math.sqrt(self.perp_sq + float(self.beta @ self.beta))
@@ -112,9 +116,8 @@ class _FilterData:
             raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
         if epsilon >= self.v_norm:
             return math.inf, self.v_norm, 0
-        floor = self.floor()
-        if epsilon <= floor:
-            raise InfeasibleAccuracyError(epsilon, floor)
+        if epsilon <= self.floor:
+            raise InfeasibleAccuracyError(epsilon, self.floor)
 
         sigma_1 = float(self.sigma[0])
         lo = math.log10(ALPHA_BRACKET_LO * sigma_1**2)
@@ -158,22 +161,16 @@ def sweep_ladder(values, name: str) -> list[float]:
     return ladder
 
 
-def _density_from_coefficients(K: ForwardOperator, coeff: np.ndarray) -> Density:
-    svd = weighted_svd(K)
-    values = (svd.vt.T @ coeff) / svd.sqrt_col_w  # (n,)
-    return Density(rule=K.antenna_rule, values=values)
-
-
 def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
     """Smallest residual the discretization can certify.
 
     Evaluated at the bottom of the alpha bracket with singular values
     below the rank cutoff treated as zero: the continuous operator has
-    dense range, but a fixed Nystrom grid does not, and requests below
-    this floor must be reported as infeasible rather than silently
-    under-delivered.
+    dense range, but a fixed set of antenna harmonics and control nodes
+    does not, and requests below this floor must be reported as
+    infeasible rather than silently under-delivered.
     """
-    return _filter_data(K, v).floor()
+    return _filter_data(K, v).floor
 
 
 def solve_min_energy(
@@ -183,7 +180,7 @@ def solve_min_energy(
     ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
     data = _filter_data(K, v)
     alpha, disc, iterations = data.match(epsilon)
-    h = _density_from_coefficients(K, data.coefficients(alpha))
+    h = K.density(weighted_svd(K).vt.T @ data.coefficients(alpha))
     report = SolveReport(
         alpha_star=alpha,
         discrepancy=disc,
@@ -191,7 +188,7 @@ def solve_min_energy(
         energy=data.energy(alpha),
         bracket_iterations=iterations,
         block_residuals=block_residuals(K, h, v),
-        epsilon_floor=data.floor(),
+        epsilon_floor=data.floor,
         degenerate=alpha == math.inf,
     )
     return h, report

@@ -13,13 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcast import (apply, assemble_forward, build_rules, build_target, load_scenario,
+from fieldcast import (assemble_forward, build_rules, build_target, dlp_kernel, load_scenario,
                        solve_min_energy, weighted_svd)
 from fieldcast.fields import resolve_epsilon
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals
+from fieldcast.solver import _FilterData
 
 FEASIBLE_EPS_2D = 6.5
 FEASIBLE_EPS_3D = 0.6
+
+# Closed-form columns agree with the Nystrom sum of their basis densities to
+# this fraction of the largest entry, where the antenna resolves L* + 1 degrees.
+COLUMN_RTOL = 1e-12
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -29,13 +34,48 @@ def load_preset(name):
     return load_scenario(PRESETS / f"{name}.scn")
 
 
-def assert_residuals_match_the_nodal_matvec(K, h, v):
-    """``block_residuals`` (through the factors) against the nodal A h - v,
-    block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1 ||h|| + ||v||)."""
-    nodal = [rule.l2_norm(b) for b, rule in zip((apply(K, h) - v).blocks, K.control_rules)]
-    bound = RESIDUAL_ROUNDING_C * 2.0**-53 * (weighted_svd(K).sigma[0] * h.norm() + v.norm())
-    for factored, direct in zip(block_residuals(K, h, v), nodal, strict=True):
-        assert abs(factored - direct) <= bound
+def assert_residuals_match_the_matrix(K, h, v):
+    """``block_residuals`` (through the factors) against the operator's own
+    A c - v, c the coefficients of h, block by block, within
+    RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||)."""
+    c = K.coefficients(h)
+    direct = [rule.l2_norm(b) for b, rule in zip((K.split(K.matrix @ c) - v).blocks,
+                                                 K.control_rules)]
+    bound = RESIDUAL_ROUNDING_C * 2.0**-53 * (weighted_svd(K).sigma[0] * np.linalg.norm(c)
+                                              + v.norm())
+    for factored, expected in zip(block_residuals(K, h, v), direct, strict=True):
+        assert abs(factored - expected) <= bound
+
+
+def nystrom_matrix(antenna, controls):
+    """The nodal Nystrom matrix dlp_kernel(x_i, y_j, nu_j) w_j, in the
+    broadcast (m, n, dim) form, one control rule at a time."""
+    dim = antenna.boundary.dim
+    blocks = [dlp_kernel(rule.nodes[:, None, :], antenna.nodes[None], antenna.normals[None], dim)
+              for rule in controls]
+    return np.concatenate(blocks) * antenna.weights
+
+
+def assert_columns_match_the_nystrom_sum(K):
+    """Each closed-form column against the Nystrom sum of its basis density
+    (:func:`fieldcast.operator.apply`, whose blocks ``nystrom_matrix``
+    reproduces), within COLUMN_RTOL of the largest entry."""
+    nodal = nystrom_matrix(K.antenna_rule, K.control_rules) @ K.basis
+    assert np.max(np.abs(nodal - K.matrix)) <= COLUMN_RTOL * np.max(np.abs(K.matrix))
+
+
+def nodal_floor_and_energy(antenna, controls, v, epsilon):
+    """Residual floor and energy at ``epsilon`` of the nodal Nystrom operator,
+    factored by LAPACK's SVD of W^(1/2) A w^(-1/2): the oracle the closed-form
+    operator replaces."""
+    sqrt_row = np.sqrt(np.concatenate([r.weights for r in controls]))
+    b = sqrt_row[:, None] * nystrom_matrix(antenna, controls) / np.sqrt(antenna.weights)
+    u, sigma, _ = np.linalg.svd(b, full_matrices=False)
+    x = sqrt_row * v.concatenated
+    beta = u.T @ x
+    perp = x - u @ beta
+    data = _FilterData(sigma=sigma, beta=beta, perp_sq=float(perp @ perp), v_norm=v.norm())
+    return data.floor, data.energy(data.match(epsilon)[0])
 
 
 def stencil_laplacian(fn, x, h=1e-3):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import FEASIBLE_EPS_2D, PRESETS
 from fieldcast import cli
 from fieldcast.cli import main
-from fieldcast.operator import load_operator_dump
+from fieldcast.operator import factorization_bytes, load_operator_dump
 
 DEMO_2D = str(PRESETS / "demo-2d.scn")
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -293,8 +293,9 @@ class TestRun:
 
     def test_oversized_discretization_exits_before_any_rule(self, tmp_path, capsys,
                                                             monkeypatch):
-        # 3D at 5000 polar nodes: a 1e8 x 5e7 operator, far beyond any
-        # machine's memory; the counts alone decide, so nothing is allocated.
+        # 3D at 5000 polar nodes: 1e8 control nodes by 5000^2 - 1 antenna
+        # harmonics, far beyond any machine's memory; the counts alone decide,
+        # so nothing is allocated.
         monkeypatch.setattr(cli, "build_rules", _never_called)
         out = tmp_path / "out"
         t0 = time.perf_counter()
@@ -303,7 +304,7 @@ class TestRun:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         err = capsys.readouterr().err
-        assert "a 100000000 x 50000000 operator" in err and "GiB of physical memory" in err
+        assert "a 100000000 x 24999999 operator" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_control_sphere_inside_antenna_reach_fails_validation(self, tmp_path, capsys):
@@ -410,9 +411,10 @@ class TestRun:
         assert code == 0
         body = (out / "report.txt").read_text()
         assert "nodes-antenna: 64" in body
-        # Spectrum row count equals the smaller matrix dimension.
+        # Spectrum row count equals the smaller matrix dimension: the 62
+        # harmonics of degrees 1 .. 31 that 64 circle nodes resolve.
         rows = (out / "spectrum.tsv").read_text().splitlines()
-        assert len(rows) == 2 + 64
+        assert len(rows) == 2 + 62
 
     def test_dump_operator_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -421,8 +423,8 @@ class TestRun:
                      "--nodes", "64,64"])
         assert code == 0
         matrix, sigma = load_operator_dump(out / "operator.bin")
-        assert matrix.shape == (3 * 64, 64)
-        assert sigma.shape == (64,)
+        assert matrix.shape == (3 * 64, 62)
+        assert sigma.shape == (62,)
         assert np.all(np.diff(sigma) <= 0)
 
 
@@ -447,14 +449,18 @@ def _child_peak_bytes(argv) -> int:
 
 
 def test_run_peak_stays_under_four_matrices_and_dump_moves_no_report_line(tmp_path):
-    # 2304 x 800.  The growth over an import-only child was 4.61 arrays while
-    # run held the nodal matrix through the factorization, 3.6 since it releases it.
+    # 2304 control by 800 antenna nodes.  The growth over an import-only child
+    # was 4.61 nodal 2304 x 800 arrays while run held the nodal matrix through
+    # the factorization, 3.6 once it released it, and is about 2.0 with the
+    # 2304 x 399 closed-form operator.  The size guard's estimate bounds the
+    # dump run, which keeps the matrix.
     run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
            "--epsilon", "0.6", "--nodes", "20,24"]
     base = _child_peak_bytes(["-c", "import fieldcast.cli"])
     peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
-    _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
+    dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
     assert peak - base <= 4.0 * 8 * 2304 * 800
+    assert dump - base <= factorization_bytes(2304, 800, 399)
     # One residual path whoever owns the matrix: the bodies above [outputs] agree.
     bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]
               for d in ("run", "dump")]
@@ -606,7 +612,7 @@ class TestSweep:
         assert _run(["sweep", DEMO_2D, "--out", str(out),
                      "--epsilons", "6.5"]) == 0
         rows = (out / "spectrum.tsv").read_text().splitlines()
-        assert len(rows) == 2 + 128
+        assert len(rows) == 2 + 126   # degrees 1 .. 63 of 128 circle nodes
 
     def test_empty_ladder_is_usage_error(self, tmp_path, capsys):
         code = _run(["sweep", DEMO_2D, "--out", str(tmp_path / "o"),

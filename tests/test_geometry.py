@@ -22,7 +22,9 @@ from fieldcast import (
 )
 from fieldcast.fields import dipole, log_source
 from conftest import load_preset
-from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, Discretization, build_rules
+from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization, build_rules,
+                                harmonic_count, harmonic_degree, make_rule, rule_degree,
+                                surface_harmonics)
 
 
 class TestCircleRule:
@@ -91,6 +93,55 @@ class TestSphereRule:
             make_sphere_rule((0.0, 0.0, 0.0), 1.0, 1, 16)
         with pytest.raises(ValueError):
             make_sphere_rule((0.0, 0.0, 0.0), 1.0, 8, 3)
+
+
+class TestSurfaceHarmonics:
+    @pytest.mark.parametrize("n, dim", [(4, 2), (5, 2), (40, 2), (128, 2),
+                                        (2, 3), (7, 3), (16, 3), (24, 3)])
+    def test_orthonormal_on_make_rules_own_nodes(self, n, dim):
+        rule = make_rule(np.zeros(dim), 1.0, n, dim)
+        degree = harmonic_degree(rule)
+        assert degree == rule_degree(n, dim)
+        y = surface_harmonics(rule.normals, degree)
+        assert y.shape == (rule.node_count, harmonic_count(degree, dim))
+        assert y.flags.f_contiguous
+        gram = y.T @ (rule.weights[:, None] * y)
+        assert np.max(np.abs(gram - np.eye(y.shape[1]))) <= 1e-13
+
+    def test_product_rule_degree_follows_the_coarser_direction(self):
+        # 10 rings of 9 azimuth nodes: frequencies up to 4 only.
+        assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9)) == 4
+        assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32)) == 2
+
+    def test_low_degrees_match_their_closed_forms(self):
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(50, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        x, y, z = u.T
+        c1, c2 = math.sqrt(3 / (4 * math.pi)), math.sqrt(15 / (4 * math.pi))
+        expected = np.column_stack([
+            c1 * z, c1 * x, c1 * y,                                  # degree 1
+            math.sqrt(5 / (16 * math.pi)) * (3 * z**2 - 1),          # degree 2: m = 0
+            c2 * x * z, c2 * y * z, c2 / 2 * (x**2 - y**2), c2 * x * y,
+        ])
+        assert np.max(np.abs(surface_harmonics(u, 2) - expected)) <= 1e-15
+        theta = rng.uniform(0, 2 * np.pi, 50)
+        circle = np.column_stack([np.cos(theta), np.sin(theta)])
+        expected = np.column_stack([f(k * theta) for k in (1, 2, 3) for f in (np.cos, np.sin)])
+        assert np.max(np.abs(surface_harmonics(circle, 3) - expected / math.sqrt(math.pi))) <= 1e-15
+
+    @pytest.mark.parametrize("degree", [1, 5, 23])
+    def test_addition_theorem(self, degree):
+        # sum_m Y_lm(a) Y_lm(b) = (2l + 1) / (4 pi) P_l(a . b), degree by degree,
+        # including directions at the poles.
+        rng = np.random.default_rng(degree)
+        u = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], rng.normal(size=(30, 3))])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        y = surface_harmonics(u, degree)
+        cols = slice(harmonic_count(degree - 1, 3), harmonic_count(degree, 3))
+        zonal = np.polynomial.legendre.Legendre.basis(degree)(u @ u.T)
+        expected = (2 * degree + 1) / (4 * math.pi) * zonal
+        assert np.max(np.abs(y[:, cols] @ y[:, cols].T - expected)) <= 1e-13 * (2 * degree + 1)
 
 
 def _scenario_2d(regions, outer_control=None, observation=15.0):

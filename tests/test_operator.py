@@ -20,7 +20,8 @@ from fieldcast import (
     weighted_svd,
     xi_inner,
 )
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_residuals_match_the_nodal_matvec
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
+                      assert_residuals_match_the_matrix, nystrom_matrix)
 from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules
 from fieldcast.operator import block_residuals, dump_operator, load_operator_dump
 from fieldcast.solver import solve_min_energy
@@ -35,8 +36,8 @@ def _small_geometry(n_antenna=6, n_control=10):
 
 
 def _weighted(K):
-    """B = W^(1/2) A w^(-1/2), formed as ``weighted_svd`` forms it."""
-    return (np.sqrt(K.row_weights)[:, None] * K.matrix) / np.sqrt(K.col_weights)[None, :]
+    """B = W^(1/2) A, formed as ``weighted_svd`` forms it."""
+    return np.sqrt(K.row_weights)[:, None] * K.matrix
 
 
 @pytest.fixture(scope="module", params=["demo2d_parts", "demo3d_parts"])
@@ -46,11 +47,19 @@ def preset_gesdd(request):
     return K, np.linalg.svd(_weighted(K), full_matrices=False)
 
 
-def _random_operator(rng, n_antenna=6, n_control=10):
-    """Operator with a random matrix but genuine quadrature weights."""
+def _operator_with(matrix_of, n_antenna=6, n_control=10):
+    """Operator with the genuine basis and quadrature weights of the small
+    geometry and the matrix ``matrix_of(M)`` gives for its M columns."""
     antenna, controls = _small_geometry(n_antenna, n_control)
-    matrix = rng.normal(size=(n_control, n_antenna))
-    return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=controls)
+    basis = assemble_forward(antenna, controls).basis
+    return ForwardOperator(matrix=matrix_of(basis.shape[1]), basis=basis,
+                           antenna_rule=antenna, control_rules=controls)
+
+
+def _random_operator(rng, n_antenna=6, n_control=10):
+    """Operator with a random matrix but genuine basis and quadrature weights."""
+    return _operator_with(lambda columns: rng.normal(size=(n_control, columns)),
+                          n_antenna, n_control)
 
 
 class TestAssembleApply:
@@ -117,22 +126,73 @@ class TestAssembleApply:
 
     @pytest.mark.parametrize("parts, block_cols", [
         ("demo2d_parts", None),
-        ("demo2d_parts", 7),  # 128 columns: 18 full blocks and a ragged one
+        ("demo2d_parts", 7),  # 128 antenna nodes: 18 full blocks and a ragged one
         ("demo3d_parts", None),
     ])
-    def test_matrix_bit_identical_to_broadcast_form(self, parts, block_cols, request,
-                                                    monkeypatch):
+    def test_apply_matches_the_broadcast_form(self, parts, block_cols, request, monkeypatch):
+        # The blocked Nystrom sums against the whole (m, n, dim) broadcast matrix.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
+        m = K.matrix.shape[0]
         if block_cols is not None:
-            monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_cols * K.matrix.shape[0])
+            monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_cols * m)
         dim = antenna.boundary.dim
-        # Reference: the whole (m, n, dim) broadcast, reduced over its last axis.
         diff = np.concatenate([r.nodes for r in controls])[:, None, :] - antenna.nodes[None]
         dist = np.linalg.norm(diff, axis=-1)
         kernel = np.sum(diff * antenna.normals[None], axis=-1) / (
             UNIT_SPHERE_MEASURE[dim] * dist**dim)
         reference = kernel * antenna.weights[None, :]
-        assert np.array_equal(assemble_forward(antenna, controls).matrix, reference)
+        assert np.array_equal(nystrom_matrix(antenna, controls), reference)
+        rng = np.random.default_rng(31)
+        h = rng.normal(size=antenna.node_count)
+        trace = apply(K, Density(rule=antenna, values=h)).concatenated
+        # Both sums within the dot-product error bound n u sum |a_j h_j| of the exact one.
+        u = 2.0**-53
+        assert np.all(np.abs(trace - reference @ h)
+                      <= 2 * antenna.node_count * u * (np.abs(reference) @ np.abs(h)))
+        t = rng.normal(size=m)
+        adjoint = apply_adjoint(K, K.split(t)).values
+        wt = K.row_weights * t
+        expected = (reference.T @ wt) / antenna.weights
+        assert np.all(np.abs(adjoint - expected)
+                      <= 2 * (m + 2) * u * (np.abs(reference).T @ np.abs(wt)) / antenna.weights)
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_columns_match_the_nystrom_sum(self, parts, request):
+        assert_columns_match_the_nystrom_sum(request.getfixturevalue(parts)[3])
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_basis_is_orthonormal_on_the_antenna_rule(self, parts, request):
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        gram = K.basis.T @ (antenna.weights[:, None] * K.basis)
+        assert np.max(np.abs(gram - np.eye(K.basis.shape[1]))) <= 1e-13
+
+    def test_3d_columns_match_the_nystrom_sum_at_a_pool_shape(self, demo3d):
+        # 16 polar antenna nodes resolve degree 15 = L*: the shape of the
+        # smaller benchmark antenna, 4 x 8 control nodes per sphere.
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 8)))
+        assert_columns_match_the_nystrom_sum(assemble_forward(antenna, controls))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "basis"])
+    def test_non_finite_entries_rejected(self, bad, where):
+        K = _random_operator(np.random.default_rng(5))
+        arrays = {"matrix": K.matrix.copy(), "basis": K.basis.copy()}
+        arrays[where][-1, -1] = bad
+        with pytest.raises(ValueError, match=f"{where} contains non-finite"):
+            ForwardOperator(**arrays, antenna_rule=K.antenna_rule, control_rules=K.control_rules)
+
+    def test_finiteness_scan_allocates_no_matrix_sized_mask(self, demo3d):
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
+        K = assemble_forward(antenna, controls)
+        assert K.matrix.shape == (4096, 255)
+        tracemalloc.start()
+        try:
+            ForwardOperator(matrix=K.matrix, basis=K.basis, antenna_rule=antenna,
+                            control_rules=controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= K.matrix.size // 8   # a whole bool mask is K.matrix.size bytes
 
     def test_assembly_peak_memory_is_about_the_matrix(self, demo3d_parts):
         s, antenna, controls, K, v = demo3d_parts
@@ -262,9 +322,8 @@ class TestWeightedSVD:
 
     def test_rank_one_fixture(self):
         rng = np.random.default_rng(8)
-        antenna, controls = _small_geometry()
-        matrix = np.outer(rng.normal(size=10), rng.normal(size=6))
-        K = ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=controls)
+        K = _operator_with(lambda columns: np.outer(rng.normal(size=10),
+                                                    rng.normal(size=columns)))
         sigma = weighted_svd(K).sigma
         assert np.all(sigma[1:] <= 1e-12 * sigma[0])
 
@@ -291,7 +350,7 @@ class TestWeightedSVD:
         m = K.matrix.shape[0]
         u = np.array([svd.project(e)[0] for e in np.eye(m)])  # row i is U^T e_i
         rebuilt = (u * svd.sigma) @ svd.vt
-        rebuilt = rebuilt / svd.sqrt_row_w[:, None] * svd.sqrt_col_w[None, :]
+        rebuilt = rebuilt / svd.sqrt_row_w[:, None]
         scale = np.max(np.abs(K.matrix))
         assert np.max(np.abs(rebuilt - K.matrix)) <= 1e-10 * scale
 
@@ -299,7 +358,7 @@ class TestWeightedSVD:
         # Fewer control rows than antenna columns, as a small --nodes gives.
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
         K = assemble_forward(antenna, controls)
-        assert K.matrix.shape == (24, 64)
+        assert K.matrix.shape == (24, 62)
         svd = weighted_svd(K)
         sigma = np.linalg.svd(_weighted(K), compute_uv=False)
         assert svd.sigma.shape == sigma.shape == (24,)
@@ -343,7 +402,7 @@ class TestRelease:
             assert np.array_equal(getattr(gone, name), getattr(keep, name)), name
 
     def test_release_traces_one_matrix_and_keep_two(self, demo3d):
-        # 4096 x 512: the SVD of R (three 512 x 512 arrays) stays under the slack.
+        # 4096 x 255: the SVD of R (three 255 x 255 arrays) stays under the slack.
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
         peaks = {}
         for release in (True, False):
@@ -355,7 +414,7 @@ class TestRelease:
                 peaks[release] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert nbytes == 4096 * 512 * 8
+        assert nbytes == 4096 * 255 * 8
         # Release: numpy's QR copy.  Keep: B's copy beside it.
         assert peaks[True] <= nbytes + 8 * MIB
         assert peaks[False] >= 2 * nbytes
@@ -365,37 +424,45 @@ class TestRelease:
         K = _random_operator(rng)
         h = Density(rule=K.antenna_rule, values=rng.normal(size=6))
         t = K.split(rng.normal(size=10))
+        before = apply(K, h).concatenated, apply_adjoint(K, t).values
         weighted_svd(K, release=True)
-        for call in (lambda: apply(K, h), lambda: apply_adjoint(K, t),
-                     lambda: dump_operator(K, tmp_path / "operator.bin")):
-            with pytest.raises(ValueError, match="released"):
-                call()
+        with pytest.raises(ValueError, match="released"):
+            dump_operator(K, tmp_path / "operator.bin")
         assert not (tmp_path / "operator.bin").exists()
         assert len(block_residuals(K, h, t)) == 1   # the factors still serve
+        # The Nystrom oracles never read the matrix.
+        assert np.array_equal(apply(K, h).concatenated, before[0])
+        assert np.array_equal(apply_adjoint(K, t).values, before[1])
 
 
 class TestFactoredResidual:
+    # Each case checks the two links from the factored residuals to the nodal
+    # matvec: the factors against the operator's own matrix, and its
+    # closed-form columns against the Nystrom sums of the basis densities.
     @pytest.mark.parametrize("parts, eps", [("demo2d_parts", FEASIBLE_EPS_2D),
                                             ("demo3d_parts", FEASIBLE_EPS_3D)])
     def test_presets_match_the_nodal_matvec(self, parts, eps, request):
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         h, _ = solve_min_energy(K, v, eps)
-        assert_residuals_match_the_nodal_matvec(K, h, v)
+        assert_residuals_match_the_matrix(K, h, v)
+        assert_columns_match_the_nystrom_sum(K)
 
     def test_wide_operator_matches_the_nodal_matvec(self, demo2d):
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
         K = assemble_forward(antenna, controls)
         v = build_target(demo2d, controls)
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
-        assert K.matrix.shape == (24, 64)
-        assert_residuals_match_the_nodal_matvec(K, h, v)
+        assert K.matrix.shape == (24, 62)
+        assert_residuals_match_the_matrix(K, h, v)
+        assert_columns_match_the_nystrom_sum(K)
 
     def test_random_density_matches_the_nodal_matvec(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         rng = np.random.default_rng(29)
         for _ in range(3):
             h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-            assert_residuals_match_the_nodal_matvec(K, h, v)
+            assert_residuals_match_the_matrix(K, h, v)
+        assert_columns_match_the_nystrom_sum(K)
 
 
 class TestDump:

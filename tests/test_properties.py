@@ -22,7 +22,7 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import assert_residuals_match_the_nodal_matvec
+from conftest import assert_residuals_match_the_matrix, nodal_floor_and_energy
 from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization
 from fieldcast.solver import DISCREPANCY_RTOL, residual_floor
 
@@ -98,7 +98,7 @@ def test_sweep_energy_falls_as_the_achieved_discrepancy_grows(s, fractions):
 @given(s=st.one_of(hard_data(dim=2, target=log_source((0.0, 0.0))),
                    hard_data(dim=3, target=point_source((0.0, 0.0, 0.0)))),
        fraction=st.floats(0.01, 0.99))
-def test_factored_residuals_match_the_nodal_matvec(s, fraction):
+def test_factored_residuals_match_the_matrix(s, fraction):
     s = with_defaults(s)
     s = replace(s, discretization=Discretization(16, 32) if s.dim == 2 else Discretization(6, 6))
     antenna, controls = build_rules(s)
@@ -106,17 +106,19 @@ def test_factored_residuals_match_the_nodal_matvec(s, fraction):
     v = build_target(s, controls)
     floor = residual_floor(K, v)
     h, _ = solve_min_energy(K, v, floor + fraction * (v.norm() - floor))
-    assert_residuals_match_the_nodal_matvec(K, h, v)
+    assert_residuals_match_the_matrix(K, h, v)
 
 
-def _floor_and_energy(s):
-    """The residual floor, and the energy at epsilon = floor + 0.1 (||v|| - floor)."""
+def _solve(s):
+    """Rules, target, residual floor, epsilon = floor + 0.1 (||v|| - floor)
+    and the energy at that epsilon."""
     antenna, controls = build_rules(s)
     K = assemble_forward(antenna, controls)
     v = build_target(s, controls)
     floor = residual_floor(K, v)
-    _, report = solve_min_energy(K, v, floor + 0.1 * (v.norm() - floor))
-    return floor, report.energy
+    epsilon = floor + 0.1 * (v.norm() - floor)
+    _, report = solve_min_energy(K, v, epsilon)
+    return antenna, controls, v, floor, epsilon, report.energy
 
 
 # In 3D the control rules are coarsened to keep the default antenna's SVD cheap.
@@ -126,15 +128,22 @@ _CONTROL_NODES = {2: DEFAULT_NODES[2], 3: 8}
 def _assert_geometry_sized_antenna_matches_the_default(s):
     # The antenna count read off the geometry loses nothing the default
     # count resolves: same floor and same energy at the same control count.
+    # And the closed-form operator gives the floor and energy of the nodal
+    # Nystrom operator at that count, within the floor's documented 2e-10
+    # antenna-count jitter.
     s = with_defaults(s)
     chosen = s.discretization.antenna
     assert MIN_NODES[s.dim] <= chosen <= DEFAULT_NODES[s.dim]
     control = _CONTROL_NODES[s.dim]
-    floor, energy = _floor_and_energy(replace(s, discretization=Discretization(chosen, control)))
-    ref_floor, ref_energy = _floor_and_energy(
+    antenna, controls, v, floor, epsilon, energy = _solve(
+        replace(s, discretization=Discretization(chosen, control)))
+    *_, ref_floor, _, ref_energy = _solve(
         replace(s, discretization=Discretization(DEFAULT_NODES[s.dim], control)))
     assert floor == pytest.approx(ref_floor, rel=1e-10)
     assert energy == pytest.approx(ref_energy, rel=1e-9)
+    nodal_floor, nodal_energy = nodal_floor_and_energy(antenna, controls, v, epsilon)
+    assert floor == pytest.approx(nodal_floor, rel=2e-10)
+    assert energy == pytest.approx(nodal_energy, rel=1e-9)
 
 
 # Inward gaps from delta (2D) or 3 delta (3D) up to 30 delta: the chosen

@@ -9,7 +9,6 @@ import pytest
 from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
 from fieldcast import (
     ControlTrace,
-    Density,
     Discretization,
     ForwardOperator,
     InfeasibleAccuracyError,
@@ -24,21 +23,24 @@ from fieldcast import (
     sweep_epsilon,
     weighted_svd,
 )
+from fieldcast import solver
 from fieldcast.solver import rank_above_cutoff, residual_floor
 
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
-    """Small synthetic operator with genuine quadrature weights."""
+    """Small synthetic operator: a random matrix on the genuine antenna basis
+    and quadrature weights."""
     antenna = make_circle_rule((0.0, 0.0), 1.0, n_antenna)
     control = make_circle_rule((8.0, 0.0), 2.0, n_control)
+    basis = assemble_forward(antenna, [control]).basis
     K = ForwardOperator(
-        matrix=rng.normal(size=(n_control, n_antenna)),
+        matrix=rng.normal(size=(n_control, basis.shape[1])),
+        basis=basis,
         antenna_rule=antenna,
         control_rules=[control],
     )
     if target_in_range:
-        h_star = Density(rule=antenna, values=rng.normal(size=n_antenna))
-        clean = apply(K, h_star).blocks[0]
+        clean = K.matrix @ rng.normal(size=basis.shape[1])
         noise = 1e-3 * rng.normal(size=n_control)
         v = ControlTrace(blocks=[clean + noise], rules=[control])
     else:
@@ -47,13 +49,13 @@ def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
 
 
 def _dense_normal_solve(K, v, alpha):
-    """Oracle: solve (alpha*diag(w) + A^T W A) h = A^T W v directly."""
+    """Oracle: solve (alpha I + A^T W A) c = A^T W v directly, and return the
+    nodal values of the density basis @ c."""
     A = K.matrix
-    w = K.col_weights
     W = K.row_weights
-    lhs = alpha * np.diag(w) + A.T @ (W[:, None] * A)
+    lhs = alpha * np.eye(A.shape[1]) + A.T @ (W[:, None] * A)
     rhs = A.T @ (W * v.concatenated)
-    return np.linalg.solve(lhs, rhs)
+    return K.basis @ np.linalg.solve(lhs, rhs)
 
 
 def _qp_oracle_energy(K, v, disc_target):
@@ -62,11 +64,11 @@ def _qp_oracle_energy(K, v, disc_target):
     Works in the weighted coordinates through an eigendecomposition of the
     normal matrix (no SVD of the operator): scans 1e4 log-spaced Lagrange
     multipliers to bracket the residual target, then bisects the bracket
-    so the comparison is limited by neither grid nor root tolerance.
+    so the comparison is limited by neither grid nor root tolerance.  The
+    basis is orthonormal, so the energy is the coefficient norm.
     """
-    sqrt_w = np.sqrt(K.col_weights)
     sqrt_W = np.sqrt(K.row_weights)
-    B = (sqrt_W[:, None] * K.matrix) / sqrt_w[None, :]
+    B = sqrt_W[:, None] * K.matrix
     b = sqrt_W * v.concatenated
     lam, Q = np.linalg.eigh(B.T @ B)
     rhs = Q.T @ (B.T @ b)
@@ -214,8 +216,7 @@ class TestResidualFloor:
         worst = 0.0
         for _ in range(200):
             K, _ = _random_instance(rng)
-            h = Density(rule=K.antenna_rule, values=rng.normal(size=K.matrix.shape[1]))
-            v = apply(K, h)
+            v = K.split(K.matrix @ rng.normal(size=K.matrix.shape[1]))
             worst = max(worst, residual_floor(K, v) / v.norm())
         assert worst <= 1e-11
 
@@ -283,6 +284,21 @@ class TestSweepEpsilon:
         s, antenna, controls, K, v = demo2d_parts
         eps = 2.0 * v.norm()
         assert sweep_epsilon(K, v, [eps]) == [(eps, v.norm(), 0.0)]
+
+    def test_floor_is_computed_once_per_sweep(self, demo2d_parts, monkeypatch):
+        # The floor counts the rank and filters the spectrum: once per sweep,
+        # not once per ladder value.
+        s, antenna, controls, K, v = demo2d_parts
+        calls = []
+
+        def counted(sigma):
+            calls.append(sigma.shape)
+            return rank_above_cutoff(sigma)
+
+        monkeypatch.setattr(solver, "rank_above_cutoff", counted)
+        rows = sweep_epsilon(K, v, np.linspace(6.0, 9.0, 20))
+        assert len(rows) == 20
+        assert len(calls) == 1
 
     def test_ladder_reaching_the_floor_raises(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
