@@ -212,8 +212,8 @@ def _stage(timings: list[tuple[str, object]], name: str):
 def _check_size(s: Scenario) -> None:
     """Reject a discretization whose operator and factorization would not fit
     in physical memory, from its node counts alone: m control nodes by M
-    antenna harmonics.  The estimate counts the matrix as kept, so it bounds
-    ``run --dump-operator`` too."""
+    antenna harmonics.  Every command releases the matrix to the SVD, so one
+    estimate, three m x M arrays at the QR, bounds them all."""
     d = s.discretization
     m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
     n = rule_node_count(d.antenna, s.dim)
@@ -226,12 +226,12 @@ def _check_size(s: Scenario) -> None:
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
 
 
-def _prepare(args, scenario: Scenario, timings, keep_matrix: bool = False):
+def _prepare(args, scenario: Scenario, timings):
     """The steps ``run`` and ``sweep`` share after loading the scenario: check
     the size, build the rules and the target (which rejects an identically
     zero trace), then make the output directory, assemble the operator and
     take the weighted SVD, so a scenario rejected before assembly leaves no
-    directory.  The SVD consumes the operator's matrix unless ``keep_matrix``.
+    directory.  The SVD consumes the operator's matrix, for every command.
     Returns (out_dir, K, v, svd)."""
     _check_size(scenario)
     with _stage(timings, "target"):
@@ -245,7 +245,7 @@ def _prepare(args, scenario: Scenario, timings, keep_matrix: bool = False):
     with _stage(timings, "assemble"):
         K = assemble_forward(antenna, controls)
     with _stage(timings, "svd"):
-        svd = weighted_svd(K, release=not keep_matrix)
+        svd = weighted_svd(K, release=True)
     return out_dir, K, v, svd
 
 
@@ -281,7 +281,7 @@ def cmd_run(args) -> int:
     timings: list[tuple[str, object]] = []
     scenario = _load(args)
     grid_shape = _grid_shape(args.grid, scenario.dim) if args.grid is not None else None
-    out_dir, K, v, svd = _prepare(args, scenario, timings, keep_matrix=args.dump_operator)
+    out_dir, K, v, svd = _prepare(args, scenario, timings)
     with _stage(timings, "solve"):
         h, report = solve_min_energy(K, v, float(scenario.epsilon))
     with _stage(timings, "certify"):
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", default=None, metavar="VALUE|auto",
                      help="override the scenario's accuracy budget")
     run.add_argument("--dump-operator", action="store_true",
-                     help="write the operator matrix (control nodes x antenna harmonics) "
-                          "and spectrum as binary")
+                     help="write the operator matrix (control nodes x antenna harmonics, "
+                          "evaluated again in row blocks) and spectrum as binary")
     run.set_defaults(func=cmd_run)
 
     # No abbreviations: "--epsilon" must not pass for "--epsilons".

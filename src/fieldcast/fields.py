@@ -18,7 +18,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       control_labels, make_rule, on_boundary, validate_scenario)
+                       control_labels, make_rule, nodes_around, on_boundary,
+                       validate_scenario)
 from .kernels import dlp_kernel, row_blocks
 from .operator import ControlTrace
 
@@ -335,14 +336,8 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     back to absolute mismatch for identically-zero targets.
     """
     pts = spec.points()
-    rule = g.rule
-    delta = rule.boundary.radius
-    # Nodes around the density's rule: the whole circle in 2D, the nodes of
-    # one polar ring (those sharing the first node's z) in 3D.
-    n_around = rule.node_count
-    if s.dim == 3:
-        n_around = int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
-    exclusion = delta * (1.0 + 2.0 * np.pi / n_around)
+    delta = g.rule.boundary.radius
+    exclusion = delta * (1.0 + 2.0 * np.pi / nodes_around(g.rule))
 
     rho = np.linalg.norm(pts, axis=-1)
     keep = rho > delta  # drop the antenna ball entirely

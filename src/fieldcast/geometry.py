@@ -250,6 +250,14 @@ def rule_node_count(n: int, dim: int) -> int:
     return n if dim == 2 else AZIMUTH_PER_POLAR * n * n
 
 
+def nodes_around(rule: QuadratureRule) -> int:
+    """Nodes around the rule: all of them on a circle, and on a sphere those
+    of the first polar ring, the nodes sharing the first node's z."""
+    if rule.boundary.dim == 2:
+        return rule.node_count
+    return int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
+
+
 def harmonic_degree(rule: QuadratureRule) -> int:
     """Highest degree L at which the rule integrates the product of any two
     surface harmonics of degree <= L exactly, so that :func:`surface_harmonics`
@@ -259,11 +267,10 @@ def harmonic_degree(rule: QuadratureRule) -> int:
     rings of n_azimuth nodes integrates polynomials of degree < 2 n_polar in
     cos(theta) and azimuthal frequencies below n_azimuth, so
     L = min(n_polar - 1, (n_azimuth - 1) // 2)."""
-    n = rule.node_count
+    n_around = nodes_around(rule)
     if rule.boundary.dim == 2:
-        return (n - 1) // 2
-    n_azimuth = int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
-    return min(n // n_azimuth - 1, (n_azimuth - 1) // 2)
+        return (n_around - 1) // 2
+    return min(rule.node_count // n_around - 1, (n_around - 1) // 2)
 
 
 def rule_degree(n: int, dim: int) -> int:
@@ -299,10 +306,12 @@ def surface_harmonics(directions, degree: int) -> np.ndarray:
     p, dim = u.shape
     out = np.empty((p, harmonic_count(degree, dim)), order="F")
     z = u[:, 0] + 1j * u[:, 1]   # e^(i theta) on the circle, sin(theta) e^(i phi) on the sphere
-    zm = np.ones(p, dtype=complex)   # z^m
+    # z^m, multiplied out of place: numpy rounds an in-place product of one
+    # element as a reduction, without the fused multiply-add of longer ones.
+    zm = np.ones(p, dtype=complex)
     if dim == 2:
         for n in range(1, degree + 1):
-            zm *= z
+            zm = zm * z
             out[:, 2 * n - 2] = zm.real / math.sqrt(math.pi)
             out[:, 2 * n - 1] = zm.imag / math.sqrt(math.pi)
         return out
@@ -310,7 +319,7 @@ def surface_harmonics(directions, degree: int) -> np.ndarray:
     start = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])   # Pbar_m^m / sin^m(theta)
     for m in range(degree + 1):
         if m:
-            zm *= z
+            zm = zm * z
             start *= math.sqrt((2 * m + 1) / (2 * m))
         ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag)
         prev, cur = np.zeros(p), np.full(p, start)

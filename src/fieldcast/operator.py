@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -181,7 +182,8 @@ class ForwardOperator:
     basis^T diag(w) basis = I, so coefficients c stand for the density
     ``basis @ c`` (:meth:`density`) of L2 norm ||c||.  ``matrix`` is None once
     ``weighted_svd(K, release=True)`` has consumed it; the factors then stand
-    in for it (:func:`block_residuals`).
+    in for it (:func:`block_residuals`), and :func:`dump_operator` evaluates
+    its rows again.
     """
 
     matrix: np.ndarray | None  # (m, M): control nodes x antenna harmonics
@@ -231,45 +233,47 @@ class ForwardOperator:
         return self.basis.T @ (self.antenna_rule.weights * h.values)
 
 
-def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
-    """Build the closed-form trace operator on the antenna's harmonic basis.
+def basis_fields(antenna: QuadratureRule, points) -> np.ndarray:
+    """The field of each of the antenna's basis densities at each of the
+    points (p, dim): a column-major (p, M) array.
 
     The basis holds the surface harmonics of degrees 1 .. L, L the antenna
     rule's :func:`fieldcast.geometry.harmonic_degree`, over
     delta^((dim-1)/2): orthonormal in the rule's weights.  Entry (i, j) is
-    g_l (delta/r_i)^(l+dim-2) times basis harmonic j at control node i's
-    direction, with r_i its distance from the antenna centre, l the degree
-    of column j and g_l = l/(2l+1) in 3D, 1/2 in 2D.  Columns follow
-    :func:`fieldcast.geometry.surface_harmonics`.  Control nodes inside or
-    touching the antenna sphere are rejected: the expansion holds only
-    outside it, and a violation indicates a broken scenario rather than
-    something to regularize.  The matrix is column-major, the layout
-    :func:`weighted_svd` factors.
+    g_l (delta/r_i)^(l+dim-2) times basis harmonic j at point i's direction,
+    with r_i its distance from the antenna centre, l the degree of column j
+    and g_l = l/(2l+1) in 3D, 1/2 in 2D.  Columns follow
+    :func:`fieldcast.geometry.surface_harmonics`.  A row depends on its point
+    alone, bit for bit.  Points inside or touching the antenna sphere are
+    rejected: the expansion holds only outside it, and a violation indicates
+    a broken scenario rather than something to regularize.
     """
     dim = antenna.boundary.dim
     center, delta = antenna.boundary.center, antenna.boundary.radius
-    for rule in controls:
-        if rule.boundary.dim != dim:
-            raise ValueError("antenna and control rules have mixed dimensions")
-        rho = np.linalg.norm(rule.nodes - center, axis=-1)
-        if np.any(rho < delta * (1.0 + SEPARATION_RTOL)):
-            raise ValueError(
-                "control boundary comes too close to the antenna boundary"
-            )
+    if np.shape(points)[-1] != dim:
+        raise ValueError("antenna and points have mixed dimensions")
+    x = np.asarray(points, dtype=float) - center  # (p, dim)
+    r = np.linalg.norm(x, axis=-1)  # (p,)
+    if np.any(r < delta * (1.0 + SEPARATION_RTOL)):
+        raise ValueError("control boundary comes too close to the antenna boundary")
     degree = harmonic_degree(antenna)
-    scale = delta ** (-(dim - 1) / 2)
-    basis = surface_harmonics(antenna.normals, degree)
-    basis *= scale
-    x = np.concatenate([r.nodes for r in controls]) - center  # (m, dim)
-    r = np.linalg.norm(x, axis=-1)  # (m,)
-    matrix = surface_harmonics(x / r[:, None], degree)  # (m, M)
+    fields = surface_harmonics(x / r[:, None], degree)  # (p, M)
     q = delta / r
-    radial = scale * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, times the scale
+    radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
     for l in range(1, degree + 1):
         radial = radial * q
         gain = 0.5 if dim == 2 else l / (2 * l + 1)
         cols = slice(harmonic_count(l - 1, dim), harmonic_count(l, dim))
-        matrix[:, cols] *= (gain * radial)[:, None]
+        fields[:, cols] *= (gain * radial)[:, None]
+    return fields
+
+
+def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
+    """The closed-form trace operator: the antenna's harmonic basis, and its
+    :func:`basis_fields` at the control nodes, regions first, as the matrix."""
+    basis = surface_harmonics(antenna.normals, harmonic_degree(antenna))
+    basis *= antenna.boundary.radius ** (-(antenna.boundary.dim - 1) / 2)
+    matrix = basis_fields(antenna, np.concatenate([r.nodes for r in controls]))
     return ForwardOperator(matrix=matrix, basis=basis, antenna_rule=antenna,
                            control_rules=list(controls))
 
@@ -329,27 +333,12 @@ def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
     value j is sum_i dlp_kernel(x_i, y_j, nu_j) W_i t_i, the exact discrete
     adjoint of :func:`apply`.  It stores no matrix.
     """
-    if len(t.blocks) != len(K.control_rules):
-        raise ValueError("trace block count does not match the operator")
-    for block, rule in zip(t.blocks, K.control_rules):
-        if block.shape[0] != rule.node_count:
-            raise ValueError(
-                f"trace block length {block.shape[0]} does not match "
-                f"{rule.node_count} control nodes"
-            )
+    _check_same_rules(K.control_rules, t.rules)
     weighted = K.row_weights * t.concatenated  # (m,)
     values = np.empty(K.antenna_rule.node_count)  # (n,)
     for cols, kernel in _kernel_blocks(K):
         values[cols] = kernel @ weighted
     return Density(rule=K.antenna_rule, values=values)
-
-
-def _matrix(K: ForwardOperator) -> np.ndarray:
-    """K's matrix; a ValueError if ``weighted_svd`` has consumed it."""
-    if K.matrix is None:
-        raise ValueError("the operator's matrix was released to its weighted SVD "
-                         "(weighted_svd(K, release=True)); assemble it again to dump it")
-    return K.matrix
 
 
 def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
@@ -374,9 +363,9 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
         return K._svd
     sqrt_row = np.sqrt(K.row_weights)
     if release:
-        b, K.matrix = np.asfortranarray(_matrix(K)), None
+        b, K.matrix = np.asfortranarray(K.matrix), None
     else:
-        b = np.array(_matrix(K), order="F")
+        b = np.array(K.matrix, order="F")
     b *= sqrt_row[:, None]
     try:
         reflectors, tau = np.linalg.qr(b, mode="raw")  # (M, m), rows contiguous
@@ -403,18 +392,17 @@ RUN_OVERHEAD_BYTES = 12 * 2**20
 
 def factorization_bytes(m: int, n: int, columns: int) -> int:
     """Bytes a run holds at its peak, the QR in :func:`weighted_svd`, for m
-    control nodes, n antenna nodes and M = ``columns`` antenna harmonics,
-    when the operator keeps its matrix, as ``run --dump-operator`` does: four
-    m x M float64 arrays (the matrix, B, numpy's copy of B that becomes the
-    reflectors, and LAPACK's working copy), the n x M basis, three k x M,
-    k = min(m, M), for the SVD of R, and the run's other arrays
-    (RUN_OVERHEAD_BYTES_PER_ROW per control node plus RUN_OVERHEAD_BYTES).
-    ``run`` and ``sweep`` release the matrix into B and hold one m x M array
-    less.  Growth of peak RSS over an import-only process (ru_maxrss), in
-    MiB, for ``run`` / ``run --dump-operator`` / this estimate: 28.8 / 35.8 /
-    46.7 at 2304 x 399 (n = 800), 28.5 / 36.4 / 47.4 at 4096 x 255 (n = 512)
-    and 42.9 / 53.0 / 65.6 at 2304 x 575 (n = 1152)."""
-    arrays = 4 * m * columns + n * columns + 3 * min(m, columns) * columns
+    control nodes, n antenna nodes and M = ``columns`` antenna harmonics:
+    three m x M float64 arrays (B, into which the matrix was released,
+    numpy's copy of B that becomes the reflectors, and LAPACK's working
+    copy), the n x M basis, three k x M, k = min(m, M), for the SVD of R, and
+    the run's other arrays (RUN_OVERHEAD_BYTES_PER_ROW per control node plus
+    RUN_OVERHEAD_BYTES).  Every command releases the matrix, ``run
+    --dump-operator`` too.  Growth of peak RSS over an import-only process
+    (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
+    estimate: 28.8 / 28.7 / 39.7 at 2304 x 399 (n = 800), 28.5 / 28.5 / 39.4
+    at 4096 x 255 (n = 512) and 42.9 / 42.9 / 55.5 at 2304 x 575 (n = 1152)."""
+    arrays = 3 * m * columns + n * columns + 3 * min(m, columns) * columns
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * m + RUN_OVERHEAD_BYTES
 
 
@@ -425,24 +413,30 @@ def dump_operator(K: ForwardOperator, path) -> None:
     last.  Columns are the antenna harmonics of
     :func:`fieldcast.geometry.surface_harmonics`, degree by degree from 1: in
     2D cos then sin of each degree; in 3D the zonal harmonic of degree l,
-    then cos and sin of each order m = 1 .. l.  The matrix goes out one row
-    block at a time, so only a block is copied."""
-    matrix = _matrix(K)
+    then cos and sin of each order m = 1 .. l.  The rows are evaluated again
+    by :func:`basis_fields` on K's rules, one block at a time: ``K.matrix``
+    bit for bit, whether or not the SVD released it, for one more assembly
+    (0.04 s at 3456 x 399) and no more memory."""
     svd = weighted_svd(K)
-    m, columns = matrix.shape
+    nodes = np.concatenate([r.nodes for r in K.control_rules])  # (m, dim)
+    m, columns = nodes.shape[0], K.basis.shape[1]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
         for rows in row_blocks(m, columns):
-            fh.write(np.ascontiguousarray(matrix[rows], dtype="<f8").tobytes())
+            block = basis_fields(K.antenna_rule, nodes[rows])
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(svd.sigma, dtype="<f8").tobytes())
 
 
 def load_operator_dump(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back a dump written by :func:`dump_operator`: (matrix, sigma)."""
-    with open(path, "rb") as fh:
-        magic, version, m, columns, k = struct.unpack("<5q", fh.read(40))
-        if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
-            raise ValueError(f"not a version-{_DUMP_VERSION} operator dump: {path}")
-        matrix = np.frombuffer(fh.read(8 * m * columns), dtype="<f8").reshape(m, columns)
-        sigma = np.frombuffer(fh.read(8 * k), dtype="<f8")
-    return matrix.copy(), sigma.copy()
+    """Read back a dump written by :func:`dump_operator`: (matrix, sigma).
+    A file longer or shorter than its header announces is rejected."""
+    data = Path(path).read_bytes()
+    magic, version, m, columns, k = struct.unpack_from("<5q", data.ljust(40, b"\0"))
+    if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
+        raise ValueError(f"not a version-{_DUMP_VERSION} operator dump: {path}")
+    size = 40 + 8 * (m * columns + k)
+    if len(data) != size:
+        raise ValueError(f"operator dump {path} holds {len(data)} bytes, not {size}")
+    values = np.frombuffer(data, dtype="<f8", offset=40)
+    return values[: m * columns].reshape(m, columns).copy(), values[m * columns:].copy()

@@ -23,8 +23,8 @@ from fieldcast import (
 from fieldcast.fields import dipole, log_source
 from conftest import load_preset
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization, build_rules,
-                                harmonic_count, harmonic_degree, make_rule, rule_degree,
-                                surface_harmonics)
+                                harmonic_count, harmonic_degree, make_rule, nodes_around,
+                                rule_degree, surface_harmonics)
 
 
 class TestCircleRule:
@@ -112,6 +112,10 @@ class TestSurfaceHarmonics:
         # 10 rings of 9 azimuth nodes: frequencies up to 4 only.
         assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9)) == 4
         assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32)) == 2
+
+    def test_nodes_around_are_the_circle_or_one_polar_ring(self):
+        assert nodes_around(make_rule(np.zeros(2), 1.0, 40, 2)) == 40
+        assert nodes_around(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9)) == 9
 
     def test_low_degrees_match_their_closed_forms(self):
         rng = np.random.default_rng(3)

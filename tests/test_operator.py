@@ -1,5 +1,6 @@
 """Forward operator assembly, adjointness, inner products, weighted SVD."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from fieldcast import (
     build_target,
     kernels,
     make_circle_rule,
+    make_sphere_rule,
     weighted_svd,
     xi_inner,
 )
@@ -215,6 +217,14 @@ class TestAssembleApply:
         wrong = Density(rule=make_circle_rule((0.0, 0.0), 1.0, 64), values=np.ones(64))
         with pytest.raises(ValueError, match="does not match"):
             apply(K, wrong)
+        # Same node counts on other spheres: not a trace of K's.
+        moved = [make_circle_rule(r.boundary.center, 1.5 * r.boundary.radius, r.node_count)
+                 for r in controls]
+        t = ControlTrace(blocks=[np.ones(r.node_count) for r in moved], rules=moved)
+        with pytest.raises(ValueError, match="different boundaries"):
+            apply_adjoint(K, t)
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            assemble_forward(antenna, [make_sphere_rule((0.0, 0.0, 0.0), 20.0, 4, 8)])
 
 
 class TestAdjoint:
@@ -419,17 +429,18 @@ class TestRelease:
         assert peaks[True] <= nbytes + 8 * MIB
         assert peaks[False] >= 2 * nbytes
 
-    def test_released_operator_fails_cleanly(self, tmp_path):
+    def test_released_operator_still_serves(self, demo2d_parts, tmp_path):
         rng = np.random.default_rng(23)
-        K = _random_operator(rng)
-        h = Density(rule=K.antenna_rule, values=rng.normal(size=6))
-        t = K.split(rng.normal(size=10))
+        K = _fresh(demo2d_parts)
+        matrix = K.matrix.copy()
+        h = Density(rule=K.antenna_rule, values=rng.normal(size=K.antenna_rule.node_count))
+        t = K.split(rng.normal(size=matrix.shape[0]))
         before = apply(K, h).concatenated, apply_adjoint(K, t).values
         weighted_svd(K, release=True)
-        with pytest.raises(ValueError, match="released"):
-            dump_operator(K, tmp_path / "operator.bin")
-        assert not (tmp_path / "operator.bin").exists()
-        assert len(block_residuals(K, h, t)) == 1   # the factors still serve
+        assert K.matrix is None
+        dump_operator(K, tmp_path / "operator.bin")   # rows evaluated again
+        assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
+        assert len(block_residuals(K, h, t)) == 3   # the factors still serve
         # The Nystrom oracles never read the matrix.
         assert np.array_equal(apply(K, h).concatenated, before[0])
         assert np.array_equal(apply_adjoint(K, t).values, before[1])
@@ -466,14 +477,30 @@ class TestFactoredResidual:
 
 
 class TestDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        K = _random_operator(rng)
+    def test_round_trip(self, demo2d_parts, tmp_path):
+        K = demo2d_parts[3]
         path = tmp_path / "operator.bin"
         dump_operator(K, path)
         matrix, sigma = load_operator_dump(path)
         assert np.array_equal(matrix, K.matrix)
         assert np.array_equal(sigma, weighted_svd(K).sigma)
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_released_dump_equals_the_kept_matrix_in_ragged_blocks(self, parts, request,
+                                                                   tmp_path, monkeypatch):
+        parts = request.getfixturevalue(parts)
+        kept, released = _fresh(parts), _fresh(parts)
+        m, columns = kept.matrix.shape
+        # 7 rows a block; demo-3d's 2304 rows end in a block of one.
+        monkeypatch.setattr(kernels, "BLOCK_PAIRS", 7 * columns)
+        assert m % 7
+        weighted_svd(released, release=True)
+        dumps = {}
+        for name, K in (("kept", kept), ("released", released)):
+            dump_operator(K, tmp_path / name)
+            dumps[name] = (tmp_path / name).read_bytes()
+        assert dumps["kept"] == dumps["released"]
+        assert dumps["kept"][40:40 + 8 * m * columns] == np.ascontiguousarray(kept.matrix).tobytes()
 
     def test_dump_streams_the_matrix_row_major(self, demo3d_parts, tmp_path):
         K = demo3d_parts[3]
@@ -491,6 +518,16 @@ class TestDump:
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"\x00" * 64)
-        with pytest.raises(ValueError, match="dump"):
+        for junk in (b"\x00" * 64, b"FCOP"):   # shorter than a header too
+            path.write_bytes(junk)
+            with pytest.raises(ValueError, match="dump"):
+                load_operator_dump(path)
+
+    @pytest.mark.parametrize("cut, pad", [(16, b""), (0, b"\x00" * 24)])
+    def test_rejects_a_file_of_the_wrong_length(self, demo2d_parts, tmp_path, cut, pad):
+        path = tmp_path / "operator.bin"
+        dump_operator(demo2d_parts[3], path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut] + pad)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} holds"):
             load_operator_dump(path)
