@@ -101,17 +101,19 @@ class ControlTrace:
         )
 
 
+def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
+    """Same node count, boundary (dimension, radius, centre), nodes and weights."""
+    return a is b or (a.node_count == b.node_count and a.boundary.dim == b.boundary.dim
+                      and abs(a.boundary.radius - b.boundary.radius) <= 1e-14 * a.boundary.radius
+                      and np.max(np.abs(a.boundary.center - b.boundary.center)) <= 1e-14
+                      and np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights))
+
+
 def _check_same_rules(s: list[QuadratureRule], t: list[QuadratureRule]) -> None:
     if len(s) != len(t):
         raise ValueError("control traces have different block counts")
-    for a, b in zip(s, t):
-        if (
-            a.node_count != b.node_count
-            or a.boundary.dim != b.boundary.dim
-            or abs(a.boundary.radius - b.boundary.radius) > 1e-14 * a.boundary.radius
-            or np.max(np.abs(a.boundary.center - b.boundary.center)) > 1e-14
-        ):
-            raise ValueError("control traces are defined on different boundaries")
+    if not all(map(_same_rule, s, t)):
+        raise ValueError("control traces are defined on different boundaries")
 
 
 def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
@@ -279,11 +281,8 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
 
 
 def _check_density(K: ForwardOperator, h: Density) -> None:
-    n = K.antenna_rule.node_count
-    if h.values.shape[0] != n:
-        raise ValueError(
-            f"density length {h.values.shape[0]} does not match the {n} antenna nodes"
-        )
+    if not _same_rule(K.antenna_rule, h.rule):
+        raise ValueError("density's rule does not match the operator's antenna rule")
 
 
 def _kernel_blocks(K: ForwardOperator):

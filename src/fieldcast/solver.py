@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import RANK_CUTOFF_RTOL, ScenarioValidationError
+from .kernels import row_blocks
 from .operator import ControlTrace, Density, ForwardOperator, block_residuals, weighted_svd
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
@@ -77,9 +78,12 @@ class _FilterData:
     perp_sq: float       # squared norm of the target outside the column span
     v_norm: float        # ||v||, as ControlTrace.norm gives it
 
-    def discrepancy_sq(self, alpha: float) -> float:
-        f = alpha / (alpha + self.sigma**2)  # (k,)
-        return float(np.sum((f * self.beta) ** 2)) + self.perp_sq
+    def discrepancy_sq(self, alphas: np.ndarray) -> np.ndarray:
+        sigma_sq, out = self.sigma**2, np.empty(len(alphas))
+        for rows in row_blocks(len(alphas), sigma_sq.size):  # bounded (alphas, k) temporaries
+            a = alphas[rows, None]
+            out[rows] = np.sum((a / (a + sigma_sq) * self.beta) ** 2, axis=1)
+        return out + self.perp_sq
 
     def coefficients(self, alpha: float) -> np.ndarray:
         return self.sigma * self.beta / (alpha + self.sigma**2)
@@ -102,46 +106,55 @@ class _FilterData:
         dropped_sq = float(np.sum(self.beta[rank:] ** 2))
         return math.sqrt(float(np.sum((f * self.beta[:rank]) ** 2)) + dropped_sq + self.perp_sq)
 
-    def match(self, epsilon: float) -> tuple[float, float, int]:
-        """(alpha, residual norm, iterations) for the budget epsilon.
+    def match(self, epsilons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alpha, residual norm, iterations) for each budget of a 1-D array.
 
         Bisects log10(alpha) over [1e-14, 1e4] * sigma_1^2, widening the top
         if needed, until the residual is within 1e-3 relative of epsilon.  At
         or above ||v|| the zero density (alpha = inf) meets the budget; at or
         below the residual floor the budget is infeasible at this resolution.
+        The budgets are bisected in lockstep, each by the steps it takes alone.
         """
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        eps = np.asarray(epsilons, dtype=float)
+        if (bad := ~(eps > 0)).any():
+            raise ValueError(f"epsilon must be positive, got {float(eps[bad][0])}")
         if self.v_norm == 0.0:
             raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
-        if epsilon >= self.v_norm:
-            return math.inf, self.v_norm, 0
-        if epsilon <= self.floor:
-            raise InfeasibleAccuracyError(epsilon, self.floor)
+        alpha, disc = np.full(eps.shape, math.inf), np.full(eps.shape, self.v_norm)
+        iterations = np.zeros(eps.shape, dtype=int)
+        (act,) = np.nonzero(eps < self.v_norm)
+        if act.size == 0:
+            return alpha, disc, iterations
+        if (smallest := float(eps[act].min())) <= self.floor:
+            raise InfeasibleAccuracyError(smallest, self.floor)
 
         sigma_1 = float(self.sigma[0])
-        lo = math.log10(ALPHA_BRACKET_LO * sigma_1**2)
-        hi = math.log10(ALPHA_BRACKET_HI * sigma_1**2)
-        target_lo = epsilon * (1.0 - DISCREPANCY_RTOL)
-        target_hi = epsilon * (1.0 + DISCREPANCY_RTOL)
+        ends = [[math.log10(x * sigma_1**2)] for x in (ALPHA_BRACKET_LO, ALPHA_BRACKET_HI)]
+        lo, hi = bracket = np.repeat(ends, eps.size, axis=1)  # lo, hi: views of its rows
+        target_lo, target_hi = eps * (1.0 - DISCREPANCY_RTOL), eps * (1.0 + DISCREPANCY_RTOL)
 
         # Residual at the top of the bracket approaches ||v|| from below; widen
         # if epsilon sits inside that last sliver.
-        while math.sqrt(self.discrepancy_sq(10.0**hi)) < target_lo and hi < 40:
-            hi += 2.0
+        wide = act
+        while (wide := wide[hi[wide] < 40]).size:
+            wide = wide[np.sqrt(self.discrepancy_sq(_pow10(hi[wide]))) < target_lo[wide]]
+            hi[wide] += 2.0
 
-        iterations = 0
         log_alpha = 0.5 * (lo + hi)
-        disc = math.sqrt(self.discrepancy_sq(10.0**log_alpha))
-        while not (target_lo <= disc <= target_hi) and iterations < MAX_BRACKET_ITERATIONS:
-            if disc > epsilon:
-                hi = log_alpha
-            else:
-                lo = log_alpha
-            log_alpha = 0.5 * (lo + hi)
-            disc = math.sqrt(self.discrepancy_sq(10.0**log_alpha))
-            iterations += 1
-        return 10.0**log_alpha, disc, iterations
+        for rounds in range(MAX_BRACKET_ITERATIONS + 1):
+            alpha[act] = _pow10(log_alpha[act])
+            disc[act] = np.sqrt(self.discrepancy_sq(alpha[act]))
+            iterations[act] = rounds
+            act = act[~((target_lo[act] <= disc[act]) & (disc[act] <= target_hi[act]))]
+            if act.size == 0:
+                break
+            bracket[(disc[act] > eps[act]).astype(int), act] = log_alpha[act]  # above: hi, else lo
+            log_alpha[act] = 0.5 * (lo[act] + hi[act])
+        return alpha, disc, iterations
+
+
+def _pow10(x: np.ndarray) -> np.ndarray:  # Python's float power; numpy's may miss by an ulp
+    return np.fromiter((10.0**t for t in x.tolist()), float, len(x))
 
 
 def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
@@ -179,7 +192,7 @@ def solve_min_energy(
     """Minimal-energy density with residual norm equal to epsilon, as found by
     ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
     data = _filter_data(K, v)
-    alpha, disc, iterations = data.match(epsilon)
+    alpha, disc, iterations = (x.item() for x in data.match([epsilon]))
     h = K.density(weighted_svd(K).vt.T @ data.coefficients(alpha))
     report = SolveReport(
         alpha_star=alpha,
@@ -198,7 +211,8 @@ def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float
     """Rows (alpha, residual norm, energy), sorted by alpha ascending."""
     ladder = sweep_ladder(alphas, "alpha")
     data = _filter_data(K, v)
-    return [(a, math.sqrt(data.discrepancy_sq(a)), data.energy(a)) for a in ladder]
+    discs = np.sqrt(data.discrepancy_sq(np.array(ladder))).tolist()
+    return [(a, d, data.energy(a)) for a, d in zip(ladder, discs)]
 
 
 def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[float, float, float]]:
@@ -206,8 +220,5 @@ def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[f
     sorted by epsilon ascending; no density or residual block is formed."""
     ladder = sweep_ladder(epsilons, "epsilon")
     data = _filter_data(K, v)
-    rows = []
-    for eps in ladder:
-        alpha, disc, _ = data.match(eps)
-        rows.append((eps, disc, data.energy(alpha)))
-    return rows
+    alphas, discs, _ = (x.tolist() for x in data.match(ladder))
+    return [(eps, d, data.energy(a)) for eps, a, d in zip(ladder, alphas, discs)]

@@ -8,16 +8,18 @@ below those floors and are exercised separately as intentional
 infeasibility cases.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fieldcast import (assemble_forward, build_rules, build_target, dlp_kernel, load_scenario,
-                       solve_min_energy, weighted_svd)
+                       solve_min_energy, solver, weighted_svd)
 from fieldcast.fields import resolve_epsilon
+from fieldcast.geometry import ScenarioValidationError
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals
-from fieldcast.solver import _FilterData
+from fieldcast.solver import InfeasibleAccuracyError, _FilterData
 
 FEASIBLE_EPS_2D = 6.5
 FEASIBLE_EPS_3D = 0.6
@@ -75,7 +77,46 @@ def nodal_floor_and_energy(antenna, controls, v, epsilon):
     beta = u.T @ x
     perp = x - u @ beta
     data = _FilterData(sigma=sigma, beta=beta, perp_sq=float(perp @ perp), v_norm=v.norm())
-    return data.floor, data.energy(data.match(epsilon)[0])
+    return data.floor, data.energy(data.match([epsilon])[0].item())
+
+
+def scalar_match(data, epsilon):
+    """(alpha, residual norm, iterations) for one budget by a scalar
+    bisection, one residual evaluation per step: the oracle that
+    ``_FilterData.match`` must equal bit for bit on every budget of a ladder.
+    Reads the solver's tolerances at call time, so a monkeypatched
+    DISCREPANCY_RTOL applies to both."""
+    def discrepancy(alpha):
+        f = alpha / (alpha + data.sigma**2)
+        return math.sqrt(float(np.sum((f * data.beta) ** 2)) + data.perp_sq)
+
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if data.v_norm == 0.0:
+        raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
+    if epsilon >= data.v_norm:
+        return math.inf, data.v_norm, 0
+    if epsilon <= data.floor:
+        raise InfeasibleAccuracyError(epsilon, data.floor)
+    sigma_1 = float(data.sigma[0])
+    lo = math.log10(solver.ALPHA_BRACKET_LO * sigma_1**2)
+    hi = math.log10(solver.ALPHA_BRACKET_HI * sigma_1**2)
+    target_lo = epsilon * (1.0 - solver.DISCREPANCY_RTOL)
+    target_hi = epsilon * (1.0 + solver.DISCREPANCY_RTOL)
+    while discrepancy(10.0**hi) < target_lo and hi < 40:
+        hi += 2.0
+    iterations = 0
+    log_alpha = 0.5 * (lo + hi)
+    disc = discrepancy(10.0**log_alpha)
+    while not (target_lo <= disc <= target_hi) and iterations < solver.MAX_BRACKET_ITERATIONS:
+        if disc > epsilon:
+            hi = log_alpha
+        else:
+            lo = log_alpha
+        log_alpha = 0.5 * (lo + hi)
+        disc = discrepancy(10.0**log_alpha)
+        iterations += 1
+    return 10.0**log_alpha, disc, iterations
 
 
 def stencil_laplacian(fn, x, h=1e-3):

@@ -226,6 +226,49 @@ class TestAssembleApply:
         with pytest.raises(ValueError, match="mixed dimensions"):
             assemble_forward(antenna, [make_sphere_rule((0.0, 0.0, 0.0), 20.0, 4, 8)])
 
+    _ENTRIES = [
+        apply,
+        lambda K, h: K.coefficients(h),
+        lambda K, h: block_residuals(
+            K, h, ControlTrace([np.zeros(r.node_count) for r in K.control_rules], K.control_rules)),
+    ]
+    _ENTRY_IDS = ["apply", "coefficients", "block_residuals"]
+    # (a builder of the operator's antenna rule, its control rule); every
+    # rejected density below has the antenna's node count.
+    _UNIT_CIRCLE = (lambda: make_circle_rule((0.0, 0.0), 1.0, 16), make_circle_rule((8.0, 0.0), 2.0, 10))
+    _UNIT_SPHERE = (lambda: make_sphere_rule((0.0, 0.0, 0.0), 1.0, 12, 8),
+                    make_sphere_rule((8.0, 0.0, 0.0), 2.0, 4, 8))
+
+    @pytest.mark.parametrize("entry", _ENTRIES, ids=_ENTRY_IDS)
+    @pytest.mark.parametrize("geometry, other", [
+        (_UNIT_CIRCLE, make_circle_rule((0.0, 0.0), 0.5, 16)),
+        (_UNIT_CIRCLE, make_circle_rule((0.1, 0.0), 1.0, 16)),
+        (_UNIT_SPHERE, make_sphere_rule((0.0, 0.0, 0.0), 1.0, 8, 12)),
+    ], ids=["radius", "centre", "node-layout"])
+    def test_density_on_another_antenna_rule_rejected(self, entry, geometry, other):
+        antenna, control = geometry
+        K = assemble_forward(antenna(), [control])
+        h = Density(rule=other, values=np.ones(other.node_count))
+        with pytest.raises(ValueError, match="antenna rule"):
+            entry(K, h)
+
+    def test_traces_on_another_node_layout_rejected(self):
+        # 96 nodes on the same sphere as 12 x 8 and as 8 x 12: not the same trace space.
+        a, b = (make_sphere_rule((0.0, 0.0, 0.0), 1.0, *n) for n in [(12, 8), (8, 12)])
+        s, t = (ControlTrace(blocks=[np.ones(96)], rules=[r]) for r in (a, b))
+        with pytest.raises(ValueError, match="different boundaries"):
+            xi_inner(s, t)
+
+    @pytest.mark.parametrize("entry", _ENTRIES, ids=_ENTRY_IDS)
+    @pytest.mark.parametrize("geometry", [_UNIT_CIRCLE, _UNIT_SPHERE], ids=["2d", "3d"])
+    def test_density_on_a_rebuilt_antenna_rule_accepted(self, entry, geometry):
+        # An equal rule built anew is the same rule: the check compares nodes, not identity.
+        antenna, control = geometry
+        K = assemble_forward(antenna(), [control])
+        h = Density(rule=antenna(), values=np.ones(K.antenna_rule.node_count))
+        assert h.rule is not K.antenna_rule
+        entry(K, h)
+
 
 class TestAdjoint:
     def test_defining_identity_random_pairs(self, demo2d_parts):

@@ -22,9 +22,10 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import assert_residuals_match_the_matrix, nodal_floor_and_energy
+from conftest import assert_residuals_match_the_matrix, nodal_floor_and_energy, scalar_match
+from fieldcast import kernels, solver
 from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization
-from fieldcast.solver import DISCREPANCY_RTOL, residual_floor
+from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 
 # Fixed example order and no example database: every run checks the same cases.
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -161,3 +162,51 @@ def test_geometry_sized_antenna_keeps_floor_and_energy_2d(s):
 @given(hard_data(dim=3, target=point_source((0.0, 0.0, 0.0)), log_gap=_ANTENNA_LOG_GAPS[3]))
 def test_geometry_sized_antenna_keeps_floor_and_energy_3d(s):
     _assert_geometry_sized_antenna_matches_the_default(s)
+
+
+@st.composite
+def filter_data(draw):
+    """A target in a random weighted singular basis: a nonincreasing positive
+    spectrum over 20 decades, its coefficients and the part outside the span.
+    Up to 300 values, past the 128 at which numpy's pairwise sum splits."""
+    k = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 10.0 ** np.sort(rng.uniform(-8.0, 12.0, k))[::-1]
+    beta = rng.uniform(-10.0, 10.0, k) * (rng.random(k) < draw(st.floats(0.1, 1.0)))
+    perp_sq = draw(st.floats(0.0, 10.0))
+    v_norm = math.sqrt(perp_sq + float(beta @ beta))
+    assume(v_norm > 0.0)
+    return _FilterData(sigma=sigma, beta=beta, perp_sq=perp_sq, v_norm=v_norm)
+
+
+@PROPERTY
+@given(data=filter_data(),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+       sliver=st.lists(st.floats(0.0, 1.0), max_size=4),
+       above_top=st.lists(st.floats(1.0, 2.0), max_size=3),
+       rtol=st.sampled_from([DISCREPANCY_RTOL, 1e-9, 0.0, -DISCREPANCY_RTOL]),
+       block_pairs=st.sampled_from([1, 700, kernels.BLOCK_PAIRS]),
+       order=st.randoms(use_true_random=False))
+def test_match_equals_the_scalar_bisection(data, fractions, sliver, above_top, rtol, block_pairs,
+                                           order):
+    # Budgets between the floor and ||v||, in the last sliver below ||v||
+    # (they need the bracket widened once the stop test is tighter than the
+    # bracket top's 1e-4 gap to ||v||), and at or above ||v||, shuffled.  A
+    # negative DISCREPANCY_RTOL makes the stop test unsatisfiable, so every
+    # bisected budget runs to the iteration cap.  A small BLOCK_PAIRS splits
+    # the ladder's residual sums into one-row or ragged blocks.
+    floor, top = data.floor, data.v_norm
+    bracket_top = solver.ALPHA_BRACKET_HI * float(data.sigma[0]) ** 2
+    top_residual = math.sqrt(data.discrepancy_sq(np.array([bracket_top]))[0])
+    ladder = ([floor + f * (top - floor) for f in fractions]
+              + [top_residual + f * (top - top_residual) for f in sliver] + [top * g for g in above_top])
+    ladder = [eps for eps in ladder if eps > floor or eps >= top]
+    assume(ladder)
+    order.shuffle(ladder)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "DISCREPANCY_RTOL", rtol)
+        patch.setattr(kernels, "BLOCK_PAIRS", block_pairs)
+        got = list(zip(*(x.tolist() for x in data.match(ladder))))
+        assert got == [scalar_match(data, eps) for eps in ladder]
+    if rtol < 0:
+        assert all(its == MAX_BRACKET_ITERATIONS for alpha, _, its in got if alpha < math.inf)

@@ -1,12 +1,13 @@
 """Tikhonov filtering, discrepancy matching, and minimal-energy optimality."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, scalar_match
 from fieldcast import (
     ControlTrace,
     Discretization,
@@ -271,14 +272,16 @@ class TestSweepAlpha:
 
 class TestSweepEpsilon:
     def test_rows_match_one_shot_solves(self, demo2d_parts):
+        # Budgets at or above ||v|| (zero density) interleaved with feasible ones.
         s, antenna, controls, K, v = demo2d_parts
-        ladder = [9.0, 6.0, 7.5, FEASIBLE_EPS_2D]
+        top = v.norm()
+        ladder = [9.0, 2.0 * top, 6.0, top, 7.5, 1.5 * top, FEASIBLE_EPS_2D]
         rows = sweep_epsilon(K, v, ladder)
         assert [r[0] for r in rows] == sorted(ladder)
         for eps, disc, energy in rows:
             _, report = solve_min_energy(K, v, eps)
-            assert disc == report.discrepancy
-            assert energy == pytest.approx(report.energy, rel=1e-12)
+            assert (disc, energy) == (report.discrepancy, report.energy)
+        assert rows[4:] == [(top, top, 0.0), (1.5 * top, top, 0.0), (2.0 * top, top, 0.0)]
 
     def test_budget_above_target_norm_gives_zero_energy_row(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -301,10 +304,62 @@ class TestSweepEpsilon:
         assert len(calls) == 1
 
     def test_ladder_reaching_the_floor_raises(self, demo2d_parts):
+        # The error names the smallest budget, whatever else the ladder holds.
         s, antenna, controls, K, v = demo2d_parts
         floor = residual_floor(K, v)
-        with pytest.raises(InfeasibleAccuracyError):
+        ladder = [2.0 * v.norm(), FEASIBLE_EPS_2D, floor, 0.5 * floor, 7.0]
+        with pytest.raises(InfeasibleAccuracyError) as info:
+            sweep_epsilon(K, v, ladder)
+        assert (info.value.epsilon, info.value.floor) == (0.5 * floor, floor)
+        assert str(info.value) == ("requested accuracy 2.8829 is at or below the residual "
+                                   "floor 5.76581 of this discretization")
+        # A ladder whose smallest budget is the floor itself is infeasible too.
+        with pytest.raises(InfeasibleAccuracyError) as info:
             sweep_epsilon(K, v, [FEASIBLE_EPS_2D, floor])
+        assert info.value.epsilon == floor
+
+
+class TestMatch:
+    """``_FilterData.match`` bisects a whole ladder in lockstep; each budget
+    must take the steps the scalar bisection takes for it alone."""
+
+    def test_budgets_needing_a_wider_bracket_match_the_scalar_bisection(
+            self, demo2d_parts, monkeypatch):
+        # Within DISCREPANCY_RTOL = 1e-3 of ||v|| every budget is met below the
+        # bracket top; with a tighter stop, budgets in the last sliver below
+        # ||v|| need the top widened.
+        s, antenna, controls, K, v = demo2d_parts
+        data = solver._filter_data(K, v)
+        top = data.v_norm
+        ladder = np.concatenate([top * (1.0 - np.geomspace(1e-9, 1e-5, 9)), [7.0, top]])
+        monkeypatch.setattr(solver, "DISCREPANCY_RTOL", 0.0)
+        bracket_top = solver.ALPHA_BRACKET_HI * float(data.sigma[0]) ** 2
+        assert math.sqrt(data.discrepancy_sq(np.array([bracket_top]))[0]) < ladder[0]
+        got = list(zip(*(x.tolist() for x in data.match(ladder))))
+        assert got == [scalar_match(data, float(eps)) for eps in ladder]
+
+    def test_an_unsorted_ladder_reaching_the_floor_names_its_smallest_budget(self, demo2d_parts):
+        s, antenna, controls, K, v = demo2d_parts
+        data = solver._filter_data(K, v)
+        ladder = [7.0, 0.5 * data.floor, 2.0 * data.v_norm, 0.25 * data.floor, data.floor]
+        with pytest.raises(InfeasibleAccuracyError) as info:
+            data.match(ladder)
+        assert info.value.epsilon == 0.25 * data.floor
+
+    def test_a_long_ladder_is_matched_in_bounded_memory(self, demo2d_parts):
+        # Unblocked, each (budgets, k) temporary of 20 000 budgets against
+        # demo-2d's 126 singular values would hold about 20 MB.
+        s, antenna, controls, K, v = demo2d_parts
+        data = solver._filter_data(K, v)
+        ladder = np.linspace(FEASIBLE_EPS_2D, v.norm(), 20_000)
+        assert data.floor < ladder[0]
+        tracemalloc.start()
+        try:
+            data.match(ladder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLadderCheck:
