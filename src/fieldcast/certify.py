@@ -14,6 +14,14 @@ the observation boundary.
 Each bound is the paper's conservative constant, normalized by the
 unit-ball volume, times the L1 factor sqrt(|data sphere|) that turns the
 L2 residual into an L1 norm by Cauchy-Schwarz, times the residual.
+
+The seeded probes of :func:`empirical_mismatches` sample each certified sup
+where it is attained.  The difference is harmonic on each closed target
+ball, so by the maximum principle its sup there lies on the target sphere;
+outside the observation ball it is harmonic and decays at infinity (in 2D
+mode 0 radiates nothing outside the antenna), so its sup there lies on the
+observation sphere.  A sampled maximum is a lower bound on the sup; the
+bound is rigorous, so the two bracket it.
 """
 
 from __future__ import annotations
@@ -28,9 +36,6 @@ from .geometry import UNIT_SPHERE_MEASURE, Scenario, surface_measure
 from .operator import Density
 
 UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
-
-# The exterior probes sample radii up to this multiple of the observation radius.
-OUTSIDE_REACH = 3.0
 
 
 @dataclass(frozen=True)
@@ -80,23 +85,12 @@ def certify_solution(residuals: Sequence[float], s: Scenario) -> tuple[BoundaryB
                 s.outer_control_radius, s.dim),)
 
 
-def sample_in_ball(rng: np.random.Generator, center, radius: float, dim: int,
-                   n: int) -> np.ndarray:
-    """Uniform samples in a ball (radius scaled by U^(1/dim))."""
-    center = np.asarray(center, dtype=float)
+def sample_on_sphere(rng: np.random.Generator, center, radius: float, dim: int,
+                     n: int) -> np.ndarray:
+    """Uniform samples on a sphere: seeded Gaussian directions, normalized."""
     direction = rng.standard_normal((n, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    r = radius * rng.uniform(0.0, 1.0, n) ** (1.0 / dim)
-    return center + r[:, None] * direction
-
-
-def sample_outside_ball(rng: np.random.Generator, radius: float, dim: int,
-                        n: int) -> np.ndarray:
-    """Uniform-direction samples with radii in (radius, OUTSIDE_REACH * radius]."""
-    direction = rng.standard_normal((n, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    r = radius * (1.0 + (OUTSIDE_REACH - 1.0) * rng.uniform(0.0, 1.0, n))
-    return r[:, None] * direction
+    return np.asarray(center, dtype=float) + radius * direction
 
 
 def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Generator,
@@ -105,10 +99,13 @@ def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Gener
 
     ``v_fields`` supplies the wanted field per control boundary
     (:func:`fieldcast.fields.scenario_difference_fields`).  Returns the
-    sampled maximum of |radiated - wanted| in each target ball and then
-    outside the observation ball, in the certificate's order.
+    sampled maximum of |radiated - wanted| on each target sphere and then
+    on the observation sphere, in the certificate's order: the spheres on
+    which, by the maximum principle, each sup is attained.  Each sampled
+    maximum is a lower bound on its sup, which the certificate's bound
+    rigorously caps.
     """
-    points = [sample_in_ball(rng, r.center, r.radius, s.dim, n_samples) for r in s.regions]
-    points.append(sample_outside_ball(rng, s.observation_radius, s.dim, n_samples))
+    spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim, s.observation_radius)]
+    points = [sample_on_sphere(rng, center, radius, s.dim, n_samples) for center, radius in spheres]
     return [float(np.max(np.abs(eval_double_layer(h, pts) - wanted(pts))))
             for wanted, pts in zip(v_fields, points, strict=True)]

@@ -1,14 +1,15 @@
 """Command-line pipeline: parse, validate, assemble, solve, certify, export.
 
 Exit codes: 0 success; 2 usage error (:class:`UsageError`: ``--nodes``,
-``--epsilon``, ``--grid`` or ladder text that cannot be used, checked before
-any work, and an ``--out`` path that cannot be made a directory, checked
-before assembly); 3 scenario parse/validation failure (a scenario path that
-is not a file, a file that is not UTF-8, repeats a key in one mapping or
-gives a key an explicit null, node counts below ``geometry.MIN_NODES`` from
-the file or ``--nodes``, a boundary whose rule or wanted field values cannot
-be built, a target trace that is identically zero or not finite, and node
-counts whose operator and factorization would exceed physical memory, as
+``--epsilon``, ``--grid`` or ladder text that cannot be used, and a grid too
+large for physical memory, checked before any work, and an ``--out`` path
+that cannot be made a directory, checked before assembly); 3 scenario
+parse/validation failure (a scenario path that is not a file, a file that
+is not UTF-8, repeats a key in one mapping or gives a key an explicit null,
+node counts below ``geometry.MIN_NODES`` from the file or ``--nodes``, a
+boundary whose rule or wanted field values cannot be built, a target trace
+that is identically zero or not finite, and node counts whose operator and
+factorization would exceed physical memory, as
 :func:`fieldcast.operator.factorization_bytes` estimates before any rule is
 built); 4 accuracy infeasible at the current resolution; 5 numerical
 failure, including any other ``ValueError``.
@@ -17,6 +18,7 @@ failure, including any other ``ValueError``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -43,10 +45,14 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
 TABLE_BLOCK_ROWS = 4096
+# Peak RSS (ru_maxrss) a ``run --grid`` adds per grid point, for the points,
+# field columns, labels and cell text of ``grid.tsv``: 273 bytes from 400 x 400
+# to 800 x 800 on demo-2d and 290 from 50^3 to 80^3 on demo-3d.
+GRID_BYTES_PER_POINT = 320
 
 
 class UsageError(Exception):
@@ -209,6 +215,11 @@ def _stage(timings: list[tuple[str, object]], name: str):
     timings.append((f"{name}-seconds", max(time.perf_counter() - t0, 1e-9)))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, the limit every size check holds a run to."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_size(s: Scenario) -> None:
     """Reject a discretization whose operator and factorization would not fit
     in physical memory, from its node counts alone: m control nodes by M
@@ -219,7 +230,7 @@ def _check_size(s: Scenario) -> None:
     n = rule_node_count(d.antenna, s.dim)
     columns = harmonic_count(rule_degree(d.antenna, s.dim), s.dim)
     need = factorization_bytes(m, n, columns)
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _physical_memory()
     if need > limit:
         raise ScenarioValidationError([
             f"a {m} x {columns} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
@@ -267,13 +278,19 @@ def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
 
 
 def _grid_shape(text: str, dim: int) -> tuple[int, ...]:
-    """The ``--grid`` counts: one integer >= 1 per dimension."""
+    """The ``--grid`` counts: one integer >= 1 per dimension, whose points fit
+    in physical memory at ``GRID_BYTES_PER_POINT`` each."""
     try:
         shape = tuple(int(p) for p in text.split(","))
     except ValueError:
         shape = ()
     if len(shape) != dim or min(shape) < 1:
         raise UsageError(f"--grid expects {dim} comma-separated counts >= 1, got {text!r}")
+    need = math.prod(shape) * GRID_BYTES_PER_POINT
+    limit = _physical_memory()
+    if need > limit:
+        raise UsageError(f"--grid {text!r} needs about {need / 2**30:.4g} GiB, "
+                         f"more than the {limit / 2**30:.4g} GiB of physical memory")
     return shape
 
 

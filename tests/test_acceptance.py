@@ -40,7 +40,7 @@ from fieldcast import (
     weighted_svd,
     xi_inner,
 )
-from fieldcast.certify import empirical_mismatches, sample_in_ball
+from fieldcast.certify import empirical_mismatches, sample_on_sphere
 from fieldcast.fields import eval_double_layer, eval_field, scenario_difference_fields
 from fieldcast.operator import block_residuals
 from fieldcast.solver import residual_floor
@@ -309,9 +309,9 @@ def test_criterion_9_discretization_convergence(demo2d):
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
         rng = np.random.default_rng(909)
         pts = np.vstack(
-            [sample_in_ball(rng, r.center, r.radius, 2, 40) for r in sn.regions]
-            + [sample_in_ball(rng, (0.0, -7.0), 2.0, 2, 20)]
-        )  # 100 probe points
+            [sample_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
+            + [sample_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
+        )  # 100 probe points, on spheres: where a harmonic difference peaks
         probes[n] = eval_double_layer(h, pts)
     change = np.max(np.abs(probes[128] - probes[256])) / np.max(np.abs(probes[128]))
     _criterion("criterion 9 (discretization convergence)", change <= 1e-6,

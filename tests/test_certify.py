@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
 from fieldcast import (
     Density,
     Region,
     Scenario,
     apply,
     certify_solution,
+    solve_min_energy,
     zero_field,
 )
-from fieldcast.certify import empirical_mismatches, sample_in_ball
-from fieldcast.fields import scenario_difference_fields
+from fieldcast.certify import empirical_mismatches, sample_on_sphere
+from fieldcast.cli import EMPIRICAL_SAMPLES
+from fieldcast.fields import eval_double_layer, scenario_difference_fields
+from fieldcast.geometry import make_rule
 from fieldcast.operator import block_residuals
 
 
@@ -139,21 +143,45 @@ class TestCertifySolution:
         for entry, observed in zip(cert, maxima):
             assert observed <= entry.bound_conservative
 
-    def test_random_densities_never_beat_their_bounds(self, demo2d_parts):
-        # Soundness does not depend on the density being a solution.
-        s, antenna, controls, K, v = demo2d_parts
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_random_densities_never_beat_their_bounds(self, parts, request):
+        # Soundness does not depend on the density being a solution.  200
+        # densities x 100 sphere points per boundary, where each sup lies.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
         rng = np.random.default_rng(71)
         fields = scenario_difference_fields(s)
-        for _ in range(5):
+        for _ in range(200):
             h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
             cert = certify_solution(block_residuals(K, h, v), s)
-            maxima = empirical_mismatches(h, fields, s, rng, n_samples=200)
+            maxima = empirical_mismatches(h, fields, s, rng, n_samples=100)
             for entry, observed in zip(cert, maxima):
                 assert observed <= entry.bound_conservative
 
 
 class TestSampling:
-    def test_ball_samples_stay_inside(self):
-        rng = np.random.default_rng(1)
-        pts = sample_in_ball(rng, (1.0, -2.0), 1.5, 2, 1000)
-        assert np.max(np.linalg.norm(pts - np.array([1.0, -2.0]), axis=1)) <= 1.5
+    @pytest.mark.parametrize("center", [(1.0, -2.0), (1.0, -2.0, 3.0)], ids=["2d", "3d"])
+    def test_sphere_samples_lie_on_the_sphere(self, center):
+        radius = 1.5
+        pts = sample_on_sphere(np.random.default_rng(1), center, radius, len(center), 1000)
+        assert pts.shape == (1000, len(center))
+        distance = np.linalg.norm(pts - np.array(center), axis=1)
+        assert np.max(np.abs(distance - radius)) <= 1e-14 * radius
+
+    @pytest.mark.parametrize("parts, epsilon, n", [
+        ("demo2d_parts", FEASIBLE_EPS_2D, 256), ("demo3d_parts", FEASIBLE_EPS_3D, 64),
+    ], ids=["2d", "3d"])
+    def test_demo_sampled_max_reaches_the_sphere_max(self, request, parts, epsilon, n):
+        # The report's probes (the preset's seed, EMPIRICAL_SAMPLES per sphere)
+        # against the maximum over a dense rule on the same sphere: 256 circle
+        # nodes, or 64 polar nodes.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        h, _ = solve_min_energy(K, v, epsilon)
+        fields = scenario_difference_fields(s)
+        sampled = empirical_mismatches(h, fields, s, np.random.default_rng(s.seed),
+                                       EMPIRICAL_SAMPLES)
+        spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
+                                                               s.observation_radius)]
+        for observed, wanted, (center, radius) in zip(sampled, fields, spheres, strict=True):
+            pts = make_rule(center, radius, n, s.dim).nodes
+            dense = float(np.max(np.abs(eval_double_layer(h, pts) - wanted(pts))))
+            assert observed == pytest.approx(dense, rel=0.01)

@@ -51,7 +51,7 @@ class TestRun:
                      "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24"])
         assert code == 0
         report = (out / "report.txt").read_text()
-        assert report.startswith("format-version: 2\n")
+        assert report.startswith("format-version: 3\n")
         for section in ("[scenario]", "[spectrum]", "[solve]", "[certificate]",
                         "[empirical]", "[outputs]", "[timings]"):
             assert section in report
@@ -343,8 +343,9 @@ class TestRun:
 
     @pytest.mark.parametrize("preset, epsilon, grid", [
         ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),
-        ("demo-2d", "6.5", "0,8"), ("demo-2d", "6.5", ""),
-    ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count", "empty"])
+        ("demo-2d", "6.5", "0,8"), ("demo-2d", "6.5", ""), ("demo-2d", "6.5", "100000,100000"),
+    ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count", "empty",
+            "beyond-physical-memory"])
     def test_bad_grid_is_usage_error_before_any_work(self, tmp_path, preset, epsilon, grid):
         out = tmp_path / "out"
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
