@@ -50,9 +50,11 @@ SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
 TABLE_BLOCK_ROWS = 4096
 # Peak RSS (ru_maxrss) a ``run --grid`` adds per grid point, for the points,
-# field columns, labels and cell text of ``grid.tsv``: 273 bytes from 400 x 400
-# to 800 x 800 on demo-2d and 290 from 50^3 to 80^3 on demo-3d.
-GRID_BYTES_PER_POINT = 320
+# field columns, labels and evaluation temporaries (``grid.tsv``'s text is
+# made one block at a time): 71-74 bytes from 400 x 400 to 800 x 800 on
+# demo-2d and 86-88 from 50^3 to 80^3 on demo-3d, 112 with a dipole as its
+# exterior target, whose evaluation forms a (p, 3) difference.
+GRID_BYTES_PER_POINT = 128
 
 
 class UsageError(Exception):
@@ -167,33 +169,43 @@ def write_report(path: Path, sections: list[tuple[str, list[tuple[str, object]]]
                 fh.write(f"{key}: {_fmt(value)}\n")
 
 
-def _cell_text(column) -> np.ndarray:
-    """The text of each cell of one column, as an object array.  A sequence
-    of str is written as it is; a float64 or int64 array is formatted once per
-    distinct 64-bit pattern, so ``-0.0`` and ``0.0`` keep their own text."""
+def _cell_text(column) -> list[str]:
+    """The text of each cell of one column block.  A sequence of str is
+    written as it is; a float64 or int64 array is formatted once per distinct
+    64-bit pattern, so ``-0.0`` and ``0.0`` keep their own text."""
     if not isinstance(column, np.ndarray):
-        return np.array(column, dtype=object)
+        return column
     bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(column.dtype).tolist()], dtype=object)[index]
+    text = [repr(v) for v in bits.view(column.dtype).tolist()]
+    return [text[i] for i in index.tolist()]
+
+
+def _rows_text(columns) -> str:
+    """The lines of one block of rows, given each column's slice of it."""
+    return "\n".join(map("\t".join, zip(*map(_cell_text, columns)))) + "\n"
 
 
 def write_table(path: Path, header: list[str], columns) -> None:
     """Write a delimited output: ``format-version: 1``, the tab-separated
     header, then one tab-separated line per row.  Each column is a float64 or
     int64 array, whose cells are Python's shortest round-trip ``repr`` of the
-    value (``-0.0`` keeps its sign, NaN reads ``nan``), or a sequence of str.
-    Rows are joined in blocks of ``TABLE_BLOCK_ROWS``."""
-    cells = [_cell_text(c) for c in columns]
-    n = len(cells[0])
-    block = np.full((min(n, TABLE_BLOCK_ROWS), 2 * len(cells)), "\t", dtype=object)
-    block[:, -1] = "\n"   # cells go in the even columns, each followed by a tab or newline
+    value (``-0.0`` keeps its sign, NaN reads ``nan``), or a sequence of str;
+    all have one entry per row.  The text is made and written one block of
+    ``TABLE_BLOCK_ROWS`` rows at a time, so it never holds more than one
+    block's cells.  A column of another dtype or length raises ValueError,
+    naming it, before the file is opened."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} column names for {len(columns)} columns")
+    n = len(columns[0])
+    for name, column in zip(header, columns):
+        if len(column) != n:
+            raise ValueError(f"column {name!r} has {len(column)} rows, not {n}")
+        if isinstance(column, np.ndarray) and column.dtype not in (np.float64, np.int64):
+            raise ValueError(f"column {name!r} is {column.dtype}, not float64 or int64")
     with open(path, "w") as fh:
         fh.write("format-version: 1\n" + "\t".join(header) + "\n")
         for lo in range(0, n, TABLE_BLOCK_ROWS):
-            rows = block[: min(n - lo, TABLE_BLOCK_ROWS)]
-            for j, text in enumerate(cells):
-                rows[:, 2 * j] = text[lo: lo + rows.shape[0]]
-            fh.write("".join(rows.ravel().tolist()))
+            fh.write(_rows_text([c[lo: lo + TABLE_BLOCK_ROWS] for c in columns]))
 
 
 def write_spectrum(path: Path, sigma: np.ndarray) -> None:

@@ -150,6 +150,16 @@ def harmonic_polynomial(terms: Mapping[Iterable[int], float], dim: int) -> Harmo
     return HarmonicField(kind="polynomial", terms=tuple(sorted(clean.items())))
 
 
+def _distance(pts: np.ndarray, center) -> np.ndarray:
+    """|pts - center| per point, summed one coordinate at a time in axis
+    order: bit-identical to ``np.linalg.norm(pts - center, axis=-1)``
+    without its (p, dim) temporaries."""
+    sq = np.zeros(pts.shape[0])
+    for x, c in zip(pts.T, center):
+        sq += (x - c) ** 2
+    return np.sqrt(sq)
+
+
 def eval_field(f: HarmonicField, x) -> np.ndarray | float:
     """Evaluate a catalog field at one point or a batch of points.
 
@@ -166,8 +176,7 @@ def eval_field(f: HarmonicField, x) -> np.ndarray | float:
             raise ValueError(
                 f"field lives in dimension {s.shape[0]}, points have dimension {dim}"
             )
-        diff = pts - s  # (p, dim)
-        dist = np.linalg.norm(diff, axis=-1)  # (p,)
+        dist = _distance(pts, s)
         if np.any(dist < SINGULARITY_TOL):
             raise ValueError("evaluation at or near the field's singular point")
 
@@ -185,7 +194,7 @@ def eval_field(f: HarmonicField, x) -> np.ndarray | float:
         out = 1.0 / dist
     elif f.kind == "dipole":
         p = np.asarray(f.direction, dtype=float)
-        out = (diff @ p) / dist**dim
+        out = ((pts - s) @ p) / dist**dim
     elif f.kind == "polynomial":
         out = np.zeros(pts.shape[0])
         for powers, coeff in f.terms:
@@ -263,15 +272,15 @@ def eval_double_layer(g, x) -> np.ndarray | float:
     if pts.shape[-1] != dim:
         raise ValueError(f"points must have trailing dimension {dim}, got {x.shape}")
 
-    rho = np.linalg.norm(pts - rule.boundary.center, axis=-1)
-    if np.any(rho < rule.boundary.radius * (1.0 + SEPARATION_RTOL)):
-        raise ValueError(
-            "double-layer evaluation too close to (or inside) the antenna boundary"
-        )
+    clearance = rule.boundary.radius * (1.0 + SEPARATION_RTOL)
     y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
     wg = rule.weights * g.values
     out = np.empty(pts.shape[0])
     for rows in row_blocks(pts.shape[0], rule.node_count):
+        if np.any(_distance(pts[rows], rule.boundary.center) < clearance):
+            raise ValueError(
+                "double-layer evaluation too close to (or inside) the antenna boundary"
+            )
         out[rows] = dlp_kernel(pts[rows, None, :], y, nu, dim) @ wg  # (rows, n) @ (n,)
     return float(out[0]) if scalar else out
 
@@ -285,11 +294,12 @@ class GridSpec:
     hi: tuple[float, ...]
 
     def points(self) -> np.ndarray:
-        axes = [
-            np.linspace(lo, hi, n) for n, lo, hi in zip(self.shape, self.lo, self.hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        """The (p, dim) grid points, the last axis' index varying fastest."""
+        axes = [np.linspace(lo, hi, n) for n, lo, hi in zip(self.shape, self.lo, self.hi)]
+        out = np.empty((*self.shape, len(axes)))
+        for k, axis in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+            out[..., k] = axis
+        return out.reshape(-1, len(axes))
 
 
 def default_grid(s: Scenario, shape: tuple[int, ...]) -> GridSpec:
@@ -339,18 +349,21 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     delta = g.rule.boundary.radius
     exclusion = delta * (1.0 + 2.0 * np.pi / nodes_around(g.rule))
 
-    rho = np.linalg.norm(pts, axis=-1)
+    rho = _distance(pts, np.zeros(s.dim))
     keep = rho > delta  # drop the antenna ball entirely
     pts, rho = pts[keep], rho[keep]
     p = pts.shape[0]
 
     # Each point's label is a code into ``names``; region k has code exterior + k.
+    # Whole-grid temporaries are deleted once used, so the evaluation peaks at
+    # the columns it returns plus a few (p,) arrays.
     annulus, excluded, exterior = range(3)
     names = ("annulus", "excluded", "exterior", *(f"region-{k}" for k in range(1, s.n_regions + 1)))
     code = np.where(rho <= exclusion, excluded, annulus)
     code[rho > s.observation_radius] = exterior
+    del rho
     for k, r in enumerate(s.regions, start=exterior + 1):
-        inside = np.linalg.norm(pts - r.center, axis=-1) <= r.radius
+        inside = _distance(pts, r.center) <= r.radius
         code[inside & (code == annulus)] = k
 
     # Points where a needed field is singular go into the mask instead of
@@ -359,22 +372,23 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
         sing = field_.singularity
         if sing is None:
             return np.zeros(p, dtype=bool)
-        return np.linalg.norm(pts - sing, axis=-1) < 2 * SINGULARITY_TOL
+        return _distance(pts, sing) < 2 * SINGULARITY_TOL
 
-    bad = too_close(s.exterior_target)
+    code[too_close(s.exterior_target)] = excluded
     for k, r in enumerate(s.regions, start=exterior + 1):
-        bad |= too_close(r.target) & (code == k)
-    code[bad] = excluded
+        code[too_close(r.target) & (code == k)] = excluded
 
     values = np.full(p, np.nan)
-    target = np.full(p, np.nan)
-    mismatch = np.full(p, np.nan)
-
     ok = code != excluded
     if np.any(ok):
-        u0 = np.asarray(eval_field(s.exterior_target, pts[ok]), dtype=float)
-        values[ok] = u0 + eval_double_layer(g, pts[ok])
+        inner = pts[ok]
+        total = np.asarray(eval_field(s.exterior_target, inner), dtype=float)
+        total += eval_double_layer(g, inner)
+        values[ok] = total
+        del inner, total
 
+    target = np.full(p, np.nan)
+    mismatch = np.full(p, np.nan)
     for k, field_ in enumerate((s.exterior_target, *(r.target for r in s.regions)), start=exterior):
         sel = code == k
         if not np.any(sel):
@@ -390,7 +404,7 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
         values=values,
         target=target,
         mismatch=mismatch,
-        labels=tuple(np.array(names, dtype=object)[code].tolist()),
+        labels=tuple(np.array(names, dtype=object)[code]),
     )
 
 

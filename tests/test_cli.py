@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,12 +342,20 @@ class TestRun:
         scenario = _section((out / "report.txt").read_text(), "scenario")
         assert f"nodes-antenna: {expected[0]}\nnodes-control: {expected[1]}\n" in scenario
 
-    @pytest.mark.parametrize("preset, epsilon, grid", [
-        ("demo-3d", "0.6", "5"), ("demo-3d", "0.6", "a,b,c"), ("demo-3d", "0.6", "-3,4,4"),
-        ("demo-2d", "6.5", "0,8"), ("demo-2d", "6.5", ""), ("demo-2d", "6.5", "100000,100000"),
+    @pytest.mark.parametrize("preset, epsilon, grid, memory", [
+        ("demo-3d", "0.6", "5", None), ("demo-3d", "0.6", "a,b,c", None),
+        ("demo-3d", "0.6", "-3,4,4", None), ("demo-2d", "6.5", "0,8", None),
+        ("demo-2d", "6.5", "", None), ("demo-2d", "6.5", "100000,100000", None),
+        ("demo-2d", "6.5", "1024,1025", 128 * 2**20),
     ], ids=["too-few-counts", "not-integers", "negative-count", "zero-count", "empty",
-            "beyond-physical-memory"])
-    def test_bad_grid_is_usage_error_before_any_work(self, tmp_path, preset, epsilon, grid):
+            "beyond-physical-memory", "one-row-beyond-physical-memory"])
+    def test_bad_grid_is_usage_error_before_any_work(self, tmp_path, monkeypatch, preset,
+                                                     epsilon, grid, memory):
+        monkeypatch.setattr(cli, "build_rules", _never_called)
+        if memory is not None:
+            # At 128 bytes a point, 1024 x 1024 points fill the memory exactly.
+            monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+            assert cli._grid_shape("1024,1024", 2) == (1024, 1024)
         out = tmp_path / "out"
         assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
                      "--epsilon", epsilon, f"--grid={grid}"]) == 2
@@ -583,8 +592,69 @@ def test_write_table_cells_are_reprs(rows):
 def test_write_table_rows_span_blocks():
     n = 2 * cli.TABLE_BLOCK_ROWS + 3
     values = np.linspace(-1.0, 1.0, n)
+    # The edge floats end the first block and start the second, so each is
+    # formatted in both blocks.
+    edge = cli.TABLE_BLOCK_ROWS
+    values[edge - len(EDGE_FLOATS): edge + len(EDGE_FLOATS)] = EDGE_FLOATS * 2
     cells = _table_cells(["index", "value"], [np.arange(n), values])
     assert cells == [[str(i), repr(v)] for i, v in enumerate(values.tolist())]
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b"], [np.arange(2), np.array([1.5])], "column 'b' has 1 rows, not 2"),
+    (["a", "b"], [np.arange(2), np.array([1.5, 2.5, 3.5])], "column 'b' has 3 rows, not 2"),
+    (["a", "b"], [np.arange(2), np.array([1.5, 2.5], dtype=np.float32)],
+     "column 'b' is float32, not float64 or int64"),
+    (["a", "b", "c"], [np.arange(2), np.arange(2)], "3 column names for 2 columns"),
+], ids=["length-1", "longer-than-first", "float32", "names-without-column"])
+def test_write_table_rejects_columns_it_cannot_write_as_given(tmp_path, header, columns,
+                                                               message):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.write_table(path, header, columns)
+    assert not path.exists()
+
+
+def test_write_table_holds_one_block_of_text():
+    def traced_peak(blocks):
+        n = blocks * cli.TABLE_BLOCK_ROWS
+        columns = [*np.random.default_rng(blocks).normal(size=(4, n)),
+                   tuple(("annulus", "exterior", "region-1")[i % 3] for i in range(n))]
+        with tempfile.TemporaryDirectory() as tmp:
+            tracemalloc.start()
+            try:
+                cli.write_table(Path(tmp) / "t.tsv", ["a", "b", "c", "d", "label"], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert traced_peak(16) < 2 * traced_peak(1)
+
+
+# One run per delimited output: a 2D and a 3D grid.tsv, each with its
+# spectrum.tsv, and a sweep.tsv.
+TABLE_RUNS = {
+    "grid-2d": ["run", DEMO_2D, "--epsilon", "6.5", "--grid", "24,24"],
+    "grid-3d": ["run", str(PRESETS / "demo-3d.scn"), "--epsilon", "0.6", "--grid", "6,6,6"],
+    "sweep": ["sweep", DEMO_2D, "--epsilons", "6.0,6.5,7.0,8.0,9.0"],
+}
+
+
+def test_tables_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    def tables(block_rows):
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+        files = {}
+        for name, argv in TABLE_RUNS.items():
+            out = tmp_path / f"{name}-{block_rows}"
+            assert _run([*argv, "--out", str(out)]) == 0
+            files.update({f"{name}/{p.name}": p.read_bytes() for p in out.glob("*.tsv")})
+        return files
+
+    default = tables(cli.TABLE_BLOCK_ROWS)
+    assert sorted(default) == ["grid-2d/grid.tsv", "grid-2d/spectrum.tsv", "grid-3d/grid.tsv",
+                               "grid-3d/spectrum.tsv", "sweep/spectrum.tsv", "sweep/sweep.tsv"]
+    assert tables(1) == default
+    assert tables(7) == default
 
 
 class TestSweep:

@@ -28,7 +28,7 @@ from fieldcast import (
     zero_field,
 )
 from fieldcast.cli import write_grid
-from fieldcast.fields import GridSpec, auto_epsilon, ball_l2_norm, default_grid
+from fieldcast.fields import GridSpec, _distance, auto_epsilon, ball_l2_norm, default_grid
 from fieldcast.geometry import make_rule, with_defaults
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
@@ -247,6 +247,37 @@ class TestEvalOnGrid:
         s, K, v, h, report = demo2d_solution
         grid = eval_on_grid(h, s, GridSpec(shape=(0, 0), lo=(-1, -1), hi=(1, 1)))
         assert grid.points.shape[0] == 0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_points_and_distances_match_the_broadcast_forms(self, shape):
+        spec = GridSpec(shape=shape, lo=(-1.5, -2.0, 0.25)[: len(shape)],
+                        hi=(2.5, 3.0, 7.0)[: len(shape)])
+        axes = [np.linspace(lo, hi, n) for n, lo, hi in zip(spec.shape, spec.lo, spec.hi)]
+        reference = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+        points = spec.points()
+        assert points.shape == reference.shape and points.tobytes() == reference.tobytes()
+        rng = np.random.default_rng(37)
+        pts = rng.normal(scale=10.0, size=(1000, len(shape)))
+        center = rng.normal(size=len(shape))
+        assert (_distance(pts, center).tobytes()
+                == np.linalg.norm(pts - center, axis=-1).tobytes())
+
+    def test_peak_memory_per_point(self, demo2d_solution):
+        # The returned columns take 48 bytes a point (two coordinates, three
+        # fields and a label reference); at its peak the evaluation holds at
+        # most 32 more, counted by tracemalloc from a 100^2 to a 300^2 grid.
+        s, h = demo2d_solution[0], demo2d_solution[3]
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                eval_on_grid(h, s, default_grid(s, (n, n)))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(300) - traced_peak(100) <= 80 * (300**2 - 100**2)
 
     def test_labels_and_masks(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
