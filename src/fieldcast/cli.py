@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .certify import BoundaryBound, certify_solution, empirical_mismatches
 from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon,
                      scenario_difference_fields)
@@ -232,11 +232,12 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_size(s: Scenario) -> None:
+def _check_size(s: Scenario) -> int:
     """Reject a discretization whose operator and factorization would not fit
     in physical memory, from its node counts alone: m control nodes by M
     antenna harmonics.  Every command releases the matrix to the SVD, so one
-    estimate, three m x M arrays at the QR, bounds them all."""
+    estimate, three m x M arrays at the QR, bounds them all.  Returns m M^2,
+    the factorization's flop measure."""
     d = s.discretization
     m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
     n = rule_node_count(d.antenna, s.dim)
@@ -247,6 +248,7 @@ def _check_size(s: Scenario) -> None:
         raise ScenarioValidationError([
             f"a {m} x {columns} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
+    return m * columns**2
 
 
 def _prepare(args, scenario: Scenario, timings):
@@ -255,8 +257,9 @@ def _prepare(args, scenario: Scenario, timings):
     zero trace), then make the output directory, assemble the operator and
     take the weighted SVD, so a scenario rejected before assembly leaves no
     directory.  The SVD consumes the operator's matrix, for every command.
+    The BLAS thread count is chosen from the factorization's size first.
     Returns (out_dir, K, v, svd)."""
-    _check_size(scenario)
+    timings.append(("blas-threads", blas.use_threads(_check_size(scenario))))
     with _stage(timings, "target"):
         antenna, controls = build_rules(scenario)
         v = build_target(scenario, controls)
@@ -405,23 +408,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The BLAS thread count is
+    handed back as found, so an in-process caller keeps its own."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError, FileNotFoundError) as exc:
-        print(f"error [validation]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InfeasibleAccuracyError as exc:
-        print(f"error [infeasible]: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error [numerical]: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    with blas.thread_count_kept():
+        try:
+            return args.func(args)
+        except (ScenarioFormatError, ScenarioValidationError, FileNotFoundError) as exc:
+            print(f"error [validation]: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except InfeasibleAccuracyError as exc:
+            print(f"error [infeasible]: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"error [numerical]: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL

@@ -397,10 +397,11 @@ def factorization_bytes(m: int, n: int, columns: int) -> int:
     copy), the n x M basis, three k x M, k = min(m, M), for the SVD of R, and
     the run's other arrays (RUN_OVERHEAD_BYTES_PER_ROW per control node plus
     RUN_OVERHEAD_BYTES).  Every command releases the matrix, ``run
-    --dump-operator`` too.  Growth of peak RSS over an import-only process
+    --dump-operator`` too.  Growth of peak RSS over a process that only
+    imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate: 28.8 / 28.7 / 39.7 at 2304 x 399 (n = 800), 28.5 / 28.5 / 39.4
-    at 4096 x 255 (n = 512) and 42.9 / 42.9 / 55.5 at 2304 x 575 (n = 1152)."""
+    estimate: 28.1 / 28.2 / 39.7 at 2304 x 399 (n = 800), 28.5 / 28.5 / 39.4
+    at 4096 x 255 (n = 512) and 41.7 / 41.9 / 55.5 at 2304 x 575 (n = 1152)."""
     arrays = 3 * m * columns + n * columns + 3 * min(m, columns) * columns
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * m + RUN_OVERHEAD_BYTES
 

@@ -460,13 +460,14 @@ def _child_peak_bytes(argv) -> int:
 
 def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
     # 2304 control by 800 antenna nodes, a 2304 x 399 operator: the run grows
-    # by about 28.8 MiB over an import-only child.  Every command releases the
+    # by about 28.1 MiB over an import-only child.  Every command releases the
     # matrix to the factorization, so the size guard's three-array estimate
     # bounds the run, and the dump, which evaluates its rows again one block
     # at a time, peaks where the run does.
     run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
            "--epsilon", "0.6", "--nodes", "20,24"]
-    base = _child_peak_bytes(["-c", "import fieldcast.cli"])
+    base = _child_peak_bytes(["-c", "from fieldcast.blas import loading_single_threaded\n"
+                                    "with loading_single_threaded(): import fieldcast.cli"])
     peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
     dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
     assert peak - base <= factorization_bytes(2304, 800, 399)
@@ -744,7 +745,8 @@ class TestSweep:
                                                         "spectrum")
         assert _section(report, "outputs") == "spectrum: spectrum.tsv\nsweep: sweep.tsv\n"
         timed = [line.split(":")[0] for line in _section(report, "timings").splitlines()]
-        assert timed == ["target-seconds", "assemble-seconds", "svd-seconds", "sweep-seconds"]
+        assert timed == ["blas-threads", "target-seconds", "assemble-seconds", "svd-seconds",
+                         "sweep-seconds"]
 
     def test_epsilon_is_not_an_abbreviation_of_epsilons(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
