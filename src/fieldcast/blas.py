@@ -19,10 +19,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 # m M^2 of an m x M factorization (its QR's leading flop term) from which
-# two threads beat one: midway between 3072 x 510 (8.0e8, one thread 4%
-# faster) and 1536 x 766 (9.0e8, two threads 11% faster), timing QR plus SVD
-# of R on the presets' operators on 2 vCPUs (README, "BLAS threads").
-PARALLEL_MIN_FLOPS = 8.5e8
+# two threads beat one: midway between 2175 x 575 (7.2e8, one thread 13%
+# faster) and 1359 x 783 (8.3e8, two threads 17% faster), timing QR plus SVD
+# of R on the presets' coefficient matrices on 2 vCPUs (README, "BLAS
+# threads").
+PARALLEL_MIN_FLOPS = 7.8e8
 
 # The variables OpenBLAS reads its thread count from, first match first.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -34,7 +34,8 @@ from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolv
                      scenario_difference_fields)
 from .geometry import (Discretization, Scenario, ScenarioValidationError, build_rules,
                        harmonic_count, rule_degree, rule_node_count, validate_scenario)
-from .operator import assemble_forward, dump_operator, factorization_bytes, weighted_svd
+from .operator import (assemble_forward, dump_operator, factorization_bytes, matrix_rows,
+                       weighted_svd)
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
                      sweep_alpha, sweep_epsilon, sweep_ladder)
@@ -45,7 +46,7 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
-REPORT_FORMAT_VERSION = 3
+REPORT_FORMAT_VERSION = 4
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
 TABLE_BLOCK_ROWS = 4096
@@ -115,7 +116,12 @@ def _scenario_lines(s: Scenario, path: str) -> list[tuple[str, object]]:
     return lines
 
 
-def _spectrum_lines(sigma: np.ndarray) -> list[tuple[str, object]]:
+def _block_labels(count: int) -> list[str]:
+    """Report labels of ``count`` control blocks: the regions, then the outer sphere."""
+    return [f"region-{k}" for k in range(1, count)] + ["outer"]
+
+
+def _spectrum_lines(sigma: np.ndarray, unresolved) -> list[tuple[str, object]]:
     count = min(SPECTRUM_FIT_COUNT, sigma.shape[0])
     usable = sigma[:count][sigma[:count] > 0]
     slope = float(np.polyfit(np.arange(usable.shape[0]), np.log10(usable), 1)[0])
@@ -125,6 +131,8 @@ def _spectrum_lines(sigma: np.ndarray) -> list[tuple[str, object]]:
         ("count", int(sigma.shape[0])),
         ("rank-above-cutoff", rank_above_cutoff(sigma)),
         ("decay-slope-log10", slope),
+        *((f"unresolved-{label}", float(share))
+          for label, share in zip(_block_labels(len(unresolved)), unresolved)),
     ]
 
 
@@ -139,9 +147,7 @@ def _solve_lines(report: SolveReport) -> list[tuple[str, object]]:
         ("epsilon-floor", report.epsilon_floor),
         ("degenerate", report.degenerate),
     ]
-    n_regions = len(report.block_residuals) - 1
-    for k, res in enumerate(report.block_residuals, start=1):
-        label = f"region-{k}" if k <= n_regions else "outer"
+    for label, res in zip(_block_labels(len(report.block_residuals)), report.block_residuals):
         lines.append((f"residual-{label}", res))
     return lines
 
@@ -234,15 +240,16 @@ def _physical_memory() -> int:
 
 def _check_size(s: Scenario) -> int:
     """Reject a discretization whose operator and factorization would not fit
-    in physical memory, from its node counts alone: m control nodes by M
-    antenna harmonics.  Every command releases the matrix to the SVD, so one
-    estimate, three m x M arrays at the QR, bounds them all.  Returns m M^2,
-    the factorization's flop measure."""
+    in physical memory, from its node counts alone: m rows
+    (:func:`fieldcast.operator.matrix_rows`) by M antenna harmonics.  Every
+    command releases the matrix to the SVD, so one estimate
+    (:func:`fieldcast.operator.factorization_bytes`) bounds them all.  Returns m M^2, the factorization's flop measure."""
     d = s.discretization
-    m = (s.n_regions + 1) * rule_node_count(d.control, s.dim)
+    degree = rule_degree(d.antenna, s.dim)
+    columns = harmonic_count(degree, s.dim)
+    m = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim), degree)
     n = rule_node_count(d.antenna, s.dim)
-    columns = harmonic_count(rule_degree(d.antenna, s.dim), s.dim)
-    need = factorization_bytes(m, n, columns)
+    need = factorization_bytes(m, rule_node_count(d.control, s.dim), n, columns)
     limit = _physical_memory()
     if need > limit:
         raise ScenarioValidationError([
@@ -275,7 +282,7 @@ def _prepare(args, scenario: Scenario, timings):
     return out_dir, K, v, svd
 
 
-def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
+def _write_record(args, out_dir: Path, scenario: Scenario, K, sigma: np.ndarray,
                   sections, outputs, timings) -> None:
     """Write ``spectrum.tsv`` and ``report.txt``: [scenario], [spectrum], the
     command's own sections, [outputs] and [timings]; print the report path."""
@@ -284,7 +291,7 @@ def _write_record(args, out_dir: Path, scenario: Scenario, sigma: np.ndarray,
     report_path = out_dir / "report.txt"
     write_report(report_path, [
         ("scenario", _scenario_lines(scenario, args.scenario)),
-        ("spectrum", _spectrum_lines(sigma)),
+        ("spectrum", _spectrum_lines(sigma, K.unresolved)),
         *sections,
         ("outputs", [("spectrum", spectrum_path.name), *outputs]),
         ("timings", timings),
@@ -342,7 +349,7 @@ def cmd_run(args) -> int:
         dump_operator(K, out_dir / "operator.bin")
         outputs.append(("operator", "operator.bin"))
 
-    _write_record(args, out_dir, scenario, svd.sigma, [
+    _write_record(args, out_dir, scenario, K, svd.sigma, [
         ("solve", _solve_lines(report)),
         ("certificate", _certificate_lines(cert)),
         ("empirical", empirical_lines),
@@ -367,7 +374,7 @@ def cmd_sweep(args) -> int:
         rows = (sweep_alpha if name == "alpha" else sweep_epsilon)(K, v, ladder)
     sweep_path = out_dir / "sweep.tsv"
     write_table(sweep_path, [name, "discrepancy", "energy"], np.array(rows).T)
-    _write_record(args, out_dir, scenario, svd.sigma, [], [("sweep", sweep_path.name)], timings)
+    _write_record(args, out_dir, scenario, K, svd.sigma, [], [("sweep", sweep_path.name)], timings)
     print(f"sweep: {sweep_path}")
     print(f"spectrum: {out_dir / 'spectrum.tsv'}")
     return EXIT_OK
@@ -390,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", default=None, metavar="VALUE|auto",
                      help="override the scenario's accuracy budget")
     run.add_argument("--dump-operator", action="store_true",
-                     help="write the operator matrix (control nodes x antenna harmonics, "
-                          "evaluated again in row blocks) and spectrum as binary")
+                     help="write the operator matrix (control-sphere harmonics x antenna "
+                          "harmonics) and spectrum as binary")
     run.set_defaults(func=cmd_run)
 
     # No abbreviations: "--epsilon" must not pass for "--epsilons".

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
                        control_labels, make_rule, nodes_around, on_boundary,
                        validate_scenario)
-from .kernels import dlp_kernel, row_blocks
+from .kernels import dlp_kernel, kernel_planes, row_blocks
 from .operator import ControlTrace
 
 # Evaluation closer than this to a field's singular point is rejected.
@@ -276,12 +276,16 @@ def eval_double_layer(g, x) -> np.ndarray | float:
     y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
     wg = rule.weights * g.values
     out = np.empty(pts.shape[0])
-    for rows in row_blocks(pts.shape[0], rule.node_count):
+    blocks = row_blocks(pts.shape[0], rule.node_count)
+    planes = kernel_planes(blocks[0].stop if blocks else 0, rule.node_count)  # one set for all
+    for rows in blocks:
         if np.any(_distance(pts[rows], rule.boundary.center) < clearance):
             raise ValueError(
                 "double-layer evaluation too close to (or inside) the antenna boundary"
             )
-        out[rows] = dlp_kernel(pts[rows, None, :], y, nu, dim) @ wg  # (rows, n) @ (n,)
+        kernel = dlp_kernel(pts[rows, None, :], y, nu, dim,
+                            out=planes[:, : rows.stop - rows.start])  # (rows, n)
+        out[rows] = kernel @ wg
     return float(out[0]) if scalar else out
 
 

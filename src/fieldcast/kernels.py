@@ -38,12 +38,22 @@ def row_blocks(m: int, n: int) -> list[slice]:
     return [slice(start, min(start + step, m)) for start in range(0, m, step)]
 
 
-def _dist_and_dot(x, y, nu, dim: int):
+def kernel_planes(rows: int, n: int) -> np.ndarray:
+    """Scratch for :func:`dlp_kernel` on blocks of up to ``rows`` x ``n``
+    pairs: four (rows, n) planes, to be reused by every block of a row-blocked
+    caller; a block of fewer rows passes ``planes[:, :rows]``."""
+    return np.empty((4, rows, n))
+
+
+def _dist_and_dot(x, y, nu, dim: int, out=None):
     """|x - y| and (x - y).nu, built one coordinate plane at a time.
 
     Both sums run in axis order, as numpy's norm and sum over a last axis
     do, so the results are bit-identical to the broadcast (..., dim) form
-    without ever holding it.  ``nu=None`` skips the dot product.
+    without ever holding it.  ``nu=None`` skips the dot product.  The four
+    planes of ``out`` (:func:`kernel_planes`, shaped like the broadcast
+    pairs) take the work when given, else new ones do; the distance is
+    written to plane 1 and the dot product to plane 2.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -55,19 +65,23 @@ def _dist_and_dot(x, y, nu, dim: int):
         nu = np.asarray(nu, dtype=float)
         if nu.shape[-1] != dim:
             raise ValueError(f"normals must have trailing dimension {dim}, got {nu.shape}")
-    diff = x[..., 0] - y[..., 0]
-    sq = diff * diff
-    dot = None if nu is None else diff * nu[..., 0]
-    for k in range(1, dim):
-        diff = x[..., k] - y[..., k]
-        sq += diff * diff
+    if out is None:
+        out = np.empty((4, *np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+    diff, sq, dot, term = (out[i, ...] for i in range(4))
+    for k in range(dim):
+        np.subtract(x[..., k], y[..., k], out=diff)
+        np.multiply(diff, diff, out=term if k else sq)
+        if k:
+            sq += term
         if nu is not None:
-            dot += diff * nu[..., k]
-    dist = np.sqrt(sq)
+            np.multiply(diff, nu[..., k], out=term if k else dot)
+            if k:
+                dot += term
+    dist = np.sqrt(sq, out=sq)
     scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
     if np.any(dist < COINCIDENT_RTOL * scale):
         raise ValueError("coincident or near-coincident evaluation points")
-    return dist, dot
+    return dist, (None if nu is None else dot)
 
 
 def phi(x, y, dim: int) -> np.ndarray | float:
@@ -85,7 +99,7 @@ def phi(x, y, dim: int) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def dlp_kernel(x, y, nu_y, dim: int) -> np.ndarray | float:
+def dlp_kernel(x, y, nu_y, dim: int, out=None) -> np.ndarray | float:
     """Normal derivative of Phi in the source point: dPhi(x,y)/dnu_y.
 
     Differentiating the fundamental solution gives
@@ -96,12 +110,22 @@ def dlp_kernel(x, y, nu_y, dim: int) -> np.ndarray | float:
     Integrated against a density over a closed boundary this is the
     double-layer field; for the unit density it evaluates to -1 inside and
     0 outside the boundary (Gauss identity), which pins the constant.
+
+    ``out`` takes scratch planes for the work (:func:`kernel_planes`); the
+    kernel is then written to plane 0 and returned as it, with the same
+    operations in the same order, so bit for bit what a call without them
+    returns.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    dist, dot = _dist_and_dot(x, y, nu_y, dim)
-    out = dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
-    return out if out.ndim else float(out)
+    dist, dot = _dist_and_dot(x, y, nu_y, dim, out)
+    if out is None:
+        kernel = dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
+        return kernel if kernel.ndim else float(kernel)
+    kernel = out[0]
+    np.power(dist, dim, out=kernel)
+    kernel *= UNIT_SPHERE_MEASURE[dim]
+    return np.divide(dot, kernel, out=kernel)
 
 
 def adjoint_kernel(x, nu_x, y, dim: int) -> np.ndarray | float:

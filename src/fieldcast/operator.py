@@ -7,40 +7,59 @@ antenna harmonics.  Outside the antenna sphere of radius delta, the double
 layer of a surface harmonic of degree l is again that harmonic, times
 l/(2l+1) (delta/r)^(l+1) in 3D and 1/2 (delta/r)^l in 2D (Kress, *Linear
 Integral Equations*, ch. 6); degree 0 radiates nothing there (Gauss).  So
-column j of the matrix is the trace of basis density j, and the operator
-needs no antenna quadrature and no singular kernel.  The nodal Nystrom
-quadrature of the double-layer kernel stays as the oracle :func:`apply`.
+the field of basis density j is known everywhere outside the antenna
+(:func:`basis_fields`), and the operator needs no antenna quadrature and
+no singular kernel.  The nodal Nystrom quadrature of the double-layer
+kernel stays as the oracle :func:`apply`.
 
-Norms on both sides are quadrature weighted, so discrepancy statements
-are statements about the underlying function-space norms, not about raw
-coefficient vectors.  The basis is orthonormal in the antenna rule's
-weights, so a density's L2 norm is the norm of its coefficients, and the
-cached SVD is taken of W^(1/2) A, whose singular values are the
-operator's with respect to the true norms.
+The matrix holds each control sphere's block in that sphere's own
+orthonormal harmonics, which is all the L2-minimal solution needs: the
+singular system between the L2 spaces of antenna and control spheres.  A
+region's block is the weighted harmonic projection of the fields at its
+control nodes (:func:`fieldcast.geometry.harmonic_transform`): D^2 rows
+in 3D and 2D - 1 in 2D, D the degrees 0 .. D - 1 its rule resolves, where
+its nodal block had 2 D^2 or about 2D rows.  The outer sphere is
+concentric with the antenna, so its block is the diagonal
+g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) over the antenna's degrees
+1 .. L, in closed form, with no quadrature.  The part of each nodal block
+that its rule does not resolve is measured at assembly and reported
+(``ForwardOperator.unresolved``); targets are projected by the same
+transform, and what of them the rule leaves over enters the residuals
+whole.  Both bases are orthonormal, so the matrix's singular values are
+the operator's between the function spaces, with no row or column
+weighting.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
-                       harmonic_degree, surface_harmonics)
-from .kernels import dlp_kernel, row_blocks
+                       harmonic_degree, harmonic_transform, order_columns, order_width,
+                       surface_harmonics)
+from .kernels import dlp_kernel, kernel_planes, row_blocks
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
-_DUMP_VERSION = 2
+_DUMP_VERSION = 3
 
-# block_residuals, through the factors, agrees with A c - v, A the operator's
-# own matrix and c the density's coefficients, within
+# block_residuals, through the factors, agrees with C c - y, C the operator's
+# own matrix, c the density's coefficients and y the target's, within
 # RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||) per block, u = 2^-53.
-# Largest ratio measured: 0.51 at the solved densities and 2.5 at random
-# densities of the presets and 72 benchmark-pool scenarios, 13.1 over 4 500
-# random small scenarios (64 x 14 to 288 x 35).
+# Largest ratio measured: 6.0 at the solved densities and 2.6 at random
+# densities of the presets and 15 benchmark-pool scenarios; on the nodal
+# matrix this one replaced, 13.1 over 4 500 random small scenarios.
 RESIDUAL_ROUNDING_C = 64.0
+
+# numpy's raw QR gufunc, which factors its argument in place; numpy before
+# 2.0 has it only as qr_r_raw_m / qr_r_raw_n, and :func:`weighted_svd` then
+# runs ``np.linalg.qr(mode="raw")``, the same gufunc on a copy.
+_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None)
 
 
 @dataclass(frozen=True)
@@ -127,14 +146,13 @@ def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
 
 @dataclass(frozen=True)
 class WeightedSVD:
-    """Thin SVD B = U diag(sigma) Vt of B = W^(1/2) A, with U kept factored as
-    U = Q U_R: Q is the orthogonal factor of B's QR, held as its Householder
-    reflectors, and U_R the left factor of the SVD of R.  U is never formed;
-    :meth:`project` applies its transpose and :meth:`lift` U."""
+    """Thin SVD C = U diag(sigma) Vt of the operator's matrix C, with U kept
+    factored as U = Q U_R: Q is the orthogonal factor of C's QR, held as its
+    Householder reflectors, and U_R the left factor of the SVD of R.  U is
+    never formed; :meth:`project` applies its transpose and :meth:`lift` U."""
 
     sigma: np.ndarray    # (k,) nonincreasing, k = min(m, M)
     vt: np.ndarray       # (k, M)
-    sqrt_row_w: np.ndarray  # (m,)
     reflectors: np.ndarray  # (k, m): reflector j is [0]*j + [1] + reflectors[j, j+1:]
     tau: np.ndarray      # (k,) reflector scales, H_j = I - tau_j v_j v_j^T
     u_r: np.ndarray      # (k, k)
@@ -158,7 +176,7 @@ class WeightedSVD:
         """U z for z of length k, the mirror of :meth:`project`: U_R z padded
         with m - k zeros, then Q = H_1 ... H_k applied last reflector first."""
         k = self.tau.shape[0]
-        y = np.zeros(self.sqrt_row_w.shape[0])  # (m,)
+        y = np.zeros(self.reflectors.shape[1])  # (m,)
         y[:k] = self.u_r @ z
         for j in range(k - 1, -1, -1):
             w = self.reflectors[j, j:]
@@ -174,55 +192,81 @@ def _check_finite(a: np.ndarray, what: str) -> None:
             raise ValueError(f"operator {what} contains non-finite entries")
 
 
+def _concentric(antenna: QuadratureRule, rule: QuadratureRule) -> bool:
+    """Whether the control rule's sphere shares the antenna's centre, so that
+    its block is the closed-form diagonal of :func:`_coefficient_block`."""
+    return bool(np.array_equal(rule.boundary.center, antenna.boundary.center))
+
+
+def _region_rows(degree: int, dim: int) -> int:
+    """Rows of a region's block, for a rule of :func:`harmonic_degree`
+    ``degree``: one per harmonic of degrees 0 .. ``degree``."""
+    return harmonic_count(degree, dim) + 1
+
+
+def _block_rows(antenna: QuadratureRule, rule: QuadratureRule) -> int:
+    """Rows of a control rule's block: one per antenna harmonic on a sphere
+    concentric with the antenna, else one per harmonic the rule resolves."""
+    if _concentric(antenna, rule):
+        return harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
+    return _region_rows(harmonic_degree(rule), rule.boundary.dim)
+
+
+def matrix_rows(dim: int, n_regions: int, control_degree: int, antenna_degree: int) -> int:
+    """Rows of the matrix :func:`assemble_forward` builds from ``n_regions``
+    region rules and the outer one, all of :func:`harmonic_degree`
+    ``control_degree``, and an antenna rule of degree ``antenna_degree``:
+    :func:`_block_rows` summed, with no rule built."""
+    return n_regions * _region_rows(control_degree, dim) + harmonic_count(antenna_degree, dim)
+
+
 @dataclass
 class ForwardOperator:
-    """Trace operator on the antenna's harmonic basis, with weighted-SVD cache.
+    """Trace operator on the antenna's harmonic basis, with SVD cache.
 
-    Column j of ``matrix`` holds, at every control node, the field radiated
-    by basis density j, whose values at the antenna nodes are column j of
-    ``basis``.  The basis is orthonormal in the antenna rule's weights,
-    basis^T diag(w) basis = I, so coefficients c stand for the density
-    ``basis @ c`` (:meth:`density`) of L2 norm ||c||.  ``matrix`` is None once
-    ``weighted_svd(K, release=True)`` has consumed it; the factors then stand
-    in for it (:func:`block_residuals`), and :func:`dump_operator` evaluates
-    its rows again.
+    Column j of ``matrix`` holds the field radiated by basis density j,
+    whose values at the antenna nodes are column j of ``basis``, as
+    coefficients on each control sphere's orthonormal harmonics: one block
+    of rows per control rule, in their order (:attr:`block_rows`).  The
+    basis is orthonormal in the antenna rule's weights, basis^T diag(w)
+    basis = I, so coefficients c stand for the density ``basis @ c``
+    (:meth:`density`) of L2 norm ||c||.  ``unresolved`` holds, per control
+    rule, the share of the Frobenius norm of its nodal block (the fields at
+    its nodes, in its weights) that its harmonics do not resolve; a matrix
+    given directly has none.  ``matrix`` is None once ``weighted_svd(K,
+    release=True)`` has consumed it; the factors then stand in for it
+    (:func:`block_residuals`), and :func:`dump_operator` assembles its rows
+    again.
     """
 
-    matrix: np.ndarray | None  # (m, M): control nodes x antenna harmonics
+    matrix: np.ndarray | None  # (m, M): control harmonics x antenna harmonics
     basis: np.ndarray          # (n, M): antenna nodes x antenna harmonics
     antenna_rule: QuadratureRule
     control_rules: list[QuadratureRule]
+    unresolved: tuple[float, ...] | None = None
     _svd: WeightedSVD | None = field(default=None, repr=False)
+    block_rows: list[slice] = field(init=False, repr=False)  # each control rule's rows
 
     def __post_init__(self):
-        m = sum(r.node_count for r in self.control_rules)
         n = self.antenna_rule.node_count
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.basis = np.asarray(self.basis, dtype=float)
         if self.basis.ndim != 2 or self.basis.shape[0] != n:
             raise ValueError(f"basis shape {self.basis.shape} != ({n}, M)")
+        ends = np.cumsum([0] + [_block_rows(self.antenna_rule, r) for r in self.control_rules])
+        self.block_rows = [slice(int(a), int(b)) for a, b in zip(ends, ends[1:])]
+        m = int(ends[-1])
         if self.matrix.shape != (m, self.basis.shape[1]):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({m}, {self.basis.shape[1]})")
+        if self.unresolved is None:
+            self.unresolved = (0.0,) * len(self.control_rules)
         _check_finite(self.matrix, "matrix")
         _check_finite(self.basis, "basis")
 
-    @property
-    def row_weights(self) -> np.ndarray:
-        return np.concatenate([r.weights for r in self.control_rules])
-
-    @property
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for r in self.control_rules:
-            out.append(slice(start, start + r.node_count))
-            start += r.node_count
-        return out
-
     def split(self, concatenated: np.ndarray) -> ControlTrace:
-        return ControlTrace(
-            blocks=[concatenated[sl] for sl in self.block_slices],
-            rules=self.control_rules,
-        )
+        """Nodal values at every control node, regions first, as a trace."""
+        ends = np.cumsum([r.node_count for r in self.control_rules])[:-1]
+        return ControlTrace(blocks=np.split(concatenated, ends), rules=self.control_rules)
 
     def density(self, c: np.ndarray) -> Density:
         """The nodal density of coefficients c: ``basis @ c``."""
@@ -233,6 +277,46 @@ class ForwardOperator:
         basis^T diag(w) h, which recovers c from ``density(c)``."""
         _check_density(self, h)
         return self.basis.T @ (self.antenna_rule.weights * h.values)
+
+    def trace_coefficients(self, v: ControlTrace) -> tuple[np.ndarray, np.ndarray]:
+        """(y, outside): the trace v in the rows of ``matrix``, and per control
+        rule the squared norm of the part of v outside its block's rows.
+
+        Each block of v is projected by
+        :func:`fieldcast.geometry.harmonic_transform`; ``outside`` holds the
+        remainder its rule does not resolve and, on a sphere concentric with
+        the antenna, the harmonics of degrees the antenna does not radiate
+        (degree 0, and those above its degree L).  So ||y[block]||^2 plus
+        ``outside`` is the block's squared weighted norm, and the residual
+        of any density on that block is sqrt(||C c - y||^2 + outside).
+        """
+        _check_same_rules(self.control_rules, v.rules)
+        y = np.zeros(sum(rows.stop - rows.start for rows in self.block_rows))
+        outside = np.empty(len(self.control_rules))
+        for k, (rule, block, rows) in enumerate(zip(self.control_rules, v.blocks,
+                                                    self.block_rows)):
+            a, rest = harmonic_transform(rule, block)
+            if _concentric(self.antenna_rule, rule):
+                kept = min(a.shape[0] - 1, rows.stop - rows.start)
+                y[rows.start: rows.start + kept] = a[1: kept + 1]
+                rest = rest + a[0] ** 2 + a[kept + 1:] @ a[kept + 1:]
+            else:
+                y[rows] = a
+            outside[k] = rest
+        return y, outside
+
+
+def _degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
+    """(p, L): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
+    from the antenna centre, for degrees l = 1 .. L (:func:`basis_fields`)."""
+    dim, delta = antenna.boundary.dim, antenna.boundary.radius
+    q = delta / r
+    radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
+    out = np.empty((r.shape[0], harmonic_degree(antenna)))
+    for l in range(1, out.shape[1] + 1):
+        radial = radial * q
+        out[:, l - 1] = (0.5 if dim == 2 else l / (2 * l + 1)) * radial
+    return out
 
 
 def basis_fields(antenna: QuadratureRule, points) -> np.ndarray:
@@ -250,34 +334,107 @@ def basis_fields(antenna: QuadratureRule, points) -> np.ndarray:
     rejected: the expansion holds only outside it, and a violation indicates
     a broken scenario rather than something to regularize.
     """
-    dim = antenna.boundary.dim
-    center, delta = antenna.boundary.center, antenna.boundary.radius
-    if np.shape(points)[-1] != dim:
-        raise ValueError("antenna and points have mixed dimensions")
-    x = np.asarray(points, dtype=float) - center  # (p, dim)
-    r = np.linalg.norm(x, axis=-1)  # (p,)
-    if np.any(r < delta * (1.0 + SEPARATION_RTOL)):
-        raise ValueError("control boundary comes too close to the antenna boundary")
-    degree = harmonic_degree(antenna)
-    fields = surface_harmonics(x / r[:, None], degree)  # (p, M)
-    q = delta / r
-    radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
-    for l in range(1, degree + 1):
-        radial = radial * q
-        gain = 0.5 if dim == 2 else l / (2 * l + 1)
-        cols = slice(harmonic_count(l - 1, dim), harmonic_count(l, dim))
-        fields[:, cols] *= (gain * radial)[:, None]
+    points = np.asarray(points, dtype=float)
+    fields = np.empty((points.shape[0], harmonic_count(harmonic_degree(antenna),
+                                                       antenna.boundary.dim)), order="F")
+    for columns, block in basis_field_blocks(antenna, points):
+        fields[:, columns] = block
     return fields
 
 
+# Values of one block of :func:`basis_field_blocks`, unless one order has more.
+BASIS_BLOCK_VALUES = 2**16
+
+
+def basis_field_blocks(antenna: QuadratureRule, points):
+    """:func:`basis_fields` a few antenna orders at a time: yields
+    (columns, fields), the columns of those orders
+    (:func:`fieldcast.geometry.order_columns`) and their fields at the
+    points, a column-major (p, c) array of BASIS_BLOCK_VALUES or fewer;
+    each column bit for bit the whole array's."""
+    dim = antenna.boundary.dim
+    if np.shape(points)[-1] != dim:
+        raise ValueError("antenna and points have mixed dimensions")
+    x = np.asarray(points, dtype=float) - antenna.boundary.center  # (p, dim)
+    r = np.linalg.norm(x, axis=-1)  # (p,)
+    _check_clearance(antenna, r)
+    gains = _degree_gains(antenna, r)  # (p, L)
+    directions, degree = x / r[:, None], gains.shape[1]
+    width = max(1, BASIS_BLOCK_VALUES // max(1, x.shape[0]))
+    counts = [order_width(degree, dim, m) for m in range(degree + 1)]
+    first = 0
+    while first <= degree:
+        last, taken = first + 1, counts[first]   # as many orders as fit, at least one
+        while last <= degree and taken + counts[last] <= width:
+            taken += counts[last]
+            last += 1
+        columns, degrees = order_columns(degree, dim, range(first, last))
+        fields = surface_harmonics(directions, degree, range(first, last))  # (p, c)
+        fields *= gains[:, degrees - 1]
+        yield columns, fields
+        first = last
+
+
+def _check_clearance(antenna: QuadratureRule, r) -> None:
+    if np.any(r < antenna.boundary.radius * (1.0 + SEPARATION_RTOL)):
+        raise ValueError("control boundary comes too close to the antenna boundary")
+
+
+def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule) -> tuple[np.ndarray, float]:
+    """A control rule's block of the matrix, (rows, M), and the share of its
+    nodal block's Frobenius norm that the rule does not resolve.
+
+    A region's block is :func:`fieldcast.geometry.harmonic_transform` of
+    :func:`basis_fields` at its nodes, a few antenna orders at a time
+    (:func:`basis_field_blocks`), so the fields at all its nodes are never
+    held at once.  On a sphere of radius R concentric with the antenna,
+    basis density j radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2)
+    times the sphere's own orthonormal harmonic j, so the block is that
+    diagonal over all the antenna's degrees, whether or not the rule
+    resolves them.  Its nodal block lies in the rule's harmonics, and
+    nothing is unresolved, unless the antenna radiates degrees above the
+    rule's; only then is the nodal block evaluated, to measure that share.
+    """
+    concentric = _concentric(antenna, rule)
+    if concentric:
+        dim, radius = rule.boundary.dim, rule.boundary.radius
+        _check_clearance(antenna, radius)
+        gains = _degree_gains(antenna, np.array([radius]))[0] * radius ** ((dim - 1) / 2)
+        counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
+        diagonal = np.diag(np.repeat(gains, counts))
+        if harmonic_degree(antenna) <= harmonic_degree(rule):
+            return diagonal, 0.0
+    columns = harmonic_count(harmonic_degree(antenna), rule.boundary.dim)
+    coefficients = np.empty((harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1,
+                             columns), order="F")
+    rest = np.empty(columns)
+    for which, fields in basis_field_blocks(antenna, rule.nodes):
+        coefficients[:, which], rest[which] = harmonic_transform(rule, fields)
+        del fields   # before the next orders' are made
+    rest = float(np.sum(rest))
+    share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
+    return (diagonal if concentric else coefficients), share
+
+
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
-    """The closed-form trace operator: the antenna's harmonic basis, and its
-    :func:`basis_fields` at the control nodes, regions first, as the matrix."""
+    """The closed-form trace operator: the antenna's harmonic basis, and a
+    column-major matrix of each control rule's :func:`_coefficient_block`,
+    regions first, assembled one block at a time."""
+    rows = np.cumsum([0] + [_block_rows(antenna, r) for r in controls])
+    columns = harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
+    matrix = np.empty((rows[-1], columns), order="F")
+    unresolved = []
+    for rule, start, stop in zip(controls, rows, rows[1:]):
+        block, share = _coefficient_block(antenna, rule)
+        matrix[start:stop] = block
+        unresolved.append(share)
+        del block   # before the next block is made
+    # The basis only after the blocks, so that it is not held beside their
+    # working sets.
     basis = surface_harmonics(antenna.normals, harmonic_degree(antenna))
     basis *= antenna.boundary.radius ** (-(antenna.boundary.dim - 1) / 2)
-    matrix = basis_fields(antenna, np.concatenate([r.nodes for r in controls]))
     return ForwardOperator(matrix=matrix, basis=basis, antenna_rule=antenna,
-                           control_rules=list(controls))
+                           control_rules=list(controls), unresolved=tuple(unresolved))
 
 
 def _check_density(K: ForwardOperator, h: Density) -> None:
@@ -288,11 +445,15 @@ def _check_density(K: ForwardOperator, h: Density) -> None:
 def _kernel_blocks(K: ForwardOperator):
     """The nodal double-layer kernel dlp_kernel(x_i, y_j, nu_j), x_i over all
     control nodes and y_j over the antenna nodes, one block of antenna nodes
-    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each."""
+    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each,
+    every block written into one set of planes."""
     a = K.antenna_rule
     x = np.concatenate([r.nodes for r in K.control_rules])[None]  # (1, m, dim)
-    for cols in row_blocks(a.node_count, x.shape[1]):
-        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim)
+    blocks = row_blocks(a.node_count, x.shape[1])
+    planes = kernel_planes(blocks[0].stop, x.shape[1])
+    for cols in blocks:
+        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim,
+                               out=planes[:, : cols.stop - cols.start])
 
 
 def apply(K: ForwardOperator, h: Density) -> ControlTrace:
@@ -312,17 +473,20 @@ def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[fl
 
     Computed through the factors from h's coefficients c
     (:meth:`ForwardOperator.coefficients`), whether or not K still holds
-    its matrix: W^(1/2) (A c - v) = Q [U_R diag(sigma) Vt c; 0] - W^(1/2) v,
-    one reflector pass (:meth:`WeightedSVD.lift`).  Each norm agrees with
-    that of ``A c - v`` within RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| +
-    ||v||), u = 2^-53.
+    its matrix: C c = Q [U_R diag(sigma) Vt c; 0], one reflector pass
+    (:meth:`WeightedSVD.lift`), against v's coefficients y, plus the part of
+    v outside each block (:meth:`ForwardOperator.trace_coefficients`).
+    Each norm agrees with that of ``C c - y`` (and v's outside part) within
+    RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||), u = 2^-53.  It leaves
+    out the part of the radiated field its rule does not resolve, which is
+    at most the block's ``unresolved`` share of the nodal block's norm.
     """
     c = K.coefficients(h)
-    _check_same_rules(K.control_rules, v.rules)
+    y, outside = K.trace_coefficients(v)
     svd = weighted_svd(K)
-    image = svd.lift(svd.sigma * (svd.vt @ c))  # W^(1/2) A c
-    res = image - svd.sqrt_row_w * v.concatenated  # (m,)
-    return tuple(float(np.linalg.norm(res[sl])) for sl in K.block_slices)
+    res = svd.lift(svd.sigma * (svd.vt @ c)) - y  # (m,)
+    return tuple(math.sqrt(float(res[rows] @ res[rows]) + rest)
+                 for rows, rest in zip(K.block_rows, outside.tolist()))
 
 
 def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
@@ -333,7 +497,7 @@ def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
     adjoint of :func:`apply`.  It stores no matrix.
     """
     _check_same_rules(K.control_rules, t.rules)
-    weighted = K.row_weights * t.concatenated  # (m,)
+    weighted = np.concatenate([r.weights for r in K.control_rules]) * t.concatenated  # (m,)
     values = np.empty(K.antenna_rule.node_count)  # (n,)
     for cols, kernel in _kernel_blocks(K):
         values[cols] = kernel @ weighted
@@ -341,90 +505,111 @@ def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
 
 
 def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
-    """SVD of the operator with respect to the weighted norms (cached).
+    """SVD of the operator between the L2 spaces (cached).
 
-    Factorizes B = W^(1/2) A; the basis is orthonormal in the antenna's
-    weights, so B's singular values are the operator's between the weighted
-    spaces, and the compactness of the underlying integral operator shows up
-    as their rapid decay.  B = QR by Householder reflectors, then
+    Factorizes C = ``K.matrix``: both of its bases are orthonormal, so C's
+    singular values are the operator's between the function spaces, and
+    the compactness of the underlying integral operator shows up as their
+    rapid decay.  C = QR by Householder reflectors, then
     R = U_R diag(sigma) Vt, and neither Q nor U is formed.  LAPACK's gesdd
-    takes the same steps when m >= 11M/6; on both presets sigma and Vt equal
-    ``np.linalg.svd(B)``'s bit for bit.  B is column-major, so numpy's raw QR
-    hands back the reflectors as contiguous rows.
+    takes the same steps when m >= 11M/6.  The QR is numpy's raw one, the
+    gufunc that ``np.linalg.qr(mode="raw")`` runs on a copy, run here on a
+    column-major array of C, which it overwrites with the reflectors as
+    contiguous rows of its transpose (bit for bit ``np.linalg.qr``'s, which
+    stands in where numpy lacks the gufunc, at the cost of one more copy).
 
-    By default B is a scaled copy and K keeps its matrix.  With
-    ``release=True`` the matrix is scaled into B in place and K.matrix set
-    to None, so B is freed when the QR returns and neither A nor B lives
-    through the SVD of R.  Both paths scale alike and give bit-identical
-    factors.  A cached call returns the factors and changes nothing.
+    By default that array is a copy, and K keeps its matrix.  With
+    ``release=True`` K.matrix is set to None and its array, column-major
+    from :func:`assemble_forward`, is factored in place, so the QR holds no
+    copy of C beside LAPACK's working one; a cached call only lets the
+    matrix go.  Both give bit-identical factors.
     """
     if K._svd is not None:
+        if release:
+            K.matrix = None
         return K._svd
-    sqrt_row = np.sqrt(K.row_weights)
     if release:
-        b, K.matrix = np.asfortranarray(K.matrix), None
+        c, K.matrix = np.asfortranarray(K.matrix), None
     else:
-        b = np.array(K.matrix, order="F")
-    b *= sqrt_row[:, None]
+        c = np.array(K.matrix, order="F")
     try:
-        reflectors, tau = np.linalg.qr(b, mode="raw")  # (M, m), rows contiguous
-        del b
-        k = tau.shape[0]
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            if _QR_R_RAW is None:
+                reflectors, tau = np.linalg.qr(c, mode="raw")
+            else:
+                tau, reflectors = _QR_R_RAW(c, signature="d->d"), c.T
+        k = tau.shape[0]   # reflectors: (M, m), rows contiguous
         u_r, sigma, vt = np.linalg.svd(np.triu(reflectors[:, :k].T), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise RuntimeError(f"weighted SVD failed to converge: {exc}") from exc
     reflectors = reflectors[:k]
     np.fill_diagonal(reflectors, 1.0)
-    K._svd = WeightedSVD(sigma=sigma, vt=vt, sqrt_row_w=sqrt_row, reflectors=reflectors,
-                         tau=tau, u_r=u_r)
+    K._svd = WeightedSVD(sigma=sigma, vt=vt, reflectors=reflectors, tau=tau, u_r=u_r)
     return K._svd
 
 
-# What a run holds beside the operator's arrays: per control node, about 32
-# float64 of rules, target and assembly temporaries; and a fixed part for the
-# probes' kernel blocks and the BLAS and module memory a run touches beyond
-# ``import fieldcast.cli``.  A run at 64 x 15, where the arrays are
-# negligible, grows by 9.0 MiB; at 1024 x 63 by 10.4 MiB more than its arrays.
+# What a run holds beside the operator's arrays: per node of a control rule,
+# about 32 float64 of rules, target and transform temporaries; and a fixed
+# part for the probes' kernel planes and the BLAS and module memory a run
+# touches beyond ``import fieldcast.cli``.  On demo-3d a run at 31 x 15 (32
+# nodes a rule), where the arrays are negligible, grows by 9.8 MiB; at
+# 1087 x 63 (2048 nodes a rule) by 12.9 MiB.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 12 * 2**20
 
 
-def factorization_bytes(m: int, n: int, columns: int) -> int:
-    """Bytes a run holds at its peak, the QR in :func:`weighted_svd`, for m
-    control nodes, n antenna nodes and M = ``columns`` antenna harmonics:
-    three m x M float64 arrays (B, into which the matrix was released,
-    numpy's copy of B that becomes the reflectors, and LAPACK's working
-    copy), the n x M basis, three k x M, k = min(m, M), for the SVD of R, and
-    the run's other arrays (RUN_OVERHEAD_BYTES_PER_ROW per control node plus
-    RUN_OVERHEAD_BYTES).  Every command releases the matrix, ``run
-    --dump-operator`` too.  Growth of peak RSS over a process that only
+def factorization_bytes(m: int, p: int, n: int, columns: int) -> int:
+    """Bytes a run holds at its peak, for an m x M matrix (M = ``columns``
+    antenna harmonics), p nodes on the largest region's control rule and n
+    antenna nodes, summed over the stages that can set it: two m x M float64
+    arrays at the QR in :func:`weighted_svd` (the matrix, which it
+    overwrites with the reflectors, and LAPACK's working copy), which also
+    bound what :func:`assemble_forward` holds while it projects a region
+    (the matrix, that region's rows and its fields for a few antenna orders,
+    :func:`basis_field_blocks`); six k x k, k = min(m, M), for the SVD of R
+    (R, its factors and gesdd's workspace); the n x M basis; and the run's other
+    arrays (RUN_OVERHEAD_BYTES_PER_ROW per control-rule node plus
+    RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate: 28.1 / 28.2 / 39.7 at 2304 x 399 (n = 800), 28.5 / 28.5 / 39.4
-    at 4096 x 255 (n = 512) and 41.7 / 41.9 / 55.5 at 2304 x 575 (n = 1152)."""
-    arrays = 3 * m * columns + n * columns + 3 * min(m, columns) * columns
-    return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * m + RUN_OVERHEAD_BYTES
+    estimate, on demo-3d: 21.6 / 23.1 / 27.9 at 975 x 399 (p = 1152,
+    n = 800), 17.8 / 19.9 / 21.4 at 1279 x 255 (p = 2048, n = 512),
+    31.1 / 31.2 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 81.7 / - /
+    96.0 at 1279 x 1023 (p = 512, n = 2048), where the SVD of R sets the
+    peak.  The dump assembles each control rule's rows again after the
+    solve, and holds one region's rows while it does."""
+    k = min(m, columns)
+    arrays = 2 * m * columns + n * columns + 6 * k * k
+    return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
-    """Binary dump, version 2: int64 header (magic, version, rows m, columns M,
+    """Binary dump, version 3: int64 header (magic, version, rows m, columns M,
     n_sigma), then the m x M matrix row-major as float64, then the singular
-    values.  Rows are the control nodes, regions first and the outer sphere
-    last.  Columns are the antenna harmonics of
-    :func:`fieldcast.geometry.surface_harmonics`, degree by degree from 1: in
-    2D cos then sin of each degree; in 3D the zonal harmonic of degree l,
-    then cos and sin of each order m = 1 .. l.  The rows are evaluated again
-    by :func:`basis_fields` on K's rules, one block at a time: ``K.matrix``
-    bit for bit, whether or not the SVD released it, for one more assembly
-    (0.04 s at 3456 x 399) and no more memory."""
+    values, which are the matrix's own.  Rows are each control sphere's
+    harmonic coefficients, regions first and the outer sphere last
+    (:attr:`ForwardOperator.block_rows`): on a region's sphere the harmonics
+    of degrees 0 .. D - 1 of :func:`fieldcast.geometry.harmonic_transform`,
+    on the outer sphere those of the antenna's degrees 1 .. L.  Columns are
+    the antenna harmonics of :func:`fieldcast.geometry.surface_harmonics`,
+    degree by degree from 1: in 2D cos then sin of each degree; in 3D the
+    zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
+    The rows are written one row block at a time, from ``K.matrix`` while K
+    holds it; once the SVD has released it, each control rule's block is
+    assembled again (:func:`_coefficient_block`), the same rows bit for bit,
+    one block at a time."""
     svd = weighted_svd(K)
-    nodes = np.concatenate([r.nodes for r in K.control_rules])  # (m, dim)
-    m, columns = nodes.shape[0], K.basis.shape[1]
+    m, columns = sum(rows.stop - rows.start for rows in K.block_rows), K.basis.shape[1]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
-        for rows in row_blocks(m, columns):
-            block = basis_fields(K.antenna_rule, nodes[rows])
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for rule, block_rows in zip(K.control_rules, K.block_rows):
+            if K.matrix is None:
+                block = _coefficient_block(K.antenna_rule, rule)[0]
+            else:
+                block = K.matrix[block_rows]
+            for rows in row_blocks(block.shape[0], columns):
+                fh.write(np.ascontiguousarray(block[rows], dtype="<f8").tobytes())
+            del block
         fh.write(np.ascontiguousarray(svd.sigma, dtype="<f8").tobytes())
 
 

@@ -78,20 +78,27 @@ class _FilterData:
     perp_sq: float       # squared norm of the target outside the column span
     v_norm: float        # ||v||, as ControlTrace.norm gives it
 
+    def _sums_of_squares(self, alphas: np.ndarray, term) -> np.ndarray:
+        """sum_i term(alpha, i)^2 for each alpha of a 1-D array, over
+        bounded (alphas, k) blocks; ``term`` maps an (alphas, 1) column."""
+        out = np.empty(len(alphas))
+        for rows in row_blocks(len(alphas), self.sigma.size):
+            out[rows] = np.sum(term(alphas[rows, None]) ** 2, axis=1)
+        return out
+
     def discrepancy_sq(self, alphas: np.ndarray) -> np.ndarray:
-        sigma_sq, out = self.sigma**2, np.empty(len(alphas))
-        for rows in row_blocks(len(alphas), sigma_sq.size):  # bounded (alphas, k) temporaries
-            a = alphas[rows, None]
-            out[rows] = np.sum((a / (a + sigma_sq) * self.beta) ** 2, axis=1)
-        return out + self.perp_sq
+        sigma_sq = self.sigma**2
+        filtered = self._sums_of_squares(alphas, lambda a: a / (a + sigma_sq) * self.beta)
+        return filtered + self.perp_sq
 
     def coefficients(self, alpha: float) -> np.ndarray:
         return self.sigma * self.beta / (alpha + self.sigma**2)
 
-    def energy(self, alpha: float) -> float:
-        """Antenna L2 norm of the density at alpha: ``vt`` has orthonormal rows
-        and the operator's basis is orthonormal."""
-        return float(np.linalg.norm(self.coefficients(alpha)))
+    def energies(self, alphas: np.ndarray) -> np.ndarray:
+        """Antenna L2 norm of the density at each alpha, in one pass: ``vt``
+        has orthonormal rows and the operator's basis is orthonormal."""
+        sigma_sq, scaled = self.sigma**2, self.sigma * self.beta
+        return np.sqrt(self._sums_of_squares(alphas, lambda a: scaled / (a + sigma_sq)))
 
     @cached_property
     def floor(self) -> float:
@@ -158,10 +165,14 @@ def _pow10(x: np.ndarray) -> np.ndarray:  # Python's float power; numpy's may mi
 
 
 def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
+    """The target's coefficients projected on the singular basis; what lies
+    outside the matrix's rows (:meth:`ForwardOperator.trace_coefficients`)
+    adds to what lies outside its column span."""
     svd = weighted_svd(K)
-    v_tilde = svd.sqrt_row_w * v.concatenated  # (m,)
-    beta, perp_sq = svd.project(v_tilde)
-    return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq, v_norm=v.norm())
+    y, outside = K.trace_coefficients(v)
+    beta, perp_sq = svd.project(y)
+    return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq + float(np.sum(outside)),
+                       v_norm=v.norm())
 
 
 def sweep_ladder(values, name: str) -> list[float]:
@@ -198,7 +209,7 @@ def solve_min_energy(
         alpha_star=alpha,
         discrepancy=disc,
         epsilon=epsilon,
-        energy=data.energy(alpha),
+        energy=data.energies(np.array([alpha])).item(),
         bracket_iterations=iterations,
         block_residuals=block_residuals(K, h, v),
         epsilon_floor=data.floor,
@@ -211,8 +222,9 @@ def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float
     """Rows (alpha, residual norm, energy), sorted by alpha ascending."""
     ladder = sweep_ladder(alphas, "alpha")
     data = _filter_data(K, v)
-    discs = np.sqrt(data.discrepancy_sq(np.array(ladder))).tolist()
-    return [(a, d, data.energy(a)) for a, d in zip(ladder, discs)]
+    alphas = np.array(ladder)
+    return list(zip(ladder, np.sqrt(data.discrepancy_sq(alphas)).tolist(),
+                    data.energies(alphas).tolist()))
 
 
 def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[float, float, float]]:
@@ -220,5 +232,5 @@ def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[f
     sorted by epsilon ascending; no density or residual block is formed."""
     ladder = sweep_ladder(epsilons, "epsilon")
     data = _filter_data(K, v)
-    alphas, discs, _ = (x.tolist() for x in data.match(ladder))
-    return [(eps, d, data.energy(a)) for eps, a, d in zip(ladder, alphas, discs)]
+    alphas, discs, _ = data.match(ladder)
+    return list(zip(ladder, discs.tolist(), data.energies(alphas).tolist()))

@@ -52,7 +52,7 @@ class TestRun:
                      "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24"])
         assert code == 0
         report = (out / "report.txt").read_text()
-        assert report.startswith("format-version: 3\n")
+        assert report.startswith("format-version: 4\n")
         for section in ("[scenario]", "[spectrum]", "[solve]", "[certificate]",
                         "[empirical]", "[outputs]", "[timings]"):
             assert section in report
@@ -63,6 +63,19 @@ class TestRun:
         for line in report.splitlines():
             if "within-bound" in line:
                 assert line.endswith("yes")
+
+    def test_spectrum_reports_each_blocks_unresolved_share(self, tmp_path):
+        # Regions first, then the outer sphere, after the spectrum summary.
+        # demo-2d's circles resolve its fields to rounding, and the outer
+        # sphere resolves every antenna degree, so its share is exactly 0.
+        out = tmp_path / "out"
+        assert _run(["run", DEMO_2D, "--out", str(out), "--epsilon", str(FEASIBLE_EPS_2D)]) == 0
+        lines = _section((out / "report.txt").read_text(), "spectrum").splitlines()
+        keys = [line.split(": ")[0] for line in lines]
+        assert keys == ["sigma-1", "sigma-min", "count", "rank-above-cutoff", "decay-slope-log10",
+                        "unresolved-region-1", "unresolved-region-2", "unresolved-outer"]
+        shares = [float(line.split(": ")[1]) for line in lines[5:]]
+        assert all(0.0 <= share <= 1e-14 for share in shares) and shares[-1] == 0.0
 
     def test_certificate_has_one_bound_per_boundary(self, tmp_path):
         out = tmp_path / "out"
@@ -294,9 +307,10 @@ class TestRun:
 
     def test_oversized_discretization_exits_before_any_rule(self, tmp_path, capsys,
                                                             monkeypatch):
-        # 3D at 5000 polar nodes: 1e8 control nodes by 5000^2 - 1 antenna
-        # harmonics, far beyond any machine's memory; the counts alone decide,
-        # so nothing is allocated.
+        # 3D at 5000 polar nodes: the region's 5000^2 control harmonics and
+        # the outer sphere's 5000^2 - 1 rows by 5000^2 - 1 antenna harmonics,
+        # far beyond any machine's memory; the counts alone decide, so
+        # nothing is allocated.
         monkeypatch.setattr(cli, "build_rules", _never_called)
         out = tmp_path / "out"
         t0 = time.perf_counter()
@@ -305,7 +319,7 @@ class TestRun:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         err = capsys.readouterr().err
-        assert "a 100000000 x 24999999 operator" in err and "GiB of physical memory" in err
+        assert "a 49999999 x 24999999 operator" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_control_sphere_inside_antenna_reach_fails_validation(self, tmp_path, capsys):
@@ -433,7 +447,7 @@ class TestRun:
                      "--nodes", "64,64"])
         assert code == 0
         matrix, sigma = load_operator_dump(out / "operator.bin")
-        assert matrix.shape == (3 * 64, 62)
+        assert matrix.shape == (2 * 63 + 62, 62)   # two regions' 63 harmonics, the outer 62
         assert sigma.shape == (62,)
         assert np.all(np.diff(sigma) <= 0)
 
@@ -459,18 +473,18 @@ def _child_peak_bytes(argv) -> int:
 
 
 def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
-    # 2304 control by 800 antenna nodes, a 2304 x 399 operator: the run grows
-    # by about 28.1 MiB over an import-only child.  Every command releases the
-    # matrix to the factorization, so the size guard's three-array estimate
-    # bounds the run, and the dump, which evaluates its rows again one block
-    # at a time, peaks where the run does.
+    # 2304 control by 800 antenna nodes, a 975 x 399 operator (1152 nodes a
+    # control rule): the run grows by about 21.6 MiB over an import-only
+    # child.  Every command releases the matrix to the factorization, so the
+    # size guard's estimate bounds the run, and the dump, which assembles the
+    # rows again one control rule at a time, peaks about where the run does.
     run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
            "--epsilon", "0.6", "--nodes", "20,24"]
     base = _child_peak_bytes(["-c", "from fieldcast.blas import loading_single_threaded\n"
                                     "with loading_single_threaded(): import fieldcast.cli"])
     peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
     dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
-    assert peak - base <= factorization_bytes(2304, 800, 399)
+    assert peak - base <= factorization_bytes(975, 1152, 800, 399)
     assert dump - peak <= 2 * 2**20
     # One residual path for every command: the bodies above [outputs] agree.
     bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]

@@ -24,8 +24,11 @@ from fieldcast import (
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
                       assert_residuals_match_the_matrix, nystrom_matrix)
-from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules
-from fieldcast.operator import block_residuals, dump_operator, load_operator_dump
+from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_degree,
+                                rule_degree)
+from fieldcast import operator as operator_module
+from fieldcast.operator import (basis_field_blocks, basis_fields, block_residuals, dump_operator,
+                                load_operator_dump, matrix_rows)
 from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
@@ -37,34 +40,58 @@ def _small_geometry(n_antenna=6, n_control=10):
     return antenna, [control]
 
 
-def _weighted(K):
-    """B = W^(1/2) A, formed as ``weighted_svd`` forms it."""
-    return np.sqrt(K.row_weights)[:, None] * K.matrix
-
-
 @pytest.fixture(scope="module", params=["demo2d_parts", "demo3d_parts"])
 def preset_gesdd(request):
-    """A preset's operator and LAPACK's gesdd of its B: the oracle."""
+    """A preset's operator and LAPACK's gesdd of its matrix: the oracle."""
     K = request.getfixturevalue(request.param)[3]
-    return K, np.linalg.svd(_weighted(K), full_matrices=False)
+    return K, np.linalg.svd(K.matrix, full_matrices=False)
 
 
 def _operator_with(matrix_of, n_antenna=6, n_control=10):
-    """Operator with the genuine basis and quadrature weights of the small
-    geometry and the matrix ``matrix_of(M)`` gives for its M columns."""
+    """Operator with the genuine basis and rules of the small geometry and
+    the matrix ``matrix_of(rows, M)`` gives for its shape."""
     antenna, controls = _small_geometry(n_antenna, n_control)
-    basis = assemble_forward(antenna, controls).basis
-    return ForwardOperator(matrix=matrix_of(basis.shape[1]), basis=basis,
+    genuine = assemble_forward(antenna, controls)
+    return ForwardOperator(matrix=matrix_of(*genuine.matrix.shape), basis=genuine.basis,
                            antenna_rule=antenna, control_rules=controls)
 
 
 def _random_operator(rng, n_antenna=6, n_control=10):
-    """Operator with a random matrix but genuine basis and quadrature weights."""
-    return _operator_with(lambda columns: rng.normal(size=(n_control, columns)),
+    """Operator with a random matrix but genuine basis and rules."""
+    return _operator_with(lambda rows, columns: rng.normal(size=(rows, columns)),
                           n_antenna, n_control)
 
 
+def _node_count(K):
+    return sum(r.node_count for r in K.control_rules)
+
+
 class TestAssembleApply:
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_matrix_rows_counts_the_assembled_rows(self, parts, request):
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        d = s.discretization
+        rows = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim),
+                           rule_degree(d.antenna, s.dim))
+        assert rows == K.matrix.shape[0] == K.block_rows[-1].stop
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    @pytest.mark.parametrize("values", [1, 300, 2**16])
+    def test_basis_field_blocks_tile_the_fields(self, parts, values, request, monkeypatch):
+        # Blocks of whole orders, of at most BASIS_BLOCK_VALUES values unless
+        # one order has more, that cover every column once, bit for bit.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        points = controls[0].nodes
+        whole = basis_fields(antenna, points)
+        monkeypatch.setattr(operator_module, "BASIS_BLOCK_VALUES", values)
+        seen = []
+        for columns, fields in basis_field_blocks(antenna, points):
+            assert fields.flags.f_contiguous
+            assert fields.size <= max(values, fields.shape[0] * 2 * harmonic_degree(antenna))
+            assert np.array_equal(fields, whole[:, columns])
+            seen += columns.tolist()
+        assert sorted(seen) == list(range(whole.shape[1]))
+
     def test_unit_density_maps_to_zero_trace(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         ones = Density(rule=antenna, values=np.ones(antenna.node_count))
@@ -134,7 +161,7 @@ class TestAssembleApply:
     def test_apply_matches_the_broadcast_form(self, parts, block_cols, request, monkeypatch):
         # The blocked Nystrom sums against the whole (m, n, dim) broadcast matrix.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        m = K.matrix.shape[0]
+        m = _node_count(K)
         if block_cols is not None:
             monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_cols * m)
         dim = antenna.boundary.dim
@@ -153,7 +180,7 @@ class TestAssembleApply:
                       <= 2 * antenna.node_count * u * (np.abs(reference) @ np.abs(h)))
         t = rng.normal(size=m)
         adjoint = apply_adjoint(K, K.split(t)).values
-        wt = K.row_weights * t
+        wt = np.concatenate([r.weights for r in controls]) * t
         expected = (reference.T @ wt) / antenna.weights
         assert np.all(np.abs(adjoint - expected)
                       <= 2 * (m + 2) * u * (np.abs(reference).T @ np.abs(wt)) / antenna.weights)
@@ -184,9 +211,9 @@ class TestAssembleApply:
             ForwardOperator(**arrays, antenna_rule=K.antenna_rule, control_rules=K.control_rules)
 
     def test_finiteness_scan_allocates_no_matrix_sized_mask(self, demo3d):
-        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 64)))
         K = assemble_forward(antenna, controls)
-        assert K.matrix.shape == (4096, 255)
+        assert K.matrix.shape == (64**2 + 255, 255)   # the region's harmonics, the outer diagonal
         tracemalloc.start()
         try:
             ForwardOperator(matrix=K.matrix, basis=K.basis, antenna_rule=antenna,
@@ -197,14 +224,19 @@ class TestAssembleApply:
         assert peak <= K.matrix.size // 8   # a whole bool mask is K.matrix.size bytes
 
     def test_assembly_peak_memory_is_about_the_matrix(self, demo3d_parts):
+        # The matrix and the basis it returns, and at most 1 MiB more: a
+        # region's block is projected from its fields a few antenna orders at
+        # a time, so that holds less than the basis made after the blocks.
+        # At 1151 x 575 the bound is 11.1 MiB, under the 18.1 MiB (matrix + 8
+        # MiB) the 2304 x 575 nodal matrix it replaced was held to.
         s, antenna, controls, K, v = demo3d_parts
         tracemalloc.start()
         try:
-            matrix = assemble_forward(antenna, controls).matrix
+            result = assemble_forward(antenna, controls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= matrix.nbytes + 8 * MIB
+        assert peak <= result.matrix.nbytes + result.basis.nbytes + MIB
 
     def test_separation_violation_rejected(self):
         antenna = make_circle_rule((0.0, 0.0), 1.0, 16)
@@ -375,8 +407,8 @@ class TestWeightedSVD:
 
     def test_rank_one_fixture(self):
         rng = np.random.default_rng(8)
-        K = _operator_with(lambda columns: np.outer(rng.normal(size=10),
-                                                    rng.normal(size=columns)))
+        K = _operator_with(lambda rows, columns: np.outer(rng.normal(size=rows),
+                                                          rng.normal(size=columns)))
         sigma = weighted_svd(K).sigma
         assert np.all(sigma[1:] <= 1e-12 * sigma[0])
 
@@ -403,22 +435,22 @@ class TestWeightedSVD:
         m = K.matrix.shape[0]
         u = np.array([svd.project(e)[0] for e in np.eye(m)])  # row i is U^T e_i
         rebuilt = (u * svd.sigma) @ svd.vt
-        rebuilt = rebuilt / svd.sqrt_row_w[:, None]
         scale = np.max(np.abs(K.matrix))
         assert np.max(np.abs(rebuilt - K.matrix)) <= 1e-10 * scale
 
     def test_wide_operator_spans_every_trace(self, demo2d):
-        # Fewer control rows than antenna columns, as a small --nodes gives.
+        # Fewer control rows than antenna columns: the region spheres alone at
+        # a small control count (the outer sphere's diagonal has M rows).
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
-        K = assemble_forward(antenna, controls)
-        assert K.matrix.shape == (24, 62)
+        K = assemble_forward(antenna, controls[:-1])
+        assert K.matrix.shape == (14, 62)
         svd = weighted_svd(K)
-        sigma = np.linalg.svd(_weighted(K), compute_uv=False)
-        assert svd.sigma.shape == sigma.shape == (24,)
+        sigma = np.linalg.svd(K.matrix, compute_uv=False)
+        assert svd.sigma.shape == sigma.shape == (14,)
         assert np.max(np.abs(svd.sigma - sigma)) <= 1e-14 * sigma[0]
         rng = np.random.default_rng(19)
         for _ in range(5):
-            x = rng.normal(size=24)
+            x = rng.normal(size=14)
             beta, perp_sq = svd.project(x)
             assert perp_sq == 0.0
             assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(x), rel=1e-14)
@@ -454,30 +486,62 @@ class TestRelease:
         for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
             assert np.array_equal(getattr(gone, name), getattr(keep, name)), name
 
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_qr_is_numpys_raw_qr_bit_for_bit(self, parts, request, monkeypatch):
+        # The in-place gufunc against np.linalg.qr(mode="raw") on a copy, and
+        # the factors of that public form, which stands in where numpy lacks
+        # the gufunc, against those of the in-place one.
+        parts = request.getfixturevalue(parts)
+        h, tau = np.linalg.qr(parts[3].matrix, mode="raw")
+        svd = weighted_svd(_fresh(parts), release=True)
+        k = tau.shape[0]
+        assert np.array_equal(svd.tau, tau)
+        assert np.array_equal(np.triu(svd.reflectors, 1), np.triu(h[:k], 1))
+        monkeypatch.setattr(operator_module, "_QR_R_RAW", None)
+        public = weighted_svd(_fresh(parts), release=True)
+        for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+            assert np.array_equal(getattr(public, name), getattr(svd, name)), name
+
     def test_release_traces_one_matrix_and_keep_two(self, demo3d):
-        # 4096 x 255: the SVD of R (three 255 x 255 arrays) stays under the slack.
+        # 1279 x 255, from assembly on.  During the SVD a released operator
+        # traces its matrix, which the QR overwrites in place, its basis and
+        # the SVD of R (three 255 x 255 arrays, under the slack); a kept one
+        # the QR's copy too.  After it the released operator holds one
+        # matrix-sized array, the reflectors, and a kept one the matrix too.
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
-        peaks = {}
+        assemble_forward(antenna, controls)   # fills the transform's table cache first
+        held, peaks = {}, {}
         for release in (True, False):
-            K = assemble_forward(antenna, controls)
-            nbytes = K.matrix.nbytes
             tracemalloc.start()
             try:
+                K = assemble_forward(antenna, controls)
+                nbytes, basis = K.matrix.nbytes, K.basis.nbytes
+                tracemalloc.reset_peak()
                 weighted_svd(K, release=release)
-                peaks[release] = tracemalloc.get_traced_memory()[1]
+                held[release], peaks[release] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert nbytes == 4096 * 255 * 8
-        # Release: numpy's QR copy.  Keep: B's copy beside it.
-        assert peaks[True] <= nbytes + 8 * MIB
-        assert peaks[False] >= 2 * nbytes
+            del K
+        assert nbytes == 1279 * 255 * 8
+        assert peaks[True] <= nbytes + basis + 2 * MIB
+        assert abs(peaks[False] - peaks[True] - nbytes) <= MIB / 4
+        assert nbytes + basis <= held[True] <= nbytes + basis + 2 * MIB
+        assert abs(held[False] - held[True] - nbytes) <= MIB / 4
+
+    def test_dump_assembles_a_released_3d_operator_bit_for_bit(self, demo3d_parts, tmp_path):
+        # 1151 x 575: each region's fields come in many blocks of antenna orders.
+        K = _fresh(demo3d_parts)
+        matrix = K.matrix.copy()
+        weighted_svd(K, release=True)
+        dump_operator(K, tmp_path / "operator.bin")
+        assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
 
     def test_released_operator_still_serves(self, demo2d_parts, tmp_path):
         rng = np.random.default_rng(23)
         K = _fresh(demo2d_parts)
         matrix = K.matrix.copy()
         h = Density(rule=K.antenna_rule, values=rng.normal(size=K.antenna_rule.node_count))
-        t = K.split(rng.normal(size=matrix.shape[0]))
+        t = K.split(rng.normal(size=_node_count(K)))
         before = apply(K, h).concatenated, apply_adjoint(K, t).values
         weighted_svd(K, release=True)
         assert K.matrix is None
@@ -502,11 +566,13 @@ class TestFactoredResidual:
         assert_columns_match_the_nystrom_sum(K)
 
     def test_wide_operator_matches_the_nodal_matvec(self, demo2d):
+        # The region spheres alone, as in test_wide_operator_spans_every_trace.
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
-        K = assemble_forward(antenna, controls)
+        K = assemble_forward(antenna, controls[:-1])
         v = build_target(demo2d, controls)
+        v = ControlTrace(blocks=v.blocks[:-1], rules=controls[:-1])
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
-        assert K.matrix.shape == (24, 62)
+        assert K.matrix.shape == (14, 62)
         assert_residuals_match_the_matrix(K, h, v)
         assert_columns_match_the_nystrom_sum(K)
 
@@ -555,7 +621,7 @@ class TestDump:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * MIB   # row blocks, not copies of the 21 MiB matrix
+        assert peak <= 2 * MIB   # row blocks, not copies of the 5 MiB matrix
         m, n = K.matrix.shape
         assert path.read_bytes()[40:40 + 8 * m * n] == np.ascontiguousarray(K.matrix).tobytes()
 

@@ -22,9 +22,11 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import assert_residuals_match_the_matrix, nodal_floor_and_energy, scalar_match
+from conftest import (assert_residuals_match_the_matrix, nystrom_floor_and_energy, rule_harmonics,
+                      scalar_match)
 from fieldcast import kernels, solver
-from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization
+from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization, make_rule
+from fieldcast.operator import basis_fields
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 
 # Fixed example order and no example database: every run checks the same cases.
@@ -110,8 +112,28 @@ def test_factored_residuals_match_the_matrix(s, fraction):
     assert_residuals_match_the_matrix(K, h, v)
 
 
+@PROPERTY
+@given(dim=st.sampled_from([2, 3]), delta=st.floats(0.1, 10.0), log_ratio=st.floats(-4.0, 2.0),
+       antenna=st.integers(2, 12), extra=st.integers(0, 4))
+def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna, extra):
+    # A sphere concentric with the antenna, at R / delta from just outside the
+    # clearance up to 100, resolving every antenna degree: its closed-form
+    # diagonal against the fields at its nodes, projected on its harmonics
+    # explicitly, column by column to 1e-13 of the column's diagonal entry.
+    radius = delta * (1.0 + SEPARATION_RTOL) * (1.0 + 10.0 ** log_ratio)
+    n_antenna = 2 * antenna if dim == 2 else antenna
+    ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
+    outer = make_rule(np.zeros(dim), radius, n_antenna + extra, dim)
+    K = assemble_forward(ant, [outer])
+    diagonal = np.diag(K.matrix)
+    assert np.array_equal(K.matrix, np.diag(diagonal)) and K.unresolved == (0.0,)
+    harmonics = rule_harmonics(outer)[:, 1: 1 + diagonal.shape[0]]
+    projected = harmonics.T @ (outer.weights[:, None] * basis_fields(ant, outer.nodes))
+    assert np.all(np.abs(projected - K.matrix) <= 1e-13 * diagonal)
+
+
 def _solve(s):
-    """Rules, target, residual floor, epsilon = floor + 0.1 (||v|| - floor)
+    """Operator, target, residual floor, epsilon = floor + 0.1 (||v|| - floor)
     and the energy at that epsilon."""
     antenna, controls = build_rules(s)
     K = assemble_forward(antenna, controls)
@@ -119,7 +141,7 @@ def _solve(s):
     floor = residual_floor(K, v)
     epsilon = floor + 0.1 * (v.norm() - floor)
     _, report = solve_min_energy(K, v, epsilon)
-    return antenna, controls, v, floor, epsilon, report.energy
+    return K, v, floor, epsilon, report.energy
 
 
 # In 3D the control rules are coarsened to keep the default antenna's SVD cheap.
@@ -129,22 +151,24 @@ _CONTROL_NODES = {2: DEFAULT_NODES[2], 3: 8}
 def _assert_geometry_sized_antenna_matches_the_default(s):
     # The antenna count read off the geometry loses nothing the default
     # count resolves: same floor and same energy at the same control count.
-    # And the closed-form operator gives the floor and energy of the nodal
-    # Nystrom operator at that count, within the floor's documented 2e-10
-    # antenna-count jitter.
+    # And the closed-form operator gives the floor and energy of the Nystrom
+    # operator projected on the control harmonics at that count, within the
+    # floor's documented 2e-10 antenna-count jitter.  The Nystrom sums run in
+    # extended precision: in float64 their absolute errors, about 2e-15 of
+    # the largest entry, move a floor by up to 2.8e-10.
     s = with_defaults(s)
     chosen = s.discretization.antenna
     assert MIN_NODES[s.dim] <= chosen <= DEFAULT_NODES[s.dim]
     control = _CONTROL_NODES[s.dim]
-    antenna, controls, v, floor, epsilon, energy = _solve(
+    K, v, floor, epsilon, energy = _solve(
         replace(s, discretization=Discretization(chosen, control)))
     *_, ref_floor, _, ref_energy = _solve(
         replace(s, discretization=Discretization(DEFAULT_NODES[s.dim], control)))
     assert floor == pytest.approx(ref_floor, rel=1e-10)
     assert energy == pytest.approx(ref_energy, rel=1e-9)
-    nodal_floor, nodal_energy = nodal_floor_and_energy(antenna, controls, v, epsilon)
-    assert floor == pytest.approx(nodal_floor, rel=2e-10)
-    assert energy == pytest.approx(nodal_energy, rel=1e-9)
+    nystrom_floor, nystrom_energy = nystrom_floor_and_energy(K, v, epsilon)
+    assert floor == pytest.approx(nystrom_floor, rel=2e-10)
+    assert energy == pytest.approx(nystrom_energy, rel=1e-9)
 
 
 # Inward gaps from delta (2D) or 3 delta (3D) up to 30 delta: the chosen

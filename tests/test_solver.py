@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, scalar_match
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, explicit_coefficients, scalar_match,
+                      trace_of)
 from fieldcast import (
     ControlTrace,
     Discretization,
@@ -30,18 +31,18 @@ from fieldcast.solver import rank_above_cutoff, residual_floor
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
     """Small synthetic operator: a random matrix on the genuine antenna basis
-    and quadrature weights."""
+    and control rule, one row per harmonic the control circle resolves."""
     antenna = make_circle_rule((0.0, 0.0), 1.0, n_antenna)
     control = make_circle_rule((8.0, 0.0), 2.0, n_control)
-    basis = assemble_forward(antenna, [control]).basis
+    genuine = assemble_forward(antenna, [control])
     K = ForwardOperator(
-        matrix=rng.normal(size=(n_control, basis.shape[1])),
-        basis=basis,
+        matrix=rng.normal(size=genuine.matrix.shape),
+        basis=genuine.basis,
         antenna_rule=antenna,
         control_rules=[control],
     )
     if target_in_range:
-        clean = K.matrix @ rng.normal(size=basis.shape[1])
+        clean = trace_of(K, K.matrix @ rng.normal(size=K.matrix.shape[1])).blocks[0]
         noise = 1e-3 * rng.normal(size=n_control)
         v = ControlTrace(blocks=[clean + noise], rules=[control])
     else:
@@ -50,27 +51,29 @@ def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
 
 
 def _dense_normal_solve(K, v, alpha):
-    """Oracle: solve (alpha I + A^T W A) c = A^T W v directly, and return the
-    nodal values of the density basis @ c."""
-    A = K.matrix
-    W = K.row_weights
-    lhs = alpha * np.eye(A.shape[1]) + A.T @ (W[:, None] * A)
-    rhs = A.T @ (W * v.concatenated)
-    return K.basis @ np.linalg.solve(lhs, rhs)
+    """Oracle: solve (alpha I + C^T C) c = C^T y directly, y the target's
+    coefficients formed explicitly, and return the nodal values of the
+    density basis @ c."""
+    C = K.matrix
+    y, _ = explicit_coefficients(K, v)
+    lhs = alpha * np.eye(C.shape[1]) + C.T @ C
+    return K.basis @ np.linalg.solve(lhs, C.T @ y)
 
 
 def _qp_oracle_energy(K, v, disc_target):
     """Brute-force minimal-energy oracle for a matched residual norm.
 
-    Works in the weighted coordinates through an eigendecomposition of the
-    normal matrix (no SVD of the operator): scans 1e4 log-spaced Lagrange
-    multipliers to bracket the residual target, then bisects the bracket
-    so the comparison is limited by neither grid nor root tolerance.  The
-    basis is orthonormal, so the energy is the coefficient norm.
+    Works on the matrix through an eigendecomposition of the normal matrix
+    (no SVD of the operator), with the target's coefficients formed
+    explicitly and what of it they leave out added to every residual: scans
+    1e4 log-spaced Lagrange multipliers to bracket the residual target, then
+    bisects the bracket so the comparison is limited by neither grid nor
+    root tolerance.  The basis is orthonormal, so the energy is the
+    coefficient norm.
     """
-    sqrt_W = np.sqrt(K.row_weights)
-    B = sqrt_W[:, None] * K.matrix
-    b = sqrt_W * v.concatenated
+    B = K.matrix
+    b, outside = explicit_coefficients(K, v)
+    outside_sq = float(np.sum(outside))
     lam, Q = np.linalg.eigh(B.T @ B)
     rhs = Q.T @ (B.T @ b)
 
@@ -78,7 +81,7 @@ def _qp_oracle_energy(K, v, disc_target):
         coeff = rhs / (mu + lam)
         h_tilde = Q @ coeff
         res = B @ h_tilde - b
-        return math.sqrt(float(res @ res)), float(np.linalg.norm(h_tilde))
+        return math.sqrt(float(res @ res) + outside_sq), float(np.linalg.norm(h_tilde))
 
     mus = np.geomspace(1e-16 * lam[-1], 1e6 * lam[-1], 10000)
     discs = np.array([solve_at(mu)[0] for mu in mus])
@@ -217,7 +220,7 @@ class TestResidualFloor:
         worst = 0.0
         for _ in range(200):
             K, _ = _random_instance(rng)
-            v = K.split(K.matrix @ rng.normal(size=K.matrix.shape[1]))
+            v = trace_of(K, K.matrix @ rng.normal(size=K.matrix.shape[1]))
             worst = max(worst, residual_floor(K, v) / v.norm())
         assert worst <= 1e-11
 

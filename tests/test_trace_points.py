@@ -89,3 +89,24 @@ def test_span_attributes_read_the_results(tmp_path):
     assert layers["operator.rank_above_cutoff"] > 0
     assert 0 < layers["operator.useful_rank_ratio"] <= 1
     assert layers["solver.solves"] == 1
+
+
+def test_assemble_forward_returns_the_factored_matrix(tmp_path, monkeypatch):
+    # The benchmark's _assemble_attrs reads ``.matrix`` of what
+    # assemble_forward returns, before the SVD releases it: the matrix that
+    # is factored, each control rule's harmonics by the antenna's.  On
+    # demo-2d at 32 nodes that is two regions' 31 harmonics (degrees 0 .. 15)
+    # and the outer sphere's 30 rows by 30 antenna harmonics.
+    spans = _spans()
+    shapes = []
+
+    def recorded(*args, _fn=cli.assemble_forward, **kwargs):
+        result = _fn(*args, **kwargs)
+        shapes.append(None if result.matrix is None else result.matrix.shape)
+        assert spans._assemble_attrs(args, result)["kernel_pairs"] == result.matrix.size
+        return result
+
+    monkeypatch.setattr(cli, "assemble_forward", recorded)
+    assert cli.main(["run", str(ROOT / "presets" / "demo-2d"), "--epsilon", "6.5",
+                     "--nodes", "32,32", "--out", str(tmp_path)]) == 0
+    assert shapes == [(2 * 31 + 30, 30)]
