@@ -21,7 +21,7 @@ _EXPORTS = {
     "certify": ["certify_solution"],
     "fields": ["HarmonicField", "auto_epsilon", "build_target", "constant_field", "dipole",
                "eval_double_layer", "eval_field", "eval_on_grid", "harmonic_polynomial",
-               "log_source", "point_source", "zero_field"],
+               "log_source", "point_source", "radiated_field", "zero_field"],
     "geometry": ["Boundary", "Discretization", "QuadratureRule", "Region", "Scenario",
                  "ScenarioValidationError", "build_rules", "make_circle_rule",
                  "make_sphere_rule", "validate_scenario", "with_defaults"],

@@ -16,7 +16,8 @@ unit-ball volume, times the L1 factor sqrt(|data sphere|) that turns the
 L2 residual into an L1 norm by Cauchy-Schwarz, times the residual.
 
 The seeded probes of :func:`empirical_mismatches` sample each certified sup
-where it is attained.  The difference is harmonic on each closed target
+where it is attained, in the closed form (:func:`fieldcast.fields.radiated_field`)
+whose residuals the bounds take.  The difference is harmonic on each closed target
 ball, so by the maximum principle its sup there lies on the target sphere;
 outside the observation ball it is harmonic and decays at infinity (in 2D
 mode 0 radiates nothing outside the antenna), so its sup there lies on the
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import eval_double_layer
+from .fields import radiated_field
 from .geometry import UNIT_SPHERE_MEASURE, Scenario, surface_measure
 from .operator import Density
 
@@ -107,5 +108,5 @@ def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Gener
     """
     spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim, s.observation_radius)]
     points = [sample_on_sphere(rng, center, radius, s.dim, n_samples) for center, radius in spheres]
-    return [float(np.max(np.abs(eval_double_layer(h, pts) - wanted(pts))))
+    return [float(np.max(np.abs(radiated_field(h, pts) - wanted(pts))))
             for wanted, pts in zip(v_fields, points, strict=True)]

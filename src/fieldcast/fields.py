@@ -4,10 +4,10 @@ A small catalog of closed-form harmonic fields (point/log sources,
 dipoles, harmonic polynomials) serves as targets; their traces on the
 control spheres, with the exterior target subtracted, form the data the
 forward operator must match.  The field the antenna actually radiates is
-the double-layer potential of the solved density, evaluated here by
-Nystrom quadrature over the antenna rule, which agrees with the operator's
-closed form where the antenna resolves the degrees that reach the control
-spheres.
+the double-layer potential of the solved density, evaluated here in the
+operator's closed form (:func:`radiated_field`), so the probes and the grid
+read the field the certificate bounds; its Nystrom quadrature
+(:func:`eval_double_layer`) stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       control_labels, make_rule, nodes_around, on_boundary,
+                       control_labels, harmonic_transform, make_rule, on_boundary,
                        validate_scenario)
-from .kernels import dlp_kernel, kernel_planes, row_blocks
-from .operator import ControlTrace
+from .kernels import dlp_kernel, row_blocks
+from .operator import ControlTrace, basis_fields
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -249,14 +249,48 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
     return v
 
 
-def eval_double_layer(g, x) -> np.ndarray | float:
-    """Field radiated by an antenna density: the double-layer potential.
+def _points(rule: QuadratureRule, x) -> tuple[np.ndarray, bool]:
+    """(p, dim) points of x, one point (dim,) or a batch, and whether it was one."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.shape[-1] != rule.boundary.dim:
+        raise ValueError(f"points must have trailing dimension {rule.boundary.dim}, got {x.shape}")
+    return pts, x.ndim == 1
 
-    Quadrature of the double-layer kernel against the density over the
-    antenna boundary.  Evaluation is rejected inside or within a 1e-6
-    relative ring of the antenna sphere (the clearance the operator
-    demands of control nodes), where the plain quadrature of the singular
-    kernel is meaningless.
+
+def radiated_field(h, x) -> np.ndarray | float:
+    """Field radiated by an antenna density, in closed form.
+
+    The density's coefficients on its rule's orthonormal harmonics
+    (:func:`fieldcast.geometry.harmonic_transform`, degree 0 dropped, as it
+    radiates nothing outside the antenna) times their fields
+    (:func:`fieldcast.operator.basis_fields`), summed over blocks of points:
+    the double layer of the density's projection at any point outside the
+    clearance delta (1 + 1e-6) the operator demands of control nodes; points
+    inside it are rejected.  A value's last bits depend on where its block
+    starts.
+
+    Parameters
+    ----------
+    h : Density
+        Antenna density (see the operator module).
+    x : array-like, shape (dim,) or (p, dim)
+    """
+    pts, scalar = _points(h.rule, x)
+    a = harmonic_transform(h.rule, h.values)[0][1:]  # (M,), degrees 1 .. L
+    out = np.empty(pts.shape[0])
+    for rows in row_blocks(pts.shape[0], a.shape[0]):
+        out[rows] = basis_fields(h.rule, pts[rows]) @ a
+    return float(out[0]) if scalar else out
+
+
+def eval_double_layer(g, x) -> np.ndarray | float:
+    """Field radiated by an antenna density: the double-layer potential, by
+    Nystrom quadrature of its kernel over the antenna rule.
+
+    The tests' oracle for :func:`radiated_field`, which it misses near the
+    antenna, where the kernel is nearly singular.  Evaluation inside or
+    within a 1e-6 relative ring of the antenna sphere is rejected.
 
     Parameters
     ----------
@@ -265,27 +299,17 @@ def eval_double_layer(g, x) -> np.ndarray | float:
     x : array-like, shape (dim,) or (p, dim)
     """
     rule = g.rule
-    dim = rule.boundary.dim
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != dim:
-        raise ValueError(f"points must have trailing dimension {dim}, got {x.shape}")
-
+    pts, scalar = _points(rule, x)
     clearance = rule.boundary.radius * (1.0 + SEPARATION_RTOL)
     y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
     wg = rule.weights * g.values
     out = np.empty(pts.shape[0])
-    blocks = row_blocks(pts.shape[0], rule.node_count)
-    planes = kernel_planes(blocks[0].stop if blocks else 0, rule.node_count)  # one set for all
-    for rows in blocks:
+    for rows in row_blocks(pts.shape[0], rule.node_count):
         if np.any(_distance(pts[rows], rule.boundary.center) < clearance):
             raise ValueError(
                 "double-layer evaluation too close to (or inside) the antenna boundary"
             )
-        kernel = dlp_kernel(pts[rows, None, :], y, nu, dim,
-                            out=planes[:, : rows.stop - rows.start])  # (rows, n)
-        out[rows] = kernel @ wg
+        out[rows] = dlp_kernel(pts[rows, None, :], y, nu, rule.boundary.dim) @ wg
     return float(out[0]) if scalar else out
 
 
@@ -319,13 +343,12 @@ class FieldGrid:
     """Sampled total field with per-point target, mismatch and region label.
 
     Labels: ``region-k`` inside target ball k, ``exterior`` outside the
-    observation ball, ``annulus`` elsewhere, ``excluded`` in the ring near
-    the antenna where double-layer evaluation is unreliable (values are
-    NaN there).  The ring reaches delta * (1 + 2*pi/n), with n the nodes
-    around the density's rule: all of them in 2D, one polar ring's azimuth
-    count in 3D.  Points inside the closed antenna ball are dropped
-    entirely.  ``cli.write_grid`` writes each number as its shortest
-    round-trip ``repr`` (``-0.0`` keeps its sign) and each label as it is.
+    observation ball, ``annulus`` elsewhere.  Points where the total field
+    cannot be evaluated are dropped: those inside the clearance
+    delta (1 + 1e-6) around the antenna centre, the antenna ball included,
+    and those within 2e-9 of the singularity of a field the point needs.
+    ``cli.write_grid`` writes each number as its shortest round-trip
+    ``repr`` (``-0.0`` keeps its sign) and each label as it is.
     """
 
     points: np.ndarray    # (p, dim)
@@ -341,7 +364,7 @@ class FieldGrid:
 
 
 def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
-    """Total field (exterior target + radiated field) over a grid.
+    """Total field (exterior target + :func:`radiated_field`) over a grid.
 
     Inside target ball k the mismatch column holds
     |total - u_k| / max(|u_k|, floor); outside the observation ball it is
@@ -350,49 +373,34 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     back to absolute mismatch for identically-zero targets.
     """
     pts = spec.points()
-    delta = g.rule.boundary.radius
-    exclusion = delta * (1.0 + 2.0 * np.pi / nodes_around(g.rule))
-
     rho = _distance(pts, np.zeros(s.dim))
-    keep = rho > delta  # drop the antenna ball entirely
-    pts, rho = pts[keep], rho[keep]
-    p = pts.shape[0]
 
     # Each point's label is a code into ``names``; region k has code exterior + k.
+    annulus, exterior = range(2)
+    names = ("annulus", "exterior", *(f"region-{k}" for k in range(1, s.n_regions + 1)))
+    code = np.where(rho > s.observation_radius, exterior, annulus)
+    for k, r in enumerate(s.regions, start=exterior + 1):
+        code[(_distance(pts, r.center) <= r.radius) & (code == annulus)] = k
+
+    # Drop the points radiated_field rejects (operator._check_clearance's
+    # bound) and those near the singularity of a field the point needs.
+    keep = rho >= g.rule.boundary.radius * (1.0 + SEPARATION_RTOL)
+    del rho
+    needed = [(s.exterior_target, True)] + [(r.target, code == k) for k, r
+                                            in enumerate(s.regions, start=exterior + 1)]
+    for field_, where in needed:
+        if field_.singularity is not None:
+            keep &= ~((_distance(pts, field_.singularity) < 2 * SINGULARITY_TOL) & where)
     # Whole-grid temporaries are deleted once used, so the evaluation peaks at
     # the columns it returns plus a few (p,) arrays.
-    annulus, excluded, exterior = range(3)
-    names = ("annulus", "excluded", "exterior", *(f"region-{k}" for k in range(1, s.n_regions + 1)))
-    code = np.where(rho <= exclusion, excluded, annulus)
-    code[rho > s.observation_radius] = exterior
-    del rho
-    for k, r in enumerate(s.regions, start=exterior + 1):
-        inside = _distance(pts, r.center) <= r.radius
-        code[inside & (code == annulus)] = k
+    pts, code = pts[keep], code[keep]
+    del keep, needed
 
-    # Points where a needed field is singular go into the mask instead of
-    # aborting the whole grid.
-    def too_close(field_):
-        sing = field_.singularity
-        if sing is None:
-            return np.zeros(p, dtype=bool)
-        return _distance(pts, sing) < 2 * SINGULARITY_TOL
+    values = np.asarray(eval_field(s.exterior_target, pts), dtype=float)
+    values += radiated_field(g, pts)
 
-    code[too_close(s.exterior_target)] = excluded
-    for k, r in enumerate(s.regions, start=exterior + 1):
-        code[too_close(r.target) & (code == k)] = excluded
-
-    values = np.full(p, np.nan)
-    ok = code != excluded
-    if np.any(ok):
-        inner = pts[ok]
-        total = np.asarray(eval_field(s.exterior_target, inner), dtype=float)
-        total += eval_double_layer(g, inner)
-        values[ok] = total
-        del inner, total
-
-    target = np.full(p, np.nan)
-    mismatch = np.full(p, np.nan)
+    target = np.full(pts.shape[0], np.nan)
+    mismatch = np.full(pts.shape[0], np.nan)
     for k, field_ in enumerate((s.exterior_target, *(r.target for r in s.regions)), start=exterior):
         sel = code == k
         if not np.any(sel):

@@ -7,9 +7,9 @@ Free-space fundamental solution of the Laplacian
 
 its normal derivatives in the source and observation variables (the
 double-layer and adjoint kernels), and Poisson-kernel quadrature for the
-interior/exterior Dirichlet problem on a ball.  The Poisson solvers are
-used as independent oracles: they reproduce harmonic data without going
-through any layer-potential machinery.
+interior/exterior Dirichlet problem on a ball, all of them oracles: the
+pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_fields`),
+and the Poisson solvers reproduce harmonic data without any layer potential.
 
 All kernels broadcast over leading axes; points are arrays whose last
 axis has length ``dim``.
@@ -25,10 +25,10 @@ from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 # bugs, never regularized: every boundary pair in scope is well separated.
 COINCIDENT_RTOL = 1e-12
 
-# Row-blocked callers (the operator's Nystrom oracle, field evaluation) pass
-# the kernels at most this many point pairs per call.  Each (rows, n) plane of
-# a block is then 512 KiB of float64, so a block's few live planes stay in
-# cache and small beside the arrays the caller holds.
+# Row-blocked callers (the radiated field's basis fields, the Nystrom oracles'
+# kernels, the sweep's sums) take at most this many values per (rows, n)
+# block, 512 KiB of float64, so a block's few live arrays stay in cache and
+# small beside the arrays the caller holds.
 BLOCK_PAIRS = 2**16
 
 
@@ -38,22 +38,12 @@ def row_blocks(m: int, n: int) -> list[slice]:
     return [slice(start, min(start + step, m)) for start in range(0, m, step)]
 
 
-def kernel_planes(rows: int, n: int) -> np.ndarray:
-    """Scratch for :func:`dlp_kernel` on blocks of up to ``rows`` x ``n``
-    pairs: four (rows, n) planes, to be reused by every block of a row-blocked
-    caller; a block of fewer rows passes ``planes[:, :rows]``."""
-    return np.empty((4, rows, n))
-
-
-def _dist_and_dot(x, y, nu, dim: int, out=None):
+def _dist_and_dot(x, y, nu, dim: int):
     """|x - y| and (x - y).nu, built one coordinate plane at a time.
 
     Both sums run in axis order, as numpy's norm and sum over a last axis
     do, so the results are bit-identical to the broadcast (..., dim) form
-    without ever holding it.  ``nu=None`` skips the dot product.  The four
-    planes of ``out`` (:func:`kernel_planes`, shaped like the broadcast
-    pairs) take the work when given, else new ones do; the distance is
-    written to plane 1 and the dot product to plane 2.
+    without ever holding it.  ``nu=None`` skips the dot product.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -65,8 +55,7 @@ def _dist_and_dot(x, y, nu, dim: int, out=None):
         nu = np.asarray(nu, dtype=float)
         if nu.shape[-1] != dim:
             raise ValueError(f"normals must have trailing dimension {dim}, got {nu.shape}")
-    if out is None:
-        out = np.empty((4, *np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+    out = np.empty((4, *np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
     diff, sq, dot, term = (out[i, ...] for i in range(4))
     for k in range(dim):
         np.subtract(x[..., k], y[..., k], out=diff)
@@ -99,7 +88,7 @@ def phi(x, y, dim: int) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def dlp_kernel(x, y, nu_y, dim: int, out=None) -> np.ndarray | float:
+def dlp_kernel(x, y, nu_y, dim: int) -> np.ndarray | float:
     """Normal derivative of Phi in the source point: dPhi(x,y)/dnu_y.
 
     Differentiating the fundamental solution gives
@@ -110,22 +99,12 @@ def dlp_kernel(x, y, nu_y, dim: int, out=None) -> np.ndarray | float:
     Integrated against a density over a closed boundary this is the
     double-layer field; for the unit density it evaluates to -1 inside and
     0 outside the boundary (Gauss identity), which pins the constant.
-
-    ``out`` takes scratch planes for the work (:func:`kernel_planes`); the
-    kernel is then written to plane 0 and returned as it, with the same
-    operations in the same order, so bit for bit what a call without them
-    returns.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    dist, dot = _dist_and_dot(x, y, nu_y, dim, out)
-    if out is None:
-        kernel = dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
-        return kernel if kernel.ndim else float(kernel)
-    kernel = out[0]
-    np.power(dist, dim, out=kernel)
-    kernel *= UNIT_SPHERE_MEASURE[dim]
-    return np.divide(dot, kernel, out=kernel)
+    dist, dot = _dist_and_dot(x, y, nu_y, dim)
+    kernel = dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
+    return kernel if kernel.ndim else float(kernel)
 
 
 def adjoint_kernel(x, nu_x, y, dim: int) -> np.ndarray | float:

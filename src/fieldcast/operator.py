@@ -43,7 +43,7 @@ from numpy.linalg import _umath_linalg
 from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
                        harmonic_degree, harmonic_transform, order_columns, order_width,
                        surface_harmonics)
-from .kernels import dlp_kernel, kernel_planes, row_blocks
+from .kernels import dlp_kernel, row_blocks
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 _DUMP_VERSION = 3
@@ -372,6 +372,7 @@ def basis_field_blocks(antenna: QuadratureRule, points):
         fields = surface_harmonics(directions, degree, range(first, last))  # (p, c)
         fields *= gains[:, degrees - 1]
         yield columns, fields
+        del fields   # the caller's del then frees them before the next orders'
         first = last
 
 
@@ -380,9 +381,11 @@ def _check_clearance(antenna: QuadratureRule, r) -> None:
         raise ValueError("control boundary comes too close to the antenna boundary")
 
 
-def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule) -> tuple[np.ndarray, float]:
-    """A control rule's block of the matrix, (rows, M), and the share of its
-    nodal block's Frobenius norm that the rule does not resolve.
+def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
+                       rows: slice = slice(None)) -> tuple[np.ndarray, float]:
+    """Rows ``rows`` of a control rule's block of the matrix, (rows, M), and
+    the share of their nodal part's Frobenius norm that the rule does not
+    resolve (the block's share when ``rows`` takes them all).
 
     A region's block is :func:`fieldcast.geometry.harmonic_transform` of
     :func:`basis_fields` at its nodes, a few antenna orders at a time
@@ -403,17 +406,18 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule) -> tuple[n
         counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
         diagonal = np.diag(np.repeat(gains, counts))
         if harmonic_degree(antenna) <= harmonic_degree(rule):
-            return diagonal, 0.0
+            return diagonal[rows], 0.0
     columns = harmonic_count(harmonic_degree(antenna), rule.boundary.dim)
-    coefficients = np.empty((harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1,
-                             columns), order="F")
+    kept = range(_region_rows(harmonic_degree(rule), rule.boundary.dim))[rows]
+    coefficients = np.empty((len(kept), columns), order="F")
     rest = np.empty(columns)
     for which, fields in basis_field_blocks(antenna, rule.nodes):
-        coefficients[:, which], rest[which] = harmonic_transform(rule, fields)
-        del fields   # before the next orders' are made
+        projected, rest[which] = harmonic_transform(rule, fields)
+        coefficients[:, which] = projected[rows]
+        del fields, projected   # before the next orders' are made
     rest = float(np.sum(rest))
     share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
-    return (diagonal if concentric else coefficients), share
+    return (diagonal[rows] if concentric else coefficients), share
 
 
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
@@ -445,15 +449,11 @@ def _check_density(K: ForwardOperator, h: Density) -> None:
 def _kernel_blocks(K: ForwardOperator):
     """The nodal double-layer kernel dlp_kernel(x_i, y_j, nu_j), x_i over all
     control nodes and y_j over the antenna nodes, one block of antenna nodes
-    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each,
-    every block written into one set of planes."""
+    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each."""
     a = K.antenna_rule
     x = np.concatenate([r.nodes for r in K.control_rules])[None]  # (1, m, dim)
-    blocks = row_blocks(a.node_count, x.shape[1])
-    planes = kernel_planes(blocks[0].stop, x.shape[1])
-    for cols in blocks:
-        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim,
-                               out=planes[:, : cols.stop - cols.start])
+    for cols in row_blocks(a.node_count, x.shape[1]):
+        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim)
 
 
 def apply(K: ForwardOperator, h: Density) -> ControlTrace:
@@ -550,10 +550,10 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
 
 # What a run holds beside the operator's arrays: per node of a control rule,
 # about 32 float64 of rules, target and transform temporaries; and a fixed
-# part for the probes' kernel planes and the BLAS and module memory a run
-# touches beyond ``import fieldcast.cli``.  On demo-3d a run at 31 x 15 (32
-# nodes a rule), where the arrays are negligible, grows by 9.8 MiB; at
-# 1087 x 63 (2048 nodes a rule) by 12.9 MiB.
+# part for the probes' blocks of basis fields and the BLAS and module memory
+# a run touches beyond ``import fieldcast.cli``.  On demo-3d a run at 31 x 15
+# (32 nodes a rule), where the arrays are negligible, grows by 9.6 MiB; at
+# 1087 x 63 (2048 nodes a rule) by 11.8 MiB.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 12 * 2**20
 
@@ -572,12 +572,12 @@ def factorization_bytes(m: int, p: int, n: int, columns: int) -> int:
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate, on demo-3d: 21.6 / 23.1 / 27.9 at 975 x 399 (p = 1152,
-    n = 800), 17.8 / 19.9 / 21.4 at 1279 x 255 (p = 2048, n = 512),
-    31.1 / 31.2 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 81.7 / - /
+    estimate, on demo-3d: 20.3 / 21.8 / 27.9 at 975 x 399 (p = 1152,
+    n = 800), 17.9 / 18.8 / 21.4 at 1279 x 255 (p = 2048, n = 512),
+    31.0 / 31.3 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 82.0 / 81.9 /
     96.0 at 1279 x 1023 (p = 512, n = 2048), where the SVD of R sets the
-    peak.  The dump assembles each control rule's rows again after the
-    solve, and holds one region's rows while it does."""
+    peak.  The dump assembles the rows again after the solve, one row block
+    at a time (:func:`dump_operator`)."""
     k = min(m, columns)
     arrays = 2 * m * columns + n * columns + 6 * k * k
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
@@ -595,21 +595,22 @@ def dump_operator(K: ForwardOperator, path) -> None:
     degree by degree from 1: in 2D cos then sin of each degree; in 3D the
     zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
     The rows are written one row block at a time, from ``K.matrix`` while K
-    holds it; once the SVD has released it, each control rule's block is
-    assembled again (:func:`_coefficient_block`), the same rows bit for bit,
-    one block at a time."""
+    holds it; once the SVD has released it, each row block is assembled
+    again (:func:`_coefficient_block`), the same rows bit for bit, so the
+    dump holds one row block, at the cost of the fields at all of a region's
+    nodes per row block: time quadratic in a region's size."""
     svd = weighted_svd(K)
     m, columns = sum(rows.stop - rows.start for rows in K.block_rows), K.basis.shape[1]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
         for rule, block_rows in zip(K.control_rules, K.block_rows):
-            if K.matrix is None:
-                block = _coefficient_block(K.antenna_rule, rule)[0]
-            else:
-                block = K.matrix[block_rows]
-            for rows in row_blocks(block.shape[0], columns):
-                fh.write(np.ascontiguousarray(block[rows], dtype="<f8").tobytes())
-            del block
+            for rows in row_blocks(block_rows.stop - block_rows.start, columns):
+                if K.matrix is None:
+                    block = _coefficient_block(K.antenna_rule, rule, rows)[0]
+                else:
+                    block = K.matrix[block_rows][rows]
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+                del block
         fh.write(np.ascontiguousarray(svd.sigma, dtype="<f8").tobytes())
 
 

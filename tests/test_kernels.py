@@ -14,7 +14,6 @@ from fieldcast import (
     phi,
     poisson_solve,
 )
-from fieldcast.fields import eval_double_layer
 from fieldcast.geometry import UNIT_SPHERE_MEASURE
 
 
@@ -34,43 +33,6 @@ class TestRowBlocks:
         rows = np.concatenate([np.arange(m)[b] for b in blocks])
         assert np.array_equal(rows, np.arange(m))
         assert all((b.stop - b.start) * n <= max(n, kernels.BLOCK_PAIRS) for b in blocks)
-
-
-def _dlp_by_allocation(x, y, nu, dim):
-    """dlp_kernel as it was written before its scratch planes: each
-    coordinate plane and product a new array, in the same order."""
-    diff = x[..., 0] - y[..., 0]
-    sq = diff * diff
-    dot = diff * nu[..., 0]
-    for k in range(1, dim):
-        diff = x[..., k] - y[..., k]
-        sq += diff * diff
-        dot += diff * nu[..., k]
-    dist = np.sqrt(sq)
-    return dot / (UNIT_SPHERE_MEASURE[dim] * dist**dim)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("block_rows", [7, None])
-def test_eval_double_layer_is_bit_identical_to_the_allocating_form(dim, block_rows, monkeypatch):
-    # 100 points in ragged blocks of 7 (the last block shorter, so the planes
-    # are used partly), or in the default blocks: every value equals the
-    # allocating form's, block by block, bit for bit.
-    antenna = make_circle_rule((0.0, 0.0), 1.0, 48) if dim == 2 else \
-        make_sphere_rule((0.0, 0.0, 0.0), 1.0, 6, 12)
-    if block_rows is not None:
-        monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_rows * antenna.node_count)
-    rng = np.random.default_rng(dim)
-    direction = rng.normal(size=(100, dim))
-    points = (2.0 + 3.0 * rng.random((100, 1))) * direction / np.linalg.norm(
-        direction, axis=1, keepdims=True)
-    h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-    wg = antenna.weights * h.values
-    expected = np.empty(100)
-    for rows in kernels.row_blocks(100, antenna.node_count):
-        expected[rows] = _dlp_by_allocation(points[rows, None, :], antenna.nodes[None],
-                                            antenna.normals[None], dim) @ wg
-    assert np.array_equal(eval_double_layer(h, points), expected)
 
 
 class TestPhi:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fieldcast import (
+    ControlTrace,
     Region,
     Scenario,
     assemble_forward,
@@ -19,13 +20,15 @@ from fieldcast import (
     solve_min_energy,
     sweep_epsilon,
     validate_scenario,
+    weighted_svd,
     with_defaults,
     zero_field,
 )
 from conftest import (assert_residuals_match_the_matrix, nystrom_floor_and_energy, rule_harmonics,
                       scalar_match)
 from fieldcast import kernels, solver
-from fieldcast.geometry import DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization, make_rule
+from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
+                                harmonic_count, harmonic_degree, make_rule)
 from fieldcast.operator import basis_fields
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 
@@ -130,6 +133,51 @@ def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna
     harmonics = rule_harmonics(outer)[:, 1: 1 + diagonal.shape[0]]
     projected = harmonics.T @ (outer.weights[:, None] * basis_fields(ant, outer.nodes))
     assert np.all(np.abs(projected - K.matrix) <= 1e-13 * diagonal)
+
+
+@PROPERTY
+@given(dim=st.sampled_from([2, 3]), delta=st.floats(0.1, 10.0), log_ratio=st.floats(-4.0, 2.0),
+       antenna=st.integers(2, 12), outer_shift=st.integers(-2, 4), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.01, 0.99))
+def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, outer_shift, seed,
+                                                fraction):
+    # The antenna and a concentric outer sphere alone, which may resolve more
+    # or fewer degrees than the antenna.  Degree l's harmonics are singular
+    # vectors of gain g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2), so the
+    # spectrum is known in closed form, and so are the floor, the matched
+    # discrepancy and the energy of a target synthesized on the outer
+    # sphere's harmonics, degree by degree.
+    ratio = (1.0 + SEPARATION_RTOL) * (1.0 + 10.0 ** log_ratio)
+    n_antenna = 2 * antenna if dim == 2 else antenna
+    ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
+    outer = make_rule(np.zeros(dim), delta * ratio, max(MIN_NODES[dim], n_antenna + outer_shift),
+                      dim)
+    K = assemble_forward(ant, [outer])
+    degrees = np.arange(1, harmonic_degree(ant) + 1)
+    g = 0.5 if dim == 2 else degrees / (2 * degrees + 1)
+    gains = g * ratio ** -(degrees + dim - 2.0) * ratio ** ((dim - 1) / 2)
+    sigma = np.repeat(gains, 2 if dim == 2 else 2 * degrees + 1)  # antenna harmonic order
+    assert np.allclose(weighted_svd(K).sigma, np.sort(sigma)[::-1], rtol=1e-13, atol=0.0)
+
+    b = np.random.default_rng(seed).standard_normal(harmonic_count(harmonic_degree(outer), dim) + 1)
+    v = ControlTrace(blocks=[rule_harmonics(outer) @ b], rules=[outer])
+    y = np.zeros(sigma.shape[0])   # the target on the antenna's harmonics of degrees 1 .. L
+    kept = min(sigma.shape[0], b.shape[0] - 1)
+    y[:kept] = b[1: kept + 1]
+    outside_sq = b[0] ** 2 + float(b[kept + 1:] @ b[kept + 1:])
+
+    def discrepancy(alpha, counted):
+        filtered = np.where(counted, alpha / (alpha + sigma**2), 1.0) * y
+        return math.sqrt(float(filtered @ filtered) + outside_sq)
+
+    top = sigma.max()
+    floor = discrepancy(solver.ALPHA_BRACKET_LO * top**2, sigma >= solver.RANK_CUTOFF_RTOL * top)
+    assert residual_floor(K, v) == pytest.approx(floor, rel=1e-12)
+    _, report = solve_min_energy(K, v, floor + fraction * (v.norm() - floor))
+    alpha = report.alpha_star
+    assert report.discrepancy == pytest.approx(discrepancy(alpha, True), rel=1e-12)
+    assert report.energy == pytest.approx(
+        math.sqrt(float(np.sum((sigma * y / (alpha + sigma**2)) ** 2))), rel=1e-12)
 
 
 def _solve(s):
