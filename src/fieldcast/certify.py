@@ -108,5 +108,6 @@ def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Gener
     """
     spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim, s.observation_radius)]
     points = [sample_on_sphere(rng, center, radius, s.dim, n_samples) for center, radius in spheres]
-    return [float(np.max(np.abs(radiated_field(h, pts) - wanted(pts))))
-            for wanted, pts in zip(v_fields, points, strict=True)]
+    radiated = np.split(radiated_field(h, np.concatenate(points)), len(points))
+    return [float(np.max(np.abs(field - wanted(pts))))
+            for wanted, pts, field in zip(v_fields, points, radiated, strict=True)]

@@ -52,8 +52,8 @@ EMPIRICAL_SAMPLES = 500
 TABLE_BLOCK_ROWS = 4096
 # Peak RSS (ru_maxrss) a ``run --grid`` adds per grid point, for the points,
 # field columns, labels and evaluation temporaries (``grid.tsv``'s text is
-# made one block at a time): 65 bytes from 400 x 400 to 800 x 800 on demo-2d
-# and 83 from 50^3 to 80^3 on demo-3d, 108 with a dipole as its exterior
+# made one block at a time): 73 bytes from 400 x 400 to 800 x 800 on demo-2d
+# and 82 from 50^3 to 80^3 on demo-3d, 108 with a dipole as its exterior
 # target, whose evaluation forms a (p, 3) difference.
 GRID_BYTES_PER_POINT = 128
 

@@ -12,16 +12,17 @@ read the field the certificate bounds; its Nystrom quadrature
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       control_labels, harmonic_transform, make_rule, on_boundary,
-                       validate_scenario)
+                       control_labels, harmonic_degree, harmonic_transform, legendre_orders,
+                       make_rule, on_boundary, order_columns, validate_scenario)
 from .kernels import dlp_kernel, row_blocks
-from .operator import ControlTrace, basis_fields
+from .operator import ControlTrace, degree_gains
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -264,11 +265,11 @@ def radiated_field(h, x) -> np.ndarray | float:
     The density's coefficients on its rule's orthonormal harmonics
     (:func:`fieldcast.geometry.harmonic_transform`, degree 0 dropped, as it
     radiates nothing outside the antenna) times their fields
-    (:func:`fieldcast.operator.basis_fields`), summed over blocks of points:
-    the double layer of the density's projection at any point outside the
-    clearance delta (1 + 1e-6) the operator demands of control nodes; points
-    inside it are rejected.  A value's last bits depend on where its block
-    starts.
+    (:func:`fieldcast.operator.basis_fields`), summed at each point
+    (:func:`_series`): the double layer of the density's projection at any
+    point outside the clearance delta (1 + 1e-6) the operator demands of
+    control nodes; points inside it are rejected.  A value depends on its
+    point alone, bit for bit.
 
     Parameters
     ----------
@@ -276,12 +277,49 @@ def radiated_field(h, x) -> np.ndarray | float:
         Antenna density (see the operator module).
     x : array-like, shape (dim,) or (p, dim)
     """
-    pts, scalar = _points(h.rule, x)
-    a = harmonic_transform(h.rule, h.values)[0][1:]  # (M,), degrees 1 .. L
+    rule = h.rule
+    pts, scalar = _points(rule, x)
+    a = harmonic_transform(rule, h.values)[0][1:]  # (M,), degrees 1 .. L
     out = np.empty(pts.shape[0])
-    for rows in row_blocks(pts.shape[0], a.shape[0]):
-        out[rows] = basis_fields(h.rule, pts[rows]) @ a
+    # 8192 points a block: the series holds about 8 vectors of them, in 3D one more a degree.
+    for rows in row_blocks(pts.shape[0], 8):
+        offsets = pts[rows] - rule.boundary.center
+        r = _distance(offsets, np.zeros(rule.boundary.dim))
+        if np.any(r < rule.boundary.radius * (1.0 + SEPARATION_RTOL)):
+            raise ValueError("radiated-field evaluation too close to (or inside) the antenna boundary")
+        out[rows] = _series(rule, a, offsets, r)
     return float(out[0]) if scalar else out
+
+
+def _series(rule: QuadratureRule, a: np.ndarray, offsets: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_j a_j basis_j at the points ``offsets`` (p, dim) from the antenna
+    centre, r their lengths.  In 2D degree by degree, as the real part of a
+    power series in w = (delta/r) e^(i theta) summed by Horner's scheme in
+    real arithmetic (numpy's complex product fuses multiply-adds, but not in
+    place on one element); in 3D order by order, over
+    :func:`fieldcast.geometry.legendre_orders`' recurrence in l weighted by
+    :func:`fieldcast.operator.degree_gains`."""
+    delta, degree = rule.boundary.radius, harmonic_degree(rule)
+    acc = np.zeros(r.shape[0])
+    if rule.boundary.dim == 2:
+        # g_n at r = delta, over the norm sqrt(pi) of cos(n theta) and sin(n theta).
+        scale = degree_gains(rule, np.array([delta]))[:, 0] / math.sqrt(math.pi)
+        wr, wi = (delta / r) * (offsets[:, 0] / r), (delta / r) * (offsets[:, 1] / r)
+        hr = hi = acc   # Horner: h = (h + cos - i sin) w, from the top degree down
+        for cos, sin in (a.reshape(-1, 2) * scale[:, None])[::-1].tolist():
+            hr, hi = hr + cos, hi - sin
+            hr, hi = hr * wr - hi * wi, hr * wi + hi * wr
+        return hr
+    gains = degree_gains(rule, r)  # (L, p)
+    for m, ring, legendre in legendre_orders(offsets / r[:, None], degree, range(degree + 1)):
+        pairs = a[order_columns(degree, 3, range(m, m + 1))[0]].reshape(-1, 2 if m else 1)
+        sums = np.zeros((pairs.shape[1], r.shape[0]))
+        for l, (cur, coefficients) in enumerate(zip(legendre, pairs.tolist()), start=max(m, 1)):
+            term = gains[l - 1] * cur
+            for total, c in zip(sums, coefficients):
+                total += c * term
+        acc += sums[0] * ring[0] + sums[1] * ring[1] if m else sums[0]
+    return acc
 
 
 def eval_double_layer(g, x) -> np.ndarray | float:
@@ -382,8 +420,8 @@ def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
     for k, r in enumerate(s.regions, start=exterior + 1):
         code[(_distance(pts, r.center) <= r.radius) & (code == annulus)] = k
 
-    # Drop the points radiated_field rejects (operator._check_clearance's
-    # bound) and those near the singularity of a field the point needs.
+    # Drop the points radiated_field rejects (inside its clearance) and those
+    # near the singularity of a field the point needs.
     keep = rho >= g.rule.boundary.radius * (1.0 + SEPARATION_RTOL)
     del rho
     needed = [(s.exterior_target, True)] + [(r.target, code == k) for k, r

@@ -340,40 +340,54 @@ def surface_harmonics(directions, degree: int, orders: range | None = None) -> n
     else:
         out = np.empty((p, sum(order_width(degree, dim, m) for m in orders)), order="F")
         place = itertools.count()
-    z = u[:, 0] + 1j * u[:, 1]   # e^(i theta) on the circle, sin(theta) e^(i phi) on the sphere
-    # z^m, multiplied out of place: numpy rounds an in-place product of one
-    # element as a reduction, without the fused multiply-add of longer ones.
-    zm = np.ones(p, dtype=complex)
     if dim == 2:
+        z = u[:, 0] + 1j * u[:, 1]   # e^(i theta)
+        zm = np.ones(p, dtype=complex)
         for n in range(1, min(degree, orders.stop - 1) + 1):
             zm = zm * z
             if n in orders:
                 out[:, next(place)] = zm.real / math.sqrt(math.pi)
                 out[:, next(place)] = zm.imag / math.sqrt(math.pi)
         return out
-    t = u[:, 2]
-    start = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])   # Pbar_m^m / sin^m(theta)
-    for m in range(min(degree, orders.stop - 1) + 1):
-        if m:
-            zm = zm * z
-            start *= math.sqrt((2 * m + 1) / (2 * m))
-        if m not in orders:
-            continue
-        ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag)
-        prev, cur = np.zeros(p), np.full(p, start)
-        for l in range(m, degree + 1):
-            if l > m:
-                a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-                b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-                prev, cur = cur, a * (t * cur - b * prev)
-            if l == 0:
-                continue
+    for m, ring, legendre in legendre_orders(u, degree, orders):
+        for cur in legendre:
             if m == 0:
                 out[:, next(place)] = cur
             else:
                 np.multiply(cur, ring[0], out=out[:, next(place)])
                 np.multiply(cur, ring[1], out=out[:, next(place)])
     return out
+
+
+def legendre_orders(directions, degree: int, orders: range):
+    """The factors of :func:`surface_harmonics` on the sphere, order by order:
+    yields (m, ring, legendre), ring sqrt(2) (Re z^m, Im z^m), z = x + i y
+    (None at m = 0), and an iterator of Pbar_l^m(cos theta) / sin^m(theta),
+    l = max(m, 1) .. ``degree``, each to be used before the next is drawn."""
+    u = np.asarray(directions, dtype=float)
+    t, z = u[:, 2], u[:, 0] + 1j * u[:, 1]   # cos(theta), sin(theta) e^(i phi)
+
+    def legendre(m, start):   # from Pbar_m^m / sin^m(theta) = start
+        prev, cur = np.zeros_like(t), np.full_like(t, start)
+        for l in range(m, degree + 1):
+            if l > m:
+                a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+                b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                prev, cur = cur, a * (t * cur - b * prev)
+            if l:
+                yield cur
+
+    # z^m, multiplied out of place: numpy rounds an in-place product of one
+    # element as a reduction, without the fused multiply-add of longer ones.
+    zm = np.ones(u.shape[0], dtype=complex)
+    start = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])
+    for m in range(min(degree, orders.stop - 1) + 1):
+        if m:
+            zm = zm * z
+            start *= math.sqrt((2 * m + 1) / (2 * m))
+        if m in orders:
+            ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag) if m else None
+            yield m, ring, legendre(m, start)
 
 
 def _column_blocks(k: int, n: int) -> list[slice]:
@@ -479,6 +493,7 @@ def harmonic_transform(rule: QuadratureRule, values) -> tuple[np.ndarray, np.nda
                          ring_weights)
         # Modes 0 .. L as (mode, ring) rows of (re, im) pairs: real products.
         modes = np.ascontiguousarray(spectrum[..., : degree + 1].transpose(2, 1, 0)).view(float)
+        del spectrum, above   # each chunk's arrays go before the next chunk's are made
         b = t.table_t @ (ring_weights[:, None] * modes)    # (L + 1, D, 2c): cos, -sin pairs
         b *= scale
         coefficients[t.cos[0], cols] = b[t.cos[1], t.cos[2], 0::2]
@@ -489,6 +504,7 @@ def harmonic_transform(rule: QuadratureRule, values) -> tuple[np.ndarray, np.nda
         np.square(missed, out=missed)
         left += (mode_weights @ missed.reshape(-1, modes.shape[-1])).reshape(-1, 2).sum(1)
         remainder[cols] = left / around
+        del modes, b, missed
     return coefficients.reshape(-1, *f.shape[1:]), remainder.reshape(f.shape[1:])
 
 

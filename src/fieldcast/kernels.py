@@ -8,8 +8,9 @@ Free-space fundamental solution of the Laplacian
 its normal derivatives in the source and observation variables (the
 double-layer and adjoint kernels), and Poisson-kernel quadrature for the
 interior/exterior Dirichlet problem on a ball, all of them oracles: the
-pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_fields`),
-and the Poisson solvers reproduce harmonic data without any layer potential.
+pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_fields`,
+:func:`fieldcast.fields.radiated_field`), and the Poisson solvers reproduce
+harmonic data without any layer potential.
 
 All kernels broadcast over leading axes; points are arrays whose last
 axis has length ``dim``.
@@ -25,10 +26,10 @@ from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 # bugs, never regularized: every boundary pair in scope is well separated.
 COINCIDENT_RTOL = 1e-12
 
-# Row-blocked callers (the radiated field's basis fields, the Nystrom oracles'
-# kernels, the sweep's sums) take at most this many values per (rows, n)
-# block, 512 KiB of float64, so a block's few live arrays stay in cache and
-# small beside the arrays the caller holds.
+# Row-blocked callers (the radiated field's series, the Nystrom oracles'
+# kernels, the sweep's sums, the operator's scans) take at most this many
+# values per (rows, n) block, 512 KiB of float64, so a block's few live
+# arrays stay in cache and small beside the arrays the caller holds.
 BLOCK_PAIRS = 2**16
 
 

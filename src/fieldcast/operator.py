@@ -306,16 +306,16 @@ class ForwardOperator:
         return y, outside
 
 
-def _degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
-    """(p, L): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
-    from the antenna centre, for degrees l = 1 .. L (:func:`basis_fields`)."""
+def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
+    """(L, p): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
+    from the antenna centre, a row per degree l = 1 .. L (:func:`basis_fields`)."""
     dim, delta = antenna.boundary.dim, antenna.boundary.radius
     q = delta / r
     radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
-    out = np.empty((r.shape[0], harmonic_degree(antenna)))
-    for l in range(1, out.shape[1] + 1):
+    out = np.empty((harmonic_degree(antenna), r.shape[0]))
+    for l in range(1, out.shape[0] + 1):
         radial = radial * q
-        out[:, l - 1] = (0.5 if dim == 2 else l / (2 * l + 1)) * radial
+        out[l - 1] = (0.5 if dim == 2 else l / (2 * l + 1)) * radial
     return out
 
 
@@ -358,8 +358,8 @@ def basis_field_blocks(antenna: QuadratureRule, points):
     x = np.asarray(points, dtype=float) - antenna.boundary.center  # (p, dim)
     r = np.linalg.norm(x, axis=-1)  # (p,)
     _check_clearance(antenna, r)
-    gains = _degree_gains(antenna, r)  # (p, L)
-    directions, degree = x / r[:, None], gains.shape[1]
+    gains = degree_gains(antenna, r)  # (L, p)
+    directions, degree = x / r[:, None], gains.shape[0]
     width = max(1, BASIS_BLOCK_VALUES // max(1, x.shape[0]))
     counts = [order_width(degree, dim, m) for m in range(degree + 1)]
     first = 0
@@ -370,7 +370,7 @@ def basis_field_blocks(antenna: QuadratureRule, points):
             last += 1
         columns, degrees = order_columns(degree, dim, range(first, last))
         fields = surface_harmonics(directions, degree, range(first, last))  # (p, c)
-        fields *= gains[:, degrees - 1]
+        fields *= gains[degrees - 1].T
         yield columns, fields
         del fields   # the caller's del then frees them before the next orders'
         first = last
@@ -397,16 +397,17 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
     resolves them.  Its nodal block lies in the rule's harmonics, and
     nothing is unresolved, unless the antenna radiates degrees above the
     rule's; only then is the nodal block evaluated, to measure that share.
+    Subnormal entries, of degrees whose fields underflow, are zeroed.
     """
     concentric = _concentric(antenna, rule)
     if concentric:
         dim, radius = rule.boundary.dim, rule.boundary.radius
         _check_clearance(antenna, radius)
-        gains = _degree_gains(antenna, np.array([radius]))[0] * radius ** ((dim - 1) / 2)
+        gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
         counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
         diagonal = np.diag(np.repeat(gains, counts))
         if harmonic_degree(antenna) <= harmonic_degree(rule):
-            return diagonal[rows], 0.0
+            return _flush_subnormal(diagonal[rows]), 0.0
     columns = harmonic_count(harmonic_degree(antenna), rule.boundary.dim)
     kept = range(_region_rows(harmonic_degree(rule), rule.boundary.dim))[rows]
     coefficients = np.empty((len(kept), columns), order="F")
@@ -417,7 +418,17 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
         del fields, projected   # before the next orders' are made
     rest = float(np.sum(rest))
     share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
-    return (diagonal[rows] if concentric else coefficients), share
+    return _flush_subnormal(diagonal[rows] if concentric else coefficients), share
+
+
+def _flush_subnormal(block: np.ndarray) -> np.ndarray:
+    """``block`` with its subnormal entries, on which the QR and SVD run
+    several times slower, set in place to zero of their sign, a few columns
+    at a time."""
+    for cols in row_blocks(block.shape[1], block.shape[0]):
+        part = block[:, cols]
+        part[(-np.finfo(float).tiny < part) & (part < np.finfo(float).tiny)] *= 0.0
+    return block
 
 
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
@@ -550,10 +561,10 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
 
 # What a run holds beside the operator's arrays: per node of a control rule,
 # about 32 float64 of rules, target and transform temporaries; and a fixed
-# part for the probes' blocks of basis fields and the BLAS and module memory
-# a run touches beyond ``import fieldcast.cli``.  On demo-3d a run at 31 x 15
-# (32 nodes a rule), where the arrays are negligible, grows by 9.6 MiB; at
-# 1087 x 63 (2048 nodes a rule) by 11.8 MiB.
+# part for the BLAS and module memory a run touches beyond ``import
+# fieldcast.cli`` (the probes' series takes a few vectors of its points).
+# On demo-3d a run at 31 x 15 (32 nodes a rule), where the arrays are
+# negligible, grows by 9.7 MiB; at 1087 x 63 (2048 nodes a rule) by 11.5 MiB.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 12 * 2**20
 
@@ -572,9 +583,9 @@ def factorization_bytes(m: int, p: int, n: int, columns: int) -> int:
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate, on demo-3d: 20.3 / 21.8 / 27.9 at 975 x 399 (p = 1152,
-    n = 800), 17.9 / 18.8 / 21.4 at 1279 x 255 (p = 2048, n = 512),
-    31.0 / 31.3 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 82.0 / 81.9 /
+    estimate, on demo-3d: 19.9 / 21.2 / 27.9 at 975 x 399 (p = 1152,
+    n = 800), 18.0 / 18.2 / 21.4 at 1279 x 255 (p = 2048, n = 512),
+    31.1 / 31.1 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 81.8 / 82.3 /
     96.0 at 1279 x 1023 (p = 512, n = 2048), where the SVD of R sets the
     peak.  The dump assembles the rows again after the solve, one row block
     at a time (:func:`dump_operator`)."""

@@ -18,7 +18,7 @@ from fieldcast import (ControlTrace, ForwardOperator, assemble_forward, build_ru
                        dlp_kernel, load_scenario, solve_min_energy, solver, weighted_svd)
 from fieldcast.fields import resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
-                                harmonic_degree, surface_harmonics)
+                                harmonic_degree, harmonic_transform, surface_harmonics)
 from fieldcast.operator import RESIDUAL_ROUNDING_C, basis_fields, block_residuals
 from fieldcast.solver import InfeasibleAccuracyError
 
@@ -104,6 +104,17 @@ def assert_residuals_match_the_matrix(K, h, v):
         frobenius = math.sqrt(float(rule.weights @ np.sum(nodal**2, axis=1)))
         expected = rule.l2_norm(nodal @ c - block)
         assert abs(got - expected) <= share * frobenius * np.linalg.norm(c) + bound
+
+
+def summed_basis_fields(h, points):
+    """The radiated field of density h at the points as the matrix product
+    ``basis_fields(h.rule, points) @ a``, a the coefficients
+    ``radiated_field`` takes, and sum_j |a_j basis_j| per point, the scale
+    its rounding is measured against: the oracle for ``radiated_field``'s
+    point-by-point sum."""
+    a = harmonic_transform(h.rule, h.values)[0][1:]
+    fields = basis_fields(h.rule, points)
+    return fields @ a, np.abs(fields) @ np.abs(a)
 
 
 def nystrom_matrix(antenna, controls):

@@ -28,6 +28,7 @@ from fieldcast import (
     radiated_field,
     zero_field,
 )
+from fieldcast import kernels
 from fieldcast.cli import write_grid
 from fieldcast.fields import GridSpec, _distance, auto_epsilon, ball_l2_norm, default_grid
 from fieldcast.geometry import (SEPARATION_RTOL, harmonic_count, harmonic_degree, make_rule,
@@ -266,6 +267,26 @@ class TestRadiatedField:
             direction, axis=1, keepdims=True)
         oracle = eval_double_layer(g, pts)
         assert np.max(np.abs(radiated_field(g, pts) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_value_depends_on_its_point_alone(self, dim, monkeypatch):
+        # One batch, blocks of 100 points, 333-point chunks and one point at a
+        # time (a scalar input): the same bits, the poles and the points at
+        # the far end of the radii included.
+        rule = make_rule(np.zeros(dim), 0.7, 64 if dim == 2 else 12, dim)
+        rng = np.random.default_rng(40 + dim)
+        g = Density(rule=rule, values=rng.normal(size=rule.node_count))
+        direction = rng.normal(size=(715, dim))
+        direction[:2] = np.eye(dim)[-1] * np.array([[1.0], [-1.0]])
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        pts = 0.7 * rng.uniform(1.01, 50.0, size=(715, 1)) * direction
+        batch = radiated_field(g, pts).tobytes()
+        chunks = np.concatenate([radiated_field(g, pts[i: i + 333]) for i in range(0, 715, 333)])
+        single = np.array([radiated_field(g, point) for point in pts])
+        monkeypatch.setattr(kernels, "BLOCK_PAIRS", 800)   # blocks of 100 points
+        assert radiated_field(g, pts).tobytes() == batch
+        assert chunks.tobytes() == batch
+        assert single.tobytes() == batch
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unit_density_radiates_nothing(self, dim):

@@ -27,8 +27,8 @@ from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_degree,
                                 rule_degree)
 from fieldcast import operator as operator_module
-from fieldcast.operator import (basis_field_blocks, basis_fields, block_residuals, dump_operator,
-                                load_operator_dump, matrix_rows)
+from fieldcast.operator import (basis_field_blocks, basis_fields, block_residuals, degree_gains,
+                                dump_operator, load_operator_dump, matrix_rows)
 from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
@@ -152,6 +152,24 @@ class TestAssembleApply:
         assert np.max(np.abs(K.matrix)) > 0
         sigma1 = weighted_svd(K).sigma[0]
         assert np.isfinite(sigma1) and sigma1 > 0
+
+    def test_subnormal_entries_are_flushed_at_assembly(self, demo2d, tmp_path):
+        # 640 antenna nodes on demo-2d: degrees 264 and up radiate subnormal
+        # gains onto the outer circle (and the regions' rows hold some too).
+        # They are zero in the assembled matrix and in the dump's rows.
+        antenna, controls = build_rules(replace(demo2d, discretization=Discretization(640, 16)))
+        tiny = np.finfo(float).tiny
+        radius = controls[-1].boundary.radius
+        diagonal = np.repeat(degree_gains(antenna, np.array([radius]))[:, 0] * np.sqrt(radius), 2)
+        assert np.any((0 < diagonal) & (diagonal < tiny))
+        K = assemble_forward(antenna, controls)
+        assert not np.any((0 < np.abs(K.matrix)) & (np.abs(K.matrix) < tiny))
+        diagonal[diagonal < tiny] = 0.0
+        assert np.array_equal(np.diag(K.matrix[K.block_rows[-1]]), diagonal)
+        kept = K.matrix.copy()
+        weighted_svd(K, release=True)
+        dump_operator(K, tmp_path / "operator.bin")
+        assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], kept)
 
     @pytest.mark.parametrize("parts, block_cols", [
         ("demo2d_parts", None),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fieldcast import (
     ControlTrace,
+    Density,
     Region,
     Scenario,
     assemble_forward,
@@ -17,6 +18,7 @@ from fieldcast import (
     build_target,
     log_source,
     point_source,
+    radiated_field,
     solve_min_energy,
     sweep_epsilon,
     validate_scenario,
@@ -25,7 +27,7 @@ from fieldcast import (
     zero_field,
 )
 from conftest import (assert_residuals_match_the_matrix, nystrom_floor_and_energy, rule_harmonics,
-                      scalar_match)
+                      scalar_match, summed_basis_fields)
 from fieldcast import kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
                                 harmonic_count, harmonic_degree, make_rule)
@@ -133,6 +135,27 @@ def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna
     harmonics = rule_harmonics(outer)[:, 1: 1 + diagonal.shape[0]]
     projected = harmonics.T @ (outer.weights[:, None] * basis_fields(ant, outer.nodes))
     assert np.all(np.abs(projected - K.matrix) <= 1e-13 * diagonal)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(dim=st.sampled_from([2, 3]), delta=st.floats(0.1, 10.0), antenna=st.integers(2, 32),
+       center=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_radiated_field_matches_the_summed_basis_fields(dim, delta, antenna, center, seed):
+    # A random density on an antenna of degree up to 31 (2D) or 16 (3D),
+    # anywhere, at points from 1.01 to 50 delta off its centre: the
+    # point-by-point sum against the (p, M) basis fields times the
+    # coefficients, within 1e-14 of sum_j |a_j basis_j| at each point.
+    n_antenna = 2 * antenna if dim == 2 else antenna // 2 + 1
+    ant = make_rule(center[:dim], delta, n_antenna, dim)
+    rng = np.random.default_rng(seed)
+    h = Density(rule=ant, values=rng.normal(size=ant.node_count))
+    direction = rng.normal(size=(64, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    pts = ant.boundary.center + delta * 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0),
+                                                             size=(64, 1)) * direction
+    oracle, scale = summed_basis_fields(h, pts)
+    assert np.all(np.abs(radiated_field(h, pts) - oracle) <= 1e-14 * scale)
 
 
 @PROPERTY
