@@ -7,8 +7,8 @@ larger sphere for the exterior problem.  Applied to the difference
 between the radiated field and the wanted field, whose boundary data on
 each control sphere is exactly the solver's residual block, this turns
 the achieved L2 residual norms (``SolveReport.block_residuals``, or
-:func:`fieldcast.operator.block_residuals` for any density) into
-machine-checkable sup-norm guarantees on every target ball and beyond
+:func:`fieldcast.operator.block_residuals` for any density's coefficients)
+into machine-checkable sup-norm guarantees on every target ball and beyond
 the observation boundary.
 
 Each bound is the paper's conservative constant, normalized by the
@@ -17,12 +17,13 @@ L2 residual into an L1 norm by Cauchy-Schwarz, times the residual.
 
 The seeded probes of :func:`empirical_mismatches` sample each certified sup
 where it is attained, in the closed form (:func:`fieldcast.fields.radiated_field`)
-whose residuals the bounds take.  The difference is harmonic on each closed target
-ball, so by the maximum principle its sup there lies on the target sphere;
-outside the observation ball it is harmonic and decays at infinity (in 2D
-mode 0 radiates nothing outside the antenna), so its sup there lies on the
-observation sphere.  A sampled maximum is a lower bound on the sup; the
-bound is rigorous, so the two bracket it.
+of the coefficients whose residuals the bounds take.  The difference is
+harmonic on each closed target ball, so by the maximum principle its sup
+there lies on the target sphere; outside the observation ball it is
+harmonic and decays at infinity (in 2D mode 0 radiates nothing outside the
+antenna), so its sup there lies on the observation sphere.  A sampled
+maximum is a lower bound on the sup; the bound is rigorous, so the two
+bracket it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .fields import radiated_field
 from .geometry import UNIT_SPHERE_MEASURE, Scenario, surface_measure
-from .operator import Density
+from .operator import HarmonicDensity
 
 UNIT_BALL_VOLUME = {d: UNIT_SPHERE_MEASURE[d] / d for d in UNIT_SPHERE_MEASURE}
 
@@ -94,7 +95,7 @@ def sample_on_sphere(rng: np.random.Generator, center, radius: float, dim: int,
     return np.asarray(center, dtype=float) + radius * direction
 
 
-def empirical_mismatches(h: Density, v_fields, s: Scenario, rng: np.random.Generator,
+def empirical_mismatches(h: HarmonicDensity, v_fields, s: Scenario, rng: np.random.Generator,
                          n_samples: int) -> list[float]:
     """Monte-Carlo sup-norm probes matching the certificate's claims.
 

@@ -248,8 +248,7 @@ def _check_size(s: Scenario) -> int:
     degree = rule_degree(d.antenna, s.dim)
     columns = harmonic_count(degree, s.dim)
     m = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim), degree)
-    n = rule_node_count(d.antenna, s.dim)
-    need = factorization_bytes(m, rule_node_count(d.control, s.dim), n, columns)
+    need = factorization_bytes(m, rule_node_count(d.control, s.dim), columns)
     limit = _physical_memory()
     if need > limit:
         raise ScenarioValidationError([

@@ -5,8 +5,9 @@ dipoles, harmonic polynomials) serves as targets; their traces on the
 control spheres, with the exterior target subtracted, form the data the
 forward operator must match.  The field the antenna actually radiates is
 the double-layer potential of the solved density, evaluated here in the
-operator's closed form (:func:`radiated_field`), so the probes and the grid
-read the field the certificate bounds; its Nystrom quadrature
+operator's closed form from the density's coefficients
+(:func:`radiated_field`), so the probes and the grid read the field the
+certificate bounds; its Nystrom quadrature of nodal values
 (:func:`eval_double_layer`) stays as the tests' oracle.
 """
 
@@ -19,10 +20,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       control_labels, harmonic_degree, harmonic_transform, legendre_orders,
-                       make_rule, on_boundary, order_columns, validate_scenario)
+                       control_labels, harmonic_degree, legendre_orders, make_rule, on_boundary,
+                       order_columns, validate_scenario)
 from .kernels import dlp_kernel, row_blocks
-from .operator import ControlTrace, degree_gains
+from .operator import ControlTrace, HarmonicDensity, degree_gains
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -259,27 +260,24 @@ def _points(rule: QuadratureRule, x) -> tuple[np.ndarray, bool]:
     return pts, x.ndim == 1
 
 
-def radiated_field(h, x) -> np.ndarray | float:
+def radiated_field(h: HarmonicDensity, x) -> np.ndarray | float:
     """Field radiated by an antenna density, in closed form.
 
-    The density's coefficients on its rule's orthonormal harmonics
-    (:func:`fieldcast.geometry.harmonic_transform`, degree 0 dropped, as it
-    radiates nothing outside the antenna) times their fields
-    (:func:`fieldcast.operator.basis_fields`), summed at each point
-    (:func:`_series`): the double layer of the density's projection at any
-    point outside the clearance delta (1 + 1e-6) the operator demands of
-    control nodes; points inside it are rejected.  A value depends on its
-    point alone, bit for bit.
+    The density's coefficients times their basis densities' fields
+    (:func:`fieldcast.operator.basis_field_blocks`), summed at each point
+    (:func:`_series`): the double layer of the density at any point outside
+    the clearance delta (1 + 1e-6) the operator demands of control nodes;
+    points inside it are rejected.  A value depends on its point alone, bit
+    for bit.
 
     Parameters
     ----------
-    h : Density
+    h : HarmonicDensity
         Antenna density (see the operator module).
     x : array-like, shape (dim,) or (p, dim)
     """
-    rule = h.rule
+    rule, a = h.rule, h.coefficients  # (M,), degrees 1 .. L
     pts, scalar = _points(rule, x)
-    a = harmonic_transform(rule, h.values)[0][1:]  # (M,), degrees 1 .. L
     out = np.empty(pts.shape[0])
     # 8192 points a block: the series holds about 8 vectors of them, in 3D one more a degree.
     for rows in row_blocks(pts.shape[0], 8):
@@ -401,7 +399,7 @@ class FieldGrid:
             raise ValueError("field grid column lengths do not match")
 
 
-def eval_on_grid(g, s: Scenario, spec: GridSpec) -> FieldGrid:
+def eval_on_grid(g: HarmonicDensity, s: Scenario, spec: GridSpec) -> FieldGrid:
     """Total field (exterior target + :func:`radiated_field`) over a grid.
 
     Inside target ball k the mismatch column holds

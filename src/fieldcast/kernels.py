@@ -8,7 +8,7 @@ Free-space fundamental solution of the Laplacian
 its normal derivatives in the source and observation variables (the
 double-layer and adjoint kernels), and Poisson-kernel quadrature for the
 interior/exterior Dirichlet problem on a ball, all of them oracles: the
-pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_fields`,
+pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_field_blocks`,
 :func:`fieldcast.fields.radiated_field`), and the Poisson solvers reproduce
 harmonic data without any layer potential.
 

@@ -8,9 +8,10 @@ layer of a surface harmonic of degree l is again that harmonic, times
 l/(2l+1) (delta/r)^(l+1) in 3D and 1/2 (delta/r)^l in 2D (Kress, *Linear
 Integral Equations*, ch. 6); degree 0 radiates nothing there (Gauss).  So
 the field of basis density j is known everywhere outside the antenna
-(:func:`basis_fields`), and the operator needs no antenna quadrature and
-no singular kernel.  The nodal Nystrom quadrature of the double-layer
-kernel stays as the oracle :func:`apply`.
+(:func:`basis_field_blocks`), and the operator needs no antenna quadrature and
+no singular kernel.  A density is its coefficients on that basis
+(:class:`HarmonicDensity`) from the solve to the probes; nodal values
+(:class:`Density`) serve only the Nystrom oracle :func:`apply`.
 
 The matrix holds each control sphere's block in that sphere's own
 orthonormal harmonics, which is all the L2-minimal solution needs: the
@@ -82,6 +83,36 @@ class Density:
     def norm(self) -> float:
         """Quadrature-weighted L2 norm over the antenna boundary."""
         return self.rule.l2_norm(self.values)
+
+
+@dataclass(frozen=True)
+class HarmonicDensity:
+    """A density by its coefficients c on the antenna rule's orthonormal
+    basis: :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L
+    (:func:`fieldcast.geometry.harmonic_degree`) over delta^((dim-1)/2), in
+    their column order; degree 0 radiates nothing.  Its L2 norm is ||c||."""
+
+    rule: QuadratureRule
+    coefficients: np.ndarray  # (M,)
+
+    def __post_init__(self):
+        coefficients = frozen_array(self.coefficients)
+        if coefficients.shape != (_antenna_columns(self.rule),):
+            raise ValueError(f"coefficients shape {coefficients.shape} does not match "
+                             f"{_antenna_columns(self.rule)} antenna harmonics")
+        if not np.all(np.isfinite(coefficients)):
+            raise ValueError("density coefficients must be finite")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def norm(self) -> float:
+        """L2 norm over the antenna boundary: ||c||, the basis being orthonormal."""
+        return float(np.linalg.norm(self.coefficients))
+
+    def nodal(self) -> Density:
+        """The density's values at the rule's nodes, for the Nystrom oracles."""
+        basis = surface_harmonics(self.rule.normals, harmonic_degree(self.rule))
+        basis *= self.rule.boundary.radius ** (-(self.rule.boundary.dim - 1) / 2)
+        return Density(rule=self.rule, values=basis @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -184,12 +215,12 @@ class WeightedSVD:
         return y
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
+def _check_finite(matrix: np.ndarray) -> None:
     """Raise unless every entry is finite, scanning one block of columns at a
-    time so that no array of a's size is allocated."""
-    for cols in row_blocks(a.shape[1], a.shape[0]):
-        if not np.isfinite(a[:, cols]).all():
-            raise ValueError(f"operator {what} contains non-finite entries")
+    time so that no array of the matrix's size is allocated."""
+    for cols in row_blocks(matrix.shape[1], matrix.shape[0]):
+        if not np.isfinite(matrix[:, cols]).all():
+            raise ValueError("operator matrix contains non-finite entries")
 
 
 def _concentric(antenna: QuadratureRule, rule: QuadratureRule) -> bool:
@@ -204,11 +235,16 @@ def _region_rows(degree: int, dim: int) -> int:
     return harmonic_count(degree, dim) + 1
 
 
+def _antenna_columns(antenna: QuadratureRule) -> int:
+    """M, the antenna harmonics of degrees 1 .. L: the matrix's columns."""
+    return harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
+
+
 def _block_rows(antenna: QuadratureRule, rule: QuadratureRule) -> int:
     """Rows of a control rule's block: one per antenna harmonic on a sphere
     concentric with the antenna, else one per harmonic the rule resolves."""
     if _concentric(antenna, rule):
-        return harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
+        return _antenna_columns(antenna)
     return _region_rows(harmonic_degree(rule), rule.boundary.dim)
 
 
@@ -224,13 +260,10 @@ def matrix_rows(dim: int, n_regions: int, control_degree: int, antenna_degree: i
 class ForwardOperator:
     """Trace operator on the antenna's harmonic basis, with SVD cache.
 
-    Column j of ``matrix`` holds the field radiated by basis density j,
-    whose values at the antenna nodes are column j of ``basis``, as
-    coefficients on each control sphere's orthonormal harmonics: one block
-    of rows per control rule, in their order (:attr:`block_rows`).  The
-    basis is orthonormal in the antenna rule's weights, basis^T diag(w)
-    basis = I, so coefficients c stand for the density ``basis @ c``
-    (:meth:`density`) of L2 norm ||c||.  ``unresolved`` holds, per control
+    Column j of ``matrix`` holds the field radiated by the antenna's basis
+    density j (:class:`HarmonicDensity`) as coefficients on each control
+    sphere's orthonormal harmonics: one block of rows per control rule, in
+    their order (:attr:`block_rows`).  ``unresolved`` holds, per control
     rule, the share of the Frobenius norm of its nodal block (the fields at
     its nodes, in its weights) that its harmonics do not resolve; a matrix
     given directly has none.  ``matrix`` is None once ``weighted_svd(K,
@@ -240,7 +273,6 @@ class ForwardOperator:
     """
 
     matrix: np.ndarray | None  # (m, M): control harmonics x antenna harmonics
-    basis: np.ndarray          # (n, M): antenna nodes x antenna harmonics
     antenna_rule: QuadratureRule
     control_rules: list[QuadratureRule]
     unresolved: tuple[float, ...] | None = None
@@ -248,35 +280,20 @@ class ForwardOperator:
     block_rows: list[slice] = field(init=False, repr=False)  # each control rule's rows
 
     def __post_init__(self):
-        n = self.antenna_rule.node_count
         self.matrix = np.asarray(self.matrix, dtype=float)
-        self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.ndim != 2 or self.basis.shape[0] != n:
-            raise ValueError(f"basis shape {self.basis.shape} != ({n}, M)")
         ends = np.cumsum([0] + [_block_rows(self.antenna_rule, r) for r in self.control_rules])
         self.block_rows = [slice(int(a), int(b)) for a, b in zip(ends, ends[1:])]
-        m = int(ends[-1])
-        if self.matrix.shape != (m, self.basis.shape[1]):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({m}, {self.basis.shape[1]})")
+        shape = (int(ends[-1]), _antenna_columns(self.antenna_rule))
+        if self.matrix.shape != shape:
+            raise ValueError(f"matrix shape {self.matrix.shape} != {shape}")
         if self.unresolved is None:
             self.unresolved = (0.0,) * len(self.control_rules)
-        _check_finite(self.matrix, "matrix")
-        _check_finite(self.basis, "basis")
+        _check_finite(self.matrix)
 
     def split(self, concatenated: np.ndarray) -> ControlTrace:
         """Nodal values at every control node, regions first, as a trace."""
         ends = np.cumsum([r.node_count for r in self.control_rules])[:-1]
         return ControlTrace(blocks=np.split(concatenated, ends), rules=self.control_rules)
-
-    def density(self, c: np.ndarray) -> Density:
-        """The nodal density of coefficients c: ``basis @ c``."""
-        return Density(rule=self.antenna_rule, values=self.basis @ c)
-
-    def coefficients(self, h: Density) -> np.ndarray:
-        """The coefficients of h's projection onto the basis:
-        basis^T diag(w) h, which recovers c from ``density(c)``."""
-        _check_density(self, h)
-        return self.basis.T @ (self.antenna_rule.weights * h.values)
 
     def trace_coefficients(self, v: ControlTrace) -> tuple[np.ndarray, np.ndarray]:
         """(y, outside): the trace v in the rows of ``matrix``, and per control
@@ -308,7 +325,7 @@ class ForwardOperator:
 
 def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
     """(L, p): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
-    from the antenna centre, a row per degree l = 1 .. L (:func:`basis_fields`)."""
+    from the antenna centre, a row per degree l = 1 .. L (:func:`basis_field_blocks`)."""
     dim, delta = antenna.boundary.dim, antenna.boundary.radius
     q = delta / r
     radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
@@ -319,39 +336,24 @@ def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_fields(antenna: QuadratureRule, points) -> np.ndarray:
-    """The field of each of the antenna's basis densities at each of the
-    points (p, dim): a column-major (p, M) array.
-
-    The basis holds the surface harmonics of degrees 1 .. L, L the antenna
-    rule's :func:`fieldcast.geometry.harmonic_degree`, over
-    delta^((dim-1)/2): orthonormal in the rule's weights.  Entry (i, j) is
-    g_l (delta/r_i)^(l+dim-2) times basis harmonic j at point i's direction,
-    with r_i its distance from the antenna centre, l the degree of column j
-    and g_l = l/(2l+1) in 3D, 1/2 in 2D.  Columns follow
-    :func:`fieldcast.geometry.surface_harmonics`.  A row depends on its point
-    alone, bit for bit.  Points inside or touching the antenna sphere are
-    rejected: the expansion holds only outside it, and a violation indicates
-    a broken scenario rather than something to regularize.
-    """
-    points = np.asarray(points, dtype=float)
-    fields = np.empty((points.shape[0], harmonic_count(harmonic_degree(antenna),
-                                                       antenna.boundary.dim)), order="F")
-    for columns, block in basis_field_blocks(antenna, points):
-        fields[:, columns] = block
-    return fields
-
-
 # Values of one block of :func:`basis_field_blocks`, unless one order has more.
 BASIS_BLOCK_VALUES = 2**16
 
 
 def basis_field_blocks(antenna: QuadratureRule, points):
-    """:func:`basis_fields` a few antenna orders at a time: yields
-    (columns, fields), the columns of those orders
-    (:func:`fieldcast.geometry.order_columns`) and their fields at the
-    points, a column-major (p, c) array of BASIS_BLOCK_VALUES or fewer;
-    each column bit for bit the whole array's."""
+    """The field of each of the antenna's basis densities at each of the
+    points (p, dim), a few antenna orders at a time: yields (columns,
+    fields), the columns of those orders
+    (:func:`fieldcast.geometry.order_columns`) and their fields, a
+    column-major (p, c) array of BASIS_BLOCK_VALUES or fewer.
+
+    Entry (i, j) is g_l (delta/r_i)^(l+dim-2) times basis harmonic j
+    (:class:`HarmonicDensity`) at point i's direction, with r_i its distance
+    from the antenna centre, l the degree of column j and g_l = l/(2l+1) in
+    3D, 1/2 in 2D.  An entry depends on its point alone, bit for bit.
+    Points inside or touching the antenna sphere are rejected: the expansion
+    holds only outside it, and a violation indicates a broken scenario
+    rather than something to regularize."""
     dim = antenna.boundary.dim
     if np.shape(points)[-1] != dim:
         raise ValueError("antenna and points have mixed dimensions")
@@ -388,27 +390,29 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
     resolve (the block's share when ``rows`` takes them all).
 
     A region's block is :func:`fieldcast.geometry.harmonic_transform` of
-    :func:`basis_fields` at its nodes, a few antenna orders at a time
+    the fields at its nodes, a few antenna orders at a time
     (:func:`basis_field_blocks`), so the fields at all its nodes are never
     held at once.  On a sphere of radius R concentric with the antenna,
     basis density j radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2)
     times the sphere's own orthonormal harmonic j, so the block is that
     diagonal over all the antenna's degrees, whether or not the rule
-    resolves them.  Its nodal block lies in the rule's harmonics, and
-    nothing is unresolved, unless the antenna radiates degrees above the
-    rule's; only then is the nodal block evaluated, to measure that share.
-    Subnormal entries, of degrees whose fields underflow, are zeroed.
+    resolves them; only the requested rows of it are made.  Its nodal block
+    lies in the rule's harmonics, and nothing is unresolved, unless the
+    antenna radiates degrees above the rule's; only then is the nodal block
+    evaluated, to measure that share.  Subnormal entries, of degrees whose
+    fields underflow, are zeroed.
     """
+    columns = _antenna_columns(antenna)
     concentric = _concentric(antenna, rule)
     if concentric:
         dim, radius = rule.boundary.dim, rule.boundary.radius
         _check_clearance(antenna, radius)
         gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
         counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
-        diagonal = np.diag(np.repeat(gains, counts))
+        start, stop, _ = rows.indices(columns)
+        diagonal = np.eye(stop - start, columns, start) * np.repeat(gains, counts)
         if harmonic_degree(antenna) <= harmonic_degree(rule):
-            return _flush_subnormal(diagonal[rows]), 0.0
-    columns = harmonic_count(harmonic_degree(antenna), rule.boundary.dim)
+            return _flush_subnormal(diagonal), 0.0
     kept = range(_region_rows(harmonic_degree(rule), rule.boundary.dim))[rows]
     coefficients = np.empty((len(kept), columns), order="F")
     rest = np.empty(columns)
@@ -418,7 +422,7 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
         del fields, projected   # before the next orders' are made
     rest = float(np.sum(rest))
     share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
-    return _flush_subnormal(diagonal[rows] if concentric else coefficients), share
+    return _flush_subnormal(diagonal if concentric else coefficients), share
 
 
 def _flush_subnormal(block: np.ndarray) -> np.ndarray:
@@ -432,27 +436,22 @@ def _flush_subnormal(block: np.ndarray) -> np.ndarray:
 
 
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
-    """The closed-form trace operator: the antenna's harmonic basis, and a
-    column-major matrix of each control rule's :func:`_coefficient_block`,
-    regions first, assembled one block at a time."""
+    """The closed-form trace operator: a column-major matrix of each control
+    rule's :func:`_coefficient_block`, regions first, assembled one block at
+    a time."""
     rows = np.cumsum([0] + [_block_rows(antenna, r) for r in controls])
-    columns = harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
-    matrix = np.empty((rows[-1], columns), order="F")
+    matrix = np.empty((rows[-1], _antenna_columns(antenna)), order="F")
     unresolved = []
     for rule, start, stop in zip(controls, rows, rows[1:]):
         block, share = _coefficient_block(antenna, rule)
         matrix[start:stop] = block
         unresolved.append(share)
         del block   # before the next block is made
-    # The basis only after the blocks, so that it is not held beside their
-    # working sets.
-    basis = surface_harmonics(antenna.normals, harmonic_degree(antenna))
-    basis *= antenna.boundary.radius ** (-(antenna.boundary.dim - 1) / 2)
-    return ForwardOperator(matrix=matrix, basis=basis, antenna_rule=antenna,
-                           control_rules=list(controls), unresolved=tuple(unresolved))
+    return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls),
+                           unresolved=tuple(unresolved))
 
 
-def _check_density(K: ForwardOperator, h: Density) -> None:
+def _check_density(K: ForwardOperator, h: Density | HarmonicDensity) -> None:
     if not _same_rule(K.antenna_rule, h.rule):
         raise ValueError("density's rule does not match the operator's antenna rule")
 
@@ -479,12 +478,12 @@ def apply(K: ForwardOperator, h: Density) -> ControlTrace:
     return K.split(trace)
 
 
-def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[float, ...]:
+def block_residuals(K: ForwardOperator, h: HarmonicDensity,
+                    v: ControlTrace) -> tuple[float, ...]:
     """Weighted L2 norm of K h - v on each control boundary, regions first.
 
-    Computed through the factors from h's coefficients c
-    (:meth:`ForwardOperator.coefficients`), whether or not K still holds
-    its matrix: C c = Q [U_R diag(sigma) Vt c; 0], one reflector pass
+    Computed through the factors from h's coefficients c, whether or not K
+    still holds its matrix: C c = Q [U_R diag(sigma) Vt c; 0], one reflector pass
     (:meth:`WeightedSVD.lift`), against v's coefficients y, plus the part of
     v outside each block (:meth:`ForwardOperator.trace_coefficients`).
     Each norm agrees with that of ``C c - y`` (and v's outside part) within
@@ -492,7 +491,8 @@ def block_residuals(K: ForwardOperator, h: Density, v: ControlTrace) -> tuple[fl
     out the part of the radiated field its rule does not resolve, which is
     at most the block's ``unresolved`` share of the nodal block's norm.
     """
-    c = K.coefficients(h)
+    _check_density(K, h)
+    c = h.coefficients
     y, outside = K.trace_coefficients(v)
     svd = weighted_svd(K)
     res = svd.lift(svd.sigma * (svd.vt @ c)) - y  # (m,)
@@ -569,28 +569,27 @@ RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 12 * 2**20
 
 
-def factorization_bytes(m: int, p: int, n: int, columns: int) -> int:
+def factorization_bytes(m: int, p: int, columns: int) -> int:
     """Bytes a run holds at its peak, for an m x M matrix (M = ``columns``
-    antenna harmonics), p nodes on the largest region's control rule and n
-    antenna nodes, summed over the stages that can set it: two m x M float64
+    antenna harmonics) and p nodes on the largest region's control rule,
+    summed over the stages that can set it: two m x M float64
     arrays at the QR in :func:`weighted_svd` (the matrix, which it
     overwrites with the reflectors, and LAPACK's working copy), which also
     bound what :func:`assemble_forward` holds while it projects a region
     (the matrix, that region's rows and its fields for a few antenna orders,
     :func:`basis_field_blocks`); six k x k, k = min(m, M), for the SVD of R
-    (R, its factors and gesdd's workspace); the n x M basis; and the run's other
+    (R, its factors and gesdd's workspace); and the run's other
     arrays (RUN_OVERHEAD_BYTES_PER_ROW per control-rule node plus
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate, on demo-3d: 19.9 / 21.2 / 27.9 at 975 x 399 (p = 1152,
-    n = 800), 18.0 / 18.2 / 21.4 at 1279 x 255 (p = 2048, n = 512),
-    31.1 / 31.1 / 42.6 at 1151 x 575 (p = 1152, n = 1152) and 81.8 / 82.3 /
-    96.0 at 1279 x 1023 (p = 512, n = 2048), where the SVD of R sets the
-    peak.  The dump assembles the rows again after the solve, one row block
-    at a time (:func:`dump_operator`)."""
+    estimate, on demo-3d: 17.0 / 18.3 / 25.5 at 975 x 399 (p = 1152),
+    17.1 / 17.2 / 20.5 at 1279 x 255 (p = 2048), 25.8 / 25.7 / 37.5 at
+    1151 x 575 (p = 1152) and 65.7 / 65.4 / 80.0 at 1279 x 1023 (p = 512),
+    where the SVD of R sets the peak.  The dump assembles the rows again
+    after the solve, one row block at a time (:func:`dump_operator`)."""
     k = min(m, columns)
-    arrays = 2 * m * columns + n * columns + 6 * k * k
+    arrays = 2 * m * columns + 6 * k * k
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
 
 
@@ -611,7 +610,7 @@ def dump_operator(K: ForwardOperator, path) -> None:
     dump holds one row block, at the cost of the fields at all of a region's
     nodes per row block: time quadratic in a region's size."""
     svd = weighted_svd(K)
-    m, columns = sum(rows.stop - rows.start for rows in K.block_rows), K.basis.shape[1]
+    m, columns = K.block_rows[-1].stop, _antenna_columns(K.antenna_rule)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
         for rule, block_rows in zip(K.control_rules, K.block_rows):

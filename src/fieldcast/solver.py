@@ -23,7 +23,8 @@ import numpy as np
 
 from .geometry import RANK_CUTOFF_RTOL, ScenarioValidationError
 from .kernels import row_blocks
-from .operator import ControlTrace, Density, ForwardOperator, block_residuals, weighted_svd
+from .operator import (ControlTrace, ForwardOperator, HarmonicDensity, block_residuals,
+                       weighted_svd)
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
 DISCREPANCY_RTOL = 1e-3
@@ -199,12 +200,12 @@ def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
 
 def solve_min_energy(
     K: ForwardOperator, v: ControlTrace, epsilon: float
-) -> tuple[Density, SolveReport]:
-    """Minimal-energy density with residual norm equal to epsilon, as found by
+) -> tuple[HarmonicDensity, SolveReport]:
+    """Minimal-energy density's coefficients at residual norm epsilon, found by
     ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
     data = _filter_data(K, v)
     alpha, disc, iterations = (x.item() for x in data.match([epsilon]))
-    h = K.density(weighted_svd(K).vt.T @ data.coefficients(alpha))
+    h = HarmonicDensity(K.antenna_rule, weighted_svd(K).vt.T @ data.coefficients(alpha))
     report = SolveReport(
         alpha_star=alpha,
         discrepancy=disc,

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcast import (ControlTrace, ForwardOperator, assemble_forward, build_rules, build_target,
-                       dlp_kernel, load_scenario, solve_min_energy, solver, weighted_svd)
+from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, assemble_forward,
+                       build_rules, build_target, dlp_kernel, load_scenario, solve_min_energy,
+                       solver, weighted_svd)
 from fieldcast.fields import resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
                                 harmonic_degree, harmonic_transform, surface_harmonics)
-from fieldcast.operator import RESIDUAL_ROUNDING_C, basis_fields, block_residuals
+from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
 from fieldcast.solver import InfeasibleAccuracyError
 
 FEASIBLE_EPS_2D = 6.5
@@ -45,6 +46,27 @@ def rule_harmonics(rule):
     constant = np.full((rule.node_count, 1), 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]))
     values = np.hstack([constant, surface_harmonics(rule.normals, harmonic_degree(rule))])
     return values * rule.boundary.radius ** (-(dim - 1) / 2)
+
+
+def basis_fields(antenna, points):
+    """The field of each of the antenna's basis densities at each of the
+    points, a (p, M) array formed whole: the surface harmonics at each
+    point's direction from the antenna centre, column by column times the
+    ``degree_gains`` of the column's degree at the point's distance.  The
+    oracle for ``basis_field_blocks``, which makes a few orders at a time."""
+    x = np.asarray(points, dtype=float) - antenna.boundary.center
+    r = np.linalg.norm(x, axis=-1)
+    degree, dim = harmonic_degree(antenna), antenna.boundary.dim
+    degrees = np.repeat(np.arange(1, degree + 1),
+                        np.diff([harmonic_count(l, dim) for l in range(degree + 1)]))
+    return surface_harmonics(x / r[:, None], degree) * degree_gains(antenna, r)[degrees - 1].T
+
+
+def projected(g):
+    """The coefficient density of a nodal density g: g projected on its
+    rule's harmonics by ``harmonic_transform``, degree 0 dropped, as it
+    radiates nothing outside the antenna."""
+    return HarmonicDensity(g.rule, harmonic_transform(g.rule, g.values)[0][1:])
 
 
 def block_harmonics(K, rule, rows):
@@ -82,13 +104,13 @@ def explicit_coefficients(K, v):
 
 def assert_residuals_match_the_matrix(K, h, v):
     """``block_residuals`` (through the factors) against the operator's own
-    C c - y, c the coefficients of h and y those of v, plus v's part outside
+    C c - y, c h's coefficients and y those of v, plus v's part outside
     each block, block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1
     ||c|| + ||v||).  And each against the nodal residual, the fields of
     ``basis_fields`` at the control nodes minus v, within the block's
     unresolved share of its nodal block's Frobenius norm times ||c||, plus
     that rounding bound."""
-    c = K.coefficients(h)
+    c = h.coefficients
     y, outside = K.trace_coefficients(v)
     res = K.matrix @ c - y
     direct = [math.sqrt(float(res[rows] @ res[rows]) + rest)
@@ -108,11 +130,10 @@ def assert_residuals_match_the_matrix(K, h, v):
 
 def summed_basis_fields(h, points):
     """The radiated field of density h at the points as the matrix product
-    ``basis_fields(h.rule, points) @ a``, a the coefficients
-    ``radiated_field`` takes, and sum_j |a_j basis_j| per point, the scale
-    its rounding is measured against: the oracle for ``radiated_field``'s
-    point-by-point sum."""
-    a = harmonic_transform(h.rule, h.values)[0][1:]
+    ``basis_fields(h.rule, points) @ a``, a h's coefficients, and
+    sum_j |a_j basis_j| per point, the scale its rounding is measured
+    against: the oracle for ``radiated_field``'s point-by-point sum."""
+    a = h.coefficients
     fields = basis_fields(h.rule, points)
     return fields @ a, np.abs(fields) @ np.abs(a)
 
@@ -127,14 +148,15 @@ def nystrom_matrix(antenna, controls):
 
 
 def assert_columns_match_the_nystrom_sum(K):
-    """The Nystrom sum of each basis density (:func:`fieldcast.operator.apply`,
+    """The Nystrom sum of each basis density (its nodal values the antenna's
+    ``rule_harmonics`` of degrees 1 .. L; :func:`fieldcast.operator.apply`,
     whose blocks ``nystrom_matrix`` reproduces), on each control rule: equal
     to the closed-form ``basis_fields`` at its nodes, and its harmonic
     coefficients (formed explicitly, ``rule_harmonics``) equal to the rule's
     rows of ``K.matrix``, each within COLUMN_RTOL of the largest entry."""
     scale = np.max(np.abs(K.matrix))
     for rule, rows in zip(K.control_rules, K.block_rows):
-        nodal = nystrom_matrix(K.antenna_rule, [rule]) @ K.basis
+        nodal = nystrom_matrix(K.antenna_rule, [rule]) @ rule_harmonics(K.antenna_rule)[:, 1:]
         closed = basis_fields(K.antenna_rule, rule.nodes)
         assert np.max(np.abs(nodal - closed)) <= COLUMN_RTOL * np.max(np.abs(closed))
         harmonics = block_harmonics(K, rule, rows)
@@ -290,7 +312,7 @@ def nystrom_floor_and_energy(K, v, epsilon):
             matrix[rows][:kept, :kept] = projected[:, :kept]
         else:
             matrix[rows] = projected
-    oracle = ForwardOperator(matrix=matrix, basis=K.basis, antenna_rule=K.antenna_rule,
+    oracle = ForwardOperator(matrix=matrix, antenna_rule=K.antenna_rule,
                              control_rules=K.control_rules)
     return tikhonov_floor(oracle, v), solve_min_energy(oracle, v, epsilon)[1].energy
 

@@ -42,7 +42,8 @@ from fieldcast import (
 )
 from fieldcast.certify import empirical_mismatches, sample_on_sphere
 from fieldcast.fields import eval_double_layer, eval_field, scenario_difference_fields
-from fieldcast.operator import block_residuals
+from fieldcast.geometry import harmonic_transform
+from fieldcast.operator import HarmonicDensity, block_residuals
 from fieldcast.solver import residual_floor
 from test_solver import _qp_oracle_energy, _random_instance
 
@@ -283,7 +284,8 @@ def test_criterion_8_certificate_soundness(demo2d_parts):
     violations = 0
     worst_margin = np.inf
     for _ in range(20):
-        h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
+        values = rng.normal(size=antenna.node_count)
+        h = HarmonicDensity(antenna, harmonic_transform(antenna, values)[0][1:])
         cert = certify_solution(block_residuals(K, h, v), s)
         maxima = empirical_mismatches(h, fields, s, rng, n_samples=500)
         for observed, entry in zip(maxima, cert):
@@ -312,7 +314,7 @@ def test_criterion_9_discretization_convergence(demo2d):
             [sample_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
             + [sample_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
         )  # 100 probe points, on spheres: where a harmonic difference peaks
-        probes[n] = eval_double_layer(h, pts)
+        probes[n] = eval_double_layer(h.nodal(), pts)
     change = np.max(np.abs(probes[128] - probes[256])) / np.max(np.abs(probes[128]))
     _criterion("criterion 9 (discretization convergence)", change <= 1e-6,
                f"relative field change over 100 probes {change:.2e}")

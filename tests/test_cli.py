@@ -17,9 +17,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FEASIBLE_EPS_2D, PRESETS
-from fieldcast import cli
+from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset
+from fieldcast import (HarmonicDensity, assemble_forward, build_rules, certify, cli, fields,
+                       operator, solver)
 from fieldcast.cli import main
+from fieldcast.geometry import harmonic_transform
 from fieldcast.operator import factorization_bytes, load_operator_dump
 
 DEMO_2D = str(PRESETS / "demo-2d.scn")
@@ -474,7 +476,7 @@ def _child_peak_bytes(argv) -> int:
 
 def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
     # 2304 control by 800 antenna nodes, a 975 x 399 operator (1152 nodes a
-    # control rule): the run grows by about 21.6 MiB over an import-only
+    # control rule): the run grows by about 17.0 MiB over an import-only
     # child.  Every command releases the matrix to the factorization, so the
     # size guard's estimate bounds the run, and the dump, which assembles the
     # rows again one control rule at a time, peaks about where the run does.
@@ -484,13 +486,41 @@ def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
                                     "with loading_single_threaded(): import fieldcast.cli"])
     peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
     dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
-    assert peak - base <= factorization_bytes(975, 1152, 800, 399)
+    assert peak - base <= factorization_bytes(975, 1152, 399)
     assert dump - peak <= 2 * 2**20
     # One residual path for every command: the bodies above [outputs] agree.
     bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]
               for d in ("run", "dump")]
     assert "residual-region-1: " in bodies[0]
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", DEMO_2D, "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24", "--dump-operator"],
+    ["run", str(PRESETS / "demo-3d.scn"), "--epsilon", "0.6"],
+    ["sweep", str(PRESETS / "demo-3d.scn"), "--epsilons", "0.6,1.0"],
+], ids=["run-2d", "run-3d", "sweep-3d"])
+def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
+    # The density is its coefficients from the solve to the report, the
+    # grid and the dump: nothing synthesizes its nodal values, and only
+    # assembly and the target's projection run the harmonic transform.
+    monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
+    callers = set()
+
+    def transform(*args):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return harmonic_transform(*args)
+
+    for module in (cli, certify, fields, operator, solver):
+        if hasattr(module, "harmonic_transform"):
+            monkeypatch.setattr(module, "harmonic_transform", transform)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert callers == {"_coefficient_block", "trace_coefficients"}
+
+
+def test_assembled_operator_holds_no_nodal_basis():
+    K = assemble_forward(*build_rules(load_preset("demo-2d")))
+    assert not any(hasattr(K, name) for name in ("basis", "density", "coefficients"))
 
 
 # Scenario mutation property: each preset at small node counts and a budget

@@ -10,6 +10,7 @@ from fieldcast import (
     Boundary,
     ControlTrace,
     Density,
+    HarmonicDensity,
     QuadratureRule,
     Region,
     Scenario,
@@ -395,12 +396,15 @@ def test_constructors_copy_caller_arrays():
     region = Region(center=region_center, radius=2.0, target=zero_field())
     values = np.ones(8)
     density = Density(rule=rule, values=values)
+    coefficients = np.ones(6)
+    harmonic = HarmonicDensity(rule=rule, coefficients=coefficients)
     block = np.arange(8.0)
     trace = ControlTrace(blocks=[block], rules=[rule])
 
     held = [(boundary.center, center), (rule.nodes, nodes), (rule.weights, weights),
             (rule.normals, normals), (region.center, region_center),
-            (density.values, values), (trace.blocks[0], block)]
+            (density.values, values), (harmonic.coefficients, coefficients),
+            (trace.blocks[0], block)]
     before = [own.copy() for own, _ in held]
     for own, given in held:
         assert given.flags.writeable

@@ -11,6 +11,7 @@ from fieldcast import (
     ControlTrace,
     Density,
     ForwardOperator,
+    HarmonicDensity,
     adjoint_kernel,
     apply,
     apply_adjoint,
@@ -23,12 +24,13 @@ from fieldcast import (
     xi_inner,
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
-                      assert_residuals_match_the_matrix, nystrom_matrix)
-from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_degree,
-                                rule_degree)
+                      assert_residuals_match_the_matrix, basis_fields, nystrom_matrix, projected)
+from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count,
+                                harmonic_degree, harmonic_transform, rule_degree)
 from fieldcast import operator as operator_module
-from fieldcast.operator import (basis_field_blocks, basis_fields, block_residuals, degree_gains,
-                                dump_operator, load_operator_dump, matrix_rows)
+from fieldcast.operator import (BASIS_BLOCK_VALUES, _coefficient_block, basis_field_blocks,
+                                block_residuals, degree_gains, dump_operator, load_operator_dump,
+                                matrix_rows)
 from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
@@ -48,16 +50,16 @@ def preset_gesdd(request):
 
 
 def _operator_with(matrix_of, n_antenna=6, n_control=10):
-    """Operator with the genuine basis and rules of the small geometry and
-    the matrix ``matrix_of(rows, M)`` gives for its shape."""
+    """Operator on the rules of the small geometry with the matrix
+    ``matrix_of(rows, M)`` gives for its shape."""
     antenna, controls = _small_geometry(n_antenna, n_control)
     genuine = assemble_forward(antenna, controls)
-    return ForwardOperator(matrix=matrix_of(*genuine.matrix.shape), basis=genuine.basis,
-                           antenna_rule=antenna, control_rules=controls)
+    return ForwardOperator(matrix=matrix_of(*genuine.matrix.shape), antenna_rule=antenna,
+                           control_rules=controls)
 
 
 def _random_operator(rng, n_antenna=6, n_control=10):
-    """Operator with a random matrix but genuine basis and rules."""
+    """Operator with a random matrix but genuine rules."""
     return _operator_with(lambda rows, columns: rng.normal(size=(rows, columns)),
                           n_antenna, n_control)
 
@@ -209,9 +211,14 @@ class TestAssembleApply:
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_basis_is_orthonormal_on_the_antenna_rule(self, parts, request):
+        # The nodal values of unit coefficient vectors: every one on demo-2d,
+        # every fifth of demo-3d's 575, at least one of each degree.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        gram = K.basis.T @ (antenna.weights[:, None] * K.basis)
-        assert np.max(np.abs(gram - np.eye(K.basis.shape[1]))) <= 1e-13
+        count = harmonic_count(harmonic_degree(antenna), s.dim)
+        unit = np.eye(count)[:: 1 if s.dim == 2 else 5]
+        basis = np.column_stack([HarmonicDensity(antenna, e).nodal().values for e in unit])
+        gram = basis.T @ (antenna.weights[:, None] * basis)
+        assert np.max(np.abs(gram - np.eye(unit.shape[0]))) <= 1e-13
 
     def test_3d_columns_match_the_nystrom_sum_at_a_pool_shape(self, demo3d):
         # 16 polar antenna nodes resolve degree 15 = L*: the shape of the
@@ -220,13 +227,17 @@ class TestAssembleApply:
         assert_columns_match_the_nystrom_sum(assemble_forward(antenna, controls))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["matrix", "basis"])
-    def test_non_finite_entries_rejected(self, bad, where):
+    def test_non_finite_entries_rejected(self, bad):
         K = _random_operator(np.random.default_rng(5))
-        arrays = {"matrix": K.matrix.copy(), "basis": K.basis.copy()}
-        arrays[where][-1, -1] = bad
-        with pytest.raises(ValueError, match=f"{where} contains non-finite"):
-            ForwardOperator(**arrays, antenna_rule=K.antenna_rule, control_rules=K.control_rules)
+        matrix = K.matrix.copy()
+        matrix[-1, -1] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite"):
+            ForwardOperator(matrix=matrix, antenna_rule=K.antenna_rule,
+                            control_rules=K.control_rules)
+        coefficients = np.ones(harmonic_count(harmonic_degree(K.antenna_rule), 2))
+        coefficients[-1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            HarmonicDensity(K.antenna_rule, coefficients)
 
     def test_finiteness_scan_allocates_no_matrix_sized_mask(self, demo3d):
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 64)))
@@ -234,19 +245,19 @@ class TestAssembleApply:
         assert K.matrix.shape == (64**2 + 255, 255)   # the region's harmonics, the outer diagonal
         tracemalloc.start()
         try:
-            ForwardOperator(matrix=K.matrix, basis=K.basis, antenna_rule=antenna,
-                            control_rules=controls)
+            ForwardOperator(matrix=K.matrix, antenna_rule=antenna, control_rules=controls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= K.matrix.size // 8   # a whole bool mask is K.matrix.size bytes
 
     def test_assembly_peak_memory_is_about_the_matrix(self, demo3d_parts):
-        # The matrix and the basis it returns, and at most 1 MiB more: a
-        # region's block is projected from its fields a few antenna orders at
-        # a time, so that holds less than the basis made after the blocks.
-        # At 1151 x 575 the bound is 11.1 MiB, under the 18.1 MiB (matrix + 8
-        # MiB) the 2304 x 575 nodal matrix it replaced was held to.
+        # The matrix it returns, the region block being filled (its rows by
+        # M) and six arrays of BASIS_BLOCK_VALUES floats: the fields of a few
+        # antenna orders and the temporaries of their harmonics and their
+        # transform.  At 1151 x 575 the bound is 10.6 MiB (measured: 10.1),
+        # under the 18.1 MiB (matrix + 8 MiB) the 2304 x 575 nodal matrix it
+        # replaced was held to.
         s, antenna, controls, K, v = demo3d_parts
         tracemalloc.start()
         try:
@@ -254,7 +265,8 @@ class TestAssembleApply:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= result.matrix.nbytes + result.basis.nbytes + MIB
+        region = result.matrix[result.block_rows[0]].nbytes
+        assert peak <= result.matrix.nbytes + region + 6 * 8 * BASIS_BLOCK_VALUES
 
     def test_separation_violation_rejected(self):
         antenna = make_circle_rule((0.0, 0.0), 1.0, 16)
@@ -276,13 +288,16 @@ class TestAssembleApply:
         with pytest.raises(ValueError, match="mixed dimensions"):
             assemble_forward(antenna, [make_sphere_rule((0.0, 0.0, 0.0), 20.0, 4, 8)])
 
+    # Each entry takes the operator and a rule, and hands it a density on
+    # that rule: nodal values to the oracle, coefficients to the residuals.
     _ENTRIES = [
-        apply,
-        lambda K, h: K.coefficients(h),
-        lambda K, h: block_residuals(
-            K, h, ControlTrace([np.zeros(r.node_count) for r in K.control_rules], K.control_rules)),
+        lambda K, rule: apply(K, Density(rule=rule, values=np.ones(rule.node_count))),
+        lambda K, rule: block_residuals(
+            K, HarmonicDensity(rule, np.ones(harmonic_count(harmonic_degree(rule),
+                                                            rule.boundary.dim))),
+            ControlTrace([np.zeros(r.node_count) for r in K.control_rules], K.control_rules)),
     ]
-    _ENTRY_IDS = ["apply", "coefficients", "block_residuals"]
+    _ENTRY_IDS = ["apply", "block_residuals"]
     # (a builder of the operator's antenna rule, its control rule); every
     # rejected density below has the antenna's node count.
     _UNIT_CIRCLE = (lambda: make_circle_rule((0.0, 0.0), 1.0, 16), make_circle_rule((8.0, 0.0), 2.0, 10))
@@ -298,9 +313,8 @@ class TestAssembleApply:
     def test_density_on_another_antenna_rule_rejected(self, entry, geometry, other):
         antenna, control = geometry
         K = assemble_forward(antenna(), [control])
-        h = Density(rule=other, values=np.ones(other.node_count))
         with pytest.raises(ValueError, match="antenna rule"):
-            entry(K, h)
+            entry(K, other)
 
     def test_traces_on_another_node_layout_rejected(self):
         # 96 nodes on the same sphere as 12 x 8 and as 8 x 12: not the same trace space.
@@ -315,9 +329,36 @@ class TestAssembleApply:
         # An equal rule built anew is the same rule: the check compares nodes, not identity.
         antenna, control = geometry
         K = assemble_forward(antenna(), [control])
-        h = Density(rule=antenna(), values=np.ones(K.antenna_rule.node_count))
-        assert h.rule is not K.antenna_rule
-        entry(K, h)
+        rule = antenna()
+        assert rule is not K.antenna_rule
+        entry(K, rule)
+
+
+class TestHarmonicDensity:
+    # Antennas of degree 3 (2D, 8 nodes) and 4 (3D, 5 polar rings): six and
+    # 24 harmonics.
+    _RULES = {2: make_circle_rule((0.5, -1.0), 0.7, 8),
+              3: make_sphere_rule((0.5, -1.0, 2.0), 0.7, 5, 10)}
+
+    @pytest.mark.parametrize("dim, count", [(2, 6), (3, 24)])
+    def test_coefficients_of_another_length_rejected(self, dim, count):
+        rule = self._RULES[dim]
+        for shape in ((count - 1,), (count + 1,), (count, 1)):
+            with pytest.raises(ValueError, match=f"does not match {count} antenna harmonics"):
+                HarmonicDensity(rule, np.ones(shape))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nodal_values_carry_the_norm_and_project_back(self, dim):
+        # The norm ||c|| is the quadrature norm of the nodal values, and
+        # the rule's transform of those values returns c, degree 0 at zero.
+        rule = self._RULES[dim]
+        c = np.random.default_rng(60 + dim).normal(size=harmonic_count(harmonic_degree(rule), dim))
+        h = HarmonicDensity(rule, c)
+        nodal = h.nodal()
+        assert nodal.norm() == pytest.approx(h.norm(), rel=1e-14)
+        a, rest = harmonic_transform(rule, nodal.values)
+        assert np.max(np.abs(a - np.concatenate([[0.0], c]))) <= 1e-14 * np.max(np.abs(c))
+        assert rest <= 1e-28 * h.norm() ** 2
 
 
 class TestAdjoint:
@@ -522,8 +563,8 @@ class TestRelease:
 
     def test_release_traces_one_matrix_and_keep_two(self, demo3d):
         # 1279 x 255, from assembly on.  During the SVD a released operator
-        # traces its matrix, which the QR overwrites in place, its basis and
-        # the SVD of R (three 255 x 255 arrays, under the slack); a kept one
+        # traces its matrix, which the QR overwrites in place, and the SVD of
+        # R (three 255 x 255 arrays, under the slack); a kept one
         # the QR's copy too.  After it the released operator holds one
         # matrix-sized array, the reflectors, and a kept one the matrix too.
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
@@ -533,7 +574,7 @@ class TestRelease:
             tracemalloc.start()
             try:
                 K = assemble_forward(antenna, controls)
-                nbytes, basis = K.matrix.nbytes, K.basis.nbytes
+                nbytes = K.matrix.nbytes
                 tracemalloc.reset_peak()
                 weighted_svd(K, release=release)
                 held[release], peaks[release] = tracemalloc.get_traced_memory()
@@ -541,9 +582,9 @@ class TestRelease:
                 tracemalloc.stop()
             del K
         assert nbytes == 1279 * 255 * 8
-        assert peaks[True] <= nbytes + basis + 2 * MIB
+        assert peaks[True] <= nbytes + 2 * MIB
         assert abs(peaks[False] - peaks[True] - nbytes) <= MIB / 4
-        assert nbytes + basis <= held[True] <= nbytes + basis + 2 * MIB
+        assert nbytes <= held[True] <= nbytes + 2 * MIB
         assert abs(held[False] - held[True] - nbytes) <= MIB / 4
 
     def test_dump_assembles_a_released_3d_operator_bit_for_bit(self, demo3d_parts, tmp_path):
@@ -565,7 +606,7 @@ class TestRelease:
         assert K.matrix is None
         dump_operator(K, tmp_path / "operator.bin")   # rows evaluated again
         assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
-        assert len(block_residuals(K, h, t)) == 3   # the factors still serve
+        assert len(block_residuals(K, projected(h), t)) == 3   # the factors still serve
         # The Nystrom oracles never read the matrix.
         assert np.array_equal(apply(K, h).concatenated, before[0])
         assert np.array_equal(apply_adjoint(K, t).values, before[1])
@@ -598,7 +639,7 @@ class TestFactoredResidual:
         s, antenna, controls, K, v = demo2d_parts
         rng = np.random.default_rng(29)
         for _ in range(3):
-            h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
+            h = projected(Density(rule=antenna, values=rng.normal(size=antenna.node_count)))
             assert_residuals_match_the_matrix(K, h, v)
         assert_columns_match_the_nystrom_sum(K)
 
@@ -642,6 +683,23 @@ class TestDump:
         assert peak <= 2 * MIB   # row blocks, not copies of the 5 MiB matrix
         m, n = K.matrix.shape
         assert path.read_bytes()[40:40 + 8 * m * n] == np.ascontiguousarray(K.matrix).tobytes()
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_outer_rows_are_made_without_the_whole_diagonal(self, parts, request):
+        # Seven of the outer sphere's M rows, as a released dump makes them:
+        # bit for bit the whole block's, and traced below one M x M array.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        rows, columns = slice(100, 107), K.matrix.shape[1]
+        whole = _coefficient_block(antenna, controls[-1])[0]
+        assert whole.tobytes() == K.matrix[K.block_rows[-1]].tobytes()
+        tracemalloc.start()
+        try:
+            part = _coefficient_block(antenna, controls[-1], rows)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.shape == (7, columns) and part.tobytes() == whole[rows].tobytes()
+        assert peak < columns**2 * 8
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

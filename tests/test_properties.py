@@ -26,12 +26,11 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import (assert_residuals_match_the_matrix, nystrom_floor_and_energy, rule_harmonics,
-                      scalar_match, summed_basis_fields)
+from conftest import (assert_residuals_match_the_matrix, basis_fields, nystrom_floor_and_energy,
+                      projected, rule_harmonics, scalar_match, summed_basis_fields)
 from fieldcast import kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
                                 harmonic_count, harmonic_degree, make_rule)
-from fieldcast.operator import basis_fields
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 
 # Fixed example order and no example database: every run checks the same cases.
@@ -149,7 +148,7 @@ def test_radiated_field_matches_the_summed_basis_fields(dim, delta, antenna, cen
     n_antenna = 2 * antenna if dim == 2 else antenna // 2 + 1
     ant = make_rule(center[:dim], delta, n_antenna, dim)
     rng = np.random.default_rng(seed)
-    h = Density(rule=ant, values=rng.normal(size=ant.node_count))
+    h = projected(Density(rule=ant, values=rng.normal(size=ant.node_count)))
     direction = rng.normal(size=(64, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     pts = ant.boundary.center + delta * 10.0 ** rng.uniform(np.log10(1.01), np.log10(50.0),

@@ -30,14 +30,13 @@ from fieldcast.solver import rank_above_cutoff, residual_floor
 
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
-    """Small synthetic operator: a random matrix on the genuine antenna basis
-    and control rule, one row per harmonic the control circle resolves."""
+    """Small synthetic operator: a random matrix on the genuine antenna and
+    control rules, one row per harmonic the control circle resolves."""
     antenna = make_circle_rule((0.0, 0.0), 1.0, n_antenna)
     control = make_circle_rule((8.0, 0.0), 2.0, n_control)
     genuine = assemble_forward(antenna, [control])
     K = ForwardOperator(
         matrix=rng.normal(size=genuine.matrix.shape),
-        basis=genuine.basis,
         antenna_rule=antenna,
         control_rules=[control],
     )
@@ -52,12 +51,11 @@ def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
 
 def _dense_normal_solve(K, v, alpha):
     """Oracle: solve (alpha I + C^T C) c = C^T y directly, y the target's
-    coefficients formed explicitly, and return the nodal values of the
-    density basis @ c."""
+    coefficients formed explicitly, and return the density's coefficients c."""
     C = K.matrix
     y, _ = explicit_coefficients(K, v)
     lhs = alpha * np.eye(C.shape[1]) + C.T @ C
-    return K.basis @ np.linalg.solve(lhs, C.T @ y)
+    return np.linalg.solve(lhs, C.T @ y)
 
 
 def _qp_oracle_energy(K, v, disc_target):
@@ -123,7 +121,7 @@ class TestTikhonovSolve:
             h, report = solve_min_energy(K, v, floor + t * (v.norm() - floor))
             oracle = _dense_normal_solve(K, v, report.alpha_star)
             scale = max(np.max(np.abs(oracle)), 1e-30)
-            assert np.max(np.abs(h.values - oracle)) <= 1e-10 * scale
+            assert np.max(np.abs(h.coefficients - oracle)) <= 1e-10 * scale
 
 
 class TestSolveMinEnergy:
@@ -153,15 +151,17 @@ class TestSolveMinEnergy:
         h, report = solve_min_energy(K, v, eps)
         direct = math.sqrt(sum(r**2 for r in report.block_residuals))
         assert report.discrepancy == pytest.approx(direct, rel=1e-10)
-        # The energy comes from the SVD coefficients, the density norm from
-        # the quadrature; vt's orthonormal rows make them agree.
+        # The energy comes from the filtered singular coefficients, the
+        # density norm from its coefficients Vt^T of them; vt's orthonormal
+        # rows make them agree.
         assert report.energy == pytest.approx(h.norm(), rel=1e-12)
 
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
         s, K, v, h, report = demo2d_solution
-        residual_trace = apply(K, h) - v
-        grad = apply_adjoint(K, residual_trace).values + report.alpha_star * h.values
+        nodal = h.nodal()
+        residual_trace = apply(K, nodal) - v
+        grad = apply_adjoint(K, residual_trace).values + report.alpha_star * nodal.values
         grad_norm = K.antenna_rule.l2_norm(grad)
         ref = apply_adjoint(K, v).norm()
         assert grad_norm <= 1e-8 * ref
