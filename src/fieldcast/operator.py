@@ -88,9 +88,7 @@ class Density:
 @dataclass(frozen=True)
 class HarmonicDensity:
     """A density by its coefficients c on the antenna rule's orthonormal
-    basis: :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L
-    (:func:`fieldcast.geometry.harmonic_degree`) over delta^((dim-1)/2), in
-    their column order; degree 0 radiates nothing.  Its L2 norm is ||c||."""
+    basis (:meth:`basis`); degree 0 radiates nothing.  Its L2 norm is ||c||."""
 
     rule: QuadratureRule
     coefficients: np.ndarray  # (M,)
@@ -110,9 +108,15 @@ class HarmonicDensity:
 
     def nodal(self) -> Density:
         """The density's values at the rule's nodes, for the Nystrom oracles."""
-        basis = surface_harmonics(self.rule.normals, harmonic_degree(self.rule))
-        basis *= self.rule.boundary.radius ** (-(self.rule.boundary.dim - 1) / 2)
-        return Density(rule=self.rule, values=basis @ self.coefficients)
+        return Density(rule=self.rule, values=self.basis(self.rule) @ self.coefficients)
+
+    @staticmethod
+    def basis(rule: QuadratureRule) -> np.ndarray:
+        """(n, M): :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L
+        (:func:`fieldcast.geometry.harmonic_degree`) at the rule's nodes over
+        delta^((dim-1)/2), in their column order: orthonormal in its weights."""
+        scale = rule.boundary.radius ** (-(rule.boundary.dim - 1) / 2)
+        return surface_harmonics(rule.normals, harmonic_degree(rule)) * scale
 
 
 @dataclass(frozen=True)
@@ -215,14 +219,6 @@ class WeightedSVD:
         return y
 
 
-def _check_finite(matrix: np.ndarray) -> None:
-    """Raise unless every entry is finite, scanning one block of columns at a
-    time so that no array of the matrix's size is allocated."""
-    for cols in row_blocks(matrix.shape[1], matrix.shape[0]):
-        if not np.isfinite(matrix[:, cols]).all():
-            raise ValueError("operator matrix contains non-finite entries")
-
-
 def _concentric(antenna: QuadratureRule, rule: QuadratureRule) -> bool:
     """Whether the control rule's sphere shares the antenna's centre, so that
     its block is the closed-form diagonal of :func:`_coefficient_block`."""
@@ -288,7 +284,10 @@ class ForwardOperator:
             raise ValueError(f"matrix shape {self.matrix.shape} != {shape}")
         if self.unresolved is None:
             self.unresolved = (0.0,) * len(self.control_rules)
-        _check_finite(self.matrix)
+        # One block of columns at a time, so that no array of the matrix's size is made.
+        for cols in row_blocks(shape[1], shape[0]):
+            if not np.isfinite(self.matrix[:, cols]).all():
+                raise ValueError("operator matrix contains non-finite entries")
 
     def split(self, concatenated: np.ndarray) -> ControlTrace:
         """Nodal values at every control node, regions first, as a trace."""

@@ -40,12 +40,12 @@ def load_preset(name):
 
 def rule_harmonics(rule):
     """The rule's orthonormal harmonics of degrees 0 .. L at its nodes, an
-    (n, H) array formed explicitly from ``surface_harmonics``: the oracle for
-    ``harmonic_transform``, whose coefficients of f are rule_harmonics^T W f."""
+    (n, H) array formed explicitly: the constant, then the degrees 1 .. L
+    of ``HarmonicDensity.basis``.  The oracle for ``harmonic_transform``,
+    whose coefficients of f are rule_harmonics^T W f."""
     dim = rule.boundary.dim
-    constant = np.full((rule.node_count, 1), 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]))
-    values = np.hstack([constant, surface_harmonics(rule.normals, harmonic_degree(rule))])
-    return values * rule.boundary.radius ** (-(dim - 1) / 2)
+    constant = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]) * rule.boundary.radius ** (-(dim - 1) / 2)
+    return np.hstack([np.full((rule.node_count, 1), constant), HarmonicDensity.basis(rule)])
 
 
 def basis_fields(antenna, points):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, projected
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, projected
 from fieldcast import (
     Density,
     Region,
@@ -185,3 +185,27 @@ class TestSampling:
             pts = make_rule(center, radius, n, s.dim).nodes
             dense = float(np.max(np.abs(eval_double_layer(h.nodal(), pts) - wanted(pts))))
             assert observed == pytest.approx(dense, rel=0.01)
+
+    @pytest.mark.parametrize("parts, epsilon", [("demo2d_parts", 5.78), ("demo3d_parts", 0.455)],
+                             ids=["2d", "3d"])
+    def test_probes_move_by_rounding_of_the_coefficients(self, request, parts, epsilon):
+        # Just above each floor, where ||c|| is about 1.5e7 and the probes
+        # keep about 11 digits.  The solved coefficients c against their
+        # round trip through nodal values (harmonic_transform of nodal()),
+        # which differ by rounding of size u ||c||: each probe's sampled
+        # maximum moves by at most 20 u ||c|| max ||basis_fields(x)|| over
+        # its sphere.  That norm depends on |x| alone and falls with it, so
+        # the sphere's point nearest the antenna centre holds the maximum.
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        h, _ = solve_min_energy(K, v, epsilon)
+        fields = scenario_difference_fields(s)
+        sampled = [empirical_mismatches(g, fields, s, np.random.default_rng(s.seed),
+                                        EMPIRICAL_SAMPLES) for g in (h, projected(h.nodal()))]
+        spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
+                                                               s.observation_radius)]
+        scale = 20 * 2.0**-53 * np.linalg.norm(h.coefficients)
+        for a, b, (center, radius) in zip(*sampled, spheres, strict=True):
+            offset = np.asarray(center, dtype=float) - antenna.boundary.center
+            away = offset / np.linalg.norm(offset) if np.any(offset) else np.eye(s.dim)[0]
+            nearest = antenna.boundary.center + offset - radius * away
+            assert abs(a - b) <= scale * np.linalg.norm(basis_fields(antenna, nearest[None]))

@@ -502,9 +502,11 @@ def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
 ], ids=["run-2d", "run-3d", "sweep-3d"])
 def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
     # The density is its coefficients from the solve to the report, the
-    # grid and the dump: nothing synthesizes its nodal values, and only
-    # assembly and the target's projection run the harmonic transform.
+    # grid and the dump: nothing synthesizes its nodal values or forms the
+    # nodal basis, and only assembly and the target's projection run the
+    # harmonic transform.
     monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
+    monkeypatch.setattr(HarmonicDensity, "basis", staticmethod(_never_called))
     callers = set()
 
     def transform(*args):

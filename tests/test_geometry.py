@@ -22,8 +22,8 @@ from fieldcast import (
     zero_field,
 )
 from fieldcast.fields import dipole, log_source
-from conftest import load_preset
-from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, UNIT_SPHERE_MEASURE, Discretization,
+from conftest import load_preset, rule_harmonics
+from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization,
                                 build_rules, harmonic_count, harmonic_degree, harmonic_transform,
                                 make_rule, nodes_around, order_columns, order_width, rule_degree,
                                 surface_harmonics)
@@ -187,20 +187,12 @@ _TRANSFORM_RULES = [
 ]
 
 
-def _rule_harmonics(rule):
-    """The rule's orthonormal harmonics of degrees 0 .. L, explicitly."""
-    dim = rule.boundary.dim
-    constant = np.full((rule.node_count, 1), 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]))
-    values = np.hstack([constant, surface_harmonics(rule.normals, harmonic_degree(rule))])
-    return values * rule.boundary.radius ** (-(dim - 1) / 2)
-
-
 @pytest.mark.parametrize("make", [m for m, _ in _TRANSFORM_RULES],
                          ids=[i for _, i in _TRANSFORM_RULES])
 class TestHarmonicTransform:
     def test_matches_the_explicit_weighted_product(self, make):
         rule = make()
-        harmonics = _rule_harmonics(rule)
+        harmonics = rule_harmonics(rule)
         values = np.random.default_rng(rule.node_count).normal(size=(rule.node_count, 5))
         coefficients, remainder = harmonic_transform(rule, values)
         expected = harmonics.T @ (rule.weights[:, None] * values)
@@ -222,7 +214,7 @@ class TestHarmonicTransform:
 
     def test_single_harmonics_below_the_resolution_are_exact(self, make):
         rule = make()
-        harmonics = _rule_harmonics(rule)
+        harmonics = rule_harmonics(rule)
         coefficients, remainder = harmonic_transform(rule, harmonics)
         assert np.max(np.abs(coefficients - np.eye(harmonics.shape[1]))) <= 1e-13
         assert np.max(remainder) <= 1e-26

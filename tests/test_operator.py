@@ -211,14 +211,16 @@ class TestAssembleApply:
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_basis_is_orthonormal_on_the_antenna_rule(self, parts, request):
-        # The nodal values of unit coefficient vectors: every one on demo-2d,
-        # every fifth of demo-3d's 575, at least one of each degree.
+        # The whole basis's weighted Gram matrix, and nodal() as its product
+        # with the coefficients: a unit vector's values are its column.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        count = harmonic_count(harmonic_degree(antenna), s.dim)
-        unit = np.eye(count)[:: 1 if s.dim == 2 else 5]
-        basis = np.column_stack([HarmonicDensity(antenna, e).nodal().values for e in unit])
+        basis = HarmonicDensity.basis(antenna)
         gram = basis.T @ (antenna.weights[:, None] * basis)
-        assert np.max(np.abs(gram - np.eye(unit.shape[0]))) <= 1e-13
+        assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-13
+        count = harmonic_count(harmonic_degree(antenna), s.dim)
+        draws = np.random.default_rng(9).normal(size=(3, count))
+        for c in [*np.eye(count)[[0, count // 2, -1]], *draws]:
+            assert np.array_equal(HarmonicDensity(antenna, c).nodal().values, basis @ c)
 
     def test_3d_columns_match_the_nystrom_sum_at_a_pool_shape(self, demo3d):
         # 16 polar antenna nodes resolve degree 15 = L*: the shape of the
