@@ -15,19 +15,20 @@ Each bound is the paper's conservative constant, normalized by the
 unit-ball volume, times the L1 factor sqrt(|data sphere|) that turns the
 L2 residual into an L1 norm by Cauchy-Schwarz, times the residual.
 
-The seeded probes of :func:`empirical_mismatches` sample each certified sup
-where it is attained, in the closed form (:func:`fieldcast.fields.radiated_field`)
-of the coefficients whose residuals the bounds take.  The difference is
-harmonic on each closed target ball, so by the maximum principle its sup
-there lies on the target sphere; outside the observation ball it is
-harmonic and decays at infinity (in 2D mode 0 radiates nothing outside the
-antenna), so its sup there lies on the observation sphere.  A sampled
-maximum is a lower bound on the sup; the bound is rigorous, so the two
-bracket it.
+The probes of :func:`empirical_mismatches` sample each certified sup where
+it is attained, on a lattice the seed turns, in the closed form
+(:func:`fieldcast.fields.radiated_field`) of the coefficients whose
+residuals the bounds take.  The difference is harmonic on each closed target
+ball, so by the maximum principle its sup there lies on the target sphere;
+outside the observation ball it is harmonic and decays at infinity (in 2D
+mode 0 radiates nothing outside the antenna), so its sup there lies on the
+observation sphere.  A maximum over points of the sphere is a lower bound
+on the sup; the bound is rigorous, so the two bracket it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,28 +88,39 @@ def certify_solution(residuals: Sequence[float], s: Scenario) -> tuple[BoundaryB
                 s.outer_control_radius, s.dim),)
 
 
-def sample_on_sphere(rng: np.random.Generator, center, radius: float, dim: int,
-                     n: int) -> np.ndarray:
-    """Uniform samples on a sphere: seeded Gaussian directions, normalized."""
-    direction = rng.standard_normal((n, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+def sample_on_sphere(rotation: int, center, radius: float, dim: int, n: int) -> np.ndarray:
+    """n points on a sphere, k = 0 .. n - 1: on a circle the angles
+    2 pi (k + 1/2) / n + theta; on a sphere the Fibonacci lattice (Gonzalez,
+    Math. Geosci. 42 (2010) 49-64) z_k = 1 - (2k + 1) / n, phi_k = k g + theta,
+    g the golden angle.  theta is ``rotation`` times 1/golden ratio of a turn,
+    reduced in integers to 64 bits beyond the rotation's own: any is exact."""
+    bits = rotation.bit_length() + 64
+    theta = 2 * math.pi * (rotation * (math.isqrt(5 << 2 * bits) - (1 << bits))
+                           % (2 << bits) / (2 << bits))
+    k = np.arange(n)
+    if dim == 2:
+        z, phi = np.zeros(n), 2 * math.pi * (k + 0.5) / n + theta
+    else:
+        z, phi = 1.0 - (2 * k + 1) / n, k * (math.pi * (3.0 - math.sqrt(5.0))) + theta
+    rho = np.sqrt(1.0 - z * z)
+    direction = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)[:, :dim]
     return np.asarray(center, dtype=float) + radius * direction
 
 
-def empirical_mismatches(h: HarmonicDensity, v_fields, s: Scenario, rng: np.random.Generator,
+def empirical_mismatches(h: HarmonicDensity, v_fields, s: Scenario, rotation: int,
                          n_samples: int) -> list[float]:
-    """Monte-Carlo sup-norm probes matching the certificate's claims.
+    """Sup-norm probes matching the certificate's claims.
 
     ``v_fields`` supplies the wanted field per control boundary
     (:func:`fieldcast.fields.scenario_difference_fields`).  Returns the
-    sampled maximum of |radiated - wanted| on each target sphere and then
-    on the observation sphere, in the certificate's order: the spheres on
-    which, by the maximum principle, each sup is attained.  Each sampled
-    maximum is a lower bound on its sup, which the certificate's bound
-    rigorously caps.
+    maximum of |radiated - wanted| over ``n_samples`` points of the lattice
+    turned by ``rotation`` (:func:`sample_on_sphere`) on each target sphere
+    and then on the observation sphere, in the certificate's order: the
+    spheres on which, by the maximum principle, each sup is attained.  Each
+    is a lower bound on its sup, which the certificate's bound caps.
     """
     spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim, s.observation_radius)]
-    points = [sample_on_sphere(rng, center, radius, s.dim, n_samples) for center, radius in spheres]
+    points = [sample_on_sphere(rotation, c, r, s.dim, n_samples) for c, r in spheres]
     radiated = np.split(radiated_field(h, np.concatenate(points)), len(points))
     return [float(np.max(np.abs(field - wanted(pts))))
             for wanted, pts, field in zip(v_fields, points, radiated, strict=True)]

@@ -325,9 +325,8 @@ def cmd_run(args) -> int:
     with _stage(timings, "certify"):
         cert = certify_solution(report.block_residuals, scenario)
     with _stage(timings, "empirical"):
-        rng = np.random.default_rng(scenario.seed)
-        maxima = empirical_mismatches(h, scenario_difference_fields(scenario), scenario, rng,
-                                      EMPIRICAL_SAMPLES)
+        maxima = empirical_mismatches(h, scenario_difference_fields(scenario), scenario,
+                                      scenario.seed, EMPIRICAL_SAMPLES)
 
     empirical_lines: list[tuple[str, object]] = [("samples", EMPIRICAL_SAMPLES)]
     for entry, observed in zip(cert, maxima):

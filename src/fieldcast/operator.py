@@ -383,10 +383,12 @@ def _check_clearance(antenna: QuadratureRule, r) -> None:
 
 
 def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
-                       rows: slice = slice(None)) -> tuple[np.ndarray, float]:
-    """Rows ``rows`` of a control rule's block of the matrix, (rows, M), and
-    the share of their nodal part's Frobenius norm that the rule does not
-    resolve (the block's share when ``rows`` takes them all).
+                       rows: slice = slice(None), out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, float]:
+    """Rows ``rows`` of a control rule's block of the matrix, (rows, M),
+    written into ``out`` (a new array when None), and the share of their
+    nodal part's Frobenius norm that the rule does not resolve (the block's
+    share when ``rows`` takes them all).
 
     A region's block is :func:`fieldcast.geometry.harmonic_transform` of
     the fields at its nodes, a few antenna orders at a time
@@ -403,17 +405,21 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
     """
     columns = _antenna_columns(antenna)
     concentric = _concentric(antenna, rule)
+    if out is None:
+        out = np.empty((len(range(_block_rows(antenna, rule))[rows]), columns), order="F")
+    coefficients = out
     if concentric:
         dim, radius = rule.boundary.dim, rule.boundary.radius
         _check_clearance(antenna, radius)
         gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
         counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
         start, stop, _ = rows.indices(columns)
-        diagonal = np.eye(stop - start, columns, start) * np.repeat(gains, counts)
+        out[...] = 0.0
+        out[range(stop - start), range(start, stop)] = np.repeat(gains, counts)[start:stop]
         if harmonic_degree(antenna) <= harmonic_degree(rule):
-            return _flush_subnormal(diagonal), 0.0
-    kept = range(_region_rows(harmonic_degree(rule), rule.boundary.dim))[rows]
-    coefficients = np.empty((len(kept), columns), order="F")
+            return _flush_subnormal(out), 0.0
+        kept = range(_region_rows(harmonic_degree(rule), dim))[rows]
+        coefficients = np.empty((len(kept), columns), order="F")   # to measure the share
     rest = np.empty(columns)
     for which, fields in basis_field_blocks(antenna, rule.nodes):
         projected, rest[which] = harmonic_transform(rule, fields)
@@ -421,7 +427,7 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
         del fields, projected   # before the next orders' are made
     rest = float(np.sum(rest))
     share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
-    return _flush_subnormal(diagonal if concentric else coefficients), share
+    return _flush_subnormal(out), share
 
 
 def _flush_subnormal(block: np.ndarray) -> np.ndarray:
@@ -436,16 +442,13 @@ def _flush_subnormal(block: np.ndarray) -> np.ndarray:
 
 def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
     """The closed-form trace operator: a column-major matrix of each control
-    rule's :func:`_coefficient_block`, regions first, assembled one block at
-    a time."""
+    rule's :func:`_coefficient_block`, regions first, each written straight
+    into its rows of the matrix."""
     rows = np.cumsum([0] + [_block_rows(antenna, r) for r in controls])
     matrix = np.empty((rows[-1], _antenna_columns(antenna)), order="F")
     unresolved = []
     for rule, start, stop in zip(controls, rows, rows[1:]):
-        block, share = _coefficient_block(antenna, rule)
-        matrix[start:stop] = block
-        unresolved.append(share)
-        del block   # before the next block is made
+        unresolved.append(_coefficient_block(antenna, rule, out=matrix[start:stop])[1])
     return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls),
                            unresolved=tuple(unresolved))
 
@@ -563,7 +566,7 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
 # part for the BLAS and module memory a run touches beyond ``import
 # fieldcast.cli`` (the probes' series takes a few vectors of its points).
 # On demo-3d a run at 31 x 15 (32 nodes a rule), where the arrays are
-# negligible, grows by 9.7 MiB; at 1087 x 63 (2048 nodes a rule) by 11.5 MiB.
+# negligible, grows by 4.0 MiB; at 1087 x 63 (2048 nodes a rule) by 5.9 MiB.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 12 * 2**20
 
@@ -582,9 +585,9 @@ def factorization_bytes(m: int, p: int, columns: int) -> int:
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate, on demo-3d: 17.0 / 18.3 / 25.5 at 975 x 399 (p = 1152),
-    17.1 / 17.2 / 20.5 at 1279 x 255 (p = 2048), 25.8 / 25.7 / 37.5 at
-    1151 x 575 (p = 1152) and 65.7 / 65.4 / 80.0 at 1279 x 1023 (p = 512),
+    estimate, on demo-3d: 15.9 / 15.9 / 25.5 at 975 x 399 (p = 1152),
+    11.7 / 11.4 / 20.5 at 1279 x 255 (p = 2048), 26.2 / 26.0 / 37.5 at
+    1151 x 575 (p = 1152) and 66.0 / 65.9 / 80.0 at 1279 x 1023 (p = 512),
     where the SVD of R sets the peak.  The dump assembles the rows again
     after the solve, one row block at a time (:func:`dump_operator`)."""
     k = min(m, columns)

@@ -17,7 +17,7 @@ import pytest
 from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, assemble_forward,
                        build_rules, build_target, dlp_kernel, load_scenario, solve_min_energy,
                        solver, weighted_svd)
-from fieldcast.fields import resolve_epsilon
+from fieldcast.fields import radiated_field, resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
                                 harmonic_degree, harmonic_transform, surface_harmonics)
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
@@ -354,6 +354,25 @@ def scalar_match(data, epsilon):
         disc = discrepancy(10.0**log_alpha)
         iterations += 1
     return 10.0**log_alpha, disc, iterations
+
+
+def random_on_sphere(rng, center, radius, dim, n):
+    """n uniform random points on a sphere: Gaussian directions drawn from
+    the Generator ``rng``, normalized.  For tests that want points no
+    lattice chose; the report's probes are ``sample_on_sphere``'s lattice."""
+    direction = rng.standard_normal((n, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return np.asarray(center, dtype=float) + radius * direction
+
+
+def random_mismatches(h, v_fields, s, rng, n):
+    """``empirical_mismatches`` at ``random_on_sphere`` points: the maximum
+    of |radiated - wanted| over n random points on each target sphere and
+    then on the observation sphere, drawn in that order."""
+    spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim, s.observation_radius)]
+    points = [random_on_sphere(rng, center, radius, s.dim, n) for center, radius in spheres]
+    return [float(np.max(np.abs(radiated_field(h, pts) - wanted(pts))))
+            for wanted, pts in zip(v_fields, points, strict=True)]
 
 
 def stencil_laplacian(fn, x, h=1e-3):

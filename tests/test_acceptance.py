@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, random_mismatches, random_on_sphere
 from fieldcast import (
     ControlTrace,
     Density,
@@ -40,7 +40,7 @@ from fieldcast import (
     weighted_svd,
     xi_inner,
 )
-from fieldcast.certify import empirical_mismatches, sample_on_sphere
+from fieldcast.certify import empirical_mismatches
 from fieldcast.fields import eval_double_layer, eval_field, scenario_difference_fields
 from fieldcast.geometry import harmonic_transform
 from fieldcast.operator import HarmonicDensity, block_residuals
@@ -87,9 +87,8 @@ def test_criterion_1b_2d_pipeline_at_certifiable_budget(demo2d):
     1e-3 relative, certificates bound the sampled sup-norms, runtime <= 30 s."""
     t0 = time.perf_counter()
     K, v, h, report, cert = _full_pipeline(demo2d, FEASIBLE_EPS_2D)
-    rng = np.random.default_rng(demo2d.seed)
     maxima = empirical_mismatches(
-        h, scenario_difference_fields(demo2d), demo2d, rng, n_samples=500
+        h, scenario_difference_fields(demo2d), demo2d, demo2d.seed, n_samples=500
     )
     elapsed = time.perf_counter() - t0
 
@@ -125,9 +124,8 @@ def test_criterion_2_3d_reproduction_at_scaled_budget(demo3d_parts):
 def test_criterion_2b_3d_pipeline_at_certifiable_budget(demo3d):
     t0 = time.perf_counter()
     K, v, h, report, cert = _full_pipeline(demo3d, FEASIBLE_EPS_3D)
-    rng = np.random.default_rng(demo3d.seed)
     maxima = empirical_mismatches(
-        h, scenario_difference_fields(demo3d), demo3d, rng, n_samples=500
+        h, scenario_difference_fields(demo3d), demo3d, demo3d.seed, n_samples=500
     )
     elapsed = time.perf_counter() - t0
 
@@ -287,7 +285,7 @@ def test_criterion_8_certificate_soundness(demo2d_parts):
         values = rng.normal(size=antenna.node_count)
         h = HarmonicDensity(antenna, harmonic_transform(antenna, values)[0][1:])
         cert = certify_solution(block_residuals(K, h, v), s)
-        maxima = empirical_mismatches(h, fields, s, rng, n_samples=500)
+        maxima = random_mismatches(h, fields, s, rng, 500)
         for observed, entry in zip(maxima, cert):
             if observed > entry.bound_conservative:
                 violations += 1
@@ -311,8 +309,8 @@ def test_criterion_9_discretization_convergence(demo2d):
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
         rng = np.random.default_rng(909)
         pts = np.vstack(
-            [sample_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
-            + [sample_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
+            [random_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
+            + [random_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
         )  # 100 probe points, on spheres: where a harmonic difference peaks
         probes[n] = eval_double_layer(h.nodal(), pts)
     change = np.max(np.abs(probes[128] - probes[256])) / np.max(np.abs(probes[128]))

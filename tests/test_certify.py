@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, projected
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, projected,
+                      random_mismatches)
 from fieldcast import (
     Density,
     Region,
@@ -136,9 +137,8 @@ class TestCertifySolution:
     def test_solved_density_within_bounds(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
         cert = certify_solution(block_residuals(K, h, v), s)
-        rng = np.random.default_rng(s.seed)
         maxima = empirical_mismatches(
-            h, scenario_difference_fields(s), s, rng, n_samples=500
+            h, scenario_difference_fields(s), s, s.seed, n_samples=500
         )
         for entry, observed in zip(cert, maxima):
             assert observed <= entry.bound_conservative
@@ -146,14 +146,14 @@ class TestCertifySolution:
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_random_densities_never_beat_their_bounds(self, parts, request):
         # Soundness does not depend on the density being a solution.  200
-        # densities x 100 sphere points per boundary, where each sup lies.
+        # densities x 100 random sphere points per boundary, where each sup lies.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         rng = np.random.default_rng(71)
         fields = scenario_difference_fields(s)
         for _ in range(200):
             h = projected(Density(rule=antenna, values=rng.normal(size=antenna.node_count)))
             cert = certify_solution(block_residuals(K, h, v), s)
-            maxima = empirical_mismatches(h, fields, s, rng, n_samples=100)
+            maxima = random_mismatches(h, fields, s, rng, 100)
             for entry, observed in zip(cert, maxima):
                 assert observed <= entry.bound_conservative
 
@@ -162,29 +162,49 @@ class TestSampling:
     @pytest.mark.parametrize("center", [(1.0, -2.0), (1.0, -2.0, 3.0)], ids=["2d", "3d"])
     def test_sphere_samples_lie_on_the_sphere(self, center):
         radius = 1.5
-        pts = sample_on_sphere(np.random.default_rng(1), center, radius, len(center), 1000)
-        assert pts.shape == (1000, len(center))
-        distance = np.linalg.norm(pts - np.array(center), axis=1)
-        assert np.max(np.abs(distance - radius)) <= 1e-14 * radius
+        for rotation in (0, 1, 7, 10**400):
+            pts = sample_on_sphere(rotation, center, radius, len(center), 1000)
+            assert pts.shape == (1000, len(center))
+            distance = np.linalg.norm(pts - np.array(center), axis=1)
+            assert np.max(np.abs(distance - radius)) <= 1e-14 * radius
+
+    @pytest.mark.parametrize("center", [(1.0, -2.0), (1.0, -2.0, 3.0)], ids=["2d", "3d"])
+    def test_lattice_is_deterministic_and_the_rotation_turns_it(self, center):
+        first, again = (sample_on_sphere(7, center, 1.5, len(center), 500) for _ in range(2))
+        assert first.tobytes() == again.tobytes()
+        for other in (0, 8, 7 + 2**64, 10**400):
+            turned = sample_on_sphere(other, center, 1.5, len(center), 500)
+            assert np.min(np.linalg.norm(turned - first, axis=1)) > 1e-6
+
+    @pytest.mark.parametrize("n", [10, 100, 500, 1001])
+    @pytest.mark.parametrize("rotation", [0, 7])
+    def test_lattice_directions_average_to_zero(self, n, rotation):
+        # The Fibonacci lattice covers the sphere evenly: the mean of its unit
+        # directions is within 1/n of the centre (z sums to 0 exactly).
+        mean = np.mean(sample_on_sphere(rotation, (0.0, 0.0, 0.0), 1.0, 3, n), axis=0)
+        assert np.linalg.norm(mean) <= 1.0 / n
 
     @pytest.mark.parametrize("parts, epsilon, n", [
         ("demo2d_parts", FEASIBLE_EPS_2D, 256), ("demo3d_parts", FEASIBLE_EPS_3D, 64),
     ], ids=["2d", "3d"])
     def test_demo_sampled_max_reaches_the_sphere_max(self, request, parts, epsilon, n):
-        # The report's probes (the preset's seed, EMPIRICAL_SAMPLES per sphere)
+        # The report's probes (the lattice turned by the preset's seed,
+        # EMPIRICAL_SAMPLES per sphere), and those of rotations 0 .. 31,
         # against the maximum over a dense rule on the same sphere: 256 circle
         # nodes, or 64 polar nodes.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         h, _ = solve_min_energy(K, v, epsilon)
         fields = scenario_difference_fields(s)
-        sampled = empirical_mismatches(h, fields, s, np.random.default_rng(s.seed),
-                                       EMPIRICAL_SAMPLES)
         spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
                                                                s.observation_radius)]
-        for observed, wanted, (center, radius) in zip(sampled, fields, spheres, strict=True):
+        dense = []
+        for wanted, (center, radius) in zip(fields, spheres, strict=True):
             pts = make_rule(center, radius, n, s.dim).nodes
-            dense = float(np.max(np.abs(eval_double_layer(h.nodal(), pts) - wanted(pts))))
-            assert observed == pytest.approx(dense, rel=0.01)
+            dense.append(float(np.max(np.abs(eval_double_layer(h.nodal(), pts) - wanted(pts)))))
+        for rotation in (s.seed, *range(32)):
+            sampled = empirical_mismatches(h, fields, s, rotation, EMPIRICAL_SAMPLES)
+            for observed, expected in zip(sampled, dense, strict=True):
+                assert observed == pytest.approx(expected, rel=0.01)
 
     @pytest.mark.parametrize("parts, epsilon", [("demo2d_parts", 5.78), ("demo3d_parts", 0.455)],
                              ids=["2d", "3d"])
@@ -199,8 +219,8 @@ class TestSampling:
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         h, _ = solve_min_energy(K, v, epsilon)
         fields = scenario_difference_fields(s)
-        sampled = [empirical_mismatches(g, fields, s, np.random.default_rng(s.seed),
-                                        EMPIRICAL_SAMPLES) for g in (h, projected(h.nodal()))]
+        sampled = [empirical_mismatches(g, fields, s, s.seed, EMPIRICAL_SAMPLES)
+                   for g in (h, projected(h.nodal()))]
         spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
                                                                s.observation_radius)]
         scale = 20 * 2.0**-53 * np.linalg.norm(h.coefficients)

@@ -430,6 +430,31 @@ class TestRun:
         assert _report_body(out1 / "report.txt") == _report_body(out2 / "report.txt")
         assert (out1 / "spectrum.tsv").read_bytes() == (out2 / "spectrum.tsv").read_bytes()
 
+    def test_any_seed_turns_the_probes(self, tmp_path, monkeypatch):
+        # A seed too large for a float is a valid scenario: it turns the
+        # probes' lattice, whose points all lie on their spheres.
+        seed = 10**400
+        path = tmp_path / "seed.scn"
+        path.write_text(Path(DEMO_2D).read_text().replace("seed: 7", f"seed: {seed}"))
+        probes = []
+
+        def recorded(rotation, center, radius, dim, n, _fn=certify.sample_on_sphere):
+            probes.append((rotation, center, radius, _fn(rotation, center, radius, dim, n)))
+            return probes[-1][-1]
+
+        monkeypatch.setattr(certify, "sample_on_sphere", recorded)
+        out = tmp_path / "out"
+        assert _run(["run", str(path), "--out", str(out), "--epsilon", str(FEASIBLE_EPS_2D)]) == 0
+        report = (out / "report.txt").read_text()
+        assert f"\nseed: {seed}\n" in report
+        assert [line for line in report.splitlines() if "within-bound" in line] == [
+            f"{label}.within-bound: yes" for label in ("region-1", "region-2", "exterior")]
+        assert len(probes) == 3
+        for rotation, center, radius, pts in probes:
+            distance = np.linalg.norm(pts - np.asarray(center, dtype=float), axis=1)
+            assert rotation == seed and pts.shape == (cli.EMPIRICAL_SAMPLES, 2)
+            assert np.max(np.abs(distance - radius)) <= 1e-14 * radius
+
     def test_nodes_override(self, tmp_path):
         out = tmp_path / "out"
         code = _run(["run", DEMO_2D, "--out", str(out),
@@ -476,7 +501,7 @@ def _child_peak_bytes(argv) -> int:
 
 def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
     # 2304 control by 800 antenna nodes, a 975 x 399 operator (1152 nodes a
-    # control rule): the run grows by about 17.0 MiB over an import-only
+    # control rule): the run grows by about 15.9 MiB over an import-only
     # child.  Every command releases the matrix to the factorization, so the
     # size guard's estimate bounds the run, and the dump, which assembles the
     # rows again one control rule at a time, peaks about where the run does.
@@ -493,6 +518,30 @@ def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
               for d in ("run", "dump")]
     assert "residual-region-1: " in bodies[0]
     assert bodies[0] == bodies[1]
+
+
+# ``import fieldcast``, then ``python -m fieldcast <argv>`` in the same fresh
+# process; prints, after the run's own output, its exit code and whether
+# numpy.random was loaded after each.
+_WITHOUT_RANDOM = ("import runpy, sys\n"
+                   "import fieldcast\n"
+                   "imported = 'numpy.random' in sys.modules\n"
+                   "try:\n"
+                   "    runpy.run_module('fieldcast', run_name='__main__', alter_sys=True)\n"
+                   "except SystemExit as exc:\n"
+                   "    print(exc.code, imported, 'numpy.random' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("preset, epsilon", [("demo-2d", "6.5"), ("demo-3d", "0.6")])
+def test_run_never_imports_numpy_random(preset, epsilon, tmp_path):
+    # The probes are a lattice, so a run draws no random numbers.
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_RANDOM, "run",
+                          str(PRESETS / f"{preset}.scn"), "--epsilon", epsilon,
+                          "--out", str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
 
 
 @pytest.mark.parametrize("argv", [

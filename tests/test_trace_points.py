@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from fieldcast import cli
+from fieldcast.cli import EMPIRICAL_SAMPLES
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -78,8 +79,9 @@ def test_cli_trace_points_are_called(tmp_path, monkeypatch):
 
 def test_span_attributes_read_the_results(tmp_path):
     # The extractors read fields of what the traced calls return (the SVD's
-    # sigma and vt, the solve report); a renamed field would crash or zero
-    # the benchmark's per-layer metrics.
+    # sigma and vt, the solve report) and the arguments they are given; a
+    # renamed field or a shifted argument would crash, zero or skew the
+    # benchmark's per-layer metrics.
     spans = _spans()
     tracer = spans.Tracer()
     with tracer.installed(0), tracer.span("cli.main", 0) as root:
@@ -89,6 +91,9 @@ def test_span_attributes_read_the_results(tmp_path):
     assert layers["operator.rank_above_cutoff"] > 0
     assert 0 < layers["operator.useful_rank_ratio"] <= 1
     assert layers["solver.solves"] == 1
+    # _probe_attrs reads the scenario and the sample count as arguments 2 and
+    # 4 of empirical_mismatches: two regions and the observation sphere.
+    assert layers["certify.probe_points"] == 3 * EMPIRICAL_SAMPLES
 
 
 def test_assemble_forward_returns_the_factored_matrix(tmp_path, monkeypatch):
