@@ -46,7 +46,7 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
-REPORT_FORMAT_VERSION = 4
+REPORT_FORMAT_VERSION = 5
 SPECTRUM_FIT_COUNT = 30
 EMPIRICAL_SAMPLES = 500
 TABLE_BLOCK_ROWS = 4096

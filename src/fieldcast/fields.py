@@ -263,8 +263,9 @@ def _points(rule: QuadratureRule, x) -> tuple[np.ndarray, bool]:
 def radiated_field(h: HarmonicDensity, x) -> np.ndarray | float:
     """Field radiated by an antenna density, in closed form.
 
-    The density's coefficients times their basis densities' fields
-    (:func:`fieldcast.operator.basis_field_blocks`), summed at each point
+    The density's coefficients times their basis densities' fields, each a
+    surface harmonic times its degree's radial factor
+    (:func:`fieldcast.operator.degree_gains`), summed at each point
     (:func:`_series`): the double layer of the density at any point outside
     the clearance delta (1 + 1e-6) the operator demands of control nodes;
     points inside it are rejected.  A value depends on its point alone, bit
@@ -309,7 +310,7 @@ def _series(rule: QuadratureRule, a: np.ndarray, offsets: np.ndarray, r: np.ndar
             hr, hi = hr * wr - hi * wi, hr * wi + hi * wr
         return hr
     gains = degree_gains(rule, r)  # (L, p)
-    for m, ring, legendre in legendre_orders(offsets / r[:, None], degree, range(degree + 1)):
+    for m, ring, legendre in legendre_orders(offsets / r[:, None], degree):
         pairs = a[order_columns(degree, 3, range(m, m + 1))[0]].reshape(-1, 2 if m else 1)
         sums = np.zeros((pairs.shape[1], r.shape[0]))
         for l, (cur, coefficients) in enumerate(zip(legendre, pairs.tolist()), start=max(m, 1)):

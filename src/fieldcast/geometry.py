@@ -16,7 +16,6 @@ Gauss-Legendre (polar) x trapezoid (azimuth) product grid on spheres.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
@@ -286,15 +285,6 @@ def harmonic_count(degree: int, dim: int) -> int:
     return 2 * degree if dim == 2 else (degree + 1) ** 2 - 1
 
 
-def order_width(degree: int, dim: int, m: int) -> int:
-    """Harmonics of order m among the degrees 1 .. ``degree``: on a sphere
-    the zonal one of each degree at m = 0, else a cos and a sin harmonic of
-    each degree l >= m; on a circle the cos and sin of degree m, none at 0."""
-    if dim == 2:
-        return 2 if m else 0
-    return degree if m == 0 else 2 * (degree - m + 1)
-
-
 def order_columns(degree: int, dim: int, orders: range) -> tuple[np.ndarray, np.ndarray]:
     """(columns, degrees): the columns of :func:`surface_harmonics` of degrees
     1 .. ``degree`` that hold the harmonics of the given orders, order by
@@ -310,13 +300,10 @@ def order_columns(degree: int, dim: int, orders: range) -> tuple[np.ndarray, np.
     return np.array(columns, dtype=np.intp), np.array(degrees, dtype=np.intp)
 
 
-def surface_harmonics(directions, degree: int, orders: range | None = None) -> np.ndarray:
+def surface_harmonics(directions, degree: int) -> np.ndarray:
     """Real surface harmonics of degrees 1 .. ``degree`` at the unit vectors
     ``directions`` (p, dim), orthonormal on the unit circle or sphere: a
-    column-major (p, M) array, M = harmonic_count(degree, dim).  With
-    ``orders`` only the harmonics of those orders are made, as a (p, c)
-    array in the order of :func:`order_columns`, each column bit for bit the
-    one the whole array holds.
+    column-major (p, M) array, M = harmonic_count(degree, dim).
 
     Columns run degree by degree: degree l fills columns harmonic_count(l - 1)
     up to harmonic_count(l).  On the circle, degree n is cos(n theta) then
@@ -333,23 +320,17 @@ def surface_harmonics(directions, degree: int, orders: range | None = None) -> n
     """
     u = np.asarray(directions, dtype=float)
     p, dim = u.shape
-    if orders is None:
-        orders = range(degree + 1)
-        out = np.empty((p, harmonic_count(degree, dim)), order="F")
-        place = iter(order_columns(degree, dim, orders)[0].tolist())
-    else:
-        out = np.empty((p, sum(order_width(degree, dim, m) for m in orders)), order="F")
-        place = itertools.count()
+    out = np.empty((p, harmonic_count(degree, dim)), order="F")
     if dim == 2:
         z = u[:, 0] + 1j * u[:, 1]   # e^(i theta)
         zm = np.ones(p, dtype=complex)
-        for n in range(1, min(degree, orders.stop - 1) + 1):
+        for n in range(1, degree + 1):
             zm = zm * z
-            if n in orders:
-                out[:, next(place)] = zm.real / math.sqrt(math.pi)
-                out[:, next(place)] = zm.imag / math.sqrt(math.pi)
+            out[:, 2 * n - 2] = zm.real / math.sqrt(math.pi)
+            out[:, 2 * n - 1] = zm.imag / math.sqrt(math.pi)
         return out
-    for m, ring, legendre in legendre_orders(u, degree, orders):
+    place = iter(order_columns(degree, dim, range(degree + 1))[0].tolist())
+    for m, ring, legendre in legendre_orders(u, degree):
         for cur in legendre:
             if m == 0:
                 out[:, next(place)] = cur
@@ -359,7 +340,7 @@ def surface_harmonics(directions, degree: int, orders: range | None = None) -> n
     return out
 
 
-def legendre_orders(directions, degree: int, orders: range):
+def legendre_orders(directions, degree: int):
     """The factors of :func:`surface_harmonics` on the sphere, order by order:
     yields (m, ring, legendre), ring sqrt(2) (Re z^m, Im z^m), z = x + i y
     (None at m = 0), and an iterator of Pbar_l^m(cos theta) / sin^m(theta),
@@ -381,13 +362,37 @@ def legendre_orders(directions, degree: int, orders: range):
     # element as a reduction, without the fused multiply-add of longer ones.
     zm = np.ones(u.shape[0], dtype=complex)
     start = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])
-    for m in range(min(degree, orders.stop - 1) + 1):
+    for m in range(degree + 1):
         if m:
             zm = zm * z
             start *= math.sqrt((2 * m + 1) / (2 * m))
-        if m in orders:
-            ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag) if m else None
-            yield m, ring, legendre(m, start)
+        ring = (math.sqrt(2.0) * zm.real, math.sqrt(2.0) * zm.imag) if m else None
+        yield m, ring, legendre(m, start)
+
+
+def legendre_table(direction, degree: int) -> np.ndarray:
+    """(degree + 1, degree + 1): at row l and column m <= l, Pbar_l^m(cos
+    theta) of :func:`legendre_orders` times sin^m(theta), theta the unit
+    vector ``direction``'s polar angle, and 0 for m > l.  The same
+    normalized recurrence in l, run for every order at once at one
+    direction, with sin^m folded into each order's start, so no factor
+    overflows near a pole.  Drawing the table from :func:`legendre_orders`
+    takes one Python step per (l, m): 2.3-2.8 ms against 0.17 ms at degree
+    42, the table of each region of a run-3d job (Xeon, one thread)."""
+    u = np.asarray(direction, dtype=float)
+    t, s = float(u[2]), math.hypot(float(u[0]), float(u[1]))
+    # Row l + 1 of ``table`` holds degree l; row 0 is the degree -1 of the recurrence.
+    table = np.zeros((degree + 2, degree + 1))
+    m = np.arange(1, degree + 1)
+    table[1, 0] = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[3])
+    table[m + 1, m] = table[1, 0] * np.cumprod(np.sqrt((2 * m + 1) / (2 * m)) * s)
+    l, m = np.arange(degree + 1)[:, None], np.arange(degree + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4 * l * l - 1) / ((l - m) * (l + m)))
+        b = np.sqrt(np.maximum((l - 1 - m) * (l - 1 + m), 0) / (4 * (l - 1) ** 2 - 1))
+    for k in range(1, degree + 1):
+        table[k + 1, :k] = a[k, :k] * (t * table[k, :k] - b[k, :k] * table[k - 1, :k])
+    return table[1:]
 
 
 def _column_blocks(k: int, n: int) -> list[slice]:

@@ -8,9 +8,10 @@ Free-space fundamental solution of the Laplacian
 its normal derivatives in the source and observation variables (the
 double-layer and adjoint kernels), and Poisson-kernel quadrature for the
 interior/exterior Dirichlet problem on a ball, all of them oracles: the
-pipeline evaluates fields in closed form (:func:`fieldcast.operator.basis_field_blocks`,
-:func:`fieldcast.fields.radiated_field`), and the Poisson solvers reproduce
-harmonic data without any layer potential.
+pipeline translates the fields to the control spheres in closed form
+(:func:`fieldcast.operator.assemble_forward`) and sums them at points from
+the density's coefficients (:func:`fieldcast.fields.radiated_field`), and
+the Poisson solvers reproduce harmonic data without any layer potential.
 
 All kernels broadcast over leading axes; points are arrays whose last
 axis has length ``dim``.
@@ -27,7 +28,8 @@ from .geometry import UNIT_SPHERE_MEASURE, QuadratureRule
 COINCIDENT_RTOL = 1e-12
 
 # Row-blocked callers (the radiated field's series, the Nystrom oracles'
-# kernels, the sweep's sums, the operator's scans) take at most this many
+# kernels, the sweep's sums, the operator's scans, its 2D translation and
+# its dump) take at most this many
 # values per (rows, n) block, 512 KiB of float64, so a block's few live
 # arrays stay in cache and small beside the arrays the caller holds.
 BLOCK_PAIRS = 2**16

@@ -7,28 +7,29 @@ antenna harmonics.  Outside the antenna sphere of radius delta, the double
 layer of a surface harmonic of degree l is again that harmonic, times
 l/(2l+1) (delta/r)^(l+1) in 3D and 1/2 (delta/r)^l in 2D (Kress, *Linear
 Integral Equations*, ch. 6); degree 0 radiates nothing there (Gauss).  So
-the field of basis density j is known everywhere outside the antenna
-(:func:`basis_field_blocks`), and the operator needs no antenna quadrature and
-no singular kernel.  A density is its coefficients on that basis
-(:class:`HarmonicDensity`) from the solve to the probes; nodal values
-(:class:`Density`) serve only the Nystrom oracle :func:`apply`.
+the field of basis density j is known everywhere outside the antenna, and
+the operator needs no antenna quadrature and no singular kernel.  A
+density is its coefficients on that basis (:class:`HarmonicDensity`) from
+the solve to the probes; nodal values (:class:`Density`) serve only the
+Nystrom oracle :func:`apply`.
 
 The matrix holds each control sphere's block in that sphere's own
 orthonormal harmonics, which is all the L2-minimal solution needs: the
 singular system between the L2 spaces of antenna and control spheres.  A
-region's block is the weighted harmonic projection of the fields at its
-control nodes (:func:`fieldcast.geometry.harmonic_transform`): D^2 rows
-in 3D and 2D - 1 in 2D, D the degrees 0 .. D - 1 its rule resolves, where
-its nodal block had 2 D^2 or about 2D rows.  The outer sphere is
-concentric with the antenna, so its block is the diagonal
-g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) over the antenna's degrees
-1 .. L, in closed form, with no quadrature.  The part of each nodal block
-that its rule does not resolve is measured at assembly and reported
-(``ForwardOperator.unresolved``); targets are projected by the same
-transform, and what of them the rule leaves over enters the residuals
-whole.  Both bases are orthonormal, so the matrix's singular values are
-the operator's between the function spaces, with no row or column
-weighting.
+region's block holds the degrees 0 .. D - 1 its rule resolves (D^2 rows
+in 3D, 2D - 1 in 2D) of each basis field's local expansion about the
+control centre, by multipole-to-local translation in closed form
+(:mod:`fieldcast.translation`): the exact projection, with no field
+evaluated at a control node.  The outer sphere is concentric with the
+antenna, so its block is the diagonal g_l (delta/R)^(l+dim-2)
+(R/delta)^((dim-1)/2) over the antenna's degrees 1 .. L.  The share of
+each block's norm in the degrees its rows leave out is computed in
+closed form and reported (``ForwardOperator.unresolved``).  Targets are
+projected on each rule's harmonics by quadrature
+(:func:`fieldcast.geometry.harmonic_transform`), and what of them the
+rule leaves over enters the residuals whole.  Both bases are orthonormal,
+so the matrix's singular values are the operator's between the function
+spaces, with no row or column weighting.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
-                       harmonic_degree, harmonic_transform, order_columns, order_width,
-                       surface_harmonics)
+                       harmonic_degree, harmonic_transform, surface_harmonics)
 from .kernels import dlp_kernel, row_blocks
+from .translation import region_share, translated_block
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 _DUMP_VERSION = 3
@@ -191,6 +192,7 @@ class WeightedSVD:
     reflectors: np.ndarray  # (k, m): reflector j is [0]*j + [1] + reflectors[j, j+1:]
     tau: np.ndarray      # (k,) reflector scales, H_j = I - tau_j v_j v_j^T
     u_r: np.ndarray      # (k, k)
+    r: np.ndarray        # (k, M) R, upper triangular, kept for the residual floor
 
     def project(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """(U^T x, ||x - U U^T x||^2) for x of length m.
@@ -217,6 +219,25 @@ class WeightedSVD:
             w = self.reflectors[j, j:]
             y[j:] -= (self.tau[j] * (w @ y[j:])) * w
         return y
+
+    def tikhonov_residual_sq(self, beta: np.ndarray, alpha: float) -> float:
+        """||R x - z||^2 for z = U_R ``beta`` (beta = :meth:`project`'s U^T y)
+        and x the Tikhonov solution at ``alpha`` of R x = z, from the singular
+        coefficients and refined by one step on (R^T R + alpha) x = R^T z
+        with R itself.  The Householder QR perturbs each column of C by a
+        rounding of its own norm, the SVD of R every entry by about
+        u sigma_1, and C's columns fall off geometrically with the antenna
+        degree: at alpha = 1e-14 sigma_1^2 the sum
+        sum (alpha / (alpha + sigma^2))^2 beta^2 was 2.8e-10 relative off
+        on a 2D operator of 324 x 70, this residual 1e-14.  The step shrinks
+        the error by about u sigma_1^2 / alpha."""
+        r = self.r
+        z = self.u_r @ beta
+        scale = 1.0 / (alpha + self.sigma**2)
+        x = self.vt.T @ (self.sigma * beta * scale)
+        x += self.vt.T @ (scale * (self.vt @ (r.T @ (z - r @ x) - alpha * x)))
+        residual = r @ x - z
+        return float(residual @ residual)
 
 
 def _concentric(antenna: QuadratureRule, rule: QuadratureRule) -> bool:
@@ -260,8 +281,9 @@ class ForwardOperator:
     density j (:class:`HarmonicDensity`) as coefficients on each control
     sphere's orthonormal harmonics: one block of rows per control rule, in
     their order (:attr:`block_rows`).  ``unresolved`` holds, per control
-    rule, the share of the Frobenius norm of its nodal block (the fields at
-    its nodes, in its weights) that its harmonics do not resolve; a matrix
+    rule, the share of its block's Frobenius norm, over every degree the
+    basis fields hold on its sphere, that lies in the degrees above its
+    rule's and so outside its rows (:func:`unresolved_share`); a matrix
     given directly has none.  ``matrix`` is None once ``weighted_svd(K,
     release=True)`` has consumed it; the factors then stand in for it
     (:func:`block_residuals`), and :func:`dump_operator` assembles its rows
@@ -324,7 +346,8 @@ class ForwardOperator:
 
 def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
     """(L, p): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
-    from the antenna centre, a row per degree l = 1 .. L (:func:`basis_field_blocks`)."""
+    from the antenna centre, a row per degree l = 1 .. L: the radial factor
+    of the field of each basis density of degree l (:class:`HarmonicDensity`)."""
     dim, delta = antenna.boundary.dim, antenna.boundary.radius
     q = delta / r
     radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
@@ -335,99 +358,66 @@ def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
     return out
 
 
-# Values of one block of :func:`basis_field_blocks`, unless one order has more.
-BASIS_BLOCK_VALUES = 2**16
-
-
-def basis_field_blocks(antenna: QuadratureRule, points):
-    """The field of each of the antenna's basis densities at each of the
-    points (p, dim), a few antenna orders at a time: yields (columns,
-    fields), the columns of those orders
-    (:func:`fieldcast.geometry.order_columns`) and their fields, a
-    column-major (p, c) array of BASIS_BLOCK_VALUES or fewer.
-
-    Entry (i, j) is g_l (delta/r_i)^(l+dim-2) times basis harmonic j
-    (:class:`HarmonicDensity`) at point i's direction, with r_i its distance
-    from the antenna centre, l the degree of column j and g_l = l/(2l+1) in
-    3D, 1/2 in 2D.  An entry depends on its point alone, bit for bit.
-    Points inside or touching the antenna sphere are rejected: the expansion
-    holds only outside it, and a violation indicates a broken scenario
-    rather than something to regularize."""
-    dim = antenna.boundary.dim
-    if np.shape(points)[-1] != dim:
-        raise ValueError("antenna and points have mixed dimensions")
-    x = np.asarray(points, dtype=float) - antenna.boundary.center  # (p, dim)
-    r = np.linalg.norm(x, axis=-1)  # (p,)
-    _check_clearance(antenna, r)
-    gains = degree_gains(antenna, r)  # (L, p)
-    directions, degree = x / r[:, None], gains.shape[0]
-    width = max(1, BASIS_BLOCK_VALUES // max(1, x.shape[0]))
-    counts = [order_width(degree, dim, m) for m in range(degree + 1)]
-    first = 0
-    while first <= degree:
-        last, taken = first + 1, counts[first]   # as many orders as fit, at least one
-        while last <= degree and taken + counts[last] <= width:
-            taken += counts[last]
-            last += 1
-        columns, degrees = order_columns(degree, dim, range(first, last))
-        fields = surface_harmonics(directions, degree, range(first, last))  # (p, c)
-        fields *= gains[degrees - 1].T
-        yield columns, fields
-        del fields   # the caller's del then frees them before the next orders'
-        first = last
-
-
 def _check_clearance(antenna: QuadratureRule, r) -> None:
+    """Reject a control sphere that comes within ``r`` of the antenna centre,
+    closer than its clearance delta (1 + SEPARATION_RTOL)."""
     if np.any(r < antenna.boundary.radius * (1.0 + SEPARATION_RTOL)):
         raise ValueError("control boundary comes too close to the antenna boundary")
 
 
 def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
-                       rows: slice = slice(None), out: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, float]:
+                       rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``rows`` of a control rule's block of the matrix, (rows, M),
-    written into ``out`` (a new array when None), and the share of their
-    nodal part's Frobenius norm that the rule does not resolve (the block's
-    share when ``rows`` takes them all).
+    written into ``out`` (a new array when None).
 
-    A region's block is :func:`fieldcast.geometry.harmonic_transform` of
-    the fields at its nodes, a few antenna orders at a time
-    (:func:`basis_field_blocks`), so the fields at all its nodes are never
-    held at once.  On a sphere of radius R concentric with the antenna,
-    basis density j radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2)
-    times the sphere's own orthonormal harmonic j, so the block is that
-    diagonal over all the antenna's degrees, whether or not the rule
-    resolves them; only the requested rows of it are made.  Its nodal block
-    lies in the rule's harmonics, and nothing is unresolved, unless the
-    antenna radiates degrees above the rule's; only then is the nodal block
-    evaluated, to measure that share.  Subnormal entries, of degrees whose
-    fields underflow, are zeroed.
+    A region's block is its basis fields translated to the control centre
+    in closed form (:func:`fieldcast.translation.translated_block`).  On a
+    sphere of radius R concentric with the antenna, basis density j
+    radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) times the
+    sphere's own orthonormal harmonic j, so the block is that diagonal over
+    all the antenna's degrees, whether or not the rule resolves them.  Only
+    the requested rows are made, and each entry depends on its row and
+    column alone, so a slice equals the whole block's rows bit for bit.
+    Subnormal entries, of degrees whose fields underflow, are zeroed.
     """
+    if rule.boundary.dim != antenna.boundary.dim:
+        raise ValueError("antenna and control rule have mixed dimensions")
     columns = _antenna_columns(antenna)
-    concentric = _concentric(antenna, rule)
+    wanted = range(_block_rows(antenna, rule))[rows]
     if out is None:
-        out = np.empty((len(range(_block_rows(antenna, rule))[rows]), columns), order="F")
-    coefficients = out
-    if concentric:
-        dim, radius = rule.boundary.dim, rule.boundary.radius
-        _check_clearance(antenna, radius)
-        gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
-        counts = np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)])
-        start, stop, _ = rows.indices(columns)
-        out[...] = 0.0
-        out[range(stop - start), range(start, stop)] = np.repeat(gains, counts)[start:stop]
-        if harmonic_degree(antenna) <= harmonic_degree(rule):
-            return _flush_subnormal(out), 0.0
-        kept = range(_region_rows(harmonic_degree(rule), dim))[rows]
-        coefficients = np.empty((len(kept), columns), order="F")   # to measure the share
-    rest = np.empty(columns)
-    for which, fields in basis_field_blocks(antenna, rule.nodes):
-        projected, rest[which] = harmonic_transform(rule, fields)
-        coefficients[:, which] = projected[rows]
-        del fields, projected   # before the next orders' are made
-    rest = float(np.sum(rest))
-    share = math.sqrt(rest / (float(np.sum(coefficients**2)) + rest)) if rest else 0.0
-    return _flush_subnormal(out), share
+        out = np.empty((len(wanted), columns), order="F")
+    if not _concentric(antenna, rule):
+        distance = float(np.linalg.norm(rule.boundary.center - antenna.boundary.center))
+        _check_clearance(antenna, distance - rule.boundary.radius)
+        translated_block(antenna, rule, wanted, out)
+        return _flush_subnormal(out)
+    _check_clearance(antenna, rule.boundary.radius)
+    start, stop = wanted.start, wanted.stop
+    out[...] = 0.0
+    gains = _concentric_gains(antenna, rule)[None, start:stop]
+    out[range(stop - start), range(start, stop)] = _flush_subnormal(gains)[0]
+    return out
+
+
+def _concentric_gains(antenna: QuadratureRule, rule: QuadratureRule) -> np.ndarray:
+    """(M,): the diagonal of a concentric rule's block, one gain per antenna harmonic."""
+    dim, radius = rule.boundary.dim, rule.boundary.radius
+    gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
+    return np.repeat(gains, np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)]))
+
+
+def unresolved_share(antenna: QuadratureRule, rule: QuadratureRule) -> float:
+    """The share of a control block's Frobenius norm, over all the degrees
+    its basis fields hold on the control sphere, that lies in degrees above
+    the rule's :func:`fieldcast.geometry.harmonic_degree` D: in the rows
+    the matrix leaves out.  On a concentric sphere those are the antenna
+    degrees above D; on a region's sphere they run on without end
+    (:func:`fieldcast.translation.region_share`)."""
+    if not _concentric(antenna, rule):
+        return region_share(antenna, rule)
+    gains = _concentric_gains(antenna, rule)
+    tail = gains[harmonic_count(harmonic_degree(rule), rule.boundary.dim):]
+    return math.sqrt(float(tail @ tail) / float(gains @ gains)) if tail.size else 0.0
 
 
 def _flush_subnormal(block: np.ndarray) -> np.ndarray:
@@ -446,11 +436,10 @@ def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) ->
     into its rows of the matrix."""
     rows = np.cumsum([0] + [_block_rows(antenna, r) for r in controls])
     matrix = np.empty((rows[-1], _antenna_columns(antenna)), order="F")
-    unresolved = []
     for rule, start, stop in zip(controls, rows, rows[1:]):
-        unresolved.append(_coefficient_block(antenna, rule, out=matrix[start:stop])[1])
+        _coefficient_block(antenna, rule, out=matrix[start:stop])
     return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls),
-                           unresolved=tuple(unresolved))
+                           unresolved=tuple(unresolved_share(antenna, r) for r in controls))
 
 
 def _check_density(K: ForwardOperator, h: Density | HarmonicDensity) -> None:
@@ -490,8 +479,8 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
     v outside each block (:meth:`ForwardOperator.trace_coefficients`).
     Each norm agrees with that of ``C c - y`` (and v's outside part) within
     RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||), u = 2^-53.  It leaves
-    out the part of the radiated field its rule does not resolve, which is
-    at most the block's ``unresolved`` share of the nodal block's norm.
+    out the radiated field's degrees above its rule's, whose L2 norm is at
+    most the block's ``unresolved`` share of its Frobenius norm times ||c||.
     """
     _check_density(K, h)
     c = h.coefficients
@@ -552,23 +541,28 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
             else:
                 tau, reflectors = _QR_R_RAW(c, signature="d->d"), c.T
         k = tau.shape[0]   # reflectors: (M, m), rows contiguous
-        u_r, sigma, vt = np.linalg.svd(np.triu(reflectors[:, :k].T), full_matrices=False)
+        r = np.triu(reflectors[:, :k].T)
+        u_r, sigma, vt = np.linalg.svd(r, full_matrices=False)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise RuntimeError(f"weighted SVD failed to converge: {exc}") from exc
     reflectors = reflectors[:k]
     np.fill_diagonal(reflectors, 1.0)
-    K._svd = WeightedSVD(sigma=sigma, vt=vt, reflectors=reflectors, tau=tau, u_r=u_r)
+    K._svd = WeightedSVD(sigma=sigma, vt=vt, reflectors=reflectors, tau=tau, u_r=u_r, r=r)
     return K._svd
 
 
 # What a run holds beside the operator's arrays: per node of a control rule,
 # about 32 float64 of rules, target and transform temporaries; and a fixed
 # part for the BLAS and module memory a run touches beyond ``import
-# fieldcast.cli`` (the probes' series takes a few vectors of its points).
-# On demo-3d a run at 31 x 15 (32 nodes a rule), where the arrays are
-# negligible, grows by 4.0 MiB; at 1087 x 63 (2048 nodes a rule) by 5.9 MiB.
+# fieldcast.cli`` (the probes' series takes a few vectors of its points, a
+# dump a row block and its bytes).  On demo-3d a run at 31 x 15 (32 nodes a
+# rule), where the arrays are negligible, grows by 3.8 MiB; at 1087 x 63
+# (2048 nodes a rule) by 5.3 MiB and its dump by 6.3, 4.6 MiB above its
+# arrays, the most of any shape measured; on demo-2d 3.3 MiB at 44 x 14
+# (16 nodes a rule) and less at every larger shape, up to 2300 x 766.  The
+# fixed part is that 4.6 MiB with a margin of 30%.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
-RUN_OVERHEAD_BYTES = 12 * 2**20
+RUN_OVERHEAD_BYTES = 6 * 2**20
 
 
 def factorization_bytes(m: int, p: int, columns: int) -> int:
@@ -577,19 +571,26 @@ def factorization_bytes(m: int, p: int, columns: int) -> int:
     summed over the stages that can set it: two m x M float64
     arrays at the QR in :func:`weighted_svd` (the matrix, which it
     overwrites with the reflectors, and LAPACK's working copy), which also
-    bound what :func:`assemble_forward` holds while it projects a region
-    (the matrix, that region's rows and its fields for a few antenna orders,
-    :func:`basis_field_blocks`); six k x k, k = min(m, M), for the SVD of R
-    (R, its factors and gesdd's workspace); and the run's other
+    bound what :func:`assemble_forward` holds while it translates a region
+    (the matrix and the temporaries of one antenna order,
+    :func:`fieldcast.translation.translated_block`); six k x k,
+    k = min(m, M), for the SVD of R (R, its factors and gesdd's
+    workspace); and the run's other
     arrays (RUN_OVERHEAD_BYTES_PER_ROW per control-rule node plus
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
-    (ru_maxrss), in MiB, for ``run`` / ``run --dump-operator`` / this
-    estimate, on demo-3d: 15.9 / 15.9 / 25.5 at 975 x 399 (p = 1152),
-    11.7 / 11.4 / 20.5 at 1279 x 255 (p = 2048), 26.2 / 26.0 / 37.5 at
-    1151 x 575 (p = 1152) and 66.0 / 65.9 / 80.0 at 1279 x 1023 (p = 512),
-    where the SVD of R sets the peak.  The dump assembles the rows again
-    after the solve, one row block at a time (:func:`dump_operator`)."""
+    (ru_maxrss, median of 5), in MiB, for ``run`` / ``run --dump-operator``
+    / this estimate, on demo-3d: 3.8 / 3.8 / 6.0 at 31 x 15 (p = 32),
+    5.3 / 6.3 / 7.7 at 1087 x 63 (p = 2048), 15.2 / 15.1 / 19.5 at
+    975 x 399 (p = 1152), 10.8 / 10.8 / 14.5 at 1279 x 255 (p = 2048),
+    25.3 / 25.3 / 31.5 at 1151 x 575 (p = 1152) and 65.7 / 65.8 / 74.0 at
+    1279 x 1023 (p = 512), where the SVD of R sets the peak; on demo-2d
+    (median of 3): 3.3 / 3.2 / 6.0 at 44 x 14 (p = 16), 4.1 / 4.3 / 7.5 at
+    380 x 126 (p = 128), 27.0 / 26.8 / 31.1 at 668 x 638 (p = 16),
+    11.5 / 11.6 / 16.1 at 1788 x 254 (p = 768), 39.6 / 39.4 / 47.8 at
+    1276 x 766 (p = 256) and 47.1 / 47.0 / 59.9 at 2300 x 766 (p = 768).
+    The dump assembles the rows again after the solve, one row block at a
+    time (:func:`dump_operator`)."""
     k = min(m, columns)
     arrays = 2 * m * columns + 6 * k * k
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
@@ -601,16 +602,17 @@ def dump_operator(K: ForwardOperator, path) -> None:
     values, which are the matrix's own.  Rows are each control sphere's
     harmonic coefficients, regions first and the outer sphere last
     (:attr:`ForwardOperator.block_rows`): on a region's sphere the harmonics
-    of degrees 0 .. D - 1 of :func:`fieldcast.geometry.harmonic_transform`,
-    on the outer sphere those of the antenna's degrees 1 .. L.  Columns are
+    of degrees 0 .. D - 1, in the order of
+    :func:`fieldcast.geometry.harmonic_transform`, on the outer sphere those
+    of the antenna's degrees 1 .. L.  Columns are
     the antenna harmonics of :func:`fieldcast.geometry.surface_harmonics`,
     degree by degree from 1: in 2D cos then sin of each degree; in 3D the
     zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
     The rows are written one row block at a time, from ``K.matrix`` while K
     holds it; once the SVD has released it, each row block is assembled
     again (:func:`_coefficient_block`), the same rows bit for bit, so the
-    dump holds one row block, at the cost of the fields at all of a region's
-    nodes per row block: time quadratic in a region's size."""
+    dump holds one row block, and each block costs time in proportion to
+    its own rows."""
     svd = weighted_svd(K)
     m, columns = K.block_rows[-1].stop, _antenna_columns(K.antenna_rule)
     with open(path, "wb") as fh:
@@ -618,7 +620,7 @@ def dump_operator(K: ForwardOperator, path) -> None:
         for rule, block_rows in zip(K.control_rules, K.block_rows):
             for rows in row_blocks(block_rows.stop - block_rows.start, columns):
                 if K.matrix is None:
-                    block = _coefficient_block(K.antenna_rule, rule, rows)[0]
+                    block = _coefficient_block(K.antenna_rule, rule, rows)
                 else:
                     block = K.matrix[block_rows][rows]
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())

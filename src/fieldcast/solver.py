@@ -23,8 +23,8 @@ import numpy as np
 
 from .geometry import RANK_CUTOFF_RTOL, ScenarioValidationError
 from .kernels import row_blocks
-from .operator import (ControlTrace, ForwardOperator, HarmonicDensity, block_residuals,
-                       weighted_svd)
+from .operator import (ControlTrace, ForwardOperator, HarmonicDensity, WeightedSVD,
+                       block_residuals, weighted_svd)
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
 DISCREPANCY_RTOL = 1e-3
@@ -78,6 +78,7 @@ class _FilterData:
     beta: np.ndarray     # (k,) singular-basis coefficients of the target
     perp_sq: float       # squared norm of the target outside the column span
     v_norm: float        # ||v||, as ControlTrace.norm gives it
+    svd: WeightedSVD | None = None  # the factorization beta came from, for the floor
 
     def _sums_of_squares(self, alphas: np.ndarray, term) -> np.ndarray:
         """sum_i term(alpha, i)^2 for each alpha of a 1-D array, over
@@ -104,15 +105,23 @@ class _FilterData:
     @cached_property
     def floor(self) -> float:
         """Residual at the bottom of the alpha bracket, see :func:`residual_floor`;
-        computed once, however many budgets are matched."""
+        computed once, however many budgets are matched.  The Tikhonov
+        residual there comes from R (:meth:`WeightedSVD.tikhonov_residual_sq`)
+        where the factorization is at hand, else from the singular
+        coefficients; the singular values below the rank cutoff then add
+        what their filter factors f < 1 left out, (1 - f^2) beta^2."""
         sigma_1 = float(self.sigma[0]) if self.sigma.size else 0.0
         if sigma_1 == 0.0:
             return math.sqrt(self.perp_sq + float(self.beta @ self.beta))
         alpha = ALPHA_BRACKET_LO * sigma_1**2
         rank = rank_above_cutoff(self.sigma)
-        f = alpha / (alpha + self.sigma[:rank] ** 2)
-        dropped_sq = float(np.sum(self.beta[rank:] ** 2))
-        return math.sqrt(float(np.sum((f * self.beta[:rank]) ** 2)) + dropped_sq + self.perp_sq)
+        f = alpha / (alpha + self.sigma**2)
+        if self.svd is None:
+            residual_sq = float(np.sum((f * self.beta) ** 2))
+        else:
+            residual_sq = self.svd.tikhonov_residual_sq(self.beta, alpha)
+        dropped_sq = float(np.sum((1 - f[rank:] ** 2) * self.beta[rank:] ** 2))
+        return math.sqrt(residual_sq + dropped_sq + self.perp_sq)
 
     def match(self, epsilons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alpha, residual norm, iterations) for each budget of a 1-D array.
@@ -173,7 +182,7 @@ def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
     y, outside = K.trace_coefficients(v)
     beta, perp_sq = svd.project(y)
     return _FilterData(sigma=svd.sigma, beta=beta, perp_sq=perp_sq + float(np.sum(outside)),
-                       v_norm=v.norm())
+                       v_norm=v.norm(), svd=svd)
 
 
 def sweep_ladder(values, name: str) -> list[float]:

@@ -19,7 +19,8 @@ from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, assemble_
                        solver, weighted_svd)
 from fieldcast.fields import radiated_field, resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
-                                harmonic_degree, harmonic_transform, surface_harmonics)
+                                harmonic_degree, harmonic_transform, make_rule,
+                                surface_harmonics)
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
 from fieldcast.solver import InfeasibleAccuracyError
 
@@ -38,28 +39,43 @@ def load_preset(name):
     return load_scenario(PRESETS / f"{name}.scn")
 
 
-def rule_harmonics(rule):
+def rule_harmonics(rule, degree=None):
     """The rule's orthonormal harmonics of degrees 0 .. L at its nodes, an
     (n, H) array formed explicitly: the constant, then the degrees 1 .. L
-    of ``HarmonicDensity.basis``.  The oracle for ``harmonic_transform``,
-    whose coefficients of f are rule_harmonics^T W f."""
+    of ``HarmonicDensity.basis``; with ``degree`` (at most L) only those of
+    degrees 0 .. ``degree``, at the same scale.  The oracle for
+    ``harmonic_transform``, whose coefficients of f are rule_harmonics^T W f."""
     dim = rule.boundary.dim
-    constant = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]) * rule.boundary.radius ** (-(dim - 1) / 2)
-    return np.hstack([np.full((rule.node_count, 1), constant), HarmonicDensity.basis(rule)])
+    scale = rule.boundary.radius ** (-(dim - 1) / 2)
+    basis = (HarmonicDensity.basis(rule) if degree is None
+             else surface_harmonics(rule.normals, degree) * scale)
+    constant = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]) * scale
+    return np.hstack([np.full((rule.node_count, 1), constant), basis])
 
 
 def basis_fields(antenna, points):
     """The field of each of the antenna's basis densities at each of the
     points, a (p, M) array formed whole: the surface harmonics at each
     point's direction from the antenna centre, column by column times the
-    ``degree_gains`` of the column's degree at the point's distance.  The
-    oracle for ``basis_field_blocks``, which makes a few orders at a time."""
+    ``degree_gains`` of the column's degree at the point's distance."""
     x = np.asarray(points, dtype=float) - antenna.boundary.center
     r = np.linalg.norm(x, axis=-1)
     degree, dim = harmonic_degree(antenna), antenna.boundary.dim
     degrees = np.repeat(np.arange(1, degree + 1),
                         np.diff([harmonic_count(l, dim) for l in range(degree + 1)]))
     return surface_harmonics(x / r[:, None], degree) * degree_gains(antenna, r)[degrees - 1].T
+
+
+def quadrature_block(antenna, rule):
+    """The quadrature assembly of a region's block, the oracle for the
+    translated one: the fields of the basis densities at the rule's nodes
+    (``basis_fields``) projected on its harmonics by ``harmonic_transform``,
+    and the share of their nodal block's weighted Frobenius norm that the
+    rule does not resolve.  On a rule of D degrees its rows hold the block's
+    degrees 0 .. D plus what the nodes fold into them from above D."""
+    block, rest = harmonic_transform(rule, basis_fields(antenna, rule.nodes))
+    rest = float(np.sum(rest))
+    return block, math.sqrt(rest / (float(np.sum(block**2)) + rest))
 
 
 def projected(g):
@@ -107,9 +123,11 @@ def assert_residuals_match_the_matrix(K, h, v):
     C c - y, c h's coefficients and y those of v, plus v's part outside
     each block, block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1
     ||c|| + ||v||).  And each against the nodal residual, the fields of
-    ``basis_fields`` at the control nodes minus v, within the block's
-    unresolved share of its nodal block's Frobenius norm times ||c||, plus
-    that rounding bound."""
+    ``basis_fields`` at the control nodes minus v, within that rounding
+    bound plus ||c|| times the weighted Frobenius norm of the fields the
+    block's rows leave out: the nodal fields minus those the kept rows
+    synthesize (``block_harmonics``), and the rows a concentric rule cannot
+    resolve."""
     c = h.coefficients
     y, outside = K.trace_coefficients(v)
     res = K.matrix @ c - y
@@ -120,12 +138,16 @@ def assert_residuals_match_the_matrix(K, h, v):
     factored = block_residuals(K, h, v)
     for got, expected in zip(factored, direct, strict=True):
         assert abs(got - expected) <= bound
-    for got, rule, block, share in zip(factored, K.control_rules, v.blocks, K.unresolved,
-                                       strict=True):
+    for got, rule, block, rows in zip(factored, K.control_rules, v.blocks, K.block_rows,
+                                      strict=True):
         nodal = basis_fields(K.antenna_rule, rule.nodes)
-        frobenius = math.sqrt(float(rule.weights @ np.sum(nodal**2, axis=1)))
+        harmonics = block_harmonics(K, rule, rows)
+        kept = harmonics.shape[1]
+        left = nodal - harmonics @ K.matrix[rows][:kept]
+        tail = (math.sqrt(float(rule.weights @ np.sum(left**2, axis=1)))
+                + float(np.linalg.norm(K.matrix[rows][kept:])))
         expected = rule.l2_norm(nodal @ c - block)
-        assert abs(got - expected) <= share * frobenius * np.linalg.norm(c) + bound
+        assert abs(got - expected) <= tail * np.linalg.norm(c) + bound
 
 
 def summed_basis_fields(h, points):
@@ -147,13 +169,43 @@ def nystrom_matrix(antenna, controls):
     return np.concatenate(blocks) * antenna.weights
 
 
+def finer_rule(antenna, rule):
+    """``make_rule``'s rule on the sphere of the region rule ``rule`` that
+    projects exactly onto its degrees 0 .. D every degree k of the basis
+    fields up to K, the larger of D and the degree at which they fall below
+    2^-60 of the lowest: (R / (|a| - delta))^k bounds their decay, with a
+    the control centre's offset from the antenna's.  A product of
+    harmonics of degrees D and K integrates exactly on n circle nodes for
+    n > K + D, and on n Gauss-Legendre rings of 2n nodes for 2n > K + D.
+    Its projection onto ``rule``'s degrees folds in those above K at
+    rounding level."""
+    dim, degree = rule.boundary.dim, harmonic_degree(rule)
+    gap = np.linalg.norm(rule.boundary.center - antenna.boundary.center) - antenna.boundary.radius
+    top = max(degree, math.ceil(-60 * math.log(2) / math.log(rule.boundary.radius / gap)))
+    n = top + degree + 1 if dim == 2 else (top + degree) // 2 + 1
+    return make_rule(rule.boundary.center, rule.boundary.radius, n, dim)
+
+
+def nystrom_fields(antenna, points):
+    """The Nystrom sum of each basis density at each point, (p, M): the
+    ``nystrom_matrix`` of the points times the basis's nodal values, 256
+    points at a time."""
+    basis, dim = rule_harmonics(antenna)[:, 1:], antenna.boundary.dim
+    return np.concatenate([
+        dlp_kernel(points[rows, None, :], antenna.nodes[None], antenna.normals[None], dim)
+        @ (antenna.weights[:, None] * basis)
+        for rows in np.array_split(np.arange(len(points)), max(1, len(points) // 256))])
+
+
 def assert_columns_match_the_nystrom_sum(K):
     """The Nystrom sum of each basis density (its nodal values the antenna's
     ``rule_harmonics`` of degrees 1 .. L; :func:`fieldcast.operator.apply`,
     whose blocks ``nystrom_matrix`` reproduces), on each control rule: equal
     to the closed-form ``basis_fields`` at its nodes, and its harmonic
     coefficients (formed explicitly, ``rule_harmonics``) equal to the rule's
-    rows of ``K.matrix``, each within COLUMN_RTOL of the largest entry."""
+    rows of ``K.matrix``, each within COLUMN_RTOL of the largest entry.  On
+    a region's sphere the coefficients are taken on a ``finer_rule``, since
+    the block is the exact projection, which the rule's own nodes alias."""
     scale = np.max(np.abs(K.matrix))
     for rule, rows in zip(K.control_rules, K.block_rows):
         nodal = nystrom_matrix(K.antenna_rule, [rule]) @ rule_harmonics(K.antenna_rule)[:, 1:]
@@ -161,7 +213,12 @@ def assert_columns_match_the_nystrom_sum(K):
         assert np.max(np.abs(nodal - closed)) <= COLUMN_RTOL * np.max(np.abs(closed))
         harmonics = block_harmonics(K, rule, rows)
         kept = harmonics.shape[1]
-        coefficients = harmonics.T @ (rule.weights[:, None] * nodal)
+        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+            coefficients = harmonics.T @ (rule.weights[:, None] * nodal)
+        else:
+            fine = finer_rule(K.antenna_rule, rule)
+            nodal = fine.weights[:, None] * nystrom_fields(K.antenna_rule, fine.nodes)
+            coefficients = rule_harmonics(fine, harmonic_degree(rule)).T @ nodal
         if kept < rows.stop - rows.start:
             # A concentric rule that resolves fewer degrees than the antenna
             # radiates: its nodes alias the higher columns, so only the
@@ -245,7 +302,8 @@ def extended_nystrom_fields(antenna, points):
         # (x - delta nu).nu / (omega |x - delta nu|^dim), nu unit.
         dot = np.einsum("xd,kjd->xkj", x[rows], nu)                      # (r, polar, around)
         dist_sq = x_sq[rows, None, None] - 2 * delta * dot + delta * delta
-        kernel = (dot - delta) / (2 * (dim - 1) * pi * dist_sq ** ld(dim / 2))
+        power = dist_sq if dim == 2 else dist_sq * np.sqrt(dist_sq)     # |x - delta nu|^dim
+        kernel = (dot - delta) / (2 * (dim - 1) * pi * power)
         spectrum = np.fft.rfft(kernel, axis=-1)[..., : degree + 1]      # sum_j K e^(-i m phi_j)
         c = np.einsum("xkm,klm->xlm", spectrum.real, legendre)
         s = np.einsum("xkm,klm->xlm", -spectrum.imag, legendre)
@@ -295,19 +353,26 @@ def tikhonov_floor(K, v):
 def nystrom_floor_and_energy(K, v, epsilon):
     """Residual floor and energy at ``epsilon`` of the Nystrom operator, the
     oracle the closed-form operator replaces: the Nystrom sums of the basis
-    densities at each control rule's nodes in extended precision
-    (``extended_nystrom_fields``), projected on the control harmonics
-    explicitly (``block_harmonics``) in that precision and rounded to
+    densities in extended precision (``extended_nystrom_fields``), projected
+    on the control harmonics explicitly in that precision and rounded to
     float64; its floor from ``tikhonov_floor`` and its energy from the
-    solver.  A concentric rule that resolves fewer degrees than the antenna
-    radiates cannot see the higher ones, and its nodes alias them, so their
-    rows and columns are the closed form's."""
+    solver.  A region's sums are taken on its ``finer_rule``, whose
+    projection folds in the degrees above the rule's at rounding level, as
+    the translated block is the exact projection.  A concentric rule that
+    resolves fewer degrees than the antenna radiates cannot see the higher
+    ones, and its nodes alias them, so their rows and columns are the
+    closed form's."""
     matrix = K.matrix.copy()
     for rule, rows in zip(K.control_rules, K.block_rows):
-        harmonics = block_harmonics(K, rule, rows).astype(np.longdouble)
+        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+            harmonics, nodes = block_harmonics(K, rule, rows), rule
+        else:
+            nodes = finer_rule(K.antenna_rule, rule)
+            harmonics = rule_harmonics(nodes, harmonic_degree(rule))
         kept = harmonics.shape[1]
-        nodal = extended_nystrom_fields(K.antenna_rule, rule.nodes)
-        projected = np.einsum("ih,ij->hj", harmonics, rule.weights[:, None] * nodal)
+        nodal = extended_nystrom_fields(K.antenna_rule, nodes.nodes)
+        projected = np.einsum("ih,ij->hj", harmonics.astype(np.longdouble),
+                              nodes.weights[:, None] * nodal)
         if kept < rows.stop - rows.start:
             matrix[rows][:kept, :kept] = projected[:, :kept]
         else:

@@ -54,7 +54,7 @@ class TestRun:
                      "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24"])
         assert code == 0
         report = (out / "report.txt").read_text()
-        assert report.startswith("format-version: 4\n")
+        assert report.startswith("format-version: 5\n")
         for section in ("[scenario]", "[spectrum]", "[solve]", "[certificate]",
                         "[empirical]", "[outputs]", "[timings]"):
             assert section in report
@@ -552,8 +552,9 @@ def test_run_never_imports_numpy_random(preset, epsilon, tmp_path):
 def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
     # The density is its coefficients from the solve to the report, the
     # grid and the dump: nothing synthesizes its nodal values or forms the
-    # nodal basis, and only assembly and the target's projection run the
-    # harmonic transform.
+    # nodal basis.  Only the target's projection runs the harmonic
+    # transform: assembly translates the basis fields in closed form and
+    # evaluates none at a control node.
     monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
     monkeypatch.setattr(HarmonicDensity, "basis", staticmethod(_never_called))
     callers = set()
@@ -566,7 +567,7 @@ def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
         if hasattr(module, "harmonic_transform"):
             monkeypatch.setattr(module, "harmonic_transform", transform)
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert callers == {"_coefficient_block", "trace_coefficients"}
+    assert callers == {"trace_coefficients"}
 
 
 def test_assembled_operator_holds_no_nodal_basis():

@@ -25,8 +25,8 @@ from fieldcast.fields import dipole, log_source
 from conftest import load_preset, rule_harmonics
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization,
                                 build_rules, harmonic_count, harmonic_degree, harmonic_transform,
-                                make_rule, nodes_around, order_columns, order_width, rule_degree,
-                                surface_harmonics)
+                                legendre_orders, legendre_table, make_rule, nodes_around,
+                                rule_degree, surface_harmonics)
 
 
 class TestCircleRule:
@@ -136,28 +136,22 @@ class TestSurfaceHarmonics:
         expected = np.column_stack([f(k * theta) for k in (1, 2, 3) for f in (np.cos, np.sin)])
         assert np.max(np.abs(surface_harmonics(circle, 3) - expected / math.sqrt(math.pi))) <= 1e-15
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_order_ranges_are_the_whole_arrays_columns(self, dim):
-        # Every range of orders: its columns of the whole array, bit for bit,
-        # where order_columns places them, each of the degree it names; all
-        # orders together place every column once.
-        rng = np.random.default_rng(dim)
-        u = rng.normal(size=(7, dim))
+    @pytest.mark.parametrize("degree", [1, 9, 42])
+    def test_legendre_table_is_the_recurrence_of_every_order(self, degree):
+        # Each order's column of the one-direction table is legendre_orders'
+        # recurrence times sin^m, at the poles too.
+        rng = np.random.default_rng(degree)
+        u = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], rng.normal(size=(5, 3))])
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        for degree in (1, 2, 9):
-            whole = surface_harmonics(u, degree)
-            columns, degrees = order_columns(degree, dim, range(degree + 1))
-            assert sorted(columns.tolist()) == list(range(whole.shape[1]))
-            assert np.array_equal(np.searchsorted(
-                [harmonic_count(l, dim) for l in range(degree + 1)], columns, side="right"),
-                degrees)
-            for first in range(degree + 1):
-                for last in range(first + 1, degree + 2):
-                    orders = range(first, last)
-                    part = surface_harmonics(u, degree, orders)
-                    assert part.flags.f_contiguous
-                    assert part.shape[1] == sum(order_width(degree, dim, m) for m in orders)
-                    assert np.array_equal(part, whole[:, order_columns(degree, dim, orders)[0]])
+        for direction in u:
+            table = legendre_table(direction, degree)
+            expected = np.zeros((degree + 1, degree + 1))
+            expected[0, 0] = 1.0 / math.sqrt(4 * math.pi)
+            sin = math.hypot(direction[0], direction[1])
+            for m, _, legendre in legendre_orders(direction[None], degree):
+                for l, value in enumerate(legendre, start=max(m, 1)):
+                    expected[l, m] = value[0] * sin**m
+            assert np.max(np.abs(table - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("degree", [1, 5, 23])
     def test_addition_theorem(self, degree):

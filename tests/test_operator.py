@@ -24,13 +24,12 @@ from fieldcast import (
     xi_inner,
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
-                      assert_residuals_match_the_matrix, basis_fields, nystrom_matrix, projected)
+                      assert_residuals_match_the_matrix, nystrom_matrix, projected)
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count,
                                 harmonic_degree, harmonic_transform, rule_degree)
 from fieldcast import operator as operator_module
-from fieldcast.operator import (BASIS_BLOCK_VALUES, _coefficient_block, basis_field_blocks,
-                                block_residuals, degree_gains, dump_operator, load_operator_dump,
-                                matrix_rows)
+from fieldcast.operator import (_coefficient_block, block_residuals, degree_gains, dump_operator,
+                                load_operator_dump, matrix_rows)
 from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
@@ -76,23 +75,6 @@ class TestAssembleApply:
         rows = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim),
                            rule_degree(d.antenna, s.dim))
         assert rows == K.matrix.shape[0] == K.block_rows[-1].stop
-
-    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
-    @pytest.mark.parametrize("values", [1, 300, 2**16])
-    def test_basis_field_blocks_tile_the_fields(self, parts, values, request, monkeypatch):
-        # Blocks of whole orders, of at most BASIS_BLOCK_VALUES values unless
-        # one order has more, that cover every column once, bit for bit.
-        s, antenna, controls, K, v = request.getfixturevalue(parts)
-        points = controls[0].nodes
-        whole = basis_fields(antenna, points)
-        monkeypatch.setattr(operator_module, "BASIS_BLOCK_VALUES", values)
-        seen = []
-        for columns, fields in basis_field_blocks(antenna, points):
-            assert fields.flags.f_contiguous
-            assert fields.size <= max(values, fields.shape[0] * 2 * harmonic_degree(antenna))
-            assert np.array_equal(fields, whole[:, columns])
-            seen += columns.tolist()
-        assert sorted(seen) == list(range(whole.shape[1]))
 
     def test_unit_density_maps_to_zero_trace(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -255,13 +237,12 @@ class TestAssembleApply:
 
     def test_assembly_peak_memory_is_about_the_matrix(self, demo3d_parts):
         # The matrix it returns, whose rows each region's block is written
-        # into, and beside it whichever is larger: six arrays of
-        # BASIS_BLOCK_VALUES floats (the fields of a few antenna orders and
-        # the temporaries of their harmonics and their transform), or the
-        # squares of one region's rows that its unresolved share sums.  At
-        # 1151 x 575 the bound is 8.05 MiB (measured: 7.64, the squares of
-        # 576 x 575 rows the largest), under the 18.1 MiB (matrix + 8 MiB)
-        # the 2304 x 575 nodal matrix it replaced was held to.
+        # into, and beside it the temporaries of one antenna order: a few
+        # arrays of (2, row pairs, degrees of that order), with 300 row pairs
+        # and 23 degrees at order 0 the largest.  At 1151 x 575 the bound,
+        # the matrix and half of one region's rows, is 6.31 MiB (measured:
+        # 5.92), under the 8.05 MiB that the quadrature assembly it replaced
+        # was held to.
         s, antenna, controls, K, v = demo3d_parts
         tracemalloc.start()
         try:
@@ -270,7 +251,7 @@ class TestAssembleApply:
         finally:
             tracemalloc.stop()
         region = result.matrix[result.block_rows[0]].nbytes
-        assert peak <= result.matrix.nbytes + max(region, 6 * 8 * BASIS_BLOCK_VALUES)
+        assert peak <= result.matrix.nbytes + region / 2
 
     def test_separation_violation_rejected(self):
         antenna = make_circle_rule((0.0, 0.0), 1.0, 16)
@@ -694,16 +675,36 @@ class TestDump:
         # bit for bit the whole block's, and traced below one M x M array.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         rows, columns = slice(100, 107), K.matrix.shape[1]
-        whole = _coefficient_block(antenna, controls[-1])[0]
+        whole = _coefficient_block(antenna, controls[-1])
         assert whole.tobytes() == K.matrix[K.block_rows[-1]].tobytes()
         tracemalloc.start()
         try:
-            part = _coefficient_block(antenna, controls[-1], rows)[0]
+            part = _coefficient_block(antenna, controls[-1], rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert part.shape == (7, columns) and part.tobytes() == whole[rows].tobytes()
         assert peak < columns**2 * 8
+
+    @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
+    def test_region_rows_are_made_without_the_whole_block(self, parts, request):
+        # Seven of region 1's rows, as a released dump makes them: bit for
+        # bit the whole block's, and traced below half of it (measured: 0.32
+        # of the 127 x 126 block in 2D, 0.067 of the 576 x 575 one in 3D;
+        # the quadrature assembly, which evaluated the fields at all the
+        # rule's nodes for each row block, traced 6.2 and 0.73 of it).
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        rows, columns = slice(100, 107), K.matrix.shape[1]
+        whole = _coefficient_block(antenna, controls[0])
+        assert whole.tobytes() == K.matrix[K.block_rows[0]].tobytes()
+        tracemalloc.start()
+        try:
+            part = _coefficient_block(antenna, controls[0], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.shape == (7, columns) and part.tobytes() == whole[rows].tobytes()
+        assert peak < whole.nbytes / 2
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fieldcast import (
     ControlTrace,
     Density,
+    HarmonicDensity,
     Region,
     Scenario,
     assemble_forward,
@@ -26,11 +27,15 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import (assert_residuals_match_the_matrix, basis_fields, nystrom_floor_and_energy,
-                      projected, rule_harmonics, scalar_match, summed_basis_fields)
+from conftest import (assert_residuals_match_the_matrix, basis_fields, load_preset,
+                      nystrom_floor_and_energy, projected, quadrature_block,
+                      rule_harmonics, scalar_match, summed_basis_fields)
 from fieldcast import kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
-                                harmonic_count, harmonic_degree, make_rule)
+                                harmonic_count, harmonic_degree, make_rule, nodes_around,
+                                surface_harmonics)
+from fieldcast.operator import _coefficient_block, unresolved_share
+from fieldcast.translation import degree_norms
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 
 # Fixed example order and no example database: every run checks the same cases.
@@ -202,6 +207,115 @@ def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, o
         math.sqrt(float(np.sum((sigma * y / (alpha + sigma**2)) ** 2))), rel=1e-12)
 
 
+# Relative Frobenius distance that the translated blocks keep from the
+# quadrature oracle on a rule that resolves them: their entries are formed
+# from sums of logarithms (of factorials up to (2 L + 2 D)!), each rounded;
+# measured up to 3.2e-14 on the presets and benchmark-pool scenarios.
+TRANSLATION_RTOL = 2e-13
+
+
+def _translated_against_the_quadrature(antenna, rule):
+    """A region's translated block and unresolved share against the
+    quadrature oracle on a rule of four times the nodes.  Where that rule
+    resolves the fields (its own unresolved share of their nodal norm is at
+    most 1e-6), its first rows equal the block within 4 times that share,
+    which bounds what its nodes fold in from above, plus rounding.  And the
+    norm of its rows above the block's degrees is the block's share within
+    10%, where that share lies above the 4x rule's and above rounding.
+    Returns the 4x rule's share."""
+    block = _coefficient_block(antenna, rule)
+    dim = rule.boundary.dim
+    polar = rule.node_count if dim == 2 else rule.node_count // nodes_around(rule)
+    fine, fine_share = quadrature_block(
+        antenna, make_rule(rule.boundary.center, rule.boundary.radius, 4 * polar, dim))
+    norm = float(np.linalg.norm(fine))
+    if fine_share <= 1e-6:
+        assert (np.linalg.norm(block - fine[: block.shape[0]])
+                <= 4 * fine_share * norm + TRANSLATION_RTOL * np.linalg.norm(block))
+    share = unresolved_share(antenna, rule)
+    if share > 1e-10 and fine_share < 1e-3 * share:
+        assert float(np.linalg.norm(fine[block.shape[0]:])) / norm == pytest.approx(share, rel=0.1)
+    return fine_share
+
+
+def _local_series_against_the_field(antenna, rule, seed):
+    """The block's rows applied to a random density, summed as the
+    interior harmonic series sum_h (C c)_h (|w|/R)^deg Y_h(w^) of the
+    control sphere's orthonormal harmonics Y_h, against
+    ``radiated_field`` at 32 random points w inside the control ball:
+    equal within rounding plus the degrees above the rows, bounded through
+    the addition theorem by sum_lam (|w|/R)^lam ||c|| (S_lam N_lam / |S|)^(1/2),
+    S_lam the closed-form squared norm of the block's degree-lam rows and
+    N_lam the dimension of degree lam's harmonics."""
+    dim, radius, degree = rule.boundary.dim, rule.boundary.radius, harmonic_degree(rule)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(harmonic_count(harmonic_degree(antenna), dim))
+    h = HarmonicDensity(antenna, c)
+    coefficients = _coefficient_block(antenna, rule) @ c
+    direction = rng.standard_normal((32, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    scale = rng.uniform(0.0, 0.9, 32)
+    points = rule.boundary.center + radius * scale[:, None] * direction
+    # The orthonormal harmonics of the control sphere at the points' directions.
+    constant = 1.0 / math.sqrt(2 * math.pi if dim == 2 else 4 * math.pi)
+    values = np.hstack([np.full((32, 1), constant), surface_harmonics(direction, degree)])
+    values *= radius ** (-(dim - 1) / 2)
+    degrees = np.concatenate([[0], np.repeat(np.arange(1, degree + 1),
+                                             2 if dim == 2 else 2 * np.arange(1, degree + 1) + 1)])
+    terms = values * scale[:, None] ** degrees * coefficients
+    series = terms.sum(axis=1)
+    field = radiated_field(h, points)
+    above = np.arange(degree + 1, degree + 400)
+    multiplet = 2.0 if dim == 2 else 2.0 * above + 1
+    measure = (2 * math.pi if dim == 2 else 4 * math.pi) * radius ** (dim - 1)
+    norms = np.sqrt(degree_norms(antenna, rule, above) * multiplet / measure) * np.linalg.norm(c)
+    tail = (scale[:, None] ** above * norms).sum(axis=1)
+    rounding = 1e-12 * (np.abs(terms).sum(axis=1) + summed_basis_fields(h, points)[1])
+    assert np.all(np.abs(series - field) <= tail + rounding)
+
+
+@st.composite
+def control_spheres(draw):
+    """An antenna rule and a region's control rule, anywhere, in 2D or 3D:
+    the control sphere of radius R in any direction from the antenna's
+    centre, at the distance |a| = R / x + delta for x drawn from 0.05 to
+    0.95, the rate R / (|a| - delta) at which the basis fields' degrees
+    decay on it.  Antennas of degree 1 .. 7, control rules of degree 1 .. 9."""
+    dim = draw(st.sampled_from([2, 3]))
+    delta, radius = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 3.0))
+    rate = draw(st.floats(0.05, 0.95))
+    centre = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(direction) > 0.1)
+    direction /= np.linalg.norm(direction)
+    antenna, control = draw(st.integers(2, 8)), draw(st.integers(2, 10))
+    return (make_rule(centre, delta, 2 * antenna if dim == 2 else antenna, dim),
+            make_rule(centre + (radius / rate + delta) * direction, radius,
+                      2 * control if dim == 2 else control, dim))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(rules=control_spheres(), seed=st.integers(0, 2**32 - 1))
+def test_translated_blocks_match_the_quadrature_and_the_field(rules, seed):
+    # A region's translated block against the quadrature oracle on a 4x rule,
+    # its share against that rule's rows, and its rows against the field
+    # they expand inside the control ball.
+    _translated_against_the_quadrature(*rules)
+    _local_series_against_the_field(*rules, seed)
+
+
+@pytest.mark.parametrize("preset, nodes", [("demo-2d", (640, 16)), ("demo-3d", (32, 8))])
+def test_translated_blocks_match_the_quadrature_on_the_presets(preset, nodes):
+    # demo-2d at 640 antenna nodes is the shape whose high degrees radiate
+    # subnormal entries (``test_subnormal_entries_are_flushed_at_assembly``):
+    # its binomials hold factorials up to 325!, far past the 170! that
+    # float64 holds, which the translation never forms.
+    s = replace(load_preset(preset), discretization=Discretization(*nodes))
+    antenna, controls = build_rules(s)
+    for rule in controls[:-1]:
+        assert _translated_against_the_quadrature(antenna, rule) <= 1e-6
+
+
 def _solve(s):
     """Operator, target, residual floor, epsilon = floor + 0.1 (||v|| - floor)
     and the energy at that epsilon."""
@@ -221,11 +335,11 @@ _CONTROL_NODES = {2: DEFAULT_NODES[2], 3: 8}
 def _assert_geometry_sized_antenna_matches_the_default(s):
     # The antenna count read off the geometry loses nothing the default
     # count resolves: same floor and same energy at the same control count.
-    # And the closed-form operator gives the floor and energy of the Nystrom
-    # operator projected on the control harmonics at that count, within the
-    # floor's documented 2e-10 antenna-count jitter.  The Nystrom sums run in
-    # extended precision: in float64 their absolute errors, about 2e-15 of
-    # the largest entry, move a floor by up to 2.8e-10.
+    # And the closed-form operator gives the floor and energy of the
+    # Nystrom operator projected on the control harmonics at that count,
+    # within the floor's documented 2e-10 antenna-count jitter.  The Nystrom
+    # sums run in extended precision: in float64 their absolute errors,
+    # about 2e-15 of the largest entry, move a floor by up to 2.8e-10.
     s = with_defaults(s)
     chosen = s.discretization.antenna
     assert MIN_NODES[s.dim] <= chosen <= DEFAULT_NODES[s.dim]

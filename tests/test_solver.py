@@ -8,22 +8,27 @@ import numpy as np
 import pytest
 
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, explicit_coefficients, scalar_match,
-                      trace_of)
+                      tikhonov_floor, trace_of)
 from fieldcast import (
     ControlTrace,
     Discretization,
     ForwardOperator,
     InfeasibleAccuracyError,
+    Region,
+    Scenario,
     apply,
     apply_adjoint,
     assemble_forward,
     build_rules,
     build_target,
+    log_source,
     make_circle_rule,
     solve_min_energy,
     sweep_alpha,
     sweep_epsilon,
     weighted_svd,
+    with_defaults,
+    zero_field,
 )
 from fieldcast import solver
 from fieldcast.solver import rank_above_cutoff, residual_floor
@@ -211,6 +216,24 @@ class TestResidualFloor:
         fine_floor = residual_floor(assemble_forward(antenna, controls),
                                     build_target(fine, controls))
         assert fine_floor == pytest.approx(residual_floor(K, v), rel=1e-9)
+
+    def test_floor_is_the_tikhonov_residual_of_r(self):
+        # Two log sources and an antenna sized to the geometry (324 x 70):
+        # summed from the singular coefficients alone, the floor lies 2.8e-10
+        # below that of a Householder QR of [C; sqrt(alpha) I], which moves by
+        # about 1e-15 under roundings of C; from R it agrees to 1e-14.
+        s = with_defaults(Scenario(
+            dim=2, delta=1.0,
+            regions=(Region(center=np.array([3.77828041, 0.0]), radius=1.0,
+                            target=log_source((0.0, 0.0))),
+                     Region(center=np.array([-3.09078041, 0.0]), radius=0.3125,
+                            target=log_source((0.0, 0.0)))),
+            observation_radius=13.778280410038922, exterior_target=zero_field(), epsilon=1.0))
+        antenna, controls = build_rules(s)
+        K = assemble_forward(antenna, controls)
+        v = build_target(s, controls)
+        assert K.matrix.shape == (324, 70)
+        assert residual_floor(K, v) == pytest.approx(tikhonov_floor(K, v), rel=1e-13)
 
     def test_reachable_target_has_a_rounding_level_floor(self):
         # v = K h lies in the column span, so the floor is rounding alone.
