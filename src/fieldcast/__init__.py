@@ -26,8 +26,9 @@ _EXPORTS = {
                  "ScenarioValidationError", "build_rules", "make_circle_rule",
                  "make_sphere_rule", "validate_scenario", "with_defaults"],
     "kernels": ["adjoint_kernel", "dlp_kernel", "phi", "poisson_solve"],
-    "operator": ["ControlTrace", "Density", "ForwardOperator", "HarmonicDensity", "apply",
-                 "apply_adjoint", "assemble_forward", "weighted_svd", "xi_inner"],
+    "operator": ["ControlTrace", "Density", "ForwardOperator", "HarmonicDensity",
+                 "HarmonicTrace", "apply", "apply_adjoint", "assemble_forward", "weighted_svd",
+                 "xi_inner"],
     "scenario_io": ["ScenarioFormatError", "load_scenario", "parse_scenario"],
     "solver": ["InfeasibleAccuracyError", "SolveReport", "solve_min_energy", "sweep_alpha",
                "sweep_epsilon"],

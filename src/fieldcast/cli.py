@@ -7,11 +7,11 @@ that cannot be made a directory, checked before assembly); 3 scenario
 parse/validation failure (a scenario path that is not a file, a file that
 is not UTF-8, repeats a key in one mapping or gives a key an explicit null,
 node counts below ``geometry.MIN_NODES`` from the file or ``--nodes``, a
-boundary whose rule or wanted field values cannot be built, a target trace
-that is identically zero or not finite, and node counts whose operator and
-factorization would exceed physical memory, as
-:func:`fieldcast.operator.factorization_bytes` estimates before any rule is
-built); 4 accuracy infeasible at the current resolution; 5 numerical
+boundary whose rule or target cannot be built (a source within 1e-9 of its
+control sphere), a target trace that is identically zero or not finite,
+and node counts whose operator and factorization would exceed physical
+memory, as :func:`fieldcast.operator.factorization_bytes` estimates before
+any rule is built); 4 accuracy infeasible at the current resolution; 5 numerical
 failure, including any other ``ValueError``.
 """
 

@@ -19,11 +19,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import (SEPARATION_RTOL, QuadratureRule, Scenario, ScenarioValidationError,
-                       control_labels, harmonic_degree, legendre_orders, make_rule, on_boundary,
-                       order_columns, validate_scenario)
+from .geometry import (SEPARATION_RTOL, UNIT_SPHERE_MEASURE, QuadratureRule, Scenario,
+                       ScenarioValidationError, control_labels, harmonic_count, harmonic_degree,
+                       legendre_orders, make_rule, on_boundary, order_columns, surface_harmonics,
+                       validate_scenario)
 from .kernels import dlp_kernel, row_blocks
-from .operator import ControlTrace, HarmonicDensity, degree_gains
+from .operator import HarmonicDensity, HarmonicTrace, degree_gains
+from .translation import row_orders, translated_block
 
 # Evaluation closer than this to a field's singular point is rejected.
 SINGULARITY_TOL = 1e-9
@@ -225,14 +227,17 @@ def scenario_difference_fields(s: Scenario):
     return [difference(r.target) for r in s.regions] + [lambda pts: np.zeros(len(pts))]
 
 
-def build_target(s: Scenario, controls: list[QuadratureRule]):
+def build_target(s: Scenario, controls: list[QuadratureRule]) -> HarmonicTrace:
     """Trace target on the control boundaries: block k holds the wanted
-    field of :func:`scenario_difference_fields` at the nodes of control
-    rule k.  The scenario is validated first, field conditions included
-    (:func:`fieldcast.geometry.validate_scenario`).  An identically zero
-    trace raises ScenarioValidationError, as there is nothing to solve for,
-    and so do a norm that overflows float64 or is not a number and a control
-    sphere where the wanted field cannot be evaluated (named in the message).
+    field of :func:`scenario_difference_fields` on control sphere k by its
+    coefficients on the rule's harmonics and the norm of its higher degrees,
+    in closed form (:func:`_wanted_block`): no field is evaluated at a
+    control node.  The scenario is validated first, field conditions
+    included (:func:`fieldcast.geometry.validate_scenario`).  An identically
+    zero trace raises ScenarioValidationError, as there is nothing to solve
+    for, and so do a norm that overflows float64 or is not a number and a
+    control sphere within SINGULARITY_TOL of a wanted field's singular point
+    (named in the message).
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
@@ -240,15 +245,108 @@ def build_target(s: Scenario, controls: list[QuadratureRule]):
         )
 
     validate_scenario(s)
-    blocks = [on_boundary(label, wanted, rule.nodes) for label, wanted, rule
-              in zip(control_labels(s), scenario_difference_fields(s), controls)]
-    v = ControlTrace(blocks=blocks, rules=list(controls))
+    terms = [[(f, sign) for f, sign in ((r.target, 1.0), (s.exterior_target, -1.0))
+              if f.kind != "zero" and r.target != s.exterior_target] for r in s.regions] + [[]]
+    parts = [on_boundary(label, _wanted_block, wanted, rule)
+             for label, wanted, rule in zip(control_labels(s), terms, controls)]
+    v = HarmonicTrace(blocks=[b for b, _ in parts], outside=[rest for _, rest in parts],
+                      rules=list(controls))
     norm = v.norm()
     if norm == 0.0:
         raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
     if not np.isfinite(norm):
         raise ScenarioValidationError([f"target trace norm is {norm}, not a finite number"])
     return v
+
+
+def _first_row(degree: int, dim: int) -> int:
+    """Rows of a control sphere's harmonics of degrees below ``degree``."""
+    return harmonic_count(degree - 1, dim) + 1 if degree else 0
+
+
+def _wanted_block(terms, rule: QuadratureRule) -> tuple[np.ndarray, float]:
+    """(coefficients, outside) of sum sign f over the (f, sign) ``terms`` on
+    the rule's sphere: its coefficients on the harmonics of degrees 0 .. D,
+    and the squared L2 norm of its degrees above D, summed from their rows
+    in runs that double from 8 degrees until what the rest can add is below
+    rounding of the block's squared norm, or up to degree D + 2^10 in 3D and
+    D + 2^19 in 2D (about 2^20 rows), past which that bound is added, so it
+    is never understated.  A source at c from the control centre holds at
+    most n_lam x^(mu-lam) (mu+1) / lam in degree mu > lam, n_lam its squared
+    norm in degree lam and x = (R/|c|)^2 (3D: n_mu ~ x^mu / (2mu+1) for a
+    point, x^mu (mu+1)^2 / (2mu+1) for a dipole along c, x^mu mu (mu+1) /
+    (2mu+1) across; 2D: x^mu / mu^2 for a log source, x^mu for a dipole), so
+    at most n_lam x ((lam+1)(1-x) + 1) / (lam (1-x)^2) past lam; an entire
+    field has no degree above 3."""
+    dim, center, R = rule.boundary.dim, rule.boundary.center, rule.boundary.radius
+    dists = [math.inf if f.singularity is None else float(np.linalg.norm(f.singularity - center))
+             for f, _ in terms]
+    if any(dist - R < SINGULARITY_TOL for dist in dists):
+        raise ValueError("evaluation at or near the field's singular point")
+    ratios = [(R / dist) ** 2 for dist in dists]
+
+    def rows(start: int, stop: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each term's rows of degrees start .. stop - 1, and their sum."""
+        parts = [sign * _field_rows(f, rule, range(_first_row(start, dim), _first_row(stop, dim)))
+                 for f, sign in terms]
+        return parts, sum(parts, np.zeros(_first_row(stop, dim) - _first_row(start, dim)))
+
+    D = harmonic_degree(rule)
+    cap, kept_rows = D + (2**19 if dim == 2 else 2**10), _first_row(D + 1, dim)
+    parts, left = rows(0, D + 9)   # the block's degrees and the first run of 8 above them
+    block, parts, left = left[:kept_rows], [p[kept_rows:] for p in parts], left[kept_rows:]
+    kept, tail, start, stop = float(block @ block), 0.0, D + 1, D + 9
+    while True:
+        tail += float(left @ left)
+        lam, last = stop - 1, _first_row(stop, dim) - _first_row(stop - 1, dim)
+        rest = sum(math.sqrt(float(p[-last:] @ p[-last:]) * x * ((lam + 1) * (1 - x) + 1)
+                             / (lam * (1 - x) ** 2)) for p, x in zip(parts, ratios)) ** 2
+        small = rest <= 2.0**-53 * (kept + tail)
+        if small or stop == cap:
+            return block, tail if small else tail + rest
+        start, stop = stop, min(stop + 2 * (stop - start), cap)
+        parts, left = rows(start, stop)
+
+
+def _field_rows(f: HarmonicField, rule: QuadratureRule, rows: range) -> np.ndarray:
+    """A catalog field's coefficients on rows ``rows``, of any degrees, of
+    the rule's sphere's orthonormal harmonics, in closed form.  A point
+    source is sqrt(4 pi) times the degree-0 column of
+    :func:`fieldcast.translation.translated_block` about it, a dipole p the
+    degree-1 columns times sqrt(4 pi / 3) (p_z, p_x, p_y) in 3D or sqrt(pi)
+    (p_x, p_y) in 2D, a log source at c from the centre -log|c| + Re sum_k
+    (-1)^k (w/c)^k / k.  An entire field (a polynomial of degree <= 3) has
+    no higher degree, and its degree-k part is homogeneous in the offset
+    from the centre: it is projected exactly by the rule of harmonic degree
+    3 (:func:`fieldcast.geometry.make_rule`) of radius R/2, times 2^k."""
+    dim, center, R = rule.boundary.dim, rule.boundary.center, rule.boundary.radius
+    if f.singularity is None:
+        small = make_rule(center, 0.5 * R, 8 if dim == 2 else 4, dim)
+        values = np.asarray(eval_field(f, small.nodes), dtype=float) * small.weights
+        projected = np.append(values.sum() / math.sqrt(UNIT_SPHERE_MEASURE[dim]),
+                              surface_harmonics(small.normals, 3).T @ values)
+        scale = 2.0 ** row_orders(range(projected.shape[0]), dim)[0] * (4 / R) ** ((dim - 1) / 2)
+        coefficients = np.concatenate([projected * scale, np.zeros(rows.stop)])
+        return coefficients[rows.start: rows.stop]
+    c = center - f.singularity
+    if f.kind == "log-source":
+        dist, (k, _, sin) = float(np.linalg.norm(c)), row_orders(rows, 2)
+        phase = k * math.atan2(float(c[1]), float(c[0]))
+        trig = np.where(sin, np.sin(phase), np.cos(phase))
+        with np.errstate(under="ignore"):
+            out = (-R / dist) ** k / np.maximum(k, 1) * math.sqrt(math.pi * R) * trig
+        return np.where(k == 0, -math.log(dist) * math.sqrt(2 * math.pi * R), out)
+    if f.kind == "point-source":
+        start, weights = 0, np.array([math.sqrt(4 * math.pi)])
+    elif dim == 2:
+        start, weights = 1, math.sqrt(math.pi) * np.asarray(f.direction)
+    else:
+        p = np.asarray(f.direction)
+        start, weights = 1, math.sqrt(4 * math.pi / 3) * p[[2, 0, 1]]
+    gains = np.full(1, 0.5 * math.log(R) if dim == 2 else 0.0)
+    columns = np.empty((len(rows), weights.shape[0]))
+    translated_block(f.singularity, 1.0, gains, rule, rows, columns, start)
+    return columns @ weights
 
 
 def _points(rule: QuadratureRule, x) -> tuple[np.ndarray, bool]:
@@ -457,12 +555,6 @@ def eval_on_grid(g: HarmonicDensity, s: Scenario, spec: GridSpec) -> FieldGrid:
     )
 
 
-def surface_l2_norm(f: HarmonicField, rule: QuadratureRule) -> float:
-    """L2 norm of a field over a sphere, by surface quadrature."""
-    vals = np.asarray(eval_field(f, rule.nodes), dtype=float)
-    return rule.l2_norm(vals)
-
-
 def ball_l2_norm(f: HarmonicField, center, radius: float, dim: int,
                  n_shells: int = 32, n_surface: int = 128) -> float:
     """L2 norm of a field over a solid ball, by radial-shell quadrature.
@@ -495,7 +587,7 @@ def auto_epsilon(s: Scenario) -> float:
                              r.radius, s.dim, n_surface=n_surface)
     obs = on_boundary("observation sphere", make_rule, np.zeros(s.dim), s.observation_radius,
                       256 if s.dim == 2 else 32, s.dim)
-    total += surface_l2_norm(s.exterior_target, obs)
+    total += obs.l2_norm(eval_field(s.exterior_target, obs.nodes))
     return 1e-3 * total
 
 

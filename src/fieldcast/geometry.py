@@ -15,7 +15,6 @@ Gauss-Legendre (polar) x trapezoid (azimuth) product grid on spheres.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
@@ -393,124 +392,6 @@ def legendre_table(direction, degree: int) -> np.ndarray:
     for k in range(1, degree + 1):
         table[k + 1, :k] = a[k, :k] * (t * table[k, :k] - b[k, :k] * table[k - 1, :k])
     return table[1:]
-
-
-def _column_blocks(k: int, n: int) -> list[slice]:
-    """Slices covering k columns of n values, 2^15 values or fewer each."""
-    step = max(1, 2**15 // n)
-    return [slice(start, min(start + step, k)) for start in range(0, k, step)]
-
-
-@dataclass(frozen=True)
-class _OrderTables:
-    """The harmonics of a rule's rings, order by order (m = 0 .. L), with the
-    degrees of each order padded to one length D (the degrees 0 .. L on a
-    sphere, the one degree m on a circle), and where each lands."""
-
-    table: np.ndarray        # (L + 1, rings, D): order-m cos harmonics at the rings, 0 padded
-    table_t: np.ndarray      # (L + 1, D, rings): its transpose, contiguous
-    counted: np.ndarray      # (around // 2 + 1,): a real mode counts twice, but for 0 and Nyquist
-    cos: tuple               # (rows, orders, degrees) of the cos (zonal, constant) harmonics
-    sin: tuple               # the same for the sin harmonics, orders >= 1
-
-
-@functools.lru_cache(maxsize=8)
-def _order_tables(directions: bytes, dim: int, degree: int, around: int) -> _OrderTables:
-    """The tables of rules whose rings pass azimuth 0 at the unit vectors
-    ``directions`` (float64 bytes, one per ring), whatever their radius and
-    weights: every control rule of a run shares them, and in 2D every rule
-    of a node count."""
-    u = np.frombuffer(directions).reshape(-1, dim)
-    meridian = np.empty((u.shape[0], harmonic_count(degree, dim) + 1))   # (rings, H)
-    meridian[:, 0] = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim])
-    meridian[:, 1:] = surface_harmonics(u, degree)
-    counted = np.full(around // 2 + 1, 2.0)
-    counted[0] = 1.0
-    if around % 2 == 0:
-        counted[-1] = 1.0
-    # Order m holds the cos harmonic of each degree l >= m (the zonal or the
-    # constant one at m = 0), each followed by its sin harmonic.
-    if dim == 3:
-        degrees, orders = np.tril_indices(degree + 1)
-        rows = degrees**2 + 2 * orders - (orders > 0)
-    else:
-        orders = np.arange(degree + 1)
-        degrees = np.zeros_like(orders)
-        rows = 2 * orders - (orders > 0)
-    table = np.zeros((degree + 1, u.shape[0], degrees.max() + 1))
-    table[orders, :, degrees] = meridian[:, rows].T
-    sin = orders > 0
-    tables = _OrderTables(table=table, table_t=np.ascontiguousarray(table.transpose(0, 2, 1)),
-                          counted=counted, cos=(rows, orders, degrees),
-                          sin=(rows[sin] + 1, orders[sin], degrees[sin]))
-    for a in (table, tables.table_t, counted, *tables.cos, *tables.sin):
-        a.setflags(write=False)
-    return tables
-
-
-def harmonic_transform(rule: QuadratureRule, values) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of nodal values on the rule's orthonormal harmonics, and
-    what the rule does not resolve.
-
-    ``values`` holds one value per node, (n,) or (n, k) for k columns.
-    Returns the coefficients, (H,) or (H, k), on the harmonics of degrees
-    0 .. L (L = :func:`harmonic_degree`) scaled to the rule's radius, which
-    are orthonormal in its weights: the constant first, then the columns of
-    :func:`surface_harmonics` in their order, H = harmonic_count(L) + 1.
-    Also returns, per column, the squared weighted norm of the remainder
-    ``values`` minus its expansion on those harmonics.  That remainder is
-    summed mode by mode, never as ||values||^2 - ||coefficients||^2, so a
-    small remainder keeps its relative accuracy; and the two parts add up to
-    the squared weighted norm of ``values`` (Parseval).
-
-    The rule must have :func:`make_rule`'s layout: equispaced azimuths from
-    angle 0 on a circle, or on each polar ring of a sphere, ring by ring.
-    An ``rfft`` over the azimuth gives each ring's Fourier modes; mode m of
-    the rings, weighted by the ring weights, meets the degree l >= m
-    harmonics of order m through the normalized associated Legendre values
-    at the rings, which :func:`surface_harmonics` computes along the meridian
-    of azimuth 0 (on a circle there is one ring and one degree per order).
-    Modes above L are left over whole; a mode m <= L leaves what its
-    Legendre expansion misses (Atkinson & Han, ch. 2; Trefethen & Weideman,
-    SIAM Rev. 56 (2014)).  All orders go through one batched product, a few
-    columns at a time, so no array of the values' size is made beside them.
-    """
-    dim, radius = rule.boundary.dim, rule.boundary.radius
-    degree = harmonic_degree(rule)
-    around = nodes_around(rule)
-    rings = rule.node_count // around
-    f = np.asarray(values, dtype=float)
-    columns = f.reshape(rule.node_count, -1)
-    k = columns.shape[1]
-    ring_weights = rule.weights[::around]                  # (rings,)
-    t = _order_tables(rule.normals[::around].tobytes(), dim, degree, around)
-    scale = radius ** (-(dim - 1) / 2)
-    fit_scale = (around * scale / t.counted[: degree + 1])[:, None, None]
-    mode_weights = (t.counted[: degree + 1, None] * ring_weights).ravel()
-    coefficients = np.empty((harmonic_count(degree, dim) + 1, k))
-    remainder = np.empty(k)
-    for cols in _column_blocks(k, rule.node_count):
-        # Node (ring i, azimuth j) is row i * around + j, so (c, rings,
-        # around) views a column-major block with the azimuth last.
-        spectrum = np.fft.rfft(columns[:, cols].T.reshape(-1, rings, around), axis=-1)
-        above = spectrum[..., degree + 1:]
-        left = np.einsum("kim,m,i->k", above.real**2 + above.imag**2, t.counted[degree + 1:],
-                         ring_weights)
-        # Modes 0 .. L as (mode, ring) rows of (re, im) pairs: real products.
-        modes = np.ascontiguousarray(spectrum[..., : degree + 1].transpose(2, 1, 0)).view(float)
-        del spectrum, above   # each chunk's arrays go before the next chunk's are made
-        b = t.table_t @ (ring_weights[:, None] * modes)    # (L + 1, D, 2c): cos, -sin pairs
-        b *= scale
-        coefficients[t.cos[0], cols] = b[t.cos[1], t.cos[2], 0::2]
-        coefficients[t.sin[0], cols] = -b[t.sin[1], t.sin[2], 1::2]
-        missed = t.table @ b                               # (L + 1, rings, 2c)
-        missed *= fit_scale
-        np.subtract(modes, missed, out=missed)
-        np.square(missed, out=missed)
-        left += (mode_weights @ missed.reshape(-1, modes.shape[-1])).reshape(-1, 2).sum(1)
-        remainder[cols] = left / around
-        del modes, b, missed
-    return coefficients.reshape(-1, *f.shape[1:]), remainder.reshape(f.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,11 @@ evaluated at a control node.  The outer sphere is concentric with the
 antenna, so its block is the diagonal g_l (delta/R)^(l+dim-2)
 (R/delta)^((dim-1)/2) over the antenna's degrees 1 .. L.  The share of
 each block's norm in the degrees its rows leave out is computed in
-closed form and reported (``ForwardOperator.unresolved``).  Targets are
-projected on each rule's harmonics by quadrature
-(:func:`fieldcast.geometry.harmonic_transform`), and what of them the
-rule leaves over enters the residuals whole.  Both bases are orthonormal,
-so the matrix's singular values are the operator's between the function
-spaces, with no row or column weighting.
+closed form and reported (``ForwardOperator.unresolved``).  A target is
+its coefficients on each rule's harmonics and the norm of its higher
+degrees, in closed form too (:class:`HarmonicTrace`).  Both bases are
+orthonormal, so the matrix's singular values are the operator's between
+the function spaces, with no row or column weighting.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
-                       harmonic_degree, harmonic_transform, surface_harmonics)
+                       harmonic_degree, surface_harmonics)
 from .kernels import dlp_kernel, row_blocks
-from .translation import region_share, translated_block
+from .translation import antenna_gains, region_share, translated_block
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 _DUMP_VERSION = 3
@@ -122,23 +121,17 @@ class HarmonicDensity:
 
 @dataclass(frozen=True)
 class ControlTrace:
-    """One value block per control boundary, regions first, outer sphere last."""
+    """Values at each control rule's nodes, regions first, outer sphere last:
+    the traces of the Nystrom oracles :func:`apply` and :func:`apply_adjoint`."""
 
     blocks: list[np.ndarray]
     rules: list[QuadratureRule]
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.rules):
-            raise ValueError(
-                f"{len(self.blocks)} blocks for {len(self.rules)} control rules"
-            )
-        blocks = [frozen_array(b) for b in self.blocks]
-        for arr, rule in zip(blocks, self.rules):
-            if arr.shape != (rule.node_count,):
-                raise ValueError(
-                    f"block shape {arr.shape} does not match {rule.node_count} nodes"
-                )
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", [frozen_array(b) for b in self.blocks])
+        shapes = [b.shape for b in self.blocks]
+        if shapes != [(rule.node_count,) for rule in self.rules]:
+            raise ValueError(f"block shapes {shapes} do not match the control rules' nodes")
 
     @property
     def concatenated(self) -> np.ndarray:
@@ -148,12 +141,27 @@ class ControlTrace:
         """Product-space norm: root of the summed weighted block norms."""
         return float(np.sqrt(xi_inner(self, self)))
 
-    def __sub__(self, other: "ControlTrace") -> "ControlTrace":
-        _check_same_rules(self.rules, other.rules)
-        return ControlTrace(
-            blocks=[a - b for a, b in zip(self.blocks, other.blocks)],
-            rules=self.rules,
-        )
+
+@dataclass(frozen=True)
+class HarmonicTrace:
+    """A trace by its coefficients on each control rule's orthonormal
+    harmonics of degrees 0 .. D, the constant first, then those of
+    :func:`fieldcast.geometry.surface_harmonics`, and per rule ``outside``,
+    the squared L2 norm of its degrees above D; regions first."""
+
+    blocks: list[np.ndarray]
+    outside: np.ndarray  # (rules,)
+    rules: list[QuadratureRule]
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", [frozen_array(b) for b in self.blocks])
+        object.__setattr__(self, "outside", frozen_array(self.outside))
+        if not len(self.blocks) == len(self.outside) == len(self.rules):
+            raise ValueError(f"{len(self.blocks)} blocks for {len(self.rules)} control rules")
+
+    def norm(self) -> float:
+        """Product-space L2 norm: the coefficients' and ``outside`` together."""
+        return math.sqrt(sum(float(b @ b) for b in self.blocks) + float(np.sum(self.outside)))
 
 
 def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
@@ -316,31 +324,25 @@ class ForwardOperator:
         ends = np.cumsum([r.node_count for r in self.control_rules])[:-1]
         return ControlTrace(blocks=np.split(concatenated, ends), rules=self.control_rules)
 
-    def trace_coefficients(self, v: ControlTrace) -> tuple[np.ndarray, np.ndarray]:
+    def trace_coefficients(self, v: HarmonicTrace) -> tuple[np.ndarray, np.ndarray]:
         """(y, outside): the trace v in the rows of ``matrix``, and per control
-        rule the squared norm of the part of v outside its block's rows.
-
-        Each block of v is projected by
-        :func:`fieldcast.geometry.harmonic_transform`; ``outside`` holds the
-        remainder its rule does not resolve and, on a sphere concentric with
-        the antenna, the harmonics of degrees the antenna does not radiate
-        (degree 0, and those above its degree L).  So ||y[block]||^2 plus
-        ``outside`` is the block's squared weighted norm, and the residual
-        of any density on that block is sqrt(||C c - y||^2 + outside).
+        rule the squared norm of the part of v outside its block's rows: v's
+        own ``outside`` and, on a sphere concentric with the antenna, the
+        harmonics of degrees the antenna does not radiate (degree 0, and
+        those above its degree L).  So ||y[block]||^2 plus ``outside`` is
+        the block's squared norm, and the residual of any density on that
+        block is sqrt(||C c - y||^2 + outside).
         """
         _check_same_rules(self.control_rules, v.rules)
-        y = np.zeros(sum(rows.stop - rows.start for rows in self.block_rows))
-        outside = np.empty(len(self.control_rules))
-        for k, (rule, block, rows) in enumerate(zip(self.control_rules, v.blocks,
-                                                    self.block_rows)):
-            a, rest = harmonic_transform(rule, block)
+        y = np.zeros(self.block_rows[-1].stop)
+        outside = np.array(v.outside)
+        for k, (rule, a, rows) in enumerate(zip(self.control_rules, v.blocks, self.block_rows)):
             if _concentric(self.antenna_rule, rule):
                 kept = min(a.shape[0] - 1, rows.stop - rows.start)
                 y[rows.start: rows.start + kept] = a[1: kept + 1]
-                rest = rest + a[0] ** 2 + a[kept + 1:] @ a[kept + 1:]
+                outside[k] += a[0] ** 2 + a[kept + 1:] @ a[kept + 1:]
             else:
                 y[rows] = a
-            outside[k] = rest
         return y, outside
 
 
@@ -389,7 +391,8 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
     if not _concentric(antenna, rule):
         distance = float(np.linalg.norm(rule.boundary.center - antenna.boundary.center))
         _check_clearance(antenna, distance - rule.boundary.radius)
-        translated_block(antenna, rule, wanted, out)
+        translated_block(antenna.boundary.center, antenna.boundary.radius,
+                         antenna_gains(antenna, rule), rule, wanted, out)
         return _flush_subnormal(out)
     _check_clearance(antenna, rule.boundary.radius)
     start, stop = wanted.start, wanted.stop
@@ -470,8 +473,8 @@ def apply(K: ForwardOperator, h: Density) -> ControlTrace:
 
 
 def block_residuals(K: ForwardOperator, h: HarmonicDensity,
-                    v: ControlTrace) -> tuple[float, ...]:
-    """Weighted L2 norm of K h - v on each control boundary, regions first.
+                    v: HarmonicTrace) -> tuple[float, ...]:
+    """L2 norm of K h - v on each control sphere, regions first.
 
     Computed through the factors from h's coefficients c, whether or not K
     still holds its matrix: C c = Q [U_R diag(sigma) Vt c; 0], one reflector pass
@@ -552,15 +555,16 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
 
 
 # What a run holds beside the operator's arrays: per node of a control rule,
-# about 32 float64 of rules, target and transform temporaries; and a fixed
-# part for the BLAS and module memory a run touches beyond ``import
-# fieldcast.cli`` (the probes' series takes a few vectors of its points, a
-# dump a row block and its bytes).  On demo-3d a run at 31 x 15 (32 nodes a
-# rule), where the arrays are negligible, grows by 3.8 MiB; at 1087 x 63
-# (2048 nodes a rule) by 5.3 MiB and its dump by 6.3, 4.6 MiB above its
-# arrays, the most of any shape measured; on demo-2d 3.3 MiB at 44 x 14
-# (16 nodes a rule) and less at every larger shape, up to 2300 x 766.  The
-# fixed part is that 4.6 MiB with a margin of 30%.
+# about 32 float64 of rules (each sphere's nodes, normals and weights, and
+# the temporaries that make and check them; no target array is sized per
+# node); and a fixed part for the BLAS and module memory a run touches
+# beyond ``import fieldcast.cli`` (the target's first run of degrees above
+# its rule's, the probes' series, a dump's row block and its bytes).  On
+# demo-3d a run at 31 x 15 (32 nodes a rule), where the arrays are
+# negligible, grows by 3.5 MiB; at 1087 x 63 (2048 nodes a rule) its dump by
+# 5.6, 4.4 MiB above its arrays, the most of any shape measured.  The fixed
+# part is that with a margin of 35%; at 16399 x 15 (32768 nodes a rule) a
+# run grows by 14.3 MiB, 10.5 above its arrays, 224 bytes a node beyond it.
 RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
 RUN_OVERHEAD_BYTES = 6 * 2**20
 
@@ -580,17 +584,20 @@ def factorization_bytes(m: int, p: int, columns: int) -> int:
     RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
     imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
     (ru_maxrss, median of 5), in MiB, for ``run`` / ``run --dump-operator``
-    / this estimate, on demo-3d: 3.8 / 3.8 / 6.0 at 31 x 15 (p = 32),
-    5.3 / 6.3 / 7.7 at 1087 x 63 (p = 2048), 15.2 / 15.1 / 19.5 at
-    975 x 399 (p = 1152), 10.8 / 10.8 / 14.5 at 1279 x 255 (p = 2048),
-    25.3 / 25.3 / 31.5 at 1151 x 575 (p = 1152) and 65.7 / 65.8 / 74.0 at
-    1279 x 1023 (p = 512), where the SVD of R sets the peak; on demo-2d
-    (median of 3): 3.3 / 3.2 / 6.0 at 44 x 14 (p = 16), 4.1 / 4.3 / 7.5 at
-    380 x 126 (p = 128), 27.0 / 26.8 / 31.1 at 668 x 638 (p = 16),
-    11.5 / 11.6 / 16.1 at 1788 x 254 (p = 768), 39.6 / 39.4 / 47.8 at
-    1276 x 766 (p = 256) and 47.1 / 47.0 / 59.9 at 2300 x 766 (p = 768).
-    The dump assembles the rows again after the solve, one row block at a
-    time (:func:`dump_operator`)."""
+    / this estimate, on demo-3d: 3.5 / 3.5 / 6.0 at 31 x 15 (p = 32),
+    4.8 / 5.6 / 7.7 at 1087 x 63 (p = 2048), 15.3 / 15.4 / 19.5 at
+    975 x 399 (p = 1152), 11.0 / 11.0 / 14.5 at 1279 x 255 (p = 2048),
+    25.7 / 25.8 / 31.5 at 1151 x 575 (p = 1152), 65.9 / 65.9 / 74.0 at
+    1279 x 1023 (p = 512), where the SVD of R sets the peak, 6.3 / 6.4 /
+    9.0 at 4111 x 15 (p = 8192) and 14.3 / 14.3 / 17.8 at 16399 x 15
+    (p = 32768, median of 3); on demo-2d: 2.9 / 2.8 / 6.0 at 44 x 14
+    (p = 16), 4.2 / 4.3 / 7.5 at 380 x 126 (p = 128), 26.8 / 26.7 / 31.1 at
+    668 x 638 (p = 16), 10.9 / 11.3 / 16.1 at 1788 x 254 (p = 768),
+    39.5 / 39.3 / 47.8 at 1276 x 766 (p = 256), 46.8 / 46.8 / 59.9 at
+    2300 x 766 (p = 768), 4.4 / 5.3 / 8.8 at 8204 x 14 (p = 4096) and
+    12.8 / 12.7 / 17.0 at 32780 x 14 (p = 16384, median of 3).  The dump
+    assembles the rows again after the solve, one row block at a time
+    (:func:`dump_operator`)."""
     k = min(m, columns)
     arrays = 2 * m * columns + 6 * k * k
     return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
@@ -601,11 +608,10 @@ def dump_operator(K: ForwardOperator, path) -> None:
     n_sigma), then the m x M matrix row-major as float64, then the singular
     values, which are the matrix's own.  Rows are each control sphere's
     harmonic coefficients, regions first and the outer sphere last
-    (:attr:`ForwardOperator.block_rows`): on a region's sphere the harmonics
-    of degrees 0 .. D - 1, in the order of
-    :func:`fieldcast.geometry.harmonic_transform`, on the outer sphere those
-    of the antenna's degrees 1 .. L.  Columns are
-    the antenna harmonics of :func:`fieldcast.geometry.surface_harmonics`,
+    (:attr:`ForwardOperator.block_rows`): on a region's sphere the constant,
+    then the harmonics of degrees 1 .. D - 1, on the outer sphere those of
+    the antenna's degrees 1 .. L.  Columns are the antenna's harmonics.  Both
+    run in the order of :func:`fieldcast.geometry.surface_harmonics`,
     degree by degree from 1: in 2D cos then sin of each degree; in 3D the
     zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
     The rows are written one row block at a time, from ``K.matrix`` while K

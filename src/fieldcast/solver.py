@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import RANK_CUTOFF_RTOL, ScenarioValidationError
 from .kernels import row_blocks
-from .operator import (ControlTrace, ForwardOperator, HarmonicDensity, WeightedSVD,
+from .operator import (ForwardOperator, HarmonicDensity, HarmonicTrace, WeightedSVD,
                        block_residuals, weighted_svd)
 
 # Relative tolerance on |residual - epsilon| at which the alpha search stops.
@@ -77,7 +77,7 @@ class _FilterData:
     sigma: np.ndarray    # (k,)
     beta: np.ndarray     # (k,) singular-basis coefficients of the target
     perp_sq: float       # squared norm of the target outside the column span
-    v_norm: float        # ||v||, as ControlTrace.norm gives it
+    v_norm: float        # ||v||, as HarmonicTrace.norm gives it
     svd: WeightedSVD | None = None  # the factorization beta came from, for the floor
 
     def _sums_of_squares(self, alphas: np.ndarray, term) -> np.ndarray:
@@ -174,7 +174,7 @@ def _pow10(x: np.ndarray) -> np.ndarray:  # Python's float power; numpy's may mi
     return np.fromiter((10.0**t for t in x.tolist()), float, len(x))
 
 
-def _filter_data(K: ForwardOperator, v: ControlTrace) -> _FilterData:
+def _filter_data(K: ForwardOperator, v: HarmonicTrace) -> _FilterData:
     """The target's coefficients projected on the singular basis; what lies
     outside the matrix's rows (:meth:`ForwardOperator.trace_coefficients`)
     adds to what lies outside its column span."""
@@ -195,12 +195,12 @@ def sweep_ladder(values, name: str) -> list[float]:
     return ladder
 
 
-def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
+def residual_floor(K: ForwardOperator, v: HarmonicTrace) -> float:
     """Smallest residual the discretization can certify.
 
     Evaluated at the bottom of the alpha bracket with singular values
     below the rank cutoff treated as zero: the continuous operator has
-    dense range, but a fixed set of antenna harmonics and control nodes
+    dense range, but a fixed set of antenna and control harmonics
     does not, and requests below this floor must be reported as
     infeasible rather than silently under-delivered.
     """
@@ -208,7 +208,7 @@ def residual_floor(K: ForwardOperator, v: ControlTrace) -> float:
 
 
 def solve_min_energy(
-    K: ForwardOperator, v: ControlTrace, epsilon: float
+    K: ForwardOperator, v: HarmonicTrace, epsilon: float
 ) -> tuple[HarmonicDensity, SolveReport]:
     """Minimal-energy density's coefficients at residual norm epsilon, found by
     ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
@@ -228,7 +228,7 @@ def solve_min_energy(
     return h, report
 
 
-def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float, float, float]]:
+def sweep_alpha(K: ForwardOperator, v: HarmonicTrace, alphas) -> list[tuple[float, float, float]]:
     """Rows (alpha, residual norm, energy), sorted by alpha ascending."""
     ladder = sweep_ladder(alphas, "alpha")
     data = _filter_data(K, v)
@@ -237,7 +237,7 @@ def sweep_alpha(K: ForwardOperator, v: ControlTrace, alphas) -> list[tuple[float
                     data.energies(alphas).tolist()))
 
 
-def sweep_epsilon(K: ForwardOperator, v: ControlTrace, epsilons) -> list[tuple[float, float, float]]:
+def sweep_epsilon(K: ForwardOperator, v: HarmonicTrace, epsilons) -> list[tuple[float, float, float]]:
     """Rows (epsilon, residual norm, energy) of the minimal-energy solves,
     sorted by epsilon ascending; no density or residual block is formed."""
     ladder = sweep_ladder(epsilons, "epsilon")

@@ -6,8 +6,9 @@ known in closed form (Greengard & Rokhlin, J. Comput. Phys. 73 (1987)
 325-348; Greengard, *The Rapid Evaluation of Potential Fields in Particle
 Systems*, MIT Press 1988; Epton & Dembart, SIAM J. Sci. Comput. 16 (1995)
 865-897).  :func:`translated_block` makes any rows of a region's block from
-it, and :func:`region_share` the share of the block's norm in the degrees
-above its rows, with no field evaluated at a control node.
+it, and of a target's sources, and :func:`region_share` the share of the
+block's norm in the degrees above its rows, with no field evaluated at a
+control node.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
-def _row_orders(rows: range, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def row_orders(rows: range, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(degree, order, sin) of each of a region block's rows: the constant,
     then the harmonics of :func:`fieldcast.geometry.surface_harmonics` in
     their order, cos (or zonal) before sin."""
@@ -39,12 +40,29 @@ def _row_orders(rows: range, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return degree, (k + 1) // 2, (k > 0) & (k % 2 == 0)
 
 
-def translated_block(antenna: QuadratureRule, rule: QuadratureRule, rows: range,
-                     out: np.ndarray) -> None:
-    """Rows ``rows`` of a region's block written into ``out``: each basis
-    field's local expansion about the control centre, in closed form.
+def antenna_gains(antenna: QuadratureRule, rule: QuadratureRule) -> np.ndarray:
+    """:func:`translated_block`'s gains for the antenna's basis columns,
+    degrees 1 .. L: log g_l, in 2D log(g_l / sqrt(delta)) plus the rows'
+    log sqrt(R), g_l the degree's gain of :func:`fieldcast.operator.degree_gains`."""
+    if rule.boundary.dim == 2:
+        gain = 0.5 * math.log(rule.boundary.radius / antenna.boundary.radius) - math.log(2.0)
+        return np.full(harmonic_degree(antenna), gain)
+    l = np.arange(1, harmonic_degree(antenna) + 1)
+    return np.log(l / (2.0 * l + 1))
 
-    In 3D basis column (l, m) radiates g_l delta^l times a real combination
+
+def translated_block(center, radius: float, gains: np.ndarray, rule: QuadratureRule,
+                     rows: range, out: np.ndarray, start: int = 1) -> None:
+    """Rows ``rows``, of any degrees, of the local expansion about the
+    control centre of multipole columns about ``center``, written into
+    ``out`` in closed form.  Column (l, j), l = start .. start + len(gains)
+    - 1 and j its harmonics in :func:`fieldcast.geometry.surface_harmonics`'
+    order, is the field e^(gains[l - start]) radius^l Y_j(x^) / |x|^(l+dim-2),
+    x the offset from ``center`` and Y_j orthonormal on the unit sphere (in
+    2D from l = 1, the gains carrying the rows' scale sqrt(R)): the
+    antenna's basis fields (:func:`antenna_gains`), a point source, a dipole.
+
+    In 3D column (l, m) is a real combination
     of I_l^{+-m}(x) = C_l^{+-m}(x^) / |x|^(l+1), C_n^q = sqrt(4 pi / (2n + 1))
     Y_n^q with the Condon-Shortley phase, and about the control centre a
     I_l^m(a + w) = sum_{lam, mu} (-1)^(lam+mu) [C(n-q, lam+mu) C(n+q, lam-mu)]^(1/2)
@@ -53,30 +71,30 @@ def translated_block(antenna: QuadratureRule, rule: QuadratureRule, rows: range,
     terms mu = nu and mu = -nu, so each entry takes the table of I_n^q(a)
     at q = m - nu and q = m + nu, times the magnitude of its row, its column
     and that table, summed as logarithms (log-gamma for the factorials) and
-    exponentiated once, so that none overflows.  In 2D column l radiates
-    (1/2) delta^(l - 1/2) / sqrt(pi) times the real or imaginary part of
-    (c + w)^(-l) = sum_k (-1)^k C(l+k-1, k) w^k / c^(l+k), with x = c + w
-    as complex numbers.  An entry depends on its row and column alone, bit
-    for bit, and the columns are made one antenna order (in 2D a few
-    degrees) at a time."""
+    exponentiated once, so that none overflows.  In 2D column l is
+    the real or imaginary part of (c + w)^(-l) = sum_k (-1)^k C(l+k-1, k)
+    w^k / c^(l+k), with x = c + w as complex numbers.  An entry depends on
+    its row and column alone, bit for bit, and the columns are made one
+    order (in 2D a few degrees) at a time."""
     dim = rule.boundary.dim
-    offset = rule.boundary.center - antenna.boundary.center
-    dist, radius = float(np.linalg.norm(offset)), rule.boundary.radius
-    degree, top = harmonic_degree(antenna), harmonic_degree(antenna) + harmonic_degree(rule)
-    near, far = math.log(antenna.boundary.radius / dist), math.log(radius / dist)
+    offset = rule.boundary.center - center
+    dist, R = float(np.linalg.norm(offset)), rule.boundary.radius
+    degree = start + len(gains) - 1
+    lam, nu, sin = row_orders(rows, dim)
+    top = degree + int(lam.max(initial=0))
+    near, far = math.log(radius / dist), math.log(R / dist)
     factorial = _log_factorials(2 * top)
-    lam, nu, sin = _row_orders(rows, dim)
     with np.errstate(under="ignore"):
         if dim == 2:
-            _translated_2d(out, degree, top, lam, sin, near, far, factorial, offset,
-                           0.5 * math.log(radius / antenna.boundary.radius) - math.log(2.0))
+            _translated_2d(out, degree, top, lam, sin, near, far, factorial, offset, gains)
         else:
-            _translated_3d(out, degree, top, lam, nu, sin, near, far, factorial, offset / dist)
+            _translated_3d(out, degree, start, gains, top, lam, nu, sin, near, far, factorial,
+                           offset / dist)
 
 
-def _translated_2d(out, degree, top, k, sin, near, far, factorial, offset, scale) -> None:
+def _translated_2d(out, degree, top, k, sin, near, far, factorial, offset, gains) -> None:
     """:func:`translated_block` in 2D.  Row degree k and column degree l
-    take a = (-1)^k (1/2) sqrt(R/delta) (delta/|c|)^l (R/|c|)^k C(l+k-1, k),
+    take a = (-1)^k e^(gains[l - 1]) (radius/|c|)^l (R/|c|)^k C(l+k-1, k),
     sqrt(2) times that on the constant row, and t = (l + k) arg c: a cos
     column a cos(t) on the constant and cos rows and a sin(t) on the sin
     row, a sin column a sin(t) and -a cos(t)."""
@@ -88,15 +106,16 @@ def _translated_2d(out, degree, top, k, sin, near, far, factorial, offset, scale
     for cols in row_blocks(degree, k.shape[0]):
         l = np.arange(cols.start + 1, cols.stop + 1)
         n = k[:, None] + l
-        mag = np.exp(row[:, None] + (l * near - factorial[l - 1] + scale) + factorial[n - 1])
+        mag = np.exp(row[:, None] + (l * near - factorial[l - 1] + gains[l - 1]) + factorial[n - 1])
         mag *= sign[:, None]
         re, im = mag * cos[n], mag * sin_[n]
         out[:, 2 * cols.start: 2 * cols.stop: 2] = np.where(sin[:, None], im, re)
         out[:, 2 * cols.start + 1: 2 * cols.stop: 2] = np.where(sin[:, None], -re, im)
 
 
-def _translated_3d(out, degree, top, lam, nu, sin, near, far, factorial, direction) -> None:
-    """:func:`translated_block` in 3D, one antenna order m at a time.
+def _translated_3d(out, degree, start, gains, top, lam, nu, sin, near, far, factorial,
+                   direction) -> None:
+    """:func:`translated_block` in 3D, one column order m at a time.
 
     Tables over (q, n), q = -top .. top and n = 0 .. top: the log of
     sqrt((n-q)! (n+q)! / (2n + 1)), and C_n^q(a^) sqrt((2n + 1) / (4 pi))
@@ -134,20 +153,20 @@ def _translated_3d(out, degree, top, lam, nu, sin, near, far, factorial, directi
     cos, sin_ = np.cos(azimuth), np.sin(azimuth)
     shifts = np.stack([-nu, nu]) + top
     starts = shifts * (top + 1) + lam
-    # Column (l, m): log g_l + l log(delta/|a|) - log sqrt((l-m)! (l+m)! / (4 pi (2l + 1))).
-    l, orders = np.arange(1, degree + 1), np.arange(degree + 1)[:, None]
-    cols = (np.log(l / (2.0 * l + 1)) + l * near + 0.5 * np.log(4 * math.pi * (2 * l + 1.0))
+    # Column (l, m): gain + l log(radius/|a|) - log sqrt((l-m)! (l+m)! / (4 pi (2l + 1))).
+    l, orders = np.arange(start, degree + 1), np.arange(degree + 1)[:, None]
+    cols = (gains + l * near + 0.5 * np.log(4 * math.pi * (2 * l + 1.0))
             - 0.5 * (factorial[np.abs(l - orders)] + factorial[l + orders]))
     for m in range(degree + 1):
-        l = np.arange(max(m, 1), degree + 1)
+        l = np.arange(max(m, start), degree + 1)
         index = (starts + m * (top + 1))[..., None] + l
-        e = np.exp(row[:, None] + cols[m, l - 1] + logs[index])
+        e = np.exp(row[:, None] + cols[m, l - start] + logs[index])
         e *= values[index]
         weight = weights[min(m, 1)] * (-1.0 if m % 2 else 1.0)
         a, b = e * (weight * cos[shifts + m])[..., None]
         c, d = e * (weight * sin_[shifts + m])[..., None]
-        # Column l*l - 1 is degree l's zonal harmonic, 2m - 1 and 2m after it its order-m pair.
-        first = l * l - 1 + max(2 * m - 1, 0)
+        # Column l*l - start^2 is degree l's zonal harmonic, 2m - 1 and 2m after it its order-m pair.
+        first = l * l - start * start + max(2 * m - 1, 0)
         out[:, first] = np.concatenate([a + b, d - c])[taken]
         if m:
             out[:, first + 1] = np.concatenate([c + d, a - b])[taken]

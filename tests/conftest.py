@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, assemble_forward,
-                       build_rules, build_target, dlp_kernel, load_scenario, solve_min_energy,
-                       solver, weighted_svd)
+from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, HarmonicTrace,
+                       assemble_forward, build_rules, build_target, dlp_kernel, load_scenario,
+                       solve_min_energy, solver, weighted_svd)
 from fieldcast.fields import radiated_field, resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
-                                harmonic_degree, harmonic_transform, make_rule,
-                                surface_harmonics)
+                                harmonic_degree, make_rule, surface_harmonics)
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
 from fieldcast.solver import InfeasibleAccuracyError
 
@@ -43,14 +42,24 @@ def rule_harmonics(rule, degree=None):
     """The rule's orthonormal harmonics of degrees 0 .. L at its nodes, an
     (n, H) array formed explicitly: the constant, then the degrees 1 .. L
     of ``HarmonicDensity.basis``; with ``degree`` (at most L) only those of
-    degrees 0 .. ``degree``, at the same scale.  The oracle for
-    ``harmonic_transform``, whose coefficients of f are rule_harmonics^T W f."""
+    degrees 0 .. ``degree``, at the same scale.  The coefficients of nodal
+    values f are rule_harmonics^T W f (``explicit_coefficients``)."""
     dim = rule.boundary.dim
     scale = rule.boundary.radius ** (-(dim - 1) / 2)
     basis = (HarmonicDensity.basis(rule) if degree is None
              else surface_harmonics(rule.normals, degree) * scale)
     constant = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]) * scale
     return np.hstack([np.full((rule.node_count, 1), constant), basis])
+
+
+def explicit_coefficients(rule, values, degree=None):
+    """(a, outside): nodal values (n,) or (n, k) projected on the rule's
+    ``rule_harmonics`` of degrees 0 .. ``degree`` explicitly, and the
+    squared weighted norm of what the projection leaves out, per column."""
+    harmonics = rule_harmonics(rule, degree)
+    w = rule.weights if np.ndim(values) == 1 else rule.weights[:, None]
+    a = harmonics.T @ (w * values)
+    return a, np.sum(w * (values - harmonics @ a) ** 2, axis=0)
 
 
 def basis_fields(antenna, points):
@@ -69,20 +78,20 @@ def basis_fields(antenna, points):
 def quadrature_block(antenna, rule):
     """The quadrature assembly of a region's block, the oracle for the
     translated one: the fields of the basis densities at the rule's nodes
-    (``basis_fields``) projected on its harmonics by ``harmonic_transform``,
+    (``basis_fields``) projected on its harmonics (``explicit_coefficients``),
     and the share of their nodal block's weighted Frobenius norm that the
     rule does not resolve.  On a rule of D degrees its rows hold the block's
     degrees 0 .. D plus what the nodes fold into them from above D."""
-    block, rest = harmonic_transform(rule, basis_fields(antenna, rule.nodes))
+    block, rest = explicit_coefficients(rule, basis_fields(antenna, rule.nodes))
     rest = float(np.sum(rest))
     return block, math.sqrt(rest / (float(np.sum(block**2)) + rest))
 
 
 def projected(g):
     """The coefficient density of a nodal density g: g projected on its
-    rule's harmonics by ``harmonic_transform``, degree 0 dropped, as it
+    rule's harmonics (``explicit_coefficients``), degree 0 dropped, as it
     radiates nothing outside the antenna."""
-    return HarmonicDensity(g.rule, harmonic_transform(g.rule, g.values)[0][1:])
+    return HarmonicDensity(g.rule, explicit_coefficients(g.rule, g.values)[0][1:])
 
 
 def block_harmonics(K, rule, rows):
@@ -95,27 +104,29 @@ def block_harmonics(K, rule, rows):
     return values
 
 
-def trace_of(K, y):
-    """The nodal trace whose coefficients in K's rows are y (and nothing else):
-    each block synthesized on its rule's harmonics, explicitly."""
+def trace_of(K, y, outside=None):
+    """The coefficient trace whose coefficients in K's rows are y, and whose
+    squared norms outside them are ``outside`` (zero by default): on a
+    sphere concentric with the antenna, those of the degrees 1 .. L the
+    rule resolves."""
     blocks = []
     for rule, rows in zip(K.control_rules, K.block_rows):
-        values = block_harmonics(K, rule, rows)
-        blocks.append(values @ y[rows][: values.shape[1]])
-    return ControlTrace(blocks=blocks, rules=K.control_rules)
+        block = np.zeros(harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1)
+        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+            block[1:] = y[rows][: block.shape[0] - 1]
+        else:
+            block[:] = y[rows]
+        blocks.append(block)
+    outside = np.zeros(len(blocks)) if outside is None else outside
+    return HarmonicTrace(blocks=blocks, outside=outside, rules=K.control_rules)
 
 
-def explicit_coefficients(K, v):
-    """(y, outside) of ``K.trace_coefficients(v)``, formed explicitly from
-    ``block_harmonics``: v's coefficients in K's rows, and per block the
-    squared weighted norm of what of v they leave out."""
-    y, outside = np.zeros(K.matrix.shape[0]), []
-    for rule, block, rows in zip(K.control_rules, v.blocks, K.block_rows):
-        values = block_harmonics(K, rule, rows)
-        a = values.T @ (rule.weights * block)
-        y[rows][: a.shape[0]] = a
-        outside.append(rule.l2_norm(block - values @ a) ** 2)
-    return y, np.array(outside)
+def harmonic_trace(t):
+    """The coefficient trace of a nodal one: each block projected on its
+    rule's harmonics (``explicit_coefficients``), the rest outside."""
+    parts = [explicit_coefficients(rule, block) for rule, block in zip(t.rules, t.blocks)]
+    return HarmonicTrace(blocks=[a for a, _ in parts], outside=[rest for _, rest in parts],
+                         rules=t.rules)
 
 
 def assert_residuals_match_the_matrix(K, h, v):
@@ -123,10 +134,11 @@ def assert_residuals_match_the_matrix(K, h, v):
     C c - y, c h's coefficients and y those of v, plus v's part outside
     each block, block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1
     ||c|| + ||v||).  And each against the nodal residual, the fields of
-    ``basis_fields`` at the control nodes minus v, within that rounding
-    bound plus ||c|| times the weighted Frobenius norm of the fields the
-    block's rows leave out: the nodal fields minus those the kept rows
-    synthesize (``block_harmonics``), and the rows a concentric rule cannot
+    ``basis_fields`` at the control nodes minus v's coefficients
+    synthesized there (``block_harmonics``), with v's part outside added,
+    within that rounding bound plus ||c|| times the weighted Frobenius norm
+    of the fields the block's rows leave out: the nodal fields minus those
+    the kept rows synthesize, and the rows a concentric rule cannot
     resolve."""
     c = h.coefficients
     y, outside = K.trace_coefficients(v)
@@ -138,15 +150,15 @@ def assert_residuals_match_the_matrix(K, h, v):
     factored = block_residuals(K, h, v)
     for got, expected in zip(factored, direct, strict=True):
         assert abs(got - expected) <= bound
-    for got, rule, block, rows in zip(factored, K.control_rules, v.blocks, K.block_rows,
-                                      strict=True):
+    for got, rule, rows, rest in zip(factored, K.control_rules, K.block_rows, outside,
+                                     strict=True):
         nodal = basis_fields(K.antenna_rule, rule.nodes)
         harmonics = block_harmonics(K, rule, rows)
         kept = harmonics.shape[1]
         left = nodal - harmonics @ K.matrix[rows][:kept]
         tail = (math.sqrt(float(rule.weights @ np.sum(left**2, axis=1)))
                 + float(np.linalg.norm(K.matrix[rows][kept:])))
-        expected = rule.l2_norm(nodal @ c - block)
+        expected = math.sqrt(rule.l2_norm(nodal @ c - harmonics @ y[rows][:kept]) ** 2 + rest)
         assert abs(got - expected) <= tail * np.linalg.norm(c) + bound
 
 

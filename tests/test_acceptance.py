@@ -21,7 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, random_mismatches, random_on_sphere
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, projected, random_mismatches,
+                      random_on_sphere)
 from fieldcast import (
     ControlTrace,
     Density,
@@ -42,8 +43,7 @@ from fieldcast import (
 )
 from fieldcast.certify import empirical_mismatches
 from fieldcast.fields import eval_double_layer, eval_field, scenario_difference_fields
-from fieldcast.geometry import harmonic_transform
-from fieldcast.operator import HarmonicDensity, block_residuals
+from fieldcast.operator import block_residuals
 from fieldcast.solver import residual_floor
 from test_solver import _qp_oracle_energy, _random_instance
 
@@ -282,8 +282,7 @@ def test_criterion_8_certificate_soundness(demo2d_parts):
     violations = 0
     worst_margin = np.inf
     for _ in range(20):
-        values = rng.normal(size=antenna.node_count)
-        h = HarmonicDensity(antenna, harmonic_transform(antenna, values)[0][1:])
+        h = projected(Density(rule=antenna, values=rng.normal(size=antenna.node_count)))
         cert = certify_solution(block_residuals(K, h, v), s)
         maxima = random_mismatches(h, fields, s, rng, 500)
         for observed, entry in zip(maxima, cert):

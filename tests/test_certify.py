@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, projected,
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, harmonic_trace, projected,
                       random_mismatches)
 from fieldcast import (
     Density,
@@ -107,7 +107,7 @@ class TestCertifySolution:
         s, antenna, controls, K, v = demo2d_parts
         rng = np.random.default_rng(5)
         h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-        exact_v = apply(K, h)
+        exact_v = harmonic_trace(apply(K, h))
         cert = certify_solution(block_residuals(K, projected(h), exact_v), s)
         scale = exact_v.norm()
         for entry in cert:
@@ -211,7 +211,7 @@ class TestSampling:
     def test_probes_move_by_rounding_of_the_coefficients(self, request, parts, epsilon):
         # Just above each floor, where ||c|| is about 1.5e7 and the probes
         # keep about 11 digits.  The solved coefficients c against their
-        # round trip through nodal values (harmonic_transform of nodal()),
+        # round trip through nodal values (``projected`` of nodal()),
         # which differ by rounding of size u ||c||: each probe's sampled
         # maximum moves by at most 20 u ||c|| max ||basis_fields(x)|| over
         # its sphere.  That norm depends on |x| alone and falls with it, so

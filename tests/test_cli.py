@@ -18,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset
-from fieldcast import (HarmonicDensity, assemble_forward, build_rules, certify, cli, fields,
-                       operator, solver)
+from fieldcast import (HarmonicDensity, assemble_forward, build_rules, build_target, certify, cli,
+                       fields)
 from fieldcast.cli import main
-from fieldcast.geometry import harmonic_transform
 from fieldcast.operator import factorization_bytes, load_operator_dump
+from fieldcast.scenario_io import load_scenario
+from fieldcast.solver import residual_floor
 
 DEMO_2D = str(PRESETS / "demo-2d.scn")
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -522,26 +523,29 @@ def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
 
 # ``import fieldcast``, then ``python -m fieldcast <argv>`` in the same fresh
 # process; prints, after the run's own output, its exit code and whether
-# numpy.random was loaded after each.
+# numpy.random and numpy.fft were loaded after each.
 _WITHOUT_RANDOM = ("import runpy, sys\n"
                    "import fieldcast\n"
-                   "imported = 'numpy.random' in sys.modules\n"
+                   "def loaded():\n"
+                   "    return [name in sys.modules for name in ('numpy.random', 'numpy.fft')]\n"
+                   "imported = loaded()\n"
                    "try:\n"
                    "    runpy.run_module('fieldcast', run_name='__main__', alter_sys=True)\n"
                    "except SystemExit as exc:\n"
-                   "    print(exc.code, imported, 'numpy.random' in sys.modules)\n")
+                   "    print(exc.code, *imported, *loaded())\n")
 
 
 @pytest.mark.parametrize("preset, epsilon", [("demo-2d", "6.5"), ("demo-3d", "0.6")])
 def test_run_never_imports_numpy_random(preset, epsilon, tmp_path):
-    # The probes are a lattice, so a run draws no random numbers.
+    # The probes are a lattice, so a run draws no random numbers; and the
+    # targets are translated in closed form, so it takes no FFT.
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", _WITHOUT_RANDOM, "run",
                           str(PRESETS / f"{preset}.scn"), "--epsilon", epsilon,
                           "--out", str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 False False"
+    assert out.splitlines()[-1] == "0 False False False False"
 
 
 @pytest.mark.parametrize("argv", [
@@ -552,22 +556,80 @@ def test_run_never_imports_numpy_random(preset, epsilon, tmp_path):
 def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
     # The density is its coefficients from the solve to the report, the
     # grid and the dump: nothing synthesizes its nodal values or forms the
-    # nodal basis.  Only the target's projection runs the harmonic
-    # transform: assembly translates the basis fields in closed form and
-    # evaluates none at a control node.
+    # nodal basis.  And assembly translates the basis fields, the target
+    # the wanted fields, in closed form: no field is evaluated at a control node.
     monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
     monkeypatch.setattr(HarmonicDensity, "basis", staticmethod(_never_called))
-    callers = set()
+    nodes, points = set(), []
 
-    def transform(*args):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return harmonic_transform(*args)
+    def recorded(scenario, _fn=cli.build_rules):
+        antenna, controls = _fn(scenario)
+        nodes.update(map(tuple, np.concatenate([r.nodes for r in controls]).tolist()))
+        return antenna, controls
 
-    for module in (cli, certify, fields, operator, solver):
-        if hasattr(module, "harmonic_transform"):
-            monkeypatch.setattr(module, "harmonic_transform", transform)
+    def evaluated(f, x, _fn=fields.eval_field):
+        points.extend(map(tuple, np.atleast_2d(x).tolist()))
+        return _fn(f, x)
+
+    monkeypatch.setattr(cli, "build_rules", recorded)
+    monkeypatch.setattr(fields, "eval_field", evaluated)
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert callers == {"trace_coefficients"}
+    assert nodes and nodes.isdisjoint(points)
+
+
+# Per kind: the preset, the region centre's coordinate on the axis the source
+# is moved along, and the region's field text before and after: the control
+# radius set to 2.5, the source at %r on that axis, 2.5 (1 + gap) below the
+# centre, just outside the control sphere.
+_NEAR_SOURCES = {
+    "log-source": ("demo-2d", 12.0, "field: {kind: log-source, location: [0.0, 0.0]}",
+                   "control-radius: 2.5\n    field: {kind: log-source, location: [0.0, %r]}"),
+    "dipole-2d": ("demo-2d", 10.0,
+                  "field: {kind: dipole, location: [0.0, 0.0], direction: [1.0, 0.0]}",
+                  "control-radius: 2.5\n    field: {kind: dipole, location: [%r, 0.0], "
+                  "direction: [1.0, 1.0]}"),
+    "point-source": ("demo-3d", 10.0, "field: {kind: point-source, location: [0.0, 0.0, 0.0]}",
+                     "control-radius: 2.5\n    field: {kind: point-source, "
+                     "location: [%r, 0.0, 0.0]}"),
+    "dipole-3d": ("demo-3d", 10.0, "field: {kind: point-source, location: [0.0, 0.0, 0.0]}",
+                  "control-radius: 2.5\n    field: {kind: dipole, location: [%r, 0.0, 0.0], "
+                  "direction: [1.0, 1.0, 1.0]}"),
+}
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8])
+@pytest.mark.parametrize("kind", list(_NEAR_SOURCES))
+def test_source_near_a_control_sphere_is_bounded_in_seconds(kind, gap, tmp_path, capsys):
+    # The target's degrees above the rule's fall off like (1 + gap)^-k, too
+    # slowly to sum to rounding: past its cap the sum adds its bound, so the
+    # residuals hold it and every certificate stays sound.  The run takes a
+    # budget a tenth of the way from the floor to ||v||, as the benchmark's
+    # jobs do, and either certifies or names the sphere.
+    preset, center, old, new = _NEAR_SOURCES[kind]
+    text = (PRESETS / f"{preset}.scn").read_text()
+    assert old in text
+    path = tmp_path / "near.scn"
+    path.write_text(text.replace(old, new % (center - 2.5 * (1 + gap)), 1))
+    s = load_scenario(path)
+    try:
+        antenna, controls = build_rules(s)
+        v = build_target(s, controls)
+    except ValueError:
+        epsilon = 1.0
+    else:
+        floor = residual_floor(assemble_forward(antenna, controls), v)
+        epsilon = floor + 0.1 * (v.norm() - floor)
+    t0 = time.perf_counter()
+    code = _run(["run", str(path), "--out", str(tmp_path / "out"), "--epsilon", repr(epsilon)])
+    assert time.perf_counter() - t0 < 10.0
+    if code == 3:
+        assert "region 1 control sphere" in capsys.readouterr().err
+        return
+    assert code == 0
+    report = (tmp_path / "out" / "report.txt").read_text().split("[timings]")[0]
+    assert not re.search(r": -?(nan|inf)\n", report)
+    within = [line for line in report.splitlines() if "within-bound" in line]
+    assert within and all(line.endswith(": yes") for line in within)
 
 
 def test_assembled_operator_holds_no_nodal_basis():

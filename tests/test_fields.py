@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import projected, stencil_laplacian
+from conftest import explicit_coefficients, projected, stencil_laplacian
 from fieldcast import (
     Density,
     HarmonicDensity,
@@ -31,9 +31,10 @@ from fieldcast import (
 )
 from fieldcast import kernels
 from fieldcast.cli import write_grid
-from fieldcast.fields import GridSpec, _distance, auto_epsilon, ball_l2_norm, default_grid
+from fieldcast.fields import (GridSpec, _distance, _wanted_block, auto_epsilon, ball_l2_norm,
+                             default_grid)
 from fieldcast.geometry import (SEPARATION_RTOL, harmonic_count, harmonic_degree, make_rule,
-                                with_defaults)
+                                make_sphere_rule, with_defaults)
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
 
@@ -114,12 +115,78 @@ class TestCatalogHarmonicity:
             harmonic_polynomial({(4, 0): 1.0, (2, 2): -6.0, (0, 4): 1.0}, 2)
 
 
+def _explicit_target(f, rule, n):
+    """(a, outside, norm^2): the field f at the nodes of ``make_rule``'s rule
+    of n nodes (polar nodes in 3D) on the rule's sphere, projected on its
+    harmonics of the rule's degrees 0 .. D explicitly; what the projection
+    leaves out; and the squared norm of f there."""
+    fine = make_rule(rule.boundary.center, rule.boundary.radius, n, rule.boundary.dim)
+    values = eval_field(f, fine.nodes)
+    a, outside = explicit_coefficients(fine, values, harmonic_degree(rule))
+    return a, outside, fine.l2_norm(values) ** 2
+
+
+def _assert_explicit_target(block, outside, f, rule, n):
+    # Where the n-node rule resolves the field to rounding, the block is its
+    # projection within 2e-13 of the field's norm, and ``outside`` its
+    # remainder within 1e-6, or 1e-15 of the squared norm.
+    a, rest, total = _explicit_target(f, rule, n)
+    assert np.max(np.abs(block - a)) <= 2e-13 * np.sqrt(total)
+    assert outside == pytest.approx(rest, rel=1e-6, abs=1e-15 * total)
+
+
+# Control rules of make_rule's layout, and product rules whose azimuth count
+# is odd or does not follow the polar count: a target reads only their
+# spheres and the degrees D they resolve.
+_TARGET_RULES = [
+    (lambda: make_rule(np.zeros(2), 1.0, 4, 2), "circle-4"),
+    (lambda: make_rule((0.5, -1.0), 2.5, 17, 2), "circle-17"),
+    (lambda: make_rule((3.0, 0.0), 0.7, 128, 2), "circle-128"),
+    (lambda: make_rule(np.zeros(3), 1.0, 2, 3), "sphere-2"),
+    (lambda: make_rule((10.0, 0.0, -2.0), 1.5, 7, 3), "sphere-7"),
+    (lambda: make_rule(np.zeros(3), 20.0, 24, 3), "sphere-24"),
+    (lambda: make_sphere_rule((0.0, 1.0, 0.0), 2.0, 10, 9), "sphere-10x9"),
+    (lambda: make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32), "sphere-3x32"),
+]
+
+
+def _field_of_kind(kind, rule):
+    """A wanted field of the kind about the rule's sphere; a singular one
+    1.6 R from its centre."""
+    dim, center = rule.boundary.dim, rule.boundary.center
+    direction = np.array([0.6, -0.8] if dim == 2 else [0.48, -0.64, 0.6])
+    s = center + 1.6 * rule.boundary.radius * direction
+    if kind == "source":
+        return log_source(s) if dim == 2 else point_source(s)
+    if kind == "dipole":
+        return dipole(s, (0.3, -1.2, 0.5)[:dim])
+    if kind == "constant":
+        return constant_field(-1.5)
+    return harmonic_polynomial({(3, 0): 1.0, (1, 2): -3.0, (0, 1): 2.0} if dim == 2 else
+                               {(1, 1, 1): 1.0, (0, 0, 3): 1.0, (2, 0, 1): -3.0, (1, 0, 0): 2.0},
+                               dim)
+
+
+@pytest.mark.parametrize("kind", ["source", "dipole", "polynomial", "constant"])
+@pytest.mark.parametrize("make", [m for m, _ in _TARGET_RULES], ids=[i for _, i in _TARGET_RULES])
+def test_target_block_is_the_explicit_projection(make, kind):
+    # In closed form, against the explicit projection of the field's values
+    # on a rule that resolves every degree above rounding (the fields fall
+    # off like 0.625^k; 256 circle nodes, or 56 Gauss rings, alias in only
+    # the degrees above 190 or 88); a polynomial's degrees above a rule of
+    # degree 1 go to ``outside``.
+    rule = make()
+    f = _field_of_kind(kind, rule)
+    block, outside = _wanted_block([(f, 1.0)], rule)
+    assert block.shape == (harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1,)
+    _assert_explicit_target(block, outside, f, rule, 256 if rule.boundary.dim == 2 else 56)
+
+
 class TestBuildTarget:
     def test_log_target_blocks(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
-        expected = -np.log(np.linalg.norm(controls[0].nodes, axis=1))
-        assert np.allclose(v.blocks[0], expected, rtol=1e-15)
-        assert np.all(v.blocks[-1] == 0.0)
+        _assert_explicit_target(v.blocks[0], v.outside[0], s.regions[0].target, controls[0], 512)
+        assert np.all(v.blocks[-1] == 0.0) and v.outside[-1] == 0.0
 
     def test_matching_targets_cancel(self):
         # Region 2 keeps the trace nonzero, so build_target returns it.
@@ -131,12 +198,11 @@ class TestBuildTarget:
             observation_radius=15.0, exterior_target=f, epsilon=1.0))
         _, controls = build_rules(s)
         v = build_target(s, controls)
-        assert np.all(v.blocks[0] == 0.0)
+        assert np.all(v.blocks[0] == 0.0) and v.outside[0] == 0.0
 
     def test_3d_point_source_block(self, demo3d_parts):
         s, antenna, controls, K, v = demo3d_parts
-        expected = 1.0 / np.linalg.norm(controls[0].nodes, axis=1)
-        assert np.allclose(v.blocks[0], expected, rtol=1e-15)
+        _assert_explicit_target(v.blocks[0], v.outside[0], s.regions[0].target, controls[0], 40)
 
     def test_all_zero_fields_give_exactly_zero_target(self):
         s = with_defaults(Scenario(

@@ -22,9 +22,9 @@ from fieldcast import (
     zero_field,
 )
 from fieldcast.fields import dipole, log_source
-from conftest import load_preset, rule_harmonics
+from conftest import load_preset
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization,
-                                build_rules, harmonic_count, harmonic_degree, harmonic_transform,
+                                build_rules, harmonic_count, harmonic_degree,
                                 legendre_orders, legendre_table, make_rule, nodes_around,
                                 rule_degree, surface_harmonics)
 
@@ -165,85 +165,6 @@ class TestSurfaceHarmonics:
         zonal = np.polynomial.legendre.Legendre.basis(degree)(u @ u.T)
         expected = (2 * degree + 1) / (4 * math.pi) * zonal
         assert np.max(np.abs(y[:, cols] @ y[:, cols].T - expected)) <= 1e-13 * (2 * degree + 1)
-
-
-# Rules of make_rule's layout, and product rules whose azimuth count is odd
-# or does not follow the polar count.
-_TRANSFORM_RULES = [
-    (lambda: make_rule(np.zeros(2), 1.0, 4, 2), "circle-4"),
-    (lambda: make_rule((0.5, -1.0), 2.5, 17, 2), "circle-17"),
-    (lambda: make_rule((3.0, 0.0), 0.7, 128, 2), "circle-128"),
-    (lambda: make_rule(np.zeros(3), 1.0, 2, 3), "sphere-2"),
-    (lambda: make_rule((10.0, 0.0, -2.0), 1.5, 7, 3), "sphere-7"),
-    (lambda: make_rule(np.zeros(3), 20.0, 24, 3), "sphere-24"),
-    (lambda: make_sphere_rule((0.0, 1.0, 0.0), 2.0, 10, 9), "sphere-10x9"),
-    (lambda: make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32), "sphere-3x32"),
-]
-
-
-@pytest.mark.parametrize("make", [m for m, _ in _TRANSFORM_RULES],
-                         ids=[i for _, i in _TRANSFORM_RULES])
-class TestHarmonicTransform:
-    def test_matches_the_explicit_weighted_product(self, make):
-        rule = make()
-        harmonics = rule_harmonics(rule)
-        values = np.random.default_rng(rule.node_count).normal(size=(rule.node_count, 5))
-        coefficients, remainder = harmonic_transform(rule, values)
-        expected = harmonics.T @ (rule.weights[:, None] * values)
-        scale = np.sqrt(rule.weights @ values**2)
-        assert coefficients.shape == (harmonic_transform(rule, values[:, 0])[0].shape[0], 5)
-        assert coefficients.shape[0] == harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1
-        assert np.all(np.abs(coefficients - expected) <= 1e-13 * scale)
-        # The remainder is what the synthesis of the coefficients leaves over.
-        left = values - harmonics @ expected
-        assert np.all(np.abs(remainder - rule.weights @ left**2) <= 1e-13 * scale**2)
-
-    def test_parseval(self, make):
-        rule = make()
-        values = np.random.default_rng(7).normal(size=(rule.node_count, 3))
-        coefficients, remainder = harmonic_transform(rule, values)
-        norm_sq = rule.weights @ values**2
-        assert np.all(np.abs(np.sum(coefficients**2, axis=0) + remainder - norm_sq)
-                      <= 1e-12 * norm_sq)
-
-    def test_single_harmonics_below_the_resolution_are_exact(self, make):
-        rule = make()
-        harmonics = rule_harmonics(rule)
-        coefficients, remainder = harmonic_transform(rule, harmonics)
-        assert np.max(np.abs(coefficients - np.eye(harmonics.shape[1]))) <= 1e-13
-        assert np.max(remainder) <= 1e-26
-
-    def test_one_column_and_many_agree(self, make):
-        rule = make()
-        values = np.random.default_rng(11).normal(size=(rule.node_count, 4))
-        coefficients, remainder = harmonic_transform(rule, values)
-        one, rest = harmonic_transform(rule, values[:, 2])
-        assert one.shape == coefficients.shape[:1] and np.shape(rest) == ()
-        assert np.max(np.abs(one - coefficients[:, 2])) <= 1e-15 * np.max(np.abs(one))
-        assert rest == pytest.approx(remainder[2], rel=1e-12, abs=1e-30)
-
-
-def test_transform_leaves_the_degree_above_over():
-    # A harmonic of degree L + 1 is orthogonal to every resolved harmonic on
-    # the sphere, but not on the rule: what the rule does see of it is
-    # aliased into the coefficients, and the rest is the remainder, Parseval
-    # still holding.  On a circle of 2L + 2 nodes its cos part is the
-    # Nyquist mode, left over whole.
-    circle = make_rule(np.zeros(2), 1.0, 16, 2)
-    top = np.cos(8 * np.arctan2(circle.normals[:, 1], circle.normals[:, 0]))
-    coefficients, remainder = harmonic_transform(circle, top)
-    assert np.max(np.abs(coefficients)) <= 1e-14
-    assert remainder == pytest.approx(circle.weights @ top**2, rel=1e-14)
-    # On 6 Gauss rings the zonal P_6 vanishes at every node, as does
-    # sin(6 phi) on 12 azimuths; the other degree-6 harmonics are seen.
-    sphere = make_rule(np.zeros(3), 1.0, 6, 3)
-    top = surface_harmonics(sphere.normals, 6)[:, harmonic_count(5, 3):]
-    coefficients, remainder = harmonic_transform(sphere, top)
-    norm_sq = sphere.weights @ top**2
-    seen = norm_sq > 1e-20
-    assert np.count_nonzero(seen) == 11
-    assert np.all(remainder[seen] > 0.1 * norm_sq[seen])
-    assert np.all(np.abs(np.sum(coefficients**2, axis=0) + remainder - norm_sq) <= 1e-12 * norm_sq)
 
 
 def _scenario_2d(regions, outer_control=None, observation=15.0):

@@ -12,6 +12,7 @@ from fieldcast import (
     Density,
     ForwardOperator,
     HarmonicDensity,
+    HarmonicTrace,
     adjoint_kernel,
     apply,
     apply_adjoint,
@@ -24,9 +25,10 @@ from fieldcast import (
     xi_inner,
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
-                      assert_residuals_match_the_matrix, nystrom_matrix, projected)
+                      assert_residuals_match_the_matrix, explicit_coefficients, harmonic_trace,
+                      nystrom_matrix, projected, trace_of)
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count,
-                                harmonic_degree, harmonic_transform, rule_degree)
+                                harmonic_degree, rule_degree)
 from fieldcast import operator as operator_module
 from fieldcast.operator import (_coefficient_block, block_residuals, degree_gains, dump_operator,
                                 load_operator_dump, matrix_rows)
@@ -280,7 +282,7 @@ class TestAssembleApply:
         lambda K, rule: block_residuals(
             K, HarmonicDensity(rule, np.ones(harmonic_count(harmonic_degree(rule),
                                                             rule.boundary.dim))),
-            ControlTrace([np.zeros(r.node_count) for r in K.control_rules], K.control_rules)),
+            trace_of(K, np.zeros(K.matrix.shape[0]))),
     ]
     _ENTRY_IDS = ["apply", "block_residuals"]
     # (a builder of the operator's antenna rule, its control rule); every
@@ -335,13 +337,13 @@ class TestHarmonicDensity:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_nodal_values_carry_the_norm_and_project_back(self, dim):
         # The norm ||c|| is the quadrature norm of the nodal values, and
-        # the rule's transform of those values returns c, degree 0 at zero.
+        # their explicit projection returns c, degree 0 at zero.
         rule = self._RULES[dim]
         c = np.random.default_rng(60 + dim).normal(size=harmonic_count(harmonic_degree(rule), dim))
         h = HarmonicDensity(rule, c)
         nodal = h.nodal()
         assert nodal.norm() == pytest.approx(h.norm(), rel=1e-14)
-        a, rest = harmonic_transform(rule, nodal.values)
+        a, rest = explicit_coefficients(rule, nodal.values)
         assert np.max(np.abs(a - np.concatenate([[0.0], c]))) <= 1e-14 * np.max(np.abs(c))
         assert rest <= 1e-28 * h.norm() ** 2
 
@@ -591,7 +593,7 @@ class TestRelease:
         assert K.matrix is None
         dump_operator(K, tmp_path / "operator.bin")   # rows evaluated again
         assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
-        assert len(block_residuals(K, projected(h), t)) == 3   # the factors still serve
+        assert len(block_residuals(K, projected(h), harmonic_trace(t))) == 3   # the factors serve
         # The Nystrom oracles never read the matrix.
         assert np.array_equal(apply(K, h).concatenated, before[0])
         assert np.array_equal(apply_adjoint(K, t).values, before[1])
@@ -614,7 +616,7 @@ class TestFactoredResidual:
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
         K = assemble_forward(antenna, controls[:-1])
         v = build_target(demo2d, controls)
-        v = ControlTrace(blocks=v.blocks[:-1], rules=controls[:-1])
+        v = HarmonicTrace(blocks=v.blocks[:-1], outside=v.outside[:-1], rules=controls[:-1])
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
         assert K.matrix.shape == (14, 62)
         assert_residuals_match_the_matrix(K, h, v)

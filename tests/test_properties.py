@@ -9,14 +9,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fieldcast import (
-    ControlTrace,
     Density,
     HarmonicDensity,
+    HarmonicTrace,
     Region,
     Scenario,
     assemble_forward,
     build_rules,
     build_target,
+    constant_field,
+    dipole,
+    eval_field,
+    harmonic_polynomial,
     log_source,
     point_source,
     radiated_field,
@@ -27,13 +31,14 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import (assert_residuals_match_the_matrix, basis_fields, load_preset,
-                      nystrom_floor_and_energy, projected, quadrature_block,
+from conftest import (assert_residuals_match_the_matrix, basis_fields, explicit_coefficients,
+                      load_preset, nystrom_floor_and_energy, projected, quadrature_block,
                       rule_harmonics, scalar_match, summed_basis_fields)
 from fieldcast import kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
                                 harmonic_count, harmonic_degree, make_rule, nodes_around,
                                 surface_harmonics)
+from fieldcast.fields import _wanted_block
 from fieldcast.operator import _coefficient_block, unresolved_share
 from fieldcast.translation import degree_norms
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
@@ -187,7 +192,7 @@ def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, o
     assert np.allclose(weighted_svd(K).sigma, np.sort(sigma)[::-1], rtol=1e-13, atol=0.0)
 
     b = np.random.default_rng(seed).standard_normal(harmonic_count(harmonic_degree(outer), dim) + 1)
-    v = ControlTrace(blocks=[rule_harmonics(outer) @ b], rules=[outer])
+    v = HarmonicTrace(blocks=[b], outside=[0.0], rules=[outer])
     y = np.zeros(sigma.shape[0])   # the target on the antenna's harmonics of degrees 1 .. L
     kept = min(sigma.shape[0], b.shape[0] - 1)
     y[:kept] = b[1: kept + 1]
@@ -314,6 +319,60 @@ def test_translated_blocks_match_the_quadrature_on_the_presets(preset, nodes):
     antenna, controls = build_rules(s)
     for rule in controls[:-1]:
         assert _translated_against_the_quadrature(antenna, rule) <= 1e-6
+
+
+@st.composite
+def wanted_fields(draw, dim, nearest):
+    """A catalog field of any kind in ``dim`` dimensions, its singular point
+    (if any) ``nearest`` to ``nearest`` + 5 radii R from the control centre
+    in any direction: returns a function of (centre, R)."""
+    kind = draw(st.sampled_from(["zero", "constant", "source", "dipole", "polynomial"]))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(direction) > 0.1)
+    distance = nearest + draw(st.floats(0.0, 5.0))
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    direction /= np.linalg.norm(direction)
+    polynomial = ({(1, 0): weights[0], (1, 1): weights[1], (3, 0): weights[2],
+                   (1, 2): -3 * weights[2]} if dim == 2 else
+                  {(0, 1, 0): weights[0], (2, 0, 0): weights[1], (0, 0, 2): -weights[1],
+                   (1, 1, 1): weights[2]})
+
+    def field(centre, radius):
+        s = centre + distance * radius * direction
+        return {"zero": zero_field(), "constant": constant_field(weights[0]),
+                "source": log_source(s) if dim == 2 else point_source(s),
+                "dipole": dipole(s, weights[:dim]) if any(weights[:dim]) else zero_field(),
+                "polynomial": harmonic_polynomial(polynomial, dim)}[kind]
+    return field
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), radius=st.floats(0.1, 3.0),
+       centre=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), nodes=st.integers(2, 8))
+def test_target_blocks_match_the_explicit_projection(data, dim, radius, centre, nodes):
+    # The wanted field u_k - u_0 of two catalog fields on a control rule of
+    # degree 1 .. 7, in closed form, against the explicit projection of its
+    # values on a rule of four times the nodes (4 n circle nodes or Gauss
+    # rings for n = 2 nodes or rings), which integrates the product of a
+    # harmonic of the rule's degrees and one of degree k < 7 n exactly.  So
+    # with the singular points at 10^(17 / (7 n)) radii or more, it folds
+    # in nothing above 1e-17: the coefficients agree within 2e-13 of the
+    # two fields' norms (of the difference's, but where they cancel), and
+    # its coefficients above D hold ``outside`` within 10% wherever that is
+    # above rounding.
+    centre = np.array(centre[:dim])
+    rule = make_rule(centre, radius, 2 * nodes if dim == 2 else nodes, dim)
+    fine = make_rule(centre, radius, 8 * nodes if dim == 2 else 4 * nodes, dim)
+    nearest = max(1.1, 10 ** (17 / (7 * nodes)))
+    region, exterior = (data.draw(wanted_fields(dim, nearest))(centre, radius) for _ in range(2))
+    block, outside = _wanted_block([(region, 1.0), (exterior, -1.0)], rule)
+    fields = [eval_field(f, fine.nodes) for f in (region, exterior)]
+    a, rest = explicit_coefficients(fine, fields[0] - fields[1])
+    total, scale = float(a @ a) + rest, sum(map(fine.l2_norm, fields))
+    assert np.linalg.norm(block - a[: block.shape[0]]) <= 2e-13 * scale
+    if outside > 1e-14 * total:
+        above = a[block.shape[0]:]
+        assert float(above @ above) == pytest.approx(outside, rel=0.1)
 
 
 def _solve(s):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, explicit_coefficients, scalar_match,
+from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, block_harmonics, scalar_match,
                       tikhonov_floor, trace_of)
 from fieldcast import (
     ControlTrace,
@@ -36,7 +36,9 @@ from fieldcast.solver import rank_above_cutoff, residual_floor
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
     """Small synthetic operator: a random matrix on the genuine antenna and
-    control rules, one row per harmonic the control circle resolves."""
+    control rules, one row per harmonic the control circle resolves, and a
+    target of coefficients in those rows and a squared norm outside them:
+    in the column span but for noise of 1e-3, or at random."""
     antenna = make_circle_rule((0.0, 0.0), 1.0, n_antenna)
     control = make_circle_rule((8.0, 0.0), 2.0, n_control)
     genuine = assemble_forward(antenna, [control])
@@ -45,20 +47,30 @@ def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
         antenna_rule=antenna,
         control_rules=[control],
     )
+    m, columns = K.matrix.shape
     if target_in_range:
-        clean = trace_of(K, K.matrix @ rng.normal(size=K.matrix.shape[1])).blocks[0]
-        noise = 1e-3 * rng.normal(size=n_control)
-        v = ControlTrace(blocks=[clean + noise], rules=[control])
+        y = K.matrix @ rng.normal(size=columns) + 1e-3 * rng.normal(size=m)
+        v = trace_of(K, y, [(1e-3 * rng.normal()) ** 2])
     else:
-        v = ControlTrace(blocks=[rng.normal(size=n_control)], rules=[control])
+        v = trace_of(K, rng.normal(size=m), [rng.normal() ** 2])
     return K, v
+
+
+def _synthesized(K, v):
+    """v's coefficients synthesized at the control nodes (``block_harmonics``)."""
+    y, _ = K.trace_coefficients(v)
+    blocks = []
+    for rule, rows in zip(K.control_rules, K.block_rows):
+        harmonics = block_harmonics(K, rule, rows)
+        blocks.append(harmonics @ y[rows][: harmonics.shape[1]])
+    return ControlTrace(blocks=blocks, rules=K.control_rules)
 
 
 def _dense_normal_solve(K, v, alpha):
     """Oracle: solve (alpha I + C^T C) c = C^T y directly, y the target's
-    coefficients formed explicitly, and return the density's coefficients c."""
+    coefficients, and return the density's coefficients c."""
     C = K.matrix
-    y, _ = explicit_coefficients(K, v)
+    y, _ = K.trace_coefficients(v)
     lhs = alpha * np.eye(C.shape[1]) + C.T @ C
     return np.linalg.solve(lhs, C.T @ y)
 
@@ -67,15 +79,15 @@ def _qp_oracle_energy(K, v, disc_target):
     """Brute-force minimal-energy oracle for a matched residual norm.
 
     Works on the matrix through an eigendecomposition of the normal matrix
-    (no SVD of the operator), with the target's coefficients formed
-    explicitly and what of it they leave out added to every residual: scans
+    (no SVD of the operator), with the target's coefficients and what of
+    it they leave out added to every residual: scans
     1e4 log-spaced Lagrange multipliers to bracket the residual target, then
     bisects the bracket so the comparison is limited by neither grid nor
     root tolerance.  The basis is orthonormal, so the energy is the
     coefficient norm.
     """
     B = K.matrix
-    b, outside = explicit_coefficients(K, v)
+    b, outside = K.trace_coefficients(v)
     outside_sq = float(np.sum(outside))
     lam, Q = np.linalg.eigh(B.T @ B)
     rhs = Q.T @ (B.T @ b)
@@ -106,7 +118,7 @@ class TestTikhonovSolve:
     def test_zero_target_gives_zero_density(self):
         rng = np.random.default_rng(1)
         K, _ = _random_instance(rng)
-        zero = ControlTrace(blocks=[np.zeros(10)], rules=K.control_rules)
+        zero = trace_of(K, np.zeros(K.matrix.shape[0]))
         for alpha, disc, energy in sweep_alpha(K, zero, [1e-8, 1.0, 1e8]):
             assert disc == 0.0
             assert energy == 0.0
@@ -164,11 +176,12 @@ class TestSolveMinEnergy:
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
         s, K, v, h, report = demo2d_solution
-        nodal = h.nodal()
-        residual_trace = apply(K, nodal) - v
+        nodal, target = h.nodal(), _synthesized(K, v)
+        residual_trace = ControlTrace(
+            [a - b for a, b in zip(apply(K, nodal).blocks, target.blocks)], K.control_rules)
         grad = apply_adjoint(K, residual_trace).values + report.alpha_star * nodal.values
         grad_norm = K.antenna_rule.l2_norm(grad)
-        ref = apply_adjoint(K, v).norm()
+        ref = apply_adjoint(K, target).norm()
         assert grad_norm <= 1e-8 * ref
 
     def test_energy_monotone_in_epsilon(self, demo2d_parts):
@@ -191,8 +204,7 @@ class TestSolveMinEnergy:
 
     def test_zero_target_rejected(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
-        zero = ControlTrace(blocks=[np.zeros(r.node_count) for r in controls],
-                            rules=controls)
+        zero = trace_of(K, np.zeros(K.matrix.shape[0]))
         with pytest.raises(ValueError, match="identically zero"):
             solve_min_energy(K, zero, 1.0)
 
