@@ -7,12 +7,13 @@ that cannot be made a directory, checked before assembly); 3 scenario
 parse/validation failure (a scenario path that is not a file, a file that
 is not UTF-8, repeats a key in one mapping or gives a key an explicit null,
 node counts below ``geometry.MIN_NODES`` from the file or ``--nodes``, a
-boundary whose rule or target cannot be built (a source within 1e-9 of its
-control sphere), a target trace that is identically zero or not finite,
-and node counts whose operator and factorization would exceed physical
-memory, as :func:`fieldcast.operator.factorization_bytes` estimates before
-any rule is built); 4 accuracy infeasible at the current resolution; 5 numerical
-failure, including any other ``ValueError``.
+boundary that cannot be built (a radius whose surface measure is not a
+normal float) or whose target cannot (a source within 1e-9 of its control
+sphere), a target trace that is identically zero or not finite, and node
+counts whose operator and factorization would exceed physical memory, as
+:func:`fieldcast.operator.factorization_bytes` estimates from the
+boundaries' degrees before any array is made); 4 accuracy infeasible at the
+current resolution; 5 numerical failure, including any other ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from . import __version__, blas
 from .certify import BoundaryBound, certify_solution, empirical_mismatches
 from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon,
                      scenario_difference_fields)
-from .geometry import (Discretization, Scenario, ScenarioValidationError, build_rules,
-                       harmonic_count, rule_degree, rule_node_count, validate_scenario)
-from .operator import (assemble_forward, dump_operator, factorization_bytes, matrix_rows,
+from .geometry import (Boundary, Discretization, Scenario, ScenarioValidationError, build_rules,
+                       harmonic_count, validate_scenario)
+from .operator import (assemble_forward, dump_operator, factorization_bytes, row_offsets,
                        weighted_svd)
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
@@ -238,17 +239,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_size(s: Scenario) -> int:
+def _check_size(antenna: Boundary, controls: list[Boundary]) -> int:
     """Reject a discretization whose operator and factorization would not fit
-    in physical memory, from its node counts alone: m rows
-    (:func:`fieldcast.operator.matrix_rows`) by M antenna harmonics.  Every
+    in physical memory, from the boundaries' degrees alone: m rows
+    (:func:`fieldcast.operator.row_offsets`) by M antenna harmonics.  Every
     command releases the matrix to the SVD, so one estimate
-    (:func:`fieldcast.operator.factorization_bytes`) bounds them all.  Returns m M^2, the factorization's flop measure."""
-    d = s.discretization
-    degree = rule_degree(d.antenna, s.dim)
-    columns = harmonic_count(degree, s.dim)
-    m = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim), degree)
-    need = factorization_bytes(m, rule_node_count(d.control, s.dim), columns)
+    (:func:`fieldcast.operator.factorization_bytes`) bounds them all.
+    Returns m M^2, the factorization's flop measure."""
+    columns = harmonic_count(antenna.degree, antenna.dim)
+    m = row_offsets(antenna, controls)[-1]
+    need = factorization_bytes(m, columns)
     limit = _physical_memory()
     if need > limit:
         raise ScenarioValidationError([
@@ -258,16 +258,16 @@ def _check_size(s: Scenario) -> int:
 
 
 def _prepare(args, scenario: Scenario, timings):
-    """The steps ``run`` and ``sweep`` share after loading the scenario: check
-    the size, build the rules and the target (which rejects an identically
-    zero trace), then make the output directory, assemble the operator and
-    take the weighted SVD, so a scenario rejected before assembly leaves no
-    directory.  The SVD consumes the operator's matrix, for every command.
-    The BLAS thread count is chosen from the factorization's size first.
-    Returns (out_dir, K, v, svd)."""
-    timings.append(("blas-threads", blas.use_threads(_check_size(scenario))))
+    """The steps ``run`` and ``sweep`` share after loading the scenario: build
+    the boundaries, check the size, build the target (which rejects an
+    identically zero trace), then make the output directory, assemble the
+    operator and take the weighted SVD, so a scenario rejected before
+    assembly leaves no directory.  The SVD consumes the operator's matrix,
+    for every command.  The BLAS thread count is chosen from the
+    factorization's size first.  Returns (out_dir, K, v, svd)."""
+    antenna, controls = build_rules(scenario)
+    timings.append(("blas-threads", blas.use_threads(_check_size(antenna, controls))))
     with _stage(timings, "target"):
-        antenna, controls = build_rules(scenario)
         v = build_target(scenario, controls)
     out_dir = Path(args.out)
     try:

@@ -19,9 +19,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import (SEPARATION_RTOL, UNIT_SPHERE_MEASURE, QuadratureRule, Scenario,
-                       ScenarioValidationError, control_labels, harmonic_count, harmonic_degree,
-                       legendre_orders, make_rule, on_boundary, order_columns, surface_harmonics,
+from .geometry import (SEPARATION_RTOL, UNIT_SPHERE_MEASURE, Boundary, Scenario,
+                       ScenarioValidationError, control_labels, harmonic_count, legendre_orders,
+                       make_rule, on_boundary, order_columns, surface_harmonics,
                        validate_scenario)
 from .kernels import dlp_kernel, row_blocks
 from .operator import HarmonicDensity, HarmonicTrace, degree_gains
@@ -218,7 +218,7 @@ def eval_field(f: HarmonicField, x) -> np.ndarray | float:
 
 def scenario_difference_fields(s: Scenario):
     """The field the antenna must radiate at each control boundary, in the
-    order of the control rules: one callable of points per region giving
+    order of the control spheres: one callable of points per region giving
     u_k - u_0, then one for the outer sphere giving zero (the exterior
     requirement after subtracting the exterior target u_0)."""
     def difference(target):
@@ -227,10 +227,10 @@ def scenario_difference_fields(s: Scenario):
     return [difference(r.target) for r in s.regions] + [lambda pts: np.zeros(len(pts))]
 
 
-def build_target(s: Scenario, controls: list[QuadratureRule]) -> HarmonicTrace:
+def build_target(s: Scenario, controls: list[Boundary]) -> HarmonicTrace:
     """Trace target on the control boundaries: block k holds the wanted
     field of :func:`scenario_difference_fields` on control sphere k by its
-    coefficients on the rule's harmonics and the norm of its higher degrees,
+    coefficients on the sphere's harmonics and the norm of its higher degrees,
     in closed form (:func:`_wanted_block`): no field is evaluated at a
     control node.  The scenario is validated first, field conditions
     included (:func:`fieldcast.geometry.validate_scenario`).  An identically
@@ -241,16 +241,16 @@ def build_target(s: Scenario, controls: list[QuadratureRule]) -> HarmonicTrace:
     """
     if len(controls) != s.n_regions + 1:
         raise ValueError(
-            f"expected {s.n_regions + 1} control rules, got {len(controls)}"
+            f"expected {s.n_regions + 1} control spheres, got {len(controls)}"
         )
 
     validate_scenario(s)
     terms = [[(f, sign) for f, sign in ((r.target, 1.0), (s.exterior_target, -1.0))
               if f.kind != "zero" and r.target != s.exterior_target] for r in s.regions] + [[]]
-    parts = [on_boundary(label, _wanted_block, wanted, rule)
-             for label, wanted, rule in zip(control_labels(s), terms, controls)]
+    parts = [on_boundary(label, _wanted_block, wanted, sphere)
+             for label, wanted, sphere in zip(control_labels(s), terms, controls)]
     v = HarmonicTrace(blocks=[b for b, _ in parts], outside=[rest for _, rest in parts],
-                      rules=list(controls))
+                      boundaries=list(controls))
     norm = v.norm()
     if norm == 0.0:
         raise ScenarioValidationError(["target trace is identically zero; nothing to solve"])
@@ -264,9 +264,9 @@ def _first_row(degree: int, dim: int) -> int:
     return harmonic_count(degree - 1, dim) + 1 if degree else 0
 
 
-def _wanted_block(terms, rule: QuadratureRule) -> tuple[np.ndarray, float]:
+def _wanted_block(terms, sphere: Boundary) -> tuple[np.ndarray, float]:
     """(coefficients, outside) of sum sign f over the (f, sign) ``terms`` on
-    the rule's sphere: its coefficients on the harmonics of degrees 0 .. D,
+    the sphere: its coefficients on the harmonics of degrees 0 .. D, its degree,
     and the squared L2 norm of its degrees above D, summed from their rows
     in runs that double from 8 degrees until what the rest can add is below
     rounding of the block's squared norm, or up to degree D + 2^10 in 3D and
@@ -278,7 +278,7 @@ def _wanted_block(terms, rule: QuadratureRule) -> tuple[np.ndarray, float]:
     (2mu+1) across; 2D: x^mu / mu^2 for a log source, x^mu for a dipole), so
     at most n_lam x ((lam+1)(1-x) + 1) / (lam (1-x)^2) past lam; an entire
     field has no degree above 3."""
-    dim, center, R = rule.boundary.dim, rule.boundary.center, rule.boundary.radius
+    dim, center, R = sphere.dim, sphere.center, sphere.radius
     dists = [math.inf if f.singularity is None else float(np.linalg.norm(f.singularity - center))
              for f, _ in terms]
     if any(dist - R < SINGULARITY_TOL for dist in dists):
@@ -287,11 +287,11 @@ def _wanted_block(terms, rule: QuadratureRule) -> tuple[np.ndarray, float]:
 
     def rows(start: int, stop: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Each term's rows of degrees start .. stop - 1, and their sum."""
-        parts = [sign * _field_rows(f, rule, range(_first_row(start, dim), _first_row(stop, dim)))
+        parts = [sign * _field_rows(f, sphere, range(_first_row(start, dim), _first_row(stop, dim)))
                  for f, sign in terms]
         return parts, sum(parts, np.zeros(_first_row(stop, dim) - _first_row(start, dim)))
 
-    D = harmonic_degree(rule)
+    D = sphere.degree
     cap, kept_rows = D + (2**19 if dim == 2 else 2**10), _first_row(D + 1, dim)
     parts, left = rows(0, D + 9)   # the block's degrees and the first run of 8 above them
     block, parts, left = left[:kept_rows], [p[kept_rows:] for p in parts], left[kept_rows:]
@@ -308,9 +308,9 @@ def _wanted_block(terms, rule: QuadratureRule) -> tuple[np.ndarray, float]:
         parts, left = rows(start, stop)
 
 
-def _field_rows(f: HarmonicField, rule: QuadratureRule, rows: range) -> np.ndarray:
+def _field_rows(f: HarmonicField, sphere: Boundary, rows: range) -> np.ndarray:
     """A catalog field's coefficients on rows ``rows``, of any degrees, of
-    the rule's sphere's orthonormal harmonics, in closed form.  A point
+    the sphere's orthonormal harmonics, in closed form.  A point
     source is sqrt(4 pi) times the degree-0 column of
     :func:`fieldcast.translation.translated_block` about it, a dipole p the
     degree-1 columns times sqrt(4 pi / 3) (p_z, p_x, p_y) in 3D or sqrt(pi)
@@ -319,7 +319,7 @@ def _field_rows(f: HarmonicField, rule: QuadratureRule, rows: range) -> np.ndarr
     no higher degree, and its degree-k part is homogeneous in the offset
     from the centre: it is projected exactly by the rule of harmonic degree
     3 (:func:`fieldcast.geometry.make_rule`) of radius R/2, times 2^k."""
-    dim, center, R = rule.boundary.dim, rule.boundary.center, rule.boundary.radius
+    dim, center, R = sphere.dim, sphere.center, sphere.radius
     if f.singularity is None:
         small = make_rule(center, 0.5 * R, 8 if dim == 2 else 4, dim)
         values = np.asarray(eval_field(f, small.nodes), dtype=float) * small.weights
@@ -345,16 +345,16 @@ def _field_rows(f: HarmonicField, rule: QuadratureRule, rows: range) -> np.ndarr
         start, weights = 1, math.sqrt(4 * math.pi / 3) * p[[2, 0, 1]]
     gains = np.full(1, 0.5 * math.log(R) if dim == 2 else 0.0)
     columns = np.empty((len(rows), weights.shape[0]))
-    translated_block(f.singularity, 1.0, gains, rule, rows, columns, start)
+    translated_block(f.singularity, 1.0, gains, sphere, rows, columns, start)
     return columns @ weights
 
 
-def _points(rule: QuadratureRule, x) -> tuple[np.ndarray, bool]:
+def _points(dim: int, x) -> tuple[np.ndarray, bool]:
     """(p, dim) points of x, one point (dim,) or a batch, and whether it was one."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
-    if pts.shape[-1] != rule.boundary.dim:
-        raise ValueError(f"points must have trailing dimension {rule.boundary.dim}, got {x.shape}")
+    if pts.shape[-1] != dim:
+        raise ValueError(f"points must have trailing dimension {dim}, got {x.shape}")
     return pts, x.ndim == 1
 
 
@@ -375,20 +375,20 @@ def radiated_field(h: HarmonicDensity, x) -> np.ndarray | float:
         Antenna density (see the operator module).
     x : array-like, shape (dim,) or (p, dim)
     """
-    rule, a = h.rule, h.coefficients  # (M,), degrees 1 .. L
-    pts, scalar = _points(rule, x)
+    antenna, a = h.boundary, h.coefficients  # (M,), degrees 1 .. L
+    pts, scalar = _points(antenna.dim, x)
     out = np.empty(pts.shape[0])
     # 8192 points a block: the series holds about 8 vectors of them, in 3D one more a degree.
     for rows in row_blocks(pts.shape[0], 8):
-        offsets = pts[rows] - rule.boundary.center
-        r = _distance(offsets, np.zeros(rule.boundary.dim))
-        if np.any(r < rule.boundary.radius * (1.0 + SEPARATION_RTOL)):
+        offsets = pts[rows] - antenna.center
+        r = _distance(offsets, np.zeros(antenna.dim))
+        if np.any(r < antenna.radius * (1.0 + SEPARATION_RTOL)):
             raise ValueError("radiated-field evaluation too close to (or inside) the antenna boundary")
-        out[rows] = _series(rule, a, offsets, r)
+        out[rows] = _series(antenna, a, offsets, r)
     return float(out[0]) if scalar else out
 
 
-def _series(rule: QuadratureRule, a: np.ndarray, offsets: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _series(antenna: Boundary, a: np.ndarray, offsets: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum_j a_j basis_j at the points ``offsets`` (p, dim) from the antenna
     centre, r their lengths.  In 2D degree by degree, as the real part of a
     power series in w = (delta/r) e^(i theta) summed by Horner's scheme in
@@ -396,18 +396,18 @@ def _series(rule: QuadratureRule, a: np.ndarray, offsets: np.ndarray, r: np.ndar
     place on one element); in 3D order by order, over
     :func:`fieldcast.geometry.legendre_orders`' recurrence in l weighted by
     :func:`fieldcast.operator.degree_gains`."""
-    delta, degree = rule.boundary.radius, harmonic_degree(rule)
+    delta, degree = antenna.radius, antenna.degree
     acc = np.zeros(r.shape[0])
-    if rule.boundary.dim == 2:
+    if antenna.dim == 2:
         # g_n at r = delta, over the norm sqrt(pi) of cos(n theta) and sin(n theta).
-        scale = degree_gains(rule, np.array([delta]))[:, 0] / math.sqrt(math.pi)
+        scale = degree_gains(antenna, np.array([delta]))[:, 0] / math.sqrt(math.pi)
         wr, wi = (delta / r) * (offsets[:, 0] / r), (delta / r) * (offsets[:, 1] / r)
         hr = hi = acc   # Horner: h = (h + cos - i sin) w, from the top degree down
         for cos, sin in (a.reshape(-1, 2) * scale[:, None])[::-1].tolist():
             hr, hi = hr + cos, hi - sin
             hr, hi = hr * wr - hi * wi, hr * wi + hi * wr
         return hr
-    gains = degree_gains(rule, r)  # (L, p)
+    gains = degree_gains(antenna, r)  # (L, p)
     for m, ring, legendre in legendre_orders(offsets / r[:, None], degree):
         pairs = a[order_columns(degree, 3, range(m, m + 1))[0]].reshape(-1, 2 if m else 1)
         sums = np.zeros((pairs.shape[1], r.shape[0]))
@@ -434,7 +434,7 @@ def eval_double_layer(g, x) -> np.ndarray | float:
     x : array-like, shape (dim,) or (p, dim)
     """
     rule = g.rule
-    pts, scalar = _points(rule, x)
+    pts, scalar = _points(rule.boundary.dim, x)
     clearance = rule.boundary.radius * (1.0 + SEPARATION_RTOL)
     y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
     wg = rule.weights * g.values
@@ -519,7 +519,7 @@ def eval_on_grid(g: HarmonicDensity, s: Scenario, spec: GridSpec) -> FieldGrid:
 
     # Drop the points radiated_field rejects (inside its clearance) and those
     # near the singularity of a field the point needs.
-    keep = rho >= g.rule.boundary.radius * (1.0 + SEPARATION_RTOL)
+    keep = rho >= g.boundary.radius * (1.0 + SEPARATION_RTOL)
     del rho
     needed = [(s.exterior_target, True)] + [(r.target, code == k) for k, r
                                             in enumerate(s.regions, start=exterior + 1)]

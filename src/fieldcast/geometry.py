@@ -8,9 +8,12 @@ observation boundary.  Boundary data is matched on the control spheres;
 sup-norm guarantees then propagate inward to the target balls and outward
 past the observation boundary.
 
-Surface integrals are discretized with spectrally accurate rules for
-smooth integrands: equispaced trapezoid nodes on circles, and a
-Gauss-Legendre (polar) x trapezoid (azimuth) product grid on spheres.
+Each boundary carries the harmonic degree its functions are resolved to,
+which is all the solver reads of a discretization.  Surface integrals,
+for the Nystrom oracles and the field norms of an automatic budget, are
+discretized with spectrally accurate rules for smooth integrands:
+equispaced trapezoid nodes on circles, and a Gauss-Legendre (polar) x
+trapezoid (azimuth) product grid on spheres.
 """
 
 from __future__ import annotations
@@ -86,24 +89,32 @@ def frozen_array(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Boundary:
-    """A circle (2D) or sphere (3D) boundary.
+    """A circle (2D) or sphere (3D) boundary, and the degree L of the
+    surface harmonics, 0 .. L, that functions on it are resolved to.
 
     Attributes
     ----------
     center : ndarray, shape (dim,)
-    radius : float, > 0
+    radius : float, > 0, whose surface measure is a normal float
     dim : int, 2 or 3
+    degree : int
     """
 
     center: np.ndarray
     radius: float
     dim: int
+    degree: int
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        # A Python float, so that a measure that overflows raises OverflowError.
+        object.__setattr__(self, "radius", float(self.radius))
+        if not np.finfo(float).tiny <= self.measure < math.inf:
+            raise ValueError(f"surface measure is not a positive, normal, finite float: "
+                             f"{self.measure!r} at radius {self.radius!r}")
         center = frozen_array(self.center)
         if center.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}, got shape {center.shape}")
@@ -189,7 +200,9 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     Nodes sit at angles 2*pi*j/n, every weight is 2*pi*r/n, normals point
     radially outward.  The rule integrates trigonometric polynomials of
     degree < n exactly, which makes it spectrally accurate for the
-    analytic integrands that arise between well separated boundaries.
+    analytic integrands that arise between well separated boundaries, and
+    the product of any two circle harmonics of degree <= (n - 1) // 2, the
+    boundary's degree.
 
     Parameters
     ----------
@@ -200,7 +213,7 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     """
     if n < MIN_NODES[2]:
         raise ValueError(f"circle rule needs n >= {MIN_NODES[2]} nodes, got {n}")
-    boundary = Boundary(center=center, radius=float(radius), dim=2)
+    boundary = Boundary(center=center, radius=radius, dim=2, degree=(n - 1) // 2)
 
     angles = 2.0 * np.pi * np.arange(n) / n  # (n,)
     normals = np.column_stack([np.cos(angles), np.sin(angles)])  # (n, 2)
@@ -215,13 +228,17 @@ def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> Qua
     The polar direction uses Gauss-Legendre nodes in cos(theta), the
     azimuth an equispaced grid; weights are r^2 * w_GL * (2*pi/n_azimuth),
     so they sum to 4*pi*r^2 up to roundoff.  The azimuth grid is a circle
-    rule, so it takes the circle minimum.
+    rule, so it takes the circle minimum.  The rule integrates polynomials
+    of degree < 2 n_polar in cos(theta) and azimuthal frequencies below
+    n_azimuth, so the product of any two surface harmonics of degree <=
+    min(n_polar - 1, (n_azimuth - 1) // 2), the boundary's degree.
     """
     if n_polar < MIN_NODES[3]:
         raise ValueError(f"sphere rule needs n_polar >= {MIN_NODES[3]}, got {n_polar}")
     if n_azimuth < MIN_NODES[2]:
         raise ValueError(f"sphere rule needs n_azimuth >= {MIN_NODES[2]}, got {n_azimuth}")
-    boundary = Boundary(center=center, radius=float(radius), dim=3)
+    degree = min(n_polar - 1, (n_azimuth - 1) // 2)
+    boundary = Boundary(center=center, radius=radius, dim=3, degree=degree)
 
     t, w_gl = np.polynomial.legendre.leggauss(n_polar)  # cos(theta) nodes, (n_polar,)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth  # (n_azimuth,)
@@ -245,36 +262,10 @@ def make_rule(center, radius: float, n: int, dim: int) -> QuadratureRule:
     return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n)
 
 
-def rule_node_count(n: int, dim: int) -> int:
-    """Node count of :func:`make_rule`'s rule, without building it."""
-    return n if dim == 2 else AZIMUTH_PER_POLAR * n * n
-
-
-def nodes_around(rule: QuadratureRule) -> int:
-    """Nodes around the rule: all of them on a circle, and on a sphere those
-    of the first polar ring, the nodes sharing the first node's z."""
-    if rule.boundary.dim == 2:
-        return rule.node_count
-    return int(np.count_nonzero(rule.normals[:, 2] == rule.normals[0, 2]))
-
-
-def harmonic_degree(rule: QuadratureRule) -> int:
-    """Highest degree L at which the rule integrates the product of any two
-    surface harmonics of degree <= L exactly, so that :func:`surface_harmonics`
-    of degrees 1 .. L, scaled to the rule's radius, is orthonormal in its
-    weights.  A circle rule of n nodes integrates trigonometric polynomials of
-    degree < n, so L = (n - 1) // 2.  A product rule of n_polar Gauss-Legendre
-    rings of n_azimuth nodes integrates polynomials of degree < 2 n_polar in
-    cos(theta) and azimuthal frequencies below n_azimuth, so
-    L = min(n_polar - 1, (n_azimuth - 1) // 2)."""
-    n_around = nodes_around(rule)
-    if rule.boundary.dim == 2:
-        return (n_around - 1) // 2
-    return min(rule.node_count // n_around - 1, (n_around - 1) // 2)
-
-
 def rule_degree(n: int, dim: int) -> int:
-    """:func:`harmonic_degree` of :func:`make_rule`'s rule, without building it."""
+    """The degree of :func:`make_rule`'s boundary of ``n`` nodes, without
+    building the rule.  Its harmonics of degrees 0 .. L, scaled to its
+    radius, are orthonormal in the rule's weights."""
     return (n - 1) // 2 if dim == 2 else n - 1
 
 
@@ -396,10 +387,9 @@ def legendre_table(direction, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Node counts per boundary.
-
-    In 2D both entries are circle node counts.  In 3D they are polar
-    counts, and :func:`make_rule` sets the azimuth count from them.
+    """Node counts per boundary, each of which sets the boundary's degree
+    (:func:`rule_degree`): that of :func:`make_rule`'s rule of that many
+    nodes, circle nodes in 2D and polar nodes in 3D.  No rule is built.
     """
 
     antenna: int
@@ -452,7 +442,8 @@ class Scenario:
     discretization : Discretization or None
         Node counts; None means default.
     seed : int
-        Seed for the run's sampling diagnostics.
+        Turns the lattice of the run's probes (see
+        :func:`fieldcast.certify.sample_on_sphere`).
     """
 
     dim: int
@@ -665,17 +656,18 @@ def control_labels(s: Scenario) -> list[str]:
     return [f"{name} control sphere" for name in names]
 
 
-def build_rules(s: Scenario) -> tuple[QuadratureRule, list[QuadratureRule]]:
-    """Quadrature rules for a validated scenario.
+def build_rules(s: Scenario) -> tuple[Boundary, list[Boundary]]:
+    """The boundaries of a validated scenario, each of the :func:`rule_degree`
+    of its node count; no node is built.
 
-    Returns the antenna rule and the control rules ordered region 1..N,
-    then the outer control sphere; a rule the radii cannot give raises
+    Returns the antenna and the control spheres ordered region 1..N, then
+    the outer control sphere; a boundary the radii cannot give raises
     ScenarioValidationError (:func:`on_boundary`).
     """
-    d = s.discretization
-    origin = np.zeros(s.dim)
-    antenna = on_boundary("antenna", make_rule, origin, s.delta, d.antenna, s.dim)
+    d, origin = s.discretization, np.zeros(s.dim)
+    antenna = on_boundary("antenna", Boundary, origin, s.delta, s.dim,
+                          rule_degree(d.antenna, s.dim))
     spheres = [(r.center, r.control_radius) for r in s.regions] + [(origin, s.outer_control_radius)]
-    controls = [on_boundary(label, make_rule, center, radius, d.control, s.dim)
-                for label, (center, radius) in zip(control_labels(s), spheres)]
-    return antenna, controls
+    degree = rule_degree(d.control, s.dim)
+    return antenna, [on_boundary(label, Boundary, center, radius, s.dim, degree)
+                     for label, (center, radius) in zip(control_labels(s), spheres)]

@@ -11,13 +11,14 @@ the field of basis density j is known everywhere outside the antenna, and
 the operator needs no antenna quadrature and no singular kernel.  A
 density is its coefficients on that basis (:class:`HarmonicDensity`) from
 the solve to the probes; nodal values (:class:`Density`) serve only the
-Nystrom oracle :func:`apply`.
+Nystrom oracle :func:`apply`.  So the operator reads of each sphere only
+its centre, radius and degree (:class:`fieldcast.geometry.Boundary`).
 
 The matrix holds each control sphere's block in that sphere's own
 orthonormal harmonics, which is all the L2-minimal solution needs: the
 singular system between the L2 spaces of antenna and control spheres.  A
-region's block holds the degrees 0 .. D - 1 its rule resolves (D^2 rows
-in 3D, 2D - 1 in 2D) of each basis field's local expansion about the
+region's block holds the degrees 0 .. D of its sphere ((D + 1)^2 rows
+in 3D, 2D + 1 in 2D) of each basis field's local expansion about the
 control centre, by multipole-to-local translation in closed form
 (:mod:`fieldcast.translation`): the exact projection, with no field
 evaluated at a control node.  The outer sphere is concentric with the
@@ -25,7 +26,7 @@ antenna, so its block is the diagonal g_l (delta/R)^(l+dim-2)
 (R/delta)^((dim-1)/2) over the antenna's degrees 1 .. L.  The share of
 each block's norm in the degrees its rows leave out is computed in
 closed form and reported (``ForwardOperator.unresolved``).  A target is
-its coefficients on each rule's harmonics and the norm of its higher
+its coefficients on each sphere's harmonics and the norm of its higher
 degrees, in closed form too (:class:`HarmonicTrace`).  Both bases are
 orthonormal, so the matrix's singular values are the operator's between
 the function spaces, with no row or column weighting.
@@ -36,13 +37,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .geometry import (SEPARATION_RTOL, QuadratureRule, frozen_array, harmonic_count,
-                       harmonic_degree, surface_harmonics)
+from .geometry import (SEPARATION_RTOL, Boundary, QuadratureRule, frozen_array,
+                       harmonic_count, surface_harmonics)
 from .kernels import dlp_kernel, row_blocks
 from .translation import antenna_gains, region_share, translated_block
 
@@ -87,17 +89,18 @@ class Density:
 
 @dataclass(frozen=True)
 class HarmonicDensity:
-    """A density by its coefficients c on the antenna rule's orthonormal
-    basis (:meth:`basis`); degree 0 radiates nothing.  Its L2 norm is ||c||."""
+    """A density by its coefficients c on the antenna's orthonormal
+    harmonics of degrees 1 .. L (:meth:`basis`); degree 0 radiates nothing.
+    Its L2 norm is ||c||."""
 
-    rule: QuadratureRule
+    boundary: Boundary
     coefficients: np.ndarray  # (M,)
 
     def __post_init__(self):
         coefficients = frozen_array(self.coefficients)
-        if coefficients.shape != (_antenna_columns(self.rule),):
+        if coefficients.shape != (_antenna_columns(self.boundary),):
             raise ValueError(f"coefficients shape {coefficients.shape} does not match "
-                             f"{_antenna_columns(self.rule)} antenna harmonics")
+                             f"{_antenna_columns(self.boundary)} antenna harmonics")
         if not np.all(np.isfinite(coefficients)):
             raise ValueError("density coefficients must be finite")
         object.__setattr__(self, "coefficients", coefficients)
@@ -106,17 +109,20 @@ class HarmonicDensity:
         """L2 norm over the antenna boundary: ||c||, the basis being orthonormal."""
         return float(np.linalg.norm(self.coefficients))
 
-    def nodal(self) -> Density:
-        """The density's values at the rule's nodes, for the Nystrom oracles."""
-        return Density(rule=self.rule, values=self.basis(self.rule) @ self.coefficients)
+    def nodal(self, rule: QuadratureRule) -> Density:
+        """The density's values at the nodes of a rule on its boundary, for
+        the Nystrom oracles."""
+        if not _same_boundary(rule.boundary, self.boundary):
+            raise ValueError("rule is not on the density's antenna boundary")
+        return Density(rule=rule, values=self.basis(rule) @ self.coefficients)
 
     @staticmethod
     def basis(rule: QuadratureRule) -> np.ndarray:
-        """(n, M): :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L
-        (:func:`fieldcast.geometry.harmonic_degree`) at the rule's nodes over
-        delta^((dim-1)/2), in their column order: orthonormal in its weights."""
+        """(n, M): :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L,
+        the rule's boundary's degree, at its nodes over delta^((dim-1)/2), in
+        their column order: orthonormal in its weights."""
         scale = rule.boundary.radius ** (-(rule.boundary.dim - 1) / 2)
-        return surface_harmonics(rule.normals, harmonic_degree(rule)) * scale
+        return surface_harmonics(rule.normals, rule.boundary.degree) * scale
 
 
 @dataclass(frozen=True)
@@ -144,44 +150,52 @@ class ControlTrace:
 
 @dataclass(frozen=True)
 class HarmonicTrace:
-    """A trace by its coefficients on each control rule's orthonormal
-    harmonics of degrees 0 .. D, the constant first, then those of
-    :func:`fieldcast.geometry.surface_harmonics`, and per rule ``outside``,
-    the squared L2 norm of its degrees above D; regions first."""
+    """A trace by its coefficients on each control sphere's orthonormal
+    harmonics of degrees 0 .. D, its degree, the constant first, then those
+    of :func:`fieldcast.geometry.surface_harmonics`, and per sphere
+    ``outside``, the squared L2 norm of its degrees above D; regions first."""
 
     blocks: list[np.ndarray]
-    outside: np.ndarray  # (rules,)
-    rules: list[QuadratureRule]
+    outside: np.ndarray  # (spheres,)
+    boundaries: list[Boundary]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", [frozen_array(b) for b in self.blocks])
         object.__setattr__(self, "outside", frozen_array(self.outside))
-        if not len(self.blocks) == len(self.outside) == len(self.rules):
-            raise ValueError(f"{len(self.blocks)} blocks for {len(self.rules)} control rules")
+        if not len(self.blocks) == len(self.outside) == len(self.boundaries):
+            raise ValueError(f"{len(self.blocks)} blocks for {len(self.boundaries)} "
+                             f"control spheres")
 
     def norm(self) -> float:
         """Product-space L2 norm: the coefficients' and ``outside`` together."""
         return math.sqrt(sum(float(b @ b) for b in self.blocks) + float(np.sum(self.outside)))
 
 
+def _same_boundary(a: Boundary, b: Boundary) -> bool:
+    """Same dimension, degree, radius and centre."""
+    return a is b or (a.dim == b.dim and a.degree == b.degree
+                      and abs(a.radius - b.radius) <= 1e-14 * a.radius
+                      and np.max(np.abs(a.center - b.center)) <= 1e-14)
+
+
 def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
-    """Same node count, boundary (dimension, radius, centre), nodes and weights."""
-    return a is b or (a.node_count == b.node_count and a.boundary.dim == b.boundary.dim
-                      and abs(a.boundary.radius - b.boundary.radius) <= 1e-14 * a.boundary.radius
-                      and np.max(np.abs(a.boundary.center - b.boundary.center)) <= 1e-14
-                      and np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights))
+    """Same boundary, nodes and weights."""
+    return a is b or (_same_boundary(a.boundary, b.boundary) and np.array_equal(a.nodes, b.nodes)
+                      and np.array_equal(a.weights, b.weights))
 
 
-def _check_same_rules(s: list[QuadratureRule], t: list[QuadratureRule]) -> None:
+def _check_same(s: list, t: list, same) -> None:
+    """Raise unless the traces' rules or boundaries ``s`` and ``t`` pair off
+    as ``same``."""
     if len(s) != len(t):
         raise ValueError("control traces have different block counts")
-    if not all(map(_same_rule, s, t)):
+    if not all(map(same, s, t)):
         raise ValueError("control traces are defined on different boundaries")
 
 
 def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
     """Product-space inner product: sum of weighted surface inner products."""
-    _check_same_rules(s.rules, t.rules)
+    _check_same(s.rules, t.rules, _same_rule)
     total = 0.0
     for a, b, rule in zip(s.blocks, t.blocks, s.rules):
         total += float(rule.weights @ (a * b))
@@ -248,37 +262,24 @@ class WeightedSVD:
         return float(residual @ residual)
 
 
-def _concentric(antenna: QuadratureRule, rule: QuadratureRule) -> bool:
-    """Whether the control rule's sphere shares the antenna's centre, so that
-    its block is the closed-form diagonal of :func:`_coefficient_block`."""
-    return bool(np.array_equal(rule.boundary.center, antenna.boundary.center))
+def _concentric(antenna: Boundary, sphere: Boundary) -> bool:
+    """Whether the control sphere shares the antenna's centre, so that its
+    block is the closed-form diagonal of :func:`_coefficient_block`."""
+    return bool(np.array_equal(sphere.center, antenna.center))
 
 
-def _region_rows(degree: int, dim: int) -> int:
-    """Rows of a region's block, for a rule of :func:`harmonic_degree`
-    ``degree``: one per harmonic of degrees 0 .. ``degree``."""
-    return harmonic_count(degree, dim) + 1
-
-
-def _antenna_columns(antenna: QuadratureRule) -> int:
+def _antenna_columns(antenna: Boundary) -> int:
     """M, the antenna harmonics of degrees 1 .. L: the matrix's columns."""
-    return harmonic_count(harmonic_degree(antenna), antenna.boundary.dim)
+    return harmonic_count(antenna.degree, antenna.dim)
 
 
-def _block_rows(antenna: QuadratureRule, rule: QuadratureRule) -> int:
-    """Rows of a control rule's block: one per antenna harmonic on a sphere
-    concentric with the antenna, else one per harmonic the rule resolves."""
-    if _concentric(antenna, rule):
-        return _antenna_columns(antenna)
-    return _region_rows(harmonic_degree(rule), rule.boundary.dim)
-
-
-def matrix_rows(dim: int, n_regions: int, control_degree: int, antenna_degree: int) -> int:
-    """Rows of the matrix :func:`assemble_forward` builds from ``n_regions``
-    region rules and the outer one, all of :func:`harmonic_degree`
-    ``control_degree``, and an antenna rule of degree ``antenna_degree``:
-    :func:`_block_rows` summed, with no rule built."""
-    return n_regions * _region_rows(control_degree, dim) + harmonic_count(antenna_degree, dim)
+def row_offsets(antenna: Boundary, controls: list[Boundary]) -> list[int]:
+    """The first row of each control sphere's block of the matrix, and the
+    matrix's row count last: one row per antenna harmonic on a sphere
+    concentric with the antenna, else one per harmonic of degrees 0 .. D,
+    the sphere's degree."""
+    return list(accumulate((_antenna_columns(antenna) if _concentric(antenna, b)
+                            else harmonic_count(b.degree, b.dim) + 1 for b in controls), initial=0))
 
 
 @dataclass
@@ -287,57 +288,52 @@ class ForwardOperator:
 
     Column j of ``matrix`` holds the field radiated by the antenna's basis
     density j (:class:`HarmonicDensity`) as coefficients on each control
-    sphere's orthonormal harmonics: one block of rows per control rule, in
-    their order (:attr:`block_rows`).  ``unresolved`` holds, per control
-    rule, the share of its block's Frobenius norm, over every degree the
-    basis fields hold on its sphere, that lies in the degrees above its
-    rule's and so outside its rows (:func:`unresolved_share`); a matrix
-    given directly has none.  ``matrix`` is None once ``weighted_svd(K,
-    release=True)`` has consumed it; the factors then stand in for it
+    sphere's orthonormal harmonics: one block of rows per control sphere,
+    in their order (:attr:`block_rows`).  ``unresolved`` holds, per control
+    sphere, the share of its block's Frobenius norm, over every degree the
+    basis fields hold on it, that lies in the degrees above its own and so
+    outside its rows (:func:`unresolved_share`); a matrix given directly
+    has none.  ``matrix`` is None once ``weighted_svd(K, release=True)``
+    has consumed it; the factors then stand in for it
     (:func:`block_residuals`), and :func:`dump_operator` assembles its rows
     again.
     """
 
     matrix: np.ndarray | None  # (m, M): control harmonics x antenna harmonics
-    antenna_rule: QuadratureRule
-    control_rules: list[QuadratureRule]
+    antenna: Boundary
+    controls: list[Boundary]
     unresolved: tuple[float, ...] | None = None
     _svd: WeightedSVD | None = field(default=None, repr=False)
-    block_rows: list[slice] = field(init=False, repr=False)  # each control rule's rows
+    block_rows: list[slice] = field(init=False, repr=False)  # each control sphere's rows
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        ends = np.cumsum([0] + [_block_rows(self.antenna_rule, r) for r in self.control_rules])
-        self.block_rows = [slice(int(a), int(b)) for a, b in zip(ends, ends[1:])]
-        shape = (int(ends[-1]), _antenna_columns(self.antenna_rule))
+        ends = row_offsets(self.antenna, self.controls)
+        self.block_rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        shape = (ends[-1], _antenna_columns(self.antenna))
         if self.matrix.shape != shape:
             raise ValueError(f"matrix shape {self.matrix.shape} != {shape}")
         if self.unresolved is None:
-            self.unresolved = (0.0,) * len(self.control_rules)
+            self.unresolved = (0.0,) * len(self.controls)
         # One block of columns at a time, so that no array of the matrix's size is made.
         for cols in row_blocks(shape[1], shape[0]):
             if not np.isfinite(self.matrix[:, cols]).all():
                 raise ValueError("operator matrix contains non-finite entries")
 
-    def split(self, concatenated: np.ndarray) -> ControlTrace:
-        """Nodal values at every control node, regions first, as a trace."""
-        ends = np.cumsum([r.node_count for r in self.control_rules])[:-1]
-        return ControlTrace(blocks=np.split(concatenated, ends), rules=self.control_rules)
-
     def trace_coefficients(self, v: HarmonicTrace) -> tuple[np.ndarray, np.ndarray]:
         """(y, outside): the trace v in the rows of ``matrix``, and per control
-        rule the squared norm of the part of v outside its block's rows: v's
+        sphere the squared norm of the part of v outside its block's rows: v's
         own ``outside`` and, on a sphere concentric with the antenna, the
         harmonics of degrees the antenna does not radiate (degree 0, and
         those above its degree L).  So ||y[block]||^2 plus ``outside`` is
         the block's squared norm, and the residual of any density on that
         block is sqrt(||C c - y||^2 + outside).
         """
-        _check_same_rules(self.control_rules, v.rules)
+        _check_same(self.controls, v.boundaries, _same_boundary)
         y = np.zeros(self.block_rows[-1].stop)
         outside = np.array(v.outside)
-        for k, (rule, a, rows) in enumerate(zip(self.control_rules, v.blocks, self.block_rows)):
-            if _concentric(self.antenna_rule, rule):
+        for k, (sphere, a, rows) in enumerate(zip(self.controls, v.blocks, self.block_rows)):
+            if _concentric(self.antenna, sphere):
                 kept = min(a.shape[0] - 1, rows.stop - rows.start)
                 y[rows.start: rows.start + kept] = a[1: kept + 1]
                 outside[k] += a[0] ** 2 + a[kept + 1:] @ a[kept + 1:]
@@ -346,30 +342,30 @@ class ForwardOperator:
         return y, outside
 
 
-def degree_gains(antenna: QuadratureRule, r: np.ndarray) -> np.ndarray:
+def degree_gains(antenna: Boundary, r: np.ndarray) -> np.ndarray:
     """(L, p): g_l (delta/r)^(l+dim-2) delta^(-(dim-1)/2) at each distance r
     from the antenna centre, a row per degree l = 1 .. L: the radial factor
     of the field of each basis density of degree l (:class:`HarmonicDensity`)."""
-    dim, delta = antenna.boundary.dim, antenna.boundary.radius
+    dim, delta = antenna.dim, antenna.radius
     q = delta / r
     radial = delta ** (-(dim - 1) / 2) * q ** (dim - 2)  # (delta/r)^(l+dim-2) at l = 0, scaled
-    out = np.empty((harmonic_degree(antenna), r.shape[0]))
+    out = np.empty((antenna.degree, r.shape[0]))
     for l in range(1, out.shape[0] + 1):
         radial = radial * q
         out[l - 1] = (0.5 if dim == 2 else l / (2 * l + 1)) * radial
     return out
 
 
-def _check_clearance(antenna: QuadratureRule, r) -> None:
+def _check_clearance(antenna: Boundary, r) -> None:
     """Reject a control sphere that comes within ``r`` of the antenna centre,
     closer than its clearance delta (1 + SEPARATION_RTOL)."""
-    if np.any(r < antenna.boundary.radius * (1.0 + SEPARATION_RTOL)):
+    if np.any(r < antenna.radius * (1.0 + SEPARATION_RTOL)):
         raise ValueError("control boundary comes too close to the antenna boundary")
 
 
-def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
-                       rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``rows`` of a control rule's block of the matrix, (rows, M),
+def _coefficient_block(antenna: Boundary, sphere: Boundary, rows: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``rows`` of a control sphere's block of the matrix, (rows, M),
     written into ``out`` (a new array when None).
 
     A region's block is its basis fields translated to the control centre
@@ -377,49 +373,50 @@ def _coefficient_block(antenna: QuadratureRule, rule: QuadratureRule,
     sphere of radius R concentric with the antenna, basis density j
     radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) times the
     sphere's own orthonormal harmonic j, so the block is that diagonal over
-    all the antenna's degrees, whether or not the rule resolves them.  Only
-    the requested rows are made, and each entry depends on its row and
-    column alone, so a slice equals the whole block's rows bit for bit.
-    Subnormal entries, of degrees whose fields underflow, are zeroed.
+    all the antenna's degrees, whatever the sphere's degree.  Only the
+    requested rows are made, and each entry depends on its row and column
+    alone, so a slice equals the whole block's rows bit for bit.  Subnormal
+    entries, of degrees whose fields underflow, are zeroed.
     """
-    if rule.boundary.dim != antenna.boundary.dim:
-        raise ValueError("antenna and control rule have mixed dimensions")
-    columns = _antenna_columns(antenna)
-    wanted = range(_block_rows(antenna, rule))[rows]
+    if sphere.dim != antenna.dim:
+        raise ValueError("antenna and control sphere have mixed dimensions")
+    wanted = range(row_offsets(antenna, [sphere])[1])[rows]
     if out is None:
-        out = np.empty((len(wanted), columns), order="F")
-    if not _concentric(antenna, rule):
-        distance = float(np.linalg.norm(rule.boundary.center - antenna.boundary.center))
-        _check_clearance(antenna, distance - rule.boundary.radius)
-        translated_block(antenna.boundary.center, antenna.boundary.radius,
-                         antenna_gains(antenna, rule), rule, wanted, out)
+        out = np.empty((len(wanted), _antenna_columns(antenna)), order="F")
+    if not _concentric(antenna, sphere):
+        distance = float(np.linalg.norm(sphere.center - antenna.center))
+        _check_clearance(antenna, distance - sphere.radius)
+        # BLOCK_PAIRS / L rows at a time: the temporaries of one antenna order
+        # hold about rows x L values each, bounded however many rows a region has.
+        gains = antenna_gains(antenna, sphere)
+        for part in row_blocks(len(wanted), antenna.degree):
+            translated_block(antenna.center, antenna.radius, gains, sphere, wanted[part], out[part])
         return _flush_subnormal(out)
-    _check_clearance(antenna, rule.boundary.radius)
+    _check_clearance(antenna, sphere.radius)
     start, stop = wanted.start, wanted.stop
     out[...] = 0.0
-    gains = _concentric_gains(antenna, rule)[None, start:stop]
+    gains = _concentric_gains(antenna, sphere)[None, start:stop]
     out[range(stop - start), range(start, stop)] = _flush_subnormal(gains)[0]
     return out
 
 
-def _concentric_gains(antenna: QuadratureRule, rule: QuadratureRule) -> np.ndarray:
-    """(M,): the diagonal of a concentric rule's block, one gain per antenna harmonic."""
-    dim, radius = rule.boundary.dim, rule.boundary.radius
+def _concentric_gains(antenna: Boundary, sphere: Boundary) -> np.ndarray:
+    """(M,): the diagonal of a concentric sphere's block, one gain per antenna harmonic."""
+    dim, radius = sphere.dim, sphere.radius
     gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
     return np.repeat(gains, np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)]))
 
 
-def unresolved_share(antenna: QuadratureRule, rule: QuadratureRule) -> float:
+def unresolved_share(antenna: Boundary, sphere: Boundary) -> float:
     """The share of a control block's Frobenius norm, over all the degrees
     its basis fields hold on the control sphere, that lies in degrees above
-    the rule's :func:`fieldcast.geometry.harmonic_degree` D: in the rows
-    the matrix leaves out.  On a concentric sphere those are the antenna
-    degrees above D; on a region's sphere they run on without end
-    (:func:`fieldcast.translation.region_share`)."""
-    if not _concentric(antenna, rule):
-        return region_share(antenna, rule)
-    gains = _concentric_gains(antenna, rule)
-    tail = gains[harmonic_count(harmonic_degree(rule), rule.boundary.dim):]
+    the sphere's degree D: in the rows the matrix leaves out.  On a
+    concentric sphere those are the antenna degrees above D; on a region's
+    sphere they run on without end (:func:`fieldcast.translation.region_share`)."""
+    if not _concentric(antenna, sphere):
+        return region_share(antenna, sphere)
+    gains = _concentric_gains(antenna, sphere)
+    tail = gains[harmonic_count(sphere.degree, sphere.dim):]
     return math.sqrt(float(tail @ tail) / float(gains @ gains)) if tail.size else 0.0
 
 
@@ -433,43 +430,39 @@ def _flush_subnormal(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def assemble_forward(antenna: QuadratureRule, controls: list[QuadratureRule]) -> ForwardOperator:
+def assemble_forward(antenna: Boundary, controls: list[Boundary]) -> ForwardOperator:
     """The closed-form trace operator: a column-major matrix of each control
-    rule's :func:`_coefficient_block`, regions first, each written straight
+    sphere's :func:`_coefficient_block`, regions first, each written straight
     into its rows of the matrix."""
-    rows = np.cumsum([0] + [_block_rows(antenna, r) for r in controls])
+    rows = row_offsets(antenna, controls)
     matrix = np.empty((rows[-1], _antenna_columns(antenna)), order="F")
-    for rule, start, stop in zip(controls, rows, rows[1:]):
-        _coefficient_block(antenna, rule, out=matrix[start:stop])
-    return ForwardOperator(matrix=matrix, antenna_rule=antenna, control_rules=list(controls),
-                           unresolved=tuple(unresolved_share(antenna, r) for r in controls))
+    for sphere, start, stop in zip(controls, rows, rows[1:]):
+        _coefficient_block(antenna, sphere, out=matrix[start:stop])
+    return ForwardOperator(matrix=matrix, antenna=antenna, controls=list(controls),
+                           unresolved=tuple(unresolved_share(antenna, b) for b in controls))
 
 
-def _check_density(K: ForwardOperator, h: Density | HarmonicDensity) -> None:
-    if not _same_rule(K.antenna_rule, h.rule):
-        raise ValueError("density's rule does not match the operator's antenna rule")
-
-
-def _kernel_blocks(K: ForwardOperator):
+def _kernel_blocks(antenna: QuadratureRule, controls: list[QuadratureRule]):
     """The nodal double-layer kernel dlp_kernel(x_i, y_j, nu_j), x_i over all
     control nodes and y_j over the antenna nodes, one block of antenna nodes
     at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each."""
-    a = K.antenna_rule
-    x = np.concatenate([r.nodes for r in K.control_rules])[None]  # (1, m, dim)
-    for cols in row_blocks(a.node_count, x.shape[1]):
-        yield cols, dlp_kernel(x, a.nodes[cols, None], a.normals[cols, None], a.boundary.dim)
+    x = np.concatenate([r.nodes for r in controls])[None]  # (1, m, dim)
+    for cols in row_blocks(antenna.node_count, x.shape[1]):
+        yield cols, dlp_kernel(x, antenna.nodes[cols, None], antenna.normals[cols, None],
+                               antenna.boundary.dim)
 
 
-def apply(K: ForwardOperator, h: Density) -> ControlTrace:
-    """Double-layer traces of a nodal density on every control boundary, by
-    Nystrom quadrature over the antenna rule: sum_j dlp_kernel(x_i, y_j, nu_j)
-    w_j h_j.  The oracle for the closed-form matrix; it stores no matrix."""
-    _check_density(K, h)
-    wh = K.antenna_rule.weights * h.values  # (n,)
-    trace = np.zeros(sum(r.node_count for r in K.control_rules))  # (m,)
-    for cols, kernel in _kernel_blocks(K):
+def apply(controls: list[QuadratureRule], h: Density) -> ControlTrace:
+    """Double-layer traces of a nodal density at the nodes of every control
+    rule, by Nystrom quadrature over its antenna rule: sum_j dlp_kernel(x_i,
+    y_j, nu_j) w_j h_j.  The oracle for the closed-form matrix; it stores no
+    matrix."""
+    wh = h.rule.weights * h.values  # (n,)
+    trace = np.zeros(sum(r.node_count for r in controls))  # (m,)
+    for cols, kernel in _kernel_blocks(h.rule, controls):
         trace += wh[cols] @ kernel
-    return K.split(trace)
+    ends = np.cumsum([r.node_count for r in controls])[:-1]
+    return ControlTrace(blocks=np.split(trace, ends), rules=list(controls))
 
 
 def block_residuals(K: ForwardOperator, h: HarmonicDensity,
@@ -482,10 +475,11 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
     v outside each block (:meth:`ForwardOperator.trace_coefficients`).
     Each norm agrees with that of ``C c - y`` (and v's outside part) within
     RESIDUAL_ROUNDING_C * u * (sigma_1 ||c|| + ||v||), u = 2^-53.  It leaves
-    out the radiated field's degrees above its rule's, whose L2 norm is at
+    out the radiated field's degrees above its sphere's, whose L2 norm is at
     most the block's ``unresolved`` share of its Frobenius norm times ||c||.
     """
-    _check_density(K, h)
+    if not _same_boundary(K.antenna, h.boundary):
+        raise ValueError("density is not on the operator's antenna boundary")
     c = h.coefficients
     y, outside = K.trace_coefficients(v)
     svd = weighted_svd(K)
@@ -494,19 +488,19 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
                  for rows, rest in zip(K.block_rows, outside.tolist()))
 
 
-def apply_adjoint(K: ForwardOperator, t: ControlTrace) -> Density:
+def apply_adjoint(antenna: QuadratureRule, t: ControlTrace) -> Density:
     """Adjoint of :func:`apply` in the weighted inner products.
 
-    Nystrom quadrature of the adjoint kernel over the control boundaries:
-    value j is sum_i dlp_kernel(x_i, y_j, nu_j) W_i t_i, the exact discrete
-    adjoint of :func:`apply`.  It stores no matrix.
+    Nystrom quadrature of the adjoint kernel over the trace's control rules:
+    value j at node j of the ``antenna`` rule is sum_i dlp_kernel(x_i, y_j,
+    nu_j) W_i t_i, the exact discrete adjoint of :func:`apply`.  It stores
+    no matrix.
     """
-    _check_same_rules(K.control_rules, t.rules)
-    weighted = np.concatenate([r.weights for r in K.control_rules]) * t.concatenated  # (m,)
-    values = np.empty(K.antenna_rule.node_count)  # (n,)
-    for cols, kernel in _kernel_blocks(K):
+    weighted = np.concatenate([r.weights for r in t.rules]) * t.concatenated  # (m,)
+    values = np.empty(antenna.node_count)  # (n,)
+    for cols, kernel in _kernel_blocks(antenna, t.rules):
         values[cols] = kernel @ weighted
-    return Density(rule=K.antenna_rule, values=values)
+    return Density(rule=antenna, values=values)
 
 
 def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
@@ -554,53 +548,46 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
     return K._svd
 
 
-# What a run holds beside the operator's arrays: per node of a control rule,
-# about 32 float64 of rules (each sphere's nodes, normals and weights, and
-# the temporaries that make and check them; no target array is sized per
-# node); and a fixed part for the BLAS and module memory a run touches
-# beyond ``import fieldcast.cli`` (the target's first run of degrees above
-# its rule's, the probes' series, a dump's row block and its bytes).  On
-# demo-3d a run at 31 x 15 (32 nodes a rule), where the arrays are
-# negligible, grows by 3.5 MiB; at 1087 x 63 (2048 nodes a rule) its dump by
-# 5.6, 4.4 MiB above its arrays, the most of any shape measured.  The fixed
-# part is that with a margin of 35%; at 16399 x 15 (32768 nodes a rule) a
-# run grows by 14.3 MiB, 10.5 above its arrays, 224 bytes a node beyond it.
-RUN_OVERHEAD_BYTES_PER_ROW = 8 * 32
-RUN_OVERHEAD_BYTES = 6 * 2**20
+# What a run holds beside the operator's arrays: the BLAS and module memory
+# it touches beyond ``import fieldcast.cli`` and its small arrays (the
+# translation's tables and one block of rows' temporaries, the target's
+# first run of degrees above its sphere's, the vectors of the solve, the
+# probes' series, a dump's row block and its bytes); no array is sized by a
+# node count.  The most measured beyond the arrays is 6.1 MiB, a dump at
+# 21919 x 15, whose region is translated in blocks of BLOCK_PAIRS / L rows
+# with L = 3 (:func:`_coefficient_block`); this is that with a margin of
+# 35%, rounded up.
+RUN_OVERHEAD_BYTES = 9 * 2**20
 
 
-def factorization_bytes(m: int, p: int, columns: int) -> int:
+def factorization_bytes(m: int, columns: int) -> int:
     """Bytes a run holds at its peak, for an m x M matrix (M = ``columns``
-    antenna harmonics) and p nodes on the largest region's control rule,
-    summed over the stages that can set it: two m x M float64
-    arrays at the QR in :func:`weighted_svd` (the matrix, which it
+    antenna harmonics), summed over the stages that can set it: two m x M
+    float64 arrays at the QR in :func:`weighted_svd` (the matrix, which it
     overwrites with the reflectors, and LAPACK's working copy), which also
     bound what :func:`assemble_forward` holds while it translates a region
     (the matrix and the temporaries of one antenna order,
-    :func:`fieldcast.translation.translated_block`); six k x k,
-    k = min(m, M), for the SVD of R (R, its factors and gesdd's
-    workspace); and the run's other
-    arrays (RUN_OVERHEAD_BYTES_PER_ROW per control-rule node plus
-    RUN_OVERHEAD_BYTES).  Growth of peak RSS over a process that only
-    imports the CLI, with BLAS loaded as ``python -m fieldcast`` loads it
-    (ru_maxrss, median of 5), in MiB, for ``run`` / ``run --dump-operator``
-    / this estimate, on demo-3d: 3.5 / 3.5 / 6.0 at 31 x 15 (p = 32),
-    4.8 / 5.6 / 7.7 at 1087 x 63 (p = 2048), 15.3 / 15.4 / 19.5 at
-    975 x 399 (p = 1152), 11.0 / 11.0 / 14.5 at 1279 x 255 (p = 2048),
-    25.7 / 25.8 / 31.5 at 1151 x 575 (p = 1152), 65.9 / 65.9 / 74.0 at
-    1279 x 1023 (p = 512), where the SVD of R sets the peak, 6.3 / 6.4 /
-    9.0 at 4111 x 15 (p = 8192) and 14.3 / 14.3 / 17.8 at 16399 x 15
-    (p = 32768, median of 3); on demo-2d: 2.9 / 2.8 / 6.0 at 44 x 14
-    (p = 16), 4.2 / 4.3 / 7.5 at 380 x 126 (p = 128), 26.8 / 26.7 / 31.1 at
-    668 x 638 (p = 16), 10.9 / 11.3 / 16.1 at 1788 x 254 (p = 768),
-    39.5 / 39.3 / 47.8 at 1276 x 766 (p = 256), 46.8 / 46.8 / 59.9 at
-    2300 x 766 (p = 768), 4.4 / 5.3 / 8.8 at 8204 x 14 (p = 4096) and
-    12.8 / 12.7 / 17.0 at 32780 x 14 (p = 16384, median of 3).  The dump
-    assembles the rows again after the solve, one row block at a time
-    (:func:`dump_operator`)."""
+    :func:`fieldcast.translation.translated_block`) unless the matrix is
+    tall and narrow, where RUN_OVERHEAD_BYTES covers the temporaries; six
+    k x k, k = min(m, M), for the SVD of R (R, its factors and gesdd's
+    workspace); and RUN_OVERHEAD_BYTES.  Growth of peak RSS over a process
+    that only imports the CLI, with BLAS loaded as ``python -m fieldcast``
+    loads it (ru_maxrss, median of 5), in MiB, for ``run`` / ``run
+    --dump-operator`` / this estimate, on demo-3d: 3.1 / 3.2 / 9.0 at
+    31 x 15, 4.1 / 5.0 / 10.2 at 1087 x 63, 14.8 / 14.9 / 22.2 at 975 x 399,
+    10.3 / 10.4 / 17.0 at 1279 x 255, 25.1 / 25.1 / 34.2 at 1151 x 575,
+    65.3 / 65.4 / 76.9 at 1279 x 1023, where the SVD of R sets the peak,
+    3.5 / 4.3 / 10.0 at 4111 x 15, 8.6 / 8.7 / 12.8 at 16399 x 15,
+    10.8 / 11.1 / 14.0 at 21919 x 15 and 19.8 / 20.0 / 24.0 at 65551 x 15;
+    on demo-2d: 2.7 / 2.9 / 9.0 at 44 x 14, 3.9 / 4.2 / 10.5 at 380 x 126,
+    26.5 / 26.5 / 34.1 at 668 x 638, 10.8 / 11.3 / 18.9 at 1788 x 254,
+    39.3 / 39.3 / 50.8 at 1276 x 766, 46.7 / 46.7 / 62.7 at 2300 x 766,
+    3.9 / 5.0 / 10.8 at 8204 x 14 and 10.6 / 10.6 / 16.0 at 32780 x 14.
+    The dump assembles the rows again after the solve, one row block at a
+    time (:func:`dump_operator`)."""
     k = min(m, columns)
     arrays = 2 * m * columns + 6 * k * k
-    return 8 * arrays + RUN_OVERHEAD_BYTES_PER_ROW * p + RUN_OVERHEAD_BYTES
+    return 8 * arrays + RUN_OVERHEAD_BYTES
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
@@ -620,13 +607,13 @@ def dump_operator(K: ForwardOperator, path) -> None:
     dump holds one row block, and each block costs time in proportion to
     its own rows."""
     svd = weighted_svd(K)
-    m, columns = K.block_rows[-1].stop, _antenna_columns(K.antenna_rule)
+    m, columns = K.block_rows[-1].stop, _antenna_columns(K.antenna)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
-        for rule, block_rows in zip(K.control_rules, K.block_rows):
+        for sphere, block_rows in zip(K.controls, K.block_rows):
             for rows in row_blocks(block_rows.stop - block_rows.start, columns):
                 if K.matrix is None:
-                    block = _coefficient_block(K.antenna_rule, rule, rows)
+                    block = _coefficient_block(K.antenna, sphere, rows)
                 else:
                     block = K.matrix[block_rows][rows]
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())

@@ -214,7 +214,7 @@ def solve_min_energy(
     ``_FilterData.match``; flagged ``degenerate`` when the zero density suffices."""
     data = _filter_data(K, v)
     alpha, disc, iterations = (x.item() for x in data.match([epsilon]))
-    h = HarmonicDensity(K.antenna_rule, weighted_svd(K).vt.T @ data.coefficients(alpha))
+    h = HarmonicDensity(K.antenna, weighted_svd(K).vt.T @ data.coefficients(alpha))
     report = SolveReport(
         alpha_star=alpha,
         discrepancy=disc,

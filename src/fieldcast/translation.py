@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .geometry import QuadratureRule, harmonic_degree, legendre_table
+from .geometry import Boundary, legendre_table
 from .kernels import row_blocks
 
 
@@ -40,22 +40,22 @@ def row_orders(rows: range, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return degree, (k + 1) // 2, (k > 0) & (k % 2 == 0)
 
 
-def antenna_gains(antenna: QuadratureRule, rule: QuadratureRule) -> np.ndarray:
+def antenna_gains(antenna: Boundary, sphere: Boundary) -> np.ndarray:
     """:func:`translated_block`'s gains for the antenna's basis columns,
     degrees 1 .. L: log g_l, in 2D log(g_l / sqrt(delta)) plus the rows'
     log sqrt(R), g_l the degree's gain of :func:`fieldcast.operator.degree_gains`."""
-    if rule.boundary.dim == 2:
-        gain = 0.5 * math.log(rule.boundary.radius / antenna.boundary.radius) - math.log(2.0)
-        return np.full(harmonic_degree(antenna), gain)
-    l = np.arange(1, harmonic_degree(antenna) + 1)
+    if sphere.dim == 2:
+        gain = 0.5 * math.log(sphere.radius / antenna.radius) - math.log(2.0)
+        return np.full(antenna.degree, gain)
+    l = np.arange(1, antenna.degree + 1)
     return np.log(l / (2.0 * l + 1))
 
 
-def translated_block(center, radius: float, gains: np.ndarray, rule: QuadratureRule,
+def translated_block(center, radius: float, gains: np.ndarray, sphere: Boundary,
                      rows: range, out: np.ndarray, start: int = 1) -> None:
     """Rows ``rows``, of any degrees, of the local expansion about the
-    control centre of multipole columns about ``center``, written into
-    ``out`` in closed form.  Column (l, j), l = start .. start + len(gains)
+    control ``sphere``'s centre of multipole columns about ``center``,
+    written into ``out`` in closed form.  Column (l, j), l = start .. start + len(gains)
     - 1 and j its harmonics in :func:`fieldcast.geometry.surface_harmonics`'
     order, is the field e^(gains[l - start]) radius^l Y_j(x^) / |x|^(l+dim-2),
     x the offset from ``center`` and Y_j orthonormal on the unit sphere (in
@@ -76,9 +76,9 @@ def translated_block(center, radius: float, gains: np.ndarray, rule: QuadratureR
     w^k / c^(l+k), with x = c + w as complex numbers.  An entry depends on
     its row and column alone, bit for bit, and the columns are made one
     order (in 2D a few degrees) at a time."""
-    dim = rule.boundary.dim
-    offset = rule.boundary.center - center
-    dist, R = float(np.linalg.norm(offset)), rule.boundary.radius
+    dim = sphere.dim
+    offset = sphere.center - center
+    dist, R = float(np.linalg.norm(offset)), sphere.radius
     degree = start + len(gains) - 1
     lam, nu, sin = row_orders(rows, dim)
     top = degree + int(lam.max(initial=0))
@@ -172,7 +172,7 @@ def _translated_3d(out, degree, start, gains, top, lam, nu, sin, near, far, fact
             out[:, first + 1] = np.concatenate([c + d, a - b])[taken]
 
 
-def degree_norms(antenna: QuadratureRule, rule: QuadratureRule, degrees: np.ndarray) -> np.ndarray:
+def degree_norms(antenna: Boundary, sphere: Boundary, degrees: np.ndarray) -> np.ndarray:
     """(len(degrees),): the squared Frobenius norm of a region block's rows
     of each control degree lam in ``degrees``, in closed form.  A full
     multiplet's sum is unchanged by a rotation that takes the control
@@ -180,16 +180,16 @@ def degree_norms(antenna: QuadratureRule, rule: QuadratureRule, degrees: np.ndar
     orders, antenna degree l adds g_l^2 (delta/|a|)^(2l) (R/|a|)^(2 lam + 2)
     C(2l + 2 lam, 2 lam) (2l + 1) / (2 lam + 1) in 3D, and in 2D twice the
     squared magnitude of :func:`_translated_2d`'s entries."""
-    dim, degree = rule.boundary.dim, harmonic_degree(antenna)
-    dist = float(np.linalg.norm(rule.boundary.center - antenna.boundary.center))
-    near = math.log(antenna.boundary.radius / dist)
-    far = math.log(rule.boundary.radius / dist)
+    dim, degree = sphere.dim, antenna.degree
+    dist = float(np.linalg.norm(sphere.center - antenna.center))
+    near = math.log(antenna.radius / dist)
+    far = math.log(sphere.radius / dist)
     factorial = _log_factorials(2 * (degree + int(degrees[-1])))
     lam, l = degrees[:, None], np.arange(1, degree + 1)
     if dim == 2:
         log = 2 * (lam * far + l * near
                    + factorial[l + lam - 1] - factorial[lam] - factorial[l - 1])
-        log += math.log(rule.boundary.radius / antenna.boundary.radius) - math.log(2.0)
+        log += math.log(sphere.radius / antenna.radius) - math.log(2.0)
     else:
         log = (2 * np.log(l / (2.0 * l + 1)) + 2 * l * near + (2 * lam + 2) * far
                + factorial[2 * (l + lam)] - factorial[2 * lam] - factorial[2 * l]
@@ -198,23 +198,23 @@ def degree_norms(antenna: QuadratureRule, rule: QuadratureRule, degrees: np.ndar
         return np.sum(np.exp(log), axis=1)
 
 
-def region_share(antenna: QuadratureRule, rule: QuadratureRule) -> float:
+def region_share(antenna: Boundary, sphere: Boundary) -> float:
     """The share of a region block's Frobenius norm, over all the degrees
     its basis fields hold on the control sphere, that lies in the degrees
-    above the rule's D, which run on without end: they are summed from
+    above the sphere's degree D, which run on without end: they are summed from
     D + 1 (:func:`degree_norms`), in runs that double up to 2^14 degrees,
     until what the rest can add is below rounding, as bounded by the
     geometric series of the ratio of successive terms at l = L (it falls
     with the degree and grows with l).  The sum stops after 2^18 degrees,
     which only a control sphere nearly touching the antenna's centre,
     R / |a| within about L 2^-18 of 1, would need."""
-    dim, D = rule.boundary.dim, harmonic_degree(rule)
-    kept = float(np.sum(degree_norms(antenna, rule, np.arange(D + 1))))
-    dist = float(np.linalg.norm(rule.boundary.center - antenna.boundary.center))
-    square, degree = (rule.boundary.radius / dist) ** 2, harmonic_degree(antenna)
+    dim, D = sphere.dim, sphere.degree
+    kept = float(np.sum(degree_norms(antenna, sphere, np.arange(D + 1))))
+    dist = float(np.linalg.norm(sphere.center - antenna.center))
+    square, degree = (sphere.radius / dist) ** 2, antenna.degree
     tail, start, count = 0.0, D + 1, 64
     while start <= D + 2**18:
-        norms = degree_norms(antenna, rule, np.arange(start, start + count))
+        norms = degree_norms(antenna, sphere, np.arange(start, start + count))
         tail += float(np.sum(norms))
         lam = start + count - 1
         if dim == 2:

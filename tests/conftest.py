@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcast import (ControlTrace, ForwardOperator, HarmonicDensity, HarmonicTrace,
-                       assemble_forward, build_rules, build_target, dlp_kernel, load_scenario,
-                       solve_min_energy, solver, weighted_svd)
+from fieldcast import (ForwardOperator, HarmonicDensity, HarmonicTrace, assemble_forward,
+                       build_rules, build_target, dlp_kernel, load_scenario, solve_min_energy,
+                       solver, weighted_svd)
 from fieldcast.fields import radiated_field, resolve_epsilon
-from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, harmonic_count,
-                                harmonic_degree, make_rule, surface_harmonics)
+from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, control_labels,
+                                harmonic_count, make_rule, on_boundary, surface_harmonics)
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
 from fieldcast.solver import InfeasibleAccuracyError
 
@@ -36,6 +36,22 @@ PRESETS = Path(__file__).resolve().parent.parent / "presets"
 def load_preset(name):
     """A demo scenario from ``presets/<name>.scn``, control radii defaulted."""
     return load_scenario(PRESETS / f"{name}.scn")
+
+
+def scenario_rules(s):
+    """The quadrature rules of a validated scenario's boundaries, for the
+    Nystrom oracles: ``make_rule``'s rule of each node count, on the
+    boundaries of ``build_rules``, whose degrees they share."""
+    d, origin = s.discretization, np.zeros(s.dim)
+    antenna = on_boundary("antenna", make_rule, origin, s.delta, d.antenna, s.dim)
+    spheres = [(r.center, r.control_radius) for r in s.regions] + [(origin, s.outer_control_radius)]
+    return antenna, [on_boundary(label, make_rule, center, radius, d.control, s.dim)
+                     for label, (center, radius) in zip(control_labels(s), spheres)]
+
+
+def boundaries(rules):
+    """The boundary of each rule."""
+    return [rule.boundary for rule in rules]
 
 
 def rule_harmonics(rule, degree=None):
@@ -63,13 +79,13 @@ def explicit_coefficients(rule, values, degree=None):
 
 
 def basis_fields(antenna, points):
-    """The field of each of the antenna's basis densities at each of the
-    points, a (p, M) array formed whole: the surface harmonics at each
-    point's direction from the antenna centre, column by column times the
-    ``degree_gains`` of the column's degree at the point's distance."""
-    x = np.asarray(points, dtype=float) - antenna.boundary.center
+    """The field of each of the basis densities of the antenna boundary at
+    each of the points, a (p, M) array formed whole: the surface harmonics
+    at each point's direction from the antenna centre, column by column
+    times the ``degree_gains`` of the column's degree at the point's distance."""
+    x = np.asarray(points, dtype=float) - antenna.center
     r = np.linalg.norm(x, axis=-1)
-    degree, dim = harmonic_degree(antenna), antenna.boundary.dim
+    degree, dim = antenna.degree, antenna.dim
     degrees = np.repeat(np.arange(1, degree + 1),
                         np.diff([harmonic_count(l, dim) for l in range(degree + 1)]))
     return surface_harmonics(x / r[:, None], degree) * degree_gains(antenna, r)[degrees - 1].T
@@ -82,7 +98,7 @@ def quadrature_block(antenna, rule):
     and the share of their nodal block's weighted Frobenius norm that the
     rule does not resolve.  On a rule of D degrees its rows hold the block's
     degrees 0 .. D plus what the nodes fold into them from above D."""
-    block, rest = explicit_coefficients(rule, basis_fields(antenna, rule.nodes))
+    block, rest = explicit_coefficients(rule, basis_fields(antenna.boundary, rule.nodes))
     rest = float(np.sum(rest))
     return block, math.sqrt(rest / (float(np.sum(block**2)) + rest))
 
@@ -91,7 +107,7 @@ def projected(g):
     """The coefficient density of a nodal density g: g projected on its
     rule's harmonics (``explicit_coefficients``), degree 0 dropped, as it
     radiates nothing outside the antenna."""
-    return HarmonicDensity(g.rule, explicit_coefficients(g.rule, g.values)[0][1:])
+    return HarmonicDensity(g.rule.boundary, explicit_coefficients(g.rule, g.values)[0][1:])
 
 
 def block_harmonics(K, rule, rows):
@@ -99,7 +115,7 @@ def block_harmonics(K, rule, rows):
     as far as the rule resolves them: on a sphere concentric with the
     antenna, those of the antenna's degrees 1 .. L; elsewhere all of them."""
     values = rule_harmonics(rule)
-    if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+    if np.array_equal(rule.boundary.center, K.antenna.center):
         return values[:, 1: 1 + rows.stop - rows.start]
     return values
 
@@ -110,15 +126,15 @@ def trace_of(K, y, outside=None):
     sphere concentric with the antenna, those of the degrees 1 .. L the
     rule resolves."""
     blocks = []
-    for rule, rows in zip(K.control_rules, K.block_rows):
-        block = np.zeros(harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1)
-        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+    for sphere, rows in zip(K.controls, K.block_rows):
+        block = np.zeros(harmonic_count(sphere.degree, sphere.dim) + 1)
+        if np.array_equal(sphere.center, K.antenna.center):
             block[1:] = y[rows][: block.shape[0] - 1]
         else:
             block[:] = y[rows]
         blocks.append(block)
     outside = np.zeros(len(blocks)) if outside is None else outside
-    return HarmonicTrace(blocks=blocks, outside=outside, rules=K.control_rules)
+    return HarmonicTrace(blocks=blocks, outside=outside, boundaries=K.controls)
 
 
 def harmonic_trace(t):
@@ -126,15 +142,15 @@ def harmonic_trace(t):
     rule's harmonics (``explicit_coefficients``), the rest outside."""
     parts = [explicit_coefficients(rule, block) for rule, block in zip(t.rules, t.blocks)]
     return HarmonicTrace(blocks=[a for a, _ in parts], outside=[rest for _, rest in parts],
-                         rules=t.rules)
+                         boundaries=boundaries(t.rules))
 
 
-def assert_residuals_match_the_matrix(K, h, v):
+def assert_residuals_match_the_matrix(K, h, v, controls):
     """``block_residuals`` (through the factors) against the operator's own
     C c - y, c h's coefficients and y those of v, plus v's part outside
     each block, block by block, within RESIDUAL_ROUNDING_C * u * (sigma_1
     ||c|| + ||v||).  And each against the nodal residual, the fields of
-    ``basis_fields`` at the control nodes minus v's coefficients
+    ``basis_fields`` at the nodes of the control rules ``controls`` minus v's coefficients
     synthesized there (``block_harmonics``), with v's part outside added,
     within that rounding bound plus ||c|| times the weighted Frobenius norm
     of the fields the block's rows leave out: the nodal fields minus those
@@ -150,9 +166,8 @@ def assert_residuals_match_the_matrix(K, h, v):
     factored = block_residuals(K, h, v)
     for got, expected in zip(factored, direct, strict=True):
         assert abs(got - expected) <= bound
-    for got, rule, rows, rest in zip(factored, K.control_rules, K.block_rows, outside,
-                                     strict=True):
-        nodal = basis_fields(K.antenna_rule, rule.nodes)
+    for got, rule, rows, rest in zip(factored, controls, K.block_rows, outside, strict=True):
+        nodal = basis_fields(K.antenna, rule.nodes)
         harmonics = block_harmonics(K, rule, rows)
         kept = harmonics.shape[1]
         left = nodal - harmonics @ K.matrix[rows][:kept]
@@ -164,11 +179,11 @@ def assert_residuals_match_the_matrix(K, h, v):
 
 def summed_basis_fields(h, points):
     """The radiated field of density h at the points as the matrix product
-    ``basis_fields(h.rule, points) @ a``, a h's coefficients, and
+    ``basis_fields(h.boundary, points) @ a``, a h's coefficients, and
     sum_j |a_j basis_j| per point, the scale its rounding is measured
     against: the oracle for ``radiated_field``'s point-by-point sum."""
     a = h.coefficients
-    fields = basis_fields(h.rule, points)
+    fields = basis_fields(h.boundary, points)
     return fields @ a, np.abs(fields) @ np.abs(a)
 
 
@@ -191,8 +206,8 @@ def finer_rule(antenna, rule):
     n > K + D, and on n Gauss-Legendre rings of 2n nodes for 2n > K + D.
     Its projection onto ``rule``'s degrees folds in those above K at
     rounding level."""
-    dim, degree = rule.boundary.dim, harmonic_degree(rule)
-    gap = np.linalg.norm(rule.boundary.center - antenna.boundary.center) - antenna.boundary.radius
+    dim, degree = rule.boundary.dim, rule.boundary.degree
+    gap = np.linalg.norm(rule.boundary.center - antenna.center) - antenna.radius
     top = max(degree, math.ceil(-60 * math.log(2) / math.log(rule.boundary.radius / gap)))
     n = top + degree + 1 if dim == 2 else (top + degree) // 2 + 1
     return make_rule(rule.boundary.center, rule.boundary.radius, n, dim)
@@ -209,28 +224,29 @@ def nystrom_fields(antenna, points):
         for rows in np.array_split(np.arange(len(points)), max(1, len(points) // 256))])
 
 
-def assert_columns_match_the_nystrom_sum(K):
-    """The Nystrom sum of each basis density (its nodal values the antenna's
-    ``rule_harmonics`` of degrees 1 .. L; :func:`fieldcast.operator.apply`,
-    whose blocks ``nystrom_matrix`` reproduces), on each control rule: equal
+def assert_columns_match_the_nystrom_sum(K, antenna, controls):
+    """The Nystrom sum over the ``antenna`` rule of each basis density (its
+    nodal values the rule's ``rule_harmonics`` of degrees 1 .. L;
+    :func:`fieldcast.operator.apply`, whose blocks ``nystrom_matrix``
+    reproduces), on each of the rules ``controls`` of K's spheres: equal
     to the closed-form ``basis_fields`` at its nodes, and its harmonic
     coefficients (formed explicitly, ``rule_harmonics``) equal to the rule's
     rows of ``K.matrix``, each within COLUMN_RTOL of the largest entry.  On
     a region's sphere the coefficients are taken on a ``finer_rule``, since
     the block is the exact projection, which the rule's own nodes alias."""
     scale = np.max(np.abs(K.matrix))
-    for rule, rows in zip(K.control_rules, K.block_rows):
-        nodal = nystrom_matrix(K.antenna_rule, [rule]) @ rule_harmonics(K.antenna_rule)[:, 1:]
-        closed = basis_fields(K.antenna_rule, rule.nodes)
+    for rule, rows in zip(controls, K.block_rows):
+        nodal = nystrom_matrix(antenna, [rule]) @ rule_harmonics(antenna)[:, 1:]
+        closed = basis_fields(K.antenna, rule.nodes)
         assert np.max(np.abs(nodal - closed)) <= COLUMN_RTOL * np.max(np.abs(closed))
         harmonics = block_harmonics(K, rule, rows)
         kept = harmonics.shape[1]
-        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+        if np.array_equal(rule.boundary.center, K.antenna.center):
             coefficients = harmonics.T @ (rule.weights[:, None] * nodal)
         else:
-            fine = finer_rule(K.antenna_rule, rule)
-            nodal = fine.weights[:, None] * nystrom_fields(K.antenna_rule, fine.nodes)
-            coefficients = rule_harmonics(fine, harmonic_degree(rule)).T @ nodal
+            fine = finer_rule(K.antenna, rule)
+            nodal = fine.weights[:, None] * nystrom_fields(antenna, fine.nodes)
+            coefficients = rule_harmonics(fine, rule.boundary.degree).T @ nodal
         if kept < rows.stop - rows.start:
             # A concentric rule that resolves fewer degrees than the antenna
             # radiates: its nodes alias the higher columns, so only the
@@ -269,10 +285,10 @@ def extended_nystrom_fields(antenna, points):
     which the nearest point's have fallen to 1e-19: no aliasing above the
     rounding."""
     ld = np.longdouble
-    dim, delta = antenna.boundary.dim, ld(antenna.boundary.radius)
-    degree = harmonic_degree(antenna)
+    dim, delta = antenna.dim, ld(antenna.radius)
+    degree = antenna.degree
     pi = 4 * np.arctan(ld(1))
-    x = np.asarray(points, dtype=ld) - np.asarray(antenna.boundary.center, dtype=ld)  # (p, dim)
+    x = np.asarray(points, dtype=ld) - np.asarray(antenna.center, dtype=ld)  # (p, dim)
     x_sq = np.sum(x * x, axis=-1)
     exact = degree + math.ceil(math.log(1e-19) / math.log(float(delta / np.sqrt(x_sq.min()))))
     # A circle of n nodes is exact below degree n, Gauss-Legendre rings below
@@ -362,35 +378,35 @@ def tikhonov_floor(K, v):
     return math.sqrt(float(res @ res) + float(np.sum(outside)) + dropped)
 
 
-def nystrom_floor_and_energy(K, v, epsilon):
+def nystrom_floor_and_energy(K, v, epsilon, controls):
     """Residual floor and energy at ``epsilon`` of the Nystrom operator, the
     oracle the closed-form operator replaces: the Nystrom sums of the basis
     densities in extended precision (``extended_nystrom_fields``), projected
     on the control harmonics explicitly in that precision and rounded to
     float64; its floor from ``tikhonov_floor`` and its energy from the
-    solver.  A region's sums are taken on its ``finer_rule``, whose
+    solver.  On ``controls``, the rules of K's spheres; a region's sums
+    are taken on its ``finer_rule``, whose
     projection folds in the degrees above the rule's at rounding level, as
     the translated block is the exact projection.  A concentric rule that
     resolves fewer degrees than the antenna radiates cannot see the higher
     ones, and its nodes alias them, so their rows and columns are the
     closed form's."""
     matrix = K.matrix.copy()
-    for rule, rows in zip(K.control_rules, K.block_rows):
-        if np.array_equal(rule.boundary.center, K.antenna_rule.boundary.center):
+    for rule, rows in zip(controls, K.block_rows):
+        if np.array_equal(rule.boundary.center, K.antenna.center):
             harmonics, nodes = block_harmonics(K, rule, rows), rule
         else:
-            nodes = finer_rule(K.antenna_rule, rule)
-            harmonics = rule_harmonics(nodes, harmonic_degree(rule))
+            nodes = finer_rule(K.antenna, rule)
+            harmonics = rule_harmonics(nodes, rule.boundary.degree)
         kept = harmonics.shape[1]
-        nodal = extended_nystrom_fields(K.antenna_rule, nodes.nodes)
+        nodal = extended_nystrom_fields(K.antenna, nodes.nodes)
         projected = np.einsum("ih,ij->hj", harmonics.astype(np.longdouble),
                               nodes.weights[:, None] * nodal)
         if kept < rows.stop - rows.start:
             matrix[rows][:kept, :kept] = projected[:, :kept]
         else:
             matrix[rows] = projected
-    oracle = ForwardOperator(matrix=matrix, antenna_rule=K.antenna_rule,
-                             control_rules=K.control_rules)
+    oracle = ForwardOperator(matrix=matrix, antenna=K.antenna, controls=K.controls)
     return tikhonov_floor(oracle, v), solve_min_energy(oracle, v, epsilon)[1].energy
 
 
@@ -468,12 +484,17 @@ def demo2d():
     return resolve_epsilon(load_preset("demo-2d"))
 
 
+def preset_parts(s):
+    """(s, antenna rule, control rules, K, v): the scenario's rules
+    (``scenario_rules``) for the Nystrom oracles, and its operator and
+    target on ``build_rules``' boundaries."""
+    antenna, controls = build_rules(s)
+    return (s, *scenario_rules(s), assemble_forward(antenna, controls), build_target(s, controls))
+
+
 @pytest.fixture(scope="session")
 def demo2d_parts(demo2d):
-    antenna, controls = build_rules(demo2d)
-    K = assemble_forward(antenna, controls)
-    v = build_target(demo2d, controls)
-    return demo2d, antenna, controls, K, v
+    return preset_parts(demo2d)
 
 
 @pytest.fixture(scope="session")
@@ -490,7 +511,4 @@ def demo3d():
 
 @pytest.fixture(scope="session")
 def demo3d_parts(demo3d):
-    antenna, controls = build_rules(demo3d)
-    K = assemble_forward(antenna, controls)
-    v = build_target(demo3d, controls)
-    return demo3d, antenna, controls, K, v
+    return preset_parts(demo3d)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, projected, random_mismatches,
-                      random_on_sphere)
+                      random_on_sphere, scenario_rules)
 from fieldcast import (
     ControlTrace,
     Density,
@@ -148,8 +148,8 @@ def test_criterion_3_adjoint_identity(demo2d_parts):
         t = ControlTrace(
             blocks=[rng.normal(size=r.node_count) for r in controls], rules=controls
         )
-        lhs = xi_inner(apply(K, u), t)
-        rhs = float(antenna.weights @ (u.values * apply_adjoint(K, t).values))
+        lhs = xi_inner(apply(controls, u), t)
+        rhs = float(antenna.weights @ (u.values * apply_adjoint(antenna, t).values))
         worst = max(worst, abs(lhs - rhs) / (u.norm() * t.norm()))
     _criterion("criterion 3 (adjoint identity)", worst <= 1e-10,
                f"worst relative defect {worst:.2e} over 100 pairs")
@@ -160,7 +160,7 @@ def test_criterion_4_gauss_identity(demo2d_parts, demo3d_parts):
     for parts in (demo2d_parts, demo3d_parts):
         s, antenna, controls, K, v = parts
         ones = Density(rule=antenna, values=np.ones(antenna.node_count))
-        checks.append(apply(K, ones).norm() <= 1e-10 * ones.norm())
+        checks.append(apply(controls, ones).norm() <= 1e-10 * ones.norm())
 
     # Pointwise double-layer of the unit density: -1 inside, 0 outside.
     circle = make_circle_rule((0.0, 0.0), 1.0, 128)
@@ -311,7 +311,7 @@ def test_criterion_9_discretization_convergence(demo2d):
             [random_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
             + [random_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
         )  # 100 probe points, on spheres: where a harmonic difference peaks
-        probes[n] = eval_double_layer(h.nodal(), pts)
+        probes[n] = eval_double_layer(h.nodal(scenario_rules(sn)[0]), pts)
     change = np.max(np.abs(probes[128] - probes[256])) / np.max(np.abs(probes[128]))
     _criterion("criterion 9 (discretization convergence)", change <= 1e-6,
                f"relative field change over 100 probes {change:.2e}")

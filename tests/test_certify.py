@@ -107,7 +107,7 @@ class TestCertifySolution:
         s, antenna, controls, K, v = demo2d_parts
         rng = np.random.default_rng(5)
         h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
-        exact_v = harmonic_trace(apply(K, h))
+        exact_v = harmonic_trace(apply(controls, h))
         cert = certify_solution(block_residuals(K, projected(h), exact_v), s)
         scale = exact_v.norm()
         for entry in cert:
@@ -200,7 +200,8 @@ class TestSampling:
         dense = []
         for wanted, (center, radius) in zip(fields, spheres, strict=True):
             pts = make_rule(center, radius, n, s.dim).nodes
-            dense.append(float(np.max(np.abs(eval_double_layer(h.nodal(), pts) - wanted(pts)))))
+            dense.append(float(np.max(np.abs(eval_double_layer(h.nodal(antenna), pts)
+                                             - wanted(pts)))))
         for rotation in (s.seed, *range(32)):
             sampled = empirical_mismatches(h, fields, s, rotation, EMPIRICAL_SAMPLES)
             for observed, expected in zip(sampled, dense, strict=True):
@@ -220,7 +221,7 @@ class TestSampling:
         h, _ = solve_min_energy(K, v, epsilon)
         fields = scenario_difference_fields(s)
         sampled = [empirical_mismatches(g, fields, s, s.seed, EMPIRICAL_SAMPLES)
-                   for g in (h, projected(h.nodal()))]
+                   for g in (h, projected(h.nodal(antenna)))]
         spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
                                                                s.observation_radius)]
         scale = 20 * 2.0**-53 * np.linalg.norm(h.coefficients)
@@ -228,4 +229,4 @@ class TestSampling:
             offset = np.asarray(center, dtype=float) - antenna.boundary.center
             away = offset / np.linalg.norm(offset) if np.any(offset) else np.eye(s.dim)[0]
             nearest = antenna.boundary.center + offset - radius * away
-            assert abs(a - b) <= scale * np.linalg.norm(basis_fields(antenna, nearest[None]))
+            assert abs(a - b) <= scale * np.linalg.norm(basis_fields(K.antenna, nearest[None]))

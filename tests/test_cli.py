@@ -17,9 +17,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset
-from fieldcast import (HarmonicDensity, assemble_forward, build_rules, build_target, certify, cli,
-                       fields)
+from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset, scenario_rules
+from fieldcast import (HarmonicDensity, QuadratureRule, assemble_forward, build_rules,
+                       build_target, certify, cli, fields)
 from fieldcast.cli import main
 from fieldcast.operator import factorization_bytes, load_operator_dump
 from fieldcast.scenario_io import load_scenario
@@ -269,9 +269,9 @@ class TestRun:
 
     @pytest.mark.parametrize("preset, old, new, epsilon, message", [
         ("demo-3d", "    radius: 2.0", "    radius: 2.2e-309", "0.6",
-         "region 1 control sphere: non-positive quadrature weights"),
+         "region 1 control sphere: surface measure is not a positive, normal, finite float"),
         ("demo-3d", "    radius: 2.0", "    radius: 2.2e-309", None,
-         "region 1 target ball: non-positive quadrature weights"),
+         "region 1 target ball: surface measure is not a positive, normal, finite float"),
         ("demo-2d", "    radius: 2.0\n    field: {kind: dipole, location: [0.0, 0.0], "
          "direction: [1.0, 0.0]}", "    radius: 2.0\n    control-radius: 2.5\n"
          "    field: {kind: log-source, location: [12.5000000000001, 0.0]}", "6.5",
@@ -312,9 +312,10 @@ class TestRun:
                                                             monkeypatch):
         # 3D at 5000 polar nodes: the region's 5000^2 control harmonics and
         # the outer sphere's 5000^2 - 1 rows by 5000^2 - 1 antenna harmonics,
-        # far beyond any machine's memory; the counts alone decide, so
-        # nothing is allocated.
-        monkeypatch.setattr(cli, "build_rules", _never_called)
+        # far beyond any machine's memory; the boundaries' degrees alone
+        # decide, so nothing is allocated.
+        monkeypatch.setattr(cli, "build_target", _never_called)
+        monkeypatch.setattr(cli, "assemble_forward", _never_called)
         out = tmp_path / "out"
         t0 = time.perf_counter()
         code = _run(["run", str(PRESETS / "demo-3d.scn"), "--out", str(out),
@@ -512,7 +513,7 @@ def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
                                     "with loading_single_threaded(): import fieldcast.cli"])
     peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
     dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
-    assert peak - base <= factorization_bytes(975, 1152, 399)
+    assert peak - base <= factorization_bytes(975, 399)
     assert dump - peak <= 2 * 2**20
     # One residual path for every command: the bodies above [outputs] agree.
     bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]
@@ -557,23 +558,33 @@ def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
     # The density is its coefficients from the solve to the report, the
     # grid and the dump: nothing synthesizes its nodal values or forms the
     # nodal basis.  And assembly translates the basis fields, the target
-    # the wanted fields, in closed form: no field is evaluated at a control node.
+    # the wanted fields, in closed form: no field is evaluated at a control
+    # node, and no rule of the scenario's antenna or control node count is
+    # built (the small rules that project entire fields are another count).
     monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
     monkeypatch.setattr(HarmonicDensity, "basis", staticmethod(_never_called))
-    nodes, points = set(), []
+    scenarios, built, points = [], [], []
 
     def recorded(scenario, _fn=cli.build_rules):
-        antenna, controls = _fn(scenario)
-        nodes.update(map(tuple, np.concatenate([r.nodes for r in controls]).tolist()))
-        return antenna, controls
+        scenarios.append(scenario)
+        return _fn(scenario)
+
+    def rule_built(self, _fn=QuadratureRule.__post_init__):
+        built.append(len(self.nodes))
+        _fn(self)
 
     def evaluated(f, x, _fn=fields.eval_field):
         points.extend(map(tuple, np.atleast_2d(x).tolist()))
         return _fn(f, x)
 
     monkeypatch.setattr(cli, "build_rules", recorded)
+    monkeypatch.setattr(QuadratureRule, "__post_init__", rule_built)
     monkeypatch.setattr(fields, "eval_field", evaluated)
     assert main([*argv, "--out", str(tmp_path)]) == 0
+    (s,) = scenarios
+    d = s.discretization
+    assert not {n if s.dim == 2 else 2 * n * n for n in (d.antenna, d.control)} & set(built)
+    nodes = {tuple(x) for rule in scenario_rules(s)[1] for x in rule.nodes.tolist()}
     assert nodes and nodes.isdisjoint(points)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import explicit_coefficients, projected, stencil_laplacian
+from conftest import explicit_coefficients, projected, scenario_rules, stencil_laplacian
 from fieldcast import (
     Density,
     HarmonicDensity,
@@ -33,8 +33,8 @@ from fieldcast import kernels
 from fieldcast.cli import write_grid
 from fieldcast.fields import (GridSpec, _distance, _wanted_block, auto_epsilon, ball_l2_norm,
                              default_grid)
-from fieldcast.geometry import (SEPARATION_RTOL, harmonic_count, harmonic_degree, make_rule,
-                                make_sphere_rule, with_defaults)
+from fieldcast.geometry import (SEPARATION_RTOL, harmonic_count, make_rule, make_sphere_rule,
+                                with_defaults)
 from fieldcast.kernels import BLOCK_PAIRS
 from fieldcast.operator import block_residuals
 
@@ -122,7 +122,7 @@ def _explicit_target(f, rule, n):
     leaves out; and the squared norm of f there."""
     fine = make_rule(rule.boundary.center, rule.boundary.radius, n, rule.boundary.dim)
     values = eval_field(f, fine.nodes)
-    a, outside = explicit_coefficients(fine, values, harmonic_degree(rule))
+    a, outside = explicit_coefficients(fine, values, rule.boundary.degree)
     return a, outside, fine.l2_norm(values) ** 2
 
 
@@ -177,8 +177,8 @@ def test_target_block_is_the_explicit_projection(make, kind):
     # degree 1 go to ``outside``.
     rule = make()
     f = _field_of_kind(kind, rule)
-    block, outside = _wanted_block([(f, 1.0)], rule)
-    assert block.shape == (harmonic_count(harmonic_degree(rule), rule.boundary.dim) + 1,)
+    block, outside = _wanted_block([(f, 1.0)], rule.boundary)
+    assert block.shape == (harmonic_count(rule.boundary.degree, rule.boundary.dim) + 1,)
     _assert_explicit_target(block, outside, f, rule, 256 if rule.boundary.dim == 2 else 56)
 
 
@@ -275,8 +275,9 @@ class TestEvalDoubleLayer:
 
     def test_matches_forward_operator_at_control_nodes(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
-        nodal = h.nodal()
-        traces = apply(K, nodal)
+        antenna, controls = scenario_rules(s)
+        nodal = h.nodal(antenna)
+        traces = apply(controls, nodal)
         for block, rule in zip(traces.blocks, traces.rules):
             direct = eval_double_layer(nodal, rule.nodes)
             assert np.max(np.abs(direct - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
@@ -358,14 +359,14 @@ class TestRadiatedField:
 
     def test_one_point_gives_a_float(self):
         rule = make_circle_rule((0.0, 0.0), 1.0, 32)
-        g = HarmonicDensity(rule, np.eye(30)[0])  # cos(theta) / sqrt(pi)
+        g = HarmonicDensity(rule.boundary, np.eye(30)[0])  # cos(theta) / sqrt(pi)
         value = radiated_field(g, (2.0, 0.0))
         assert isinstance(value, float)
         assert value == pytest.approx(0.5 * 0.5 / np.sqrt(np.pi), rel=1e-14)
 
     def test_inside_the_clearance_rejected(self):
         rule = make_circle_rule((0.0, 0.0), 1.0, 64)
-        g = HarmonicDensity(rule, np.ones(62))
+        g = HarmonicDensity(rule.boundary, np.ones(62))
         with pytest.raises(ValueError, match="too close"):
             radiated_field(g, (1.0 + 1e-9, 0.0))
         with pytest.raises(ValueError, match="too close"):
@@ -438,18 +439,19 @@ class TestEvalOnGrid:
         s = request.getfixturevalue(preset)
         dim = s.dim
         coarse = make_rule(np.zeros(dim), s.delta, nodes, dim)
-        degree = harmonic_degree(coarse)
+        degree = coarse.boundary.degree
         c = np.random.default_rng(nodes).normal(size=harmonic_count(degree, dim))
         half = 0.45 * s.delta
         spec = GridSpec(shape=shape, lo=(1.15 * s.delta, *(-half,) * (dim - 1)),
                         hi=(1.5 * s.delta, *(half,) * (dim - 1)))
-        grid = eval_on_grid(HarmonicDensity(coarse, c), s, spec)
+        grid = eval_on_grid(HarmonicDensity(coarse.boundary, c), s, spec)
         assert grid.points.shape == spec.points().shape
         fine = make_rule(np.zeros(dim), s.delta, 8 * nodes, dim)
-        padded = np.zeros(harmonic_count(harmonic_degree(fine), dim))
+        padded = np.zeros(harmonic_count(fine.boundary.degree, dim))
         padded[: c.shape[0]] = c   # the fine rule's harmonics begin with the coarse one's
         oracle = (eval_field(s.exterior_target, grid.points)
-                  + eval_double_layer(HarmonicDensity(fine, padded).nodal(), grid.points))
+                  + eval_double_layer(HarmonicDensity(fine.boundary, padded).nodal(fine),
+                                      grid.points))
         assert np.max(np.abs(grid.values - oracle)) <= 1e-9 * np.max(np.abs(grid.values))
 
     def test_exterior_grid_bounded_by_certificate(self, demo2d_solution):
@@ -471,7 +473,7 @@ class TestEvalOnGrid:
             observation_radius=15.0,
             exterior_target=dipole((3.0, 3.0), (0.0, 1.0)), epsilon=1.0))
         rule = make_circle_rule((0.0, 0.0), 1.0, 32)
-        g = HarmonicDensity(rule, np.ones(30))
+        g = HarmonicDensity(rule.boundary, np.ones(30))
         spec = GridSpec(shape=(3, 3), lo=(3.0, 3.0), hi=(5.0, 5.0))
         grid = eval_on_grid(g, s, spec)
         assert np.array_equal(grid.points, spec.points()[1:])  # all but (3, 3)
@@ -483,7 +485,8 @@ class TestEvalOnGrid:
             s, h = demo2d_solution[0], demo2d_solution[3]
         else:
             rule = make_rule(np.zeros(3), demo3d.delta, 12, 3)
-            s, h = demo3d, HarmonicDensity(rule, np.ones(harmonic_count(harmonic_degree(rule), 3)))
+            s, h = demo3d, HarmonicDensity(rule.boundary,
+                                           np.ones(harmonic_count(rule.boundary.degree, 3)))
         # Nine points per axis put an exact 0.0 among the coordinates.
         grid = eval_on_grid(h, s, default_grid(s, (9,) * dim))
         assert np.any(grid.points == 0.0)

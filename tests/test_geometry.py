@@ -24,9 +24,8 @@ from fieldcast import (
 from fieldcast.fields import dipole, log_source
 from conftest import load_preset
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization,
-                                build_rules, harmonic_count, harmonic_degree,
-                                legendre_orders, legendre_table, make_rule, nodes_around,
-                                rule_degree, surface_harmonics)
+                                build_rules, harmonic_count, legendre_orders, legendre_table,
+                                make_rule, rule_degree, surface_harmonics)
 
 
 class TestCircleRule:
@@ -102,7 +101,7 @@ class TestSurfaceHarmonics:
                                         (2, 3), (7, 3), (16, 3), (24, 3)])
     def test_orthonormal_on_make_rules_own_nodes(self, n, dim):
         rule = make_rule(np.zeros(dim), 1.0, n, dim)
-        degree = harmonic_degree(rule)
+        degree = rule.boundary.degree
         assert degree == rule_degree(n, dim)
         y = surface_harmonics(rule.normals, degree)
         assert y.shape == (rule.node_count, harmonic_count(degree, dim))
@@ -112,12 +111,14 @@ class TestSurfaceHarmonics:
 
     def test_product_rule_degree_follows_the_coarser_direction(self):
         # 10 rings of 9 azimuth nodes: frequencies up to 4 only.
-        assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9)) == 4
-        assert harmonic_degree(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32)) == 2
+        assert make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9).boundary.degree == 4
+        assert make_sphere_rule((0.0, 0.0, 0.0), 1.0, 3, 32).boundary.degree == 2
 
     def test_nodes_around_are_the_circle_or_one_polar_ring(self):
-        assert nodes_around(make_rule(np.zeros(2), 1.0, 40, 2)) == 40
-        assert nodes_around(make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9)) == 9
+        # The degree the nodes around a boundary resolve: all of them on a
+        # circle, one polar ring's on a sphere of more rings than that needs.
+        assert make_rule(np.zeros(2), 1.0, 40, 2).boundary.degree == (40 - 1) // 2
+        assert make_sphere_rule((0.0, 0.0, 0.0), 1.0, 10, 9).boundary.degree == (9 - 1) // 2
 
     def test_low_degrees_match_their_closed_forms(self):
         rng = np.random.default_rng(3)
@@ -295,7 +296,7 @@ def test_constructors_copy_caller_arrays():
     # Each value object keeps its own read-only copy: the caller's arrays
     # stay writable, and writing to them leaves the object unchanged.
     center = np.array([1.0, -2.0])
-    boundary = Boundary(center=center, radius=1.5, dim=2)
+    boundary = Boundary(center=center, radius=1.5, dim=2, degree=3)
     made = make_circle_rule((1.0, -2.0), 1.5, 8)
     nodes, weights, normals = (np.array(a) for a in (made.nodes, made.weights, made.normals))
     rule = QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
@@ -304,7 +305,7 @@ def test_constructors_copy_caller_arrays():
     values = np.ones(8)
     density = Density(rule=rule, values=values)
     coefficients = np.ones(6)
-    harmonic = HarmonicDensity(rule=rule, coefficients=coefficients)
+    harmonic = HarmonicDensity(boundary=boundary, coefficients=coefficients)
     block = np.arange(8.0)
     trace = ControlTrace(blocks=[block], rules=[rule])
 
@@ -376,11 +377,11 @@ class TestDefaultNodes:
 class TestBuildRules:
     def test_2d_rule_layout(self, demo2d):
         antenna, controls = build_rules(demo2d)
-        assert antenna.boundary.radius == demo2d.delta
+        assert antenna.radius == demo2d.delta
         assert len(controls) == 3
-        assert controls[0].boundary.radius == demo2d.regions[0].control_radius
-        assert controls[-1].boundary.radius == demo2d.outer_control_radius
-        assert all(r.node_count == 128 for r in [antenna, *controls])
+        assert controls[0].radius == demo2d.regions[0].control_radius
+        assert controls[-1].radius == demo2d.outer_control_radius
+        assert all(b.degree == 63 for b in [antenna, *controls])   # 128 circle nodes
 
     def test_3d_rule_layout(self):
         s = Scenario(
@@ -395,6 +396,6 @@ class TestBuildRules:
             discretization=Discretization(8, 6),
         )
         antenna, controls = build_rules(s)
-        assert antenna.node_count == 8 * 16
-        assert controls[0].node_count == 6 * 12
+        assert antenna.degree == 7   # 8 polar nodes
+        assert controls[0].degree == 5   # 6 polar nodes
         assert len(controls) == 2

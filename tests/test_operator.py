@@ -25,13 +25,13 @@ from fieldcast import (
     xi_inner,
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
-                      assert_residuals_match_the_matrix, explicit_coefficients, harmonic_trace,
-                      nystrom_matrix, projected, trace_of)
+                      assert_residuals_match_the_matrix, boundaries, explicit_coefficients,
+                      harmonic_trace, nystrom_matrix, projected, scenario_rules, trace_of)
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count,
-                                harmonic_degree, rule_degree)
+                                make_rule)
 from fieldcast import operator as operator_module
 from fieldcast.operator import (_coefficient_block, block_residuals, degree_gains, dump_operator,
-                                load_operator_dump, matrix_rows)
+                                load_operator_dump, row_offsets)
 from fieldcast.solver import solve_min_energy
 
 MIB = 1024 * 1024
@@ -51,12 +51,12 @@ def preset_gesdd(request):
 
 
 def _operator_with(matrix_of, n_antenna=6, n_control=10):
-    """Operator on the rules of the small geometry with the matrix
+    """Operator on the boundaries of the small geometry with the matrix
     ``matrix_of(rows, M)`` gives for its shape."""
     antenna, controls = _small_geometry(n_antenna, n_control)
-    genuine = assemble_forward(antenna, controls)
-    return ForwardOperator(matrix=matrix_of(*genuine.matrix.shape), antenna_rule=antenna,
-                           control_rules=controls)
+    genuine = assemble_forward(antenna.boundary, boundaries(controls))
+    return ForwardOperator(matrix=matrix_of(*genuine.matrix.shape), antenna=genuine.antenna,
+                           controls=genuine.controls)
 
 
 def _random_operator(rng, n_antenna=6, n_control=10):
@@ -65,23 +65,24 @@ def _random_operator(rng, n_antenna=6, n_control=10):
                           n_antenna, n_control)
 
 
-def _node_count(K):
-    return sum(r.node_count for r in K.control_rules)
+def _split(t, controls):
+    """Nodal values at every node of the control rules, regions first, as a trace."""
+    return ControlTrace(blocks=np.split(t, np.cumsum([r.node_count for r in controls])[:-1]),
+                        rules=controls)
 
 
 class TestAssembleApply:
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_matrix_rows_counts_the_assembled_rows(self, parts, request):
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        d = s.discretization
-        rows = matrix_rows(s.dim, s.n_regions, rule_degree(d.control, s.dim),
-                           rule_degree(d.antenna, s.dim))
-        assert rows == K.matrix.shape[0] == K.block_rows[-1].stop
+        rows = row_offsets(*build_rules(s))
+        assert rows[-1] == K.matrix.shape[0] == K.block_rows[-1].stop
+        assert rows[:-1] == [block.start for block in K.block_rows]
 
     def test_unit_density_maps_to_zero_trace(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         ones = Density(rule=antenna, values=np.ones(antenna.node_count))
-        t = apply(K, ones)
+        t = apply(controls, ones)
         assert t.norm() <= 1e-10 * ones.norm()
 
     def test_antenna_refinement_agreement(self, demo2d_parts):
@@ -89,11 +90,10 @@ class TestAssembleApply:
         # kernels make the coarse trapezoid rule already exact.
         s, antenna, controls, K, v = demo2d_parts
         a64 = make_circle_rule((0.0, 0.0), s.delta, 64)
-        k64 = assemble_forward(a64, controls)
         theta64 = np.arctan2(a64.nodes[:, 1], a64.nodes[:, 0])
         theta = np.arctan2(antenna.nodes[:, 1], antenna.nodes[:, 0])
-        t64 = apply(k64, Density(rule=a64, values=np.cos(theta64)))
-        t128 = apply(K, Density(rule=antenna, values=np.cos(theta)))
+        t64 = apply(controls, Density(rule=a64, values=np.cos(theta64)))
+        t128 = apply(controls, Density(rule=antenna, values=np.cos(theta)))
         for b1, b2 in zip(t64.blocks, t128.blocks):
             assert np.max(np.abs(b1 - b2)) <= 1e-10
 
@@ -102,16 +102,15 @@ class TestAssembleApply:
         # (even indices), so traces are comparable pointwise there.
         from dataclasses import replace
 
-        from fieldcast.geometry import Discretization, build_rules
+        from fieldcast.geometry import Discretization
 
         results = {}
         for n in (128, 256):
             sn = replace(demo2d, discretization=Discretization(n, n))
-            antenna, controls = build_rules(sn)
-            K = assemble_forward(antenna, controls)
+            antenna, controls = scenario_rules(sn)
             theta = np.arctan2(antenna.nodes[:, 1], antenna.nodes[:, 0])
             h = Density(rule=antenna, values=np.exp(np.cos(theta)))
-            results[n] = apply(K, h)
+            results[n] = apply(controls, h)
         for b_coarse, b_fine in zip(results[128].blocks, results[256].blocks):
             assert np.max(np.abs(b_coarse - b_fine[::2])) <= 1e-9
         assert results[128].norm() == pytest.approx(results[256].norm(), abs=1e-9)
@@ -122,14 +121,14 @@ class TestAssembleApply:
         h1 = rng.normal(size=antenna.node_count)
         h2 = rng.normal(size=antenna.node_count)
         a, b = 1.7, -0.4
-        combo = apply(K, Density(rule=antenna, values=a * h1 + b * h2))
-        parts = [apply(K, Density(rule=antenna, values=h)) for h in (h1, h2)]
+        combo = apply(controls, Density(rule=antenna, values=a * h1 + b * h2))
+        parts = [apply(controls, Density(rule=antenna, values=h)) for h in (h1, h2)]
         for blk, p1, p2 in zip(combo.blocks, parts[0].blocks, parts[1].blocks):
             assert np.max(np.abs(blk - (a * p1 + b * p2))) <= 1e-12
 
     def test_zero_density_zero_trace(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
-        t = apply(K, Density(rule=antenna, values=np.zeros(antenna.node_count)))
+        t = apply(controls, Density(rule=antenna, values=np.zeros(antenna.node_count)))
         assert t.norm() == 0.0
 
     def test_demo_operator_is_finite_and_nontrivial(self, demo2d_parts):
@@ -145,7 +144,7 @@ class TestAssembleApply:
         # They are zero in the assembled matrix and in the dump's rows.
         antenna, controls = build_rules(replace(demo2d, discretization=Discretization(640, 16)))
         tiny = np.finfo(float).tiny
-        radius = controls[-1].boundary.radius
+        radius = controls[-1].radius
         diagonal = np.repeat(degree_gains(antenna, np.array([radius]))[:, 0] * np.sqrt(radius), 2)
         assert np.any((0 < diagonal) & (diagonal < tiny))
         K = assemble_forward(antenna, controls)
@@ -165,7 +164,7 @@ class TestAssembleApply:
     def test_apply_matches_the_broadcast_form(self, parts, block_cols, request, monkeypatch):
         # The blocked Nystrom sums against the whole (m, n, dim) broadcast matrix.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        m = _node_count(K)
+        m = sum(r.node_count for r in controls)
         if block_cols is not None:
             monkeypatch.setattr(kernels, "BLOCK_PAIRS", block_cols * m)
         dim = antenna.boundary.dim
@@ -177,13 +176,13 @@ class TestAssembleApply:
         assert np.array_equal(nystrom_matrix(antenna, controls), reference)
         rng = np.random.default_rng(31)
         h = rng.normal(size=antenna.node_count)
-        trace = apply(K, Density(rule=antenna, values=h)).concatenated
+        trace = apply(controls, Density(rule=antenna, values=h)).concatenated
         # Both sums within the dot-product error bound n u sum |a_j h_j| of the exact one.
         u = 2.0**-53
         assert np.all(np.abs(trace - reference @ h)
                       <= 2 * antenna.node_count * u * (np.abs(reference) @ np.abs(h)))
         t = rng.normal(size=m)
-        adjoint = apply_adjoint(K, K.split(t)).values
+        adjoint = apply_adjoint(antenna, _split(t, controls)).values
         wt = np.concatenate([r.weights for r in controls]) * t
         expected = (reference.T @ wt) / antenna.weights
         assert np.all(np.abs(adjoint - expected)
@@ -191,7 +190,8 @@ class TestAssembleApply:
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_columns_match_the_nystrom_sum(self, parts, request):
-        assert_columns_match_the_nystrom_sum(request.getfixturevalue(parts)[3])
+        s, antenna, controls, K, v = request.getfixturevalue(parts)
+        assert_columns_match_the_nystrom_sum(K, antenna, controls)
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_basis_is_orthonormal_on_the_antenna_rule(self, parts, request):
@@ -201,16 +201,16 @@ class TestAssembleApply:
         basis = HarmonicDensity.basis(antenna)
         gram = basis.T @ (antenna.weights[:, None] * basis)
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-13
-        count = harmonic_count(harmonic_degree(antenna), s.dim)
+        count = harmonic_count(antenna.boundary.degree, s.dim)
         draws = np.random.default_rng(9).normal(size=(3, count))
         for c in [*np.eye(count)[[0, count // 2, -1]], *draws]:
-            assert np.array_equal(HarmonicDensity(antenna, c).nodal().values, basis @ c)
+            assert np.array_equal(HarmonicDensity(K.antenna, c).nodal(antenna).values, basis @ c)
 
     def test_3d_columns_match_the_nystrom_sum_at_a_pool_shape(self, demo3d):
         # 16 polar antenna nodes resolve degree 15 = L*: the shape of the
         # smaller benchmark antenna, 4 x 8 control nodes per sphere.
-        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 8)))
-        assert_columns_match_the_nystrom_sum(assemble_forward(antenna, controls))
+        s = replace(demo3d, discretization=Discretization(16, 8))
+        assert_columns_match_the_nystrom_sum(assemble_forward(*build_rules(s)), *scenario_rules(s))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -218,12 +218,11 @@ class TestAssembleApply:
         matrix = K.matrix.copy()
         matrix[-1, -1] = bad
         with pytest.raises(ValueError, match="matrix contains non-finite"):
-            ForwardOperator(matrix=matrix, antenna_rule=K.antenna_rule,
-                            control_rules=K.control_rules)
-        coefficients = np.ones(harmonic_count(harmonic_degree(K.antenna_rule), 2))
+            ForwardOperator(matrix=matrix, antenna=K.antenna, controls=K.controls)
+        coefficients = np.ones(harmonic_count(K.antenna.degree, 2))
         coefficients[-1] = bad
         with pytest.raises(ValueError, match="coefficients must be finite"):
-            HarmonicDensity(K.antenna_rule, coefficients)
+            HarmonicDensity(K.antenna, coefficients)
 
     def test_finiteness_scan_allocates_no_matrix_sized_mask(self, demo3d):
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 64)))
@@ -231,7 +230,7 @@ class TestAssembleApply:
         assert K.matrix.shape == (64**2 + 255, 255)   # the region's harmonics, the outer diagonal
         tracemalloc.start()
         try:
-            ForwardOperator(matrix=K.matrix, antenna_rule=antenna, control_rules=controls)
+            ForwardOperator(matrix=K.matrix, antenna=antenna, controls=controls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,7 +247,7 @@ class TestAssembleApply:
         s, antenna, controls, K, v = demo3d_parts
         tracemalloc.start()
         try:
-            result = assemble_forward(antenna, controls)
+            result = assemble_forward(K.antenna, K.controls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -259,29 +258,31 @@ class TestAssembleApply:
         antenna = make_circle_rule((0.0, 0.0), 1.0, 16)
         touching = make_circle_rule((2.0, 0.0), 1.0, 16)  # touches the antenna
         with pytest.raises(ValueError, match="too close"):
-            assemble_forward(antenna, [touching])
+            assemble_forward(antenna.boundary, [touching.boundary])
 
     def test_dimension_mismatch_rejected(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
-        wrong = Density(rule=make_circle_rule((0.0, 0.0), 1.0, 64), values=np.ones(64))
-        with pytest.raises(ValueError, match="does not match"):
-            apply(K, wrong)
+        wrong = make_circle_rule((0.0, 0.0), 1.0, 64)
+        with pytest.raises(ValueError, match="antenna boundary"):
+            HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])).nodal(wrong)
         # Same node counts on other spheres: not a trace of K's.
         moved = [make_circle_rule(r.boundary.center, 1.5 * r.boundary.radius, r.node_count)
                  for r in controls]
         t = ControlTrace(blocks=[np.ones(r.node_count) for r in moved], rules=moved)
         with pytest.raises(ValueError, match="different boundaries"):
-            apply_adjoint(K, t)
+            xi_inner(apply(controls, Density(rule=antenna, values=np.ones(antenna.node_count))), t)
         with pytest.raises(ValueError, match="mixed dimensions"):
-            assemble_forward(antenna, [make_sphere_rule((0.0, 0.0, 0.0), 20.0, 4, 8)])
+            assemble_forward(K.antenna, [make_sphere_rule((0.0, 0.0, 0.0), 20.0, 4, 8).boundary])
 
-    # Each entry takes the operator and a rule, and hands it a density on
-    # that rule: nodal values to the oracle, coefficients to the residuals.
+    # Each entry takes the operator and a rule, and joins a density of the
+    # one to the other: the operator's density at the rule's nodes for the
+    # oracle, and a density on the rule's boundary to the residuals.
     _ENTRIES = [
-        lambda K, rule: apply(K, Density(rule=rule, values=np.ones(rule.node_count))),
+        lambda K, rule: apply([make_rule(b.center, b.radius, 4, b.dim) for b in K.controls],
+                              HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])).nodal(rule)),
         lambda K, rule: block_residuals(
-            K, HarmonicDensity(rule, np.ones(harmonic_count(harmonic_degree(rule),
-                                                            rule.boundary.dim))),
+            K, HarmonicDensity(rule.boundary, np.ones(harmonic_count(rule.boundary.degree,
+                                                                     rule.boundary.dim))),
             trace_of(K, np.zeros(K.matrix.shape[0]))),
     ]
     _ENTRY_IDS = ["apply", "block_residuals"]
@@ -299,8 +300,8 @@ class TestAssembleApply:
     ], ids=["radius", "centre", "node-layout"])
     def test_density_on_another_antenna_rule_rejected(self, entry, geometry, other):
         antenna, control = geometry
-        K = assemble_forward(antenna(), [control])
-        with pytest.raises(ValueError, match="antenna rule"):
+        K = assemble_forward(antenna().boundary, [control.boundary])
+        with pytest.raises(ValueError, match="antenna boundary"):
             entry(K, other)
 
     def test_traces_on_another_node_layout_rejected(self):
@@ -313,11 +314,12 @@ class TestAssembleApply:
     @pytest.mark.parametrize("entry", _ENTRIES, ids=_ENTRY_IDS)
     @pytest.mark.parametrize("geometry", [_UNIT_CIRCLE, _UNIT_SPHERE], ids=["2d", "3d"])
     def test_density_on_a_rebuilt_antenna_rule_accepted(self, entry, geometry):
-        # An equal rule built anew is the same rule: the check compares nodes, not identity.
+        # An equal rule built anew is on the same boundary: the check compares
+        # boundaries, not identity.
         antenna, control = geometry
-        K = assemble_forward(antenna(), [control])
+        K = assemble_forward(antenna().boundary, [control.boundary])
         rule = antenna()
-        assert rule is not K.antenna_rule
+        assert rule.boundary is not K.antenna
         entry(K, rule)
 
 
@@ -332,16 +334,16 @@ class TestHarmonicDensity:
         rule = self._RULES[dim]
         for shape in ((count - 1,), (count + 1,), (count, 1)):
             with pytest.raises(ValueError, match=f"does not match {count} antenna harmonics"):
-                HarmonicDensity(rule, np.ones(shape))
+                HarmonicDensity(rule.boundary, np.ones(shape))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_nodal_values_carry_the_norm_and_project_back(self, dim):
         # The norm ||c|| is the quadrature norm of the nodal values, and
         # their explicit projection returns c, degree 0 at zero.
         rule = self._RULES[dim]
-        c = np.random.default_rng(60 + dim).normal(size=harmonic_count(harmonic_degree(rule), dim))
-        h = HarmonicDensity(rule, c)
-        nodal = h.nodal()
+        c = np.random.default_rng(60 + dim).normal(size=harmonic_count(rule.boundary.degree, dim))
+        h = HarmonicDensity(rule.boundary, c)
+        nodal = h.nodal(rule)
         assert nodal.norm() == pytest.approx(h.norm(), rel=1e-14)
         a, rest = explicit_coefficients(rule, nodal.values)
         assert np.max(np.abs(a - np.concatenate([[0.0], c]))) <= 1e-14 * np.max(np.abs(c))
@@ -358,8 +360,8 @@ class TestAdjoint:
                 blocks=[rng.normal(size=r.node_count) for r in controls],
                 rules=controls,
             )
-            lhs = xi_inner(apply(K, u), t)
-            rhs = float(antenna.weights @ (u.values * apply_adjoint(K, t).values))
+            lhs = xi_inner(apply(controls, u), t)
+            rhs = float(antenna.weights @ (u.values * apply_adjoint(antenna, t).values))
             scale = u.norm() * t.norm()
             assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -379,13 +381,13 @@ class TestAdjoint:
                 rule.nodes[None, :, :], s.dim,
             )  # (n_antenna, n_control)
             direct += kern @ (rule.weights * block)
-        via_matrix = apply_adjoint(K, t).values
+        via_matrix = apply_adjoint(antenna, t).values
         assert np.max(np.abs(direct - via_matrix)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_zero_trace_zero_density(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         t = ControlTrace(blocks=[np.zeros(r.node_count) for r in controls], rules=controls)
-        assert apply_adjoint(K, t).norm() == 0.0
+        assert apply_adjoint(antenna, t).norm() == 0.0
 
     def test_single_block_restriction(self, demo2d_parts):
         # A trace supported on the outer sphere only must reproduce the
@@ -401,7 +403,7 @@ class TestAdjoint:
             outer.nodes[None, :, :], s.dim,
         )
         expected = kern @ (outer.weights * data)
-        assert np.allclose(apply_adjoint(K, t).values, expected, rtol=1e-12)
+        assert np.allclose(apply_adjoint(antenna, t).values, expected, rtol=1e-12)
 
 
 class TestXiInner:
@@ -503,7 +505,7 @@ class TestWeightedSVD:
 
     def test_spectrum_reproducible(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
-        K2 = assemble_forward(antenna, controls)
+        K2 = assemble_forward(K.antenna, K.controls)
         assert np.array_equal(K.matrix, K2.matrix)
         s1 = weighted_svd(K).sigma
         s2 = weighted_svd(K2).sigma
@@ -511,10 +513,10 @@ class TestWeightedSVD:
 
 
 def _fresh(parts):
-    """A new operator on a preset's rules, never the session fixture's: the
-    fixtures are shared and must keep their matrix."""
-    s, antenna, controls, K, v = parts
-    return assemble_forward(antenna, controls)
+    """A new operator on a preset's boundaries, never the session fixture's:
+    the fixtures are shared and must keep their matrix."""
+    K = parts[3]
+    return assemble_forward(K.antenna, K.controls)
 
 
 class TestRelease:
@@ -584,19 +586,20 @@ class TestRelease:
 
     def test_released_operator_still_serves(self, demo2d_parts, tmp_path):
         rng = np.random.default_rng(23)
+        s, antenna, controls = demo2d_parts[:3]
         K = _fresh(demo2d_parts)
         matrix = K.matrix.copy()
-        h = Density(rule=K.antenna_rule, values=rng.normal(size=K.antenna_rule.node_count))
-        t = K.split(rng.normal(size=_node_count(K)))
-        before = apply(K, h).concatenated, apply_adjoint(K, t).values
+        h = Density(rule=antenna, values=rng.normal(size=antenna.node_count))
+        t = _split(rng.normal(size=sum(r.node_count for r in controls)), controls)
+        before = apply(controls, h).concatenated, apply_adjoint(antenna, t).values
         weighted_svd(K, release=True)
         assert K.matrix is None
         dump_operator(K, tmp_path / "operator.bin")   # rows evaluated again
         assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
         assert len(block_residuals(K, projected(h), harmonic_trace(t))) == 3   # the factors serve
         # The Nystrom oracles never read the matrix.
-        assert np.array_equal(apply(K, h).concatenated, before[0])
-        assert np.array_equal(apply_adjoint(K, t).values, before[1])
+        assert np.array_equal(apply(controls, h).concatenated, before[0])
+        assert np.array_equal(apply_adjoint(antenna, t).values, before[1])
 
 
 class TestFactoredResidual:
@@ -608,27 +611,30 @@ class TestFactoredResidual:
     def test_presets_match_the_nodal_matvec(self, parts, eps, request):
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         h, _ = solve_min_energy(K, v, eps)
-        assert_residuals_match_the_matrix(K, h, v)
-        assert_columns_match_the_nystrom_sum(K)
+        assert_residuals_match_the_matrix(K, h, v, controls)
+        assert_columns_match_the_nystrom_sum(K, antenna, controls)
 
     def test_wide_operator_matches_the_nodal_matvec(self, demo2d):
         # The region spheres alone, as in test_wide_operator_spans_every_trace.
-        antenna, controls = build_rules(replace(demo2d, discretization=Discretization(64, 8)))
+        s = replace(demo2d, discretization=Discretization(64, 8))
+        antenna, controls = build_rules(s)
         K = assemble_forward(antenna, controls[:-1])
         v = build_target(demo2d, controls)
-        v = HarmonicTrace(blocks=v.blocks[:-1], outside=v.outside[:-1], rules=controls[:-1])
+        v = HarmonicTrace(blocks=v.blocks[:-1], outside=v.outside[:-1],
+                          boundaries=controls[:-1])
         h, _ = solve_min_energy(K, v, FEASIBLE_EPS_2D)
         assert K.matrix.shape == (14, 62)
-        assert_residuals_match_the_matrix(K, h, v)
-        assert_columns_match_the_nystrom_sum(K)
+        antenna, controls = scenario_rules(s)
+        assert_residuals_match_the_matrix(K, h, v, controls[:-1])
+        assert_columns_match_the_nystrom_sum(K, antenna, controls[:-1])
 
     def test_random_density_matches_the_nodal_matvec(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
         rng = np.random.default_rng(29)
         for _ in range(3):
             h = projected(Density(rule=antenna, values=rng.normal(size=antenna.node_count)))
-            assert_residuals_match_the_matrix(K, h, v)
-        assert_columns_match_the_nystrom_sum(K)
+            assert_residuals_match_the_matrix(K, h, v, controls)
+        assert_columns_match_the_nystrom_sum(K, antenna, controls)
 
 
 class TestDump:
@@ -677,11 +683,11 @@ class TestDump:
         # bit for bit the whole block's, and traced below one M x M array.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         rows, columns = slice(100, 107), K.matrix.shape[1]
-        whole = _coefficient_block(antenna, controls[-1])
+        whole = _coefficient_block(K.antenna, K.controls[-1])
         assert whole.tobytes() == K.matrix[K.block_rows[-1]].tobytes()
         tracemalloc.start()
         try:
-            part = _coefficient_block(antenna, controls[-1], rows)
+            part = _coefficient_block(K.antenna, K.controls[-1], rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -697,11 +703,11 @@ class TestDump:
         # rule's nodes for each row block, traced 6.2 and 0.73 of it).
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         rows, columns = slice(100, 107), K.matrix.shape[1]
-        whole = _coefficient_block(antenna, controls[0])
+        whole = _coefficient_block(K.antenna, K.controls[0])
         assert whole.tobytes() == K.matrix[K.block_rows[0]].tobytes()
         tracemalloc.start()
         try:
-            part = _coefficient_block(antenna, controls[0], rows)
+            part = _coefficient_block(K.antenna, K.controls[0], rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -31,13 +31,13 @@ from fieldcast import (
     with_defaults,
     zero_field,
 )
-from conftest import (assert_residuals_match_the_matrix, basis_fields, explicit_coefficients,
-                      load_preset, nystrom_floor_and_energy, projected, quadrature_block,
-                      rule_harmonics, scalar_match, summed_basis_fields)
-from fieldcast import kernels, solver
+from conftest import (assert_residuals_match_the_matrix, basis_fields, boundaries,
+                      explicit_coefficients, load_preset, nystrom_floor_and_energy, projected,
+                      quadrature_block, rule_harmonics, scalar_match, scenario_rules,
+                      summed_basis_fields)
+from fieldcast import cli, kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
-                                harmonic_count, harmonic_degree, make_rule, nodes_around,
-                                surface_harmonics)
+                                harmonic_count, make_rule, surface_harmonics)
 from fieldcast.fields import _wanted_block
 from fieldcast.operator import _coefficient_block, unresolved_share
 from fieldcast.translation import degree_norms
@@ -123,7 +123,31 @@ def test_factored_residuals_match_the_matrix(s, fraction):
     v = build_target(s, controls)
     floor = residual_floor(K, v)
     h, _ = solve_min_energy(K, v, floor + fraction * (v.norm() - floor))
-    assert_residuals_match_the_matrix(K, h, v)
+    assert_residuals_match_the_matrix(K, h, v, scenario_rules(s)[1])
+
+
+@settings(PROPERTY, max_examples=40)
+@given(s=st.one_of(hard_data(dim=2, target=log_source((0.0, 0.0))),
+                   hard_data(dim=3, target=point_source((0.0, 0.0, 0.0)))),
+       antenna=st.integers(2, 12), control=st.integers(2, 12))
+def test_boundaries_give_the_rules_operator_and_target(s, antenna, control):
+    # build_rules' boundaries carry the degree of make_rule's rule at each
+    # node count, so the operator and the target on them are those on the
+    # rules' own boundaries, bit for bit; and the size guard counts the
+    # matrix's rows from the boundaries alone.
+    s = with_defaults(s)
+    scale = 2 if s.dim == 2 else 1
+    s = replace(s, discretization=Discretization(scale * antenna, scale * control))
+    spheres = build_rules(s)
+    rules = scenario_rules(s)
+    K = assemble_forward(*spheres)
+    oracle = assemble_forward(rules[0].boundary, boundaries(rules[1]))
+    assert K.matrix.tobytes() == oracle.matrix.tobytes() and K.unresolved == oracle.unresolved
+    v, w = build_target(s, spheres[1]), build_target(s, boundaries(rules[1]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(v.blocks, w.blocks, strict=True))
+    assert v.outside.tobytes() == w.outside.tobytes()
+    m, columns = K.matrix.shape
+    assert cli._check_size(*spheres) == m * columns**2
 
 
 @PROPERTY
@@ -138,11 +162,11 @@ def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna
     n_antenna = 2 * antenna if dim == 2 else antenna
     ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
     outer = make_rule(np.zeros(dim), radius, n_antenna + extra, dim)
-    K = assemble_forward(ant, [outer])
+    K = assemble_forward(ant.boundary, [outer.boundary])
     diagonal = np.diag(K.matrix)
     assert np.array_equal(K.matrix, np.diag(diagonal)) and K.unresolved == (0.0,)
     harmonics = rule_harmonics(outer)[:, 1: 1 + diagonal.shape[0]]
-    projected = harmonics.T @ (outer.weights[:, None] * basis_fields(ant, outer.nodes))
+    projected = harmonics.T @ (outer.weights[:, None] * basis_fields(K.antenna, outer.nodes))
     assert np.all(np.abs(projected - K.matrix) <= 1e-13 * diagonal)
 
 
@@ -184,15 +208,15 @@ def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, o
     ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
     outer = make_rule(np.zeros(dim), delta * ratio, max(MIN_NODES[dim], n_antenna + outer_shift),
                       dim)
-    K = assemble_forward(ant, [outer])
-    degrees = np.arange(1, harmonic_degree(ant) + 1)
+    K = assemble_forward(ant.boundary, [outer.boundary])
+    degrees = np.arange(1, ant.boundary.degree + 1)
     g = 0.5 if dim == 2 else degrees / (2 * degrees + 1)
     gains = g * ratio ** -(degrees + dim - 2.0) * ratio ** ((dim - 1) / 2)
     sigma = np.repeat(gains, 2 if dim == 2 else 2 * degrees + 1)  # antenna harmonic order
     assert np.allclose(weighted_svd(K).sigma, np.sort(sigma)[::-1], rtol=1e-13, atol=0.0)
 
-    b = np.random.default_rng(seed).standard_normal(harmonic_count(harmonic_degree(outer), dim) + 1)
-    v = HarmonicTrace(blocks=[b], outside=[0.0], rules=[outer])
+    b = np.random.default_rng(seed).standard_normal(harmonic_count(outer.boundary.degree, dim) + 1)
+    v = HarmonicTrace(blocks=[b], outside=[0.0], boundaries=[outer.boundary])
     y = np.zeros(sigma.shape[0])   # the target on the antenna's harmonics of degrees 1 .. L
     kept = min(sigma.shape[0], b.shape[0] - 1)
     y[:kept] = b[1: kept + 1]
@@ -228,16 +252,16 @@ def _translated_against_the_quadrature(antenna, rule):
     norm of its rows above the block's degrees is the block's share within
     10%, where that share lies above the 4x rule's and above rounding.
     Returns the 4x rule's share."""
-    block = _coefficient_block(antenna, rule)
+    block = _coefficient_block(antenna.boundary, rule.boundary)
     dim = rule.boundary.dim
-    polar = rule.node_count if dim == 2 else rule.node_count // nodes_around(rule)
+    polar = rule.node_count if dim == 2 else rule.boundary.degree + 1   # make_rule's rings
     fine, fine_share = quadrature_block(
         antenna, make_rule(rule.boundary.center, rule.boundary.radius, 4 * polar, dim))
     norm = float(np.linalg.norm(fine))
     if fine_share <= 1e-6:
         assert (np.linalg.norm(block - fine[: block.shape[0]])
                 <= 4 * fine_share * norm + TRANSLATION_RTOL * np.linalg.norm(block))
-    share = unresolved_share(antenna, rule)
+    share = unresolved_share(antenna.boundary, rule.boundary)
     if share > 1e-10 and fine_share < 1e-3 * share:
         assert float(np.linalg.norm(fine[block.shape[0]:])) / norm == pytest.approx(share, rel=0.1)
     return fine_share
@@ -252,15 +276,16 @@ def _local_series_against_the_field(antenna, rule, seed):
     the addition theorem by sum_lam (|w|/R)^lam ||c|| (S_lam N_lam / |S|)^(1/2),
     S_lam the closed-form squared norm of the block's degree-lam rows and
     N_lam the dimension of degree lam's harmonics."""
-    dim, radius, degree = rule.boundary.dim, rule.boundary.radius, harmonic_degree(rule)
+    antenna, rule = antenna.boundary, rule.boundary
+    dim, radius, degree = rule.dim, rule.radius, rule.degree
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(harmonic_count(harmonic_degree(antenna), dim))
+    c = rng.standard_normal(harmonic_count(antenna.degree, dim))
     h = HarmonicDensity(antenna, c)
     coefficients = _coefficient_block(antenna, rule) @ c
     direction = rng.standard_normal((32, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     scale = rng.uniform(0.0, 0.9, 32)
-    points = rule.boundary.center + radius * scale[:, None] * direction
+    points = rule.center + radius * scale[:, None] * direction
     # The orthonormal harmonics of the control sphere at the points' directions.
     constant = 1.0 / math.sqrt(2 * math.pi if dim == 2 else 4 * math.pi)
     values = np.hstack([np.full((32, 1), constant), surface_harmonics(direction, degree)])
@@ -316,7 +341,7 @@ def test_translated_blocks_match_the_quadrature_on_the_presets(preset, nodes):
     # its binomials hold factorials up to 325!, far past the 170! that
     # float64 holds, which the translation never forms.
     s = replace(load_preset(preset), discretization=Discretization(*nodes))
-    antenna, controls = build_rules(s)
+    antenna, controls = scenario_rules(s)
     for rule in controls[:-1]:
         assert _translated_against_the_quadrature(antenna, rule) <= 1e-6
 
@@ -365,7 +390,7 @@ def test_target_blocks_match_the_explicit_projection(data, dim, radius, centre, 
     fine = make_rule(centre, radius, 8 * nodes if dim == 2 else 4 * nodes, dim)
     nearest = max(1.1, 10 ** (17 / (7 * nodes)))
     region, exterior = (data.draw(wanted_fields(dim, nearest))(centre, radius) for _ in range(2))
-    block, outside = _wanted_block([(region, 1.0), (exterior, -1.0)], rule)
+    block, outside = _wanted_block([(region, 1.0), (exterior, -1.0)], rule.boundary)
     fields = [eval_field(f, fine.nodes) for f in (region, exterior)]
     a, rest = explicit_coefficients(fine, fields[0] - fields[1])
     total, scale = float(a @ a) + rest, sum(map(fine.l2_norm, fields))
@@ -409,7 +434,8 @@ def _assert_geometry_sized_antenna_matches_the_default(s):
         replace(s, discretization=Discretization(DEFAULT_NODES[s.dim], control)))
     assert floor == pytest.approx(ref_floor, rel=1e-10)
     assert energy == pytest.approx(ref_energy, rel=1e-9)
-    nystrom_floor, nystrom_energy = nystrom_floor_and_energy(K, v, epsilon)
+    controls = scenario_rules(replace(s, discretization=Discretization(chosen, control)))[1]
+    nystrom_floor, nystrom_energy = nystrom_floor_and_energy(K, v, epsilon, controls)
     assert floor == pytest.approx(nystrom_floor, rel=2e-10)
     assert energy == pytest.approx(nystrom_energy, rel=1e-9)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, block_harmonics, scalar_match,
-                      tikhonov_floor, trace_of)
+                      scenario_rules, tikhonov_floor, trace_of)
 from fieldcast import (
     ControlTrace,
     Discretization,
@@ -36,16 +36,16 @@ from fieldcast.solver import rank_above_cutoff, residual_floor
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
     """Small synthetic operator: a random matrix on the genuine antenna and
-    control rules, one row per harmonic the control circle resolves, and a
+    control circles, one row per harmonic the control circle resolves, and a
     target of coefficients in those rows and a squared norm outside them:
     in the column span but for noise of 1e-3, or at random."""
     antenna = make_circle_rule((0.0, 0.0), 1.0, n_antenna)
     control = make_circle_rule((8.0, 0.0), 2.0, n_control)
-    genuine = assemble_forward(antenna, [control])
+    genuine = assemble_forward(antenna.boundary, [control.boundary])
     K = ForwardOperator(
         matrix=rng.normal(size=genuine.matrix.shape),
-        antenna_rule=antenna,
-        control_rules=[control],
+        antenna=genuine.antenna,
+        controls=genuine.controls,
     )
     m, columns = K.matrix.shape
     if target_in_range:
@@ -56,14 +56,15 @@ def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
     return K, v
 
 
-def _synthesized(K, v):
-    """v's coefficients synthesized at the control nodes (``block_harmonics``)."""
+def _synthesized(K, v, controls):
+    """v's coefficients synthesized at the nodes of the control rules
+    ``controls`` (``block_harmonics``)."""
     y, _ = K.trace_coefficients(v)
     blocks = []
-    for rule, rows in zip(K.control_rules, K.block_rows):
+    for rule, rows in zip(controls, K.block_rows):
         harmonics = block_harmonics(K, rule, rows)
         blocks.append(harmonics @ y[rows][: harmonics.shape[1]])
-    return ControlTrace(blocks=blocks, rules=K.control_rules)
+    return ControlTrace(blocks=blocks, rules=controls)
 
 
 def _dense_normal_solve(K, v, alpha):
@@ -176,12 +177,13 @@ class TestSolveMinEnergy:
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
         s, K, v, h, report = demo2d_solution
-        nodal, target = h.nodal(), _synthesized(K, v)
+        antenna, controls = scenario_rules(s)
+        nodal, target = h.nodal(antenna), _synthesized(K, v, controls)
         residual_trace = ControlTrace(
-            [a - b for a, b in zip(apply(K, nodal).blocks, target.blocks)], K.control_rules)
-        grad = apply_adjoint(K, residual_trace).values + report.alpha_star * nodal.values
-        grad_norm = K.antenna_rule.l2_norm(grad)
-        ref = apply_adjoint(K, target).norm()
+            [a - b for a, b in zip(apply(controls, nodal).blocks, target.blocks)], controls)
+        grad = apply_adjoint(antenna, residual_trace).values + report.alpha_star * nodal.values
+        grad_norm = antenna.l2_norm(grad)
+        ref = apply_adjoint(antenna, target).norm()
         assert grad_norm <= 1e-8 * ref
 
     def test_energy_monotone_in_epsilon(self, demo2d_parts):
