@@ -20,15 +20,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "certify": ["certify_solution"],
     "fields": ["HarmonicField", "auto_epsilon", "build_target", "constant_field", "dipole",
-               "eval_double_layer", "eval_field", "eval_on_grid", "harmonic_polynomial",
-               "log_source", "point_source", "radiated_field", "zero_field"],
-    "geometry": ["Boundary", "Discretization", "QuadratureRule", "Region", "Scenario",
-                 "ScenarioValidationError", "build_rules", "make_circle_rule",
-                 "make_sphere_rule", "validate_scenario", "with_defaults"],
-    "kernels": ["adjoint_kernel", "dlp_kernel", "phi", "poisson_solve"],
-    "operator": ["ControlTrace", "Density", "ForwardOperator", "HarmonicDensity",
-                 "HarmonicTrace", "apply", "apply_adjoint", "assemble_forward", "weighted_svd",
-                 "xi_inner"],
+               "eval_field", "eval_on_grid", "harmonic_polynomial", "log_source", "point_source",
+               "radiated_field", "zero_field"],
+    "geometry": ["Boundary", "Discretization", "Region", "Scenario", "ScenarioValidationError",
+                 "build_rules", "validate_scenario", "with_defaults"],
+    "operator": ["ForwardOperator", "HarmonicDensity", "HarmonicTrace", "assemble_forward",
+                 "weighted_svd"],
     "scenario_io": ["ScenarioFormatError", "load_scenario", "parse_scenario"],
     "solver": ["InfeasibleAccuracyError", "SolveReport", "solve_min_energy", "sweep_alpha",
                "sweep_epsilon"],

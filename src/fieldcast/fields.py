@@ -7,8 +7,8 @@ forward operator must match.  The field the antenna actually radiates is
 the double-layer potential of the solved density, evaluated here in the
 operator's closed form from the density's coefficients
 (:func:`radiated_field`), so the probes and the grid read the field the
-certificate bounds; its Nystrom quadrature of nodal values
-(:func:`eval_double_layer`) stays as the tests' oracle.
+certificate bounds.  The field norms that scale an automatic budget are
+closed forms of the same coefficients (:func:`auto_epsilon`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import numpy as np
 
 from .geometry import (SEPARATION_RTOL, UNIT_SPHERE_MEASURE, Boundary, Scenario,
                        ScenarioValidationError, control_labels, harmonic_count, legendre_orders,
-                       make_rule, on_boundary, order_columns, surface_harmonics,
+                       on_boundary, order_columns, rule_degree, surface_harmonics,
                        validate_scenario)
+# dlp_kernel is unused here; the benchmark's tracer wraps this module's name for it.
 from .kernels import dlp_kernel, row_blocks
 from .operator import HarmonicDensity, HarmonicTrace, degree_gains
 from .translation import row_orders, translated_block
@@ -317,14 +318,24 @@ def _field_rows(f: HarmonicField, sphere: Boundary, rows: range) -> np.ndarray:
     (p_x, p_y) in 2D, a log source at c from the centre -log|c| + Re sum_k
     (-1)^k (w/c)^k / k.  An entire field (a polynomial of degree <= 3) has
     no higher degree, and its degree-k part is homogeneous in the offset
-    from the centre: it is projected exactly by the rule of harmonic degree
-    3 (:func:`fieldcast.geometry.make_rule`) of radius R/2, times 2^k."""
+    from the centre: it is projected exactly on the sphere of radius R/2,
+    times 2^k, by a rule that integrates the product of any two harmonics
+    of degree <= 3: 8 equispaced circle nodes, or 4 Gauss-Legendre rings
+    in cos(theta) of 8 equispaced nodes each."""
     dim, center, R = sphere.dim, sphere.center, sphere.radius
     if f.singularity is None:
-        small = make_rule(center, 0.5 * R, 8 if dim == 2 else 4, dim)
-        values = np.asarray(eval_field(f, small.nodes), dtype=float) * small.weights
+        radius, angles = 0.5 * R, 2.0 * np.pi * np.arange(8) / 8
+        if dim == 2:
+            normals = np.column_stack([np.cos(angles), np.sin(angles)])
+            weights = np.full(8, 2.0 * np.pi * radius / 8)
+        else:
+            t, w = np.polynomial.legendre.leggauss(4)
+            st, ct, ph = np.repeat(np.sqrt(1.0 - t**2), 8), np.repeat(t, 8), np.tile(angles, 4)
+            normals = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
+            weights = radius**2 * np.repeat(w, 8) * (2.0 * np.pi / 8)
+        values = np.asarray(eval_field(f, center + radius * normals), dtype=float) * weights
         projected = np.append(values.sum() / math.sqrt(UNIT_SPHERE_MEASURE[dim]),
-                              surface_harmonics(small.normals, 3).T @ values)
+                              surface_harmonics(normals, 3).T @ values)
         scale = 2.0 ** row_orders(range(projected.shape[0]), dim)[0] * (4 / R) ** ((dim - 1) / 2)
         coefficients = np.concatenate([projected * scale, np.zeros(rows.stop)])
         return coefficients[rows.start: rows.stop]
@@ -417,35 +428,6 @@ def _series(antenna: Boundary, a: np.ndarray, offsets: np.ndarray, r: np.ndarray
                 total += c * term
         acc += sums[0] * ring[0] + sums[1] * ring[1] if m else sums[0]
     return acc
-
-
-def eval_double_layer(g, x) -> np.ndarray | float:
-    """Field radiated by an antenna density: the double-layer potential, by
-    Nystrom quadrature of its kernel over the antenna rule.
-
-    The tests' oracle for :func:`radiated_field`, which it misses near the
-    antenna, where the kernel is nearly singular.  Evaluation inside or
-    within a 1e-6 relative ring of the antenna sphere is rejected.
-
-    Parameters
-    ----------
-    g : Density
-        Antenna density (see the operator module).
-    x : array-like, shape (dim,) or (p, dim)
-    """
-    rule = g.rule
-    pts, scalar = _points(rule.boundary.dim, x)
-    clearance = rule.boundary.radius * (1.0 + SEPARATION_RTOL)
-    y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
-    wg = rule.weights * g.values
-    out = np.empty(pts.shape[0])
-    for rows in row_blocks(pts.shape[0], rule.node_count):
-        if np.any(_distance(pts[rows], rule.boundary.center) < clearance):
-            raise ValueError(
-                "double-layer evaluation too close to (or inside) the antenna boundary"
-            )
-        out[rows] = dlp_kernel(pts[rows, None, :], y, nu, rule.boundary.dim) @ wg
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -555,39 +537,74 @@ def eval_on_grid(g: HarmonicDensity, s: Scenario, spec: GridSpec) -> FieldGrid:
     )
 
 
-def ball_l2_norm(f: HarmonicField, center, radius: float, dim: int,
-                 n_shells: int = 32, n_surface: int = 128) -> float:
-    """L2 norm of a field over a solid ball, by radial-shell quadrature.
-
-    Gauss-Legendre in the shell radius, the standard surface rule on each
-    shell; spectrally accurate for fields smooth on the closed ball.
-    """
-    t, w = np.polynomial.legendre.leggauss(n_shells)
-    radii = 0.5 * radius * (t + 1.0)  # (n_shells,) in (0, radius)
-    w = 0.5 * radius * w
-    total = 0.0
-    for r_shell, w_shell in zip(radii, w):
-        rule = make_rule(center, r_shell, n_surface, dim)
-        vals = np.asarray(eval_field(f, rule.nodes), dtype=float)
-        total += w_shell * float(rule.weights @ vals**2)
-    return float(np.sqrt(total))
+def _kelvin_image(f: HarmonicField, R: float) -> list[tuple[HarmonicField, float]]:
+    """(field, weight) terms whose sum is harmonic on the closed ball
+    |x| <= R and equals the exterior target f on its sphere, but for a
+    dipole's mean there: the Kelvin transform of f, (R/|x|) f(R^2 x/|x|^2)
+    in 3D and f(R^2 x/|x|^2) in 2D (Axler, Bourdon & Ramey, *Harmonic
+    Function Theory*, 2nd ed., ch. 4).  With s* = R^2 s/|s|^2, a 3D point
+    source at s is R/|s| times one at s*; a 3D dipole p at s is a point
+    source at s* of weight -R (p.s)/|s|^3 plus a dipole at s* of moment
+    (R/|s|)^3 (p - 2 (p.u) u), u = s/|s|, whose means cancel; a 2D dipole
+    is a dipole at s* of complex moment -conj(p) s*/conj(s) plus the
+    constant Re(-conj(p)/conj(s)), left out, which cancels its mean.  A
+    source within rounding of the origin, |s| < 2^-53 R, is taken there:
+    1/R or p.x/R^dim.  An entire field is its own image.  These are the
+    exterior targets :func:`fieldcast.geometry.validate_scenario` admits."""
+    s = f.singularity
+    if s is None:
+        return [(f, 1.0)]
+    dim, dist = s.shape[0], float(np.linalg.norm(s))
+    p = None if f.kind == "point-source" else np.asarray(f.direction)
+    if dist < 2.0**-53 * R:   # within rounding of a source at the origin: |s|/R relative
+        if p is None:
+            return [(constant_field(1.0 / R), 1.0)]
+        terms = {tuple(int(j == i) for j in range(dim)): float(p[i]) / R**dim for i in range(dim)}
+        return [(harmonic_polynomial(terms, dim), 1.0)]
+    q, u = R / dist, s / dist   # s* = R q u
+    if p is None:
+        return [(point_source(R * q * u), q)]
+    if dim == 3:
+        return [(point_source(R * q * u), -q * q * float(p @ u) / R),
+                (dipole(R * q * u, q**3 * (p - 2 * float(p @ u) * u)), 1.0)]
+    moment = -complex(*p).conjugate() * (q * complex(*u)) ** 2
+    return [(dipole(R * q * u, (moment.real, moment.imag)), 1.0)]
 
 
 def auto_epsilon(s: Scenario) -> float:
-    """Accuracy budget scaled by the target fields.
+    """Accuracy budget scaled by the target fields: 1e-3 times the sum of
+    the region targets' L2 norms over their target balls and the exterior
+    target's L2 norm over the observation sphere, in closed form.
 
-    1e-3 times the sum of the region targets' L2 norms over their target
-    balls plus the exterior target's L2 norm over the observation
-    boundary.
+    Each norm is read off the field's coefficients on a sphere of the
+    control degree D (:func:`_wanted_block`): its degrees 0 .. D and
+    ``outside``, the squared norm of those above.  A field harmonic on a
+    closed ball of radius a, with degree-l parts u_l on its sphere, has
+    ||u||^2 over the ball = sum_l a/(2l + dim) ||u_l||^2 over the sphere
+    (Axler, Bourdon & Ramey, ch. 5); ``outside`` takes the weight of degree
+    D + 1, the largest above D, so it is never understated.  On the
+    observation sphere the exterior target equals its Kelvin image
+    (:func:`_kelvin_image`), harmonic on the closed ball, whose sphere norm
+    is its block's and ``outside`` together.  No field is evaluated at a
+    point unless it is entire.  A sphere that cannot be built, or a
+    source on it, raises ScenarioValidationError naming it.
     """
-    n_surface = 128 if s.dim == 2 else 32
-    total = 0.0
-    for k, r in enumerate(s.regions, start=1):
-        total += on_boundary(f"region {k} target ball", ball_l2_norm, r.target, r.center,
-                             r.radius, s.dim, n_surface=n_surface)
-    obs = on_boundary("observation sphere", make_rule, np.zeros(s.dim), s.observation_radius,
-                      256 if s.dim == 2 else 32, s.dim)
-    total += obs.l2_norm(eval_field(s.exterior_target, obs.nodes))
+    degree = rule_degree(s.discretization.control, s.dim)
+
+    def norm(f, center, radius: float, ball: bool) -> float:
+        sphere = Boundary(center, radius, s.dim, degree)
+        terms = [(f, 1.0)] if ball else _kelvin_image(f, radius)
+        block, outside = _wanted_block([(g, w) for g, w in terms if g.kind != "zero"], sphere)
+        if not ball and f.kind == "dipole":
+            block[0] = 0.0   # the mean of a dipole over a sphere about it
+        degrees = np.append(row_orders(range(block.shape[0]), s.dim)[0], degree + 1)
+        weights = radius / (2 * degrees + s.dim) if ball else np.ones(degrees.shape[0])
+        return math.sqrt(float(weights @ np.append(block**2, outside)))
+
+    total = sum(on_boundary(f"region {k} target ball", norm, r.target, r.center, r.radius, True)
+                for k, r in enumerate(s.regions, start=1))
+    total += on_boundary("observation sphere", norm, s.exterior_target, np.zeros(s.dim),
+                         s.observation_radius, False)
     return 1e-3 * total
 
 

@@ -1,4 +1,4 @@
-"""Ball geometry, surface quadrature and admissibility checks.
+"""Ball geometry, surface harmonics and admissibility checks.
 
 The solver's geometry is a small source ball (the "antenna") centred at
 the origin, one or more target balls in which a prescribed harmonic field
@@ -9,11 +9,10 @@ sup-norm guarantees then propagate inward to the target balls and outward
 past the observation boundary.
 
 Each boundary carries the harmonic degree its functions are resolved to,
-which is all the solver reads of a discretization.  Surface integrals,
-for the Nystrom oracles and the field norms of an automatic budget, are
-discretized with spectrally accurate rules for smooth integrands:
-equispaced trapezoid nodes on circles, and a Gauss-Legendre (polar) x
-trapezoid (azimuth) product grid on spheres.
+which is all the solver reads of a discretization: a node count names
+the degree (:func:`rule_degree`), and no node is built.  Functions on a
+boundary are coefficients on its orthonormal surface harmonics
+(:func:`surface_harmonics`).
 """
 
 from __future__ import annotations
@@ -27,22 +26,16 @@ import numpy as np
 if TYPE_CHECKING:
     from .fields import HarmonicField
 
-# Relative tolerances for quadrature-rule self checks.
-SURFACE_MEASURE_RTOL = 1e-12
-NODE_ON_BOUNDARY_RTOL = 1e-14
-
-# Default node counts per boundary rule: circle nodes in 2D, polar nodes in
-# 3D.  Control rules use them; a defaulted antenna rule never exceeds them.
+# Default node counts per boundary: circle nodes in 2D, polar nodes in 3D.
+# Control spheres use them; a defaulted antenna never exceeds them.
 DEFAULT_NODES = {2: 128, 3: 24}
-# Fewest nodes per boundary rule: circle nodes in 2D, polar nodes in 3D.
+# Fewest nodes per boundary: circle nodes in 2D, polar nodes in 3D.
 MIN_NODES = {2: 4, 3: 2}
 # A defaulted antenna resolves a number of harmonic degrees that is a
 # multiple of this.  Operators then come in a few shapes, so the largest
 # shape a family of scenarios reaches, which sets peak memory, is one many
 # of them share rather than one only a rare scenario reaches.
 ANTENNA_DEGREE_STEP = 4
-# Azimuth nodes per polar node in the 3D rules of make_rule.
-AZIMUTH_PER_POLAR = 2
 
 # Control nodes must clear the antenna sphere by this relative margin.
 SEPARATION_RTOL = 1e-6
@@ -126,146 +119,11 @@ class Boundary:
         return surface_measure(self.radius, self.dim)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature nodes, weights and outward normals on a ball boundary.
-
-    Invariants (enforced by :meth:`validate`): weights sum to the surface
-    measure to 1e-12 relative, every node lies on the boundary to
-    1e-14 * radius, and every normal equals (node - center) / radius.
-    """
-
-    boundary: Boundary
-    nodes: np.ndarray    # (n, dim)
-    weights: np.ndarray  # (n,)
-    normals: np.ndarray  # (n, dim)
-
-    def __post_init__(self):
-        for name in ("nodes", "weights", "normals"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        self.validate()
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum approximating the surface integral of the values."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.node_count,):
-            raise ValueError(
-                f"values shape {values.shape} does not match {self.node_count} nodes"
-            )
-        return float(self.weights @ values)
-
-    def l2_norm(self, values: np.ndarray) -> float:
-        """Quadrature-weighted L2 norm of nodal values."""
-        values = np.asarray(values, dtype=float)
-        return float(np.sqrt(self.weights @ values**2))
-
-    def validate(self) -> None:
-        """Check rule integrity. Raises ValueError on failure."""
-        n, d = self.nodes.shape
-        if d != self.boundary.dim:
-            raise ValueError(f"node dimension {d} != boundary dim {self.boundary.dim}")
-        if self.weights.shape != (n,):
-            raise ValueError(f"weights shape {self.weights.shape} != ({n},)")
-        if self.normals.shape != (n, d):
-            raise ValueError(f"normals shape {self.normals.shape} != ({n}, {d})")
-        if np.any(self.weights <= 0):
-            raise ValueError("non-positive quadrature weights")
-
-        total = float(np.sum(self.weights))
-        measure = self.boundary.measure
-        if abs(total - measure) > SURFACE_MEASURE_RTOL * measure:
-            raise ValueError(
-                f"weights sum {total!r} != surface measure {measure!r}"
-            )
-        # Tolerance: 1e-14 * radius plus the float representation error a
-        # node "center + r * normal" necessarily carries from |center|.
-        eps = np.finfo(float).eps
-        center_norm = float(np.linalg.norm(self.boundary.center))
-        tol = NODE_ON_BOUNDARY_RTOL * self.boundary.radius + 8 * eps * (center_norm + self.boundary.radius)
-        radii = np.linalg.norm(self.nodes - self.boundary.center, axis=1)  # (n,)
-        if np.max(np.abs(radii - self.boundary.radius)) > tol:
-            raise ValueError("nodes do not lie on the boundary")
-        expected = (self.nodes - self.boundary.center) / self.boundary.radius
-        if np.max(np.abs(self.normals - expected)) > tol / self.boundary.radius:
-            raise ValueError("normals are not outward unit radial vectors")
-
-
-def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
-    """Equispaced trapezoid rule on a circle.
-
-    Nodes sit at angles 2*pi*j/n, every weight is 2*pi*r/n, normals point
-    radially outward.  The rule integrates trigonometric polynomials of
-    degree < n exactly, which makes it spectrally accurate for the
-    analytic integrands that arise between well separated boundaries, and
-    the product of any two circle harmonics of degree <= (n - 1) // 2, the
-    boundary's degree.
-
-    Parameters
-    ----------
-    center : array-like, shape (2,)
-    radius : float, > 0
-    n : int, >= MIN_NODES[2]
-        Node count.
-    """
-    if n < MIN_NODES[2]:
-        raise ValueError(f"circle rule needs n >= {MIN_NODES[2]} nodes, got {n}")
-    boundary = Boundary(center=center, radius=radius, dim=2, degree=(n - 1) // 2)
-
-    angles = 2.0 * np.pi * np.arange(n) / n  # (n,)
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])  # (n, 2)
-    nodes = boundary.center + radius * normals  # (n, 2)
-    weights = np.full(n, 2.0 * np.pi * radius / n)  # (n,)
-    return QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
-
-
-def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> QuadratureRule:
-    """Gauss-Legendre (polar) x trapezoid (azimuth) product rule on a sphere.
-
-    The polar direction uses Gauss-Legendre nodes in cos(theta), the
-    azimuth an equispaced grid; weights are r^2 * w_GL * (2*pi/n_azimuth),
-    so they sum to 4*pi*r^2 up to roundoff.  The azimuth grid is a circle
-    rule, so it takes the circle minimum.  The rule integrates polynomials
-    of degree < 2 n_polar in cos(theta) and azimuthal frequencies below
-    n_azimuth, so the product of any two surface harmonics of degree <=
-    min(n_polar - 1, (n_azimuth - 1) // 2), the boundary's degree.
-    """
-    if n_polar < MIN_NODES[3]:
-        raise ValueError(f"sphere rule needs n_polar >= {MIN_NODES[3]}, got {n_polar}")
-    if n_azimuth < MIN_NODES[2]:
-        raise ValueError(f"sphere rule needs n_azimuth >= {MIN_NODES[2]}, got {n_azimuth}")
-    degree = min(n_polar - 1, (n_azimuth - 1) // 2)
-    boundary = Boundary(center=center, radius=radius, dim=3, degree=degree)
-
-    t, w_gl = np.polynomial.legendre.leggauss(n_polar)  # cos(theta) nodes, (n_polar,)
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth  # (n_azimuth,)
-    sin_theta = np.sqrt(1.0 - t**2)  # (n_polar,)
-
-    # Product grid flattened to (n_polar * n_azimuth, 3).
-    st = np.repeat(sin_theta, n_azimuth)
-    ct = np.repeat(t, n_azimuth)
-    ph = np.tile(phi, n_polar)
-    normals = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
-    nodes = boundary.center + radius * normals
-    weights = radius**2 * np.repeat(w_gl, n_azimuth) * (2.0 * np.pi / n_azimuth)
-    return QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
-
-
-def make_rule(center, radius: float, n: int, dim: int) -> QuadratureRule:
-    """The standard rule of a boundary: ``n`` circle nodes in 2D, or ``n``
-    polar x ``AZIMUTH_PER_POLAR * n`` azimuth nodes in 3D."""
-    if dim == 2:
-        return make_circle_rule(center, radius, n)
-    return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n)
-
-
 def rule_degree(n: int, dim: int) -> int:
-    """The degree of :func:`make_rule`'s boundary of ``n`` nodes, without
-    building the rule.  Its harmonics of degrees 0 .. L, scaled to its
-    radius, are orthonormal in the rule's weights."""
+    """The degree L that ``n`` nodes name: that of a rule of ``n`` equispaced
+    circle nodes in 2D, or of ``n`` Gauss-Legendre polar rings of 2 ``n``
+    azimuth nodes each in 3D, whose weights integrate exactly the product
+    of any two surface harmonics of degrees 0 .. L."""
     return (n - 1) // 2 if dim == 2 else n - 1
 
 
@@ -387,9 +245,9 @@ def legendre_table(direction, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Node counts per boundary, each of which sets the boundary's degree
-    (:func:`rule_degree`): that of :func:`make_rule`'s rule of that many
-    nodes, circle nodes in 2D and polar nodes in 3D.  No rule is built.
+    """Node counts per boundary, circle nodes in 2D and polar nodes in 3D,
+    each of which sets the boundary's degree (:func:`rule_degree`).  No
+    node is built.
     """
 
     antenna: int
@@ -491,8 +349,8 @@ def with_defaults(s: Scenario) -> Scenario:
     control radius stays admissible after defaulting, while the sup-norm
     constants on both sides of each control sphere remain moderate.
 
-    Missing node counts are then read off those radii.  The control rules
-    get ``DEFAULT_NODES[dim]``.  The antenna rule gets enough nodes to
+    Missing node counts are then read off those radii.  The control spheres
+    get ``DEFAULT_NODES[dim]``.  The antenna gets enough nodes to
     resolve the double layer's harmonic degrees up to
 
         L* = ceil(ln(RANK_CUTOFF_RTOL) / ln(delta / rho)),  rho = min(min_k(|x_k| - a'_k), R'):
@@ -651,7 +509,7 @@ def on_boundary(label: str, build, *args, **kwargs):
 
 
 def control_labels(s: Scenario) -> list[str]:
-    """The control boundaries' names, in the order of the control rules."""
+    """The control boundaries' names, in the order of the control spheres."""
     names = [f"region {k}" for k in range(1, s.n_regions + 1)] + ["outer"]
     return [f"{name} control sphere" for name in names]
 

@@ -10,9 +10,9 @@ Integral Equations*, ch. 6); degree 0 radiates nothing there (Gauss).  So
 the field of basis density j is known everywhere outside the antenna, and
 the operator needs no antenna quadrature and no singular kernel.  A
 density is its coefficients on that basis (:class:`HarmonicDensity`) from
-the solve to the probes; nodal values (:class:`Density`) serve only the
-Nystrom oracle :func:`apply`.  So the operator reads of each sphere only
-its centre, radius and degree (:class:`fieldcast.geometry.Boundary`).
+the solve to the probes, never as nodal values.  So the operator reads
+of each sphere only its centre, radius and degree
+(:class:`fieldcast.geometry.Boundary`).
 
 The matrix holds each control sphere's block in that sphere's own
 orthonormal harmonics, which is all the L2-minimal solution needs: the
@@ -43,8 +43,8 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .geometry import (SEPARATION_RTOL, Boundary, QuadratureRule, frozen_array,
-                       harmonic_count, surface_harmonics)
+from .geometry import SEPARATION_RTOL, Boundary, frozen_array, harmonic_count
+# dlp_kernel is unused here; the benchmark's tracer wraps this module's name for it.
 from .kernels import dlp_kernel, row_blocks
 from .translation import antenna_gains, region_share, translated_block
 
@@ -66,31 +66,11 @@ _QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None)
 
 
 @dataclass(frozen=True)
-class Density:
-    """Real values at the antenna rule's nodes."""
-
-    rule: QuadratureRule
-    values: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        values = frozen_array(self.values)
-        if values.shape != (self.rule.node_count,):
-            raise ValueError(
-                f"values shape {values.shape} does not match {self.rule.node_count} nodes"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        object.__setattr__(self, "values", values)
-
-    def norm(self) -> float:
-        """Quadrature-weighted L2 norm over the antenna boundary."""
-        return self.rule.l2_norm(self.values)
-
-
-@dataclass(frozen=True)
 class HarmonicDensity:
     """A density by its coefficients c on the antenna's orthonormal
-    harmonics of degrees 1 .. L (:meth:`basis`); degree 0 radiates nothing.
+    harmonics of degrees 1 .. L: basis density j is column j of
+    :func:`fieldcast.geometry.surface_harmonics` at the direction from the
+    antenna centre, over delta^((dim-1)/2).  Degree 0 radiates nothing.
     Its L2 norm is ||c||."""
 
     boundary: Boundary
@@ -108,44 +88,6 @@ class HarmonicDensity:
     def norm(self) -> float:
         """L2 norm over the antenna boundary: ||c||, the basis being orthonormal."""
         return float(np.linalg.norm(self.coefficients))
-
-    def nodal(self, rule: QuadratureRule) -> Density:
-        """The density's values at the nodes of a rule on its boundary, for
-        the Nystrom oracles."""
-        if not _same_boundary(rule.boundary, self.boundary):
-            raise ValueError("rule is not on the density's antenna boundary")
-        return Density(rule=rule, values=self.basis(rule) @ self.coefficients)
-
-    @staticmethod
-    def basis(rule: QuadratureRule) -> np.ndarray:
-        """(n, M): :func:`fieldcast.geometry.surface_harmonics` of degrees 1 .. L,
-        the rule's boundary's degree, at its nodes over delta^((dim-1)/2), in
-        their column order: orthonormal in its weights."""
-        scale = rule.boundary.radius ** (-(rule.boundary.dim - 1) / 2)
-        return surface_harmonics(rule.normals, rule.boundary.degree) * scale
-
-
-@dataclass(frozen=True)
-class ControlTrace:
-    """Values at each control rule's nodes, regions first, outer sphere last:
-    the traces of the Nystrom oracles :func:`apply` and :func:`apply_adjoint`."""
-
-    blocks: list[np.ndarray]
-    rules: list[QuadratureRule]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", [frozen_array(b) for b in self.blocks])
-        shapes = [b.shape for b in self.blocks]
-        if shapes != [(rule.node_count,) for rule in self.rules]:
-            raise ValueError(f"block shapes {shapes} do not match the control rules' nodes")
-
-    @property
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-    def norm(self) -> float:
-        """Product-space norm: root of the summed weighted block norms."""
-        return float(np.sqrt(xi_inner(self, self)))
 
 
 @dataclass(frozen=True)
@@ -176,30 +118,6 @@ def _same_boundary(a: Boundary, b: Boundary) -> bool:
     return a is b or (a.dim == b.dim and a.degree == b.degree
                       and abs(a.radius - b.radius) <= 1e-14 * a.radius
                       and np.max(np.abs(a.center - b.center)) <= 1e-14)
-
-
-def _same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
-    """Same boundary, nodes and weights."""
-    return a is b or (_same_boundary(a.boundary, b.boundary) and np.array_equal(a.nodes, b.nodes)
-                      and np.array_equal(a.weights, b.weights))
-
-
-def _check_same(s: list, t: list, same) -> None:
-    """Raise unless the traces' rules or boundaries ``s`` and ``t`` pair off
-    as ``same``."""
-    if len(s) != len(t):
-        raise ValueError("control traces have different block counts")
-    if not all(map(same, s, t)):
-        raise ValueError("control traces are defined on different boundaries")
-
-
-def xi_inner(s: ControlTrace, t: ControlTrace) -> float:
-    """Product-space inner product: sum of weighted surface inner products."""
-    _check_same(s.rules, t.rules, _same_rule)
-    total = 0.0
-    for a, b, rule in zip(s.blocks, t.blocks, s.rules):
-        total += float(rule.weights @ (a * b))
-    return total
 
 
 @dataclass(frozen=True)
@@ -329,7 +247,9 @@ class ForwardOperator:
         the block's squared norm, and the residual of any density on that
         block is sqrt(||C c - y||^2 + outside).
         """
-        _check_same(self.controls, v.boundaries, _same_boundary)
+        if len(v.boundaries) != len(self.controls) or not all(
+                map(_same_boundary, self.controls, v.boundaries)):
+            raise ValueError("trace is not on the operator's control spheres")
         y = np.zeros(self.block_rows[-1].stop)
         outside = np.array(v.outside)
         for k, (sphere, a, rows) in enumerate(zip(self.controls, v.blocks, self.block_rows)):
@@ -442,29 +362,6 @@ def assemble_forward(antenna: Boundary, controls: list[Boundary]) -> ForwardOper
                            unresolved=tuple(unresolved_share(antenna, b) for b in controls))
 
 
-def _kernel_blocks(antenna: QuadratureRule, controls: list[QuadratureRule]):
-    """The nodal double-layer kernel dlp_kernel(x_i, y_j, nu_j), x_i over all
-    control nodes and y_j over the antenna nodes, one block of antenna nodes
-    at a time: (cols, kernel (cols, m)), BLOCK_PAIRS pairs or fewer each."""
-    x = np.concatenate([r.nodes for r in controls])[None]  # (1, m, dim)
-    for cols in row_blocks(antenna.node_count, x.shape[1]):
-        yield cols, dlp_kernel(x, antenna.nodes[cols, None], antenna.normals[cols, None],
-                               antenna.boundary.dim)
-
-
-def apply(controls: list[QuadratureRule], h: Density) -> ControlTrace:
-    """Double-layer traces of a nodal density at the nodes of every control
-    rule, by Nystrom quadrature over its antenna rule: sum_j dlp_kernel(x_i,
-    y_j, nu_j) w_j h_j.  The oracle for the closed-form matrix; it stores no
-    matrix."""
-    wh = h.rule.weights * h.values  # (n,)
-    trace = np.zeros(sum(r.node_count for r in controls))  # (m,)
-    for cols, kernel in _kernel_blocks(h.rule, controls):
-        trace += wh[cols] @ kernel
-    ends = np.cumsum([r.node_count for r in controls])[:-1]
-    return ControlTrace(blocks=np.split(trace, ends), rules=list(controls))
-
-
 def block_residuals(K: ForwardOperator, h: HarmonicDensity,
                     v: HarmonicTrace) -> tuple[float, ...]:
     """L2 norm of K h - v on each control sphere, regions first.
@@ -486,21 +383,6 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
     res = svd.lift(svd.sigma * (svd.vt @ c)) - y  # (m,)
     return tuple(math.sqrt(float(res[rows] @ res[rows]) + rest)
                  for rows, rest in zip(K.block_rows, outside.tolist()))
-
-
-def apply_adjoint(antenna: QuadratureRule, t: ControlTrace) -> Density:
-    """Adjoint of :func:`apply` in the weighted inner products.
-
-    Nystrom quadrature of the adjoint kernel over the trace's control rules:
-    value j at node j of the ``antenna`` rule is sum_i dlp_kernel(x_i, y_j,
-    nu_j) W_i t_i, the exact discrete adjoint of :func:`apply`.  It stores
-    no matrix.
-    """
-    weighted = np.concatenate([r.weights for r in t.rules]) * t.concatenated  # (m,)
-    values = np.empty(antenna.node_count)  # (n,)
-    for cols, kernel in _kernel_blocks(antenna, t.rules):
-        values[cols] = kernel @ weighted
-    return Density(rule=antenna, values=values)
 
 
 def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:

@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from fieldcast import (ForwardOperator, HarmonicDensity, HarmonicTrace, assemble_forward,
-                       build_rules, build_target, dlp_kernel, load_scenario, solve_min_energy,
-                       solver, weighted_svd)
-from fieldcast.fields import radiated_field, resolve_epsilon
+                       build_rules, build_target, load_scenario, solve_min_energy, solver,
+                       weighted_svd)
+from fieldcast.fields import eval_field, radiated_field, resolve_epsilon
 from fieldcast.geometry import (UNIT_SPHERE_MEASURE, ScenarioValidationError, control_labels,
-                                harmonic_count, make_rule, on_boundary, surface_harmonics)
+                                harmonic_count, on_boundary, surface_harmonics)
+from fieldcast.kernels import dlp_kernel
 from fieldcast.operator import RESIDUAL_ROUNDING_C, block_residuals, degree_gains
 from fieldcast.solver import InfeasibleAccuracyError
+from oracles import ball_l2_norm, basis, make_rule
 
 FEASIBLE_EPS_2D = 6.5
 FEASIBLE_EPS_3D = 0.6
@@ -49,6 +51,20 @@ def scenario_rules(s):
                      for label, (center, radius) in zip(control_labels(s), spheres)]
 
 
+def quadrature_epsilon(s):
+    """``auto_epsilon`` by quadrature, its oracle: 1e-3 times the sum of each
+    region target's L2 norm over its target ball by radial-shell quadrature
+    (``ball_l2_norm``, 128 circle nodes or 32 polar rings a shell) and the
+    exterior target's over the observation sphere by a rule of 256 circle
+    nodes or 32 polar rings.  Both are accurate to rounding while every
+    singular point keeps a ball radius clear of each target ball and inside
+    half the observation radius; closer, the rules lose digits."""
+    total = sum(ball_l2_norm(r.target, r.center, r.radius, s.dim,
+                             n_surface=128 if s.dim == 2 else 32) for r in s.regions)
+    rule = make_rule(np.zeros(s.dim), s.observation_radius, 256 if s.dim == 2 else 32, s.dim)
+    return 1e-3 * (total + rule.l2_norm(eval_field(s.exterior_target, rule.nodes)))
+
+
 def boundaries(rules):
     """The boundary of each rule."""
     return [rule.boundary for rule in rules]
@@ -57,15 +73,15 @@ def boundaries(rules):
 def rule_harmonics(rule, degree=None):
     """The rule's orthonormal harmonics of degrees 0 .. L at its nodes, an
     (n, H) array formed explicitly: the constant, then the degrees 1 .. L
-    of ``HarmonicDensity.basis``; with ``degree`` (at most L) only those of
+    of ``oracles.basis``; with ``degree`` (at most L) only those of
     degrees 0 .. ``degree``, at the same scale.  The coefficients of nodal
     values f are rule_harmonics^T W f (``explicit_coefficients``)."""
     dim = rule.boundary.dim
     scale = rule.boundary.radius ** (-(dim - 1) / 2)
-    basis = (HarmonicDensity.basis(rule) if degree is None
-             else surface_harmonics(rule.normals, degree) * scale)
+    harmonics = (basis(rule) if degree is None
+                 else surface_harmonics(rule.normals, degree) * scale)
     constant = 1.0 / math.sqrt(UNIT_SPHERE_MEASURE[dim]) * scale
-    return np.hstack([np.full((rule.node_count, 1), constant), basis])
+    return np.hstack([np.full((rule.node_count, 1), constant), harmonics])
 
 
 def explicit_coefficients(rule, values, degree=None):
@@ -217,17 +233,17 @@ def nystrom_fields(antenna, points):
     """The Nystrom sum of each basis density at each point, (p, M): the
     ``nystrom_matrix`` of the points times the basis's nodal values, 256
     points at a time."""
-    basis, dim = rule_harmonics(antenna)[:, 1:], antenna.boundary.dim
+    harmonics, dim = rule_harmonics(antenna)[:, 1:], antenna.boundary.dim
     return np.concatenate([
         dlp_kernel(points[rows, None, :], antenna.nodes[None], antenna.normals[None], dim)
-        @ (antenna.weights[:, None] * basis)
+        @ (antenna.weights[:, None] * harmonics)
         for rows in np.array_split(np.arange(len(points)), max(1, len(points) // 256))])
 
 
 def assert_columns_match_the_nystrom_sum(K, antenna, controls):
     """The Nystrom sum over the ``antenna`` rule of each basis density (its
     nodal values the rule's ``rule_harmonics`` of degrees 1 .. L;
-    :func:`fieldcast.operator.apply`, whose blocks ``nystrom_matrix``
+    :func:`oracles.apply`, whose blocks ``nystrom_matrix``
     reproduces), on each of the rules ``controls`` of K's spheres: equal
     to the closed-form ``basis_fields`` at its nodes, and its harmonic
     coefficients (formed explicitly, ``rule_harmonics``) equal to the rule's

@@ -24,27 +24,21 @@ import pytest
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, projected, random_mismatches,
                       random_on_sphere, scenario_rules)
 from fieldcast import (
-    ControlTrace,
-    Density,
-    apply,
-    apply_adjoint,
     assemble_forward,
     build_rules,
     build_target,
     certify_solution,
-    dlp_kernel,
     harmonic_polynomial,
-    make_circle_rule,
-    make_sphere_rule,
-    poisson_solve,
     solve_min_energy,
     weighted_svd,
-    xi_inner,
 )
 from fieldcast.certify import empirical_mismatches
-from fieldcast.fields import eval_double_layer, eval_field, scenario_difference_fields
+from fieldcast.fields import eval_field, scenario_difference_fields
+from fieldcast.kernels import dlp_kernel
 from fieldcast.operator import block_residuals
 from fieldcast.solver import residual_floor
+from oracles import (ControlTrace, Density, apply, apply_adjoint, eval_double_layer,
+                     make_circle_rule, make_sphere_rule, nodal, poisson_solve, xi_inner)
 from test_solver import _qp_oracle_energy, _random_instance
 
 
@@ -311,7 +305,7 @@ def test_criterion_9_discretization_convergence(demo2d):
             [random_on_sphere(rng, r.center, r.radius, 2, 40) for r in sn.regions]
             + [random_on_sphere(rng, (0.0, -7.0), 2.0, 2, 20)]
         )  # 100 probe points, on spheres: where a harmonic difference peaks
-        probes[n] = eval_double_layer(h.nodal(scenario_rules(sn)[0]), pts)
+        probes[n] = eval_double_layer(nodal(h, scenario_rules(sn)[0]), pts)
     change = np.max(np.abs(probes[128] - probes[256])) / np.max(np.abs(probes[128]))
     _criterion("criterion 9 (discretization convergence)", change <= 1e-6,
                f"relative field change over 100 probes {change:.2e}")

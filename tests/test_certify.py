@@ -6,19 +6,17 @@ import pytest
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, basis_fields, harmonic_trace, projected,
                       random_mismatches)
 from fieldcast import (
-    Density,
     Region,
     Scenario,
-    apply,
     certify_solution,
     solve_min_energy,
     zero_field,
 )
 from fieldcast.certify import empirical_mismatches, sample_on_sphere
 from fieldcast.cli import EMPIRICAL_SAMPLES
-from fieldcast.fields import eval_double_layer, scenario_difference_fields
-from fieldcast.geometry import make_rule
+from fieldcast.fields import scenario_difference_fields
 from fieldcast.operator import block_residuals
+from oracles import Density, apply, eval_double_layer, make_rule, nodal
 
 
 def _certify(a, a_prime, r_prime, r, dim, region_mismatch=1.0, exterior_mismatch=1.0):
@@ -200,7 +198,7 @@ class TestSampling:
         dense = []
         for wanted, (center, radius) in zip(fields, spheres, strict=True):
             pts = make_rule(center, radius, n, s.dim).nodes
-            dense.append(float(np.max(np.abs(eval_double_layer(h.nodal(antenna), pts)
+            dense.append(float(np.max(np.abs(eval_double_layer(nodal(h, antenna), pts)
                                              - wanted(pts)))))
         for rotation in (s.seed, *range(32)):
             sampled = empirical_mismatches(h, fields, s, rotation, EMPIRICAL_SAMPLES)
@@ -221,7 +219,7 @@ class TestSampling:
         h, _ = solve_min_energy(K, v, epsilon)
         fields = scenario_difference_fields(s)
         sampled = [empirical_mismatches(g, fields, s, s.seed, EMPIRICAL_SAMPLES)
-                   for g in (h, projected(h.nodal(antenna)))]
+                   for g in (h, projected(nodal(h, antenna)))]
         spheres = [(r.center, r.radius) for r in s.regions] + [((0.0,) * s.dim,
                                                                s.observation_radius)]
         scale = 20 * 2.0**-53 * np.linalg.norm(h.coefficients)

@@ -1,8 +1,10 @@
 """Command-line pipeline: exit codes, outputs, determinism."""
 
 import copy
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,13 +19,15 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fieldcast
 from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset, scenario_rules
-from fieldcast import (HarmonicDensity, QuadratureRule, assemble_forward, build_rules,
-                       build_target, certify, cli, fields)
+from fieldcast import (HarmonicDensity, assemble_forward, build_rules, build_target, certify, cli,
+                       fields)
 from fieldcast.cli import main
 from fieldcast.operator import factorization_bytes, load_operator_dump
 from fieldcast.scenario_io import load_scenario
 from fieldcast.solver import residual_floor
+from test_package_boundary import ORACLE_NAMES
 
 DEMO_2D = str(PRESETS / "demo-2d.scn")
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -549,41 +553,47 @@ def test_run_never_imports_numpy_random(preset, epsilon, tmp_path):
     assert out.splitlines()[-1] == "0 False False False False"
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", DEMO_2D, "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24", "--dump-operator"],
-    ["run", str(PRESETS / "demo-3d.scn"), "--epsilon", "0.6"],
-    ["sweep", str(PRESETS / "demo-3d.scn"), "--epsilons", "0.6,1.0"],
-], ids=["run-2d", "run-3d", "sweep-3d"])
-def test_no_command_synthesizes_nodal_values(argv, tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv, code", [
+    (["run", DEMO_2D, "--epsilon", str(FEASIBLE_EPS_2D), "--grid", "24,24", "--dump-operator"], 0),
+    (["run", str(PRESETS / "demo-3d.scn"), "--epsilon", "0.6"], 0),
+    (["sweep", str(PRESETS / "demo-3d.scn"), "--epsilons", "0.6,1.0"], 0),
+    (["run", DEMO_2D], 4),
+], ids=["run-2d", "run-3d", "sweep-3d", "run-2d-auto"])
+def test_no_command_synthesizes_nodal_values(argv, code, tmp_path, monkeypatch):
     # The density is its coefficients from the solve to the report, the
-    # grid and the dump: nothing synthesizes its nodal values or forms the
-    # nodal basis.  And assembly translates the basis fields, the target
-    # the wanted fields, in closed form: no field is evaluated at a control
-    # node, and no rule of the scenario's antenna or control node count is
-    # built (the small rules that project entire fields are another count).
-    monkeypatch.setattr(HarmonicDensity, "nodal", _never_called)
-    monkeypatch.setattr(HarmonicDensity, "basis", staticmethod(_never_called))
-    scenarios, built, points = [], [], []
+    # grid and the dump: the package has no quadrature rule, nodal density
+    # or Nystrom oracle to synthesize its nodal values with (they are the
+    # tests', in ``oracles``).  And assembly translates the basis fields, the
+    # target the wanted fields, in closed form: no field is evaluated at a
+    # control node.  The budget of ``epsilon: auto`` is read off the same
+    # closed forms: resolving it evaluates no field at any point, as the
+    # presets hold no entire field.
+    for module in [HarmonicDensity, *(importlib.import_module(f"fieldcast.{m.name}")
+                                      for m in pkgutil.iter_modules(fieldcast.__path__))]:
+        assert [name for name in ORACLE_NAMES if hasattr(module, name)] == []
+    scenarios, points, resolving = [], [], []
 
     def recorded(scenario, _fn=cli.build_rules):
         scenarios.append(scenario)
         return _fn(scenario)
 
-    def rule_built(self, _fn=QuadratureRule.__post_init__):
-        built.append(len(self.nodes))
-        _fn(self)
+    def resolved(scenario, _fn=cli.resolve_epsilon):
+        before = len(points)
+        try:
+            return _fn(scenario)
+        finally:
+            resolving.append(len(points) - before)
 
     def evaluated(f, x, _fn=fields.eval_field):
         points.extend(map(tuple, np.atleast_2d(x).tolist()))
         return _fn(f, x)
 
     monkeypatch.setattr(cli, "build_rules", recorded)
-    monkeypatch.setattr(QuadratureRule, "__post_init__", rule_built)
+    monkeypatch.setattr(cli, "resolve_epsilon", resolved)
     monkeypatch.setattr(fields, "eval_field", evaluated)
-    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert resolving == [0]
     (s,) = scenarios
-    d = s.discretization
-    assert not {n if s.dim == 2 else 2 * n * n for n in (d.antenna, d.control)} & set(built)
     nodes = {tuple(x) for rule in scenario_rules(s)[1] for x in rule.nodes.tolist()}
     assert nodes and nodes.isdisjoint(points)
 

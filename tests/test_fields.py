@@ -5,38 +5,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import explicit_coefficients, projected, scenario_rules, stencil_laplacian
+from conftest import (explicit_coefficients, projected, quadrature_epsilon, scenario_rules,
+                      stencil_laplacian)
 from fieldcast import (
-    Density,
     HarmonicDensity,
     Region,
     Scenario,
     ScenarioValidationError,
-    apply,
     build_rules,
     build_target,
     certify_solution,
     constant_field,
     dipole,
-    dlp_kernel,
-    eval_double_layer,
     eval_field,
     eval_on_grid,
     harmonic_polynomial,
     log_source,
-    make_circle_rule,
     point_source,
     radiated_field,
     zero_field,
 )
 from fieldcast import kernels
 from fieldcast.cli import write_grid
-from fieldcast.fields import (GridSpec, _distance, _wanted_block, auto_epsilon, ball_l2_norm,
-                             default_grid)
-from fieldcast.geometry import (SEPARATION_RTOL, harmonic_count, make_rule, make_sphere_rule,
-                                with_defaults)
-from fieldcast.kernels import BLOCK_PAIRS
+from fieldcast.fields import GridSpec, _distance, _wanted_block, auto_epsilon, default_grid
+from fieldcast.geometry import SEPARATION_RTOL, Discretization, harmonic_count, with_defaults
+from fieldcast.kernels import BLOCK_PAIRS, dlp_kernel
 from fieldcast.operator import block_residuals
+from oracles import (Density, apply, ball_l2_norm, eval_double_layer, make_circle_rule, make_rule,
+                     make_sphere_rule, nodal)
 
 MIB = 1024 * 1024
 
@@ -276,10 +272,10 @@ class TestEvalDoubleLayer:
     def test_matches_forward_operator_at_control_nodes(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
         antenna, controls = scenario_rules(s)
-        nodal = h.nodal(antenna)
-        traces = apply(controls, nodal)
+        g = nodal(h, antenna)
+        traces = apply(controls, g)
         for block, rule in zip(traces.blocks, traces.rules):
-            direct = eval_double_layer(nodal, rule.nodes)
+            direct = eval_double_layer(g, rule.nodes)
             assert np.max(np.abs(direct - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
     def test_row_blocks_match_one_shot_quadrature(self):
@@ -450,7 +446,7 @@ class TestEvalOnGrid:
         padded = np.zeros(harmonic_count(fine.boundary.degree, dim))
         padded[: c.shape[0]] = c   # the fine rule's harmonics begin with the coarse one's
         oracle = (eval_field(s.exterior_target, grid.points)
-                  + eval_double_layer(HarmonicDensity(fine.boundary, padded).nodal(fine),
+                  + eval_double_layer(nodal(HarmonicDensity(fine.boundary, padded), fine),
                                       grid.points))
         assert np.max(np.abs(grid.values - oracle)) <= 1e-9 * np.max(np.abs(grid.values))
 
@@ -527,6 +523,56 @@ class TestAutoEpsilon:
         a = ball_l2_norm(f, r.center, r.radius, 2, n_shells=16)
         b = ball_l2_norm(f, r.center, r.radius, 2, n_shells=32)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["demo2d", "demo3d"])
+    def test_presets_match_the_quadrature(self, preset, request):
+        s = request.getfixturevalue(preset)
+        assert auto_epsilon(s) == pytest.approx(quadrature_epsilon(s), rel=1e-13, abs=0)
+
+    @staticmethod
+    def _exterior_norm(field, dim, radius):
+        """The L2 norm of ``field`` over the observation sphere of ``radius``
+        that auto_epsilon reads, in a scenario whose one region wants nothing."""
+        s = Scenario(dim=dim, delta=1.0, regions=(Region(center=5.0 * np.eye(dim)[0], radius=1.0,
+                                                         target=zero_field()),),
+                     observation_radius=radius, exterior_target=field, epsilon="auto",
+                     discretization=Discretization(8, 8))
+        return 1e3 * auto_epsilon(s)
+
+    @pytest.mark.parametrize("source", [(0.0, 0.0, 14.0), (14.0, 0.0, 0.0), (3.0, -4.0, 5.0),
+                                        (1e-3, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_exterior_point_source_norm_is_the_analytic_one(self, source):
+        # ||1/|x - s| ||^2 over |x| = R is 2 pi R/|s| log((R + |s|)/(R - |s|)),
+        # 4 pi at s = 0.  At s = (0, 0, 14) and R = 15, a product rule of 32
+        # Gauss-Legendre rings reads the norm 0.47% low: 4.7390 for 4.7612.
+        R, d = 15.0, float(np.linalg.norm(source))
+        expected = 4 * np.pi if d == 0 else 2 * np.pi * R / d * np.log1p(2 * d / (R - d))
+        got = self._exterior_norm(point_source(source), 3, R)
+        assert got == pytest.approx(np.sqrt(expected), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("source, moment", [((0.0, 14.0), (1.0, 2.0)),
+                                                ((3.0, -4.0), (-0.5, 0.25)),
+                                                ((1e-9, 0.0), (1.0, 2.0)),
+                                                ((0.0, 0.0), (1.0, 1.0))])
+    def test_exterior_2d_dipole_norm_is_the_analytic_one(self, source, moment):
+        # ||p.(x - s)/|x - s|^2 ||^2 over |x| = R is pi |p|^2 R / (R^2 - |s|^2).
+        R, d = 15.0, float(np.linalg.norm(source))
+        expected = np.pi * float(np.dot(moment, moment)) * R / ((R - d) * (R + d))
+        got = self._exterior_norm(dipole(source, moment), 2, R)
+        assert got == pytest.approx(np.sqrt(expected), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("distance", [0.5, 1e-6, 1e-12, 1e-200])
+    def test_exterior_dipole_near_the_origin_matches_the_quadrature(self, dim, distance):
+        # The terms of a dipole's image cancel in degree 0, each R/|s| times
+        # the field, so that degree is the dipole's mean, 0, and the norm
+        # keeps its digits as the source nears the origin.
+        R, moment = 15.0, (0.3, -1.1, 0.7)[:dim]
+        field = dipole(distance * R * np.array([0.6, 0.8] if dim == 2 else [0.48, 0.6, 0.64]),
+                       moment)
+        rule = make_rule(np.zeros(dim), R, 256 if dim == 2 else 32, dim)
+        expected = rule.l2_norm(eval_field(field, rule.nodes))
+        assert self._exterior_norm(field, dim, R) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_resolve_epsilon_replaces_auto(self, demo2d):
         assert isinstance(demo2d.epsilon, float)

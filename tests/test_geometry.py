@@ -8,15 +8,10 @@ import pytest
 
 from fieldcast import (
     Boundary,
-    ControlTrace,
-    Density,
     HarmonicDensity,
-    QuadratureRule,
     Region,
     Scenario,
     ScenarioValidationError,
-    make_circle_rule,
-    make_sphere_rule,
     validate_scenario,
     with_defaults,
     zero_field,
@@ -25,7 +20,9 @@ from fieldcast.fields import dipole, log_source
 from conftest import load_preset
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, Discretization,
                                 build_rules, harmonic_count, legendre_orders, legendre_table,
-                                make_rule, rule_degree, surface_harmonics)
+                                rule_degree, surface_harmonics)
+from oracles import (ControlTrace, Density, QuadratureRule, make_circle_rule, make_rule,
+                     make_sphere_rule)
 
 
 class TestCircleRule:

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import stencil_laplacian
-from fieldcast import (
-    Density,
-    adjoint_kernel,
-    dlp_kernel,
-    kernels,
-    make_circle_rule,
-    make_sphere_rule,
-    phi,
-    poisson_solve,
-)
+from fieldcast import kernels
 from fieldcast.geometry import UNIT_SPHERE_MEASURE
+from fieldcast.kernels import dlp_kernel
+from oracles import adjoint_kernel, make_circle_rule, make_sphere_rule, phi, poisson_solve
 
 
 def _rows_with_last_coincident():

@@ -8,31 +8,24 @@ import numpy as np
 import pytest
 
 from fieldcast import (
-    ControlTrace,
-    Density,
     ForwardOperator,
     HarmonicDensity,
     HarmonicTrace,
-    adjoint_kernel,
-    apply,
-    apply_adjoint,
     assemble_forward,
     build_target,
     kernels,
-    make_circle_rule,
-    make_sphere_rule,
     weighted_svd,
-    xi_inner,
 )
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the_nystrom_sum,
                       assert_residuals_match_the_matrix, boundaries, explicit_coefficients,
                       harmonic_trace, nystrom_matrix, projected, scenario_rules, trace_of)
-from fieldcast.geometry import (UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count,
-                                make_rule)
+from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count
 from fieldcast import operator as operator_module
 from fieldcast.operator import (_coefficient_block, block_residuals, degree_gains, dump_operator,
                                 load_operator_dump, row_offsets)
 from fieldcast.solver import solve_min_energy
+from oracles import (ControlTrace, Density, adjoint_kernel, apply, apply_adjoint, basis,
+                     make_circle_rule, make_rule, make_sphere_rule, nodal, xi_inner)
 
 MIB = 1024 * 1024
 
@@ -198,13 +191,13 @@ class TestAssembleApply:
         # The whole basis's weighted Gram matrix, and nodal() as its product
         # with the coefficients: a unit vector's values are its column.
         s, antenna, controls, K, v = request.getfixturevalue(parts)
-        basis = HarmonicDensity.basis(antenna)
-        gram = basis.T @ (antenna.weights[:, None] * basis)
-        assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-13
+        values = basis(antenna)
+        gram = values.T @ (antenna.weights[:, None] * values)
+        assert np.max(np.abs(gram - np.eye(values.shape[1]))) <= 1e-13
         count = harmonic_count(antenna.boundary.degree, s.dim)
         draws = np.random.default_rng(9).normal(size=(3, count))
         for c in [*np.eye(count)[[0, count // 2, -1]], *draws]:
-            assert np.array_equal(HarmonicDensity(K.antenna, c).nodal(antenna).values, basis @ c)
+            assert np.array_equal(nodal(HarmonicDensity(K.antenna, c), antenna).values, values @ c)
 
     def test_3d_columns_match_the_nystrom_sum_at_a_pool_shape(self, demo3d):
         # 16 polar antenna nodes resolve degree 15 = L*: the shape of the
@@ -264,7 +257,7 @@ class TestAssembleApply:
         s, antenna, controls, K, v = demo2d_parts
         wrong = make_circle_rule((0.0, 0.0), 1.0, 64)
         with pytest.raises(ValueError, match="antenna boundary"):
-            HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])).nodal(wrong)
+            nodal(HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])), wrong)
         # Same node counts on other spheres: not a trace of K's.
         moved = [make_circle_rule(r.boundary.center, 1.5 * r.boundary.radius, r.node_count)
                  for r in controls]
@@ -279,7 +272,7 @@ class TestAssembleApply:
     # oracle, and a density on the rule's boundary to the residuals.
     _ENTRIES = [
         lambda K, rule: apply([make_rule(b.center, b.radius, 4, b.dim) for b in K.controls],
-                              HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])).nodal(rule)),
+                              nodal(HarmonicDensity(K.antenna, np.ones(K.matrix.shape[1])), rule)),
         lambda K, rule: block_residuals(
             K, HarmonicDensity(rule.boundary, np.ones(harmonic_count(rule.boundary.degree,
                                                                      rule.boundary.dim))),
@@ -343,9 +336,9 @@ class TestHarmonicDensity:
         rule = self._RULES[dim]
         c = np.random.default_rng(60 + dim).normal(size=harmonic_count(rule.boundary.degree, dim))
         h = HarmonicDensity(rule.boundary, c)
-        nodal = h.nodal(rule)
-        assert nodal.norm() == pytest.approx(h.norm(), rel=1e-14)
-        a, rest = explicit_coefficients(rule, nodal.values)
+        g = nodal(h, rule)
+        assert g.norm() == pytest.approx(h.norm(), rel=1e-14)
+        a, rest = explicit_coefficients(rule, g.values)
         assert np.max(np.abs(a - np.concatenate([[0.0], c]))) <= 1e-14 * np.max(np.abs(c))
         assert rest <= 1e-28 * h.norm() ** 2
 

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fieldcast import (
-    Density,
     HarmonicDensity,
     HarmonicTrace,
     Region,
@@ -33,15 +32,16 @@ from fieldcast import (
 )
 from conftest import (assert_residuals_match_the_matrix, basis_fields, boundaries,
                       explicit_coefficients, load_preset, nystrom_floor_and_energy, projected,
-                      quadrature_block, rule_harmonics, scalar_match, scenario_rules,
-                      summed_basis_fields)
+                      quadrature_block, quadrature_epsilon, rule_harmonics, scalar_match,
+                      scenario_rules, summed_basis_fields)
 from fieldcast import cli, kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
-                                harmonic_count, make_rule, surface_harmonics)
-from fieldcast.fields import _wanted_block
+                                harmonic_count, surface_harmonics)
+from fieldcast.fields import _wanted_block, auto_epsilon
 from fieldcast.operator import _coefficient_block, unresolved_share
 from fieldcast.translation import degree_norms
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
+from oracles import Density, make_rule
 
 # Fixed example order and no example database: every run checks the same cases.
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -398,6 +398,50 @@ def test_target_blocks_match_the_explicit_projection(data, dim, radius, centre, 
     if outside > 1e-14 * total:
         above = a[block.shape[0]:]
         assert float(above @ above) == pytest.approx(outside, rel=0.1)
+
+
+@st.composite
+def budget_scenarios(draw):
+    """Admissible ``hard_data`` with a catalog target in every region and an
+    exterior target that decays (3D) or stays bounded (2D), each singular
+    point at least one ball radius outside every target ball and inside half
+    the observation radius, where ``quadrature_epsilon`` is accurate."""
+    s = with_defaults(draw(hard_data()))
+    dim, half = s.dim, 0.5 * s.observation_radius
+
+    def source():
+        point = half * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        assume(np.linalg.norm(point) < half)
+        assume(all(np.linalg.norm(point - r.center) >= 2 * r.radius for r in s.regions))
+        return point
+
+    def field(kinds):
+        kind = draw(st.sampled_from(kinds))
+        moment = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+        if kind == "source":
+            return log_source(source()) if dim == 2 else point_source(source())
+        if kind == "dipole":
+            assume(any(moment))
+            return dipole(source(), moment)
+        if kind == "polynomial":
+            terms = ({(1, 0): moment[0], (2, 0): moment[1], (0, 2): -moment[1]} if dim == 2
+                     else {(0, 1, 0): moment[0], (2, 0, 0): moment[1], (0, 0, 2): -moment[1],
+                           (1, 1, 1): moment[2]})
+            return harmonic_polynomial(terms, dim)
+        return constant_field(moment[0]) if kind == "constant" else zero_field()
+
+    regions = tuple(replace(r, target=field(["source", "dipole", "polynomial", "constant"]))
+                    for r in s.regions)
+    exterior = field(["zero", "constant", "dipole"] if dim == 2 else ["zero", "source", "dipole"])
+    return validate_scenario(replace(s, regions=regions, exterior_target=exterior))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(s=budget_scenarios())
+def test_auto_epsilon_matches_the_quadrature(s):
+    # The closed-form volume and sphere norms against the shell quadrature
+    # and a fine rule on the observation sphere.
+    assert auto_epsilon(s) == pytest.approx(quadrature_epsilon(s), rel=1e-13, abs=0)
 
 
 def _solve(s):

@@ -10,19 +10,15 @@ import pytest
 from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, block_harmonics, scalar_match,
                       scenario_rules, tikhonov_floor, trace_of)
 from fieldcast import (
-    ControlTrace,
     Discretization,
     ForwardOperator,
     InfeasibleAccuracyError,
     Region,
     Scenario,
-    apply,
-    apply_adjoint,
     assemble_forward,
     build_rules,
     build_target,
     log_source,
-    make_circle_rule,
     solve_min_energy,
     sweep_alpha,
     sweep_epsilon,
@@ -32,6 +28,7 @@ from fieldcast import (
 )
 from fieldcast import solver
 from fieldcast.solver import rank_above_cutoff, residual_floor
+from oracles import ControlTrace, apply, apply_adjoint, make_circle_rule, nodal
 
 
 def _random_instance(rng, n_antenna=6, n_control=10, target_in_range=True):
@@ -178,10 +175,10 @@ class TestSolveMinEnergy:
         # The regularized normal equations hold at the returned strength.
         s, K, v, h, report = demo2d_solution
         antenna, controls = scenario_rules(s)
-        nodal, target = h.nodal(antenna), _synthesized(K, v, controls)
+        g, target = nodal(h, antenna), _synthesized(K, v, controls)
         residual_trace = ControlTrace(
-            [a - b for a, b in zip(apply(controls, nodal).blocks, target.blocks)], controls)
-        grad = apply_adjoint(antenna, residual_trace).values + report.alpha_star * nodal.values
+            [a - b for a, b in zip(apply(controls, g).blocks, target.blocks)], controls)
+        grad = apply_adjoint(antenna, residual_trace).values + report.alpha_star * g.values
         grad_norm = antenna.l2_norm(grad)
         ref = apply_adjoint(antenna, target).norm()
         assert grad_norm <= 1e-8 * ref
