@@ -35,8 +35,8 @@ from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolv
                      scenario_difference_fields)
 from .geometry import (Boundary, Discretization, Scenario, ScenarioValidationError, build_rules,
                        harmonic_count, validate_scenario)
-from .operator import (assemble_forward, dump_operator, factorization_bytes, row_offsets,
-                       weighted_svd)
+from .operator import (assemble_forward, dump_operator, factor_blocks, factorization_bytes,
+                       row_offsets, weighted_svd)
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
                      sweep_alpha, sweep_epsilon, sweep_ladder)
@@ -245,7 +245,9 @@ def _check_size(antenna: Boundary, controls: list[Boundary]) -> int:
     (:func:`fieldcast.operator.row_offsets`) by M antenna harmonics.  Every
     command releases the matrix to the SVD, so one estimate
     (:func:`fieldcast.operator.factorization_bytes`) bounds them all.
-    Returns m M^2, the factorization's flop measure."""
+    Returns the flop measure of the largest factorization the SVD runs,
+    m_b M_b^2 of its largest block (:func:`fieldcast.operator.factor_blocks`):
+    m M^2 when the operator is one block."""
     columns = harmonic_count(antenna.degree, antenna.dim)
     m = row_offsets(antenna, controls)[-1]
     need = factorization_bytes(m, columns)
@@ -254,7 +256,10 @@ def _check_size(antenna: Boundary, controls: list[Boundary]) -> int:
         raise ScenarioValidationError([
             f"a {m} x {columns} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
-    return m * columns**2
+    blocks = factor_blocks(antenna, controls)[0]
+    if len(blocks) == 1:
+        return m * columns**2
+    return max(rows.size * cols.size**2 for rows, cols in blocks)
 
 
 def _prepare(args, scenario: Scenario, timings):

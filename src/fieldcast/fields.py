@@ -233,7 +233,10 @@ def build_target(s: Scenario, controls: list[Boundary]) -> HarmonicTrace:
     field of :func:`scenario_difference_fields` on control sphere k by its
     coefficients on the sphere's harmonics and the norm of its higher degrees,
     in closed form (:func:`_wanted_block`): no field is evaluated at a
-    control node.  The scenario is validated first, field conditions
+    control node.  The fields are the scenario's, in the user's frame, and
+    the control spheres may lie in a turned solve frame
+    (:attr:`fieldcast.geometry.Boundary.frame`); each field is taken into
+    it (:func:`_field_rows`).  The scenario is validated first, field conditions
     included (:func:`fieldcast.geometry.validate_scenario`).  An identically
     zero trace raises ScenarioValidationError, as there is nothing to solve
     for, and so do a norm that overflows float64 or is not a number and a
@@ -280,8 +283,8 @@ def _wanted_block(terms, sphere: Boundary) -> tuple[np.ndarray, float]:
     at most n_lam x ((lam+1)(1-x) + 1) / (lam (1-x)^2) past lam; an entire
     field has no degree above 3."""
     dim, center, R = sphere.dim, sphere.center, sphere.radius
-    dists = [math.inf if f.singularity is None else float(np.linalg.norm(f.singularity - center))
-             for f, _ in terms]
+    dists = [math.inf if f.singularity is None
+             else float(np.linalg.norm(sphere.to_solve(f.singularity) - center)) for f, _ in terms]
     if any(dist - R < SINGULARITY_TOL for dist in dists):
         raise ValueError("evaluation at or near the field's singular point")
     ratios = [(R / dist) ** 2 for dist in dists]
@@ -311,7 +314,10 @@ def _wanted_block(terms, sphere: Boundary) -> tuple[np.ndarray, float]:
 
 def _field_rows(f: HarmonicField, sphere: Boundary, rows: range) -> np.ndarray:
     """A catalog field's coefficients on rows ``rows``, of any degrees, of
-    the sphere's orthonormal harmonics, in closed form.  A point
+    the sphere's orthonormal harmonics, in closed form, the field given in
+    the user's frame and the sphere in the solve frame: a source's location
+    and a dipole's direction are turned into it, and an entire field is
+    evaluated at the nodes turned back.  A point
     source is sqrt(4 pi) times the degree-0 column of
     :func:`fieldcast.translation.translated_block` about it, a dipole p the
     degree-1 columns times sqrt(4 pi / 3) (p_z, p_x, p_y) in 3D or sqrt(pi)
@@ -333,13 +339,15 @@ def _field_rows(f: HarmonicField, sphere: Boundary, rows: range) -> np.ndarray:
             st, ct, ph = np.repeat(np.sqrt(1.0 - t**2), 8), np.repeat(t, 8), np.tile(angles, 4)
             normals = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
             weights = radius**2 * np.repeat(w, 8) * (2.0 * np.pi / 8)
-        values = np.asarray(eval_field(f, center + radius * normals), dtype=float) * weights
+        values = eval_field(f, sphere.to_user(center + radius * normals))
+        values = np.asarray(values, dtype=float) * weights
         projected = np.append(values.sum() / math.sqrt(UNIT_SPHERE_MEASURE[dim]),
                               surface_harmonics(normals, 3).T @ values)
         scale = 2.0 ** row_orders(range(projected.shape[0]), dim)[0] * (4 / R) ** ((dim - 1) / 2)
         coefficients = np.concatenate([projected * scale, np.zeros(rows.stop)])
         return coefficients[rows.start: rows.stop]
-    c = center - f.singularity
+    source = sphere.to_solve(f.singularity)
+    c = center - source
     if f.kind == "log-source":
         dist, (k, _, sin) = float(np.linalg.norm(c)), row_orders(rows, 2)
         phase = k * math.atan2(float(c[1]), float(c[0]))
@@ -350,13 +358,13 @@ def _field_rows(f: HarmonicField, sphere: Boundary, rows: range) -> np.ndarray:
     if f.kind == "point-source":
         start, weights = 0, np.array([math.sqrt(4 * math.pi)])
     elif dim == 2:
-        start, weights = 1, math.sqrt(math.pi) * np.asarray(f.direction)
+        start, weights = 1, math.sqrt(math.pi) * sphere.to_solve(np.asarray(f.direction))
     else:
-        p = np.asarray(f.direction)
+        p = sphere.to_solve(np.asarray(f.direction))
         start, weights = 1, math.sqrt(4 * math.pi / 3) * p[[2, 0, 1]]
     gains = np.full(1, 0.5 * math.log(R) if dim == 2 else 0.0)
     columns = np.empty((len(rows), weights.shape[0]))
-    translated_block(f.singularity, 1.0, gains, sphere, rows, columns, start)
+    translated_block(source, 1.0, gains, sphere, rows, columns, start)
     return columns @ weights
 
 
@@ -377,8 +385,9 @@ def radiated_field(h: HarmonicDensity, x) -> np.ndarray | float:
     (:func:`fieldcast.operator.degree_gains`), summed at each point
     (:func:`_series`): the double layer of the density at any point outside
     the clearance delta (1 + 1e-6) the operator demands of control nodes;
-    points inside it are rejected.  A value depends on its point alone, bit
-    for bit.
+    points inside it are rejected.  The points are the user's, turned into
+    the density's solve frame (:attr:`fieldcast.geometry.Boundary.frame`).
+    A value depends on its point alone, bit for bit.
 
     Parameters
     ----------
@@ -388,6 +397,7 @@ def radiated_field(h: HarmonicDensity, x) -> np.ndarray | float:
     """
     antenna, a = h.boundary, h.coefficients  # (M,), degrees 1 .. L
     pts, scalar = _points(antenna.dim, x)
+    pts = antenna.to_solve(pts)
     out = np.empty(pts.shape[0])
     # 8192 points a block: the series holds about 8 vectors of them, in 3D one more a degree.
     for rows in row_blocks(pts.shape[0], 8):

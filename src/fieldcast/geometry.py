@@ -13,6 +13,12 @@ which is all the solver reads of a discretization: a node count names
 the degree (:func:`rule_degree`), and no node is built.  Functions on a
 boundary are coefficients on its orthonormal surface harmonics
 (:func:`surface_harmonics`).
+
+The boundaries are placed in a solve frame (:func:`build_rules`).  When
+every region centre lies on one line through the antenna centre, that
+frame turns the line onto the polar axis of the harmonics, the z axis in
+3D and the x axis in 2D, so the operator splits by harmonic order
+(:func:`fieldcast.operator.factor_blocks`); otherwise it is the user's.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ ANTENNA_DEGREE_STEP = 4
 
 # Control nodes must clear the antenna sphere by this relative margin.
 SEPARATION_RTOL = 1e-6
+
+# Region centres whose distance from the line through the antenna centre
+# and the first region centre is within this fraction of their own
+# distance lie on it; the solve frame puts them on its polar axis, which
+# moves each by at most this fraction.  16 roundings of a unit vector.
+AXIAL_RTOL = 2.0**-48
 
 # Singular values below this fraction of sigma_1 count as unresolved when
 # estimating the smallest residual the current discretization can reach.
@@ -87,16 +99,22 @@ class Boundary:
 
     Attributes
     ----------
-    center : ndarray, shape (dim,)
+    center : ndarray, shape (dim,), in the solve frame
     radius : float, > 0, whose surface measure is a normal float
     dim : int, 2 or 3
     degree : int
+    frame : ndarray, shape (dim, dim), or None
+        The solve frame: an orthogonal matrix whose rows are its axes in
+        the user's coordinates, so a user point x is ``frame @ x`` there;
+        None when the solve frame is the user's.  The centre and the
+        harmonics of functions on the boundary are the solve frame's.
     """
 
     center: np.ndarray
     radius: float
     dim: int
     degree: int
+    frame: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -112,11 +130,31 @@ class Boundary:
         if center.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}, got shape {center.shape}")
         object.__setattr__(self, "center", center)
+        if self.frame is not None:
+            frame = frozen_array(self.frame)
+            if frame.shape != (self.dim, self.dim):
+                raise ValueError(f"frame has shape {frame.shape}, not ({self.dim}, {self.dim})")
+            object.__setattr__(self, "frame", frame)
 
     @property
     def measure(self) -> float:
         """Surface measure of the boundary."""
         return surface_measure(self.radius, self.dim)
+
+    def to_solve(self, x) -> np.ndarray:
+        """User points or vectors x, (dim,) or (p, dim), in the solve frame;
+        x itself when the frames agree."""
+        return x if self.frame is None else np.asarray(x, dtype=float) @ self.frame.T
+
+    def to_user(self, x) -> np.ndarray:
+        """Solve-frame points or vectors x, (dim,) or (p, dim), in the
+        user's frame; x itself when the frames agree."""
+        return x if self.frame is None else np.asarray(x, dtype=float) @ self.frame
+
+    def in_user_frame(self) -> "Boundary":
+        """The same boundary with its centre in the user's frame."""
+        return self if self.frame is None else replace(self, center=self.to_user(self.center),
+                                                       frame=None)
 
 
 def rule_degree(n: int, dim: int) -> int:
@@ -514,18 +552,51 @@ def control_labels(s: Scenario) -> list[str]:
     return [f"{name} control sphere" for name in names]
 
 
+def solve_frame(centers: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray | None, list]:
+    """(frame, centres): the solve frame of region centres about the antenna
+    centre at the origin, and the centres in it.
+
+    When every centre lies on one line through the origin (within
+    AXIAL_RTOL, and always for one centre), of direction u, the frame is
+    the Householder reflection that takes u to the polar axis e, the z
+    axis in 3D and the x axis in 2D: I - 2 w w^T / w^T w with
+    w = u + sign(u_e) e, so that w never cancels; None when u is e or -e
+    already.  Each centre is then put on the axis at its own distance,
+    exactly, with zero other coordinates, so the operator's entries between
+    harmonics of different orders are exact zeros.  Any other set of
+    centres keeps the user's frame (None) and its centres."""
+    centers = [np.asarray(c, dtype=float) for c in centers]
+    polar = np.eye(dim)[2 if dim == 3 else 0]
+    u = centers[0] / np.linalg.norm(centers[0])
+    along = [float(c @ u) for c in centers]
+    if any(np.linalg.norm(c - t * u) > AXIAL_RTOL * np.linalg.norm(c)
+           for c, t in zip(centers[1:], along[1:])):
+        return None, centers
+    side = math.copysign(1.0, float(u @ polar))
+    if np.count_nonzero(u) == 1 and u @ polar != 0:
+        frame, image = None, side   # u = side * e: no turn
+    else:
+        w = u + side * polar
+        frame, image = np.eye(dim) - (2.0 / float(w @ w)) * np.outer(w, w), -side   # u -> -side e
+    return frame, [np.where(polar, image * math.copysign(float(np.linalg.norm(c)), t), 0.0)
+                   for c, t in zip(centers, along)]
+
+
 def build_rules(s: Scenario) -> tuple[Boundary, list[Boundary]]:
     """The boundaries of a validated scenario, each of the :func:`rule_degree`
-    of its node count; no node is built.
+    of its node count, in the scenario's :func:`solve_frame`; no node is
+    built.
 
     Returns the antenna and the control spheres ordered region 1..N, then
     the outer control sphere; a boundary the radii cannot give raises
     ScenarioValidationError (:func:`on_boundary`).
     """
     d, origin = s.discretization, np.zeros(s.dim)
+    frame, centers = solve_frame([r.center for r in s.regions], s.dim)
     antenna = on_boundary("antenna", Boundary, origin, s.delta, s.dim,
-                          rule_degree(d.antenna, s.dim))
-    spheres = [(r.center, r.control_radius) for r in s.regions] + [(origin, s.outer_control_radius)]
+                          rule_degree(d.antenna, s.dim), frame)
+    spheres = ([(c, r.control_radius) for c, r in zip(centers, s.regions)]
+               + [(origin, s.outer_control_radius)])
     degree = rule_degree(d.control, s.dim)
-    return antenna, [on_boundary(label, Boundary, center, radius, s.dim, degree)
+    return antenna, [on_boundary(label, Boundary, center, radius, s.dim, degree, frame)
                      for label, (center, radius) in zip(control_labels(s), spheres)]

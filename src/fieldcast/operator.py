@@ -30,6 +30,11 @@ its coefficients on each sphere's harmonics and the norm of its higher
 degrees, in closed form too (:class:`HarmonicTrace`).  Both bases are
 orthonormal, so the matrix's singular values are the operator's between
 the function spaces, with no row or column weighting.
+
+Every harmonic is the solve frame's (:func:`fieldcast.geometry.solve_frame`).
+When the control centres lie on its polar axis, the matrix is block
+diagonal by harmonic order and parity, exactly, and :func:`weighted_svd`
+factors it block by block (:func:`factor_blocks`).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from numpy.linalg import _umath_linalg
 from .geometry import SEPARATION_RTOL, Boundary, frozen_array, harmonic_count
 # dlp_kernel is unused here; the benchmark's tracer wraps this module's name for it.
 from .kernels import dlp_kernel, row_blocks
-from .translation import antenna_gains, region_share, translated_block
+from .translation import antenna_gains, region_share, row_orders, translated_block
 
 _DUMP_MAGIC = 0x46434F50  # "FCOP"
 _DUMP_VERSION = 3
@@ -70,7 +75,8 @@ class HarmonicDensity:
     """A density by its coefficients c on the antenna's orthonormal
     harmonics of degrees 1 .. L: basis density j is column j of
     :func:`fieldcast.geometry.surface_harmonics` at the direction from the
-    antenna centre, over delta^((dim-1)/2).  Degree 0 radiates nothing.
+    antenna centre in its solve frame, over delta^((dim-1)/2).  Degree 0
+    radiates nothing.
     Its L2 norm is ||c||."""
 
     boundary: Boundary
@@ -114,20 +120,23 @@ class HarmonicTrace:
 
 
 def _same_boundary(a: Boundary, b: Boundary) -> bool:
-    """Same dimension, degree, radius and centre."""
+    """Same dimension, degree, radius, centre and frame."""
     return a is b or (a.dim == b.dim and a.degree == b.degree
                       and abs(a.radius - b.radius) <= 1e-14 * a.radius
-                      and np.max(np.abs(a.center - b.center)) <= 1e-14)
+                      and np.max(np.abs(a.center - b.center)) <= 1e-14
+                      and (a.frame is None) == (b.frame is None)
+                      and (a.frame is None or np.array_equal(a.frame, b.frame)))
 
 
 @dataclass(frozen=True)
-class WeightedSVD:
-    """Thin SVD C = U diag(sigma) Vt of the operator's matrix C, with U kept
-    factored as U = Q U_R: Q is the orthogonal factor of C's QR, held as its
-    Householder reflectors, and U_R the left factor of the SVD of R.  U is
-    never formed; :meth:`project` applies its transpose and :meth:`lift` U."""
+class BlockSVD:
+    """Thin SVD C_b = U diag(sigma) Vt of one block C_b of the operator's
+    matrix, with U kept factored as U = Q U_R: Q is the orthogonal factor of
+    C_b's QR, held as its Householder reflectors, and U_R the left factor of
+    the SVD of R.  U is never formed; :meth:`project` applies its transpose
+    and :meth:`lift` U."""
 
-    sigma: np.ndarray    # (k,) nonincreasing, k = min(m, M)
+    sigma: np.ndarray    # (k,) nonincreasing, k = min(m, M) of the block
     vt: np.ndarray       # (k, M)
     reflectors: np.ndarray  # (k, m): reflector j is [0]*j + [1] + reflectors[j, j+1:]
     tau: np.ndarray      # (k,) reflector scales, H_j = I - tau_j v_j v_j^T
@@ -178,6 +187,53 @@ class WeightedSVD:
         x += self.vt.T @ (scale * (self.vt @ (r.T @ (z - r @ x) - alpha * x)))
         residual = r @ x - z
         return float(residual @ residual)
+
+
+@dataclass(frozen=True)
+class WeightedSVD:
+    """Thin SVD C = U diag(sigma) Vt of the operator's matrix C, one
+    :class:`BlockSVD` per block of :func:`factor_blocks`: C is block
+    diagonal once its rows and columns are gathered by block, so its
+    singular triplets are those of its blocks.  ``sigma`` holds them all,
+    merged in nonincreasing order (ties in block order), and row i of
+    ``vt`` the right singular vector of sigma_i, zero outside its block's
+    columns.  :meth:`project`, :meth:`lift` and
+    :meth:`tikhonov_residual_sq` work block by block.  An operator of one
+    block is its own single block, with the same sigma and vt."""
+
+    sigma: np.ndarray    # (k,) nonincreasing, k the sum of the blocks' k
+    vt: np.ndarray       # (k, M)
+    # Per block: its rows and columns of C (slices or index arrays), the
+    # places of its singular values in ``sigma``, and its factors.
+    blocks: tuple[tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray, BlockSVD], ...]
+    loose: np.ndarray    # rows of C in no block: C is zero there
+
+    def project(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(U^T x, ||x - U U^T x||^2) for x of length m: each block's
+        :meth:`BlockSVD.project` of its rows of x, and the loose rows of x
+        outside U's columns."""
+        x = np.asarray(x, dtype=float)
+        beta, rest = np.empty(self.sigma.shape[0]), x[self.loose]
+        perp_sq = float(rest @ rest)
+        for rows, _, at, factors in self.blocks:
+            beta[at], tail = factors.project(x[rows])
+            perp_sq += tail
+        return beta, perp_sq
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """U z for z of length k, block by block (:meth:`BlockSVD.lift`);
+        zero on the loose rows."""
+        y = np.zeros(sum(factors.reflectors.shape[1] for *_, factors in self.blocks)
+                     + self.loose.shape[0])   # (m,)
+        for rows, _, at, factors in self.blocks:
+            y[rows] = factors.lift(z[at])
+        return y
+
+    def tikhonov_residual_sq(self, beta: np.ndarray, alpha: float) -> float:
+        """The sum of each block's :meth:`BlockSVD.tikhonov_residual_sq`:
+        the Tikhonov problem of a block diagonal R splits by block."""
+        return sum(factors.tikhonov_residual_sq(beta[at], alpha)
+                   for _, _, at, factors in self.blocks)
 
 
 def _concentric(antenna: Boundary, sphere: Boundary) -> bool:
@@ -306,10 +362,12 @@ def _coefficient_block(antenna: Boundary, sphere: Boundary, rows: slice = slice(
     if not _concentric(antenna, sphere):
         distance = float(np.linalg.norm(sphere.center - antenna.center))
         _check_clearance(antenna, distance - sphere.radius)
-        # BLOCK_PAIRS / L rows at a time: the temporaries of one antenna order
-        # hold about rows x L values each, bounded however many rows a region has.
+        # BLOCK_PAIRS / max(L, 32) rows at a time: the temporaries of one
+        # antenna order hold about rows x L values each, and the rows' own
+        # index and value arrays about 210 bytes a row (measured at L = 1),
+        # both bounded however many rows a region has.
         gains = antenna_gains(antenna, sphere)
-        for part in row_blocks(len(wanted), antenna.degree):
+        for part in row_blocks(len(wanted), max(antenna.degree, 32)):
             translated_block(antenna.center, antenna.radius, gains, sphere, wanted[part], out[part])
         return _flush_subnormal(out)
     _check_clearance(antenna, sphere.radius)
@@ -385,34 +443,56 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
                  for rows, rest in zip(K.block_rows, outside.tolist()))
 
 
-def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
-    """SVD of the operator between the L2 spaces (cached).
+def _harmonic_keys(rows: range, dim: int) -> np.ndarray:
+    """The block key of each of a region block's rows (:func:`row_orders`):
+    2 order + sin in 3D, sin in 2D."""
+    _, order, sin = row_orders(rows, dim)
+    return 2 * order + sin if dim == 3 else sin.astype(np.intp)
 
-    Factorizes C = ``K.matrix``: both of its bases are orthonormal, so C's
-    singular values are the operator's between the function spaces, and
-    the compactness of the underlying integral operator shows up as their
-    rapid decay.  C = QR by Householder reflectors, then
-    R = U_R diag(sigma) Vt, and neither Q nor U is formed.  LAPACK's gesdd
-    takes the same steps when m >= 11M/6.  The QR is numpy's raw one, the
-    gufunc that ``np.linalg.qr(mode="raw")`` runs on a copy, run here on a
-    column-major array of C, which it overwrites with the reflectors as
-    contiguous rows of its transpose (bit for bit ``np.linalg.qr``'s, which
-    stands in where numpy lacks the gufunc, at the cost of one more copy).
 
-    By default that array is a copy, and K keeps its matrix.  With
-    ``release=True`` K.matrix is set to None and its array, column-major
-    from :func:`assemble_forward`, is factored in place, so the QR holds no
-    copy of C beside LAPACK's working one; a cached call only lets the
-    matrix go.  Both give bit-identical factors.
-    """
-    if K._svd is not None:
-        if release:
-            K.matrix = None
-        return K._svd
-    if release:
-        c, K.matrix = np.asfortranarray(K.matrix), None
-    else:
-        c = np.array(K.matrix, order="F")
+def factor_blocks(antenna: Boundary, controls: list[Boundary]) -> tuple[list, np.ndarray]:
+    """(blocks, loose): the blocks the operator's matrix splits into, as
+    (rows, columns) pairs, and the rows in none of them, from the
+    boundaries alone.
+
+    When every centre lies on the polar axis (the z axis in 3D, the x axis
+    in 2D; :func:`fieldcast.geometry.solve_frame`), the problem is
+    invariant under turns about that axis (and its mirror image in 2D), so
+    a basis field of order m and cos (or sin) has only harmonics of that
+    order and parity on every control sphere: a block per key of
+    :func:`_harmonic_keys`, in key order, of the rows and columns that have
+    it (White & Head-Gordon, J. Chem. Phys. 105 (1996) 5061; Greengard &
+    Rokhlin, Acta Numerica 6 (1997) 229).  A concentric sphere's row j has
+    column j's key.  Rows of a key no column has are loose.  Any other
+    operator is one block of all its rows and columns."""
+    columns, axis = _antenna_columns(antenna), 2 if antenna.dim == 3 else 0
+    if any(np.any(np.delete(b.center, axis)) for b in [antenna, *controls]):
+        return _one_block()
+    column_keys = _harmonic_keys(range(1, columns + 1), antenna.dim)
+    row_keys = np.concatenate([
+        column_keys if _concentric(antenna, b)
+        else _harmonic_keys(range(harmonic_count(b.degree, b.dim) + 1), b.dim) for b in controls])
+    rows, keys = np.argsort(row_keys, kind="stable"), np.flatnonzero(np.bincount(column_keys))
+    # Each key's rows, and between them the rows of keys no column has.
+    parts = np.split(rows, np.searchsorted(row_keys[rows], np.stack([keys, keys + 1], 1).ravel()))
+    return ([(parts[2 * i + 1], np.flatnonzero(column_keys == key)) for i, key in enumerate(keys)],
+            np.sort(np.concatenate(parts[::2])))
+
+
+def _one_block() -> tuple[list, np.ndarray]:
+    """:func:`factor_blocks`' answer for an operator that does not split."""
+    return [(slice(None), slice(None))], np.zeros(0, dtype=np.intp)
+
+
+def _take(matrix: np.ndarray, rows, columns) -> np.ndarray:
+    """matrix[rows, columns]: a view for slices, a copy for index arrays."""
+    if isinstance(rows, slice):
+        return matrix[rows, columns]
+    return matrix[np.ix_(rows, columns)]
+
+
+def _factor(c: np.ndarray) -> BlockSVD:
+    """The :class:`BlockSVD` of a column-major block c, which it overwrites."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             if _QR_R_RAW is None:
@@ -426,50 +506,123 @@ def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
         raise RuntimeError(f"weighted SVD failed to converge: {exc}") from exc
     reflectors = reflectors[:k]
     np.fill_diagonal(reflectors, 1.0)
-    K._svd = WeightedSVD(sigma=sigma, vt=vt, reflectors=reflectors, tau=tau, u_r=u_r, r=r)
+    return BlockSVD(sigma=sigma, vt=vt, reflectors=reflectors, tau=tau, u_r=u_r, r=r)
+
+
+def weighted_svd(K: ForwardOperator, *, release: bool = False) -> WeightedSVD:
+    """SVD of the operator between the L2 spaces (cached).
+
+    Factorizes C = ``K.matrix``: both of its bases are orthonormal, so C's
+    singular values are the operator's between the function spaces, and
+    the compactness of the underlying integral operator shows up as their
+    rapid decay.  C splits into the blocks of :func:`factor_blocks` (kept
+    only if every entry outside them is 0.0, else C is one block), and
+    each block C_b = QR by Householder reflectors, then
+    R = U_R diag(sigma) Vt, and neither Q nor U is formed.  A block equal
+    to the one before it, bit for bit, as each sin block of an axial
+    operator is to its cos block, takes that block's factors.  LAPACK's
+    gesdd takes the same steps when m >= 11M/6.  The QR is numpy's raw one,
+    the gufunc that ``np.linalg.qr(mode="raw")`` runs on a copy, run here
+    on a column-major array of the block, which it overwrites with the
+    reflectors as contiguous rows of its transpose (bit for bit
+    ``np.linalg.qr``'s, which stands in where numpy lacks the gufunc, at
+    the cost of one more copy).
+
+    An operator of one block is factored as a whole.  By default its array
+    is a copy, and K keeps its matrix.  With ``release=True`` K.matrix is
+    set to None and its array, column-major from :func:`assemble_forward`,
+    is factored in place, so the QR holds no copy of C beside LAPACK's
+    working one; a cached call only lets the matrix go.  Both give
+    bit-identical factors.  The blocks of a split operator are copies,
+    each a few dozen columns.
+    """
+    if K._svd is not None:
+        if release:
+            K.matrix = None
+        return K._svd
+    matrix = K.matrix
+    blocks, loose = factor_blocks(K.antenna, K.controls)
+    parts = [_take(matrix, rows, columns) for rows, columns in blocks]
+    # The blocks hold disjoint entries, so they hold every nonzero one if
+    # they hold as many as the matrix; else it is factored whole.
+    if len(blocks) > 1 and sum(map(np.count_nonzero, parts)) != np.count_nonzero(matrix):
+        (blocks, loose), parts = _one_block(), [matrix]
+    if release:
+        K.matrix = None
+    factored, previous = [], None
+    for (rows, columns), c in zip(blocks, parts):
+        if previous is None or not np.array_equal(c, previous[0]):
+            whole = release and isinstance(rows, slice)
+            previous = c, _factor(np.asfortranarray(c) if whole else np.array(c, order="F"))
+        factored.append((rows, columns, previous[1]))
+    del matrix, parts, previous
+    values = np.concatenate([factors.sigma for *_, factors in factored])
+    order = np.argsort(-values, kind="stable")   # the identity for one block
+    place = np.empty_like(order)
+    place[order] = np.arange(order.shape[0])
+    starts = np.cumsum([0] + [factors.sigma.shape[0] for *_, factors in factored])
+    blocks = tuple((rows, columns, place[a:b], factors)
+                   for (rows, columns, factors), a, b in zip(factored, starts, starts[1:]))
+    if len(blocks) == 1:
+        vt = blocks[0][3].vt
+    else:
+        vt = np.zeros((order.shape[0], _antenna_columns(K.antenna)))
+        for _, columns, at, factors in blocks:
+            vt[np.ix_(at, columns)] = factors.vt
+    K._svd = WeightedSVD(sigma=values[order], vt=vt, blocks=blocks, loose=loose)
     return K._svd
 
 
-# What a run holds beside the operator's arrays: the BLAS and module memory
-# it touches beyond ``import fieldcast.cli`` and its small arrays (the
-# translation's tables and one block of rows' temporaries, the target's
-# first run of degrees above its sphere's, the vectors of the solve, the
-# probes' series, a dump's row block and its bytes); no array is sized by a
-# node count.  The most measured beyond the arrays is 6.1 MiB, a dump at
-# 21919 x 15, whose region is translated in blocks of BLOCK_PAIRS / L rows
-# with L = 3 (:func:`_coefficient_block`); this is that with a margin of
-# 35%, rounded up.
+# What a run holds beside the operator's arrays and the translation's
+# tables: the BLAS and module memory it touches beyond ``import
+# fieldcast.cli`` and its small arrays (one row block's temporaries, the
+# target's first run of degrees above its sphere's, the vectors of the
+# solve, the probes' series, a dump's row block and its bytes); no array is
+# sized by a node count.  The most measured beyond the arrays is 6.1 MiB, a
+# dump at 21919 x 15 (:func:`_coefficient_block`); this is that with a
+# margin of 35%, rounded up.
 RUN_OVERHEAD_BYTES = 9 * 2**20
+
+# Bytes of the 3D translation's tables (:func:`fieldcast.translation.translated_block`)
+# per (L + D + 1)^2, L the antenna's degree and D a region's: traced peaks
+# of a region's block beyond its rows' values, at L = 1 and D = 127 .. 299,
+# read 66 to 67; this is that with a margin of 20%.
+TABLE_BYTES = 80
 
 
 def factorization_bytes(m: int, columns: int) -> int:
     """Bytes a run holds at its peak, for an m x M matrix (M = ``columns``
     antenna harmonics), summed over the stages that can set it: two m x M
     float64 arrays at the QR in :func:`weighted_svd` (the matrix, which it
-    overwrites with the reflectors, and LAPACK's working copy), which also
-    bound what :func:`assemble_forward` holds while it translates a region
-    (the matrix and the temporaries of one antenna order,
+    overwrites with the reflectors, and LAPACK's working copy; an operator
+    that splits by order holds the matrix and its blocks, fewer), which
+    also bound what :func:`assemble_forward` holds while it translates a
+    region (the matrix and the temporaries of one antenna order,
     :func:`fieldcast.translation.translated_block`) unless the matrix is
     tall and narrow, where RUN_OVERHEAD_BYTES covers the temporaries; six
     k x k, k = min(m, M), for the SVD of R (R, its factors and gesdd's
-    workspace); and RUN_OVERHEAD_BYTES.  Growth of peak RSS over a process
-    that only imports the CLI, with BLAS loaded as ``python -m fieldcast``
-    loads it (ru_maxrss, median of 5), in MiB, for ``run`` / ``run
-    --dump-operator`` / this estimate, on demo-3d: 3.1 / 3.2 / 9.0 at
-    31 x 15, 4.1 / 5.0 / 10.2 at 1087 x 63, 14.8 / 14.9 / 22.2 at 975 x 399,
-    10.3 / 10.4 / 17.0 at 1279 x 255, 25.1 / 25.1 / 34.2 at 1151 x 575,
-    65.3 / 65.4 / 76.9 at 1279 x 1023, where the SVD of R sets the peak,
-    3.5 / 4.3 / 10.0 at 4111 x 15, 8.6 / 8.7 / 12.8 at 16399 x 15,
-    10.8 / 11.1 / 14.0 at 21919 x 15 and 19.8 / 20.0 / 24.0 at 65551 x 15;
-    on demo-2d: 2.7 / 2.9 / 9.0 at 44 x 14, 3.9 / 4.2 / 10.5 at 380 x 126,
-    26.5 / 26.5 / 34.1 at 668 x 638, 10.8 / 11.3 / 18.9 at 1788 x 254,
-    39.3 / 39.3 / 50.8 at 1276 x 766, 46.7 / 46.7 / 62.7 at 2300 x 766,
-    3.9 / 5.0 / 10.8 at 8204 x 14 and 10.6 / 10.6 / 16.0 at 32780 x 14.
+    workspace); the translation's tables, TABLE_BYTES per (L + D + 1)^2,
+    which is at most 2 (M + 1) + 2 m, as (L + 1)^2 = M + 1 and a region's
+    (D + 1)^2 rows are at most m; and RUN_OVERHEAD_BYTES.  Growth of peak
+    RSS over a process that only imports the CLI, with BLAS loaded as
+    ``python -m fieldcast`` loads it (ru_maxrss, median of 5), in MiB, for
+    ``run`` / ``run --dump-operator`` / this estimate, with the matrix
+    factored whole (an operator split by order holds less), on demo-3d:
+    3.1 / 3.2 / 9.0 at 31 x 15, 4.1 / 5.0 / 10.4 at 1087 x 63,
+    14.8 / 14.9 / 22.4 at 975 x 399, 10.3 / 10.4 / 17.2 at 1279 x 255,
+    25.1 / 25.1 / 34.5 at 1151 x 575, 65.3 / 65.4 / 77.2 at 1279 x 1023,
+    where the SVD of R sets the peak, 3.5 / 4.3 / 10.6 at 4111 x 15,
+    8.6 / 8.7 / 15.3 at 16399 x 15, 10.8 / 11.1 / 17.4 at 21919 x 15 and
+    19.8 / 20.0 / 34.0 at 65551 x 15; on demo-2d: 2.7 / 2.9 / 9.0 at 44 x 14,
+    3.9 / 4.2 / 10.5 at 380 x 126, 26.5 / 26.5 / 34.3 at 668 x 638,
+    10.8 / 11.3 / 19.2 at 1788 x 254, 39.3 / 39.3 / 51.1 at 1276 x 766,
+    46.7 / 46.7 / 63.2 at 2300 x 766, 3.9 / 5.0 / 12.0 at 8204 x 14 and
+    10.6 / 10.6 / 21.0 at 32780 x 14.
     The dump assembles the rows again after the solve, one row block at a
     time (:func:`dump_operator`)."""
     k = min(m, columns)
     arrays = 2 * m * columns + 6 * k * k
-    return 8 * arrays + RUN_OVERHEAD_BYTES
+    return 8 * arrays + TABLE_BYTES * 2 * (columns + 1 + m) + RUN_OVERHEAD_BYTES
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
@@ -483,19 +636,24 @@ def dump_operator(K: ForwardOperator, path) -> None:
     run in the order of :func:`fieldcast.geometry.surface_harmonics`,
     degree by degree from 1: in 2D cos then sin of each degree; in 3D the
     zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
+    Both are the harmonics of the user's frame: an operator in a turned
+    solve frame (:func:`fieldcast.geometry.solve_frame`) is written from
+    its boundaries turned back (:meth:`fieldcast.geometry.Boundary.in_user_frame`),
+    whose singular values are its own within rounding.
     The rows are written one row block at a time, from ``K.matrix`` while K
-    holds it; once the SVD has released it, each row block is assembled
+    holds it in the user's frame; else each row block is assembled
     again (:func:`_coefficient_block`), the same rows bit for bit, so the
     dump holds one row block, and each block costs time in proportion to
     its own rows."""
     svd = weighted_svd(K)
     m, columns = K.block_rows[-1].stop, _antenna_columns(K.antenna)
+    antenna = K.antenna.in_user_frame()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5q", _DUMP_MAGIC, _DUMP_VERSION, m, columns, svd.sigma.shape[0]))
         for sphere, block_rows in zip(K.controls, K.block_rows):
             for rows in row_blocks(block_rows.stop - block_rows.start, columns):
-                if K.matrix is None:
-                    block = _coefficient_block(K.antenna, sphere, rows)
+                if K.matrix is None or K.antenna.frame is not None:
+                    block = _coefficient_block(antenna, sphere.in_user_frame(), rows)
                 else:
                     block = K.matrix[block_rows][rows]
                 fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())

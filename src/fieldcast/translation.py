@@ -98,9 +98,11 @@ def _translated_2d(out, degree, top, k, sin, near, far, factorial, offset, gains
     sqrt(2) times that on the constant row, and t = (l + k) arg c: a cos
     column a cos(t) on the constant and cos rows and a sin(t) on the sin
     row, a sin column a sin(t) and -a cos(t)."""
-    turn = math.atan2(float(offset[1]), float(offset[0]))
-    phase = np.arange(top + 1) * turn
-    cos, sin_ = np.cos(phase), np.sin(phase)
+    if offset[1] == 0.0:   # on the polar axis: e^(i n arg c) = (+-1)^n, and no sin term
+        cos, sin_ = np.sign(float(offset[0])) ** np.arange(top + 1.0), np.zeros(top + 1)
+    else:
+        phase = np.arange(top + 1) * math.atan2(float(offset[1]), float(offset[0]))
+        cos, sin_ = np.cos(phase), np.sin(phase)
     row = k * far - factorial[k] + np.where(k == 0, 0.5 * math.log(2.0), 0.0)
     sign = np.where(k % 2 == 1, -1.0, 1.0)
     for cols in row_blocks(degree, k.shape[0]):

@@ -43,12 +43,15 @@ def load_preset(name):
 def scenario_rules(s):
     """The quadrature rules of a validated scenario's boundaries, for the
     Nystrom oracles: ``make_rule``'s rule of each node count, on the
-    boundaries of ``build_rules``, whose degrees they share."""
-    d, origin = s.discretization, np.zeros(s.dim)
-    antenna = on_boundary("antenna", make_rule, origin, s.delta, d.antenna, s.dim)
-    spheres = [(r.center, r.control_radius) for r in s.regions] + [(origin, s.outer_control_radius)]
-    return antenna, [on_boundary(label, make_rule, center, radius, d.control, s.dim)
-                     for label, (center, radius) in zip(control_labels(s), spheres)]
+    boundaries of ``build_rules``, whose degrees they share, in their solve
+    frame: the nodes are solve-frame points, and a user's field is
+    evaluated at them turned back (``Boundary.to_user``)."""
+    d = s.discretization
+    antenna, spheres = build_rules(s)
+    return (on_boundary("antenna", make_rule, antenna.center, antenna.radius, d.antenna, s.dim,
+                        antenna.frame),
+            [on_boundary(label, make_rule, b.center, b.radius, d.control, s.dim, b.frame)
+             for label, b in zip(control_labels(s), spheres)])
 
 
 def quadrature_epsilon(s):

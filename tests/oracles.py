@@ -103,7 +103,7 @@ class QuadratureRule:
             raise ValueError("normals are not outward unit radial vectors")
 
 
-def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
+def make_circle_rule(center, radius: float, n: int, frame=None) -> QuadratureRule:
     """Equispaced trapezoid rule on a circle.
 
     Nodes sit at angles 2*pi*j/n, every weight is 2*pi*r/n, normals point
@@ -119,10 +119,12 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     radius : float, > 0
     n : int, >= MIN_NODES[2]
         Node count.
+    frame : the boundary's solve frame (:class:`fieldcast.geometry.Boundary`),
+        in which the centre, the nodes and the normals are given.
     """
     if n < MIN_NODES[2]:
         raise ValueError(f"circle rule needs n >= {MIN_NODES[2]} nodes, got {n}")
-    boundary = Boundary(center=center, radius=radius, dim=2, degree=(n - 1) // 2)
+    boundary = Boundary(center=center, radius=radius, dim=2, degree=(n - 1) // 2, frame=frame)
 
     angles = 2.0 * np.pi * np.arange(n) / n  # (n,)
     normals = np.column_stack([np.cos(angles), np.sin(angles)])  # (n, 2)
@@ -131,7 +133,8 @@ def make_circle_rule(center, radius: float, n: int) -> QuadratureRule:
     return QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
 
 
-def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> QuadratureRule:
+def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int,
+                     frame=None) -> QuadratureRule:
     """Gauss-Legendre (polar) x trapezoid (azimuth) product rule on a sphere.
 
     The polar direction uses Gauss-Legendre nodes in cos(theta), the
@@ -140,14 +143,15 @@ def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> Qua
     rule, so it takes the circle minimum.  The rule integrates polynomials
     of degree < 2 n_polar in cos(theta) and azimuthal frequencies below
     n_azimuth, so the product of any two surface harmonics of degree <=
-    min(n_polar - 1, (n_azimuth - 1) // 2), the boundary's degree.
+    min(n_polar - 1, (n_azimuth - 1) // 2), the boundary's degree.  The
+    centre, nodes and normals are in the boundary's ``frame``.
     """
     if n_polar < MIN_NODES[3]:
         raise ValueError(f"sphere rule needs n_polar >= {MIN_NODES[3]}, got {n_polar}")
     if n_azimuth < MIN_NODES[2]:
         raise ValueError(f"sphere rule needs n_azimuth >= {MIN_NODES[2]}, got {n_azimuth}")
     degree = min(n_polar - 1, (n_azimuth - 1) // 2)
-    boundary = Boundary(center=center, radius=radius, dim=3, degree=degree)
+    boundary = Boundary(center=center, radius=radius, dim=3, degree=degree, frame=frame)
 
     t, w_gl = np.polynomial.legendre.leggauss(n_polar)  # cos(theta) nodes, (n_polar,)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth  # (n_azimuth,)
@@ -163,13 +167,14 @@ def make_sphere_rule(center, radius: float, n_polar: int, n_azimuth: int) -> Qua
     return QuadratureRule(boundary=boundary, nodes=nodes, weights=weights, normals=normals)
 
 
-def make_rule(center, radius: float, n: int, dim: int) -> QuadratureRule:
+def make_rule(center, radius: float, n: int, dim: int, frame=None) -> QuadratureRule:
     """The standard rule of a boundary: ``n`` circle nodes in 2D, or ``n``
     polar x ``AZIMUTH_PER_POLAR * n`` azimuth nodes in 3D.  Its boundary has
-    the degree :func:`fieldcast.geometry.rule_degree` gives ``n``."""
+    the degree :func:`fieldcast.geometry.rule_degree` gives ``n``, and the
+    solve frame ``frame``, in which its nodes are given."""
     if dim == 2:
-        return make_circle_rule(center, radius, n)
-    return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n)
+        return make_circle_rule(center, radius, n, frame)
+    return make_sphere_rule(center, radius, n, AZIMUTH_PER_POLAR * n, frame)
 
 
 @dataclass(frozen=True)
@@ -303,6 +308,8 @@ def eval_double_layer(g: Density, x) -> np.ndarray | float:
     The oracle for :func:`fieldcast.fields.radiated_field`, which it misses
     near the antenna, where the kernel is nearly singular.  Evaluation
     inside or within a 1e-6 relative ring of the antenna sphere is rejected.
+    The points are the user's, turned into the rule's solve frame, as
+    :func:`fieldcast.fields.radiated_field` turns them.
 
     Parameters
     ----------
@@ -312,6 +319,7 @@ def eval_double_layer(g: Density, x) -> np.ndarray | float:
     """
     rule = g.rule
     pts, scalar = _points(rule.boundary.dim, x)
+    pts = rule.boundary.to_solve(pts)
     clearance = rule.boundary.radius * (1.0 + SEPARATION_RTOL)
     y, nu = rule.nodes[None, :, :], rule.normals[None, :, :]
     wg = rule.weights * g.values

@@ -5,12 +5,16 @@ environment below that size."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, PRESETS
-from fieldcast import blas, cli
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, PRESETS, load_preset
+from fieldcast import Region, blas, cli, point_source, with_defaults
+from fieldcast.geometry import Discretization, build_rules, harmonic_count
+from fieldcast.operator import row_offsets
 
 SRC = Path(cli.__file__).resolve().parent.parent
 
@@ -88,6 +92,46 @@ def test_in_process_main_gives_the_callers_thread_count_back(tmp_path):
     finally:
         set_threads(before)
     assert "\nblas-threads: 1\n" in (tmp_path / "run" / "report.txt").read_text()
+
+
+@needs_setter
+def test_an_axial_operator_takes_threads_by_its_largest_block(tmp_path, monkeypatch):
+    # demo-3d at 32 nodes is 2047 x 1023, m M^2 = 2.1e9, above
+    # PARALLEL_MIN_FLOPS; but its one region lies on the solve frame's polar
+    # axis, so the SVD factors one block per order, the largest 63 x 31.
+    monkeypatch.setattr(blas, "ceiling", lambda: 2)
+    set_threads, get_threads = blas._functions()
+    before = get_threads()
+    try:
+        assert cli.main(["run", str(PRESETS / "demo-3d"), "--epsilon", str(FEASIBLE_EPS_3D),
+                         "--nodes", "32,32", "--out", str(tmp_path)]) == 0
+    finally:
+        set_threads(before)
+    assert cli._check_size(*build_rules(replace(load_preset("demo-3d"),
+                                                discretization=Discretization(32, 32)))) \
+        == 63 * 31**2
+    assert "\nblas-threads: 1\n" in (tmp_path / "report.txt").read_text()
+
+
+def _two_regions_3d():
+    """demo-3d with a second region off the first one's line: not axial."""
+    s = load_preset("demo-3d")
+    second = Region(center=np.array([0.0, 10.0, 0.0]), radius=2.0, target=point_source((0, 0, 0)))
+    return with_defaults(replace(s, regions=(*s.regions, second)))
+
+
+@pytest.mark.parametrize("scenario, nodes, threads", [
+    (lambda: load_preset("demo-2d"), (32, 32), 1),
+    (lambda: load_preset("demo-2d"), (768, 768), 2),   # 2300 x 766: 1.35e9
+    (_two_regions_3d, (12, 12), 1),
+    (_two_regions_3d, (32, 32), 2),                     # 3071 x 1023: 3.2e9
+], ids=["2d-32", "2d-768", "3d-12", "3d-32"])
+def test_an_operator_of_one_block_takes_threads_by_the_whole_matrix(scenario, nodes, threads):
+    antenna, controls = build_rules(replace(scenario(), discretization=Discretization(*nodes)))
+    flops = cli._check_size(antenna, controls)
+    columns = harmonic_count(antenna.degree, antenna.dim)
+    assert flops == row_offsets(antenna, controls)[-1] * columns**2
+    assert blas.threads_for(flops, 2) == threads
 
 
 @pytest.mark.parametrize("flops, limit, expected", [

@@ -54,21 +54,22 @@ class TestBoundArithmetic:
         m = 0.37
         entry = _interior(m, 2.0, 2.5, 2)
         c = entry.constant_conservative
-        assert c == pytest.approx(4.5 / (np.pi * 2.5 * 0.5), rel=1e-15)
-        assert c == pytest.approx(1.1459155902616464, rel=1e-12)
-        assert entry.bound_conservative == pytest.approx(c * np.sqrt(5 * np.pi) * m, rel=1e-15)
+        assert c == pytest.approx(4.5 / (np.pi * 2.5 * 0.5), rel=1e-15, abs=0)
+        assert c == pytest.approx(1.1459155902616464, rel=1e-12, abs=0)
+        assert entry.bound_conservative == pytest.approx(c * np.sqrt(5 * np.pi) * m, rel=1e-15,
+                                                         abs=0)
 
     def test_interior_constant_3d(self):
         # 5 / ((4 pi / 3) * 3 * 1)
         c = _interior(1.0, 2.0, 3.0, 3).constant_conservative
-        assert c == pytest.approx(5.0 / ((4 * np.pi / 3) * 3.0), rel=1e-15)
-        assert c == pytest.approx(0.39788735772973843, rel=1e-12)
+        assert c == pytest.approx(5.0 / ((4 * np.pi / 3) * 3.0), rel=1e-15, abs=0)
+        assert c == pytest.approx(0.39788735772973843, rel=1e-12, abs=0)
 
     def test_exterior_constant_2d(self):
         # (r+r') / (|B_1| r' (r-r')): 28 / (pi*13*2)
         c = _exterior(1.0, 13.0, 15.0, 2).constant_conservative
-        assert c == pytest.approx(28.0 / (np.pi * 13.0 * 2.0), rel=1e-15)
-        assert c == pytest.approx(0.3427952620440822, rel=1e-12)
+        assert c == pytest.approx(28.0 / (np.pi * 13.0 * 2.0), rel=1e-15, abs=0)
+        assert c == pytest.approx(0.3427952620440822, rel=1e-12, abs=0)
 
     def test_exterior_gap_doubling_shrinks_bound_3d(self):
         tight = _exterior(1.0, 2.0, 3.0, 3).bound_conservative   # gap 1
@@ -76,7 +77,7 @@ class TestBoundArithmetic:
         assert loose < tight
         # The squared-gap term alone would divide by 4; the numerator
         # growth makes the drop slightly less than 4x.
-        assert tight / loose == pytest.approx(4 * 5 / 6, rel=1e-12)
+        assert tight / loose == pytest.approx(4 * 5 / 6, rel=1e-12, abs=0)
 
     def test_homogeneity_in_mismatch(self):
         m = 0.123
@@ -119,11 +120,11 @@ class TestCertifySolution:
             assert entry.bound_conservative >= 0
             assert entry.bound_conservative == pytest.approx(
                 entry.constant_conservative * entry.l1_factor * entry.mismatch_l2,
-                rel=1e-15,
+                rel=1e-15, abs=0,
             )
         # Residuals feeding the certificate are the solve's block residuals.
         for entry, res in zip(cert, report.block_residuals):
-            assert entry.mismatch_l2 == pytest.approx(res, rel=1e-12)
+            assert entry.mismatch_l2 == pytest.approx(res, rel=1e-12, abs=0)
 
     def test_rejects_wrong_residual_count(self, demo2d_solution):
         s, K, v, h, report = demo2d_solution
@@ -203,7 +204,7 @@ class TestSampling:
         for rotation in (s.seed, *range(32)):
             sampled = empirical_mismatches(h, fields, s, rotation, EMPIRICAL_SAMPLES)
             for observed, expected in zip(sampled, dense, strict=True):
-                assert observed == pytest.approx(expected, rel=0.01)
+                assert observed == pytest.approx(expected, rel=0.01, abs=0)
 
     @pytest.mark.parametrize("parts, epsilon", [("demo2d_parts", 5.78), ("demo3d_parts", 0.455)],
                              ids=["2d", "3d"])

@@ -358,7 +358,7 @@ class TestRadiatedField:
         g = HarmonicDensity(rule.boundary, np.eye(30)[0])  # cos(theta) / sqrt(pi)
         value = radiated_field(g, (2.0, 0.0))
         assert isinstance(value, float)
-        assert value == pytest.approx(0.5 * 0.5 / np.sqrt(np.pi), rel=1e-14)
+        assert value == pytest.approx(0.5 * 0.5 / np.sqrt(np.pi), rel=1e-14, abs=0)
 
     def test_inside_the_clearance_rejected(self):
         rule = make_circle_rule((0.0, 0.0), 1.0, 64)
@@ -515,14 +515,14 @@ class TestAutoEpsilon:
             vals = eval_field(r.target, pts[inside])
             area = np.pi * r.radius**2
             total += np.sqrt(np.mean(vals**2) * area)
-        assert float(demo2d.epsilon) == pytest.approx(1e-3 * total, rel=2e-2)
+        assert float(demo2d.epsilon) == pytest.approx(1e-3 * total, rel=2e-2, abs=0)
 
     def test_shell_quadrature_is_converged(self, demo2d):
         f = demo2d.regions[0].target
         r = demo2d.regions[0]
         a = ball_l2_norm(f, r.center, r.radius, 2, n_shells=16)
         b = ball_l2_norm(f, r.center, r.radius, 2, n_shells=32)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("preset", ["demo2d", "demo3d"])
     def test_presets_match_the_quadrature(self, preset, request):
@@ -576,4 +576,4 @@ class TestAutoEpsilon:
 
     def test_resolve_epsilon_replaces_auto(self, demo2d):
         assert isinstance(demo2d.epsilon, float)
-        assert demo2d.epsilon == pytest.approx(auto_epsilon(demo2d), rel=1e-12)
+        assert demo2d.epsilon == pytest.approx(auto_epsilon(demo2d), rel=1e-12, abs=0)

@@ -21,7 +21,8 @@ from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the
                       harmonic_trace, nystrom_matrix, projected, scenario_rules, trace_of)
 from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count
 from fieldcast import operator as operator_module
-from fieldcast.operator import (_coefficient_block, block_residuals, degree_gains, dump_operator,
+from fieldcast.operator import (RUN_OVERHEAD_BYTES, _coefficient_block, block_residuals,
+                                degree_gains, dump_operator, factorization_bytes,
                                 load_operator_dump, row_offsets)
 from fieldcast.solver import solve_min_energy
 from oracles import (ControlTrace, Density, adjoint_kernel, apply, apply_adjoint, basis,
@@ -337,7 +338,7 @@ class TestHarmonicDensity:
         c = np.random.default_rng(60 + dim).normal(size=harmonic_count(rule.boundary.degree, dim))
         h = HarmonicDensity(rule.boundary, c)
         g = nodal(h, rule)
-        assert g.norm() == pytest.approx(h.norm(), rel=1e-14)
+        assert g.norm() == pytest.approx(h.norm(), rel=1e-14, abs=0)
         a, rest = explicit_coefficients(rule, g.values)
         assert np.max(np.abs(a - np.concatenate([[0.0], c]))) <= 1e-14 * np.max(np.abs(c))
         assert rest <= 1e-28 * h.norm() ** 2
@@ -416,7 +417,7 @@ class TestXiInner:
         r_prime = 11.0
         rule = make_circle_rule((0.0, 0.0), r_prime, 64)
         t = ControlTrace(blocks=[np.ones(64)], rules=[rule])
-        assert xi_inner(t, t) == pytest.approx(2 * np.pi * r_prime, rel=1e-14)
+        assert xi_inner(t, t) == pytest.approx(2 * np.pi * r_prime, rel=1e-14, abs=0)
 
     def test_symmetry(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -454,21 +455,41 @@ class TestWeightedSVD:
         assert np.all(sigma[1:] <= 1e-12 * sigma[0])
 
     def test_sigma_and_vt_equal_gesdd_on_the_presets(self, preset_gesdd):
+        # demo-2d is one block: gesdd's factors bit for bit.  demo-3d splits
+        # by order: each block's factors are gesdd's of that block, so sigma
+        # agrees with the whole matrix's within rounding of sigma_1 (measured
+        # 3.4e-16) and vt's rows are orthonormal right singular vectors.
         K, (_, sigma, vt) = preset_gesdd
         svd = weighted_svd(K)
-        assert np.array_equal(svd.sigma, sigma)
-        assert np.array_equal(svd.vt, vt)
+        if len(svd.blocks) == 1:
+            assert np.array_equal(svd.sigma, sigma)
+            assert np.array_equal(svd.vt, vt)
+            return
+        assert np.max(np.abs(svd.sigma - sigma)) <= 1e-14 * sigma[0]
+        assert np.max(np.abs(svd.vt @ svd.vt.T - np.eye(sigma.shape[0]))) <= 1e-13
+        images = np.linalg.norm(K.matrix @ svd.vt.T, axis=0)
+        assert np.max(np.abs(images - svd.sigma)) <= 1e-14 * sigma[0]
 
     def test_projection_matches_gesdd_u(self, preset_gesdd):
+        # U is gesdd's U of the whole matrix for one block (demo-2d), and of
+        # each block placed on its rows for a split one (demo-3d): the
+        # singular vectors of the tiny singular values are rounding's choice,
+        # so only those of the same matrices compare.
         K, (u, _, _) = preset_gesdd
+        svd = weighted_svd(K)
+        if len(svd.blocks) > 1:
+            u = np.zeros((K.matrix.shape[0], svd.sigma.shape[0]))
+            for rows, columns, at, _ in svd.blocks:
+                u[np.ix_(rows, at)] = np.linalg.svd(K.matrix[np.ix_(rows, columns)],
+                                                    full_matrices=False)[0]
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.normal(size=K.matrix.shape[0])
-            beta, perp_sq = weighted_svd(K).project(x)
+            beta, perp_sq = svd.project(x)
             ref = u.T @ x
             ref_perp = x - u @ ref
-            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(ref), rel=1e-13)
-            assert perp_sq == pytest.approx(ref_perp @ ref_perp, rel=1e-13)
+            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(ref), rel=1e-13, abs=0)
+            assert perp_sq == pytest.approx(ref_perp @ ref_perp, rel=1e-13, abs=0)
 
     def test_u_from_unit_vectors_reconstructs_the_matrix(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -494,7 +515,7 @@ class TestWeightedSVD:
             x = rng.normal(size=14)
             beta, perp_sq = svd.project(x)
             assert perp_sq == 0.0
-            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+            assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
 
     def test_spectrum_reproducible(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -503,6 +524,13 @@ class TestWeightedSVD:
         s1 = weighted_svd(K).sigma
         s2 = weighted_svd(K2).sigma
         assert np.max(np.abs(s1 - s2)) <= 1e-12 * s1[0]
+
+
+def _user_frame_matrix(K):
+    """K's matrix on its boundaries turned back to the user's frame: what
+    ``dump_operator`` writes."""
+    return assemble_forward(K.antenna.in_user_frame(),
+                            [b.in_user_frame() for b in K.controls]).matrix
 
 
 def _fresh(parts):
@@ -524,32 +552,44 @@ class TestRelease:
         assert np.array_equal(kept.matrix, parts[3].matrix)   # the default keeps it
         gone = weighted_svd(released, release=True)
         assert released.matrix is None
-        for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+        for name in ("sigma", "vt"):
             assert np.array_equal(getattr(gone, name), getattr(keep, name)), name
+        assert len(gone.blocks) == len(keep.blocks)
+        for (*_, a), (*_, b) in zip(gone.blocks, keep.blocks):
+            for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_qr_is_numpys_raw_qr_bit_for_bit(self, parts, request, monkeypatch):
-        # The in-place gufunc against np.linalg.qr(mode="raw") on a copy, and
-        # the factors of that public form, which stands in where numpy lacks
-        # the gufunc, against those of the in-place one.
+        # The in-place gufunc against np.linalg.qr(mode="raw") on a copy of
+        # each block (the whole matrix on demo-2d, each order's on demo-3d),
+        # and the factors of that public form, which stands in where numpy
+        # lacks the gufunc, against those of the in-place one.
         parts = request.getfixturevalue(parts)
-        h, tau = np.linalg.qr(parts[3].matrix, mode="raw")
         svd = weighted_svd(_fresh(parts), release=True)
-        k = tau.shape[0]
-        assert np.array_equal(svd.tau, tau)
-        assert np.array_equal(np.triu(svd.reflectors, 1), np.triu(h[:k], 1))
+        for rows, columns, _, factors in svd.blocks:
+            h, tau = np.linalg.qr(parts[3].matrix[rows][:, columns], mode="raw")
+            k = tau.shape[0]
+            assert np.array_equal(factors.tau, tau)
+            assert np.array_equal(np.triu(factors.reflectors, 1), np.triu(h[:k], 1))
         monkeypatch.setattr(operator_module, "_QR_R_RAW", None)
         public = weighted_svd(_fresh(parts), release=True)
-        for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+        for name in ("sigma", "vt"):
             assert np.array_equal(getattr(public, name), getattr(svd, name)), name
+        for (*_, a), (*_, b) in zip(public.blocks, svd.blocks, strict=True):
+            for name in ("sigma", "vt", "tau", "reflectors", "u_r"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_release_traces_one_matrix_and_keep_two(self, demo3d):
-        # 1279 x 255, from assembly on.  During the SVD a released operator
+        # 1279 x 255, from assembly on, in the user's frame, where the
+        # region at (10, 0, 0) is off the polar axis and the matrix one
+        # block.  During the SVD a released operator
         # traces its matrix, which the QR overwrites in place, and the SVD of
         # R (three 255 x 255 arrays, under the slack); a kept one
         # the QR's copy too.  After it the released operator holds one
         # matrix-sized array, the reflectors, and a kept one the matrix too.
         antenna, controls = build_rules(replace(demo3d, discretization=Discretization(16, 32)))
+        antenna, controls = antenna.in_user_frame(), [b.in_user_frame() for b in controls]
         assemble_forward(antenna, controls)   # fills the transform's table cache first
         held, peaks = {}, {}
         for release in (True, False):
@@ -569,10 +609,34 @@ class TestRelease:
         assert nbytes <= held[True] <= nbytes + 2 * MIB
         assert abs(held[False] - held[True] - nbytes) <= MIB / 4
 
+    @pytest.mark.parametrize("control", [64, 181, 300])
+    def test_tall_region_stays_under_the_estimate(self, demo3d, control):
+        # Two antenna nodes (L = 1, M = 3) and a region of control^2 rows,
+        # up to 90 000: assembly and the SVD trace the matrix, one row
+        # block's temporaries (under 1 MiB) and the translation's tables,
+        # about 67 bytes per (L + D + 1)^2, which the estimate charges
+        # beyond RUN_OVERHEAD_BYTES.  With its rows in blocks of 65 536 and
+        # no table charge, a region of 65 536 rows traced 14.6 MiB against
+        # an estimate of 12.0.
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(2, control)))
+        assemble_forward(antenna, controls)
+        tracemalloc.start()
+        try:
+            K = assemble_forward(antenna, controls)
+            m, columns = K.matrix.shape
+            weighted_svd(K, release=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m, columns) == (control**2 + 3, 3)
+        assert peak <= factorization_bytes(m, columns) - RUN_OVERHEAD_BYTES + MIB
+
     def test_dump_assembles_a_released_3d_operator_bit_for_bit(self, demo3d_parts, tmp_path):
         # 1151 x 575: each region's fields come in many blocks of antenna orders.
+        # The dump is the user's frame's matrix (demo-3d's solve frame turns
+        # its region onto the z axis).
         K = _fresh(demo3d_parts)
-        matrix = K.matrix.copy()
+        matrix = _user_frame_matrix(K)
         weighted_svd(K, release=True)
         dump_operator(K, tmp_path / "operator.bin")
         assert np.array_equal(load_operator_dump(tmp_path / "operator.bin")[0], matrix)
@@ -654,7 +718,8 @@ class TestDump:
             dump_operator(K, tmp_path / name)
             dumps[name] = (tmp_path / name).read_bytes()
         assert dumps["kept"] == dumps["released"]
-        assert dumps["kept"][40:40 + 8 * m * columns] == np.ascontiguousarray(kept.matrix).tobytes()
+        matrix = _user_frame_matrix(kept)
+        assert dumps["kept"][40:40 + 8 * m * columns] == np.ascontiguousarray(matrix).tobytes()
 
     def test_dump_streams_the_matrix_row_major(self, demo3d_parts, tmp_path):
         K = demo3d_parts[3]
@@ -668,7 +733,8 @@ class TestDump:
             tracemalloc.stop()
         assert peak <= 2 * MIB   # row blocks, not copies of the 5 MiB matrix
         m, n = K.matrix.shape
-        assert path.read_bytes()[40:40 + 8 * m * n] == np.ascontiguousarray(K.matrix).tobytes()
+        matrix = _user_frame_matrix(K)
+        assert path.read_bytes()[40:40 + 8 * m * n] == np.ascontiguousarray(matrix).tobytes()
 
     @pytest.mark.parametrize("parts", ["demo2d_parts", "demo3d_parts"])
     def test_outer_rows_are_made_without_the_whole_diagonal(self, parts, request):

@@ -126,7 +126,7 @@ class TestTikhonovSolve:
         sigma1 = weighted_svd(K).sigma[0]
         ((_, disc, energy),) = sweep_alpha(K, v, [1e12 * sigma1**2])
         assert energy <= 1e-10 * v.norm() / sigma1
-        assert disc == pytest.approx(v.norm(), rel=1e-8)
+        assert disc == pytest.approx(v.norm(), rel=1e-8, abs=0)
 
     def test_matches_dense_normal_equations(self):
         rng = np.random.default_rng(2)
@@ -146,7 +146,7 @@ class TestSolveMinEnergy:
         assert report.degenerate
         assert h.norm() == 0.0
         assert report.energy == 0.0
-        assert report.discrepancy == pytest.approx(v.norm(), rel=1e-15)
+        assert report.discrepancy == pytest.approx(v.norm(), rel=1e-15, abs=0)
         assert report.alpha_star == math.inf
 
     def test_feasible_solve_matches_budget(self, demo2d_solution):
@@ -165,11 +165,11 @@ class TestSolveMinEnergy:
         s, antenna, controls, K, v = request.getfixturevalue(parts)
         h, report = solve_min_energy(K, v, eps)
         direct = math.sqrt(sum(r**2 for r in report.block_residuals))
-        assert report.discrepancy == pytest.approx(direct, rel=1e-10)
+        assert report.discrepancy == pytest.approx(direct, rel=1e-10, abs=0)
         # The energy comes from the filtered singular coefficients, the
         # density norm from its coefficients Vt^T of them; vt's orthonormal
         # rows make them agree.
-        assert report.energy == pytest.approx(h.norm(), rel=1e-12)
+        assert report.energy == pytest.approx(h.norm(), rel=1e-12, abs=0)
 
     def test_stationarity_of_returned_density(self, demo2d_solution):
         # The regularized normal equations hold at the returned strength.
@@ -226,7 +226,7 @@ class TestResidualFloor:
         antenna, controls = build_rules(fine)
         fine_floor = residual_floor(assemble_forward(antenna, controls),
                                     build_target(fine, controls))
-        assert fine_floor == pytest.approx(residual_floor(K, v), rel=1e-9)
+        assert fine_floor == pytest.approx(residual_floor(K, v), rel=1e-9, abs=0)
 
     def test_floor_is_the_tikhonov_residual_of_r(self):
         # Two log sources and an antenna sized to the geometry (324 x 70):
@@ -244,7 +244,7 @@ class TestResidualFloor:
         K = assemble_forward(antenna, controls)
         v = build_target(s, controls)
         assert K.matrix.shape == (324, 70)
-        assert residual_floor(K, v) == pytest.approx(tikhonov_floor(K, v), rel=1e-13)
+        assert residual_floor(K, v) == pytest.approx(tikhonov_floor(K, v), rel=1e-13, abs=0)
 
     def test_reachable_target_has_a_rounding_level_floor(self):
         # v = K h lies in the column span, so the floor is rounding alone.
@@ -276,7 +276,7 @@ class TestBruteForceOracle:
         eps = 0.25 * v.norm()
         h, report = solve_min_energy(K, v, eps)
         oracle_energy = _qp_oracle_energy(K, v, report.discrepancy)
-        assert report.energy == pytest.approx(oracle_energy, rel=1e-6)
+        assert report.energy == pytest.approx(oracle_energy, rel=1e-6, abs=0)
 
 
 class TestSweepAlpha:
@@ -295,7 +295,7 @@ class TestSweepAlpha:
         ((a, d, e),) = sweep_alpha(K, v, [report.alpha_star])
         assert a == report.alpha_star
         assert d == report.discrepancy
-        assert e == pytest.approx(h.norm(), rel=1e-12)
+        assert e == pytest.approx(h.norm(), rel=1e-12, abs=0)
 
     def test_rejects_empty_or_nonpositive(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts

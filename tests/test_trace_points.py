@@ -13,12 +13,19 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fieldcast import cli
 from fieldcast.cli import EMPIRICAL_SAMPLES
+from fieldcast.fields import build_target
+from fieldcast.geometry import Discretization, build_rules, harmonic_count
+from fieldcast.operator import assemble_forward, row_offsets, weighted_svd
+from fieldcast.scenario_io import load_scenario
+from fieldcast.solver import residual_floor
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -115,3 +122,27 @@ def test_assemble_forward_returns_the_factored_matrix(tmp_path, monkeypatch):
     assert cli.main(["run", str(ROOT / "presets" / "demo-2d"), "--epsilon", "6.5",
                      "--nodes", "32,32", "--out", str(tmp_path)]) == 0
     assert shapes == [(2 * 31 + 30, 30)]
+
+
+@pytest.mark.parametrize("preset, nodes, blocks",
+                         [("demo-2d", (32, 32), 1), ("demo-3d", (12, 12), 23)],
+                         ids=["one-block", "axial"])
+def test_set_up_reads_survive_the_residual_floor(preset, nodes, blocks):
+    # perfbench/scenarios.set_up calls these in this order, then reads the
+    # matrix's shape; _assemble_attrs reads the matrix and _svd_attrs the
+    # SVD's sigma and vt.  demo-3d's region lies on the solve frame's polar
+    # axis, so its SVD is merged from one factorization per order and parity.
+    scenario = replace(load_scenario(ROOT / "presets" / f"{preset}.scn"),
+                       discretization=Discretization(*nodes))
+    antenna, controls = build_rules(scenario)
+    K = assemble_forward(antenna, controls)
+    residual_floor(K, build_target(scenario, controls))
+    m, columns = row_offsets(antenna, controls)[-1], harmonic_count(antenna.degree, antenna.dim)
+    assert K.matrix.shape == (m, columns)
+    svd = weighted_svd(K)
+    assert len(svd.blocks) == blocks
+    assert np.all(np.diff(svd.sigma) <= 0)
+    assert svd.vt.shape[1] == columns
+    spans = _spans()
+    assert spans._assemble_attrs((), K)["kernel_pairs"] == m * columns
+    assert spans._svd_attrs((), svd)["columns"] == columns
