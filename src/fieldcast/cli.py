@@ -11,7 +11,7 @@ boundary that cannot be built (a radius whose surface measure is not a
 normal float) or whose target cannot (a source within 1e-9 of its control
 sphere), a target trace that is identically zero or not finite, and node
 counts whose operator and factorization would exceed physical memory, as
-:func:`fieldcast.operator.factorization_bytes` estimates from the
+:func:`fieldcast.operator.factorization_cost` prices them from the
 boundaries' degrees before any array is made); 4 accuracy infeasible at the
 current resolution; 5 numerical failure, including any other ``ValueError``.
 """
@@ -34,9 +34,8 @@ from .certify import BoundaryBound, certify_solution, empirical_mismatches
 from .fields import (FieldGrid, build_target, default_grid, eval_on_grid, resolve_epsilon,
                      scenario_difference_fields)
 from .geometry import (Boundary, Discretization, Scenario, ScenarioValidationError, build_rules,
-                       harmonic_count, validate_scenario)
-from .operator import (assemble_forward, dump_operator, factor_blocks, factorization_bytes,
-                       row_offsets, weighted_svd)
+                       validate_scenario)
+from .operator import assemble_forward, dump_operator, factorization_cost, weighted_svd
 from .scenario_io import ScenarioFormatError, load_scenario
 from .solver import (InfeasibleAccuracyError, SolveReport, rank_above_cutoff, solve_min_energy,
                      sweep_alpha, sweep_epsilon, sweep_ladder)
@@ -241,25 +240,17 @@ def _physical_memory() -> int:
 
 def _check_size(antenna: Boundary, controls: list[Boundary]) -> int:
     """Reject a discretization whose operator and factorization would not fit
-    in physical memory, from the boundaries' degrees alone: m rows
-    (:func:`fieldcast.operator.row_offsets`) by M antenna harmonics.  Every
-    command releases the matrix to the SVD, so one estimate
-    (:func:`fieldcast.operator.factorization_bytes`) bounds them all.
-    Returns the flop measure of the largest factorization the SVD runs,
-    m_b M_b^2 of its largest block (:func:`fieldcast.operator.factor_blocks`):
-    m M^2 when the operator is one block."""
-    columns = harmonic_count(antenna.degree, antenna.dim)
-    m = row_offsets(antenna, controls)[-1]
-    need = factorization_bytes(m, columns)
+    in physical memory, as :func:`fieldcast.operator.factorization_cost`
+    prices them from the boundaries' degrees; every command releases the
+    matrix to the SVD, so one price bounds them all.  Returns the flop
+    measure of the largest factorization the SVD runs."""
+    need, flops = factorization_cost(antenna, controls)
     limit = _physical_memory()
     if need > limit:
         raise ScenarioValidationError([
-            f"a {m} x {columns} operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
+            f"the operator and its weighted SVD need about {need / 2**30:.4g} GiB, "
             f"more than the {limit / 2**30:.4g} GiB of physical memory"])
-    blocks = factor_blocks(antenna, controls)[0]
-    if len(blocks) == 1:
-        return m * columns**2
-    return max(rows.size * cols.size**2 for rows, cols in blocks)
+    return flops
 
 
 def _prepare(args, scenario: Scenario, timings):

@@ -283,9 +283,10 @@ def legendre_table(direction, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Node counts per boundary, circle nodes in 2D and polar nodes in 3D,
-    each of which sets the boundary's degree (:func:`rule_degree`).  No
-    node is built.
+    """Node counts, circle nodes in 2D and polar nodes in 3D: ``antenna``
+    sets the antenna's degree and the outer control sphere's, ``control``
+    each region's control sphere's (:func:`rule_degree`,
+    :func:`build_rules`).  No node is built.
     """
 
     antenna: int
@@ -583,9 +584,11 @@ def solve_frame(centers: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray | N
 
 
 def build_rules(s: Scenario) -> tuple[Boundary, list[Boundary]]:
-    """The boundaries of a validated scenario, each of the :func:`rule_degree`
-    of its node count, in the scenario's :func:`solve_frame`; no node is
-    built.
+    """The boundaries of a validated scenario, in its :func:`solve_frame`;
+    no node is built.  The antenna and each region's control sphere take
+    the :func:`rule_degree` of their node counts; the outer control sphere,
+    concentric with the antenna, takes the antenna's degree L, as each
+    antenna harmonic radiates only itself there.
 
     Returns the antenna and the control spheres ordered region 1..N, then
     the outer control sphere; a boundary the radii cannot give raises
@@ -595,8 +598,8 @@ def build_rules(s: Scenario) -> tuple[Boundary, list[Boundary]]:
     frame, centers = solve_frame([r.center for r in s.regions], s.dim)
     antenna = on_boundary("antenna", Boundary, origin, s.delta, s.dim,
                           rule_degree(d.antenna, s.dim), frame)
-    spheres = ([(c, r.control_radius) for c, r in zip(centers, s.regions)]
-               + [(origin, s.outer_control_radius)])
-    degree = rule_degree(d.control, s.dim)
+    spheres = ([(c, r.control_radius, rule_degree(d.control, s.dim))
+                for c, r in zip(centers, s.regions)]
+               + [(origin, s.outer_control_radius, antenna.degree)])
     return antenna, [on_boundary(label, Boundary, center, radius, s.dim, degree, frame)
-                     for label, (center, radius) in zip(control_labels(s), spheres)]
+                     for label, (center, radius, degree) in zip(control_labels(s), spheres)]

@@ -16,20 +16,20 @@ of each sphere only its centre, radius and degree
 
 The matrix holds each control sphere's block in that sphere's own
 orthonormal harmonics, which is all the L2-minimal solution needs: the
-singular system between the L2 spaces of antenna and control spheres.  A
-region's block holds the degrees 0 .. D of its sphere ((D + 1)^2 rows
-in 3D, 2D + 1 in 2D) of each basis field's local expansion about the
-control centre, by multipole-to-local translation in closed form
-(:mod:`fieldcast.translation`): the exact projection, with no field
-evaluated at a control node.  The outer sphere is concentric with the
-antenna, so its block is the diagonal g_l (delta/R)^(l+dim-2)
-(R/delta)^((dim-1)/2) over the antenna's degrees 1 .. L.  The share of
-each block's norm in the degrees its rows leave out is computed in
-closed form and reported (``ForwardOperator.unresolved``).  A target is
-its coefficients on each sphere's harmonics and the norm of its higher
-degrees, in closed form too (:class:`HarmonicTrace`).  Both bases are
-orthonormal, so the matrix's singular values are the operator's between
-the function spaces, with no row or column weighting.
+singular system between the L2 spaces of antenna and control spheres.
+Each block holds its sphere's harmonics of degrees ``first`` .. D
+(:func:`_block_rows`).  A region's, from degree 0, holds each basis
+field's local expansion about the control centre, by multipole-to-local
+translation in closed form (:mod:`fieldcast.translation`), with no field
+evaluated at a control node; the share of its norm in the degrees above D
+is reported (``ForwardOperator.unresolved``).  On the outer sphere,
+concentric with the antenna, each antenna harmonic radiates only itself,
+so it has the antenna's degree L, and its block, from degree 1, is the
+diagonal g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2).  A target is its
+coefficients on each sphere's harmonics and the norm of its higher
+degrees, in closed form too (:class:`HarmonicTrace`).
+Both bases are orthonormal, so the matrix's singular values are the
+operator's between the function spaces, with no row or column weighting.
 
 Every harmonic is the solve frame's (:func:`fieldcast.geometry.solve_frame`).
 When the control centres lie on its polar axis, the matrix is block
@@ -236,24 +236,28 @@ class WeightedSVD:
                    for _, _, at, factors in self.blocks)
 
 
-def _concentric(antenna: Boundary, sphere: Boundary) -> bool:
-    """Whether the control sphere shares the antenna's centre, so that its
-    block is the closed-form diagonal of :func:`_coefficient_block`."""
-    return bool(np.array_equal(sphere.center, antenna.center))
-
-
 def _antenna_columns(antenna: Boundary) -> int:
     """M, the antenna harmonics of degrees 1 .. L: the matrix's columns."""
     return harmonic_count(antenna.degree, antenna.dim)
 
 
+def _block_rows(antenna: Boundary, sphere: Boundary) -> range:
+    """A control sphere's rows, as indices into its harmonics of degrees
+    0 .. D, the constant first: those of degrees ``first`` .. D.  ``first``
+    is 0 on a region's sphere, and 1 on one concentric with the antenna,
+    where degree 0 radiates nothing and each antenna harmonic only itself,
+    so that sphere must have the antenna's degree L."""
+    first = int(np.array_equal(sphere.center, antenna.center))
+    if first and sphere.degree != antenna.degree:
+        raise ValueError(f"a control sphere concentric with the antenna has degree "
+                         f"{sphere.degree}, not the antenna's {antenna.degree}")
+    return range(first, harmonic_count(sphere.degree, sphere.dim) + 1)
+
+
 def row_offsets(antenna: Boundary, controls: list[Boundary]) -> list[int]:
     """The first row of each control sphere's block of the matrix, and the
-    matrix's row count last: one row per antenna harmonic on a sphere
-    concentric with the antenna, else one per harmonic of degrees 0 .. D,
-    the sphere's degree."""
-    return list(accumulate((_antenna_columns(antenna) if _concentric(antenna, b)
-                            else harmonic_count(b.degree, b.dim) + 1 for b in controls), initial=0))
+    matrix's row count last: a row per harmonic of its :func:`_block_rows`."""
+    return list(accumulate((len(_block_rows(antenna, b)) for b in controls), initial=0))
 
 
 @dataclass
@@ -297,11 +301,10 @@ class ForwardOperator:
     def trace_coefficients(self, v: HarmonicTrace) -> tuple[np.ndarray, np.ndarray]:
         """(y, outside): the trace v in the rows of ``matrix``, and per control
         sphere the squared norm of the part of v outside its block's rows: v's
-        own ``outside`` and, on a sphere concentric with the antenna, the
-        harmonics of degrees the antenna does not radiate (degree 0, and
-        those above its degree L).  So ||y[block]||^2 plus ``outside`` is
-        the block's squared norm, and the residual of any density on that
-        block is sqrt(||C c - y||^2 + outside).
+        own ``outside`` and its degrees below the block's first
+        (:func:`_block_rows`), the constant on the outer sphere.  So
+        ||y[block]||^2 plus ``outside`` is the block's squared norm, and the
+        residual of any density on that block is sqrt(||C c - y||^2 + outside).
         """
         if len(v.boundaries) != len(self.controls) or not all(
                 map(_same_boundary, self.controls, v.boundaries)):
@@ -309,12 +312,9 @@ class ForwardOperator:
         y = np.zeros(self.block_rows[-1].stop)
         outside = np.array(v.outside)
         for k, (sphere, a, rows) in enumerate(zip(self.controls, v.blocks, self.block_rows)):
-            if _concentric(self.antenna, sphere):
-                kept = min(a.shape[0] - 1, rows.stop - rows.start)
-                y[rows.start: rows.start + kept] = a[1: kept + 1]
-                outside[k] += a[0] ** 2 + a[kept + 1:] @ a[kept + 1:]
-            else:
-                y[rows] = a
+            first = _block_rows(self.antenna, sphere).start
+            y[rows] = a[first:]
+            outside[k] += a[:first] @ a[:first]
         return y, outside
 
 
@@ -346,20 +346,20 @@ def _coefficient_block(antenna: Boundary, sphere: Boundary, rows: slice = slice(
 
     A region's block is its basis fields translated to the control centre
     in closed form (:func:`fieldcast.translation.translated_block`).  On a
-    sphere of radius R concentric with the antenna, basis density j
-    radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) times the
-    sphere's own orthonormal harmonic j, so the block is that diagonal over
-    all the antenna's degrees, whatever the sphere's degree.  Only the
-    requested rows are made, and each entry depends on its row and column
-    alone, so a slice equals the whole block's rows bit for bit.  Subnormal
-    entries, of degrees whose fields underflow, are zeroed.
+    sphere of radius R concentric with the antenna, basis density j of
+    degree l radiates g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2) times
+    the sphere's own orthonormal harmonic j, so the block is that diagonal.
+    Only the requested rows are made, and each entry depends on its row
+    and column alone, so a slice equals the whole block's rows bit for bit.
+    Subnormal entries, of degrees whose fields underflow, are zeroed.
     """
     if sphere.dim != antenna.dim:
         raise ValueError("antenna and control sphere have mixed dimensions")
-    wanted = range(row_offsets(antenna, [sphere])[1])[rows]
+    block = _block_rows(antenna, sphere)
+    wanted = block[rows]
     if out is None:
         out = np.empty((len(wanted), _antenna_columns(antenna)), order="F")
-    if not _concentric(antenna, sphere):
+    if not block.start:   # a region's sphere
         distance = float(np.linalg.norm(sphere.center - antenna.center))
         _check_clearance(antenna, distance - sphere.radius)
         # BLOCK_PAIRS / max(L, 32) rows at a time: the temporaries of one
@@ -371,31 +371,21 @@ def _coefficient_block(antenna: Boundary, sphere: Boundary, rows: slice = slice(
             translated_block(antenna.center, antenna.radius, gains, sphere, wanted[part], out[part])
         return _flush_subnormal(out)
     _check_clearance(antenna, sphere.radius)
-    start, stop = wanted.start, wanted.stop
+    radius = sphere.radius
+    gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((sphere.dim - 1) / 2)
     out[...] = 0.0
-    gains = _concentric_gains(antenna, sphere)[None, start:stop]
-    out[range(stop - start), range(start, stop)] = _flush_subnormal(gains)[0]
+    # Row j + 1, of degree l, holds antenna harmonic j's gain.
+    diagonal = _flush_subnormal(gains[None, row_orders(wanted, sphere.dim)[0] - 1])[0]
+    out[range(len(wanted)), range(wanted.start - 1, wanted.stop - 1)] = diagonal
     return out
-
-
-def _concentric_gains(antenna: Boundary, sphere: Boundary) -> np.ndarray:
-    """(M,): the diagonal of a concentric sphere's block, one gain per antenna harmonic."""
-    dim, radius = sphere.dim, sphere.radius
-    gains = degree_gains(antenna, np.array([radius]))[:, 0] * radius ** ((dim - 1) / 2)
-    return np.repeat(gains, np.diff([harmonic_count(l, dim) for l in range(gains.shape[0] + 1)]))
 
 
 def unresolved_share(antenna: Boundary, sphere: Boundary) -> float:
     """The share of a control block's Frobenius norm, over all the degrees
     its basis fields hold on the control sphere, that lies in degrees above
-    the sphere's degree D: in the rows the matrix leaves out.  On a
-    concentric sphere those are the antenna degrees above D; on a region's
-    sphere they run on without end (:func:`fieldcast.translation.region_share`)."""
-    if not _concentric(antenna, sphere):
-        return region_share(antenna, sphere)
-    gains = _concentric_gains(antenna, sphere)
-    tail = gains[harmonic_count(sphere.degree, sphere.dim):]
-    return math.sqrt(float(tail @ tail) / float(gains @ gains)) if tail.size else 0.0
+    the sphere's degree D, which the matrix leaves out: on a region's sphere
+    :func:`fieldcast.translation.region_share`, on the concentric one none."""
+    return 0.0 if _block_rows(antenna, sphere).start else region_share(antenna, sphere)
 
 
 def _flush_subnormal(block: np.ndarray) -> np.ndarray:
@@ -443,11 +433,34 @@ def block_residuals(K: ForwardOperator, h: HarmonicDensity,
                  for rows, rest in zip(K.block_rows, outside.tolist()))
 
 
-def _harmonic_keys(rows: range, dim: int) -> np.ndarray:
-    """The block key of each of a region block's rows (:func:`row_orders`):
-    2 order + sin in 3D, sin in 2D."""
-    _, order, sin = row_orders(rows, dim)
-    return 2 * order + sin if dim == 3 else sin.astype(np.intp)
+def _axial(antenna: Boundary, controls: list[Boundary]) -> bool:
+    """Whether every centre lies on the polar axis: the z axis in 3D, the x
+    axis in 2D (:func:`fieldcast.geometry.solve_frame`)."""
+    axis = 2 if antenna.dim == 3 else 0
+    return not any(np.any(np.delete(b.center, axis)) for b in [antenna, *controls])
+
+
+def _keyed(antenna: Boundary, controls: list[Boundary]):
+    """For each block key an antenna harmonic has, 2 order + sin in 3D and
+    sin in 2D, in key order: (each control sphere's rows of that key, as
+    indices into its :func:`_block_rows`, and the columns of that key).
+    The harmonic of degree l, order q and sin s is number l^2 + 2q - 1 + s
+    in 3D (l^2 for q = 0) and 2l - 1 + s in 2D (0 for l = 0) of a sphere's
+    harmonics of degrees 0 .. D (:func:`row_orders`)."""
+    dim, degree = antenna.dim, antenna.degree
+    firsts = [_block_rows(antenna, b).start for b in controls]
+
+    def indices(first: int, top: int, key: int) -> np.ndarray:
+        """The indices of key ``key`` among degrees ``first`` .. ``top``."""
+        if dim == 2:
+            return np.maximum(2 * np.arange(max(first, key), top + 1) - 1 + key, 0)
+        order, sin = divmod(key, 2)
+        l = np.arange(max(first, order), top + 1)
+        return l**2 + (2 * order - 1 + sin if order else 0)
+
+    for key in [0, 1] if dim == 2 else [0, *range(2, 2 * degree + 2)]:
+        yield ([indices(first, b.degree, key) - first for b, first in zip(controls, firsts)],
+               indices(1, degree, key) - 1)
 
 
 def factor_blocks(antenna: Boundary, controls: list[Boundary]) -> tuple[list, np.ndarray]:
@@ -455,28 +468,20 @@ def factor_blocks(antenna: Boundary, controls: list[Boundary]) -> tuple[list, np
     (rows, columns) pairs, and the rows in none of them, from the
     boundaries alone.
 
-    When every centre lies on the polar axis (the z axis in 3D, the x axis
-    in 2D; :func:`fieldcast.geometry.solve_frame`), the problem is
-    invariant under turns about that axis (and its mirror image in 2D), so
-    a basis field of order m and cos (or sin) has only harmonics of that
+    When every centre lies on the polar axis (:func:`_axial`), the problem
+    is invariant under turns about that axis (and its mirror image in 2D),
+    so a basis field of order m and cos (or sin) has only harmonics of that
     order and parity on every control sphere: a block per key of
-    :func:`_harmonic_keys`, in key order, of the rows and columns that have
-    it (White & Head-Gordon, J. Chem. Phys. 105 (1996) 5061; Greengard &
-    Rokhlin, Acta Numerica 6 (1997) 229).  A concentric sphere's row j has
-    column j's key.  Rows of a key no column has are loose.  Any other
-    operator is one block of all its rows and columns."""
-    columns, axis = _antenna_columns(antenna), 2 if antenna.dim == 3 else 0
-    if any(np.any(np.delete(b.center, axis)) for b in [antenna, *controls]):
+    :func:`_keyed`, of the rows and columns that have it, each in
+    ascending order (White & Head-Gordon, J. Chem. Phys. 105 (1996) 5061;
+    Greengard & Rokhlin, Acta Numerica 6 (1997) 229).  Rows of orders no
+    column has are loose.  Any other operator is one block."""
+    if not _axial(antenna, controls):
         return _one_block()
-    column_keys = _harmonic_keys(range(1, columns + 1), antenna.dim)
-    row_keys = np.concatenate([
-        column_keys if _concentric(antenna, b)
-        else _harmonic_keys(range(harmonic_count(b.degree, b.dim) + 1), b.dim) for b in controls])
-    rows, keys = np.argsort(row_keys, kind="stable"), np.flatnonzero(np.bincount(column_keys))
-    # Each key's rows, and between them the rows of keys no column has.
-    parts = np.split(rows, np.searchsorted(row_keys[rows], np.stack([keys, keys + 1], 1).ravel()))
-    return ([(parts[2 * i + 1], np.flatnonzero(column_keys == key)) for i, key in enumerate(keys)],
-            np.sort(np.concatenate(parts[::2])))
+    starts = row_offsets(antenna, controls)
+    blocks = [(np.concatenate([start + part for start, part in zip(starts, rows)]), columns)
+              for rows, columns in _keyed(antenna, controls)]
+    return blocks, np.delete(np.arange(starts[-1]), np.concatenate([rows for rows, _ in blocks]))
 
 
 def _one_block() -> tuple[list, np.ndarray]:
@@ -590,39 +595,42 @@ RUN_OVERHEAD_BYTES = 9 * 2**20
 TABLE_BYTES = 80
 
 
-def factorization_bytes(m: int, columns: int) -> int:
-    """Bytes a run holds at its peak, for an m x M matrix (M = ``columns``
-    antenna harmonics), summed over the stages that can set it: two m x M
-    float64 arrays at the QR in :func:`weighted_svd` (the matrix, which it
-    overwrites with the reflectors, and LAPACK's working copy; an operator
-    that splits by order holds the matrix and its blocks, fewer), which
-    also bound what :func:`assemble_forward` holds while it translates a
-    region (the matrix and the temporaries of one antenna order,
-    :func:`fieldcast.translation.translated_block`) unless the matrix is
-    tall and narrow, where RUN_OVERHEAD_BYTES covers the temporaries; six
-    k x k, k = min(m, M), for the SVD of R (R, its factors and gesdd's
-    workspace); the translation's tables, TABLE_BYTES per (L + D + 1)^2,
-    which is at most 2 (M + 1) + 2 m, as (L + 1)^2 = M + 1 and a region's
-    (D + 1)^2 rows are at most m; and RUN_OVERHEAD_BYTES.  Growth of peak
-    RSS over a process that only imports the CLI, with BLAS loaded as
-    ``python -m fieldcast`` loads it (ru_maxrss, median of 5), in MiB, for
-    ``run`` / ``run --dump-operator`` / this estimate, with the matrix
-    factored whole (an operator split by order holds less), on demo-3d:
-    3.1 / 3.2 / 9.0 at 31 x 15, 4.1 / 5.0 / 10.4 at 1087 x 63,
-    14.8 / 14.9 / 22.4 at 975 x 399, 10.3 / 10.4 / 17.2 at 1279 x 255,
-    25.1 / 25.1 / 34.5 at 1151 x 575, 65.3 / 65.4 / 77.2 at 1279 x 1023,
-    where the SVD of R sets the peak, 3.5 / 4.3 / 10.6 at 4111 x 15,
-    8.6 / 8.7 / 15.3 at 16399 x 15, 10.8 / 11.1 / 17.4 at 21919 x 15 and
-    19.8 / 20.0 / 34.0 at 65551 x 15; on demo-2d: 2.7 / 2.9 / 9.0 at 44 x 14,
-    3.9 / 4.2 / 10.5 at 380 x 126, 26.5 / 26.5 / 34.3 at 668 x 638,
-    10.8 / 11.3 / 19.2 at 1788 x 254, 39.3 / 39.3 / 51.1 at 1276 x 766,
-    46.7 / 46.7 / 63.2 at 2300 x 766, 3.9 / 5.0 / 12.0 at 8204 x 14 and
-    10.6 / 10.6 / 21.0 at 32780 x 14.
-    The dump assembles the rows again after the solve, one row block at a
-    time (:func:`dump_operator`)."""
-    k = min(m, columns)
-    arrays = 2 * m * columns + 6 * k * k
-    return 8 * arrays + TABLE_BYTES * 2 * (columns + 1 + m) + RUN_OVERHEAD_BYTES
+def factorization_cost(antenna: Boundary, controls: list[Boundary]) -> tuple[int, int]:
+    """(bytes, flops) of the operator on these boundaries, from their
+    degrees alone: the bytes a run holds at its peak, and m_b M_b^2 of the
+    largest block :func:`weighted_svd` factors (:func:`factor_blocks`), m M^2
+    for an operator of one block, m rows (:func:`row_offsets`) by M
+    antenna harmonics.
+
+    Factoring an m_b x M_b block holds two such float64 arrays at the QR
+    (the block, which it overwrites with the reflectors, and LAPACK's
+    working copy) and six k_b x k_b, k_b = min(m_b, M_b), for the SVD of R.
+    An operator of one block is factored in place, so that is all its
+    arrays, and they also bound assembly (the matrix and the temporaries of
+    one antenna order, :func:`fieldcast.translation.translated_block`) but
+    on tall, narrow matrices, where RUN_OVERHEAD_BYTES covers the
+    temporaries.  A split operator holds the m x M matrix, the blocks
+    gathered from it and its largest block's factorization, then the dense
+    k x M ``vt`` of the merged factors, k the sum of the k_b, which also
+    stands for the factors of the blocks done.  Beside the arrays: the
+    translation's tables, TABLE_BYTES per (L + D + 1)^2, at most
+    2 (M + 1) + 2 m of them, and RUN_OVERHEAD_BYTES.  Growth of peak RSS
+    over a process that only imports the CLI (ru_maxrss, median of 5), in
+    MiB, for ``run`` / ``run --dump-operator`` / this price, on demo-2d,
+    one block: 2.7 / 2.9 / 9.0 at 44 x 14, 3.9 / 4.2 / 10.5 at 380 x 126,
+    26.5 / 26.5 / 34.3 at 668 x 638, 10.8 / 11.3 / 19.2 at 1788 x 254,
+    39.3 / 39.3 / 51.1 at 1276 x 766, 46.7 / 46.7 / 63.2 at 2300 x 766,
+    3.9 / 5.0 / 12.0 at 8204 x 14 and 10.6 / 10.6 / 21.0 at 32780 x 14;
+    the README's memory model gives those of split operators, such as
+    13.1 / 13.3 / 27.6 at demo-3d's 1279 x 1023."""
+    m, columns = row_offsets(antenna, controls)[-1], _antenna_columns(antenna)
+    shapes = ([(sum(map(len, rows)), len(cols)) for rows, cols in _keyed(antenna, controls)]
+              if _axial(antenna, controls) else [(m, columns)])
+    arrays = max(2 * r * c + 6 * min(r, c) ** 2 for r, c in shapes)
+    if len(shapes) > 1:
+        arrays += (m + sum(min(r, c) for r, c in shapes)) * columns + sum(r * c for r, c in shapes)
+    need = 8 * arrays + TABLE_BYTES * 2 * (columns + 1 + m) + RUN_OVERHEAD_BYTES
+    return need, max(r * c**2 for r, c in shapes)
 
 
 def dump_operator(K: ForwardOperator, path) -> None:
@@ -630,10 +638,11 @@ def dump_operator(K: ForwardOperator, path) -> None:
     n_sigma), then the m x M matrix row-major as float64, then the singular
     values, which are the matrix's own.  Rows are each control sphere's
     harmonic coefficients, regions first and the outer sphere last
-    (:attr:`ForwardOperator.block_rows`): on a region's sphere the constant,
-    then the harmonics of degrees 1 .. D - 1, on the outer sphere those of
-    the antenna's degrees 1 .. L.  Columns are the antenna's harmonics.  Both
-    run in the order of :func:`fieldcast.geometry.surface_harmonics`,
+    (:attr:`ForwardOperator.block_rows`), of the degrees of its
+    :func:`_block_rows`: on a region's sphere the constant, then the
+    harmonics of degrees 1 .. D; on the outer sphere, of the antenna's
+    degree, those of degrees 1 .. L.  Columns are the antenna's harmonics.
+    Both run in the order of :func:`fieldcast.geometry.surface_harmonics`,
     degree by degree from 1: in 2D cos then sin of each degree; in 3D the
     zonal harmonic of degree l, then cos and sin of each order m = 1 .. l.
     Both are the harmonics of the user's frame: an operator in a turned

@@ -78,7 +78,7 @@ class _FilterData:
     beta: np.ndarray     # (k,) singular-basis coefficients of the target
     perp_sq: float       # squared norm of the target outside the column span
     v_norm: float        # ||v||, as HarmonicTrace.norm gives it
-    svd: WeightedSVD | None = None  # the factorization beta came from, for the floor
+    svd: WeightedSVD     # the factorization beta came from, for the floor
 
     def _sums_of_squares(self, alphas: np.ndarray, term) -> np.ndarray:
         """sum_i term(alpha, i)^2 for each alpha of a 1-D array, over
@@ -106,20 +106,16 @@ class _FilterData:
     def floor(self) -> float:
         """Residual at the bottom of the alpha bracket, see :func:`residual_floor`;
         computed once, however many budgets are matched.  The Tikhonov
-        residual there comes from R (:meth:`WeightedSVD.tikhonov_residual_sq`)
-        where the factorization is at hand, else from the singular
-        coefficients; the singular values below the rank cutoff then add
-        what their filter factors f < 1 left out, (1 - f^2) beta^2."""
+        residual there comes from R (:meth:`WeightedSVD.tikhonov_residual_sq`);
+        the singular values below the rank cutoff then add what their
+        filter factors f < 1 left out, (1 - f^2) beta^2."""
         sigma_1 = float(self.sigma[0]) if self.sigma.size else 0.0
         if sigma_1 == 0.0:
             return math.sqrt(self.perp_sq + float(self.beta @ self.beta))
         alpha = ALPHA_BRACKET_LO * sigma_1**2
         rank = rank_above_cutoff(self.sigma)
         f = alpha / (alpha + self.sigma**2)
-        if self.svd is None:
-            residual_sq = float(np.sum((f * self.beta) ** 2))
-        else:
-            residual_sq = self.svd.tikhonov_residual_sq(self.beta, alpha)
+        residual_sq = self.svd.tikhonov_residual_sq(self.beta, alpha)
         dropped_sq = float(np.sum((1 - f[rank:] ** 2) * self.beta[rank:] ** 2))
         return math.sqrt(residual_sq + dropped_sq + self.perp_sq)
 

@@ -45,13 +45,16 @@ def scenario_rules(s):
     Nystrom oracles: ``make_rule``'s rule of each node count, on the
     boundaries of ``build_rules``, whose degrees they share, in their solve
     frame: the nodes are solve-frame points, and a user's field is
-    evaluated at them turned back (``Boundary.to_user``)."""
+    evaluated at them turned back (``Boundary.to_user``).  The outer
+    sphere's rule has the antenna's node count, as its boundary has the
+    antenna's degree."""
     d = s.discretization
     antenna, spheres = build_rules(s)
+    counts = [d.control] * s.n_regions + [d.antenna]
     return (on_boundary("antenna", make_rule, antenna.center, antenna.radius, d.antenna, s.dim,
                         antenna.frame),
-            [on_boundary(label, make_rule, b.center, b.radius, d.control, s.dim, b.frame)
-             for label, b in zip(control_labels(s), spheres)])
+            [on_boundary(label, make_rule, b.center, b.radius, n, s.dim, b.frame)
+             for label, b, n in zip(control_labels(s), spheres, counts)])
 
 
 def quadrature_epsilon(s):

@@ -14,7 +14,7 @@ import pytest
 from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, PRESETS, load_preset
 from fieldcast import Region, blas, cli, point_source, with_defaults
 from fieldcast.geometry import Discretization, build_rules, harmonic_count
-from fieldcast.operator import row_offsets
+from fieldcast.operator import factorization_cost, row_offsets
 
 SRC = Path(cli.__file__).resolve().parent.parent
 
@@ -107,8 +107,8 @@ def test_an_axial_operator_takes_threads_by_its_largest_block(tmp_path, monkeypa
                          "--nodes", "32,32", "--out", str(tmp_path)]) == 0
     finally:
         set_threads(before)
-    assert cli._check_size(*build_rules(replace(load_preset("demo-3d"),
-                                                discretization=Discretization(32, 32)))) \
+    assert factorization_cost(*build_rules(replace(load_preset("demo-3d"),
+                                                   discretization=Discretization(32, 32))))[1] \
         == 63 * 31**2
     assert "\nblas-threads: 1\n" in (tmp_path / "report.txt").read_text()
 
@@ -128,7 +128,7 @@ def _two_regions_3d():
 ], ids=["2d-32", "2d-768", "3d-12", "3d-32"])
 def test_an_operator_of_one_block_takes_threads_by_the_whole_matrix(scenario, nodes, threads):
     antenna, controls = build_rules(replace(scenario(), discretization=Discretization(*nodes)))
-    flops = cli._check_size(antenna, controls)
+    flops = factorization_cost(antenna, controls)[1]
     columns = harmonic_count(antenna.degree, antenna.dim)
     assert flops == row_offsets(antenna, controls)[-1] * columns**2
     assert blas.threads_for(flops, 2) == threads

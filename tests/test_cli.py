@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldcast
-from conftest import FEASIBLE_EPS_2D, PRESETS, load_preset, scenario_rules
-from fieldcast import (HarmonicDensity, assemble_forward, build_rules, build_target, certify, cli,
-                       fields)
+from conftest import FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, PRESETS, load_preset, scenario_rules
+from fieldcast import (Discretization, HarmonicDensity, assemble_forward, build_rules, build_target,
+                       certify, cli, fields)
 from fieldcast.cli import main
-from fieldcast.operator import factorization_bytes, load_operator_dump
+from fieldcast.operator import factorization_cost, load_operator_dump
 from fieldcast.scenario_io import load_scenario
 from fieldcast.solver import residual_floor
 from test_package_boundary import ORACLE_NAMES
@@ -73,16 +74,27 @@ class TestRun:
 
     def test_spectrum_reports_each_blocks_unresolved_share(self, tmp_path):
         # Regions first, then the outer sphere, after the spectrum summary.
-        # demo-2d's circles resolve its fields to rounding, and the outer
-        # sphere resolves every antenna degree, so its share is exactly 0.
-        out = tmp_path / "out"
-        assert _run(["run", DEMO_2D, "--out", str(out), "--epsilon", str(FEASIBLE_EPS_2D)]) == 0
-        lines = _section((out / "report.txt").read_text(), "spectrum").splitlines()
-        keys = [line.split(": ")[0] for line in lines]
-        assert keys == ["sigma-1", "sigma-min", "count", "rank-above-cutoff", "decay-slope-log10",
-                        "unresolved-region-1", "unresolved-region-2", "unresolved-outer"]
-        shares = [float(line.split(": ")[1]) for line in lines[5:]]
-        assert all(0.0 <= share <= 1e-14 for share in shares) and shares[-1] == 0.0
+        # The outer sphere resolves every antenna degree, so its share is
+        # exactly 0, also where the antenna resolves more degrees than the
+        # regions' spheres (128,32 and 24,8).  demo-2d's circles at their
+        # default nodes resolve its fields to rounding; fewer control nodes
+        # leave a share of each region's block out.
+        for k, (preset, epsilon, nodes, region_share) in enumerate([
+                ("demo-2d", FEASIBLE_EPS_2D, [], 1e-14),
+                ("demo-2d", FEASIBLE_EPS_2D, ["--nodes", "128,32"], 1e-7),
+                ("demo-3d", FEASIBLE_EPS_3D, ["--nodes", "24,8"], 1e-3)]):
+            out = tmp_path / str(k)
+            assert _run(["run", str(PRESETS / f"{preset}.scn"), "--out", str(out),
+                         "--epsilon", str(epsilon), *nodes]) == 0
+            lines = _section((out / "report.txt").read_text(), "spectrum").splitlines()
+            keys = [line.split(": ")[0] for line in lines]
+            regions = [f"unresolved-region-{j}"
+                       for j in range(1, load_preset(preset).n_regions + 1)]
+            assert keys == ["sigma-1", "sigma-min", "count", "rank-above-cutoff",
+                            "decay-slope-log10", *regions, "unresolved-outer"]
+            shares = [float(line.split(": ")[1]) for line in lines[5:-1]]
+            assert all(0.0 <= share <= region_share for share in shares)
+            assert lines[-1] == "unresolved-outer: 0.0"
 
     def test_certificate_has_one_bound_per_boundary(self, tmp_path):
         out = tmp_path / "out"
@@ -317,7 +329,8 @@ class TestRun:
         # 3D at 5000 polar nodes: the region's 5000^2 control harmonics and
         # the outer sphere's 5000^2 - 1 rows by 5000^2 - 1 antenna harmonics,
         # far beyond any machine's memory; the boundaries' degrees alone
-        # decide, so nothing is allocated.
+        # decide, so nothing is allocated.  The price of its 49999999 x
+        # 24999999 matrix and factorization does not depend on the machine.
         monkeypatch.setattr(cli, "build_target", _never_called)
         monkeypatch.setattr(cli, "assemble_forward", _never_called)
         out = tmp_path / "out"
@@ -327,7 +340,7 @@ class TestRun:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         err = capsys.readouterr().err
-        assert "a 49999999 x 24999999 operator" in err and "GiB of physical memory" in err
+        assert "need about 1.397e+07 GiB" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_control_sphere_inside_antenna_reach_fails_validation(self, tmp_path, capsys):
@@ -506,24 +519,29 @@ def _child_peak_bytes(argv) -> int:
 
 
 def test_run_peak_stays_under_the_estimate_and_dump_adds_nothing(tmp_path):
-    # 2304 control by 800 antenna nodes, a 975 x 399 operator (1152 nodes a
-    # control rule): the run grows by about 15.9 MiB over an import-only
-    # child.  Every command releases the matrix to the factorization, so the
-    # size guard's estimate bounds the run, and the dump, which assembles the
-    # rows again one control rule at a time, peaks about where the run does.
-    run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
-           "--epsilon", "0.6", "--nodes", "20,24"]
+    # demo-3d at 975 x 399, 1279 x 1023 and 1151 x 575: its one region lies
+    # on the solve frame's polar axis, so the SVD factors one block per
+    # order, and a run grows by about 6.2, 13.1 and 8.1 MiB over an
+    # import-only child.  Every command releases the matrix to the
+    # factorization, so the size guard's price bounds the run, and the
+    # dump, which assembles the rows again one row block at a time, peaks
+    # about where the run does.
     base = _child_peak_bytes(["-c", "from fieldcast.blas import loading_single_threaded\n"
                                     "with loading_single_threaded(): import fieldcast.cli"])
-    peak = _child_peak_bytes([*run, "--out", str(tmp_path / "run")])
-    dump = _child_peak_bytes([*run, "--out", str(tmp_path / "dump"), "--dump-operator"])
-    assert peak - base <= factorization_bytes(975, 399)
-    assert dump - peak <= 2 * 2**20
-    # One residual path for every command: the bodies above [outputs] agree.
-    bodies = [(tmp_path / d / "report.txt").read_text().split("\n[outputs]\n")[0]
-              for d in ("run", "dump")]
-    assert "residual-region-1: " in bodies[0]
-    assert bodies[0] == bodies[1]
+    for nodes in ["20,24", "32,16", "24,24"]:
+        run = ["-m", "fieldcast", "run", str(PRESETS / "demo-3d.scn"),
+               "--epsilon", "0.6", "--nodes", nodes]
+        spheres = build_rules(replace(load_preset("demo-3d"),
+                                      discretization=Discretization(*map(int, nodes.split(",")))))
+        peak = _child_peak_bytes([*run, "--out", str(tmp_path / nodes / "run")])
+        dump = _child_peak_bytes([*run, "--out", str(tmp_path / nodes / "dump"), "--dump-operator"])
+        assert peak - base <= factorization_cost(*spheres)[0]
+        assert dump - peak <= 2 * 2**20
+        # One residual path for every command: the bodies above [outputs] agree.
+        bodies = [(tmp_path / nodes / d / "report.txt").read_text().split("\n[outputs]\n")[0]
+                  for d in ("run", "dump")]
+        assert "residual-region-1: " in bodies[0]
+        assert bodies[0] == bodies[1]
 
 
 # ``import fieldcast``, then ``python -m fieldcast <argv>`` in the same fresh

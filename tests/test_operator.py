@@ -21,8 +21,8 @@ from conftest import (FEASIBLE_EPS_2D, FEASIBLE_EPS_3D, assert_columns_match_the
                       harmonic_trace, nystrom_matrix, projected, scenario_rules, trace_of)
 from fieldcast.geometry import UNIT_SPHERE_MEASURE, Discretization, build_rules, harmonic_count
 from fieldcast import operator as operator_module
-from fieldcast.operator import (RUN_OVERHEAD_BYTES, _coefficient_block, block_residuals,
-                                degree_gains, dump_operator, factorization_bytes,
+from fieldcast.operator import (RUN_OVERHEAD_BYTES, TABLE_BYTES, _coefficient_block,
+                                block_residuals, degree_gains, dump_operator, factorization_cost,
                                 load_operator_dump, row_offsets)
 from fieldcast.solver import solve_min_energy
 from oracles import (ControlTrace, Density, adjoint_kernel, apply, apply_adjoint, basis,
@@ -253,6 +253,11 @@ class TestAssembleApply:
         touching = make_circle_rule((2.0, 0.0), 1.0, 16)  # touches the antenna
         with pytest.raises(ValueError, match="too close"):
             assemble_forward(antenna.boundary, [touching.boundary])
+        # A sphere concentric with the antenna resolves exactly its degree, 7.
+        for n in (8, 32):
+            outer = make_circle_rule((0.0, 0.0), 20.0, n)
+            with pytest.raises(ValueError, match=f"degree {(n - 1) // 2}, not the antenna's 7"):
+                assemble_forward(antenna.boundary, [outer.boundary])
 
     def test_dimension_mismatch_rejected(self, demo2d_parts):
         s, antenna, controls, K, v = demo2d_parts
@@ -629,7 +634,37 @@ class TestRelease:
         finally:
             tracemalloc.stop()
         assert (m, columns) == (control**2 + 3, 3)
-        assert peak <= factorization_bytes(m, columns) - RUN_OVERHEAD_BYTES + MIB
+        assert peak <= factorization_cost(antenna, controls)[0] - RUN_OVERHEAD_BYTES + MIB
+
+    @pytest.mark.parametrize("dim, nodes", [
+        (2, (4, 4)), (2, (16, 64)), (2, (64, 16)), (2, (128, 128)), (2, (768, 768)),
+        (2, (32, 4096)), (3, (2, 2)), (3, (4, 12)), (3, (12, 4)), (3, (24, 24)), (3, (32, 32))])
+    def test_one_block_is_priced_as_one_dense_factorization(self, demo2d, demo3d, dim, nodes):
+        # demo-2d's two regions, and demo-3d's with a second region off its
+        # line, are not axial: one block, priced as two m x M arrays and six
+        # k x k, k = min(m, M), the translation's tables and
+        # RUN_OVERHEAD_BYTES, at m M^2 flops.
+        s = demo2d if dim == 2 else replace(demo3d, regions=(*demo3d.regions, replace(
+            demo3d.regions[0], center=np.array([0.0, 10.0, 0.0]))))
+        antenna, controls = build_rules(replace(s, discretization=Discretization(*nodes)))
+        m, columns = row_offsets(antenna, controls)[-1], harmonic_count(antenna.degree, dim)
+        k = min(m, columns)
+        need = (8 * (2 * m * columns + 6 * k * k) + TABLE_BYTES * 2 * (columns + 1 + m)
+                + RUN_OVERHEAD_BYTES)
+        assert factorization_cost(antenna, controls) == (need, m * columns**2)
+
+    def test_a_large_axial_operator_is_priced_by_its_blocks(self, demo3d):
+        # demo-3d at 128 nodes, priced and never run: a 32767 x 16383 matrix
+        # of 4.0 GiB in 255 blocks, the largest 255 x 127, which with the
+        # blocks, the dense 16383 x 16383 vt and the largest block's
+        # factorization comes to 6.04 GiB, where one dense factorization of
+        # the matrix would be priced at 20.01 GiB.
+        antenna, controls = build_rules(replace(demo3d, discretization=Discretization(128, 128)))
+        m, columns = 32767, 16383
+        assert row_offsets(antenna, controls)[-1] == m
+        need, flops = factorization_cost(antenna, controls)
+        assert flops == 255 * 127**2
+        assert 8 * (m + columns) * columns < need < 6.1 * 2**30
 
     def test_dump_assembles_a_released_3d_operator_bit_for_bit(self, demo3d_parts, tmp_path):
         # 1151 x 575: each region's fields come in many blocks of antenna orders.

@@ -34,12 +34,12 @@ from conftest import (assert_residuals_match_the_matrix, basis_fields, boundarie
                       explicit_coefficients, load_preset, nystrom_floor_and_energy, projected,
                       quadrature_block, quadrature_epsilon, rule_harmonics, scalar_match,
                       scenario_rules, summed_basis_fields)
-from fieldcast import cli, kernels, solver
+from fieldcast import kernels, solver
 from fieldcast.geometry import (DEFAULT_NODES, MIN_NODES, SEPARATION_RTOL, Discretization,
                                 harmonic_count, surface_harmonics)
 from fieldcast.fields import _wanted_block, auto_epsilon
 from fieldcast.operator import (_coefficient_block, block_residuals, factor_blocks,
-                                unresolved_share)
+                                factorization_cost, unresolved_share)
 from fieldcast.translation import degree_norms
 from fieldcast.solver import DISCREPANCY_RTOL, MAX_BRACKET_ITERATIONS, _FilterData, residual_floor
 from oracles import Density, make_rule
@@ -133,9 +133,10 @@ def test_factored_residuals_match_the_matrix(s, fraction):
        antenna=st.integers(2, 12), control=st.integers(2, 12))
 def test_boundaries_give_the_rules_operator_and_target(s, antenna, control):
     # build_rules' boundaries carry the degree of make_rule's rule at each
-    # node count, so the operator and the target on them are those on the
-    # rules' own boundaries, bit for bit; and the size guard counts, from
-    # the boundaries alone, the rows and columns of the largest block the
+    # node count, the outer sphere the antenna's (scenario_rules builds its
+    # rule of the antenna's nodes), so the operator and the target on them
+    # are those on the rules' own boundaries, bit for bit; and the price
+    # counts, from the boundaries alone, the flops of the largest block the
     # SVD factors, the whole matrix unless it splits by order.
     s = with_defaults(s)
     scale = 2 if s.dim == 2 else 1
@@ -148,22 +149,22 @@ def test_boundaries_give_the_rules_operator_and_target(s, antenna, control):
     v, w = build_target(s, spheres[1]), build_target(s, boundaries(rules[1]))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(v.blocks, w.blocks, strict=True))
     assert v.outside.tobytes() == w.outside.tobytes()
-    assert cli._check_size(*spheres) == max(f.reflectors.shape[1] * f.vt.shape[1] ** 2
-                                            for *_, f in weighted_svd(K).blocks)
+    assert factorization_cost(*spheres)[1] == max(f.reflectors.shape[1] * f.vt.shape[1] ** 2
+                                                  for *_, f in weighted_svd(K).blocks)
 
 
 @PROPERTY
 @given(dim=st.sampled_from([2, 3]), delta=st.floats(0.1, 10.0), log_ratio=st.floats(-4.0, 2.0),
-       antenna=st.integers(2, 12), extra=st.integers(0, 4))
-def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna, extra):
+       antenna=st.integers(2, 12))
+def test_outer_block_is_the_projected_nodal_block(dim, delta, log_ratio, antenna):
     # A sphere concentric with the antenna, at R / delta from just outside the
-    # clearance up to 100, resolving every antenna degree: its closed-form
+    # clearance up to 100, resolving the antenna's degree: its closed-form
     # diagonal against the fields at its nodes, projected on its harmonics
     # explicitly, column by column to 1e-13 of the column's diagonal entry.
     radius = delta * (1.0 + SEPARATION_RTOL) * (1.0 + 10.0 ** log_ratio)
     n_antenna = 2 * antenna if dim == 2 else antenna
     ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
-    outer = make_rule(np.zeros(dim), radius, n_antenna + extra, dim)
+    outer = make_rule(np.zeros(dim), radius, n_antenna, dim)
     K = assemble_forward(ant.boundary, [outer.boundary])
     diagonal = np.diag(K.matrix)
     assert np.array_equal(K.matrix, np.diag(diagonal)) and K.unresolved == (0.0,)
@@ -195,21 +196,21 @@ def test_radiated_field_matches_the_summed_basis_fields(dim, delta, antenna, cen
 
 @PROPERTY
 @given(dim=st.sampled_from([2, 3]), delta=st.floats(0.1, 10.0), log_ratio=st.floats(-4.0, 2.0),
-       antenna=st.integers(2, 12), outer_shift=st.integers(-2, 4), seed=st.integers(0, 2**32 - 1),
-       fraction=st.floats(0.01, 0.99))
-def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, outer_shift, seed,
+       antenna=st.integers(2, 12), target_shift=st.integers(-2, 4),
+       seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.01, 0.99))
+def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, target_shift, seed,
                                                 fraction):
-    # The antenna and a concentric outer sphere alone, which may resolve more
-    # or fewer degrees than the antenna.  Degree l's harmonics are singular
-    # vectors of gain g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2), so the
-    # spectrum is known in closed form, and so are the floor, the matched
-    # discrepancy and the energy of a target synthesized on the outer
-    # sphere's harmonics, degree by degree.
+    # The antenna and a concentric outer sphere alone, which resolves the
+    # antenna's degree L, and a target synthesized on the outer sphere's
+    # harmonics of degrees 0 .. L + target_shift, those above L in
+    # ``outside``.  Degree l's harmonics are singular vectors of gain
+    # g_l (delta/R)^(l+dim-2) (R/delta)^((dim-1)/2), so the spectrum is
+    # known in closed form, and so are the floor, the matched discrepancy
+    # and the energy of the target, degree by degree.
     ratio = (1.0 + SEPARATION_RTOL) * (1.0 + 10.0 ** log_ratio)
     n_antenna = 2 * antenna if dim == 2 else antenna
     ant = make_rule(np.zeros(dim), delta, n_antenna, dim)
-    outer = make_rule(np.zeros(dim), delta * ratio, max(MIN_NODES[dim], n_antenna + outer_shift),
-                      dim)
+    outer = make_rule(np.zeros(dim), delta * ratio, n_antenna, dim)
     K = assemble_forward(ant.boundary, [outer.boundary])
     degrees = np.arange(1, ant.boundary.degree + 1)
     g = 0.5 if dim == 2 else degrees / (2 * degrees + 1)
@@ -217,12 +218,14 @@ def test_outer_sphere_alone_is_the_closed_form(dim, delta, log_ratio, antenna, o
     sigma = np.repeat(gains, 2 if dim == 2 else 2 * degrees + 1)  # antenna harmonic order
     assert np.allclose(weighted_svd(K).sigma, np.sort(sigma)[::-1], rtol=1e-13, atol=0.0)
 
-    b = np.random.default_rng(seed).standard_normal(harmonic_count(outer.boundary.degree, dim) + 1)
-    v = HarmonicTrace(blocks=[b], outside=[0.0], boundaries=[outer.boundary])
-    y = np.zeros(sigma.shape[0])   # the target on the antenna's harmonics of degrees 1 .. L
-    kept = min(sigma.shape[0], b.shape[0] - 1)
-    y[:kept] = b[1: kept + 1]
-    outside_sq = b[0] ** 2 + float(b[kept + 1:] @ b[kept + 1:])
+    degree = max(ant.boundary.degree + target_shift, 0)
+    b = np.random.default_rng(seed).standard_normal(harmonic_count(degree, dim) + 1)
+    block = np.zeros(sigma.shape[0] + 1)   # the outer sphere's degrees 0 .. L
+    block[:b.shape[0]] = b[:block.shape[0]]
+    above = float(b[block.shape[0]:] @ b[block.shape[0]:])
+    v = HarmonicTrace(blocks=[block], outside=[above], boundaries=[outer.boundary])
+    y = block[1:]   # the target on the antenna's harmonics of degrees 1 .. L
+    outside_sq = block[0] ** 2 + above
 
     def discrepancy(alpha, counted):
         filtered = np.where(counted, alpha / (alpha + sigma**2), 1.0) * y
@@ -504,6 +507,18 @@ def test_geometry_sized_antenna_keeps_floor_and_energy_3d(s):
     _assert_geometry_sized_antenna_matches_the_default(s)
 
 
+class _SingularCoefficients:
+    """Stands in for the factors of a spectrum with no matrix behind it: the
+    Tikhonov residual from the singular coefficients alone,
+    sum (alpha / (alpha + sigma^2))^2 beta^2."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    def tikhonov_residual_sq(self, beta, alpha):
+        return float(np.sum((alpha / (alpha + self.sigma**2) * beta) ** 2))
+
+
 @st.composite
 def filter_data(draw):
     """A target in a random weighted singular basis: a nonincreasing positive
@@ -516,7 +531,8 @@ def filter_data(draw):
     perp_sq = draw(st.floats(0.0, 10.0))
     v_norm = math.sqrt(perp_sq + float(beta @ beta))
     assume(v_norm > 0.0)
-    return _FilterData(sigma=sigma, beta=beta, perp_sq=perp_sq, v_norm=v_norm)
+    return _FilterData(sigma=sigma, beta=beta, perp_sq=perp_sq, v_norm=v_norm,
+                       svd=_SingularCoefficients(sigma))
 
 
 @PROPERTY
